@@ -8,7 +8,6 @@ oval         Angenent-oval initial data and the limiting scales
 barrier      rolling circles and sagging-arc supersolutions
 flow         semi-implicit curve evolution with sliding contacts
 asymptotics  exponential estimates, profile fits, Robin eigenproblem
-cli          config-driven command line front end
 """
 
 __version__ = "0.1.0"

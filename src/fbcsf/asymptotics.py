@@ -136,7 +136,9 @@ def verify_estimates(traj, r, lambda0, window=None):
     Six records: turning-angle decay, support-function ratio, smallest
     and largest curvature decay (the latter carrying the curvature
     gradient ratio), and the two height-ratio pinches around lambda0^2
-    (lower uses rate r, upper the doubled rate).
+    (lower uses rate r, upper the doubled rate).  A pinch whose defect is
+    positive on fewer than 8 states holds outright: it reports the
+    required rate as its fitted rate and sets extras["vacuous"].
     """
     t = np.asarray(traj.monitors["t"])
     if window is None:
@@ -184,7 +186,7 @@ def verify_estimates(traj, r, lambda0, window=None):
 
     # support ratio: required to stay bounded with a non-increasing trend
     slope = np.polyfit(st_t, sup_ratio, 1)[0]
-    sup_ok = bool(np.all(np.isfinite(sup_ratio))) and slope <= 0.05
+    sup_ok = bool(np.all(np.isfinite(sup_ratio)) and slope <= 0.05)
     records.append(EstimateRecord(
         "support_ratio", float(slope), 0.0, float(np.max(sup_ratio)),
         sup_ok, window, len(states)))
@@ -205,25 +207,27 @@ def verify_estimates(traj, r, lambda0, window=None):
                 else:
                     defect[j] = float(np.max(q)) - lam2
             pos = defect > 1e-12
-            if int(np.sum(pos)) >= 8:
+            vacuous = int(np.sum(pos)) < 8
+            if not vacuous:
                 rate, logc = np.polyfit(st_t[pos],
                                         np.log(defect[pos]), 1)
                 resid = np.log(defect[pos]) - (rate * st_t[pos] + logc)
                 const = float(np.exp(logc + np.max(resid)))
                 ok = bool(np.isfinite(rate)) and rate >= required * 0.95
             else:
-                # bound holds outright on almost the whole window
+                # bound holds outright on almost the whole window; the
+                # reported rate is the required one, not a fit
                 rate, const, ok = required, 0.0, True
-            cand = (ok, float(rate), const, float(nwt))
+            cand = (ok, float(rate), const, float(nwt), vacuous)
             if best is None or (cand[0] and not best[0]):
                 best = cand
             if cand[0]:
                 break
-        ok, rate, const, nwt = best
+        ok, rate, const, nwt, vacuous = best
         return EstimateRecord(
             "height_ratio_lower" if signed > 0 else "height_ratio_upper",
             rate, required, const, ok, window, len(states),
-            extras={"weight": nwt})
+            extras={"weight": nwt, "vacuous": vacuous})
 
     records.append(pinch(+1.0, r))
     records.append(pinch(-1.0, 2.0 * r))

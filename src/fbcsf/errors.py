@@ -1,9 +1,7 @@
 """Exception hierarchy for the fbcsf package.
 
 Every failure mode that a caller might want to branch on gets its own
-class.  The CLI maps these onto process exit codes: config problems are
-exit 2, geometry construction failures exit 3, solver failures exit 4,
-analysis failures exit 5.
+class.
 """
 
 

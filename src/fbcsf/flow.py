@@ -2,22 +2,33 @@
 
 The curve is an open polyline whose endpoints live on the domain boundary,
 stored as boundary turning-angle parameters.  One step is: implicit
-arc-length Laplacian solve for the node displacements (tridiagonal),
-explicit ghost-closed update of the endpoints, re-solving each contact
-parameter so the discrete endpoint tangent is parallel to the boundary
-normal, then cubic arc-length resampling.  The node count tracks the
-shrinking length so the spacing, and with it the time step, stays near its
-initial value.
+arc-length Laplacian solve for the node displacements (one LAPACK gtsv
+call), explicit ghost-closed update of the endpoints, re-solving each
+contact parameter so the discrete endpoint tangent is parallel to the
+boundary normal (Newton with the residual's analytic slope, from the
+wall's point and normal derivatives), then cubic arc-length resampling
+when the spacing has drifted.  The node count tracks the shrinking length
+so the spacing, and with it the time step, stays near its initial value.
+
+Each state's edge lengths are computed once, by the step that makes it,
+and cached on the state; the next step's time step and Laplacian reuse
+them.  Its ghost-closed curvature is likewise computed once and shared by
+the convexity check, the monitors and the next step's endpoint
+prediction.
 
 Validation modes run the same interior scheme on problems with exact
 solutions: a closed shrinking circle, a translating grim-reaper graph with
 pinned ends, and a shrinking semicircle on a straight wall.
 """
 
+import math
+from array import array
+from dataclasses import dataclass, field
+
 import numpy as np
-from dataclasses import dataclass, field, replace
 from scipy.interpolate import CubicSpline
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgtsv
 
 from . import barrier as barrier_mod
 from . import oval as oval_mod
@@ -35,7 +46,8 @@ class ConvexWall:
 
     Boundary positions and the cumulative area integrand are tabulated on
     a dense turning-angle grid once per wall; the per-step contact solves
-    then evaluate splines instead of the Fourier series.
+    then evaluate flat piecewise-polynomial tables of Python floats instead
+    of the Fourier series.
     """
 
     def __init__(self, ndom, pad=0.35, ngrid=4096):
@@ -43,91 +55,84 @@ class ConvexWall:
         self.dom = ndom.domain
         om = np.linspace(np.pi / 2 - pad, 3 * np.pi / 2 + pad, ngrid)
         pts = self.dom.point(om)
-        self._point_spl = CubicSpline(om, pts, axis=0)
+        point_spl = CubicSpline(om, pts, axis=0)
         dp = self.dom.dpoint(om)
         green = 0.5 * (pts[:, 0] * dp[:, 1] - pts[:, 1] * dp[:, 0])
         self._green_spl = CubicSpline(om, green).antiderivative()
-        self._lo, self._hi = om[0], om[-1]
-        # uniform-grid piecewise polynomial tables for the scalar hot path
-        self._hg = om[1] - om[0]
+        self._lo, self._hi = float(om[0]), float(om[-1])
+        self._hg = float(om[1] - om[0])
         self._nseg = ngrid - 1
-        self._pc = np.ascontiguousarray(
-            self._point_spl.c.transpose(1, 0, 2))      # (nseg, 4, 2)
-        self._gc = np.ascontiguousarray(self._green_spl.c.T)  # (nseg, 5)
+        # per segment: x and y coefficients of u^3, u^2, u, 1, interleaved
+        self._pc = array("d", point_spl.c.transpose(1, 0, 2).tobytes())
+        # per segment: coefficients of u^4 .. 1 of the area integrand
+        self._gc = array("d", self._green_spl.c.T.tobytes())
 
-    def point(self, om):
-        if self._lo <= om <= self._hi:
-            return self._point_spl(om)
-        return self.dom.point(om)
+    def _segment(self, om):
+        """Table segment holding om and the offset into it, or None off
+        the table."""
+        u = om - self._lo
+        if not 0.0 <= u <= self._hi - self._lo:
+            return None
+        i = int(u / self._hg)
+        if i >= self._nseg:
+            i = self._nseg - 1
+        return i, u - i * self._hg
 
     def point_xy(self, om):
         """Scalar boundary point as a float pair."""
-        u = om - self._lo
-        if 0.0 <= u <= self._hi - self._lo:
-            i = int(u / self._hg)
-            if i >= self._nseg:
-                i = self._nseg - 1
-            u -= i * self._hg
-            c = self._pc[i]
-            return (((c[0, 0] * u + c[1, 0]) * u + c[2, 0]) * u + c[3, 0],
-                    ((c[0, 1] * u + c[1, 1]) * u + c[2, 1]) * u + c[3, 1])
-        p = self.dom.point(om)
-        return float(p[0]), float(p[1])
+        return self.jet_xy(om)[:2]
 
-    def tangent(self, om):
-        return np.array([np.cos(om), np.sin(om)])
+    def jet_xy(self, om):
+        """Point, its om-derivative, normal and the normal's om-derivative:
+        eight floats (px, py, dpx, dpy, nx, ny, dnx, dny)."""
+        seg = self._segment(om)
+        if seg is None:
+            p, dp = self.dom.point(om), self.dom.dpoint(om)
+            px, py = float(p[0]), float(p[1])
+            dpx, dpy = float(dp[0]), float(dp[1])
+        else:
+            i, u = seg
+            ax, ay, bx, by, cx, cy, dx, dy = self._pc[8 * i:8 * i + 8]
+            px = ((ax * u + bx) * u + cx) * u + dx
+            py = ((ay * u + by) * u + cy) * u + dy
+            dpx = (3.0 * ax * u + 2.0 * bx) * u + cx
+            dpy = (3.0 * ay * u + 2.0 * by) * u + cy
+        s, c = math.sin(om), math.cos(om)
+        return px, py, dpx, dpy, s, -c, c, s
 
     def tangent_xy(self, om):
-        return np.cos(om), np.sin(om)
-
-    def normal(self, om):
-        return np.array([np.sin(om), -np.cos(om)])
+        return math.cos(om), math.sin(om)
 
     def normal_xy(self, om):
-        return np.sin(om), -np.cos(om)
-
-    def curvature(self, om):
-        return float(self.dom.curvature(om))
+        return math.sin(om), -math.cos(om)
 
     def arc_area(self, om_from, om_to):
         """Green-theorem boundary term of the enclosed area."""
         return self._green_at(om_to) - self._green_at(om_from)
 
     def _green_at(self, om):
-        u = om - self._lo
-        if 0.0 <= u <= self._hi - self._lo:
-            i = int(u / self._hg)
-            if i >= self._nseg:
-                i = self._nseg - 1
-            u -= i * self._hg
-            c = self._gc[i]
-            return ((((c[0] * u + c[1]) * u + c[2]) * u + c[3]) * u + c[4])
-        return float(self._green_spl(np.clip(om, self._lo, self._hi)))
+        seg = self._segment(om)
+        if seg is None:
+            return float(self._green_spl(np.clip(om, self._lo, self._hi)))
+        i, u = seg
+        a, b, c, d, e = self._gc[5 * i:5 * i + 5]
+        return (((a * u + b) * u + c) * u + d) * u + e
 
 
 class StraightWall:
     """The x-axis as a wall, parametrized by abscissa (validation mode)."""
 
-    def point(self, p):
-        return np.array([float(p), 0.0])
-
     def point_xy(self, p):
         return float(p), 0.0
 
-    def tangent(self, p):
-        return np.array([1.0, 0.0])
+    def jet_xy(self, p):
+        return float(p), 0.0, 1.0, 0.0, 0.0, -1.0, 0.0, 0.0
 
     def tangent_xy(self, p):
         return 1.0, 0.0
 
-    def normal(self, p):
-        return np.array([0.0, -1.0])
-
     def normal_xy(self, p):
         return 0.0, -1.0
-
-    def curvature(self, p):
-        return 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -188,38 +193,36 @@ class CurveState:
 
     @property
     def length(self):
-        return float(np.sum(self.seg_cached()))
+        return float(self.seg_cached().sum())
 
     def ghosts(self, wall):
         """Mirror the first interior node across each contact's wall
         tangent line; the doubled curve reproduces the contact curvature."""
+        (x0, y0), (x1, y1) = self.nodes[:2].tolist()
+        (xm, ym), (xn, yn) = self.nodes[-2:].tolist()
         out = []
-        for om, end, inner in ((self.om_minus, self.nodes[0], self.nodes[1]),
-                               (self.om_plus, self.nodes[-1], self.nodes[-2])):
+        for om, ex, ey, ix, iy in ((self.om_minus, x0, y0, x1, y1),
+                                   (self.om_plus, xn, yn, xm, ym)):
             wx, wy = wall.tangent_xy(om)
-            vx = inner[0] - end[0]
-            vy = inner[1] - end[1]
+            vx = ix - ex
+            vy = iy - ey
             d = 2.0 * (vx * wx + vy * wy)
-            out.append((end[0] + d * wx - vx, end[1] + d * wy - vy))
+            out.append((ex + d * wx - vx, ey + d * wy - vy))
         return out
 
     def kappa(self, wall=None):
         """Vertex curvatures; contacts closed by ghost reflection."""
         pts = self.nodes
         if wall is not None:
-            gl, gr = self.ghosts(wall)
-            pts = np.vstack([gl, pts, gr])
+            pts = np.empty((len(pts) + 2, 2))
+            pts[1:-1] = self.nodes
+            pts[0], pts[-1] = self.ghosts(wall)
         e = pts[1:] - pts[:-1]
         h = np.hypot(e[:, 0], e[:, 1])
         crossp = e[:-1, 0] * e[1:, 1] - e[:-1, 1] * e[1:, 0]
         dotp = np.einsum("ij,ij->i", e[:-1], e[1:])
         phi = np.arctan2(crossp, dotp)
         return 2.0 * phi / (h[:-1] + h[1:])
-
-    def theta(self):
-        """Edge tangent turning angles."""
-        e = np.diff(self.nodes, axis=0)
-        return np.arctan2(e[:, 1], e[:, 0])
 
     def heights_at(self, xs):
         return np.interp(xs, self.nodes[:, 0], self.nodes[:, 1],
@@ -228,9 +231,8 @@ class CurveState:
 
 def enclosed_area(state, ndom, wall=None):
     """Area between the curve and the boundary arc above it."""
-    pts = state.nodes
-    shoelace = 0.5 * float(np.sum(
-        pts[:-1, 0] * pts[1:, 1] - pts[:-1, 1] * pts[1:, 0]))
+    x, y = state.nodes[:, 0], state.nodes[:, 1]
+    shoelace = 0.5 * float((x[:-1] * y[1:] - y[:-1] * x[1:]).sum())
     if wall is not None:
         return shoelace + wall.arc_area(state.om_plus, state.om_minus)
     arc = ndom.domain.half_green_arc(state.om_plus, state.om_minus)
@@ -241,58 +243,84 @@ def enclosed_area(state, ndom, wall=None):
 # core step
 
 
-def _laplacian_coeffs(nodes):
-    e = np.diff(nodes, axis=0)
-    h = np.hypot(e[:, 0], e[:, 1])
+def _tridiag_solve(dl, d, du, b):
+    """Solve the tridiagonal system (sub dl, diagonal d, super du) for the
+    columns of b with LAPACK gtsv, overwriting all four arrays.
+
+    gtsv is what solve_banded((1, 1), ...) calls, so results are bitwise
+    the same; so are its checks: ValueError on non-finite input (a sum
+    that overflows counts as non-finite), LinAlgError on a singular
+    matrix.
+    """
+    if not math.isfinite(dl.sum() + d.sum() + du.sum() + b.sum()):
+        raise ValueError("array must not contain infs or NaNs")
+    _, _, _, x, info = dgtsv(dl, d, du, b, True, True, True, True)
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of gtsv")
+    return x
+
+
+def _implicit_interior(nodes, h, dt, ends=None):
+    """Solve (I - dt L) X = X0 for the arc-length Laplacian L of nodes,
+    whose edge lengths are h; endpoint rows pinned to `ends` (predicted
+    new-time positions) or frozen when ends is None."""
+    n = len(nodes)
     hl, hr = h[:-1], h[1:]
     a = 2.0 / (hl * (hl + hr))
     c = 2.0 / (hr * (hl + hr))
-    return h, a, c
-
-
-def _implicit_interior(nodes, dt, ends=None):
-    """Solve (I - dt L) X = X0; endpoint rows pinned to `ends` (predicted
-    new-time positions) or frozen when ends is None."""
-    n = len(nodes)
-    h, a, c = _laplacian_coeffs(nodes)
-    ab = np.zeros((3, n))
-    ab[1, :] = 1.0
-    ab[1, 1:-1] = 1.0 + dt * (a + c)
-    ab[0, 2:] = -dt * c        # superdiagonal for rows 1..n-2
-    ab[2, :-2] = -dt * a       # subdiagonal
-    rhs = nodes.copy()
+    d = np.ones(n)
+    d[1:-1] += dt * (a + c)
+    dl = np.zeros(n - 1)
+    dl[:-1] = -dt * a
+    du = np.zeros(n - 1)
+    du[1:] = -dt * c
+    rhs = np.array(nodes, order="F")
     if ends is not None:
         rhs[0], rhs[-1] = ends
-    return solve_banded((1, 1), ab, rhs)
+    return _tridiag_solve(dl, d, du, rhs)
 
 
 def _slave_contact(wall, om_guess, inner1, inner2, side, tol=1e-13):
     """Contact parameter making the one-sided curve tangent parallel to the
-    wall normal.  side = +1 for the right contact, -1 for the left."""
+    wall normal.  side = +1 for the right contact, -1 for the left.
+
+    Newton's slope is the residual's exact derivative, built from the
+    wall's point and normal derivatives (wall.jet_xy).
+    """
     i1x, i1y = float(inner1[0]), float(inner1[1])
     i2x, i2y = float(inner2[0]), float(inner2[1])
-    h2 = np.hypot(i2x - i1x, i2y - i1y)
+    h2 = math.hypot(i2x - i1x, i2y - i1y)
 
     def resid(om):
-        px, py = wall.point_xy(om)
-        h1 = np.hypot(i1x - px, i1y - py)
+        """Residual and its derivative in om."""
+        px, py, dpx, dpy, nx, ny, dnx, dny = wall.jet_xy(om)
+        rx, ry = i1x - px, i1y - py
+        h1 = math.hypot(rx, ry)
+        h12 = h1 + h2
         # one-sided second-order tangent at the endpoint
-        c0 = -(2 * h1 + h2) / (h1 * (h1 + h2))
-        c1 = (h1 + h2) / (h1 * h2)
-        c2 = -h1 / (h2 * (h1 + h2))
+        c0 = -(2 * h1 + h2) / (h1 * h12)
+        c1 = h12 / (h1 * h2)
+        c2 = -h1 / (h2 * h12)
         dx = c0 * px + c1 * i1x + c2 * i2x
         dy = c0 * py + c1 * i1y + c2 * i2y
-        nx, ny = wall.normal_xy(om)
-        return dx * ny - dy * nx
+        # the coefficients move with h1 only; c0 + c1 + c2 = 0
+        dh1 = -(rx * dpx + ry * dpy) / h1
+        e1 = -1.0 / (h1 * h1)
+        e2 = -1.0 / (h12 * h12)
+        ex = dh1 * (-(e1 + e2) * px + e1 * i1x + e2 * i2x) + c0 * dpx
+        ey = dh1 * (-(e1 + e2) * py + e1 * i1y + e2 * i2y) + c0 * dpy
+        return (dx * ny - dy * nx,
+                ex * ny + dx * dny - ey * nx - dy * dnx)
 
     # the residual's rounding floor grows with the one-sided coefficients,
     # so stopping also triggers on a sub-1e-12 parameter update
-    om, f = om_guess, resid(om_guess)
+    om = om_guess
+    f, df = resid(om)
     for _ in range(60):
         if abs(f) < tol:
             return om
-        d = 1e-7
-        df = (resid(om + d) - f) / d
         if df == 0.0:
             break
         delta = f / df
@@ -301,11 +329,11 @@ def _slave_contact(wall, om_guess, inner1, inner2, side, tol=1e-13):
         om -= delta
         if abs(delta) < 1e-12:
             return om
-        f = resid(om)
+        f, df = resid(om)
     # bracketed fallback around the guess
     lo, hi = om_guess - 0.25, om_guess + 0.25
     try:
-        return safe_brentq(resid, lo, hi)
+        return safe_brentq(lambda w: resid(w)[0], lo, hi)
     except Exception as exc:
         raise FlowError(f"contact solve failed near om = {om_guess}") from exc
 
@@ -328,14 +356,15 @@ def _resample(nodes, n_out):
 def _convexity_defect(state, wall):
     """Smallest orientation-normalized vertex curvature."""
     kap = state.kappa_cached(wall)
-    orient = 1.0 if float(np.sum(kap)) >= 0.0 else -1.0
-    return float(np.min(orient * kap))
+    if kap.sum() >= 0.0:
+        return float(kap.min())
+    return -float(kap.max())
 
 
 def step(state, cfg, wall, h0=None):
     """One accepted step; halves dt on convexity rejection up to 20 times."""
     seg = state.seg_cached()
-    h_bar = float(np.mean(seg))
+    h_bar = float(seg.sum()) / len(seg)
     dt = cfg.dt_safety * h_bar * h_bar / 2.0
     for _ in range(21):
         try:
@@ -356,18 +385,17 @@ def _attempt_step(state, cfg, wall, dt, h0):
     # which is parallel to the wall tangent at an orthogonal contact, so
     # the implicit interior solve sees new-time boundary data
     kap = state.kappa_cached(wall)
+    (x0, y0), (x1, y1) = nodes[:2].tolist()
+    (xm, ym), (xn, yn) = nodes[-2:].tolist()
     ends = []
-    for idx, jn, om in ((0, 1, state.om_minus), (-1, -2, state.om_plus)):
-        ex = nodes[jn, 0] - nodes[idx, 0]
-        ey = nodes[jn, 1] - nodes[idx, 1]
-        if idx != 0:
-            ex, ey = -ex, -ey
-        hh = np.hypot(ex, ey)
+    for k, om, px, py, ex, ey in (
+            (kap[0], state.om_minus, x0, y0, x1 - x0, y1 - y0),
+            (kap[-1], state.om_plus, xn, yn, xn - xm, yn - ym)):
         wx, wy = wall.tangent_xy(om)
-        slide = (-ey * wx + ex * wy) / hh
-        adv = dt * kap[idx] * slide
-        ends.append((nodes[idx, 0] + adv * wx, nodes[idx, 1] + adv * wy))
-    new = _implicit_interior(nodes, dt, ends=ends)
+        slide = (-ey * wx + ex * wy) / math.hypot(ex, ey)
+        adv = dt * float(k) * slide
+        ends.append((px + adv * wx, py + adv * wy))
+    new = _implicit_interior(nodes, state.seg_cached(), dt, ends=ends)
     om_minus = _slave_contact(wall, state.om_minus, new[1], new[2], -1)
     om_plus = _slave_contact(wall, state.om_plus, new[-2], new[-3], +1)
     new[0] = wall.point_xy(om_minus)
@@ -375,11 +403,11 @@ def _attempt_step(state, cfg, wall, dt, h0):
     if cfg.redistribution:
         e = new[1:] - new[:-1]
         seg = np.hypot(e[:, 0], e[:, 1])
-        length = float(seg.sum())
         if h0 is None:
             n_out = len(new)
         else:
-            n_out = int(np.clip(round(length / h0) + 1, 32, cfg.n_nodes))
+            n_out = min(max(round(float(seg.sum()) / h0) + 1, 32),
+                        cfg.n_nodes)
         # resample only once the mesh has actually drifted; spacing decays
         # by O(dt) per step so most steps skip the spline rebuild
         if n_out != len(new) or float(seg.max()) > 1.25 * float(seg.min()):
@@ -415,6 +443,9 @@ class Trajectory:
     ndom: object = None
     barrier_config: object = None
     barrier_t_hat: float = None
+    # True when the L^2 fit gave no extinction time in
+    # [t_end, t_end + 0.5] and the last recorded time was used instead
+    extinction_fit_fallback: bool = False
 
     @property
     def times(self):
@@ -436,9 +467,6 @@ class Trajectory:
         i = int(np.argmin(np.abs(self.state_times - t_offset)))
         return self.states[i]
 
-    def graph_at(self, t_offset, xs):
-        return self.state_at(t_offset).heights_at(xs)
-
 
 def _local_min_count(values, rel_tol=1e-10):
     """Interior local minima of a sampled function, merging flat plateaus.
@@ -447,13 +475,11 @@ def _local_min_count(values, rel_tol=1e-10):
     descent/ascent test miss the minimum, so increments smaller than
     rel_tol * max|values| are treated as flat and dropped.
     """
-    d = np.diff(values)
-    tol = rel_tol * float(np.max(np.abs(values))) + 1e-300
-    sg = np.where(d > tol, 1, np.where(d < -tol, -1, 0))
-    sg = sg[sg != 0]
-    if len(sg) < 2:
-        return 0
-    return int(np.sum((sg[:-1] == -1) & (sg[1:] == 1)))
+    d = values[1:] - values[:-1]
+    tol = rel_tol * float(np.abs(values).max()) + 1e-300
+    # a minimum is a descent followed by an ascent among significant steps
+    falls = d[np.abs(d) > tol] < 0.0
+    return int(np.count_nonzero(falls[:-1] > falls[1:]))
 
 
 def run_to_extinction(initial, cfg, ndom, barrier_config=None,
@@ -466,7 +492,8 @@ def run_to_extinction(initial, cfg, ndom, barrier_config=None,
     """
     wall = ConvexWall(ndom) if wall is None else wall
     state = initial
-    h0 = float(np.mean(np.hypot(*np.diff(initial.nodes, axis=0).T)))
+    h0 = initial.length / (len(initial.nodes) - 1)
+    xs = np.asarray(cfg.abscissas)
 
     raw = {k: [] for k in ("t", "theta_plus", "theta_minus", "kappa_min",
                            "kappa_max", "area", "length", "barrier_margin",
@@ -476,17 +503,18 @@ def run_to_extinction(initial, cfg, ndom, barrier_config=None,
 
     def record(s):
         kap = s.kappa_cached(wall)
+        inner = kap[1:-1]
         raw["t"].append(s.time)
         raw["theta_plus"].append(s.theta_plus)
         raw["theta_minus"].append(s.theta_minus)
-        raw["kappa_min"].append(float(np.min(kap[1:-1])))
-        raw["kappa_max"].append(float(np.max(kap)))
+        raw["kappa_min"].append(float(inner.min()))
+        raw["kappa_max"].append(float(kap.max()))
         raw["area"].append(enclosed_area(s, ndom, wall))
         raw["length"].append(s.length)
         raw["om_minus"].append(s.om_minus)
         raw["om_plus"].append(s.om_plus)
-        raw["min_count"].append(_local_min_count(kap[1:-1]))
-        ys.append(s.heights_at(np.asarray(cfg.abscissas)))
+        raw["min_count"].append(_local_min_count(inner))
+        ys.append(s.heights_at(xs))
         if barrier_config is not None and barrier_t_hat is not None \
                 and barrier_t_hat + s.time < 0.0:
             B = barrier_mod.barrier_at(barrier_t_hat + s.time, barrier_config)
@@ -537,8 +565,9 @@ def _finalize(raw, ys, states, state_times, cfg, ndom,
     # length shrinks like sqrt(t_ext - t): fit L^2 linearly near the end
     k = max(2, min(40, len(t) // 4))
     A = np.polyfit(t[-k:], L[-k:] ** 2, 1)
-    t_ext = float(-A[1] / A[0]) if A[0] < 0 else float(t[-1])
-    if not t[-1] <= t_ext <= t[-1] + 0.5:
+    t_ext = float(-A[1] / A[0]) if A[0] < 0 else np.nan
+    fallback = not t[-1] <= t_ext <= t[-1] + 0.5
+    if fallback:
         t_ext = float(t[-1])
     offset = t_ext
 
@@ -579,6 +608,7 @@ def _finalize(raw, ys, states, state_times, cfg, ndom,
         ndom=ndom,
         barrier_config=barrier_config,
         barrier_t_hat=barrier_t_hat,
+        extinction_fit_fallback=fallback,
     )
 
 
@@ -721,14 +751,10 @@ def _implicit_closed(pts, dt):
     d2 = diag.copy()
     d2[0] -= gamma
     d2[-1] -= low[0] * up[-1] / gamma
-    ab = np.zeros((3, n))
-    ab[1] = d2
-    ab[0, 1:] = up[:-1]
-    ab[2, :-1] = low[1:]
     u = np.zeros(n)
     u[0], u[-1] = gamma, up[-1]
     rhs = np.column_stack([pts, u])
-    sol = solve_banded((1, 1), ab, rhs)
+    sol = _tridiag_solve(low[1:], d2, up[:-1], rhs)
     y, z = sol[:, :2], sol[:, 2]
     vy = y[0] + low[0] / gamma * y[-1]
     vz = z[0] + low[0] / gamma * z[-1]
@@ -743,7 +769,7 @@ def grim_reaper_error(n, t_end, half_width=1.0, dt_safety=0.4):
     while t < t_end:
         seg = np.hypot(*np.diff(pts, axis=0).T)
         dt = min(dt_safety * float(np.min(seg)) ** 2 / 2.0, t_end - t)
-        new = _implicit_interior(pts, dt)
+        new = _implicit_interior(pts, seg, dt)
         t += dt
         new[0] = [-half_width, t - np.log(np.cos(half_width))]
         new[-1] = [half_width, t - np.log(np.cos(half_width))]

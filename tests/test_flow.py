@@ -123,6 +123,11 @@ def test_step_budget_raises_with_partial(ndisk):
     partial = exc.value.partial
     assert len(partial.monitors["t"]) == 51
     assert float(np.min(partial.monitors["kappa_min"])) > 0.0
+    # fifty steps are far from extinction: the L^2 fit lands well past
+    # t_end + 0.5, so the offset falls back to the last recorded time
+    assert partial.extinction_fit_fallback is True
+    assert partial.time_offset == partial.extinction_time
+    assert partial.monitors["t"][-1] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +149,9 @@ class TestDiskRun:
         t = np.asarray(self.traj.monitors["t"])
         assert t[0] == self.traj.alpha
         assert -2e-2 < t[-1] <= 0.0
+
+    def test_extinction_fit_lands_in_range(self):
+        assert self.traj.extinction_fit_fallback is False
 
     def test_area_strictly_decreasing(self):
         area = np.asarray(self.traj.monitors["area"])
