@@ -10,10 +10,12 @@ them step the flow.
 """
 
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import AnalysisError, NonPositiveAmplitude, WindowTooShort
-from .flow import ConvexWall
+# uniqueness_evidence calls matched_distance through this module's global,
+# so a wrapper set on this module (bench/tracing.py) sees every call
+from .flow import ConvexWall, CurveState, matched_distance
 from .oval import lambda0_residual, solve_lambda0
 from .solve import safe_brentq
 
@@ -109,7 +111,7 @@ def _window_states(traj, window):
 def _state_fields(state, wall):
     """Per-node curvature, height, position-normal pairing, curvature
     arc-derivative for one stored state."""
-    kap = state.kappa(wall)
+    kap = state.kappa_cached(wall)
     pts = state.nodes
     e = pts[1:] - pts[:-1]
     h = np.hypot(e[:, 0], e[:, 1])
@@ -163,7 +165,7 @@ def verify_estimates(traj, r, lambda0, window=None):
         "max_curvature_decay", rate, r, const, ok, window, n)
 
     # state-based quantities
-    wall = ConvexWall(traj.ndom) if traj.ndom is not None else None
+    wall = ConvexWall(traj.ndom)
     states = _window_states(traj, window)
     st_t = np.array([s.time for s in states])
     sup_ratio = np.empty(len(states))
@@ -359,10 +361,6 @@ class EigenResult:
     kappa2: float
 
 
-def _neg_secular(s, k1, k2):
-    return lambda0_residual(s, k1, k2)
-
-
 def _pos_secular(s, k1, k2):
     c, sn = np.cos(s), np.sin(s)
     return ((k1 * c + s * sn) * (s * c - k2 * sn)
@@ -420,11 +418,11 @@ def robin_eigen(kappa1, kappa2, k=3, ngrid=1001):
 
     # scan below kmax for a second hyperbolic root
     ss = np.linspace(1e-6, kmax, 4001)
-    vals = _neg_secular(ss, kappa1, kappa2)
+    vals = lambda0_residual(ss, kappa1, kappa2)
     sign = np.sign(vals)
     flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
     for i in flips:
-        s2 = safe_brentq(lambda s: float(_neg_secular(s, kappa1, kappa2)),
+        s2 = safe_brentq(lambda s: float(lambda0_residual(s, kappa1, kappa2)),
                          float(ss[i]), float(ss[i + 1]))
         negatives.append(_neg_pair(s2, kappa1, kappa2, grid))
 
@@ -474,36 +472,6 @@ class UniquenessReport:
     tau_star: float
     distance: float
     window: tuple
-
-
-def _graph_interp(traj, t, xs):
-    """Heights at xs, linearly interpolated in time between stored states."""
-    times = traj.state_times
-    i = int(np.searchsorted(times, t))
-    if i <= 0:
-        return traj.states[0].heights_at(xs)
-    if i >= len(times):
-        return traj.states[-1].heights_at(xs)
-    t0, t1 = times[i - 1], times[i]
-    y0 = traj.states[i - 1].heights_at(xs)
-    y1 = traj.states[i].heights_at(xs)
-    if t1 <= t0:
-        return y1
-    w = (t - t0) / (t1 - t0)
-    return (1.0 - w) * y0 + w * y1
-
-
-def matched_distance(trajA, trajB, tau, sample_times, xs):
-    """Sup over times and abscissas of |y_A(t) - y_B(t + tau)|."""
-    worst = 0.0
-    for t in sample_times:
-        ya = _graph_interp(trajA, t, xs)
-        yb = _graph_interp(trajB, t + tau, xs)
-        m = np.isfinite(ya) & np.isfinite(yb)
-        if not np.any(m):
-            return np.inf
-        worst = max(worst, float(np.max(np.abs(ya[m] - yb[m]))))
-    return worst
 
 
 def uniqueness_evidence(trajA, trajB, lambda0, n_times=16,
@@ -560,17 +528,15 @@ def reflect_trajectory(traj):
     """The same run mapped to the other side of the diameter.
 
     Contacts, turning angles, curvature magnitudes and areas are mirror
-    invariant; only heights and the extinction point change sign.
+    invariant; only heights and the extinction point change sign.  The
+    mirror gets new states and height monitors and shares everything else
+    with traj, which it leaves unchanged.
     """
-    import copy
-    out = copy.deepcopy(traj)
-    for s in out.states:
-        s.nodes = s.nodes.copy()
-        s.nodes[:, 1] *= -1.0
-        s._kap = None
-    for key in list(out.monitors):
-        if key.startswith("y_at_x"):
-            out.monitors[key] = -np.asarray(out.monitors[key])
-    out.extinction_point = np.asarray(out.extinction_point) * \
-        np.array([1.0, -1.0])
-    return out
+    flip = np.array([1.0, -1.0])
+    states = [CurveState(nodes=s.nodes * flip, time=s.time,
+                         om_minus=s.om_minus, om_plus=s.om_plus, _seg=s._seg)
+              for s in traj.states]
+    monitors = {key: -np.asarray(val) if key.startswith("y_at_x") else val
+                for key, val in traj.monitors.items()}
+    return replace(traj, states=states, monitors=monitors,
+                   extinction_point=np.asarray(traj.extinction_point) * flip)

@@ -33,10 +33,6 @@ class NonConvex(GeometryError):
     """Radius-of-curvature function is not strictly positive."""
 
 
-class DegenerateContinuum(GeometryError):
-    """Width function is constant: every normal is a double normal."""
-
-
 class RhoTooLarge(GeometryError):
     """Requested contact height exceeds what the domain admits."""
 

@@ -13,8 +13,16 @@ so the spacing, and with it the time step, stays near its initial value.
 Each state's edge lengths are computed once, by the step that makes it,
 and cached on the state; the next step's time step and Laplacian reuse
 them.  Its ghost-closed curvature is likewise computed once and shared by
-the convexity check, the monitors and the next step's endpoint
-prediction.
+the convexity check, the monitors, the next step's endpoint prediction
+and the late-time analysis.
+
+A run records monitors on every step but keeps only every k-th full
+state, with the stride k fixed from the first step size: about 900
+states per 0.35 time units while the step stays near its initial value.
+The count therefore grows with the length of the run: the disk at
+rho = 0.1 and n_nodes = 200 keeps 5,935.  Stored states are read in time
+through Trajectory.heights_at_time, linear between the two bracketing
+states.
 
 Validation modes run the same interior scheme on problems with exact
 solutions: a closed shrinking circle, a translating grim-reaper graph with
@@ -33,7 +41,6 @@ from scipy.linalg.lapack import dgtsv
 from . import barrier as barrier_mod
 from . import oval as oval_mod
 from .errors import ConfigError, FlowError, NonExtinction, StepRejected
-from .geometry import NormalizedDomain
 from .solve import safe_brentq
 
 
@@ -139,17 +146,19 @@ class StraightWall:
 # state
 
 
+# full states kept per 0.35 time units at the first step size; the stride
+# derived from it stays fixed for the whole run
+_THINNING_STATES = 900
+
+
 @dataclass
 class SolverConfig:
     n_nodes: int = 200
     dt_safety: float = 0.4
-    redistribution: bool = True
-    bc_tol: float = 1e-12
     extinction_length: float = 1e-3
     kappa_cap: float = 1e3
     max_steps: int = 2_000_000
     abscissas: tuple = (-0.8, -0.4, 0.0, 0.4, 0.8)
-    state_target: int = 900   # approximate number of stored full states
 
     def __post_init__(self):
         if self.n_nodes < 32:
@@ -210,13 +219,11 @@ class CurveState:
             out.append((ex + d * wx - vx, ey + d * wy - vy))
         return out
 
-    def kappa(self, wall=None):
+    def kappa(self, wall):
         """Vertex curvatures; contacts closed by ghost reflection."""
-        pts = self.nodes
-        if wall is not None:
-            pts = np.empty((len(pts) + 2, 2))
-            pts[1:-1] = self.nodes
-            pts[0], pts[-1] = self.ghosts(wall)
+        pts = np.empty((len(self.nodes) + 2, 2))
+        pts[1:-1] = self.nodes
+        pts[0], pts[-1] = self.ghosts(wall)
         e = pts[1:] - pts[:-1]
         h = np.hypot(e[:, 0], e[:, 1])
         crossp = e[:-1, 0] * e[1:, 1] - e[:-1, 1] * e[1:, 0]
@@ -229,14 +236,11 @@ class CurveState:
                          left=np.nan, right=np.nan)
 
 
-def enclosed_area(state, ndom, wall=None):
+def enclosed_area(state, wall):
     """Area between the curve and the boundary arc above it."""
     x, y = state.nodes[:, 0], state.nodes[:, 1]
     shoelace = 0.5 * float((x[:-1] * y[1:] - y[:-1] * x[1:]).sum())
-    if wall is not None:
-        return shoelace + wall.arc_area(state.om_plus, state.om_minus)
-    arc = ndom.domain.half_green_arc(state.om_plus, state.om_minus)
-    return shoelace + float(arc)
+    return shoelace + wall.arc_area(state.om_plus, state.om_minus)
 
 
 # ---------------------------------------------------------------------------
@@ -400,25 +404,21 @@ def _attempt_step(state, cfg, wall, dt, h0):
     om_plus = _slave_contact(wall, state.om_plus, new[-2], new[-3], +1)
     new[0] = wall.point_xy(om_minus)
     new[-1] = wall.point_xy(om_plus)
-    if cfg.redistribution:
-        e = new[1:] - new[:-1]
-        seg = np.hypot(e[:, 0], e[:, 1])
-        if h0 is None:
-            n_out = len(new)
-        else:
-            n_out = min(max(round(float(seg.sum()) / h0) + 1, 32),
-                        cfg.n_nodes)
-        # resample only once the mesh has actually drifted; spacing decays
-        # by O(dt) per step so most steps skip the spline rebuild
-        if n_out != len(new) or float(seg.max()) > 1.25 * float(seg.min()):
-            new = _resample(new, n_out)
-            new[0] = wall.point_xy(om_minus)
-            new[-1] = wall.point_xy(om_plus)
-            seg = None
-        return CurveState(nodes=new, time=state.time + dt,
-                          om_minus=om_minus, om_plus=om_plus, _seg=seg)
+    e = new[1:] - new[:-1]
+    seg = np.hypot(e[:, 0], e[:, 1])
+    if h0 is None:
+        n_out = len(new)
+    else:
+        n_out = min(max(round(float(seg.sum()) / h0) + 1, 32), cfg.n_nodes)
+    # resample only once the mesh has actually drifted; spacing decays
+    # by O(dt) per step so most steps skip the spline rebuild
+    if n_out != len(new) or float(seg.max()) > 1.25 * float(seg.min()):
+        new = _resample(new, n_out)
+        new[0] = wall.point_xy(om_minus)
+        new[-1] = wall.point_xy(om_plus)
+        seg = None
     return CurveState(nodes=new, time=state.time + dt,
-                      om_minus=om_minus, om_plus=om_plus)
+                      om_minus=om_minus, om_plus=om_plus, _seg=seg)
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +467,46 @@ class Trajectory:
         i = int(np.argmin(np.abs(self.state_times - t_offset)))
         return self.states[i]
 
+    def heights_at_time(self, t_offset, xs):
+        """Heights at xs, linear in time between the two bracketing states.
+
+        Offset times outside the stored range clamp to the first or last
+        state.  Of two states stored at the same time, that time itself
+        reads the first and later times interpolate from the second.
+        Nearest-state lookup would quantize time to the thinning stride,
+        and that noise floor would drown small distances between runs.
+        """
+        times = self.state_times
+        i = int(np.searchsorted(times, t_offset))
+        if i <= 0:
+            return self.states[0].heights_at(xs)
+        if i >= len(times):
+            return self.states[-1].heights_at(xs)
+        t0, t1 = times[i - 1], times[i]
+        y0 = self.states[i - 1].heights_at(xs)
+        y1 = self.states[i].heights_at(xs)
+        if t1 <= t0:
+            return y1
+        w = (t_offset - t0) / (t1 - t0)
+        return (1.0 - w) * y0 + w * y1
+
+
+def matched_distance(trajA, trajB, tau, sample_times, xs):
+    """Sup over times and abscissas of |y_A(t) - y_B(t + tau)|.
+
+    Only abscissas where both curves have a height count; a sample time
+    at which the two share none makes the distance inf.
+    """
+    worst = 0.0
+    for t in sample_times:
+        ya = trajA.heights_at_time(t, xs)
+        yb = trajB.heights_at_time(t + tau, xs)
+        m = np.isfinite(ya) & np.isfinite(yb)
+        if not np.any(m):
+            return np.inf
+        worst = max(worst, float(np.max(np.abs(ya[m] - yb[m]))))
+    return worst
+
 
 def _local_min_count(values, rel_tol=1e-10):
     """Interior local minima of a sampled function, merging flat plateaus.
@@ -486,9 +526,13 @@ def run_to_extinction(initial, cfg, ndom, barrier_config=None,
                       barrier_t_hat=None, wall=None):
     """Step until the length threshold, then extrapolate extinction.
 
-    Monitors are recorded every accepted step; full states are thinned to
-    roughly cfg.state_target entries (step-uniform, hence denser in time
-    near extinction where the step shrinks).
+    Monitors are recorded every accepted step.  Full states are kept every
+    k-th step, with k fixed from the first step size so that a run keeps
+    about 900 (_THINNING_STATES) states per 0.35 time units while the
+    step stays near that size.  The count is not capped and grows with
+    the run's length: 5,935 on the disk at rho = 0.1, n_nodes = 200,
+    dt_safety = 0.8.  Where halvings shrink the step, states are denser
+    in time.
     """
     wall = ConvexWall(ndom) if wall is None else wall
     state = initial
@@ -509,7 +553,7 @@ def run_to_extinction(initial, cfg, ndom, barrier_config=None,
         raw["theta_minus"].append(s.theta_minus)
         raw["kappa_min"].append(float(inner.min()))
         raw["kappa_max"].append(float(kap.max()))
-        raw["area"].append(enclosed_area(s, ndom, wall))
+        raw["area"].append(enclosed_area(s, wall))
         raw["length"].append(s.length)
         raw["om_minus"].append(s.om_minus)
         raw["om_plus"].append(s.om_plus)
@@ -527,9 +571,9 @@ def run_to_extinction(initial, cfg, ndom, barrier_config=None,
     states.append(state)
     state_times.append(state.time)
 
-    # rough step estimate for state thinning
+    # step stride of the state thinning, from the first step size
     dt0 = cfg.dt_safety * h0 ** 2 / 2.0
-    stride = max(1, int(0.35 / dt0 / cfg.state_target)) if dt0 > 0 else 1
+    stride = max(1, int(0.35 / dt0 / _THINNING_STATES)) if dt0 > 0 else 1
 
     nsteps = 0
     while True:
@@ -641,36 +685,6 @@ def old_but_not_ancient(ndom, rho, cfg):
                              barrier_config=bcfg, barrier_t_hat=t_hat)
 
 
-def _interp_heights(traj, t_offset, xs):
-    """Heights at xs, linear in time between the two bracketing states.
-
-    Nearest-state lookup quantizes time to the state-thinning stride and
-    that noise floor would drown the sweep's pairwise distances.
-    """
-    times = traj.state_times
-    i = int(np.searchsorted(times, t_offset))
-    if i <= 0:
-        return traj.states[0].heights_at(xs)
-    if i >= len(times):
-        return traj.states[-1].heights_at(xs)
-    t0, t1 = times[i - 1], times[i]
-    y0 = traj.states[i - 1].heights_at(xs)
-    y1 = traj.states[i].heights_at(xs)
-    if t1 <= t0:
-        return y1
-    w = (t_offset - t0) / (t1 - t0)
-    return (1.0 - w) * y0 + w * y1
-
-
-def _sup_distance(trajA, trajB, t_offset, xs):
-    ya = _interp_heights(trajA, t_offset, xs)
-    yb = _interp_heights(trajB, t_offset, xs)
-    m = np.isfinite(ya) & np.isfinite(yb)
-    if not np.any(m):
-        return np.nan
-    return float(np.max(np.abs(ya[m] - yb[m])))
-
-
 @dataclass
 class SweepReport:
     rhos: list
@@ -697,8 +711,7 @@ def ancient_sweep(ndom, rhos, cfg, parallel=False):
     for a, b in zip(trajs[:-1], trajs[1:]):
         lo = max(a.alpha, b.alpha) * 0.85
         ts = np.linspace(lo, -0.3, 24)
-        pair.append(float(np.nanmax([
-            _sup_distance(a, b, t, xs) for t in ts])))
+        pair.append(matched_distance(a, b, 0.0, ts, xs))
     heights = []
     for tr in trajs:
         s = tr.state_at(-2.0)

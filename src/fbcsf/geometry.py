@@ -23,13 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import (
-    ConfigError,
-    DegenerateContinuum,
-    NonClosing,
-    NonConvex,
-    OutOfSupport,
-)
+from .errors import ConfigError, NonClosing, NonConvex, OutOfSupport
 from .solve import safe_brentq
 
 _CLOSURE_TOL = 1e-10
@@ -204,9 +198,6 @@ class ConvexDomain:
         om = np.asarray(omega, dtype=float)
         return np.stack([np.sin(om), -np.cos(om)], axis=-1)
 
-    def inward_normal(self, omega):
-        return -self.outward_normal(omega)
-
     def dpoint(self, omega):
         """d Phi / d omega = rho(omega) * tangent(omega)."""
         om = np.asarray(omega, dtype=float)
@@ -267,9 +258,6 @@ class ConvexDomain:
         p = self.point(th + np.pi / 2)
         return p[..., 0] * np.cos(th) + p[..., 1] * np.sin(th)
 
-    def width(self, theta):
-        return self.support(theta) + self.support(np.asarray(theta) + np.pi)
-
     def contains(self, pts, tol=1e-9, n=720):
         """Support-function inclusion test (conservative, vectorized)."""
         th = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
@@ -296,26 +284,10 @@ class ConvexDomain:
         t = self.tangent(om)
         return np.sum(d * t, axis=-1)
 
-    def find_diameters(self, nscan=2048):
-        return find_diameters(self, nscan=nscan)
-
-    def normalize(self, diameter=None):
-        return normalize(self, diameter)
-
-    def upper_graph(self, n=4097):
-        return UpperBoundaryGraph(self, n=n)
-
     def reflect_x(self):
         """Mirror about the x-axis: rho'(w) = rho(-w)."""
         return ConvexDomain(self.a, -self.b,
                             center=self.center * np.array([1.0, -1.0]))
-
-    def reflect_y(self):
-        """Mirror about the y-axis: rho'(w) = rho(pi - w)."""
-        k = np.arange(len(self.a))
-        sgn = np.where(k % 2 == 0, 1.0, -1.0)
-        return ConvexDomain(self.a * sgn, -self.b * sgn,
-                            center=self.center * np.array([-1.0, 1.0]))
 
     @property
     def is_normalized(self):
@@ -343,14 +315,6 @@ class ConvexDomain:
         keep = np.nonzero(np.abs(a) + np.abs(b) > tol * max(1.0, abs(a[0])))[0]
         K = int(keep[-1]) if len(keep) else 0
         return cls(a[: K + 1], b[: K + 1])
-
-    @classmethod
-    def from_samples(cls, rho_values):
-        """Build from uniform samples of rho over [0, 2pi)."""
-        vals = np.asarray(rho_values, dtype=float)
-        if vals.ndim != 1 or len(vals) < 4:
-            raise ConfigError("need a 1-d table of at least 4 rho samples")
-        return cls.from_radius_function(lambda om: vals, nsamples=len(vals))
 
     @classmethod
     def ellipse(cls, a, b, nsamples=4096):
@@ -393,19 +357,6 @@ class ConvexDomain:
 
 
 # -- module-level operations ----------------------------------------------
-
-
-def build_domain(rho_spec):
-    """Accepts a spec dict, a (cos, sin) coefficient pair, or a sample table."""
-    if isinstance(rho_spec, dict):
-        return ConvexDomain.from_spec(rho_spec)
-    if isinstance(rho_spec, tuple) and len(rho_spec) == 2:
-        return ConvexDomain(rho_spec[0], rho_spec[1])
-    return ConvexDomain.from_samples(np.asarray(rho_spec))
-
-
-def boundary_point(domain, omega):
-    return domain.point(omega)
 
 
 def find_diameters(domain, nscan=2048):

@@ -87,11 +87,6 @@ class OvalParams:
         )
 
 
-def oval_lower_height(params, x):
-    """Lower-branch height y(x) = arcsin(e^{lam^2 t} cosh(lam(x-xi)))/lam."""
-    return params.lower_height(x)
-
-
 # -- limiting scales --------------------------------------------------------
 
 

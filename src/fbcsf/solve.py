@@ -1,8 +1,8 @@
-"""Small root-finding helpers shared across the package.
+"""The bracketed root finder shared across the package.
 
-Everything here wraps scipy's scalar solvers with the bracketing
-discipline the rest of the code relies on: callers always get either a
-root with a sign change certificate or a typed exception.
+safe_brentq wraps scipy's Brent solver with the bracketing discipline the
+rest of the code relies on: callers always get either a root with a sign
+change certificate or a typed exception.
 """
 
 import numpy as np
@@ -27,51 +27,3 @@ def safe_brentq(f, a, b, rtol=4 * np.finfo(float).eps, xtol=1e-15, maxiter=200):
             f"no sign change on [{a:.6g}, {b:.6g}]: f(a)={fa:.3e}, f(b)={fb:.3e}"
         )
     return brentq(f, a, b, rtol=rtol, xtol=xtol, maxiter=maxiter)
-
-
-def sign_change_intervals(f, a, b, n=256):
-    """Scan [a, b] on a uniform grid and return all sign-change subintervals.
-
-    Zeros landing exactly on grid nodes are returned as degenerate
-    intervals (x, x).  f is evaluated pointwise (need not be vectorized).
-    """
-    xs = np.linspace(a, b, n + 1)
-    vals = np.array([f(x) for x in xs], dtype=float)
-    out = []
-    for i in range(n):
-        v0, v1 = vals[i], vals[i + 1]
-        if v0 == 0.0:
-            out.append((xs[i], xs[i]))
-        elif v0 * v1 < 0.0:
-            out.append((xs[i], xs[i + 1]))
-    if vals[-1] == 0.0:
-        out.append((xs[-1], xs[-1]))
-    return out
-
-
-def newton_guarded(f, df, x0, lo, hi, tol=1e-13, maxiter=60):
-    """Newton iteration clamped to [lo, hi], bisection fallback on stall.
-
-    Meant for solves with a high-quality initial guess (e.g. warm starts
-    along a continuation path).  Falls back to safe_brentq on the given
-    interval if Newton fails to converge.
-    """
-    x = float(np.clip(x0, lo, hi))
-    for _ in range(maxiter):
-        fx = f(x)
-        if abs(fx) < tol:
-            return x
-        d = df(x)
-        if d == 0.0 or not np.isfinite(d):
-            break
-        step = fx / d
-        xn = x - step
-        if not (lo <= xn <= hi):
-            xn = float(np.clip(xn, lo, hi))
-        if abs(xn - x) < 1e-16 * max(1.0, abs(x)):
-            if abs(f(xn)) < tol:
-                return xn
-            break  # pinned without converging (e.g. clamped at an endpoint)
-        x = xn
-    # Newton stalled: fall back to a bracketed solve.
-    return safe_brentq(f, lo, hi)

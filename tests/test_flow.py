@@ -299,6 +299,73 @@ def test_alpha_strictly_more_negative_for_smaller_rho(disk_sweep):
 
 
 # ---------------------------------------------------------------------------
+# reading stored states in time
+
+_NODE_X = np.linspace(-1.0, 1.0, 9)
+_READ_X = np.array([-0.75, -0.5, 0.0, 0.5, 0.75])   # on nodes: exact in x
+
+
+def _linear_trajectory(times, offsets=None):
+    """Stored states of the graphs y = (3 + t + offset)(1 - x/4)."""
+    offsets = [0.0] * len(times) if offsets is None else offsets
+    shape = 1.0 - 0.25 * _NODE_X
+    states = [f.CurveState(
+        nodes=np.column_stack([_NODE_X, (3.0 + t + c) * shape]),
+        time=t, om_minus=3 * np.pi / 2, om_plus=np.pi / 2)
+        for t, c in zip(times, offsets)]
+    return f.Trajectory(
+        monitors={}, states=states, state_times=np.asarray(times),
+        extinction_time=0.0, time_offset=0.0, alpha=times[0],
+        extinction_point=np.zeros(2), config=f.SolverConfig())
+
+
+def test_heights_at_time_exact_at_stored_times():
+    traj = _linear_trajectory([-2.0, -1.0, -0.5, 0.0])
+    for s in traj.states:
+        assert np.array_equal(traj.heights_at_time(s.time, _READ_X),
+                              s.heights_at(_READ_X))
+
+
+def test_heights_at_time_midpoint_is_the_average():
+    traj = _linear_trajectory([-2.0, -1.0, -0.5, 0.0])
+    y0, y1 = (s.heights_at(_READ_X) for s in traj.states[:2])
+    mid = traj.heights_at_time(-1.5, _READ_X)
+    assert np.array_equal(mid, 0.5 * (y0 + y1))
+    assert np.allclose(mid, 1.5 * (1.0 - 0.25 * _READ_X), rtol=0, atol=1e-15)
+
+
+def test_heights_at_time_clamps_outside_the_stored_times():
+    traj = _linear_trajectory([-2.0, -1.0, -0.5, 0.0])
+    first, last = traj.states[0], traj.states[-1]
+    for t in (-7.0, -2.0 - 1e-9):
+        assert np.array_equal(traj.heights_at_time(t, _READ_X),
+                              first.heights_at(_READ_X))
+    for t in (1e-9, 3.0):
+        assert np.array_equal(traj.heights_at_time(t, _READ_X),
+                              last.heights_at(_READ_X))
+
+
+def test_heights_at_time_equal_time_pair():
+    # two stored states at t = 0; past it the later one starts the next
+    # interval, at t = 0 itself the bracket ending there returns the first
+    traj = _linear_trajectory([-1.0, 0.0, 0.0, 1.0], [0.0, 0.0, 5.0, 5.0])
+    first, later = traj.states[1], traj.states[2]
+    assert np.array_equal(traj.heights_at_time(0.0, _READ_X),
+                          first.heights_at(_READ_X))
+    assert np.array_equal(traj.heights_at_time(0.5, _READ_X),
+                          0.5 * (later.heights_at(_READ_X)
+                                 + traj.states[3].heights_at(_READ_X)))
+
+
+def test_matched_distance_of_a_run_with_itself_is_zero():
+    traj = _linear_trajectory([-2.0, -1.0, -0.5, 0.0])
+    ts = np.linspace(-1.9, -0.1, 7)
+    assert f.matched_distance(traj, traj, 0.0, ts, _READ_X) == 0.0
+    # a sample time at which the curves share no abscissa
+    assert f.matched_distance(traj, traj, 0.0, ts, np.array([2.0])) == np.inf
+
+
+# ---------------------------------------------------------------------------
 # sweep report
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fbcsf.errors import BracketFailure
-from fbcsf.solve import newton_guarded, safe_brentq, sign_change_intervals
+from fbcsf.solve import safe_brentq
 
 
 def test_brentq_cos():
@@ -19,25 +19,3 @@ def test_brentq_exact_endpoint_zero():
     f = lambda x: x - 1.0
     assert safe_brentq(f, 1.0, 2.0) == 1.0
     assert safe_brentq(f, 0.0, 1.0) == 1.0
-
-
-def test_sign_change_intervals_sine():
-    ivs = sign_change_intervals(np.sin, 0.1, 9.9, 200)
-    assert len(ivs) == 3
-    roots = [safe_brentq(np.sin, a, b) for a, b in ivs]
-    assert np.allclose(roots, [np.pi, 2 * np.pi, 3 * np.pi], atol=1e-10)
-
-
-def test_newton_guarded_sqrt2():
-    f = lambda x: x * x - 2.0
-    df = lambda x: 2.0 * x
-    r = newton_guarded(f, df, 1.0, 0.0, 2.0)
-    assert abs(r - np.sqrt(2.0)) < 1e-12
-
-
-def test_newton_guarded_flat_derivative_falls_back():
-    # derivative lies: Newton steps go nowhere, bisection must rescue it
-    f = lambda x: x ** 3
-    df = lambda x: 1e-30
-    r = newton_guarded(f, df, 0.7, -1.0, 1.0)
-    assert abs(r) < 1e-6
