@@ -48,6 +48,12 @@ from .solve import safe_brentq
 # walls
 
 
+# the wall table covers the turning angles [pi/2, 3 pi/2] of the upper
+# boundary, padded by _WALL_PAD on each side, in _WALL_GRID samples
+_WALL_PAD = 0.35
+_WALL_GRID = 4096
+
+
 class ConvexWall:
     """Contact handler backed by a convex domain boundary.
 
@@ -57,10 +63,11 @@ class ConvexWall:
     of the Fourier series.
     """
 
-    def __init__(self, ndom, pad=0.35, ngrid=4096):
+    def __init__(self, ndom):
         self.ndom = ndom
         self.dom = ndom.domain
-        om = np.linspace(np.pi / 2 - pad, 3 * np.pi / 2 + pad, ngrid)
+        om = np.linspace(np.pi / 2 - _WALL_PAD, 3 * np.pi / 2 + _WALL_PAD,
+                         _WALL_GRID)
         pts = self.dom.point(om)
         point_spl = CubicSpline(om, pts, axis=0)
         dp = self.dom.dpoint(om)
@@ -68,7 +75,7 @@ class ConvexWall:
         self._green_spl = CubicSpline(om, green).antiderivative()
         self._lo, self._hi = float(om[0]), float(om[-1])
         self._hg = float(om[1] - om[0])
-        self._nseg = ngrid - 1
+        self._nseg = _WALL_GRID - 1
         # per segment: x and y coefficients of u^3, u^2, u, 1, interleaved
         self._pc = array("d", point_spl.c.transpose(1, 0, 2).tobytes())
         # per segment: coefficients of u^4 .. 1 of the area integrand
@@ -149,14 +156,16 @@ class StraightWall:
 # full states kept per 0.35 time units at the first step size; the stride
 # derived from it stays fixed for the whole run
 _THINNING_STATES = 900
+# a run stops once the curve is shorter than this, or once its curvature
+# exceeds the cap
+_EXTINCTION_LENGTH = 1e-3
+_KAPPA_CAP = 1e3
 
 
 @dataclass
 class SolverConfig:
     n_nodes: int = 200
     dt_safety: float = 0.4
-    extinction_length: float = 1e-3
-    kappa_cap: float = 1e3
     max_steps: int = 2_000_000
     abscissas: tuple = (-0.8, -0.4, 0.0, 0.4, 0.8)
 
@@ -485,8 +494,6 @@ class Trajectory:
         t0, t1 = times[i - 1], times[i]
         y0 = self.states[i - 1].heights_at(xs)
         y1 = self.states[i].heights_at(xs)
-        if t1 <= t0:
-            return y1
         w = (t_offset - t0) / (t1 - t0)
         return (1.0 - w) * y0 + w * y1
 
@@ -523,7 +530,7 @@ def _local_min_count(values, rel_tol=1e-10):
 
 
 def run_to_extinction(initial, cfg, ndom, barrier_config=None,
-                      barrier_t_hat=None, wall=None):
+                      barrier_t_hat=None):
     """Step until the length threshold, then extrapolate extinction.
 
     Monitors are recorded every accepted step.  Full states are kept every
@@ -534,7 +541,7 @@ def run_to_extinction(initial, cfg, ndom, barrier_config=None,
     dt_safety = 0.8.  Where halvings shrink the step, states are denser
     in time.
     """
-    wall = ConvexWall(ndom) if wall is None else wall
+    wall = ConvexWall(ndom)
     state = initial
     h0 = initial.length / (len(initial.nodes) - 1)
     xs = np.asarray(cfg.abscissas)
@@ -577,10 +584,10 @@ def run_to_extinction(initial, cfg, ndom, barrier_config=None,
 
     nsteps = 0
     while True:
-        if state.length < cfg.extinction_length:
+        if state.length < _EXTINCTION_LENGTH:
             break
         kmax = raw["kappa_max"][-1]
-        if kmax > cfg.kappa_cap:
+        if kmax > _KAPPA_CAP:
             break
         if nsteps >= cfg.max_steps:
             exc = NonExtinction(
@@ -690,7 +697,7 @@ class SweepReport:
     rhos: list
     trajectories: list
     pair_distances: list        # matched-time sup distances, consecutive rhos
-    heights_at_tm2: list        # max height at offset time -2
+    heights_at_tm2: list        # max height at offset time -2 (NaN if later)
     alphas: list
 
 
@@ -712,10 +719,10 @@ def ancient_sweep(ndom, rhos, cfg, parallel=False):
         lo = max(a.alpha, b.alpha) * 0.85
         ts = np.linspace(lo, -0.3, 24)
         pair.append(matched_distance(a, b, 0.0, ts, xs))
-    heights = []
-    for tr in trajs:
-        s = tr.state_at(-2.0)
-        heights.append(float(np.max(s.nodes[:, 1])))
+    # a run that starts after t = -2 has no height there
+    heights = [np.nan if tr.alpha > -2.0
+               else float(np.max(tr.state_at(-2.0).nodes[:, 1]))
+               for tr in trajs]
     return SweepReport(
         rhos=list(rhos),
         trajectories=trajs,

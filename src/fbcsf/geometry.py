@@ -185,7 +185,9 @@ class ConvexDomain:
         om = np.asarray(omega, dtype=float)
         m = np.arange(len(self._px_c))
         ang = np.multiply.outer(om, m)
-        c, s = np.cos(ang), np.sin(ang)
+        # the cosine overwrites the angles: one n x K matrix fewer alive
+        s = np.sin(ang)
+        c = np.cos(ang, out=ang)
         x = c @ self._px_c + s @ self._px_s + self.center[0]
         y = c @ self._py_c + s @ self._py_s + self.center[1]
         return np.stack([x, y], axis=-1)

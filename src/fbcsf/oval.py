@@ -8,22 +8,24 @@ whose lower branch is a convex smile between two tips at height
 pi/(2 lam).  Requiring the oval to cross the upper boundary graph
 y = phi(x) orthogonally at a chosen right contact x0 determines t and xi
 in closed form for every admissible scale lam, leaving a one-parameter
-family.  A nested solve then picks the scale so the oval crosses the
-boundary orthogonally at a second, left contact as well:
+family.  Two scalar root solves, both with the package's Brent solver
+safe_brentq, then pick the scale so the oval crosses the boundary
+orthogonally at a second, left contact as well:
 
-  * the first-contact abscissa x0 is fixed (given the height cap rho)
-    so that at the extreme scale lam = pi/(2 rho) the oval's left tip
-    lands exactly on the boundary at height rho;
-  * with x0 frozen, the scale is bisected between the configuration
-    whose shift is xi = -1 (the second crossing is then obtuse) and
-    pi/(2 rho) (acute), converging on the orthogonal configuration.
+  * the first contact is pinned on the descending side of the boundary
+    at height rho/2, where rho is the height cap;
+  * with that contact frozen, the scale lam* whose shift is xi = -1 (the
+    second crossing is then obtuse) is the root of a closed-form
+    equation in lam;
+  * the scale is then solved on [lam*, pi/(2 rho)] (acute, or detached
+    from the far wall, at the top) for the orthogonal second crossing.
 
 As rho -> 0 the scale tends to lambda0, the unique root above both
 endpoint curvatures of  lam^2 - lam (k1 + k2) coth(2 lam) + k1 k2 = 0,
 which also rules the exponential decay rate lambda0^2 of the flow.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +38,7 @@ from .errors import (
     OutOfSupport,
     RhoTooLarge,
 )
-from .geometry import ConvexDomain, NormalizedDomain
+from .geometry import NormalizedDomain
 from .solve import safe_brentq
 
 
@@ -201,6 +203,12 @@ def single_point_orthogonal(graph, x0, lam):
 # -- the nested two-contact construction --------------------------------------
 
 
+# turning angles of the upper boundary searched for the second contact
+_NGRID = 8193
+# samples just past the first contact left out of that search
+_GUARD = 4
+
+
 @dataclass
 class OrthogonalOval:
     """An oval crossing the boundary orthogonally at two points below y = rho."""
@@ -209,17 +217,12 @@ class OrthogonalOval:
     x0: float
     xhat: float
     residuals: tuple
-    rho_cap: float
-    omega0: float = 0.0           # boundary turning angle at the right contact
-    omega_hat: float = 0.0        # boundary turning angle at the left contact
-    p_first: np.ndarray = None
-    p_second: np.ndarray = None
-    sigma_unshifted: float = np.nan  # scale of the xi = 0 member at the same x0
-    lam_min: float = np.nan
-    lam_hat: float = np.nan
-    claim_f_lo: float = np.nan
-    claim_f_hi: float = np.nan
-    domain: ConvexDomain = field(default=None, repr=False)
+    omega0: float                 # boundary turning angle at the right contact
+    omega_hat: float              # boundary turning angle at the left contact
+    p_first: np.ndarray
+    p_second: np.ndarray
+    claim_f_lo: float
+    claim_f_hi: float
 
     @property
     def lam(self):
@@ -233,25 +236,36 @@ def _alignment_residual(n_oval, tau_bd):
     return float(1.0 - abs(float(n @ tau_bd)))
 
 
-def construct_orthogonal_oval(ndom, rho, ngrid=8193):
+def construct_orthogonal_oval(ndom, rho):
     """Build the oval meeting the boundary orthogonally twice below y = rho.
 
     ndom is a NormalizedDomain (or an already-normalized ConvexDomain with
     the diameter on [-1,1]).  The first contact is pinned on the descending
     side of the upper boundary at height rho/2; each trial scale places the
-    oval through that contact with the closed-form shift and time, and the
-    scale is bisected until the second boundary crossing is orthogonal.
-    The bracket runs from the shift = -1 configuration (obtuse second
-    angle) up to scale pi/(2 rho) (acute side, possibly detached from the
-    far wall).  Raises RhoTooLarge when the line y = rho fails to cross
-    the upper boundary twice, and BracketFailure when a sign condition of
-    the nested solve is not met (brackets are never widened silently).
+    oval through that contact with the closed-form shift and time.  Two
+    Brent solves (safe_brentq) then fix the scale:
+
+      * the scale lam* of shift xi = -1, the root on [lam_min, pi/(2 rho)]
+        of E^2 cosh^2(lam (x0 + 1)) - sin^2(lam phi0), where
+        E^2 = sin^2(lam phi0) - cos^2(lam phi0)/phi'(x0)^2 and phi0 =
+        phi(x0).  It has the sign of xi + 1, as has the equivalent
+        phi'(x0)^2 tanh^2(lam (x0 + 1)) - cot^2(lam phi0), which reads
+        claim_f_lo at lam_min and claim_f_hi at pi/(2 phi0);
+      * the orthogonal scale, the root on [lam*, pi/(2 rho)] of the cosine
+        between the oval and boundary normals at the second crossing
+        (obtuse, negative, at lam*; acute or detached from the far wall,
+        positive, at pi/(2 rho)).
+
+    Raises RhoTooLarge when the line y = rho fails to cross the upper
+    boundary twice, and BracketFailure when a sign condition of either
+    solve fails or the orthogonal scale has no second crossing (brackets
+    are never widened silently).
     """
     dom = ndom.domain if isinstance(ndom, NormalizedDomain) else ndom
     if not dom.is_normalized:
         raise ConfigError("domain must be normalized (diameter on [-1,1])")
 
-    om_grid = np.linspace(np.pi / 2, 3 * np.pi / 2, ngrid)
+    om_grid = np.linspace(np.pi / 2, 3 * np.pi / 2, _NGRID)
     pts = dom.point(om_grid)
     xs, ys = pts[:, 0], pts[:, 1]
     itop = int(np.argmax(ys))
@@ -266,10 +280,10 @@ def construct_orthogonal_oval(ndom, rho, ngrid=8193):
     lam_hat = np.pi / (2.0 * rho)
 
     # first contact pinned at half the cap height on the descending side;
-    # the scale sweep below then drives the second contact to orthogonality
+    # the scale solves below then drive the second contact to orthogonality
     om0 = safe_brentq(lambda w: y_of(w) - 0.5 * rho, np.pi / 2, om_grid[itop])
-    p0_ = dom.point(om0)
-    x0, phi0, dphi0 = float(p0_[0]), float(p0_[1]), float(np.tan(om0))
+    p0 = dom.point(om0)
+    x0, phi0, dphi0 = float(p0[0]), float(p0[1]), float(np.tan(om0))
     lam_min, lam_max_adm = admissible_interval(phi0, dphi0)
     if not lam_min < lam_hat:
         raise RhoTooLarge(
@@ -282,39 +296,13 @@ def construct_orthogonal_oval(ndom, rho, ngrid=8193):
     if not (claim_f_lo < 0.0 < claim_f_hi):
         raise BracketFailure("endpoint signs of the xi = -1 equation failed")
 
-    def xi_of(lam):
-        try:
-            return _params_from_contact(phi0, dphi0, x0, lam).xi
-        except LambdaOutOfRange:
-            return None
+    def shift_residual(lam):
+        """Finite form of xi(lam) = -1, with the sign of xi + 1."""
+        S, C = np.sin(lam * phi0), np.cos(lam * phi0)
+        E2 = S * S - (C / dphi0) ** 2
+        return E2 * np.cosh(lam * (x0 + 1.0)) ** 2 - S * S
 
-    def solve_xi_equals(target, lam_a, lam_b, n=400):
-        """Root of xi(lam) = target scanning from lam_b down toward lam_a.
-
-        The shift drops to -inf at the lower admissible endpoint, so the
-        scan is geometrically refined toward lam_a.
-        """
-        grid = (lam_a + (lam_b - lam_a) * np.geomspace(1e-13, 1.0, n))[::-1]
-        prev = None
-        for lam in grid:
-            val = xi_of(lam)
-            if val is None:
-                prev = None
-                continue
-            r = val - target
-            if prev is not None and prev[1] * r < 0:
-                return safe_brentq(
-                    lambda s: xi_of(s) - target, lam, prev[0])
-            if r == 0.0:
-                return lam
-            prev = (lam, r)
-        return None
-
-    lam_star = solve_xi_equals(-1.0, lam_min, lam_hat)
-    if lam_star is None:
-        raise BracketFailure("no scale with shift xi = -1 in the admissible range")
-
-    guard = max(4, int(ngrid / 2000))
+    lam_star = safe_brentq(shift_residual, lam_min, lam_hat)
 
     def second_contact(lam):
         """(omega_hat, params) of the second boundary crossing, or None."""
@@ -322,7 +310,7 @@ def construct_orthogonal_oval(ndom, rho, ngrid=8193):
         w = par.support_halfwidth
         xlim = par.xi - w
         sel = np.nonzero((om_grid > om0) & (xs >= max(xlim, xs[-1])))[0]
-        sel = sel[guard:] if len(sel) > guard else sel[:0]
+        sel = sel[_GUARD:] if len(sel) > _GUARD else sel[:0]
         if len(sel) == 0:
             return None
         d = ys[sel] - par.lower_height(xs[sel], clip=True)
@@ -356,56 +344,36 @@ def construct_orthogonal_oval(ndom, rho, ngrid=8193):
         raise BracketFailure(
             f"obtuse-side residual not negative at xi=-1 scale: {f_lo:.3e}")
 
-    lo, hi = lam_star, lam_hat
-    best = None
-    for _ in range(110):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        fm, hit = angle_residual(mid)
-        if hit is not None and (best is None or abs(fm) < abs(best[0])):
-            best = (fm, mid, hit)
-        if fm > 0:
-            hi = mid
-        else:
-            lo = mid
-    if best is None:
-        raise BracketFailure("second-contact bisection never found a crossing")
+    # solved for the offset above lam*, which Brent's relative tolerance
+    # resolves to about one ulp of lam; the shift needs that where the root
+    # sits just above lam_min, as d xi / d lam ~ 1 / (2 lam (lam - lam_min))
+    # reaches 1e4 there
+    du = safe_brentq(lambda u: angle_residual(lam_star + u)[0],
+                     0.0, lam_hat - lam_star)
+    lam = lam_star + du
+    _, hit = angle_residual(lam)
+    if hit is None:
+        raise BracketFailure(
+            f"no second crossing at the orthogonal scale {lam:.6g}")
 
-    f_fin, lam_fin, (om_hat, par) = best
+    om_hat, par = hit
     p_hat = dom.point(om_hat)
-    p0 = dom.point(om0)
     tau0 = np.array([np.cos(om0), np.sin(om0)])
     tau_hat = np.array([np.cos(om_hat), np.sin(om_hat)])
     r1 = _alignment_residual(par.normal_direction(p0[0], p0[1]), tau0)
     r2 = _alignment_residual(par.normal_direction(p_hat[0], p_hat[1]), tau_hat)
-
-    # scale of the unshifted (xi = 0) member through the same contact; the
-    # constructed scale never exceeds it
-    xi_fin = xi_of(lam_fin)
-    if xi_fin is not None and abs(xi_fin) < 1e-9:
-        sigma_u = lam_fin
-    else:
-        sigma_u = solve_xi_equals(0.0, lam_fin * (1.0 - 1e-12), lam_hat)
-        if sigma_u is None:
-            raise BracketFailure("unshifted-oval scale bound not found")
 
     return OrthogonalOval(
         params=par,
         x0=x0,
         xhat=float(p_hat[0]),
         residuals=(r1, r2),
-        rho_cap=float(rho),
         omega0=float(om0),
         omega_hat=float(om_hat),
         p_first=p0,
         p_second=p_hat,
-        sigma_unshifted=float(sigma_u),
-        lam_min=lam_min,
-        lam_hat=lam_hat,
         claim_f_lo=float(claim_f_lo),
         claim_f_hi=float(claim_f_hi),
-        domain=dom,
     )
 
 

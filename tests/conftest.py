@@ -22,6 +22,14 @@ def egg():
 
 
 @pytest.fixture(scope="session")
+def lobed():
+    # strictly convex with no mirror symmetry; on its longest diameter the
+    # orthogonal oval has a positive shift at every rho
+    return g.ConvexDomain([1.0, 0.0, 0.05, 0.1, 0.0, 0.08],
+                          [0.0, 0.0, 0.1, 0.0, 0.05])
+
+
+@pytest.fixture(scope="session")
 def ndisk(disk):
     return g.normalize(disk, g.find_diameters(disk)[0])
 
@@ -36,6 +44,11 @@ def nellipse_minor(ellipse):
     return g.normalize(ellipse, g.find_diameters(ellipse)[1])
 
 
+@pytest.fixture(scope="session")
+def nlobed(lobed):
+    return g.normalize(lobed, g.find_diameters(lobed)[0])
+
+
 # ---------------------------------------------------------------------------
 # shared flow runs.  Keyed by (domain, rho, n_nodes); computed once per
 # session on first request so the expensive trajectories are paid for once.
@@ -44,9 +57,7 @@ _RUN_SPECS = {
     "disk_r03_n100": ("disk", 0.3, 100),
     "disk_r03_n200": ("disk", 0.3, 200),
     "disk_r015_n100": ("disk", 0.15, 100),
-    "disk_r01_n200": ("disk", 0.1, 200),
-    "disk_r01_n400": ("disk", 0.1, 400),
-    "egg_r01_n200": ("egg", 0.1, 200),
+    "egg_r01_n100": ("egg", 0.1, 100),
 }
 
 

@@ -39,6 +39,51 @@ def test_estimates_same_with_curvature_recomputed(runs, ndisk):
 
 
 # ---------------------------------------------------------------------------
+# limiting profile and uniqueness
+
+
+def test_disk_profile_is_an_even_cosh(runs, ndisk):
+    traj = runs("disk_r03_n100")
+    lam0 = oval.solve_lambda0(ndisk.kappa1, ndisk.kappa2)
+    prof = asymptotics.fit_profile(traj, lam0, ndisk.kappa1, ndisk.kappa2)
+    # mirror symmetry: no sinh part (measured -1.25e-12), A = 0.5706
+    assert prof.c_closed_form == 0.0
+    assert abs(prof.c) < 1e-9
+    assert prof.A > 0.0
+
+
+def test_egg_profile_matches_closed_form_c(runs, negg):
+    traj = runs("egg_r01_n100")
+    lam0 = oval.solve_lambda0(negg.kappa1, negg.kappa2)
+    prof = asymptotics.fit_profile(traj, lam0, negg.kappa1, negg.kappa2)
+    c_cf = asymptotics.closed_form_c(lam0, negg.kappa1, negg.kappa2)
+    assert prof.c_closed_form == c_cf
+    assert abs(prof.c - c_cf) < 2e-3      # measured 6.9e-4
+
+
+def test_rescaled_increments_shrink_toward_the_past(runs, ndisk):
+    traj = runs("disk_r03_n100")
+    lam0 = oval.solve_lambda0(ndisk.kappa1, ndisk.kappa2)
+    mids, diffs = asymptotics.rescaled_increments(traj, lam0)
+    assert len(mids) == len(diffs) >= 5
+    assert np.all(np.diff(mids) > 0.0)
+    assert np.all(diffs > 0.0)
+    assert np.all(np.diff(diffs) > 0.0)
+
+
+def test_uniqueness_of_a_run_with_itself_and_its_mirror(runs, ndisk):
+    traj = runs("disk_r03_n100")
+    lam0 = oval.solve_lambda0(ndisk.kappa1, ndisk.kappa2)
+    same = asymptotics.uniqueness_evidence(traj, traj, lam0)
+    assert same.tau_star == 0.0 and same.distance == 0.0
+    # the mirror run lies on the other side of the diameter: O(1) apart
+    # (measured 0.935)
+    mirror = asymptotics.reflect_trajectory(traj)
+    apart = asymptotics.uniqueness_evidence(traj, mirror, lam0)
+    assert 0.25 <= apart.distance <= 4.0
+
+
+# ---------------------------------------------------------------------------
 # Robin eigenproblem
 
 

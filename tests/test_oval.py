@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from fbcsf import geometry as g
 from fbcsf import oval as ov
-from fbcsf.errors import (BracketFailure, ConfigError, LambdaOutOfRange,
-                          OutOfSupport, RhoTooLarge)
+from fbcsf.errors import (BracketFailure, ConfigError, FBCSFError,
+                          LambdaOutOfRange, OutOfSupport, RhoTooLarge)
 
 
 # ------------------------------------------------------ scalar limits
@@ -174,7 +174,7 @@ def test_oval_scale_bounds(ndisk, negg, nellipse_minor):
         o = ov.construct_orthogonal_oval(nd, rho)
         kmax = max(nd.kappa1, nd.kappa2)
         assert o.lam > kmax
-        assert o.lam <= o.sigma_unshifted + 1e-9
+        assert o.params.xi <= 1e-9
 
 
 def test_oval_convergence_to_limit(ndisk):
@@ -194,6 +194,43 @@ def test_old_but_not_ancient_window_grows(ndisk):
     ts = [ov.construct_orthogonal_oval(ndisk, r).params.t
           for r in (0.2, 0.1, 0.05)]
     assert ts[0] > ts[1] > ts[2]  # smaller cap starts further in the past
+
+
+@pytest.mark.parametrize("rho", [0.3, 0.1, 0.02])
+def test_lobed_oval_positive_shift(nlobed, rho):
+    # the shift is positive on this diameter (0.19 to 0.25), so the
+    # construction must not assume xi <= 0 anywhere
+    o = ov.construct_orthogonal_oval(nlobed, rho)
+    assert max(o.residuals) <= 1e-12
+    assert 0.15 < o.params.xi < 0.3
+    pts = ov.sample_initial_curve(o, 200)
+    assert np.all(nlobed.domain.contains(pts))
+
+
+def test_oval_grid_builds_everywhere_it_can(egg, lobed):
+    # every diameter of five domains at five rho: the only failure is the
+    # line y = 0.3 missing the upper boundary of the flat 3:1 ellipse
+    doms = {"disk": g.ConvexDomain.disk(1.0),
+            "ellipse(2,1)": g.ConvexDomain.ellipse(2.0, 1.0),
+            "ellipse(3,1)": g.ConvexDomain.ellipse(3.0, 1.0),
+            "egg": egg, "lobed": lobed}
+    failures, built = [], 0
+    for name, dom in doms.items():
+        for i, d in enumerate(g.find_diameters(dom)):
+            nd = g.normalize(dom, d)
+            for rho in (0.3, 0.2, 0.1, 0.05, 0.02):
+                try:
+                    o = ov.construct_orthogonal_oval(nd, rho)
+                except FBCSFError as exc:
+                    failures.append((name, i, rho, type(exc).__name__))
+                    continue
+                assert max(o.residuals) <= 1e-12, (name, i, rho)
+                if name in ("disk", "ellipse(2,1)", "ellipse(3,1)"):
+                    # every diameter is a mirror axis: the oval is centred
+                    assert abs(o.params.xi) < 1e-8, (name, i, rho)
+                built += 1
+    assert failures == [("ellipse(3,1)", 0, 0.3, "RhoTooLarge")]
+    assert built == 44
 
 
 def test_rho_too_large(ndisk):
