@@ -25,6 +25,8 @@ from .solve import safe_brentq
 
 WINDOW_FLOOR = -6.0   # never fit below this offset time
 WINDOW_CEIL = -1.0    # never fit above this offset time
+_LOG_MIN = 1e-300     # monitors are clipped to this before their logarithm
+_EIGEN_NGRID = 1001   # eigenfunction grid on [-1, 1]: sup norm and sign
 
 
 def _default_window(t):
@@ -80,7 +82,7 @@ class EstimateReport:
         raise KeyError(name)
 
 
-def _fit_decay(t, q, required, window, floor=1e-300):
+def _fit_decay(t, q, required, window):
     """Log-linear fit of q against t; minimal pointwise constant.
 
     Returns (rate, constant, passed, n): passed requires the fitted rate
@@ -88,10 +90,10 @@ def _fit_decay(t, q, required, window, floor=1e-300):
     hold on every sample at or before the window's late edge.
     """
     m = _window_mask(t, window)
-    logs = np.log(np.maximum(q[m], floor))
+    logs = np.log(np.maximum(q[m], _LOG_MIN))
     rate, logc = np.polyfit(t[m], logs, 1)
     all_m = t <= window[1]
-    resid = np.log(np.maximum(q[all_m], floor)) - (rate * t[all_m] + logc)
+    resid = np.log(np.maximum(q[all_m], _LOG_MIN)) - (rate * t[all_m] + logc)
     const = float(np.exp(logc + np.max(resid)))
     pointwise = bool(np.all(
         q[all_m] <= const * np.exp(rate * t[all_m]) * (1.0 + 1e-12)))
@@ -348,9 +350,6 @@ class EigenPair:
             return a * np.cosh(s * x) + b * np.sinh(s * x)
         return a * np.cos(s * x) + b * np.sin(s * x)
 
-    def phi_xx(self, x):
-        return -self.mu * self.phi(x)
-
 
 @dataclass
 class EigenResult:
@@ -399,7 +398,7 @@ def _pos_pair(s, k1, k2, grid):
     return pair
 
 
-def robin_eigen(kappa1, kappa2, k=3, ngrid=1001):
+def robin_eigen(kappa1, kappa2, k=3):
     """Spectrum of -phi'' = mu phi with outward slope kappa^Omega phi.
 
     Negative eigenvalues come from the hyperbolic secular equation (the
@@ -410,7 +409,7 @@ def robin_eigen(kappa1, kappa2, k=3, ngrid=1001):
     """
     if kappa1 <= 0 or kappa2 <= 0:
         raise AnalysisError("endpoint curvatures must be positive")
-    grid = np.linspace(-1.0, 1.0, ngrid)
+    grid = np.linspace(-1.0, 1.0, _EIGEN_NGRID)
     kmax = max(kappa1, kappa2)
 
     lam0 = solve_lambda0(kappa1, kappa2)
@@ -447,11 +446,12 @@ def robin_eigen(kappa1, kappa2, k=3, ngrid=1001):
         kappa1=float(kappa1), kappa2=float(kappa2))
 
 
-def eigen_residuals(pair, kappa1, kappa2, ngrid=1001):
-    """(ODE residual, right BC residual, left BC residual) sup norms."""
-    grid = np.linspace(-1.0, 1.0, ngrid)
-    phi = pair.phi(grid)
-    ode = float(np.max(np.abs(pair.phi_xx(grid) + pair.mu * phi)))
+def eigen_residuals(pair, kappa1, kappa2):
+    """(right BC residual, left BC residual) of an eigenpair.
+
+    The cosh/sinh and cos/sin bases satisfy -phi'' = mu phi by
+    construction, so only the two Robin conditions can fail.
+    """
     s = np.sqrt(abs(pair.mu))
     a, b = pair.coeffs
     if pair.kind == "hyperbolic":
@@ -460,7 +460,7 @@ def eigen_residuals(pair, kappa1, kappa2, ngrid=1001):
         dphi = lambda x: s * (-a * np.sin(s * x) + b * np.cos(s * x))
     bc_r = float(abs(dphi(1.0) - kappa1 * pair.phi(1.0)))
     bc_l = float(abs(dphi(-1.0) + kappa2 * pair.phi(-1.0)))
-    return ode, bc_r, bc_l
+    return bc_r, bc_l
 
 
 # ---------------------------------------------------------------------------

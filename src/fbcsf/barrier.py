@@ -26,6 +26,9 @@ from .errors import ConfigError, RhoTooLarge, TangentialContact
 from .geometry import NormalizedDomain
 
 _TANGENT_TOL = 1e-8
+_FIT_TOL = 1e-10     # worst support-function violation of the circles
+_BELOW_TOL = 1e-10   # height a node may sit above the barrier, still below
+_SPEED_DT = 1e-6     # time step of the finite-difference arc speed
 
 
 def _domain_of(dom_or_ndom):
@@ -126,7 +129,7 @@ def _fit_violation(dom, r, nsample=256):
     return worst
 
 
-def admissible_radius(ndom, tol=1e-10):
+def admissible_radius(ndom):
     """Largest r with 4r <= curvature <= 1/(4r) whose tangent circles fit.
 
     The curvature pinch already forces r below the rolling radius of a
@@ -135,7 +138,7 @@ def admissible_radius(ndom, tol=1e-10):
     dom = _domain_of(ndom)
     r = min(dom.kappa_min / 4.0, 1.0 / (4.0 * dom.kappa_max))
     for _ in range(200):
-        if _fit_violation(dom, r) <= tol:
+        if _fit_violation(dom, r) <= _FIT_TOL:
             return float(r)
         r *= 0.95
     raise ConfigError("no tangent-circle radius fits inside the domain")
@@ -222,7 +225,7 @@ class BarrierCurve:
         return np.vstack([left, right])
 
 
-def barrier_at(t, cfg, ndom=None):
+def barrier_at(t, cfg):
     """Composite barrier at time t < 0 inside the configured circles."""
     if not t < 0.0:
         raise ConfigError(f"barrier time must be negative, got {t}")
@@ -246,13 +249,13 @@ def tangency_time(rho, r):
 # supersolution check
 
 
-def supersolution_residual(r, t_samples, x_fracs=None, dt=1e-6):
+def supersolution_residual(r, t_samples, x_fracs=None):
     """Minimum of (normal speed - curvature) over the sampled barrier arcs.
 
     Nonnegative up to finite-difference error: the arcs move toward their
     centers of curvature at least as fast as the flow would.  Speeds are
-    measured by vertical displacement of the graph over dt, projected on
-    the normal.
+    measured by vertical displacement of the graph over _SPEED_DT,
+    projected on the normal.
     """
     if x_fracs is None:
         x_fracs = np.linspace(-1.0, 1.0, 33)
@@ -260,13 +263,13 @@ def supersolution_residual(r, t_samples, x_fracs=None, dt=1e-6):
     worst = np.inf
     for t in np.atleast_1d(np.asarray(t_samples, dtype=float)):
         w0 = omega_of_time(t / (r * r))
-        w1 = omega_of_time((t + dt) / (r * r))
+        w1 = omega_of_time((t + _SPEED_DT) / (r * r))
         if w0 == 0.0 or w1 >= np.pi / 2:
             raise ConfigError(f"barrier time {t} outside the usable window")
         a0, a1 = UnitDiskArc(w0), UnitDiskArc(w1)
         # the span shrinks as omega grows; stay inside both graphs
         xs = x_fracs * np.cos(max(w0, w1)) * (1.0 - 1e-12)
-        v = (a1.height(xs) - a0.height(xs)) / (dt / (r * r))
+        v = (a1.height(xs) - a0.height(xs)) / (_SPEED_DT / (r * r))
         speed = v / np.sqrt(1.0 + a0.slope(xs) ** 2)
         # unit-disk residual scales by 1/r
         res = (speed - a0.curvature) / r
@@ -339,7 +342,7 @@ def acute_intersection(curve, center, radius):
     return hits
 
 
-def below_barrier(curve, bar, tol=1e-10):
+def below_barrier(curve, bar):
     """Vertical comparison of curve nodes against the barrier graph.
 
     Only nodes over the barrier's x-range take part.  Returns (flag,
@@ -353,4 +356,4 @@ def below_barrier(curve, bar, tol=1e-10):
         return True, np.inf
     gaps = bar.height(curve[m, 0]) - curve[m, 1]
     margin = float(np.min(gaps))
-    return bool(margin >= -tol), margin
+    return bool(margin >= -_BELOW_TOL), margin

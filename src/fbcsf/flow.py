@@ -24,9 +24,8 @@ rho = 0.1 and n_nodes = 200 keeps 5,935.  Stored states are read in time
 through Trajectory.heights_at_time, linear between the two bracketing
 states.
 
-Validation modes run the same interior scheme on problems with exact
-solutions: a closed shrinking circle, a translating grim-reaper graph with
-pinned ends, and a shrinking semicircle on a straight wall.
+Two validation modes check exact solutions, one per boundary condition: a
+pinned grim-reaper graph, and a semicircle on a straight wall run by step.
 """
 
 import math
@@ -40,7 +39,8 @@ from scipy.linalg.lapack import dgtsv
 
 from . import barrier as barrier_mod
 from . import oval as oval_mod
-from .errors import ConfigError, FlowError, NonExtinction, StepRejected
+from .errors import (ConfigError, FlowError, NonExtinction, RhoTooLarge,
+                     StepRejected)
 from .solve import safe_brentq
 
 
@@ -160,6 +160,10 @@ _THINNING_STATES = 900
 # exceeds the cap
 _EXTINCTION_LENGTH = 1e-3
 _KAPPA_CAP = 1e3
+# the contact Newton stops below this residual; _local_min_count treats
+# increments below _FLAT_REL_TOL * max|values| as flat
+_CONTACT_TOL = 1e-13
+_FLAT_REL_TOL = 1e-10
 
 
 @dataclass
@@ -295,9 +299,9 @@ def _implicit_interior(nodes, h, dt, ends=None):
     return _tridiag_solve(dl, d, du, rhs)
 
 
-def _slave_contact(wall, om_guess, inner1, inner2, side, tol=1e-13):
-    """Contact parameter making the one-sided curve tangent parallel to the
-    wall normal.  side = +1 for the right contact, -1 for the left.
+def _slave_contact(wall, om_guess, inner1, inner2):
+    """Contact parameter making the one-sided curve tangent, through the
+    next two nodes inner1 and inner2, parallel to the wall normal.
 
     Newton's slope is the residual's exact derivative, built from the
     wall's point and normal derivatives (wall.jet_xy).
@@ -332,7 +336,7 @@ def _slave_contact(wall, om_guess, inner1, inner2, side, tol=1e-13):
     om = om_guess
     f, df = resid(om)
     for _ in range(60):
-        if abs(f) < tol:
+        if abs(f) < _CONTACT_TOL:
             return om
         if df == 0.0:
             break
@@ -409,8 +413,8 @@ def _attempt_step(state, cfg, wall, dt, h0):
         adv = dt * float(k) * slide
         ends.append((px + adv * wx, py + adv * wy))
     new = _implicit_interior(nodes, state.seg_cached(), dt, ends=ends)
-    om_minus = _slave_contact(wall, state.om_minus, new[1], new[2], -1)
-    om_plus = _slave_contact(wall, state.om_plus, new[-2], new[-3], +1)
+    om_minus = _slave_contact(wall, state.om_minus, new[1], new[2])
+    om_plus = _slave_contact(wall, state.om_plus, new[-2], new[-3])
     new[0] = wall.point_xy(om_minus)
     new[-1] = wall.point_xy(om_plus)
     e = new[1:] - new[:-1]
@@ -515,15 +519,15 @@ def matched_distance(trajA, trajB, tau, sample_times, xs):
     return worst
 
 
-def _local_min_count(values, rel_tol=1e-10):
+def _local_min_count(values):
     """Interior local minima of a sampled function, merging flat plateaus.
 
     Exact ties between neighbouring samples would make a strict
     descent/ascent test miss the minimum, so increments smaller than
-    rel_tol * max|values| are treated as flat and dropped.
+    _FLAT_REL_TOL * max|values| are treated as flat and dropped.
     """
     d = values[1:] - values[:-1]
-    tol = rel_tol * float(np.abs(values).max()) + 1e-300
+    tol = _FLAT_REL_TOL * float(np.abs(values).max()) + 1e-300
     # a minimum is a descent followed by an ascent among significant steps
     falls = d[np.abs(d) > tol] < 0.0
     return int(np.count_nonzero(falls[:-1] > falls[1:]))
@@ -686,7 +690,7 @@ def old_but_not_ancient(ndom, rho, cfg):
     h_max = float(np.max(state.nodes[:, 1]))
     try:
         t_hat = barrier_mod.tangency_time(h_max * (1.0 + 1e-9), bcfg.r)
-    except Exception:
+    except RhoTooLarge:
         bcfg, t_hat = None, None   # start too high: monitor disabled
     return run_to_extinction(state, cfg, ndom,
                              barrier_config=bcfg, barrier_t_hat=t_hat)
@@ -741,93 +745,58 @@ def _sweep_one(args):
 # validation modes (exact solutions)
 
 
-def shrink_circle(n, t_end, radius=1.0, dt_safety=0.4):
-    """Closed polyline circle; exact radius sqrt(R0^2 - 2t)."""
-    th = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
-    pts = radius * np.column_stack([np.cos(th), np.sin(th)])
-    t = 0.0
-    while t < t_end:
-        seg = np.hypot(*np.diff(pts, axis=0, append=pts[:1]).T)
-        dt = min(dt_safety * float(np.min(seg)) ** 2 / 2.0, t_end - t)
-        pts = _implicit_closed(pts, dt)
-        t += dt
-    r_num = float(np.mean(np.hypot(pts[:, 0], pts[:, 1])))
-    return r_num, float(np.sqrt(radius ** 2 - 2 * t_end))
+# step safety of the exact solutions; stationary diameter's nodes, steps
+_VALIDATION_DT_SAFETY = 0.4
+_DRIFT_NODES = 64
+_DRIFT_STEPS = 50
 
 
-def _implicit_closed(pts, dt):
-    """Cyclic tridiagonal (I - dt L) via the rank-one correction trick."""
-    n = len(pts)
-    e = np.diff(pts, axis=0, append=pts[:1])
-    h = np.hypot(e[:, 0], e[:, 1])
-    hl = np.roll(h, 1)
-    a = 2.0 / (hl * (hl + h))    # coeff of pts[i-1]
-    c = 2.0 / (h * (hl + h))     # coeff of pts[i+1]
-    diag = 1.0 + dt * (a + c)
-    low = -dt * a
-    up = -dt * c
-    # corners: A[0, n-1] = low[0], A[n-1, 0] = up[n-1]
-    gamma = -diag[0]
-    d2 = diag.copy()
-    d2[0] -= gamma
-    d2[-1] -= low[0] * up[-1] / gamma
-    u = np.zeros(n)
-    u[0], u[-1] = gamma, up[-1]
-    rhs = np.column_stack([pts, u])
-    sol = _tridiag_solve(low[1:], d2, up[:-1], rhs)
-    y, z = sol[:, :2], sol[:, 2]
-    vy = y[0] + low[0] / gamma * y[-1]
-    vz = z[0] + low[0] / gamma * z[-1]
-    return y - np.outer(z, vy) / (1.0 + vz)
-
-
-def grim_reaper_error(n, t_end, half_width=1.0, dt_safety=0.4):
+def grim_reaper_error(n, t_end, half_width=1.0):
     """Graph y = t - log cos x translating upward; ends pinned exactly."""
     xs = np.linspace(-half_width, half_width, n)
     pts = np.column_stack([xs, -np.log(np.cos(xs))])
     t = 0.0
     while t < t_end:
         seg = np.hypot(*np.diff(pts, axis=0).T)
-        dt = min(dt_safety * float(np.min(seg)) ** 2 / 2.0, t_end - t)
+        dt = min(_VALIDATION_DT_SAFETY * float(np.min(seg)) ** 2 / 2.0,
+                 t_end - t)
         new = _implicit_interior(pts, seg, dt)
         t += dt
         new[0] = [-half_width, t - np.log(np.cos(half_width))]
         new[-1] = [half_width, t - np.log(np.cos(half_width))]
         pts = _resample(new, n)
-        pts[0] = [-half_width, t - np.log(np.cos(half_width))]
-        pts[-1] = [half_width, t - np.log(np.cos(half_width))]
     exact = t_end - np.log(np.cos(xs))
     ynum = np.interp(xs, pts[:, 0], pts[:, 1])
     lo, hi = n // 8, n - n // 8
     return float(np.max(np.abs(ynum[lo:hi] - exact[lo:hi])))
 
 
-def semicircle_wall_error(n, t_end, radius=1.0, dt_safety=0.4):
-    """Half circle on the x-axis wall shrinking as sqrt(R0^2 - 2t)."""
+def semicircle_wall_error(n, t_end):
+    """Unit half circle on the x-axis wall shrinking as sqrt(1 - 2t)."""
     th = np.linspace(np.pi, 0.0, n)
-    pts = radius * np.column_stack([np.cos(th), np.sin(th)])
+    pts = np.column_stack([np.cos(th), np.sin(th)])
     pts[0, 1] = pts[-1, 1] = 0.0
-    state = CurveState(nodes=pts, time=0.0, om_minus=-radius, om_plus=radius)
+    state = CurveState(nodes=pts, time=0.0, om_minus=-1.0, om_plus=1.0)
     wall = StraightWall()
-    cfg = SolverConfig(n_nodes=n, dt_safety=dt_safety)
+    cfg = SolverConfig(n_nodes=n, dt_safety=_VALIDATION_DT_SAFETY)
     while state.time < t_end:
         state = step(state, cfg, wall, h0=None)
-    r_exact = np.sqrt(radius ** 2 - 2 * state.time)
+    r_exact = np.sqrt(1.0 - 2 * state.time)
     r_num = np.hypot(state.nodes[:, 0] - 0.5 * (state.om_minus + state.om_plus),
                      state.nodes[:, 1])
     return float(np.max(np.abs(r_num - r_exact))), state
 
 
-def stationary_diameter_drift(ndom, n=64, nsteps=50):
+def stationary_diameter_drift(ndom):
     """A flat diameter meeting the wall orthogonally must not move."""
-    xs = np.linspace(-1.0, 1.0, n)
+    xs = np.linspace(-1.0, 1.0, _DRIFT_NODES)
     pts = np.column_stack([xs, np.zeros_like(xs)])
     state = CurveState(nodes=pts, time=0.0,
                        om_minus=3 * np.pi / 2, om_plus=np.pi / 2)
     wall = ConvexWall(ndom)
-    cfg = SolverConfig(n_nodes=n)
+    cfg = SolverConfig(n_nodes=_DRIFT_NODES)
     drift = 0.0
-    for _ in range(nsteps):
+    for _ in range(_DRIFT_STEPS):
         state = step(state, cfg, wall)
         drift = max(drift, float(np.max(np.abs(state.nodes[:, 1]))))
     return drift

@@ -21,13 +21,17 @@ point and the upper boundary is always the arc omega in [pi/2, 3pi/2]
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
-from .errors import ConfigError, NonClosing, NonConvex, OutOfSupport
+from .errors import ConfigError, NonClosing, NonConvex
 from .solve import safe_brentq
 
 _CLOSURE_TOL = 1e-10
 _DEGENERATE_TOL = 1e-10
+_FFT_SAMPLES = 4096    # from_radius_function: samples of rho(omega),
+_FFT_TOL = 1e-15       # and the relative size of a dropped coefficient
+_CONTAINS_DIRS = 720   # contains: support directions and slack
+_CONTAINS_TOL = 1e-9
+_NSCAN = 2048          # find_diameters: residual samples over [0, pi)
 
 
 def _eval_series(cos_c, sin_c, omega):
@@ -43,19 +47,6 @@ def _rotate_coeffs(a, b, beta):
     k = np.arange(len(a))
     c, s = np.cos(k * beta), np.sin(k * beta)
     return a * c - b * s, a * s + b * c
-
-
-_GL_NODES, _GL_WEIGHTS = leggauss(16)
-
-
-def _gl_integral(f, a, b, panels=64):
-    """Composite Gauss-Legendre quadrature of a smooth scalar integrand."""
-    edges = np.linspace(a, b, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
-    xs = (mid[:, None] + half * _GL_NODES[None, :]).ravel()
-    vals = f(xs)
-    return half * float(np.sum(np.reshape(vals, (panels, -1)) @ _GL_WEIGHTS))
 
 
 @dataclass
@@ -196,10 +187,6 @@ class ConvexDomain:
         om = np.asarray(omega, dtype=float)
         return np.stack([np.cos(om), np.sin(om)], axis=-1)
 
-    def outward_normal(self, omega):
-        om = np.asarray(omega, dtype=float)
-        return np.stack([np.sin(om), -np.cos(om)], axis=-1)
-
     def dpoint(self, omega):
         """d Phi / d omega = rho(omega) * tangent(omega)."""
         om = np.asarray(omega, dtype=float)
@@ -260,22 +247,12 @@ class ConvexDomain:
         p = self.point(th + np.pi / 2)
         return p[..., 0] * np.cos(th) + p[..., 1] * np.sin(th)
 
-    def contains(self, pts, tol=1e-9, n=720):
+    def contains(self, pts):
         """Support-function inclusion test (conservative, vectorized)."""
-        th = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
+        th = np.linspace(0.0, 2 * np.pi, _CONTAINS_DIRS, endpoint=False)
         h = self.support(th)
         proj = np.asarray(pts) @ np.stack([np.cos(th), np.sin(th)])
-        return np.all(proj <= h + tol, axis=-1)
-
-    def half_green_arc(self, om0, om1):
-        """(1/2) int_{om0}^{om1} cross(Phi, dPhi) d omega, for area assembly."""
-
-        def f(w):
-            p = self.point(w)
-            dp = self.dpoint(w)
-            return p[..., 0] * dp[..., 1] - p[..., 1] * dp[..., 0]
-
-        return 0.5 * _gl_integral(f, om0, om1)
+        return np.all(proj <= h + _CONTAINS_TOL, axis=-1)
 
     # -- diameters and normalization -------------------------------------------
 
@@ -306,20 +283,21 @@ class ConvexDomain:
         return cls([radius])
 
     @classmethod
-    def from_radius_function(cls, fn, nsamples=4096, tol=1e-15):
+    def from_radius_function(cls, fn):
         """Build from a callable rho(omega) by FFT (trigonometric interpolation)."""
-        om = np.linspace(0.0, 2 * np.pi, nsamples, endpoint=False)
+        om = np.linspace(0.0, 2 * np.pi, _FFT_SAMPLES, endpoint=False)
         vals = np.asarray(fn(om), dtype=float)
-        c = np.fft.rfft(vals) / nsamples
+        c = np.fft.rfft(vals) / _FFT_SAMPLES
         a = 2.0 * c.real
         a[0] = c[0].real
         b = -2.0 * c.imag
-        keep = np.nonzero(np.abs(a) + np.abs(b) > tol * max(1.0, abs(a[0])))[0]
+        keep = np.nonzero(
+            np.abs(a) + np.abs(b) > _FFT_TOL * max(1.0, abs(a[0])))[0]
         K = int(keep[-1]) if len(keep) else 0
         return cls(a[: K + 1], b[: K + 1])
 
     @classmethod
-    def ellipse(cls, a, b, nsamples=4096):
+    def ellipse(cls, a, b):
         """Ellipse with semi-axes a (horizontal) and b (vertical).
 
         In the turning angle, rho(w) = a^2 b^2 / (a^2 sin^2 w + b^2 cos^2 w)^{3/2}
@@ -334,7 +312,7 @@ class ConvexDomain:
             return (a * b) ** 2 / (a ** 2 * np.sin(om) ** 2
                                    + b ** 2 * np.cos(om) ** 2) ** 1.5
 
-        return cls.from_radius_function(rho, nsamples=nsamples)
+        return cls.from_radius_function(rho)
 
     @classmethod
     def from_spec(cls, cfg):
@@ -361,7 +339,7 @@ class ConvexDomain:
 # -- module-level operations ----------------------------------------------
 
 
-def find_diameters(domain, nscan=2048):
+def find_diameters(domain):
     """All isolated double normals, as roots of the orthogonality residual.
 
     The residual g(w) = <Phi(w) - Phi(w+pi), tau(w)> is pi-periodic and
@@ -371,7 +349,7 @@ def find_diameters(domain, nscan=2048):
     (disk, constant-width domains) yields a single representative chord
     flagged degenerate=True.
     """
-    grid = np.linspace(0.0, np.pi, nscan, endpoint=False)
+    grid = np.linspace(0.0, np.pi, _NSCAN, endpoint=False)
     g = domain.double_normal_residual(grid)
     scale = max(1.0, domain.perimeter)
     if np.max(np.abs(g)) < _DEGENERATE_TOL * scale:
@@ -381,7 +359,7 @@ def find_diameters(domain, nscan=2048):
     roots = []
     gw = np.append(g, g[0])  # periodic wrap
     gridw = np.append(grid, np.pi)
-    for i in range(nscan):
+    for i in range(_NSCAN):
         v0, v1 = gw[i], gw[i + 1]
         if v0 == 0.0:
             roots.append(gridw[i])
@@ -459,83 +437,3 @@ def normalize(domain, diameter=None):
                             kappa1=float(out.curvature(np.pi / 2)),
                             kappa2=float(out.curvature(3 * np.pi / 2)),
                             transform=tr)
-
-
-def chord_area(ndom, theta):
-    """Area between the boundary arc and the chord Phi(pi/2+theta)-Phi(pi+theta).
-
-    The loop runs along the boundary from omega0 = pi/2 + theta to
-    omega1 = pi + theta, then straight back; Green's theorem gives the
-    enclosed area.
-    """
-    dom = ndom.domain if isinstance(ndom, NormalizedDomain) else ndom
-    om0 = np.pi / 2 + theta
-    om1 = np.pi + theta
-    arc = dom.half_green_arc(om0, om1)
-    p0 = dom.point(om0)
-    p1 = dom.point(om1)
-    chord = 0.5 * float(p1[0] * p0[1] - p1[1] * p0[0])
-    return arc + chord
-
-
-def chord_area_min(ndom, ngrid=181):
-    """Infimum of chord_area over theta in [0, pi/2] (grid + local refine)."""
-    thetas = np.linspace(0.0, np.pi / 2, ngrid)
-    vals = np.array([chord_area(ndom, t) for t in thetas])
-    i = int(np.argmin(vals))
-    lo = thetas[max(i - 1, 0)]
-    hi = thetas[min(i + 1, ngrid - 1)]
-    from scipy.optimize import minimize_scalar
-
-    res = minimize_scalar(lambda t: chord_area(ndom, t),
-                          bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-10})
-    best_t = float(res.x) if res.fun < vals[i] else float(thetas[i])
-    return best_t, float(min(res.fun, vals[i]))
-
-
-class UpperBoundaryGraph:
-    """The upper boundary arc omega in [pi/2, 3pi/2] as a graph y = phi(x).
-
-    x(omega) is strictly decreasing on the arc, so inversion is a
-    monotone bisection per query point (vectorized).  Slopes follow from
-    phi'(x) = tan omega and phi''(x) = 1/(rho(omega) cos^3 omega).
-    """
-
-    def __init__(self, domain, n=4097):
-        self.domain = domain
-        self._om = np.linspace(np.pi / 2, 3 * np.pi / 2, n)
-        pts = domain.point(self._om)
-        self._xg = pts[:, 0]
-        self.x_right = float(self._xg[0])
-        self.x_left = float(self._xg[-1])
-
-    def omega_of_x(self, x, iters=52):
-        x = np.asarray(x, dtype=float)
-        bad = (x > self.x_right + 1e-12) | (x < self.x_left - 1e-12)
-        if np.any(bad):
-            raise OutOfSupport(
-                f"x outside [{self.x_left:.6g}, {self.x_right:.6g}]")
-        xc = np.clip(x, self.x_left, self.x_right)
-        # locate bracketing grid cell on the decreasing table
-        idx = np.searchsorted(-self._xg, -xc)
-        idx = np.clip(idx, 1, len(self._xg) - 1)
-        lo = self._om[idx - 1]
-        hi = self._om[idx]
-        for _ in range(iters):
-            mid = 0.5 * (lo + hi)
-            xm = self.domain.point(mid)[..., 0]
-            high_side = xm >= xc  # x decreasing: mid is to the right of target
-            lo = np.where(high_side, mid, lo)
-            hi = np.where(high_side, hi, mid)
-        return 0.5 * (lo + hi)
-
-    def phi(self, x):
-        return self.domain.point(self.omega_of_x(x))[..., 1]
-
-    def dphi(self, x):
-        return np.tan(self.omega_of_x(x))
-
-    def d2phi(self, x):
-        om = self.omega_of_x(x)
-        return 1.0 / (self.domain.rho(om) * np.cos(om) ** 3)

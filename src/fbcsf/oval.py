@@ -7,10 +7,10 @@ The oval family is the level set
 whose lower branch is a convex smile between two tips at height
 pi/(2 lam).  Requiring the oval to cross the upper boundary graph
 y = phi(x) orthogonally at a chosen right contact x0 determines t and xi
-in closed form for every admissible scale lam, leaving a one-parameter
-family.  Two scalar root solves, both with the package's Brent solver
-safe_brentq, then pick the scale so the oval crosses the boundary
-orthogonally at a second, left contact as well:
+in closed form (single_point_orthogonal) for every admissible scale lam,
+leaving a one-parameter family.  Two scalar root solves, both with the
+package's Brent solver safe_brentq, then pick the scale so the oval
+crosses the boundary orthogonally at a second, left contact as well:
 
   * the first contact is pinned on the descending side of the boundary
     at height rho/2, where rho is the height cap;
@@ -171,7 +171,15 @@ def admissible_interval(phi0, dphi0):
             float(np.pi / (2.0 * phi0)))
 
 
-def _params_from_contact(phi0, dphi0, x0, lam):
+def single_point_orthogonal(phi0, dphi0, x0, lam):
+    """Oval of scale lam through (x0, phi0) with its normal along the
+    boundary normal, where phi0 = phi(x0) and dphi0 = phi'(x0) on the
+    upper boundary graph y = phi(x).
+
+    The time slice comes out as t = log(sin^2(lam phi0) - cos^2(lam phi0)/
+    phi'(x0)^2)/(2 lam^2) and the shift as x0 - arccosh(sin(lam phi0)/
+    e^{lam^2 t})/lam.
+    """
     if phi0 <= 0 or dphi0 >= 0:
         raise ConfigError(
             "first contact must have phi(x0) > 0 and phi'(x0) < 0")
@@ -185,19 +193,6 @@ def _params_from_contact(phi0, dphi0, x0, lam):
     t = float(np.log(E2) / (2.0 * lam ** 2))
     xi = float(x0 - np.arccosh(max(S / np.sqrt(E2), 1.0)) / lam)
     return OvalParams(lam=float(lam), xi=xi, t=t)
-
-
-def single_point_orthogonal(graph, x0, lam):
-    """Oval through (x0, phi(x0)) with its normal along the boundary normal.
-
-    graph must expose phi(x) and dphi(x) for the upper boundary.  The
-    time slice comes out as t = log(sin^2(lam phi0) - cos^2(lam phi0)/
-    phi'(x0)^2)/(2 lam^2) and the shift as x0 - arccosh(sin(lam phi0)/
-    e^{lam^2 t})/lam.
-    """
-    phi0 = float(graph.phi(x0))
-    dphi0 = float(graph.dphi(x0))
-    return _params_from_contact(phi0, dphi0, x0, lam)
 
 
 # -- the nested two-contact construction --------------------------------------
@@ -306,7 +301,7 @@ def construct_orthogonal_oval(ndom, rho):
 
     def second_contact(lam):
         """(omega_hat, params) of the second boundary crossing, or None."""
-        par = _params_from_contact(phi0, dphi0, x0, lam)
+        par = single_point_orthogonal(phi0, dphi0, x0, lam)
         w = par.support_halfwidth
         xlim = par.xi - w
         sel = np.nonzero((om_grid > om0) & (xs >= max(xlim, xs[-1])))[0]

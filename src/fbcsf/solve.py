@@ -10,8 +10,11 @@ from scipy.optimize import brentq
 
 from .errors import BracketFailure
 
+# Brent's stopping tolerances and iteration cap
+_RTOL, _XTOL, _MAXITER = 4 * np.finfo(float).eps, 1e-15, 200
 
-def safe_brentq(f, a, b, rtol=4 * np.finfo(float).eps, xtol=1e-15, maxiter=200):
+
+def safe_brentq(f, a, b):
     """Brent's method with an explicit sign-change check.
 
     Raises BracketFailure instead of ValueError so callers can map the
@@ -26,4 +29,4 @@ def safe_brentq(f, a, b, rtol=4 * np.finfo(float).eps, xtol=1e-15, maxiter=200):
         raise BracketFailure(
             f"no sign change on [{a:.6g}, {b:.6g}]: f(a)={fa:.3e}, f(b)={fb:.3e}"
         )
-    return brentq(f, a, b, rtol=rtol, xtol=xtol, maxiter=maxiter)
+    return brentq(f, a, b, rtol=_RTOL, xtol=_XTOL, maxiter=_MAXITER)

@@ -38,6 +38,21 @@ def test_estimates_same_with_curvature_recomputed(runs, ndisk):
             == [dataclasses.asdict(r) for r in fresh.records])
 
 
+def test_turning_angle_rate_is_sharp(disk_sweep, ndisk):
+    # the fitted rate tends to lambda0^2 as rho falls (measured relative
+    # errors 1.36e-3, 7.46e-4, 4.63e-4 at rho = 0.2, 0.1, 0.05); the error
+    # follows rho, not n (2.25e-3 and 2.29e-3 at rho = 0.3, n = 100, 200)
+    lam2 = oval.solve_lambda0(ndisk.kappa1, ndisk.kappa2) ** 2
+    errs = []
+    for traj in disk_sweep.trajectories:
+        report = asymptotics.verify_estimates(traj, 0.25, np.sqrt(lam2))
+        rate = report.record("turning_angle_decay").fitted_rate
+        errs.append(abs(rate - lam2) / lam2)
+    assert disk_sweep.rhos == [0.2, 0.1, 0.05]
+    assert max(errs) < 2e-3
+    assert errs[0] > errs[1] > errs[2]
+
+
 # ---------------------------------------------------------------------------
 # limiting profile and uniqueness
 
@@ -114,7 +129,7 @@ def test_robin_eigen_residuals(domain, request):
     eig = asymptotics.robin_eigen(k1, k2)
     assert len(eig.positive_eigenvalues) == 3
     for p in eig.negative_eigenvalues + eig.positive_eigenvalues:
-        # the ODE residual differences two O(mu) terms
+        # the Robin residuals difference slopes that grow with mu
         scale = 1.0 + max(p.mu, 0.0)
         assert max(asymptotics.eigen_residuals(p, k1, k2)) / scale <= 1e-14
 

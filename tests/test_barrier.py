@@ -106,10 +106,10 @@ def test_arc_height_matches_circle_equation():
 def test_barrier_omega_schedule(ndisk):
     cfg = bar.BarrierConfig.from_domain(ndisk)
     assert cfg.r == pytest.approx(0.25)
-    B = bar.barrier_at(-cfg.r ** 2 * 0.1, cfg, ndisk)
+    B = bar.barrier_at(-cfg.r ** 2 * 0.1, cfg)
     assert B.omega == pytest.approx(np.arcsin(np.exp(-0.2)), rel=1e-13)
     assert B.omega == pytest.approx(0.9591969745502804, abs=1e-12)
-    B1 = bar.barrier_at(-1.0, cfg, ndisk)
+    B1 = bar.barrier_at(-1.0, cfg)
     assert B1.omega == pytest.approx(np.exp(-32.0), rel=1e-10)
     assert not B1.degenerate
 

@@ -31,15 +31,6 @@ def test_config_rejects_bad_safety():
 # exact solutions
 
 
-def test_shrinking_circle_second_order():
-    errs = []
-    for n in (100, 200, 400):
-        r_num, r_exact = f.shrink_circle(n, 0.2)
-        errs.append(abs(r_num - r_exact))
-    orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
-    assert all(1.7 <= p <= 2.3 for p in orders), (errs, orders)
-
-
 def test_grim_reaper_second_order():
     errs = [f.grim_reaper_error(n, 0.2, half_width=1.2) for n in (100, 200, 400)]
     slope = -np.polyfit(np.log([100, 200, 400]), np.log(errs), 1)[0]

@@ -93,41 +93,35 @@ def test_height_factor_bound():
 
 # ----------------------------------------- single-contact placement
 
-def test_single_point_orthogonal_disk(ndisk):
-    gr = g.UpperBoundaryGraph(ndisk.domain)
-    x0 = float(np.cos(0.2))
-    phi0 = float(gr.phi(np.array([x0]))[0])
-    dphi0 = float(gr.dphi(np.array([x0]))[0])
-    lo, hi = ov.admissible_interval(phi0, dphi0)
-    par = ov.single_point_orthogonal(gr, x0, 0.5 * (lo + hi))
-    n_ov = par.normal_direction(x0, phi0)
+# the unit disk's upper boundary y = sqrt(1 - x^2) at x0 = cos 0.2
+_X0 = float(np.cos(0.2))
+_PHI0 = float(np.sqrt(1.0 - _X0 ** 2))
+_DPHI0 = -_X0 / _PHI0
+
+
+def test_single_point_orthogonal_disk():
+    lo, hi = ov.admissible_interval(_PHI0, _DPHI0)
+    par = ov.single_point_orthogonal(_PHI0, _DPHI0, _X0, 0.5 * (lo + hi))
+    n_ov = par.normal_direction(_X0, _PHI0)
     n_ov = n_ov / np.linalg.norm(n_ov)
     # orthogonal intersection: the oval's normal lies along the boundary
     # tangent, i.e. perpendicular to the boundary normal
-    n_bd = np.array([x0, phi0])  # unit outward normal of the disk
+    n_bd = np.array([_X0, _PHI0])  # unit outward normal of the disk
     assert abs(float(n_ov @ n_bd)) < 1e-10
-    tau_bd = np.array([-phi0, x0])
+    tau_bd = np.array([-_PHI0, _X0])
     assert abs(abs(float(n_ov @ tau_bd)) - 1.0) < 1e-10
 
 
-def test_single_point_upper_limit_shift(ndisk):
-    gr = g.UpperBoundaryGraph(ndisk.domain)
-    x0 = float(np.cos(0.2))
-    phi0 = float(gr.phi(np.array([x0]))[0])
-    dphi0 = float(gr.dphi(np.array([x0]))[0])
-    lo, hi = ov.admissible_interval(phi0, dphi0)
-    par = ov.single_point_orthogonal(gr, x0, hi * (1 - 1e-12))
-    assert abs(par.xi - x0) < 1e-5
+def test_single_point_upper_limit_shift():
+    lo, hi = ov.admissible_interval(_PHI0, _DPHI0)
+    par = ov.single_point_orthogonal(_PHI0, _DPHI0, _X0, hi * (1 - 1e-12))
+    assert abs(par.xi - _X0) < 1e-5
 
 
-def test_single_point_lower_endpoint_rejected(ndisk):
-    gr = g.UpperBoundaryGraph(ndisk.domain)
-    x0 = float(np.cos(0.2))
-    phi0 = float(gr.phi(np.array([x0]))[0])
-    dphi0 = float(gr.dphi(np.array([x0]))[0])
-    lo, _ = ov.admissible_interval(phi0, dphi0)
+def test_single_point_lower_endpoint_rejected():
+    lo, _ = ov.admissible_interval(_PHI0, _DPHI0)
     with pytest.raises(LambdaOutOfRange):
-        ov.single_point_orthogonal(gr, x0, lo)
+        ov.single_point_orthogonal(_PHI0, _DPHI0, _X0, lo)
 
 
 # ------------------------------------------------- two-contact solve
@@ -258,13 +252,13 @@ def test_sample_initial_curve_endpoint_tangents(ndisk):
     for om, xe in ((o.omega_hat, o.xhat), (o.omega0, o.x0)):
         s = par.lower_slope(np.array([xe]))[0]
         t = np.array([1.0, s]) / np.hypot(1.0, s)
-        n_in = -ndisk.domain.outward_normal(om)
+        n_in = np.array([-np.sin(om), np.cos(om)])   # inward normal
         assert min(np.linalg.norm(t - n_in), np.linalg.norm(t + n_in)) < 1e-6
 
 
 def test_sample_initial_curve_secant_tangent_converges(ndisk):
     o = ov.construct_orthogonal_oval(ndisk, 0.3)
-    n_in = -ndisk.domain.outward_normal(o.omega0)
+    n_in = np.array([-np.sin(o.omega0), np.cos(o.omega0)])
     errs = []
     for n in (100, 200, 400):
         pts = ov.sample_initial_curve(o, n)

@@ -25,9 +25,8 @@ def _arc_nodes(n, seed=0):
     return np.column_stack([r * np.cos(th), r * np.sin(th)])
 
 
-def _edges(nodes, closed=False):
-    pts = np.vstack([nodes, nodes[:1]]) if closed else nodes
-    e = np.diff(pts, axis=0)
+def _edges(nodes):
+    e = np.diff(nodes, axis=0)
     return np.hypot(e[:, 0], e[:, 1])
 
 
@@ -71,21 +70,6 @@ def test_implicit_interior_matches_dense_solve(pinned):
     assert np.max(np.abs(got - want)) < 1e-13
     # the direct gtsv call is the routine solve_banded uses for (1, 1)
     assert np.array_equal(got, _banded_reference(nodes, dt, rhs))
-
-
-def test_implicit_closed_matches_dense_solve():
-    nodes = _arc_nodes(30, seed=1)
-    nodes = np.vstack([nodes, nodes[::-1] * [1.0, -0.8]])   # closed loop
-    n, dt = len(nodes), 2e-3
-    h = _edges(nodes, closed=True)
-    L = np.zeros((n, n))
-    for i in range(n):
-        hl, hr = h[i - 1], h[i]
-        L[i, i - 1] = 2.0 / (hl * (hl + hr))
-        L[i, (i + 1) % n] = 2.0 / (hr * (hl + hr))
-        L[i, i] = -L[i, i - 1] - L[i, (i + 1) % n]
-    want = np.linalg.solve(np.eye(n) - dt * L, nodes)
-    assert np.max(np.abs(f._implicit_closed(nodes, dt) - want)) < 1e-13
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -221,15 +205,14 @@ def test_slave_contact_newton_reaches_bracketed_root(negg, egg_wall,
                                                      monkeypatch, offset):
     o = ov.construct_orthogonal_oval(negg, 0.2)
     state = f.initial_state_from_oval(o, 100)
-    for om0, inner1, inner2, side in (
-            (state.om_plus, state.nodes[-2], state.nodes[-3], +1),
-            (state.om_minus, state.nodes[1], state.nodes[2], -1)):
+    for om0, inner1, inner2 in (
+            (state.om_plus, state.nodes[-2], state.nodes[-3]),
+            (state.om_minus, state.nodes[1], state.nodes[2])):
         root = safe_brentq(_reference_residual(egg_wall, inner1, inner2),
                            om0 - 0.2, om0 + 0.2)
         with monkeypatch.context() as m:
             m.setattr(f, "safe_brentq", _no_fallback)
-            got = f._slave_contact(egg_wall, root + offset, inner1, inner2,
-                                   side)
+            got = f._slave_contact(egg_wall, root + offset, inner1, inner2)
         assert abs(got - root) < 1e-12
 
 
@@ -240,5 +223,5 @@ def test_slave_contact_on_straight_wall(monkeypatch):
     wall = f.StraightWall()
     root = safe_brentq(_reference_residual(wall, inner1, inner2), 0.8, 1.2)
     monkeypatch.setattr(f, "safe_brentq", _no_fallback)
-    got = f._slave_contact(wall, root + 1e-3, inner1, inner2, +1)
+    got = f._slave_contact(wall, root + 1e-3, inner1, inner2)
     assert abs(got - root) < 1e-12
