@@ -22,10 +22,9 @@ t increases toward 0.
 import numpy as np
 from dataclasses import dataclass
 
-from .errors import ConfigError, RhoTooLarge, TangentialContact
+from .errors import ConfigError, RhoTooLarge
 from .geometry import NormalizedDomain
 
-_TANGENT_TOL = 1e-8
 _FIT_TOL = 1e-10     # worst support-function violation of the circles
 _BELOW_TOL = 1e-10   # height a node may sit above the barrier, still below
 _SPEED_DT = 1e-6     # time step of the finite-difference arc speed
@@ -78,10 +77,6 @@ class UnitDiskArc:
         x = np.asarray(x, dtype=float)
         rad2 = np.maximum(self.radius ** 2 - x ** 2, 1e-300)
         return x / np.sqrt(rad2)
-
-    def points(self, n=129):
-        xs = np.cos(self.omega) * np.linspace(-1.0, 1.0, n)
-        return np.column_stack([xs, self.height(xs)])
 
 
 def unit_disk_arc(omega):
@@ -216,14 +211,6 @@ class BarrierCurve:
             out = np.where(on, self.r * arc.height(xloc / self.r), out)
         return out if out.ndim else float(out)
 
-    def polyline(self, n_per_arc=129):
-        if self.degenerate:
-            return np.array([[-1.0, 0.0], [1.0, 0.0]])
-        arc = unit_disk_arc(self.omega)
-        left = self.r * arc.points(n_per_arc) + np.array([-(1.0 - self.r), 0.0])
-        right = self.r * arc.points(n_per_arc) + np.array([1.0 - self.r, 0.0])
-        return np.vstack([left, right])
-
 
 def barrier_at(t, cfg):
     """Composite barrier at time t < 0 inside the configured circles."""
@@ -278,68 +265,7 @@ def supersolution_residual(r, t_samples, x_fracs=None):
 
 
 # ---------------------------------------------------------------------------
-# circle crossings and the comparison itself
-
-
-def _polyline_orientation(curve):
-    d = np.diff(curve, axis=0)
-    turn = d[:-1, 0] * d[1:, 1] - d[:-1, 1] * d[1:, 0]
-    s = float(np.sum(turn))
-    return 1.0 if s >= 0.0 else -1.0
-
-
-def acute_intersection(curve, center, radius):
-    """Classify transversal crossings of a convex polyline with a circle.
-
-    Each crossing is acute when the curve's tangent line locally separates
-    the curve from the radial segment running from the crossing point to
-    the circle's center.  Crossings at right angle to the circle (within
-    1e-8) are reported as "orthogonal" and take part in no comparison;
-    grazing contacts raise TangentialContact.
-
-    Returns a list of (point, kind) with kind in {"acute", "non-acute",
-    "orthogonal"}.
-    """
-    curve = np.asarray(curve, dtype=float)
-    center = np.asarray(center, dtype=float)
-    orient = _polyline_orientation(curve)
-    hits = []
-    for i in range(len(curve) - 1):
-        a = curve[i]
-        d = curve[i + 1] - a
-        # |a + s d - c|^2 = radius^2
-        f = a - center
-        qa = float(d @ d)
-        if qa == 0.0:
-            continue
-        qb = 2.0 * float(f @ d)
-        qc = float(f @ f) - radius * radius
-        disc = qb * qb - 4.0 * qa * qc
-        if disc < 0.0:
-            continue
-        sq = np.sqrt(disc)
-        for s in ((-qb - sq) / (2 * qa), (-qb + sq) / (2 * qa)):
-            if not 0.0 <= s < 1.0:
-                continue
-            p = a + s * d
-            if hits and min(np.hypot(*(p - q)) for q, _ in hits) < 1e-12:
-                continue
-            tau = d / np.sqrt(qa)
-            rad = center - p
-            rad = rad / np.linalg.norm(rad)
-            cos_t = float(tau @ rad)
-            sin_t = float(tau[0] * rad[1] - tau[1] * rad[0])
-            if abs(cos_t) < _TANGENT_TOL:
-                raise TangentialContact(
-                    f"grazing contact at ({p[0]:.6g}, {p[1]:.6g})")
-            if abs(sin_t) < _TANGENT_TOL:
-                hits.append((p, "orthogonal"))
-                continue
-            # tangent separates curve germ (on the bending side) from the
-            # inward radial segment exactly when they sit on opposite sides
-            kind = "acute" if np.sign(sin_t) != orient else "non-acute"
-            hits.append((p, kind))
-    return hits
+# vertical comparison
 
 
 def below_barrier(curve, bar):

@@ -37,10 +37,6 @@ class RhoTooLarge(GeometryError):
     """Requested contact height exceeds what the domain admits."""
 
 
-class TangentialContact(GeometryError):
-    """Curve grazes a comparison circle; the crossing cannot be classified."""
-
-
 class SolverError(FBCSFError):
     """Numerical solve failed (root finding, time stepping, ...)."""
 

@@ -19,6 +19,7 @@ point and the upper boundary is always the arc omega in [pi/2, 3pi/2]
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -32,6 +33,7 @@ _FFT_TOL = 1e-15       # and the relative size of a dropped coefficient
 _CONTAINS_DIRS = 720   # contains: support directions and slack
 _CONTAINS_TOL = 1e-9
 _NSCAN = 2048          # find_diameters: residual samples over [0, pi)
+_UPPER_ARC_SAMPLES = 8193  # upper_arc: turning angles on [pi/2, 3pi/2]
 
 
 def _eval_series(cos_c, sin_c, omega):
@@ -95,6 +97,9 @@ class ConvexDomain:
         rho(w) = sum_k cos_coeffs[k] cos(k w) + sin_coeffs[k] sin(k w).
         First harmonics must vanish (closure); sin_coeffs[0] is unused.
     center : translation added to the zero-mean position series.
+
+    The upper boundary sampled at _UPPER_ARC_SAMPLES turning angles is
+    computed on first use of ``upper_arc`` and kept for the domain's life.
     """
 
     def __init__(self, cos_coeffs, sin_coeffs=None, center=(0.0, 0.0)):
@@ -123,6 +128,7 @@ class ConvexDomain:
         self.center = np.asarray(center, dtype=float)
         self._check_convex()
         self._build_primitives()
+        self._m = np.arange(len(self._px_c))
         self._extremes = None
         self._area = None
 
@@ -174,14 +180,34 @@ class ConvexDomain:
 
     def point(self, omega):
         om = np.asarray(omega, dtype=float)
-        m = np.arange(len(self._px_c))
-        ang = np.multiply.outer(om, m)
+        if om.ndim == 0:
+            # one angle: the array path's products and dot products on a
+            # single angle, without its outer product and stack
+            ang = om * self._m
+            s, c = np.sin(ang), np.cos(ang)
+            return np.array((c @ self._px_c + s @ self._px_s + self.center[0],
+                             c @ self._py_c + s @ self._py_s + self.center[1]))
+        ang = np.multiply.outer(om, self._m)
         # the cosine overwrites the angles: one n x K matrix fewer alive
         s = np.sin(ang)
         c = np.cos(ang, out=ang)
         x = c @ self._px_c + s @ self._px_s + self.center[0]
         y = c @ self._py_c + s @ self._py_s + self.center[1]
         return np.stack([x, y], axis=-1)
+
+    @cached_property
+    def upper_arc(self):
+        """(omega, x, y) of the upper boundary at _UPPER_ARC_SAMPLES turning
+        angles evenly spaced on [pi/2, 3pi/2], computed once per domain.
+
+        The three arrays are read-only: every caller shares them.
+        """
+        om = np.linspace(np.pi / 2, 3 * np.pi / 2, _UPPER_ARC_SAMPLES)
+        pts = self.point(om)
+        out = (om, pts[:, 0].copy(), pts[:, 1].copy())
+        for arr in out:
+            arr.flags.writeable = False
+        return out
 
     def tangent(self, omega):
         om = np.asarray(omega, dtype=float)

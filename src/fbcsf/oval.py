@@ -20,6 +20,10 @@ crosses the boundary orthogonally at a second, left contact as well:
   * the scale is then solved on [lam*, pi/(2 rho)] (acute, or detached
     from the far wall, at the top) for the orthogonal second crossing.
 
+The second crossing is bracketed on the domain's upper arc, sampled once
+per domain (ConvexDomain.upper_arc) and shared by every oval built on it;
+each oval then evaluates boundary points one at a time.
+
 As rho -> 0 the scale tends to lambda0, the unique root above both
 endpoint curvatures of  lam^2 - lam (k1 + k2) coth(2 lam) + k1 k2 = 0,
 which also rules the exponential decay rate lambda0^2 of the flow.
@@ -101,8 +105,8 @@ class Limits:
 
 def solve_sigma(kappa):
     """Unique positive root of s tanh s = kappa."""
-    if kappa <= 0:
-        raise ConfigError("curvature must be positive")
+    if not 0.0 < kappa < np.inf:  # NaN fails every comparison
+        raise ConfigError(f"curvature must be finite and positive, got {kappa}")
 
     def f(s):
         return s * np.tanh(s) - kappa
@@ -126,8 +130,9 @@ def solve_lambda0(kappa1, kappa2):
     (lam tanh lam - k)(lam - k tanh lam)/tanh(lam) and the admissible
     factor is lam tanh lam = k, handled directly for exactness.
     """
-    if kappa1 <= 0 or kappa2 <= 0:
-        raise ConfigError("curvatures must be positive")
+    if not (0.0 < kappa1 < np.inf and 0.0 < kappa2 < np.inf):
+        raise ConfigError(
+            f"curvatures must be finite and positive, got {kappa1}, {kappa2}")
     kmax = max(kappa1, kappa2)
     if abs(kappa1 - kappa2) <= 1e-12 * kmax:
         return solve_sigma(0.5 * (kappa1 + kappa2))
@@ -198,9 +203,8 @@ def single_point_orthogonal(phi0, dphi0, x0, lam):
 # -- the nested two-contact construction --------------------------------------
 
 
-# turning angles of the upper boundary searched for the second contact
-_NGRID = 8193
-# samples just past the first contact left out of that search
+# upper-arc samples just past the first contact left out of the search
+# for the second contact
 _GUARD = 4
 
 
@@ -251,6 +255,10 @@ def construct_orthogonal_oval(ndom, rho):
         (obtuse, negative, at lam*; acute or detached from the far wall,
         positive, at pi/(2 rho)).
 
+    Each trial scale brackets its second crossing between two samples of
+    dom.upper_arc, which is computed on the first call for a domain and
+    reused by every later call on it, and refines it by Brent.
+
     Raises RhoTooLarge when the line y = rho fails to cross the upper
     boundary twice, and BracketFailure when a sign condition of either
     solve fails or the orthogonal scale has no second crossing (brackets
@@ -260,9 +268,7 @@ def construct_orthogonal_oval(ndom, rho):
     if not dom.is_normalized:
         raise ConfigError("domain must be normalized (diameter on [-1,1])")
 
-    om_grid = np.linspace(np.pi / 2, 3 * np.pi / 2, _NGRID)
-    pts = dom.point(om_grid)
-    xs, ys = pts[:, 0], pts[:, 1]
+    om_grid, xs, ys = dom.upper_arc
     itop = int(np.argmax(ys))
     ymax = float(ys[itop])
     if not (0.0 < rho < ymax):

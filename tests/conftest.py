@@ -16,6 +16,12 @@ def ellipse():
 
 
 @pytest.fixture(scope="session")
+def flat_ellipse():
+    # the flattest benchmark domain: 108 position harmonics
+    return g.ConvexDomain.ellipse(3.0, 1.0)
+
+
+@pytest.fixture(scope="session")
 def egg():
     # strictly convex, a single mirror symmetry broken by the sin 3w term
     return g.ConvexDomain([1.0, 0.0, 0.2], [0.0, 0.0, 0.0, 0.1])

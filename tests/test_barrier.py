@@ -3,7 +3,7 @@ import pytest
 
 from fbcsf import barrier as bar
 from fbcsf import oval
-from fbcsf.errors import ConfigError, RhoTooLarge, TangentialContact
+from fbcsf.errors import ConfigError, RhoTooLarge
 
 
 # ---------------------------------------------------------------------------
@@ -259,68 +259,14 @@ def test_supersolution_rejects_underflowed_time():
 
 
 # ---------------------------------------------------------------------------
-# crossing classification
-
-
-def test_horizontal_line_through_center_is_orthogonal(ndisk):
-    cfg = bar.BarrierConfig.from_domain(ndisk)
-    c = np.asarray(cfg.centers[0])
-    xs = np.linspace(c[0] - 2 * cfg.r, c[0] + 2 * cfg.r, 9)
-    line = np.column_stack([xs, np.full_like(xs, c[1])])
-    hits = bar.acute_intersection(line, c, cfg.r)
-    assert len(hits) == 2
-    assert all(kind == "orthogonal" for _, kind in hits)
-
-
-def test_oval_slice_crosses_left_circle_acutely(ndisk):
-    # convex arc with orthogonal wall contacts inside the strip {0 < y < r}
-    cfg = bar.BarrierConfig.from_domain(ndisk)
-    ov = oval.construct_orthogonal_oval(ndisk, 0.15)
-    assert ov.p_first[1] < cfg.r
-    crv = oval.sample_initial_curve(ov, 400)
-    c = np.asarray(cfg.centers[0])
-    hits = sorted(bar.acute_intersection(crv, c, cfg.r),
-                  key=lambda h: h[0][0])
-    kinds = [k for _, k in hits]
-    assert len(hits) == 2
-    assert kinds[0] == "acute"
-    # equivalent angle form: circle and curve tangents point against
-    # each other at the leftmost crossing
-    p = hits[0][0]
-    i = np.argmin(np.hypot(crv[:, 0] - p[0], crv[:, 1] - p[1]))
-    tau = crv[min(i + 1, len(crv) - 1)] - crv[max(i - 1, 0)]
-    tau = tau / np.linalg.norm(tau)
-    out = (p - c) / np.linalg.norm(p - c)
-    circ_tau = np.array([-out[1], out[0]])
-    assert circ_tau @ tau < 0.0
-
-
-def test_no_intersection_gives_empty_list(ndisk):
-    ov = oval.construct_orthogonal_oval(ndisk, 0.15)
-    crv = oval.sample_initial_curve(ov, 400)
-    i = int(np.argmin(crv[:, 1]))
-    d = np.hypot(crv[:, 0] - crv[i, 0], crv[:, 1] - (crv[i, 1] + 1.0))
-    center = crv[i] + np.array([0.0, 1.0])
-    assert bar.acute_intersection(crv, center, 0.5 * float(d.min())) == []
-
-
-def test_grazing_contact_raises(ndisk):
-    cfg = bar.BarrierConfig.from_domain(ndisk)
-    c = np.asarray(cfg.centers[0])
-    xs = np.linspace(-1.0, 1.0, 2001)
-    graze = np.column_stack([xs, np.full_like(xs, c[1] + cfg.r)])
-    with pytest.raises(TangentialContact):
-        bar.acute_intersection(graze, c, cfg.r)
-
-
-# ---------------------------------------------------------------------------
 # vertical comparison
 
 
 def test_below_barrier_self_margin_zero(ndisk):
     cfg = bar.BarrierConfig.from_domain(ndisk)
     B = bar.barrier_at(-cfg.r ** 2 * 0.1, cfg)
-    ok, margin = bar.below_barrier(B.polyline(201), B)
+    xs = np.linspace(*B.x_span, 201)
+    ok, margin = bar.below_barrier(np.column_stack([xs, B.height(xs)]), B)
     assert ok
     assert abs(margin) < 1e-10
 

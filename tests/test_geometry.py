@@ -100,6 +100,38 @@ def test_normalize_is_the_recorded_similarity(name, request):
         assert np.max(np.abs(nd.domain.point(w) - want)) < 1e-12
 
 
+# ------------------------------------------------------ point samples
+
+@pytest.mark.parametrize("name", ["disk", "flat_ellipse", "egg", "lobed"])
+def test_upper_arc_is_point_on_the_fixed_grid(name, request):
+    dom = request.getfixturevalue(name)
+    om, x, y = dom.upper_arc
+    want_om = np.linspace(np.pi / 2, 3 * np.pi / 2, 8193)
+    want = dom.point(want_om)
+    assert om.tobytes() == want_om.tobytes()
+    assert x.tobytes() == np.ascontiguousarray(want[:, 0]).tobytes()
+    assert y.tobytes() == np.ascontiguousarray(want[:, 1]).tobytes()
+    assert dom.upper_arc[1] is x  # computed once, then shared
+    for arr in (om, x, y):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(-50.0, 50.0))
+def test_point_of_one_angle_matches_array_path(disk, flat_ellipse, egg,
+                                               lobed, w):
+    # a Python float, a numpy scalar and a 0-d array all take the one-angle
+    # path, which must reproduce the array path on one angle bit for bit
+    for dom in (disk, flat_ellipse, egg, lobed):
+        want = dom.point(np.array([w]))[0].tobytes()
+        for arg in (w, np.float64(w), np.array(w)):
+            p = dom.point(arg)
+            assert p.shape == (2,)
+            assert p.tobytes() == want
+
+
 # ----------------------------------------------------------------- egg
 
 def test_egg_has_exactly_two_diameters(egg):

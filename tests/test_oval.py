@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -47,6 +49,19 @@ def test_limits_shift_identities():
     lim = ov.compute_limits(1.0, 0.5)
     assert abs(np.tanh(lim.lambda0 * (1 - lim.xi0)) - 1.0 / lim.lambda0) < 1e-10
     assert abs(np.tanh(lim.lambda0 * (1 + lim.xi0)) - 0.5 / lim.lambda0) < 1e-10
+
+
+@pytest.mark.parametrize("kappa", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_sigma_rejects_bad_curvature(kappa):
+    with pytest.raises(ConfigError):
+        ov.solve_sigma(kappa)
+
+
+@pytest.mark.parametrize("k1, k2", [(np.nan, 1.0), (1.0, np.inf),
+                                    (np.inf, np.inf), (1.0, 0.0)])
+def test_lambda0_rejects_bad_curvature(k1, k2):
+    with pytest.raises(ConfigError):
+        ov.solve_lambda0(k1, k2)
 
 
 kappas = st.floats(0.3, 3.0)
@@ -225,6 +240,29 @@ def test_oval_grid_builds_everywhere_it_can(egg, lobed):
                 built += 1
     assert failures == [("ellipse(3,1)", 0, 0.3, "RhoTooLarge")]
     assert built == 44
+
+
+def _oval_bits(o):
+    """Every field of an OrthogonalOval as raw bytes."""
+    return [np.asarray(v, dtype=float).tobytes()
+            for v in dataclasses.astuple(o)]
+
+
+def test_oval_rebuild_reuses_the_upper_arc(lobed, monkeypatch):
+    # a fresh normalization, so the first build samples the upper arc
+    nd = g.normalize(lobed, g.find_diameters(lobed)[0])
+    first = ov.construct_orthogonal_oval(nd, 0.1)
+    sizes = []
+    point = g.ConvexDomain.point
+
+    def counted(self, omega):
+        sizes.append(np.size(omega))
+        return point(self, omega)
+
+    monkeypatch.setattr(g.ConvexDomain, "point", counted)
+    second = ov.construct_orthogonal_oval(nd, 0.1)
+    assert sizes and max(sizes) <= 2
+    assert _oval_bits(second) == _oval_bits(first)
 
 
 def test_rho_too_large(ndisk):
