@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from .errors import AnalysisError, NonPositiveAmplitude, WindowTooShort
 # uniqueness_evidence calls matched_distance through this module's global,
 # so a wrapper set on this module (bench/tracing.py) sees every call
-from .flow import ConvexWall, CurveState, matched_distance
+from .flow import MATCH_XS, ConvexWall, CurveState, matched_distance
 from .oval import lambda0_residual, solve_lambda0
 from .solve import safe_brentq
 
@@ -27,6 +27,10 @@ WINDOW_FLOOR = -6.0   # never fit below this offset time
 WINDOW_CEIL = -1.0    # never fit above this offset time
 _LOG_MIN = 1e-300     # monitors are clipped to this before their logarithm
 _EIGEN_NGRID = 1001   # eigenfunction grid on [-1, 1]: sup norm and sign
+_POSITIVE_EIGEN = 3   # positive Robin eigenvalues that robin_eigen reports
+_INCREMENT_TIMES = 10   # rescaled_increments: sample times in the window
+_UNIQUENESS_TIMES = 16  # uniqueness_evidence: sample times, and the time
+_TAU_SPAN = 0.5         # shifts it scans, on [-_TAU_SPAN, _TAU_SPAN]
 
 
 def _default_window(t):
@@ -134,7 +138,7 @@ def _state_fields(state, wall):
     return kap, pts[:, 1], sup, kap_s
 
 
-def verify_estimates(traj, r, lambda0, window=None):
+def verify_estimates(traj, r, lambda0):
     """Decay-rate checks of the late-time monitors against the rate r.
 
     Six records: turning-angle decay, support-function ratio, smallest
@@ -145,8 +149,7 @@ def verify_estimates(traj, r, lambda0, window=None):
     required rate as its fitted rate and sets extras["vacuous"].
     """
     t = np.asarray(traj.monitors["t"])
-    if window is None:
-        window = _default_window(t)
+    window = _default_window(t)
     lam2 = lambda0 * lambda0
     records = []
 
@@ -266,7 +269,7 @@ def closed_form_c(lambda0, kappa1, kappa2):
         2.0 * lambda0 - (kappa1 + kappa2) * np.tanh(lambda0))
 
 
-def fit_profile(traj, lambda0, kappa1, kappa2, window=None):
+def fit_profile(traj, lambda0, kappa1, kappa2):
     """Per-time cosh/sinh least squares of the rescaled heights,
     extrapolated to the infinite past.
 
@@ -275,8 +278,7 @@ def fit_profile(traj, lambda0, kappa1, kappa2, window=None):
     extrapolated linearly in that variable.
     """
     t = np.asarray(traj.monitors["t"])
-    if window is None:
-        window = _default_window(t)
+    window = _default_window(t)
     m = _window_mask(t, window)
     xs = np.asarray(traj.config.abscissas, dtype=float)
     cols = [traj.monitors[f"y_at_x{k}"] for k in range(len(xs))]
@@ -309,7 +311,7 @@ def fit_profile(traj, lambda0, kappa1, kappa2, window=None):
         times=tw, A_of_t=A_t, c_of_t=c_t)
 
 
-def rescaled_increments(traj, lambda0, n_times=10, window=None):
+def rescaled_increments(traj, lambda0):
     """Successive sup-differences of the rescaled height profile.
 
     Returns (mid_times, diffs) with diffs[i] the sup over abscissas of
@@ -317,16 +319,14 @@ def rescaled_increments(traj, lambda0, n_times=10, window=None):
     into the limit shows diffs shrinking toward the past.
     """
     t = np.asarray(traj.monitors["t"])
-    if window is None:
-        window = _default_window(t)
-    m = _window_mask(t, window, min_samples=n_times)
+    m = _window_mask(t, _default_window(t), min_samples=_INCREMENT_TIMES)
     tw = t[m]
     xs = np.asarray(traj.config.abscissas, dtype=float)
     Y = np.column_stack(
         [np.asarray(traj.monitors[f"y_at_x{k}"])[m]
          for k in range(len(xs))])
     Z = Y * np.exp(-lambda0 * lambda0 * tw)[:, None]
-    idx = np.unique(np.linspace(0, len(tw) - 1, n_times).astype(int))
+    idx = np.unique(np.linspace(0, len(tw) - 1, _INCREMENT_TIMES).astype(int))
     diffs = np.max(np.abs(Z[idx[1:]] - Z[idx[:-1]]), axis=1)
     mids = 0.5 * (tw[idx[1:]] + tw[idx[:-1]])
     return mids, diffs
@@ -398,14 +398,14 @@ def _pos_pair(s, k1, k2, grid):
     return pair
 
 
-def robin_eigen(kappa1, kappa2, k=3):
+def robin_eigen(kappa1, kappa2):
     """Spectrum of -phi'' = mu phi with outward slope kappa^Omega phi.
 
     Negative eigenvalues come from the hyperbolic secular equation (the
     principal one, with s above max(kappa1, kappa2), is -lambda0^2); a
     second negative eigenvalue may exist below max(kappa1, kappa2) and
     its eigenfunction is then sign-changing.  Positive eigenvalues are
-    the first k roots of the trigonometric secular equation.
+    the first _POSITIVE_EIGEN roots of the trigonometric secular equation.
     """
     if kappa1 <= 0 or kappa2 <= 0:
         raise AnalysisError("endpoint curvatures must be positive")
@@ -425,6 +425,7 @@ def robin_eigen(kappa1, kappa2, k=3):
                          float(ss[i]), float(ss[i + 1]))
         negatives.append(_neg_pair(s2, kappa1, kappa2, grid))
 
+    k = _POSITIVE_EIGEN
     positives = []
     hi = (k + 2) * np.pi + kmax
     ss = np.linspace(1e-6, hi, 200 * (k + 4))
@@ -474,23 +475,22 @@ class UniquenessReport:
     window: tuple
 
 
-def uniqueness_evidence(trajA, trajB, lambda0, n_times=16,
-                        tau_span=0.5, xs=None):
+def uniqueness_evidence(trajA, trajB, lambda0):
     """Best time shift aligning two runs, and the aligned sup distance.
 
     A small minimized distance backs uniqueness-modulo-time-translation;
     trajectories on opposite sides of the diameter stay far apart.
+    lambda0 is not used: the shift is scanned in plain time.
     """
-    if xs is None:
-        xs = np.linspace(-0.85, 0.85, 241)
+    xs = MATCH_XS
     lo = max(float(trajA.monitors["t"][0]), float(trajB.monitors["t"][0]))
     lo = lo + 0.15 * abs(lo)
     hi = -0.3
     if lo >= hi:
         raise WindowTooShort(f"no shared late window: [{lo:.3g}, {hi:.3g}]")
-    sample_times = np.linspace(lo, hi, n_times)
+    sample_times = np.linspace(lo, hi, _UNIQUENESS_TIMES)
 
-    taus = np.linspace(-tau_span, tau_span, 41)
+    taus = np.linspace(-_TAU_SPAN, _TAU_SPAN, 41)
     taus[np.argmin(np.abs(taus))] = 0.0
     dists = np.array([matched_distance(trajA, trajB, tau, sample_times, xs)
                       for tau in taus])

@@ -23,17 +23,11 @@ import numpy as np
 from dataclasses import dataclass
 
 from .errors import ConfigError, RhoTooLarge
-from .geometry import NormalizedDomain
 
 _FIT_TOL = 1e-10     # worst support-function violation of the circles
+_RING_SAMPLES = 256  # points on each tangent circle tested against the domain
 _BELOW_TOL = 1e-10   # height a node may sit above the barrier, still below
 _SPEED_DT = 1e-6     # time step of the finite-difference arc speed
-
-
-def _domain_of(dom_or_ndom):
-    if isinstance(dom_or_ndom, NormalizedDomain):
-        return dom_or_ndom.domain
-    return dom_or_ndom
 
 
 # ---------------------------------------------------------------------------
@@ -110,9 +104,9 @@ class BarrierConfig:
         return cls(r=r, centers=((-(1.0 - r), 0.0), (1.0 - r, 0.0)))
 
 
-def _fit_violation(dom, r, nsample=256):
+def _fit_violation(dom, r):
     """Worst support-function violation of the two tangent circles."""
-    phi = np.linspace(0.0, 2.0 * np.pi, nsample, endpoint=False)
+    phi = np.linspace(0.0, 2.0 * np.pi, _RING_SAMPLES, endpoint=False)
     ring = r * np.column_stack([np.cos(phi), np.sin(phi)])
     worst = -np.inf
     th = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
@@ -130,7 +124,7 @@ def admissible_radius(ndom):
     The curvature pinch already forces r below the rolling radius of a
     convex domain, so the reduction loop is a numerical safeguard only.
     """
-    dom = _domain_of(ndom)
+    dom = ndom.domain
     r = min(dom.kappa_min / 4.0, 1.0 / (4.0 * dom.kappa_max))
     for _ in range(200):
         if _fit_violation(dom, r) <= _FIT_TOL:
@@ -155,7 +149,6 @@ class BarrierCurve:
     t: float
     r: float
     omega: float
-    cfg: BarrierConfig
     degenerate: bool = False
 
     @property
@@ -219,8 +212,8 @@ def barrier_at(t, cfg):
     r = cfg.r
     omega = omega_of_time(t / (r * r))
     if omega == 0.0:
-        return BarrierCurve(t=float(t), r=r, omega=0.0, cfg=cfg, degenerate=True)
-    return BarrierCurve(t=float(t), r=r, omega=omega, cfg=cfg)
+        return BarrierCurve(t=float(t), r=r, omega=0.0, degenerate=True)
+    return BarrierCurve(t=float(t), r=r, omega=omega)
 
 
 def tangency_time(rho, r):

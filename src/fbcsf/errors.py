@@ -24,9 +24,9 @@ class NonClosing(GeometryError):
     in ``residual``.
     """
 
-    def __init__(self, residual, msg=None):
+    def __init__(self, residual):
         self.residual = float(residual)
-        super().__init__(msg or f"boundary does not close: residual={residual:.3e}")
+        super().__init__(f"boundary does not close: residual={residual:.3e}")
 
 
 class NonConvex(GeometryError):

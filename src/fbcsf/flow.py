@@ -29,6 +29,7 @@ pinned grim-reaper graph, and a semicircle on a straight wall run by step.
 """
 
 import math
+import numbers
 from array import array
 from dataclasses import dataclass, field
 
@@ -57,36 +58,39 @@ _WALL_GRID = 4096
 class ConvexWall:
     """Contact handler backed by a convex domain boundary.
 
-    Boundary positions and the cumulative area integrand are tabulated on
-    a dense turning-angle grid once per wall; the per-step contact solves
-    then evaluate flat piecewise-polynomial tables of Python floats instead
-    of the Fourier series.
+    Boundary positions and the cumulative area integrand are tabulated
+    once per wall on _WALL_GRID turning angles covering
+    [pi/2 - _WALL_PAD, 3 pi/2 + _WALL_PAD]: the upper arc with a margin on
+    each side.  The per-step contact solves then evaluate flat
+    piecewise-polynomial tables of Python floats instead of the Fourier
+    series.  An angle off the table raises FlowError, which step answers
+    by halving the time step.
     """
 
     def __init__(self, ndom):
-        self.ndom = ndom
-        self.dom = ndom.domain
+        dom = ndom.domain
         om = np.linspace(np.pi / 2 - _WALL_PAD, 3 * np.pi / 2 + _WALL_PAD,
                          _WALL_GRID)
-        pts = self.dom.point(om)
+        pts = dom.point(om)
         point_spl = CubicSpline(om, pts, axis=0)
-        dp = self.dom.dpoint(om)
+        dp = dom.dpoint(om)
         green = 0.5 * (pts[:, 0] * dp[:, 1] - pts[:, 1] * dp[:, 0])
-        self._green_spl = CubicSpline(om, green).antiderivative()
+        green_spl = CubicSpline(om, green).antiderivative()
         self._lo, self._hi = float(om[0]), float(om[-1])
         self._hg = float(om[1] - om[0])
         self._nseg = _WALL_GRID - 1
         # per segment: x and y coefficients of u^3, u^2, u, 1, interleaved
         self._pc = array("d", point_spl.c.transpose(1, 0, 2).tobytes())
         # per segment: coefficients of u^4 .. 1 of the area integrand
-        self._gc = array("d", self._green_spl.c.T.tobytes())
+        self._gc = array("d", green_spl.c.T.tobytes())
 
     def _segment(self, om):
-        """Table segment holding om and the offset into it, or None off
+        """Table segment holding om and the offset into it; FlowError off
         the table."""
         u = om - self._lo
         if not 0.0 <= u <= self._hi - self._lo:
-            return None
+            raise FlowError(f"wall angle {om} is off the table "
+                            f"[{self._lo:.6g}, {self._hi:.6g}]")
         i = int(u / self._hg)
         if i >= self._nseg:
             i = self._nseg - 1
@@ -99,18 +103,12 @@ class ConvexWall:
     def jet_xy(self, om):
         """Point, its om-derivative, normal and the normal's om-derivative:
         eight floats (px, py, dpx, dpy, nx, ny, dnx, dny)."""
-        seg = self._segment(om)
-        if seg is None:
-            p, dp = self.dom.point(om), self.dom.dpoint(om)
-            px, py = float(p[0]), float(p[1])
-            dpx, dpy = float(dp[0]), float(dp[1])
-        else:
-            i, u = seg
-            ax, ay, bx, by, cx, cy, dx, dy = self._pc[8 * i:8 * i + 8]
-            px = ((ax * u + bx) * u + cx) * u + dx
-            py = ((ay * u + by) * u + cy) * u + dy
-            dpx = (3.0 * ax * u + 2.0 * bx) * u + cx
-            dpy = (3.0 * ay * u + 2.0 * by) * u + cy
+        i, u = self._segment(om)
+        ax, ay, bx, by, cx, cy, dx, dy = self._pc[8 * i:8 * i + 8]
+        px = ((ax * u + bx) * u + cx) * u + dx
+        py = ((ay * u + by) * u + cy) * u + dy
+        dpx = (3.0 * ax * u + 2.0 * bx) * u + cx
+        dpy = (3.0 * ay * u + 2.0 * by) * u + cy
         s, c = math.sin(om), math.cos(om)
         return px, py, dpx, dpy, s, -c, c, s
 
@@ -125,10 +123,7 @@ class ConvexWall:
         return self._green_at(om_to) - self._green_at(om_from)
 
     def _green_at(self, om):
-        seg = self._segment(om)
-        if seg is None:
-            return float(self._green_spl(np.clip(om, self._lo, self._hi)))
-        i, u = seg
+        i, u = self._segment(om)
         a, b, c, d, e = self._gc[5 * i:5 * i + 5]
         return (((a * u + b) * u + c) * u + d) * u + e
 
@@ -174,10 +169,16 @@ class SolverConfig:
     abscissas: tuple = (-0.8, -0.4, 0.0, 0.4, 0.8)
 
     def __post_init__(self):
+        for name in ("n_nodes", "max_steps"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ConfigError(
+                    f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n_nodes < 32:
             raise ConfigError("n_nodes must be at least 32")
         if not 0.0 < self.dt_safety < 1.0:
             raise ConfigError("dt_safety must lie in (0, 1)")
+        if self.max_steps < 1:
+            raise ConfigError("max_steps must be at least 1")
 
 
 @dataclass
@@ -448,21 +449,15 @@ class Trajectory:
     monitors: dict
     states: list
     state_times: np.ndarray
-    extinction_time: float      # raw time of extrapolated extinction
-    time_offset: float          # subtracted from raw times
+    time_offset: float          # raw extinction time, subtracted from
+                                # raw times
     alpha: float                # offset start time
     extinction_point: np.ndarray
     config: SolverConfig
     ndom: object = None
-    barrier_config: object = None
-    barrier_t_hat: float = None
     # True when the L^2 fit gave no extinction time in
     # [t_end, t_end + 0.5] and the last recorded time was used instead
     extinction_fit_fallback: bool = False
-
-    @property
-    def times(self):
-        return self.monitors["t"]
 
     def to_csv(self, path):
         cols = ["t", "theta_plus", "theta_minus", "kappa_min", "kappa_max",
@@ -500,6 +495,12 @@ class Trajectory:
         y1 = self.states[i].heights_at(xs)
         w = (t_offset - t0) / (t1 - t0)
         return (1.0 - w) * y0 + w * y1
+
+
+# abscissas at which matched_distance compares two runs, in ancient_sweep
+# and in asymptotics.uniqueness_evidence
+MATCH_XS = np.linspace(-0.85, 0.85, 241)
+MATCH_XS.flags.writeable = False
 
 
 def matched_distance(trajA, trajB, tau, sample_times, xs):
@@ -597,8 +598,7 @@ def run_to_extinction(initial, cfg, ndom, barrier_config=None,
             exc = NonExtinction(
                 f"step budget {cfg.max_steps} exhausted at length "
                 f"{state.length:.3g}")
-            exc.partial = _finalize(raw, ys, states, state_times, cfg, ndom,
-                                    barrier_config, barrier_t_hat)
+            exc.partial = _finalize(raw, ys, states, state_times, cfg, ndom)
             raise exc
         state = step(state, cfg, wall, h0=h0)
         nsteps += 1
@@ -609,12 +609,10 @@ def run_to_extinction(initial, cfg, ndom, barrier_config=None,
     if states[-1] is not state:
         states.append(state)
         state_times.append(state.time)
-    return _finalize(raw, ys, states, state_times, cfg, ndom,
-                     barrier_config, barrier_t_hat)
+    return _finalize(raw, ys, states, state_times, cfg, ndom)
 
 
-def _finalize(raw, ys, states, state_times, cfg, ndom,
-              barrier_config, barrier_t_hat):
+def _finalize(raw, ys, states, state_times, cfg, ndom):
     t = np.asarray(raw["t"])
     L = np.asarray(raw["length"])
     # length shrinks like sqrt(t_ext - t): fit L^2 linearly near the end
@@ -622,9 +620,7 @@ def _finalize(raw, ys, states, state_times, cfg, ndom,
     A = np.polyfit(t[-k:], L[-k:] ** 2, 1)
     t_ext = float(-A[1] / A[0]) if A[0] < 0 else np.nan
     fallback = not t[-1] <= t_ext <= t[-1] + 0.5
-    if fallback:
-        t_ext = float(t[-1])
-    offset = t_ext
+    offset = float(t[-1]) if fallback else t_ext
 
     area = np.asarray(raw["area"])
     dA = np.gradient(area, t) if len(t) > 2 else np.zeros_like(area)
@@ -655,14 +651,11 @@ def _finalize(raw, ys, states, state_times, cfg, ndom,
         monitors=monitors,
         states=states,
         state_times=np.asarray(state_times) - offset,
-        extinction_time=t_ext,
         time_offset=offset,
         alpha=float(t[0] - offset),
         extinction_point=ext_pt,
         config=cfg,
         ndom=ndom,
-        barrier_config=barrier_config,
-        barrier_t_hat=barrier_t_hat,
         extinction_fit_fallback=fallback,
     )
 
@@ -705,24 +698,18 @@ class SweepReport:
     alphas: list
 
 
-def ancient_sweep(ndom, rhos, cfg, parallel=False):
+def ancient_sweep(ndom, rhos, cfg):
     """Old-but-not-ancient runs over decreasing rho, aligned by extinction."""
     rhos = sorted(rhos, reverse=True)
     if len(rhos) < 3:
         raise ConfigError("sweep needs at least 3 rho values")
-    if parallel:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor() as ex:
-            trajs = list(ex.map(_sweep_one, [(ndom, r, cfg) for r in rhos]))
-    else:
-        trajs = [_sweep_one((ndom, r, cfg)) for r in rhos]
+    trajs = [old_but_not_ancient(ndom, r, cfg) for r in rhos]
 
-    xs = np.linspace(-0.85, 0.85, 241)
     pair = []
     for a, b in zip(trajs[:-1], trajs[1:]):
         lo = max(a.alpha, b.alpha) * 0.85
         ts = np.linspace(lo, -0.3, 24)
-        pair.append(matched_distance(a, b, 0.0, ts, xs))
+        pair.append(matched_distance(a, b, 0.0, ts, MATCH_XS))
     # a run that starts after t = -2 has no height there
     heights = [np.nan if tr.alpha > -2.0
                else float(np.max(tr.state_at(-2.0).nodes[:, 1]))
@@ -736,23 +723,21 @@ def ancient_sweep(ndom, rhos, cfg, parallel=False):
     )
 
 
-def _sweep_one(args):
-    ndom, rho, cfg = args
-    return old_but_not_ancient(ndom, rho, cfg)
-
-
 # ---------------------------------------------------------------------------
 # validation modes (exact solutions)
 
 
-# step safety of the exact solutions; stationary diameter's nodes, steps
+# step safety of the exact solutions; half-width of the grim reaper's
+# pinned graph; stationary diameter's nodes, steps
 _VALIDATION_DT_SAFETY = 0.4
+_GRIM_HALF_WIDTH = 1.2
 _DRIFT_NODES = 64
 _DRIFT_STEPS = 50
 
 
-def grim_reaper_error(n, t_end, half_width=1.0):
+def grim_reaper_error(n, t_end):
     """Graph y = t - log cos x translating upward; ends pinned exactly."""
+    half_width = _GRIM_HALF_WIDTH
     xs = np.linspace(-half_width, half_width, n)
     pts = np.column_stack([xs, -np.log(np.cos(xs))])
     t = 0.0

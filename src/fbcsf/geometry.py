@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, NonClosing, NonConvex
+from .errors import BracketFailure, ConfigError, NonClosing, NonConvex
 from .solve import safe_brentq
 
 _CLOSURE_TOL = 1e-10
@@ -51,14 +51,46 @@ def _rotate_coeffs(a, b, beta):
     return a * c - b * s, a * s + b * c
 
 
+def _primitives(a, b):
+    """Closed-form primitives of rho(u)cos(u) and rho(u)sin(u): the cos
+    and sin coefficients (px_c, px_s, py_c, py_s) of the zero-mean
+    position series.  a[1], b[1] and b[0] are not read."""
+    n = len(a) + 1
+    px_c = np.zeros(n)
+    px_s = np.zeros(n)
+    py_c = np.zeros(n)
+    py_s = np.zeros(n)
+    px_s[1] += a[0]
+    py_c[1] -= a[0]
+    for k in range(2, len(a)):
+        ak, bk = a[k], b[k]
+        px_s[k - 1] += ak / (2 * (k - 1))
+        px_s[k + 1] += ak / (2 * (k + 1))
+        px_c[k + 1] -= bk / (2 * (k + 1))
+        px_c[k - 1] -= bk / (2 * (k - 1))
+        py_c[k + 1] -= ak / (2 * (k + 1))
+        py_c[k - 1] += ak / (2 * (k - 1))
+        py_s[k - 1] += bk / (2 * (k - 1))
+        py_s[k + 1] -= bk / (2 * (k + 1))
+    return px_c, px_s, py_c, py_s
+
+
+def _point_at(prims, m, om, center):
+    """Boundary point of one turning angle om, from the primitives, the
+    harmonic numbers m = arange(len(px_c)) and the center."""
+    px_c, px_s, py_c, py_s = prims
+    ang = om * m
+    s, c = np.sin(ang), np.cos(ang)
+    return np.array((c @ px_c + s @ px_s + center[0],
+                     c @ py_c + s @ py_s + center[1]))
+
+
 @dataclass
 class Diameter:
     """A double normal: a chord orthogonal to the boundary at both ends."""
 
     omega_plus: float
     omega_minus: float
-    p_plus: np.ndarray
-    p_minus: np.ndarray
     length: float
     kind: str = "unknown"  # 'max' | 'min' | 'saddle' | 'unknown'
     degenerate: bool = False
@@ -127,8 +159,8 @@ class ConvexDomain:
         self.b = b
         self.center = np.asarray(center, dtype=float)
         self._check_convex()
-        self._build_primitives()
-        self._m = np.arange(len(self._px_c))
+        self._prims = _primitives(a, b)
+        self._m = np.arange(len(self._prims[0]))
         self._extremes = None
         self._area = None
 
@@ -142,29 +174,6 @@ class ConvexDomain:
             raise NonConvex(
                 f"radius of curvature reaches {np.min(vals):.3e} <= 0"
             )
-
-    def _build_primitives(self):
-        """Closed-form primitives of rho(u)cos(u) and rho(u)sin(u)."""
-        a, b = self.a, self.b
-        n = len(a) + 1
-        px_c = np.zeros(n)
-        px_s = np.zeros(n)
-        py_c = np.zeros(n)
-        py_s = np.zeros(n)
-        px_s[1] += a[0]
-        py_c[1] -= a[0]
-        for k in range(2, len(a)):
-            ak, bk = a[k], b[k]
-            px_s[k - 1] += ak / (2 * (k - 1))
-            px_s[k + 1] += ak / (2 * (k + 1))
-            px_c[k + 1] -= bk / (2 * (k + 1))
-            px_c[k - 1] -= bk / (2 * (k - 1))
-            py_c[k + 1] -= ak / (2 * (k + 1))
-            py_c[k - 1] += ak / (2 * (k - 1))
-            py_s[k - 1] += bk / (2 * (k - 1))
-            py_s[k + 1] -= bk / (2 * (k + 1))
-        self._px_c, self._px_s = px_c, px_s
-        self._py_c, self._py_s = py_c, py_s
 
     # -- pointwise geometry ---------------------------------------------------
 
@@ -183,16 +192,14 @@ class ConvexDomain:
         if om.ndim == 0:
             # one angle: the array path's products and dot products on a
             # single angle, without its outer product and stack
-            ang = om * self._m
-            s, c = np.sin(ang), np.cos(ang)
-            return np.array((c @ self._px_c + s @ self._px_s + self.center[0],
-                             c @ self._py_c + s @ self._py_s + self.center[1]))
+            return _point_at(self._prims, self._m, om, self.center)
         ang = np.multiply.outer(om, self._m)
         # the cosine overwrites the angles: one n x K matrix fewer alive
         s = np.sin(ang)
         c = np.cos(ang, out=ang)
-        x = c @ self._px_c + s @ self._px_s + self.center[0]
-        y = c @ self._py_c + s @ self._py_s + self.center[1]
+        px_c, px_s, py_c, py_s = self._prims
+        x = c @ px_c + s @ px_s + self.center[0]
+        y = c @ py_c + s @ py_s + self.center[1]
         return np.stack([x, y], axis=-1)
 
     @cached_property
@@ -227,7 +234,7 @@ class ConvexDomain:
     @property
     def area(self):
         if self._area is None:
-            K = len(self._px_c)
+            K = len(self._m)
             n = max(1024, 8 * K)
             om = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
             p = self.point(om)
@@ -390,9 +397,16 @@ def find_diameters(domain):
         if v0 == 0.0:
             roots.append(gridw[i])
         elif v0 * v1 < 0.0:
-            roots.append(safe_brentq(
-                lambda w: float(domain.double_normal_residual(w)),
-                gridw[i], gridw[i + 1]))
+            try:
+                root = safe_brentq(
+                    lambda w: float(domain.double_normal_residual(w)),
+                    gridw[i], gridw[i + 1])
+            except BracketFailure:
+                # Brent evaluates one angle at a time, which differs from
+                # the grid's many-angle path in the last bits; a root within
+                # rounding of a grid point can so lose its sign change
+                root = gridw[i] if abs(v0) <= abs(v1) else gridw[i + 1]
+            roots.append(root)
     # merge near-coincident roots (mod pi)
     roots = sorted(r % np.pi for r in roots)
     merged = []
@@ -430,24 +444,22 @@ def _make_diameter(domain, omega, degenerate=False):
             kind = "saddle"
     return Diameter(omega_plus=float(omega % (2 * np.pi)),
                     omega_minus=float((omega + np.pi) % (2 * np.pi)),
-                    p_plus=p, p_minus=q, length=length,
-                    kind=kind, degenerate=degenerate)
+                    length=length, kind=kind, degenerate=degenerate)
 
 
-def normalize(domain, diameter=None):
+def normalize(domain, diameter):
     """Similarity transform placing a diameter's endpoints at (+-1, 0).
 
-    The endpoint at turning angle diameter.omega_plus lands at +e1.  With
-    no diameter given, the longest one is used (for a degenerate
-    continuum, the representative at omega = pi/2).
+    The endpoint at turning angle diameter.omega_plus lands at +e1.
     """
-    if diameter is None:
-        diameter = find_diameters(domain)[0]
     beta = np.pi / 2 - diameter.omega_plus
     a2, b2 = _rotate_coeffs(domain.a, domain.b, beta)
-    mid_dom = ConvexDomain(a2, b2)
-    p = mid_dom.point(np.pi / 2)
-    q = mid_dom.point(3 * np.pi / 2)
+    # the diameter's ends on the rotated, zero-mean boundary; rotation
+    # keeps the domain convex, so no domain is built for them
+    prims = _primitives(a2, b2)
+    m = np.arange(len(prims[0]))
+    p = _point_at(prims, m, np.pi / 2, (0.0, 0.0))
+    q = _point_at(prims, m, 3 * np.pi / 2, (0.0, 0.0))
     w = float(np.linalg.norm(p - q))
     s = 2.0 / w
     mid = 0.5 * (p + q)

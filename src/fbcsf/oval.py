@@ -42,7 +42,6 @@ from .errors import (
     OutOfSupport,
     RhoTooLarge,
 )
-from .geometry import NormalizedDomain
 from .solve import safe_brentq
 
 
@@ -238,11 +237,11 @@ def _alignment_residual(n_oval, tau_bd):
 def construct_orthogonal_oval(ndom, rho):
     """Build the oval meeting the boundary orthogonally twice below y = rho.
 
-    ndom is a NormalizedDomain (or an already-normalized ConvexDomain with
-    the diameter on [-1,1]).  The first contact is pinned on the descending
-    side of the upper boundary at height rho/2; each trial scale places the
-    oval through that contact with the closed-form shift and time.  Two
-    Brent solves (safe_brentq) then fix the scale:
+    ndom is a NormalizedDomain, its diameter on [-1,1].  The first contact
+    is pinned on the descending side of the upper boundary at height
+    rho/2; each trial scale places the oval through that contact with the
+    closed-form shift and time.  Two Brent solves (safe_brentq) then fix
+    the scale:
 
       * the scale lam* of shift xi = -1, the root on [lam_min, pi/(2 rho)]
         of E^2 cosh^2(lam (x0 + 1)) - sin^2(lam phi0), where
@@ -264,7 +263,7 @@ def construct_orthogonal_oval(ndom, rho):
     solve fails or the orthogonal scale has no second crossing (brackets
     are never widened silently).
     """
-    dom = ndom.domain if isinstance(ndom, NormalizedDomain) else ndom
+    dom = ndom.domain
     if not dom.is_normalized:
         raise ConfigError("domain must be normalized (diameter on [-1,1])")
 

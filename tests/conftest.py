@@ -46,6 +46,11 @@ def negg(egg):
 
 
 @pytest.fixture(scope="session")
+def nellipse_major(ellipse):
+    return g.normalize(ellipse, g.find_diameters(ellipse)[0])
+
+
+@pytest.fixture(scope="session")
 def nellipse_minor(ellipse):
     return g.normalize(ellipse, g.find_diameters(ellipse)[1])
 

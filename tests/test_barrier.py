@@ -44,7 +44,7 @@ def test_config_curvature_pinch_and_fit(fix, request):
     assert np.all(kap <= 1.0 / (4.0 * r) + 1e-12)
     assert cfg.centers == ((-(1.0 - r), 0.0), (1.0 - r, 0.0))
     # both tangent circles sit inside the domain
-    assert bar._fit_violation(ndom.domain, r, nsample=256) <= 1e-10
+    assert bar._fit_violation(ndom.domain, r) <= 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,61 @@
+"""The benchmark's own correctness gates, run on the library: the
+egg_analysis checks on the shared egg run, and the oval family's set-up,
+accuracy and checks on one diameter.  They guard every library call that
+bench/workloads.py makes."""
+
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+from fbcsf import flow
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    # executed from source so nothing is written next to the bench scripts;
+    # workloads.py imports tracing.py by its plain module name
+    with pytest.MonkeyPatch.context() as mp:
+        mods = {}
+        for name in ("tracing", "workloads"):
+            path = BENCH / f"{name}.py"
+            mod = types.ModuleType(name)
+            mod.__file__ = str(path)
+            mp.setitem(sys.modules, name, mod)
+            exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"),
+                 mod.__dict__)
+            mods[name] = mod
+        yield mods["workloads"]
+
+
+def _failed(checks):
+    return [(name, detail) for name, ok, detail in checks if not ok]
+
+
+def test_egg_analysis_gate(workloads, runs, negg):
+    wl = workloads.WORKLOADS["egg_analysis"]
+    # the shared run is the benchmark's egg input
+    assert (wl.rho, wl.cfg) == (0.1, flow.SolverConfig(n_nodes=100,
+                                                       dt_safety=0.8))
+    traj = runs("egg_r01_n100")
+    checks = wl.checks(traj, workloads.analysis_chain(traj, negg))
+    assert len(checks) == 6
+    assert not _failed(checks)
+
+
+def test_oval_family_gate_on_one_diameter(workloads):
+    fam = workloads.WORKLOADS["oval_family"]
+    diameters = fam.setup()
+    label, index, _ = workloads.ACCURACY_ATTEMPT
+    one = [d for d in diameters if d[:2] == (label, index)]
+    _, results = fam.sweep(fam.attempts(one, workloads.DEFAULT_SEED))
+    assert [r.rho for r in results] == list(workloads.RHO_GRID)
+    unexpected, checks = fam.checks(diameters, results)
+    assert not unexpected
+    assert not _failed(checks)
+    metrics, checks = fam.accuracy(diameters)
+    assert set(metrics) == {"rate_relerr", "profile_c_abserr"}
+    assert not _failed(checks)

@@ -27,12 +27,31 @@ def test_config_rejects_bad_safety():
         f.SolverConfig(dt_safety=1.5)
 
 
+@pytest.mark.parametrize("n_nodes", [64.5, 100.0, "100", None])
+def test_config_rejects_non_integer_node_count(n_nodes):
+    # 64.5 used to end in a TypeError deep inside the first resample
+    with pytest.raises(ConfigError):
+        f.SolverConfig(n_nodes=n_nodes)
+
+
+@pytest.mark.parametrize("max_steps", [0, -3, 2.5, float("nan")])
+def test_config_rejects_empty_step_budget(max_steps):
+    # 0 and -3 used to end in numpy's divide warning in the extinction fit
+    with pytest.raises(ConfigError):
+        f.SolverConfig(max_steps=max_steps)
+
+
+def test_config_accepts_numpy_integers():
+    cfg = f.SolverConfig(n_nodes=np.int64(64), max_steps=np.int32(10))
+    assert cfg.n_nodes == 64 and cfg.max_steps == 10
+
+
 # ---------------------------------------------------------------------------
 # exact solutions
 
 
 def test_grim_reaper_second_order():
-    errs = [f.grim_reaper_error(n, 0.2, half_width=1.2) for n in (100, 200, 400)]
+    errs = [f.grim_reaper_error(n, 0.2) for n in (100, 200, 400)]
     slope = -np.polyfit(np.log([100, 200, 400]), np.log(errs), 1)[0]
     assert 1.7 <= slope <= 2.3, (errs, slope)
 
@@ -59,6 +78,22 @@ def disk_wall(ndisk):
 def _oval_state(ndom, rho, n):
     o = ov.construct_orthogonal_oval(ndom, rho)
     return f.initial_state_from_oval(o, n)
+
+
+# the upper half of each normalized domain: semi-axes 1 along the
+# diameter and 1, 1/2 or 2 across it
+# (measured errors 1.2e-13, 2.9e-14, 5.0e-13)
+@pytest.mark.parametrize("fix, half_area", [
+    ("ndisk", np.pi / 2), ("nellipse_major", np.pi / 4),
+    ("nellipse_minor", np.pi)],
+    ids=["disk", "ellipse_major", "ellipse_minor"])
+def test_flat_diameter_encloses_half_the_domain(fix, half_area, request):
+    wall = f.ConvexWall(request.getfixturevalue(fix))
+    xs = np.linspace(-1.0, 1.0, 64)
+    state = f.CurveState(nodes=np.column_stack([xs, np.zeros_like(xs)]),
+                         time=0.0, om_minus=3 * np.pi / 2, om_plus=np.pi / 2)
+    assert abs(f.enclosed_area(state, wall) - half_area) < 1e-11
+    assert abs(wall.arc_area(np.pi / 2, 3 * np.pi / 2) - half_area) < 1e-11
 
 
 def test_step_pins_contacts_to_wall(ndisk, disk_wall):
@@ -117,7 +152,6 @@ def test_step_budget_raises_with_partial(ndisk):
     # fifty steps are far from extinction: the L^2 fit lands well past
     # t_end + 0.5, so the offset falls back to the last recorded time
     assert partial.extinction_fit_fallback is True
-    assert partial.time_offset == partial.extinction_time
     assert partial.monitors["t"][-1] == 0.0
 
 
@@ -315,7 +349,7 @@ def _linear_trajectory(times, offsets=None):
         for t, c in zip(times, offsets)]
     return f.Trajectory(
         monitors={}, states=states, state_times=np.asarray(times),
-        extinction_time=0.0, time_offset=0.0, alpha=times[0],
+        time_offset=0.0, alpha=times[0],
         extinction_point=np.zeros(2), config=f.SolverConfig())
 
 
@@ -386,18 +420,6 @@ class TestSweep:
         assert np.isnan(h[0])
         assert h[1] > 0.0 and h[2] > 0.0
         assert abs(h[2] - h[1]) < 1e-4
-
-    def test_parallel_sweep_is_bitwise_identical(self, ndisk):
-        cfg = f.SolverConfig(n_nodes=64, dt_safety=0.8)
-        serial = f.ancient_sweep(ndisk, [0.3, 0.25, 0.2], cfg)
-        par = f.ancient_sweep(ndisk, [0.3, 0.25, 0.2], cfg, parallel=True)
-        assert serial.pair_distances == par.pair_distances
-        assert serial.alphas == par.alphas
-        for a, b in zip(serial.trajectories, par.trajectories):
-            for k in a.monitors:
-                assert np.array_equal(np.asarray(a.monitors[k]),
-                                      np.asarray(b.monitors[k]),
-                                      equal_nan=True)
 
 
 def test_reflected_domain_gives_the_mirror_solution(ellipse):

@@ -100,6 +100,22 @@ def test_normalize_is_the_recorded_similarity(name, request):
         assert np.max(np.abs(nd.domain.point(w) - want)) < 1e-12
 
 
+def test_normalize_builds_and_checks_one_domain(lobed, monkeypatch):
+    # the rotated boundary is only read at the diameter's two ends, so
+    # normalize builds (and convexity-checks) just the normalized domain
+    checked = []
+    check = g.ConvexDomain._check_convex
+
+    def counted(dom):
+        checked.append(dom)
+        return check(dom)
+
+    monkeypatch.setattr(g.ConvexDomain, "_check_convex", counted)
+    nd = g.normalize(lobed, g.find_diameters(lobed)[0])
+    assert checked == [nd.domain]
+    assert nd.domain.is_normalized
+
+
 # ------------------------------------------------------ point samples
 
 @pytest.mark.parametrize("name", ["disk", "flat_ellipse", "egg", "lobed"])
@@ -219,6 +235,18 @@ def test_diameter_count_and_residuals(dom):
     for d in ds:
         if not d.degenerate:
             assert abs(dom.double_normal_residual(d.omega_plus)) < 1e-8
+
+
+def test_diameter_at_a_grid_point_is_found():
+    # mirror symmetric: a double normal sits at pi/4, a scan grid point,
+    # where the grid residual is +tiny and the one-angle residual -2.2e-16
+    dom = g.ConvexDomain([1.5, 0.0, 0.0, 0.05665172106668734,
+                          0.05614290591082362])
+    ds = g.find_diameters(dom)
+    assert sorted(d.omega_plus for d in ds) == pytest.approx(
+        [0.0, np.pi / 4, np.pi / 2, 3 * np.pi / 4], abs=1e-12)
+    for d in ds:
+        assert abs(dom.double_normal_residual(d.omega_plus)) < 1e-12
 
 
 @settings(max_examples=15, deadline=None)

@@ -10,6 +10,7 @@ from scipy.linalg import LinAlgError, solve_banded
 
 import fbcsf.flow as f
 import fbcsf.oval as ov
+from fbcsf.errors import FlowError
 from fbcsf.solve import safe_brentq
 
 
@@ -168,10 +169,30 @@ def _check_jet(wall, om, step=1e-5):
         assert abs((ahead[k] - behind[k]) / (2 * step) - dv) < 1e-6
 
 
-# off the egg's mirror axis; 0.6 and 5.5 lie outside the wall table
-@pytest.mark.parametrize("om", [1.3, 2.2, 2.9, 3.6, 4.4, 4.95, 0.6, 5.5])
+# off the egg's mirror axis, all on the wall table
+@pytest.mark.parametrize("om", [1.3, 2.2, 2.9, 3.6, 4.4, 4.95])
 def test_convex_wall_jet_matches_central_difference(egg_wall, om):
     _check_jet(egg_wall, om)
+
+
+# the table covers [pi/2 - 0.35, 3 pi/2 + 0.35] = [1.2208, 5.0624]
+@pytest.mark.parametrize("om", [0.6, 5.5, np.pi / 2 - 0.351,
+                                3 * np.pi / 2 + 0.351, np.nan])
+def test_convex_wall_off_the_table_raises_flow_error(egg_wall, om):
+    with pytest.raises(FlowError):
+        egg_wall.jet_xy(om)
+    with pytest.raises(FlowError):
+        egg_wall.point_xy(om)
+    with pytest.raises(FlowError):
+        egg_wall.arc_area(om, np.pi)
+    with pytest.raises(FlowError):
+        egg_wall.arc_area(np.pi, om)
+
+
+def test_convex_wall_table_ends_are_on_the_table(egg_wall):
+    for om in (np.pi / 2 - 0.35, 3 * np.pi / 2 + 0.35):
+        assert np.all(np.isfinite(egg_wall.jet_xy(om)))
+        assert np.isfinite(egg_wall.arc_area(om, np.pi))
 
 
 @pytest.mark.parametrize("p", [-1.3, 0.0, 0.7])
