@@ -169,9 +169,11 @@ def verify_estimates(traj, r, lambda0):
     rec_kmax = EstimateRecord(
         "max_curvature_decay", rate, r, const, ok, window, n)
 
-    # state-based quantities
-    wall = ConvexWall(traj.ndom)
+    # state-based quantities; the wall is read only to compute a stored
+    # state's curvature, which run_to_extinction has already cached
     states = _window_states(traj, window)
+    wall = (ConvexWall(traj.ndom) if any(s._kap is None for s in states)
+            else None)
     st_t = np.array([s.time for s in states])
     sup_ratio = np.empty(len(states))
     grad_ratio = np.empty(len(states))

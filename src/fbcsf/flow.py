@@ -1,31 +1,38 @@
-"""Semi-implicit curvature flow with sliding orthogonal contacts.
+"""Linearly implicit curvature flow with sliding orthogonal contacts.
 
 The curve is an open polyline whose endpoints live on the domain boundary,
-stored as boundary turning-angle parameters.  One step is: implicit
-arc-length Laplacian solve for the node displacements (one LAPACK gtsv
-call), explicit ghost-closed update of the endpoints, re-solving each
-contact parameter so the discrete endpoint tangent is parallel to the
+stored as boundary turning-angle parameters.  A step is variable-step
+BDF2 in time, with the arc-length Laplacian taken at the edge lengths
+extrapolated to the new time; the initial state and every resampled state
+take a backward-Euler start step instead.  Either way the step is one
+LAPACK gtsv call, and the contacts are solved at the new time level with
+the interior: the same call gives every node's response to a move of
+either end, and each contact parameter is then solved so that the
+discrete endpoint tangent of the resulting curve is parallel to the
 boundary normal (Newton with the residual's analytic slope, from the
-wall's point and normal derivatives), then cubic arc-length resampling
-when the spacing has drifted.  The node count tracks the shrinking length
-so the spacing, and with it the time step, stays near its initial value.
+wall's point and normal derivatives).  Cubic arc-length resampling
+follows when the spacing has drifted.  The node count tracks the
+shrinking length so the mean spacing stays near its initial value h0, and
+the step is dt = dt_safety * _STEP_SCALE * h_bar^2 / h0: proportional to
+h while the count tracks the length, to h^2 once it sits at its 32-node
+floor near extinction.
 
 Each state's edge lengths are computed once, by the step that makes it,
 and cached on the state; the next step's time step and Laplacian reuse
 them.  Its ghost-closed curvature is likewise computed once and shared by
-the convexity check, the monitors, the next step's endpoint prediction
-and the late-time analysis.
+the convexity check, the monitors and the late-time analysis.
 
 A run records monitors on every step but keeps only every k-th full
 state, with the stride k fixed from the first step size: about 900
 states per 0.35 time units while the step stays near its initial value.
 The count therefore grows with the length of the run: the disk at
-rho = 0.1 and n_nodes = 200 keeps 5,935.  Stored states are read in time
-through Trajectory.heights_at_time, linear between the two bracketing
-states.
+rho = 0.1 and n_nodes = 200 keeps 5,585 states of 11,167 steps.  Stored
+states are read in time through Trajectory.heights_at_time, linear
+between the two bracketing states.
 
 Two validation modes check exact solutions, one per boundary condition: a
-pinned grim-reaper graph, and a semicircle on a straight wall run by step.
+pinned grim-reaper graph, run by its own backward-Euler loop, and a
+semicircle on a straight wall run by step.
 """
 
 import math
@@ -155,14 +162,31 @@ _THINNING_STATES = 900
 # exceeds the cap
 _EXTINCTION_LENGTH = 1e-3
 _KAPPA_CAP = 1e3
-# the contact Newton stops below this residual; _local_min_count treats
-# increments below _FLAT_REL_TOL * max|values| as flat
+# the contact Newton stops below this residual, or after an update below
+# _CONTACT_STEP: it converges quadratically, with |error| about 0.7 times
+# the squared update on the disk, so what an update that small leaves is
+# under rounding.  _local_min_count treats increments below
+# _FLAT_REL_TOL * max|values| as flat
 _CONTACT_TOL = 1e-13
+_CONTACT_STEP = 1e-8
 _FLAT_REL_TOL = 1e-10
+# the step is dt_safety * _STEP_SCALE * h_bar^2 / h0 (see step); a step
+# grows by at most _MAX_STEP_RATIO over the one before it, inside variable
+# BDF2's zero-stability limit 1 + sqrt(2)
+_STEP_SCALE = 0.024
+_MAX_STEP_RATIO = 2.0
 
 
 @dataclass
 class SolverConfig:
+    """Flow run settings.
+
+    n_nodes is the initial (and largest) node count; dt_safety in (0, 1)
+    multiplies the step rule dt = _STEP_SCALE * h_bar^2 / h0 (see step);
+    max_steps is the step budget of run_to_extinction; abscissas are the
+    x at which every step records the curve's height.
+    """
+
     n_nodes: int = 200
     dt_safety: float = 0.4
     max_steps: int = 2_000_000
@@ -194,6 +218,11 @@ class CurveState:
     om_plus: float    # right contact parameter
     _kap: np.ndarray = field(default=None, repr=False, compare=False)
     _seg: np.ndarray = field(default=None, repr=False, compare=False)
+    # the history of a BDF2 step, set when this state was stepped without
+    # a resample: (time, nodes, edge lengths, om_minus, om_plus) of the
+    # state it came from, then (time, om_minus, om_plus) of the one before
+    # that, or None
+    _prev: tuple = field(default=None, repr=False, compare=False)
 
     def kappa_cached(self, wall):
         if self._kap is None:
@@ -266,12 +295,9 @@ def _tridiag_solve(dl, d, du, b):
     columns of b with LAPACK gtsv, overwriting all four arrays.
 
     gtsv is what solve_banded((1, 1), ...) calls, so results are bitwise
-    the same; so are its checks: ValueError on non-finite input (a sum
-    that overflows counts as non-finite), LinAlgError on a singular
-    matrix.
+    the same.  LinAlgError on a singular matrix; the caller checks that
+    its input is finite.
     """
-    if not math.isfinite(dl.sum() + d.sum() + du.sum() + b.sum()):
-        raise ValueError("array must not contain infs or NaNs")
     _, _, _, x, info = dgtsv(dl, d, du, b, True, True, True, True)
     if info > 0:
         raise LinAlgError("singular matrix")
@@ -280,60 +306,79 @@ def _tridiag_solve(dl, d, du, b):
     return x
 
 
-def _implicit_interior(nodes, h, dt, ends=None):
-    """Solve (I - dt L) X = X0 for the arc-length Laplacian L of nodes,
-    whose edge lengths are h; endpoint rows pinned to `ends` (predicted
-    new-time positions) or frozen when ends is None."""
-    n = len(nodes)
+def _implicit_interior(rhs, h, dt, ends=None):
+    """Solve (I - dt L) X = rhs, column by column, for the arc-length
+    Laplacian L of a polyline whose edge lengths are h; the first and last
+    rows are pinned to `ends` or, when ends is None, to rhs itself.
+
+    ValueError on non-finite input, as solve_banded: the bands are finite
+    when the diagonal is, so the diagonal and rhs are checked (a sum that
+    overflows counts as non-finite).
+    """
+    n = len(rhs)
     hl, hr = h[:-1], h[1:]
-    a = 2.0 / (hl * (hl + hr))
-    c = 2.0 / (hr * (hl + hr))
+    hs = hl + hr
+    a = 2.0 / (hl * hs)
+    c = 2.0 / (hr * hs)
     d = np.ones(n)
     d[1:-1] += dt * (a + c)
     dl = np.zeros(n - 1)
-    dl[:-1] = -dt * a
+    np.multiply(-dt, a, out=dl[:-1])
     du = np.zeros(n - 1)
-    du[1:] = -dt * c
-    rhs = np.array(nodes, order="F")
+    np.multiply(-dt, c, out=du[1:])
+    rhs = np.array(rhs, order="F")
     if ends is not None:
         rhs[0], rhs[-1] = ends
+    if not math.isfinite(d.sum() + rhs.sum()):
+        raise ValueError("array must not contain infs or NaNs")
     return _tridiag_solve(dl, d, du, rhs)
 
 
-def _slave_contact(wall, om_guess, inner1, inner2):
-    """Contact parameter making the one-sided curve tangent, through the
-    next two nodes inner1 and inner2, parallel to the wall normal.
+def _slave_contact(wall, om_guess, inner1, inner2, g1=0.0, g2=0.0,
+                   end=(0.0, 0.0)):
+    """Contact parameter making the one-sided curve tangent at the wall
+    point P(om), through the next two nodes, parallel to the wall normal.
 
-    Newton's slope is the residual's exact derivative, built from the
-    wall's point and normal derivatives (wall.jet_xy).
+    The two nodes follow the contact: they sit at inner_k + g_k (P(om) -
+    end), which is how a linear solve's solution answers a move of its
+    pinned end from `end` to P(om).  With g1 = g2 = 0 they stay at inner1
+    and inner2.  Newton's slope is the residual's exact derivative, built
+    from the wall's point and normal derivatives (wall.jet_xy).
     """
     i1x, i1y = float(inner1[0]), float(inner1[1])
     i2x, i2y = float(inner2[0]), float(inner2[1])
-    h2 = math.hypot(i2x - i1x, i2y - i1y)
+    ex, ey = end
+    # om-derivatives of the two edges are these multiples of P'(om)
+    m1, m2 = g1 - 1.0, g2 - g1
 
     def resid(om):
         """Residual and its derivative in om."""
         px, py, dpx, dpy, nx, ny, dnx, dny = wall.jet_xy(om)
-        rx, ry = i1x - px, i1y - py
-        h1 = math.hypot(rx, ry)
-        h12 = h1 + h2
-        # one-sided second-order tangent at the endpoint
-        c0 = -(2 * h1 + h2) / (h1 * h12)
-        c1 = h12 / (h1 * h2)
-        c2 = -h1 / (h2 * h12)
-        dx = c0 * px + c1 * i1x + c2 * i2x
-        dy = c0 * py + c1 * i1y + c2 * i2y
-        # the coefficients move with h1 only; c0 + c1 + c2 = 0
-        dh1 = -(rx * dpx + ry * dpy) / h1
-        e1 = -1.0 / (h1 * h1)
-        e2 = -1.0 / (h12 * h12)
-        ex = dh1 * (-(e1 + e2) * px + e1 * i1x + e2 * i2x) + c0 * dpx
-        ey = dh1 * (-(e1 + e2) * py + e1 * i1y + e2 * i2y) + c0 * dpy
+        sx, sy = px - ex, py - ey
+        q1x, q1y = i1x + g1 * sx, i1y + g1 * sy
+        e1x, e1y = q1x - px, q1y - py
+        e2x, e2y = i2x + g2 * sx - q1x, i2y + g2 * sy - q1y
+        h1 = math.hypot(e1x, e1y)
+        h2 = math.hypot(e2x, e2y)
+        u, v, w = 1.0 / h1, 1.0 / h2, 1.0 / (h1 + h2)
+        # one-sided second-order tangent at the endpoint:
+        # u e1 - v e2 + w (e1 + e2)
+        dx = (u + w) * e1x + (w - v) * e2x
+        dy = (u + w) * e1y + (w - v) * e2y
+        f1x, f1y = m1 * dpx, m1 * dpy
+        f2x, f2y = m2 * dpx, m2 * dpy
+        dh1 = (e1x * f1x + e1y * f1y) * u
+        dh2 = (e2x * f2x + e2y * f2y) * v
+        du, dv, dw = -dh1 * u * u, -dh2 * v * v, -(dh1 + dh2) * w * w
+        ddx = ((du + dw) * e1x + (dw - dv) * e2x
+               + (u + w) * f1x + (w - v) * f2x)
+        ddy = ((du + dw) * e1y + (dw - dv) * e2y
+               + (u + w) * f1y + (w - v) * f2y)
         return (dx * ny - dy * nx,
-                ex * ny + dx * dny - ey * nx - dy * dnx)
+                ddx * ny + dx * dny - ddy * nx - dy * dnx)
 
     # the residual's rounding floor grows with the one-sided coefficients,
-    # so stopping also triggers on a sub-1e-12 parameter update
+    # so stopping also triggers on a small parameter update
     om = om_guess
     f, df = resid(om)
     for _ in range(60):
@@ -345,7 +390,7 @@ def _slave_contact(wall, om_guess, inner1, inner2):
         if abs(delta) > 0.3:
             break
         om -= delta
-        if abs(delta) < 1e-12:
+        if abs(delta) < _CONTACT_STEP:
             return om
         f, df = resid(om)
     # bracketed fallback around the guess
@@ -380,10 +425,22 @@ def _convexity_defect(state, wall):
 
 
 def step(state, cfg, wall, h0=None):
-    """One accepted step; halves dt on convexity rejection up to 20 times."""
+    """One accepted step; halves dt on convexity rejection up to 20 times.
+
+    The step is dt = dt_safety * _STEP_SCALE * h_bar^2 / h0 for the mean
+    edge h_bar, so dt ~ h while the node count tracks the length (h_bar
+    near h0) and dt ~ h^2 once the count sits at its floor.  With h0 None
+    the node count is fixed and dt = dt_safety * _STEP_SCALE * h_bar.  A
+    state that carries its predecessor (_prev) takes a variable-step BDF2
+    step no more than _MAX_STEP_RATIO times the one before it; any other
+    state takes a backward-Euler start step.
+    """
     seg = state.seg_cached()
     h_bar = float(seg.sum()) / len(seg)
-    dt = cfg.dt_safety * h_bar * h_bar / 2.0
+    dt = cfg.dt_safety * _STEP_SCALE * h_bar * (
+        1.0 if h0 is None else h_bar / h0)
+    if state._prev is not None:
+        dt = min(dt, _MAX_STEP_RATIO * (state.time - state._prev[0]))
     for _ in range(21):
         try:
             new = _attempt_step(state, cfg, wall, dt, h0)
@@ -398,26 +455,62 @@ def step(state, cfg, wall, h0=None):
 
 
 def _attempt_step(state, cfg, wall, dt, h0):
+    """Linearly implicit step of length dt, contacts at the new time.
+
+    BDF2 with step ratio w = dt / dt_prev solves
+    (I - beta L*) X = ((1 + w)^2 X^n - w^2 X^(n-1)) / (1 + 2w),
+    beta = dt (1 + w) / (1 + 2w), with the Laplacian L* of the edge
+    lengths extrapolated to the new time; the start step is backward
+    Euler, (I - dt L^n) X = X^n.  The ends are pinned at the old contacts
+    and two more right-hand sides give the response g of every node to a
+    unit move of each end, so the new curve is X + g- s- + g+ s+ for end
+    moves s.  Each contact's Newton runs on that family, with nodes 1 and
+    2 moving with the end; the right contact sees the left one's move.
+    """
     nodes = state.nodes
-    # endpoints are predicted first with the ghost-closed curvature vector,
-    # which is parallel to the wall tangent at an orthogonal contact, so
-    # the implicit interior solve sees new-time boundary data
-    kap = state.kappa_cached(wall)
-    (x0, y0), (x1, y1) = nodes[:2].tolist()
-    (xm, ym), (xn, yn) = nodes[-2:].tolist()
-    ends = []
-    for k, om, px, py, ex, ey in (
-            (kap[0], state.om_minus, x0, y0, x1 - x0, y1 - y0),
-            (kap[-1], state.om_plus, xn, yn, xn - xm, yn - ym)):
-        wx, wy = wall.tangent_xy(om)
-        slide = (-ey * wx + ex * wy) / math.hypot(ex, ey)
-        adv = dt * float(k) * slide
-        ends.append((px + adv * wx, py + adv * wy))
-    new = _implicit_interior(nodes, state.seg_cached(), dt, ends=ends)
-    om_minus = _slave_contact(wall, state.om_minus, new[1], new[2])
-    om_plus = _slave_contact(wall, state.om_plus, new[-2], new[-3])
-    new[0] = wall.point_xy(om_minus)
-    new[-1] = wall.point_xy(om_plus)
+    seg = state.seg_cached()
+    om_m, om_p = state.om_minus, state.om_plus
+    rhs = np.zeros((len(nodes), 4), order="F")
+    if state._prev is None:
+        beta, h = dt, seg
+        rhs[:, :2] = nodes
+    else:
+        t1, nodes1, seg1, om_m1, om_p1, older = state._prev
+        w = dt / (state.time - t1)
+        beta = dt * (1.0 + w) / (1.0 + 2.0 * w)
+        np.multiply(nodes, (1.0 + w) ** 2 / (1.0 + 2.0 * w), out=rhs[:, :2])
+        rhs[:, :2] -= (w * w / (1.0 + 2.0 * w)) * nodes1
+        h = (1.0 + w) * seg - w * seg1
+        # the contacts' first Newton guesses, extrapolated linearly, or
+        # quadratically once three contact times are known
+        tau1 = state.time - t1
+        dm, dp = (om_m - om_m1) / tau1, (om_p - om_p1) / tau1
+        om_m += dt * dm
+        om_p += dt * dp
+        if older is not None:
+            t2, om_m2, om_p2 = older
+            q = dt * (dt + tau1) / (state.time - t2)
+            om_m += q * (dm - (om_m1 - om_m2) / (t1 - t2))
+            om_p += q * (dp - (om_p1 - om_p2) / (t1 - t2))
+    (x0, y0), (xn, yn) = nodes[0].tolist(), nodes[-1].tolist()
+    sol = _implicit_interior(rhs, h, beta,
+                             ends=((x0, y0, 1.0, 0.0), (xn, yn, 0.0, 1.0)))
+    # rows as (x, y, g-, g+)
+    (x1, y1, g1, _), (x2, y2, g2, _) = sol[1:3].tolist()
+    (xl, yl, gml, gpl), (xm, ym, gmm, gpm) = sol[-3:-1].tolist()
+    om_minus = _slave_contact(wall, om_m, (x1, y1), (x2, y2), g1, g2,
+                              (x0, y0))
+    pm = wall.point_xy(om_minus)
+    smx, smy = pm[0] - x0, pm[1] - y0
+    om_plus = _slave_contact(wall, om_p, (xm + gmm * smx, ym + gmm * smy),
+                             (xl + gml * smx, yl + gml * smy), gpm, gpl,
+                             (xn, yn))
+    pp = wall.point_xy(om_plus)
+    # Fortran order, as gtsv returns it, so that the next step's BDF2
+    # right-hand side combines contiguous columns
+    new = np.dot(np.array([[1.0, 0.0, smx, pp[0] - xn],
+                           [0.0, 1.0, smy, pp[1] - yn]]), sol.T).T
+    new[0], new[-1] = pm, pp
     e = new[1:] - new[:-1]
     seg = np.hypot(e[:, 0], e[:, 1])
     if h0 is None:
@@ -425,14 +518,19 @@ def _attempt_step(state, cfg, wall, dt, h0):
     else:
         n_out = min(max(round(float(seg.sum()) / h0) + 1, 32), cfg.n_nodes)
     # resample only once the mesh has actually drifted; spacing decays
-    # by O(dt) per step so most steps skip the spline rebuild
+    # by O(dt) per step so most steps skip the spline rebuild.  A
+    # resampled state has new nodes, so its next step starts over.
     if n_out != len(new) or float(seg.max()) > 1.25 * float(seg.min()):
         new = _resample(new, n_out)
-        new[0] = wall.point_xy(om_minus)
-        new[-1] = wall.point_xy(om_plus)
-        seg = None
+        new[0], new[-1] = pm, pp
+        return CurveState(nodes=new, time=state.time + dt,
+                          om_minus=om_minus, om_plus=om_plus)
     return CurveState(nodes=new, time=state.time + dt,
-                      om_minus=om_minus, om_plus=om_plus, _seg=seg)
+                      om_minus=om_minus, om_plus=om_plus, _seg=seg,
+                      _prev=(state.time, nodes, state.seg_cached(),
+                             state.om_minus, state.om_plus,
+                             None if state._prev is None else
+                             (state._prev[0],) + state._prev[3:5]))
 
 
 # ---------------------------------------------------------------------------
@@ -538,13 +636,16 @@ def run_to_extinction(initial, cfg, ndom, barrier_config=None,
                       barrier_t_hat=None):
     """Step until the length threshold, then extrapolate extinction.
 
-    Monitors are recorded every accepted step.  Full states are kept every
-    k-th step, with k fixed from the first step size so that a run keeps
-    about 900 (_THINNING_STATES) states per 0.35 time units while the
-    step stays near that size.  The count is not capped and grows with
-    the run's length: 5,935 on the disk at rho = 0.1, n_nodes = 200,
-    dt_safety = 0.8.  Where halvings shrink the step, states are denser
-    in time.
+    Every step after the first and after each resample is BDF2 (see
+    step).  Monitors are recorded every accepted step.  Full states are
+    kept every k-th step, with k fixed from the first step size dt0 =
+    dt_safety * _STEP_SCALE * h0 so that a run keeps about 900
+    (_THINNING_STATES) states per 0.35 time units while the step stays
+    near that size.  The count is not capped and grows with the run's
+    length: at dt_safety = 0.8, 5,585 states of 11,167 steps on the disk
+    at rho = 0.1, n_nodes = 200 (k = 2), and on the egg at n_nodes = 100
+    every state of its 4,607 steps (k = 1).  Where halvings shrink the
+    step, states are denser in time.
     """
     wall = ConvexWall(ndom)
     state = initial
@@ -584,7 +685,7 @@ def run_to_extinction(initial, cfg, ndom, barrier_config=None,
     state_times.append(state.time)
 
     # step stride of the state thinning, from the first step size
-    dt0 = cfg.dt_safety * h0 ** 2 / 2.0
+    dt0 = cfg.dt_safety * _STEP_SCALE * h0
     stride = max(1, int(0.35 / dt0 / _THINNING_STATES)) if dt0 > 0 else 1
 
     nsteps = 0
@@ -600,7 +701,10 @@ def run_to_extinction(initial, cfg, ndom, barrier_config=None,
                 f"{state.length:.3g}")
             exc.partial = _finalize(raw, ys, states, state_times, cfg, ndom)
             raise exc
-        state = step(state, cfg, wall, h0=h0)
+        new = step(state, cfg, wall, h0=h0)
+        # the history is read by that step alone; a stored state keeps none
+        state._prev = None
+        state = new
         nsteps += 1
         record(state)
         if nsteps % stride == 0:
@@ -645,8 +749,11 @@ def _finalize(raw, ys, states, state_times, cfg, ndom):
 
     final = states[-1]
     ext_pt = final.nodes.mean(axis=0)
+    # stored times are offset, so the last state's step history (in raw
+    # time) is dropped with the others'
     for s in states:
         s.time -= offset
+        s._prev = None
     return Trajectory(
         monitors=monitors,
         states=states,
@@ -756,14 +863,17 @@ def grim_reaper_error(n, t_end):
     return float(np.max(np.abs(ynum[lo:hi] - exact[lo:hi])))
 
 
-def semicircle_wall_error(n, t_end):
-    """Unit half circle on the x-axis wall shrinking as sqrt(1 - 2t)."""
+def semicircle_wall_error(n, t_end, dt_safety=_VALIDATION_DT_SAFETY):
+    """Unit half circle on the x-axis wall shrinking as sqrt(1 - 2t).
+
+    Runs step with n fixed nodes until t_end is reached or passed; returns
+    the largest node radius error there and the final state."""
     th = np.linspace(np.pi, 0.0, n)
     pts = np.column_stack([np.cos(th), np.sin(th)])
     pts[0, 1] = pts[-1, 1] = 0.0
     state = CurveState(nodes=pts, time=0.0, om_minus=-1.0, om_plus=1.0)
     wall = StraightWall()
-    cfg = SolverConfig(n_nodes=n, dt_safety=_VALIDATION_DT_SAFETY)
+    cfg = SolverConfig(n_nodes=n, dt_safety=dt_safety)
     while state.time < t_end:
         state = step(state, cfg, wall, h0=None)
     r_exact = np.sqrt(1.0 - 2 * state.time)

@@ -256,12 +256,14 @@ def construct_orthogonal_oval(ndom, rho):
 
     Each trial scale brackets its second crossing between two samples of
     dom.upper_arc, which is computed on the first call for a domain and
-    reused by every later call on it, and refines it by Brent.
+    reused by every later call on it, and refines it by Brent; a bracket
+    that rounding leaves without a sign change is widened by one sample
+    on each side, once.
 
     Raises RhoTooLarge when the line y = rho fails to cross the upper
     boundary twice, and BracketFailure when a sign condition of either
-    solve fails or the orthogonal scale has no second crossing (brackets
-    are never widened silently).
+    solve fails or the orthogonal scale has no second crossing (no bracket
+    is widened beyond that one sample).
     """
     dom = ndom.domain
     if not dom.is_normalized:
@@ -325,7 +327,14 @@ def construct_orthogonal_oval(ndom, rho):
             p = dom.point(om)
             return float(p[1] - par.lower_height(p[0], clip=True))
 
-        om_hat = safe_brentq(dres, om_a, om_b)
+        try:
+            om_hat = safe_brentq(dres, om_a, om_b)
+        except BracketFailure:
+            # the samples and dom.point's one-angle path differ in the last
+            # bits, so a crossing within rounding of a sample can sit just
+            # outside [om_a, om_b]: retry once, one sample wider each side
+            om_hat = safe_brentq(dres, om_grid[j - 2],
+                                 om_grid[min(j + 1, len(om_grid) - 1)])
         return float(om_hat), par
 
     def angle_residual(lam):

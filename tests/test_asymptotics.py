@@ -38,6 +38,28 @@ def test_estimates_same_with_curvature_recomputed(runs, ndisk):
             == [dataclasses.asdict(r) for r in fresh.records])
 
 
+def test_estimates_build_no_wall_on_a_recorded_run(runs, ndisk, monkeypatch):
+    # run_to_extinction caches every stored state's curvature, so the
+    # analysis needs no wall table; a state without it still gets one
+    traj = runs("disk_r03_n100")
+    built = []
+    init = flow.ConvexWall.__init__
+
+    def counting_init(self, ndom):
+        built.append(ndom)
+        init(self, ndom)
+
+    monkeypatch.setattr(flow.ConvexWall, "__init__", counting_init)
+    lam0 = oval.solve_lambda0(ndisk.kappa1, ndisk.kappa2)
+    asymptotics.verify_estimates(traj, 0.25, lam0)
+    assert built == []
+    bare = dataclasses.replace(traj, states=[
+        flow.CurveState(nodes=s.nodes, time=s.time, om_minus=s.om_minus,
+                        om_plus=s.om_plus) for s in traj.states])
+    asymptotics.verify_estimates(bare, 0.25, lam0)
+    assert built == [ndisk]
+
+
 def test_turning_angle_rate_is_sharp(disk_sweep, ndisk):
     # the fitted rate tends to lambda0^2 as rho falls (measured relative
     # errors 1.36e-3, 7.46e-4, 4.63e-4 at rho = 0.2, 0.1, 0.05); the error

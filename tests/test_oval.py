@@ -265,6 +265,25 @@ def test_oval_rebuild_reuses_the_upper_arc(lobed, monkeypatch):
     assert _oval_bits(second) == _oval_bits(first)
 
 
+def test_second_contact_just_past_a_sample_still_builds(egg, monkeypatch):
+    # move the upper-arc sample before the egg's second contact to 4 ulps
+    # short of it and read its height 1e-12 low: that sample then looks
+    # past the crossing while dom.point puts the crossing just beyond it,
+    # so the first bracket has no sign change
+    nd = g.normalize(egg, g.find_diameters(egg)[0])
+    first = ov.construct_orthogonal_oval(nd, 0.1)
+    om, xs, ys = (a.copy() for a in nd.domain.upper_arc)
+    j = int(np.searchsorted(om, first.omega_hat)) - 1
+    om[j] = first.omega_hat - 4 * np.spacing(first.omega_hat)
+    xs[j], ys[j] = nd.domain.point(om[j])
+    ys[j] -= 1e-12
+    monkeypatch.setitem(nd.domain.__dict__, "upper_arc", (om, xs, ys))
+    second = ov.construct_orthogonal_oval(nd, 0.1)
+    assert abs(second.omega_hat - first.omega_hat) < 1e-12
+    assert abs(second.params.lam - first.params.lam) < 1e-9
+    assert max(second.residuals) < 1e-10
+
+
 def test_rho_too_large(ndisk):
     with pytest.raises(RhoTooLarge):
         ov.construct_orthogonal_oval(ndisk, 1.2)

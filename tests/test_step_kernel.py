@@ -246,3 +246,44 @@ def test_slave_contact_on_straight_wall(monkeypatch):
     monkeypatch.setattr(f, "safe_brentq", _no_fallback)
     got = f._slave_contact(wall, root + 1e-3, inner1, inner2)
     assert abs(got - root) < 1e-12
+
+
+def _following_residual(wall, inner1, inner2, g1, g2, end):
+    """The contact residual with the two nodes moved g_k times the end's
+    move from `end` to the wall point."""
+    def resid(om):
+        p = np.asarray(wall.point_xy(om))
+        q1 = inner1 + g1 * (p - end)
+        q2 = inner2 + g2 * (p - end)
+        h1 = np.hypot(*(q1 - p))
+        h2 = np.hypot(*(q2 - q1))
+        c0 = -(2 * h1 + h2) / (h1 * (h1 + h2))
+        c1 = (h1 + h2) / (h1 * h2)
+        c2 = -h1 / (h2 * (h1 + h2))
+        d = c0 * p + c1 * q1 + c2 * q2
+        nx, ny = wall.normal_xy(om)
+        return d[0] * ny - d[1] * nx
+
+    return resid
+
+
+@pytest.mark.parametrize("offset", [1e-3, -1e-3])
+def test_slave_contact_with_following_nodes_reaches_bracketed_root(
+        negg, egg_wall, monkeypatch, offset):
+    # nodes 1 and 2 move by a share of the contact's move, as the step's
+    # end responses make them; Newton's exact slope includes that share
+    o = ov.construct_orthogonal_oval(negg, 0.2)
+    state = f.initial_state_from_oval(o, 100)
+    for om0, end, inner1, inner2 in (
+            (state.om_plus, state.nodes[-1], state.nodes[-2],
+             state.nodes[-3]),
+            (state.om_minus, state.nodes[0], state.nodes[1],
+             state.nodes[2])):
+        root = safe_brentq(
+            _following_residual(egg_wall, inner1, inner2, 0.4, 0.15, end),
+            om0 - 0.2, om0 + 0.2)
+        with monkeypatch.context() as m:
+            m.setattr(f, "safe_brentq", _no_fallback)
+            got = f._slave_contact(egg_wall, root + offset, inner1, inner2,
+                                   0.4, 0.15, tuple(end))
+        assert abs(got - root) < 1e-12
