@@ -286,8 +286,6 @@ def fit_profile(traj, lambda0, kappa1, kappa2):
     cols = [traj.monitors[f"y_at_x{k}"] for k in range(len(xs))]
     Y = np.column_stack([np.asarray(c)[m] for c in cols])
     tw = t[m]
-    if Y.shape[1] < 3:
-        raise AnalysisError("need at least 3 height abscissas")
 
     lam2 = lambda0 * lambda0
     Z = Y * np.exp(-lam2 * tw)[:, None]

@@ -30,15 +30,16 @@ rho = 0.1 and n_nodes = 200 keeps 5,585 states of 11,167 steps.  Stored
 states are read in time through Trajectory.heights_at_time, linear
 between the two bracketing states.
 
-Two validation modes check exact solutions, one per boundary condition: a
-pinned grim-reaper graph, run by its own backward-Euler loop, and a
-semicircle on a straight wall run by step.
+Every curve advances only through step, the two exact solutions too: a
+semicircle shrinking on a straight wall, and the grim reaper translating
+between the curved walls y = -log|sin x|, which meet it orthogonally.
 """
 
 import math
 import numbers
 from array import array
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -151,6 +152,25 @@ class StraightWall:
         return 0.0, -1.0
 
 
+class GrimReaperWalls:
+    """The curves y = -log|sin x| as walls, parametrized by abscissa
+    (validation mode).  They are the orthogonal trajectories of the grim
+    reaper's translates y = t - log cos x, met at x = +-arctan(e^-t)."""
+
+    def point_xy(self, p):
+        return p, -math.log(abs(math.sin(p)))
+
+    def jet_xy(self, p):
+        s, c = math.sin(p), math.cos(p)
+        return p, -math.log(abs(s)), 1.0, -c / s, c, s, -s, c
+
+    def tangent_xy(self, p):
+        return -math.sin(p), math.cos(p)
+
+    def normal_xy(self, p):
+        return math.cos(p), math.sin(p)
+
+
 # ---------------------------------------------------------------------------
 # state
 
@@ -183,14 +203,14 @@ class SolverConfig:
 
     n_nodes is the initial (and largest) node count; dt_safety in (0, 1)
     multiplies the step rule dt = _STEP_SCALE * h_bar^2 / h0 (see step);
-    max_steps is the step budget of run_to_extinction; abscissas are the
-    x at which every step records the curve's height.
+    max_steps is the step budget of run_to_extinction; the class constant
+    abscissas holds the x at which every step records the curve's height.
     """
 
     n_nodes: int = 200
     dt_safety: float = 0.4
     max_steps: int = 2_000_000
-    abscissas: tuple = (-0.8, -0.4, 0.0, 0.4, 0.8)
+    abscissas: ClassVar[tuple] = (-0.8, -0.4, 0.0, 0.4, 0.8)
 
     def __post_init__(self):
         for name in ("n_nodes", "max_steps"):
@@ -306,10 +326,10 @@ def _tridiag_solve(dl, d, du, b):
     return x
 
 
-def _implicit_interior(rhs, h, dt, ends=None):
+def _implicit_interior(rhs, h, dt, ends):
     """Solve (I - dt L) X = rhs, column by column, for the arc-length
     Laplacian L of a polyline whose edge lengths are h; the first and last
-    rows are pinned to `ends` or, when ends is None, to rhs itself.
+    rows are pinned to the two rows of `ends`.
 
     ValueError on non-finite input, as solve_banded: the bands are finite
     when the diagonal is, so the diagonal and rhs are checked (a sum that
@@ -327,15 +347,13 @@ def _implicit_interior(rhs, h, dt, ends=None):
     du = np.zeros(n - 1)
     np.multiply(-dt, c, out=du[1:])
     rhs = np.array(rhs, order="F")
-    if ends is not None:
-        rhs[0], rhs[-1] = ends
+    rhs[0], rhs[-1] = ends
     if not math.isfinite(d.sum() + rhs.sum()):
         raise ValueError("array must not contain infs or NaNs")
     return _tridiag_solve(dl, d, du, rhs)
 
 
-def _slave_contact(wall, om_guess, inner1, inner2, g1=0.0, g2=0.0,
-                   end=(0.0, 0.0)):
+def _slave_contact(wall, om_guess, inner1, inner2, g1, g2, end):
     """Contact parameter making the one-sided curve tangent at the wall
     point P(om), through the next two nodes, parallel to the wall normal.
 
@@ -654,7 +672,7 @@ def run_to_extinction(initial, cfg, ndom, barrier_config=None,
 
     raw = {k: [] for k in ("t", "theta_plus", "theta_minus", "kappa_min",
                            "kappa_max", "area", "length", "barrier_margin",
-                           "min_count", "om_minus", "om_plus")}
+                           "min_count")}
     ys = []
     states, state_times = [], []
 
@@ -668,8 +686,6 @@ def run_to_extinction(initial, cfg, ndom, barrier_config=None,
         raw["kappa_max"].append(float(kap.max()))
         raw["area"].append(enclosed_area(s, wall))
         raw["length"].append(s.length)
-        raw["om_minus"].append(s.om_minus)
-        raw["om_plus"].append(s.om_plus)
         raw["min_count"].append(_local_min_count(inner))
         ys.append(s.heights_at(xs))
         if barrier_config is not None and barrier_t_hat is not None \
@@ -717,8 +733,8 @@ def run_to_extinction(initial, cfg, ndom, barrier_config=None,
 
 
 def _finalize(raw, ys, states, state_times, cfg, ndom):
-    t = np.asarray(raw["t"])
-    L = np.asarray(raw["length"])
+    monitors = {key: np.asarray(v) for key, v in raw.items()}
+    t, L, area = monitors["t"], monitors["length"], monitors["area"]
     # length shrinks like sqrt(t_ext - t): fit L^2 linearly near the end
     k = max(2, min(40, len(t) // 4))
     A = np.polyfit(t[-k:], L[-k:] ** 2, 1)
@@ -726,23 +742,9 @@ def _finalize(raw, ys, states, state_times, cfg, ndom):
     fallback = not t[-1] <= t_ext <= t[-1] + 0.5
     offset = float(t[-1]) if fallback else t_ext
 
-    area = np.asarray(raw["area"])
-    dA = np.gradient(area, t) if len(t) > 2 else np.zeros_like(area)
-
-    monitors = {
-        "t": t - offset,
-        "theta_plus": np.asarray(raw["theta_plus"]),
-        "theta_minus": np.asarray(raw["theta_minus"]),
-        "kappa_min": np.asarray(raw["kappa_min"]),
-        "kappa_max": np.asarray(raw["kappa_max"]),
-        "area": area,
-        "dA_dt": dA,
-        "length": L,
-        "barrier_margin": np.asarray(raw["barrier_margin"]),
-        "min_count": np.asarray(raw["min_count"]),
-        "om_minus": np.asarray(raw["om_minus"]),
-        "om_plus": np.asarray(raw["om_plus"]),
-    }
+    monitors["t"] = t - offset
+    monitors["dA_dt"] = (np.gradient(area, t) if len(t) > 2
+                         else np.zeros_like(area))
     ymat = np.asarray(ys)
     for j in range(ymat.shape[1] if ymat.ndim == 2 else 0):
         monitors[f"y_at_x{j}"] = ymat[:, j]
@@ -834,33 +836,29 @@ def ancient_sweep(ndom, rhos, cfg):
 # validation modes (exact solutions)
 
 
-# step safety of the exact solutions; half-width of the grim reaper's
-# pinned graph; stationary diameter's nodes, steps
+# step safety of the exact solutions; stationary diameter's nodes, steps
 _VALIDATION_DT_SAFETY = 0.4
-_GRIM_HALF_WIDTH = 1.2
 _DRIFT_NODES = 64
 _DRIFT_STEPS = 50
 
 
 def grim_reaper_error(n, t_end):
-    """Graph y = t - log cos x translating upward; ends pinned exactly."""
-    half_width = _GRIM_HALF_WIDTH
-    xs = np.linspace(-half_width, half_width, n)
-    pts = np.column_stack([xs, -np.log(np.cos(xs))])
-    t = 0.0
-    while t < t_end:
-        seg = np.hypot(*np.diff(pts, axis=0).T)
-        dt = min(_VALIDATION_DT_SAFETY * float(np.min(seg)) ** 2 / 2.0,
-                 t_end - t)
-        new = _implicit_interior(pts, seg, dt)
-        t += dt
-        new[0] = [-half_width, t - np.log(np.cos(half_width))]
-        new[-1] = [half_width, t - np.log(np.cos(half_width))]
-        pts = _resample(new, n)
-    exact = t_end - np.log(np.cos(xs))
-    ynum = np.interp(xs, pts[:, 0], pts[:, 1])
-    lo, hi = n // 8, n - n // 8
-    return float(np.max(np.abs(ynum[lo:hi] - exact[lo:hi])))
+    """Grim reaper y = t - log cos x between the walls of GrimReaperWalls.
+
+    Starts at t = 0 with contacts at -+pi/4 and n nodes uniform in arc
+    length, x = arctan(sinh s); runs step with n fixed nodes until t_end
+    is reached or passed; returns the largest node height error there and
+    the final state."""
+    s = np.linspace(-np.arcsinh(1.0), np.arcsinh(1.0), n)
+    xs = np.arctan(np.sinh(s))
+    state = CurveState(nodes=np.column_stack([xs, -np.log(np.cos(xs))]),
+                       time=0.0, om_minus=-np.pi / 4, om_plus=np.pi / 4)
+    cfg = SolverConfig(n_nodes=n, dt_safety=_VALIDATION_DT_SAFETY)
+    wall = GrimReaperWalls()
+    while state.time < t_end:
+        state = step(state, cfg, wall, h0=None)
+    x, y = state.nodes[:, 0], state.nodes[:, 1]
+    return float(np.max(np.abs(y - state.time + np.log(np.cos(x))))), state
 
 
 def semicircle_wall_error(n, t_end, dt_safety=_VALIDATION_DT_SAFETY):

@@ -338,8 +338,8 @@ class ConvexDomain:
         coefficients decay geometrically; FFT truncation at ~1e-15 keeps the
         perimeter and curvatures exact to roundoff.
         """
-        if a <= 0 or b <= 0:
-            raise ConfigError("ellipse semi-axes must be positive")
+        if not (0 < a < np.inf and 0 < b < np.inf):
+            raise ConfigError("ellipse semi-axes must be positive and finite")
 
         def rho(om):
             return (a * b) ** 2 / (a ** 2 * np.sin(om) ** 2
@@ -349,23 +349,25 @@ class ConvexDomain:
 
     @classmethod
     def from_spec(cls, cfg):
-        """Build from the JSON domain spec {"kind": ..., ...}."""
+        """Build from the JSON domain spec {"kind": ..., ...}; ConfigError
+        on an unknown kind or a missing or non-numeric value."""
         if not isinstance(cfg, dict):
             raise ConfigError("domain spec must be a JSON object")
         kind = cfg.get("kind")
-        if kind == "disk":
-            return cls.disk(float(cfg.get("a", 1.0)))
-        if kind == "ellipse":
-            try:
+        try:
+            if kind == "disk":
+                return cls.disk(float(cfg.get("a", 1.0)))
+            if kind == "ellipse":
                 return cls.ellipse(float(cfg["a"]), float(cfg["b"]))
-            except KeyError as e:
-                raise ConfigError(f"ellipse spec needs semi-axis {e}") from e
-        if kind == "fourier":
-            cos_c = cfg.get("cos_coeffs")
-            if cos_c is None:
-                raise ConfigError("fourier spec needs cos_coeffs")
-            sin_c = cfg.get("sin_coeffs")
-            return cls(cos_c, sin_c)
+            if kind == "fourier":
+                cos_c = cfg.get("cos_coeffs")
+                if cos_c is None:
+                    raise ConfigError("fourier spec needs cos_coeffs")
+                return cls(cos_c, cfg.get("sin_coeffs"))
+        except KeyError as e:
+            raise ConfigError(f"ellipse spec needs semi-axis {e}") from e
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"malformed {kind} spec: {e}") from e
         raise ConfigError(f"unknown domain kind: {kind!r}")
 
 

@@ -50,10 +50,27 @@ def test_config_accepts_numpy_integers():
 # exact solutions
 
 
-def test_grim_reaper_second_order():
-    errs = [f.grim_reaper_error(n, 0.2) for n in (100, 200, 400)]
+@pytest.fixture(scope="module")
+def grim_runs():
+    # measured height errors 2.7e-5, 6.7e-6, 1.7e-6 (orders 2.00 and 2.00)
+    return [f.grim_reaper_error(n, 0.2) for n in (100, 200, 400)]
+
+
+def test_grim_reaper_second_order(grim_runs):
+    errs = [run[0] for run in grim_runs]
     slope = -np.polyfit(np.log([100, 200, 400]), np.log(errs), 1)[0]
     assert 1.7 <= slope <= 2.3, (errs, slope)
+
+
+def test_grim_reaper_contacts_follow_the_walls(grim_runs):
+    # the contacts sit at -+arctan(e^-t); measured errors 1.3e-5, 3.3e-6,
+    # 8.2e-7 (orders 2.00 and 2.00)
+    errs = []
+    for _, state in grim_runs:
+        x0 = np.arctan(np.exp(-state.time))
+        errs.append(max(abs(state.om_minus + x0), abs(state.om_plus - x0)))
+    orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
+    assert all(p >= 1.7 for p in orders), (errs, orders)
 
 
 def test_semicircle_on_wall_second_order():

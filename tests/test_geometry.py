@@ -192,9 +192,20 @@ def test_from_spec_disk():
     assert abs(dom.area - 4 * np.pi) < 1e-10
 
 
-def test_from_spec_rejects_unknown():
+@pytest.mark.parametrize("spec", [
+    {"kind": "pentagon"},
+    # these raised ValueError or TypeError, or warned before failing
+    {"kind": "disk", "a": "abc"},
+    {"kind": "ellipse", "a": None, "b": 1.0},
+    {"kind": "ellipse", "a": float("inf"), "b": 1.0},
+    {"kind": "fourier", "cos_coeffs": "abc"},
+    {"kind": "fourier", "cos_coeffs": [[1.0], [0.0, 0.0]]},
+    {"kind": "fourier", "cos_coeffs": [[1.0], [0.0]]},
+    {"kind": "fourier", "cos_coeffs": [1.0, 0.0, 0.01], "sin_coeffs": ["x"]},
+])
+def test_from_spec_rejects_unknown(spec):
     with pytest.raises(ConfigError):
-        g.ConvexDomain.from_spec({"kind": "pentagon"})
+        g.ConvexDomain.from_spec(spec)
 
 
 # ------------------------------------------------------- properties

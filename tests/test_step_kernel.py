@@ -57,15 +57,13 @@ def _banded_reference(nodes, dt, rhs):
     return solve_banded((1, 1), ab, rhs)
 
 
-@pytest.mark.parametrize("pinned", [False, True])
-def test_implicit_interior_matches_dense_solve(pinned):
+def test_implicit_interior_matches_dense_solve():
     nodes = _arc_nodes(40)
     dt = 3e-3
-    ends = [(-1.1, 0.15), (1.05, 0.2)] if pinned else None
+    ends = [(-1.1, 0.15), (1.05, 0.2)]
     got = f._implicit_interior(nodes, _edges(nodes), dt, ends=ends)
     rhs = nodes.copy()
-    if pinned:
-        rhs[0], rhs[-1] = ends
+    rhs[0], rhs[-1] = ends
     want = np.linalg.solve(np.eye(len(nodes)) - dt * _dense_laplacian(nodes),
                            rhs)
     assert np.max(np.abs(got - want)) < 1e-13
@@ -78,7 +76,8 @@ def test_implicit_interior_rejects_non_finite_nodes(bad):
     nodes = _arc_nodes(20)
     nodes[7, 1] = bad
     with pytest.raises(ValueError):
-        f._implicit_interior(nodes, _edges(nodes), 1e-3)
+        f._implicit_interior(nodes, _edges(nodes), 1e-3,
+                             ends=(nodes[0], nodes[-1]))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -87,7 +86,8 @@ def test_implicit_interior_rejects_repeated_node():
     nodes = _arc_nodes(20)
     nodes[8] = nodes[7]
     with pytest.raises(ValueError):
-        f._implicit_interior(nodes, _edges(nodes), 1e-3)
+        f._implicit_interior(nodes, _edges(nodes), 1e-3,
+                             ends=(nodes[0], nodes[-1]))
 
 
 def test_tridiag_solve_rejects_singular_matrix():
@@ -200,6 +200,12 @@ def test_straight_wall_jet_matches_central_difference(p):
     _check_jet(f.StraightWall(), p)
 
 
+# both branches of y = -log|sin x|, away from the pole at x = 0
+@pytest.mark.parametrize("p", [-1.2, -0.7, 0.7, 1.2])
+def test_grim_reaper_walls_jet_matches_central_difference(p):
+    _check_jet(f.GrimReaperWalls(), p)
+
+
 def _reference_residual(wall, inner1, inner2):
     """The contact residual written directly from point and normal."""
     h2 = np.hypot(*(inner2 - inner1))
@@ -233,7 +239,8 @@ def test_slave_contact_newton_reaches_bracketed_root(negg, egg_wall,
                            om0 - 0.2, om0 + 0.2)
         with monkeypatch.context() as m:
             m.setattr(f, "safe_brentq", _no_fallback)
-            got = f._slave_contact(egg_wall, root + offset, inner1, inner2)
+            got = f._slave_contact(egg_wall, root + offset, inner1, inner2,
+                                   0.0, 0.0, (0.0, 0.0))
         assert abs(got - root) < 1e-12
 
 
@@ -244,7 +251,21 @@ def test_slave_contact_on_straight_wall(monkeypatch):
     wall = f.StraightWall()
     root = safe_brentq(_reference_residual(wall, inner1, inner2), 0.8, 1.2)
     monkeypatch.setattr(f, "safe_brentq", _no_fallback)
-    got = f._slave_contact(wall, root + 1e-3, inner1, inner2)
+    got = f._slave_contact(wall, root + 1e-3, inner1, inner2,
+                           0.0, 0.0, (0.0, 0.0))
+    assert abs(got - root) < 1e-12
+
+
+def test_slave_contact_on_grim_reaper_walls(monkeypatch):
+    # the grim reaper y = -log cos x leaves the wall y = -log sin x
+    # orthogonally at x = pi/4
+    x = np.pi / 4 - np.array([0.02, 0.04])
+    inner1, inner2 = np.column_stack([x, -np.log(np.cos(x))])
+    wall = f.GrimReaperWalls()
+    root = safe_brentq(_reference_residual(wall, inner1, inner2), 0.6, 1.0)
+    monkeypatch.setattr(f, "safe_brentq", _no_fallback)
+    got = f._slave_contact(wall, root + 1e-3, inner1, inner2,
+                           0.0, 0.0, (0.0, 0.0))
     assert abs(got - root) < 1e-12
 
 
