@@ -6,7 +6,12 @@ rescaled height profile and its cosh/sinh fit, and the Robin eigenvalue
 problem on [-1, 1] whose negative spectrum carries the decay scale.
 
 All routines are pure functions over recorded trajectories; none of
-them step the flow.
+them step the flow, and none keeps anything between calls.  They read a
+run as arrays: the monitors whole, and the stored states of a fit window
+in blocks of _BLOCK_STATES, whose nodes and cached curvature are packed
+end to end so that each per-node quantity is one elementwise pass and each
+per-state extreme one reduceat.  The stored states are read in time
+through Trajectory.heights_at_time, many times in one call.
 """
 
 import numpy as np
@@ -25,7 +30,9 @@ from .solve import safe_brentq
 
 WINDOW_FLOOR = -6.0   # never fit below this offset time
 WINDOW_CEIL = -1.0    # never fit above this offset time
+_MIN_SAMPLES = 8      # a fit needs this many samples in its window
 _LOG_MIN = 1e-300     # monitors are clipped to this before their logarithm
+_BLOCK_STATES = 32    # verify_estimates packs this many states per pass
 _EIGEN_NGRID = 1001   # eigenfunction grid on [-1, 1]: sup norm and sign
 _POSITIVE_EIGEN = 3   # positive Robin eigenvalues that robin_eigen reports
 _INCREMENT_TIMES = 10   # rescaled_increments: sample times in the window
@@ -44,7 +51,7 @@ def _default_window(t):
     return lo, hi
 
 
-def _window_mask(t, window, min_samples=8):
+def _window_mask(t, window, min_samples=_MIN_SAMPLES):
     lo, hi = window
     m = (t >= lo) & (t <= hi)
     if int(np.sum(m)) < min_samples:
@@ -106,36 +113,91 @@ def _fit_decay(t, q, required, window):
 
 
 def _window_states(traj, window):
-    out = [s for s in traj.states if window[0] <= s.time <= window[1]]
-    if len(out) < 8:
+    """The stored states whose offset times lie in the window, and those
+    times; state_times is sorted, so two searches find them."""
+    times = traj.state_times
+    lo = int(np.searchsorted(times, window[0], side="left"))
+    hi = int(np.searchsorted(times, window[1], side="right"))
+    if hi - lo < _MIN_SAMPLES:
         raise WindowTooShort(
-            f"only {len(out)} stored states in [{window[0]:.3g}, "
+            f"only {hi - lo} stored states in [{window[0]:.3g}, "
             f"{window[1]:.3g}]")
-    return out
+    return traj.states[lo:hi], times[lo:hi]
 
 
-def _state_fields(state, wall):
-    """Per-node curvature, height, position-normal pairing, curvature
-    arc-derivative for one stored state."""
-    kap = state.kappa_cached(wall)
-    pts = state.nodes
+def _blocks(states, wall):
+    """The states in runs of _BLOCK_STATES: each run, its packed nodes and
+    curvature, and each state's first and last index in the packing."""
+    for i in range(0, len(states), _BLOCK_STATES):
+        block = states[i:i + _BLOCK_STATES]
+        lens = np.array([len(s.nodes) for s in block])
+        last = np.cumsum(lens) - 1
+        yield (block, np.concatenate([s.nodes for s in block]),
+               np.concatenate([s.kappa_cached(wall) for s in block]),
+               last - lens + 1, last)
+
+
+def _block_ratios(block, pts, kap, first, last):
+    """Per-state support, curvature-gradient and max/min curvature ratios
+    of one block of packed states.
+
+    Every node value is the per-state arithmetic done elementwise over the
+    packing (chord tangents, support pairing <position, unit normal>, the
+    arc-length derivative of curvature at interior nodes), so each state's
+    reduction reads the same values bit for bit.  Edge lengths are the
+    ones each state cached, the same hypot of the same chords.
+    """
     e = pts[1:] - pts[:-1]
-    h = np.hypot(e[:, 0], e[:, 1])
-    # vertex tangents from neighbouring chords, endpoints one-sided
+    # an edge joining one state's last node to the next state's first
+    # feeds only end nodes, which are overwritten or masked below
+    own = np.ones(len(e), dtype=bool)
+    own[last[:-1]] = False
+    h = np.ones(len(e))
+    h[own] = np.concatenate([s.seg_cached() for s in block])
+    ux = e[:, 0] / h
+    uy = e[:, 1] / h
+    # vertex tangents from neighbouring chords, end nodes one-sided
     tx = np.empty(len(pts))
     ty = np.empty(len(pts))
-    tx[1:-1] = e[:-1, 0] / h[:-1] + e[1:, 0] / h[1:]
-    ty[1:-1] = e[:-1, 1] / h[:-1] + e[1:, 1] / h[1:]
-    tx[0], ty[0] = e[0, 0] / h[0], e[0, 1] / h[0]
-    tx[-1], ty[-1] = e[-1, 0] / h[-1], e[-1, 1] / h[-1]
+    tx[1:-1] = ux[:-1] + ux[1:]
+    ty[1:-1] = uy[:-1] + uy[1:]
+    tx[first], ty[first] = ux[first], uy[first]
+    tx[last], ty[last] = ux[last - 1], uy[last - 1]
     norm = np.hypot(tx, ty)
     tx /= norm
     ty /= norm
     # support pairing <position, unit normal>
     sup = np.abs(pts[:, 0] * ty - pts[:, 1] * tx)
-    # curvature derivative along arc length (interior nodes)
+    pos = np.maximum(kap, 1e-300)
+    # curvature derivative along arc length, read at interior nodes only
+    inner = np.ones(len(pts), dtype=bool)
+    inner[first] = False
+    inner[last] = False
     kap_s = (kap[2:] - kap[:-2]) / (h[:-1] + h[1:])
-    return kap, pts[:, 1], sup, kap_s
+    grad = np.full(len(pts), -np.inf)
+    np.divide(np.abs(kap_s), pos[1:-1], out=grad[1:-1], where=inner[1:-1])
+    kmin = np.minimum.reduceat(kap, first)
+    return (np.maximum.reduceat(sup / pos, first),
+            np.maximum.reduceat(grad, first),
+            np.maximum.reduceat(kap, first) / np.maximum(kmin, 1e-300))
+
+
+def _block_pairs(block, pts, kap, first):
+    """The height-ratio pinch's (kappa/y, y) at the nodes above y = 1e-12
+    of one block, packed, and each state's first index among them."""
+    y = pts[:, 1]
+    good = y > 1e-12
+    counts = np.add.reduceat(good, first, dtype=np.intp)
+    empty = np.flatnonzero(counts == 0)
+    if len(empty):
+        raise AnalysisError(
+            f"the state at offset time {block[empty[0]].time:.6g} has no "
+            f"node above y = 1e-12, so its height ratio kappa/y is "
+            f"undefined")
+    y = y[good]
+    base = kap[good]
+    base /= y
+    return base, y, np.cumsum(counts) - counts
 
 
 def verify_estimates(traj, r, lambda0):
@@ -147,6 +209,14 @@ def verify_estimates(traj, r, lambda0):
     (lower uses rate r, upper the doubled rate).  A pinch whose defect is
     positive on fewer than 8 states holds outright: it reports the
     required rate as its fitted rate and sets extras["vacuous"].
+
+    The window's stored states are found by two searches of state_times
+    and read in blocks of _BLOCK_STATES: one pass computes each state's
+    support, curvature-gradient and max/min curvature ratios, a second
+    packs the pinch's (kappa/y, y) at every node above y = 1e-12, and each
+    pinch weight then takes every state's extreme by reduceat.  The values
+    are those of a per-state loop, bit for bit.  A window state with no
+    node above y = 1e-12 raises AnalysisError.
     """
     t = np.asarray(traj.monitors["t"])
     window = _default_window(t)
@@ -171,22 +241,15 @@ def verify_estimates(traj, r, lambda0):
 
     # state-based quantities; the wall is read only to compute a stored
     # state's curvature, which run_to_extinction has already cached
-    states = _window_states(traj, window)
+    states, st_t = _window_states(traj, window)
     wall = (ConvexWall(traj.ndom) if any(s._kap is None for s in states)
             else None)
-    st_t = np.array([s.time for s in states])
-    sup_ratio = np.empty(len(states))
-    grad_ratio = np.empty(len(states))
-    ratio_minmax = np.empty(len(states))
-    ratio_pairs = []
-    for j, s in enumerate(states):
-        kap, y, sup, kap_s = _state_fields(s, wall)
-        pos = np.maximum(kap, 1e-300)
-        sup_ratio[j] = float(np.max(sup / pos))
-        grad_ratio[j] = float(np.max(np.abs(kap_s) / pos[1:-1]))
-        ratio_minmax[j] = float(np.max(kap) / max(np.min(kap), 1e-300))
-        good = y > 1e-12
-        ratio_pairs.append((kap[good] / y[good], y[good]))
+    ratios = [_block_ratios(*block) for block in _blocks(states, wall)]
+    sup_ratio, grad_ratio, ratio_minmax = map(np.concatenate, zip(*ratios))
+    # a second pass, so that the packed pairs never share the heap with the
+    # first pass's temporaries
+    ratio_pairs = [_block_pairs(block, pts, kap, first)
+                   for block, pts, kap, first, _ in _blocks(states, wall)]
 
     C2 = float(np.max(grad_ratio))
     rec_kmax.extras["grad_ratio_C2"] = C2
@@ -208,13 +271,14 @@ def verify_estimates(traj, r, lambda0):
     def pinch(signed, required):
         best = None
         for nwt in grid:
-            defect = np.empty(len(states))
-            for j, (base, y) in enumerate(ratio_pairs):
+            parts = []
+            for base, y, first in ratio_pairs:
                 q = base * np.exp(signed * nwt * y)
                 if signed > 0:
-                    defect[j] = lam2 - float(np.min(q))
+                    parts.append(lam2 - np.minimum.reduceat(q, first))
                 else:
-                    defect[j] = float(np.max(q)) - lam2
+                    parts.append(np.maximum.reduceat(q, first) - lam2)
+            defect = np.concatenate(parts)
             pos = defect > 1e-12
             vacuous = int(np.sum(pos)) < 8
             if not vacuous:
@@ -271,6 +335,19 @@ def closed_form_c(lambda0, kappa1, kappa2):
         2.0 * lambda0 - (kappa1 + kappa2) * np.tanh(lambda0))
 
 
+def _rescaled_heights(traj, lambda0, min_samples):
+    """(window, times, Z) in the fit window, Z[i, k] the recorded height at
+    abscissa k and time i times e^{-lambda0^2 t}; WindowTooShort below
+    min_samples samples."""
+    t = np.asarray(traj.monitors["t"])
+    window = _default_window(t)
+    m = _window_mask(t, window, min_samples)
+    tw = t[m]
+    Y = np.column_stack([np.asarray(traj.monitors[f"y_at_x{k}"])[m]
+                         for k in range(len(traj.config.abscissas))])
+    return window, tw, Y * np.exp(-lambda0 * lambda0 * tw)[:, None]
+
+
 def fit_profile(traj, lambda0, kappa1, kappa2):
     """Per-time cosh/sinh least squares of the rescaled heights,
     extrapolated to the infinite past.
@@ -279,16 +356,9 @@ def fit_profile(traj, lambda0, kappa1, kappa2):
     correction of order e^{lambda0^2 t}, so the per-time amplitudes are
     extrapolated linearly in that variable.
     """
-    t = np.asarray(traj.monitors["t"])
-    window = _default_window(t)
-    m = _window_mask(t, window)
+    window, tw, Z = _rescaled_heights(traj, lambda0, _MIN_SAMPLES)
     xs = np.asarray(traj.config.abscissas, dtype=float)
-    cols = [traj.monitors[f"y_at_x{k}"] for k in range(len(xs))]
-    Y = np.column_stack([np.asarray(c)[m] for c in cols])
-    tw = t[m]
-
     lam2 = lambda0 * lambda0
-    Z = Y * np.exp(-lam2 * tw)[:, None]
     B = np.column_stack([np.cosh(lambda0 * xs), np.sinh(lambda0 * xs)])
     # per-time 2x2 normal equations, vectorized over samples
     G = B.T @ B
@@ -318,14 +388,7 @@ def rescaled_increments(traj, lambda0):
     the change between consecutive sample times; a trajectory settling
     into the limit shows diffs shrinking toward the past.
     """
-    t = np.asarray(traj.monitors["t"])
-    m = _window_mask(t, _default_window(t), min_samples=_INCREMENT_TIMES)
-    tw = t[m]
-    xs = np.asarray(traj.config.abscissas, dtype=float)
-    Y = np.column_stack(
-        [np.asarray(traj.monitors[f"y_at_x{k}"])[m]
-         for k in range(len(xs))])
-    Z = Y * np.exp(-lambda0 * lambda0 * tw)[:, None]
+    _, tw, Z = _rescaled_heights(traj, lambda0, _INCREMENT_TIMES)
     idx = np.unique(np.linspace(0, len(tw) - 1, _INCREMENT_TIMES).astype(int))
     diffs = np.max(np.abs(Z[idx[1:]] - Z[idx[:-1]]), axis=1)
     mids = 0.5 * (tw[idx[1:]] + tw[idx[:-1]])

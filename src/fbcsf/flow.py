@@ -28,7 +28,8 @@ states per 0.35 time units while the step stays near its initial value.
 The count therefore grows with the length of the run: the disk at
 rho = 0.1 and n_nodes = 200 keeps 5,585 states of 11,167 steps.  Stored
 states are read in time through Trajectory.heights_at_time, linear
-between the two bracketing states.
+between the two bracketing states; it takes an array of times and returns
+one row of heights per time, so matched_distance reads each run once.
 
 Every curve advances only through step, the two exact solutions too: a
 semicircle shrinking on a straight wall, and the grim reaper translating
@@ -591,26 +592,31 @@ class Trajectory:
         i = int(np.argmin(np.abs(self.state_times - t_offset)))
         return self.states[i]
 
-    def heights_at_time(self, t_offset, xs):
-        """Heights at xs, linear in time between the two bracketing states.
+    def heights_at_time(self, t_offsets, xs):
+        """Heights at xs for a 1-D array of offset times, one row per time,
+        linear in time between the two bracketing states.
 
         Offset times outside the stored range clamp to the first or last
         state.  Of two states stored at the same time, that time itself
         reads the first and later times interpolate from the second.
         Nearest-state lookup would quantize time to the thinning stride,
         and that noise floor would drown small distances between runs.
+        All times are located in one search and weighted in one pass; each
+        bracketing state is read once per time.
         """
         times = self.state_times
-        i = int(np.searchsorted(times, t_offset))
-        if i <= 0:
-            return self.states[0].heights_at(xs)
-        if i >= len(times):
-            return self.states[-1].heights_at(xs)
-        t0, t1 = times[i - 1], times[i]
-        y0 = self.states[i - 1].heights_at(xs)
-        y1 = self.states[i].heights_at(xs)
-        w = (t_offset - t0) / (t1 - t0)
-        return (1.0 - w) * y0 + w * y1
+        t_offsets = np.asarray(t_offsets, dtype=float)
+        i = np.searchsorted(times, t_offsets)
+        inside = (i > 0) & (i < len(times))
+        first = np.where(inside, i - 1, np.minimum(i, len(times) - 1))
+        rows = np.array([self.states[k].heights_at(xs) for k in first])
+        if np.any(inside):
+            i1 = i[inside]
+            y1 = np.array([self.states[k].heights_at(xs) for k in i1])
+            t0, t1 = times[i1 - 1], times[i1]
+            w = ((t_offsets[inside] - t0) / (t1 - t0))[:, None]
+            rows[inside] = (1.0 - w) * rows[inside] + w * y1
+        return rows
 
 
 # abscissas at which matched_distance compares two runs, in ancient_sweep
@@ -625,15 +631,13 @@ def matched_distance(trajA, trajB, tau, sample_times, xs):
     Only abscissas where both curves have a height count; a sample time
     at which the two share none makes the distance inf.
     """
-    worst = 0.0
-    for t in sample_times:
-        ya = trajA.heights_at_time(t, xs)
-        yb = trajB.heights_at_time(t + tau, xs)
-        m = np.isfinite(ya) & np.isfinite(yb)
-        if not np.any(m):
-            return np.inf
-        worst = max(worst, float(np.max(np.abs(ya[m] - yb[m]))))
-    return worst
+    sample_times = np.asarray(sample_times, dtype=float)
+    ya = trajA.heights_at_time(sample_times, xs)
+    yb = trajB.heights_at_time(sample_times + tau, xs)
+    m = np.isfinite(ya) & np.isfinite(yb)
+    if not np.all(np.any(m, axis=1)):
+        return np.inf
+    return float(np.max(np.abs(ya[m] - yb[m])))
 
 
 def _local_min_count(values):

@@ -1,0 +1,354 @@
+"""The block passes of verify_estimates and the many-time reads of
+heights_at_time against the per-state and per-time loops they replaced,
+kept here as references: every record and every distance must match them
+bit for bit."""
+
+import dataclasses
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from fbcsf import asymptotics, flow, oval
+from fbcsf.errors import AnalysisError
+
+RATE = 0.25
+BLOCK = asymptotics._BLOCK_STATES
+
+# tracemalloc peak of the per-state verify_estimates loop on the shared
+# disk run (rho 0.3, n 100, 907 window states), in bytes, after one warm-up
+# call; the block passes peak at about 1,643,000
+LOOP_PEAK_BYTES = 1_773_247
+
+
+# ---------------------------------------------------------------------------
+# references: the per-state loop, the pinch loop and the per-time reads
+
+
+def _reference_state_fields(state, wall):
+    kap = state.kappa_cached(wall)
+    pts = state.nodes
+    e = pts[1:] - pts[:-1]
+    h = np.hypot(e[:, 0], e[:, 1])
+    tx = np.empty(len(pts))
+    ty = np.empty(len(pts))
+    tx[1:-1] = e[:-1, 0] / h[:-1] + e[1:, 0] / h[1:]
+    ty[1:-1] = e[:-1, 1] / h[:-1] + e[1:, 1] / h[1:]
+    tx[0], ty[0] = e[0, 0] / h[0], e[0, 1] / h[0]
+    tx[-1], ty[-1] = e[-1, 0] / h[-1], e[-1, 1] / h[-1]
+    norm = np.hypot(tx, ty)
+    tx /= norm
+    ty /= norm
+    sup = np.abs(pts[:, 0] * ty - pts[:, 1] * tx)
+    kap_s = (kap[2:] - kap[:-2]) / (h[:-1] + h[1:])
+    return kap, pts[:, 1], sup, kap_s
+
+
+def _reference_verify_estimates(traj, r, lambda0):
+    t = np.asarray(traj.monitors["t"])
+    window = asymptotics._default_window(t)
+    lam2 = lambda0 * lambda0
+    records = []
+    Rec = asymptotics.EstimateRecord
+
+    th = np.asarray(traj.monitors["theta_plus"]) + \
+        np.asarray(traj.monitors["theta_minus"])
+    rate, const, ok, n = asymptotics._fit_decay(t, np.sin(0.5 * th), r,
+                                                window)
+    records.append(Rec("turning_angle_decay", rate, r, const, ok, window, n))
+    kmin = np.asarray(traj.monitors["kappa_min"])
+    rate, const, ok, n = asymptotics._fit_decay(t, kmin, r, window)
+    records.append(Rec("min_curvature_decay", rate, r, const, ok, window, n))
+    kmax = np.asarray(traj.monitors["kappa_max"])
+    rate, const, ok, n = asymptotics._fit_decay(t, kmax, r, window)
+    rec_kmax = Rec("max_curvature_decay", rate, r, const, ok, window, n)
+
+    states = [s for s in traj.states if window[0] <= s.time <= window[1]]
+    assert len(states) >= 8
+    wall = (flow.ConvexWall(traj.ndom) if any(s._kap is None for s in states)
+            else None)
+    st_t = np.array([s.time for s in states])
+    sup_ratio = np.empty(len(states))
+    grad_ratio = np.empty(len(states))
+    ratio_minmax = np.empty(len(states))
+    ratio_pairs = []
+    for j, s in enumerate(states):
+        kap, y, sup, kap_s = _reference_state_fields(s, wall)
+        pos = np.maximum(kap, 1e-300)
+        sup_ratio[j] = float(np.max(sup / pos))
+        grad_ratio[j] = float(np.max(np.abs(kap_s) / pos[1:-1]))
+        ratio_minmax[j] = float(np.max(kap) / max(np.min(kap), 1e-300))
+        good = y > 1e-12
+        ratio_pairs.append((kap[good] / y[good], y[good]))
+
+    C2 = float(np.max(grad_ratio))
+    rec_kmax.extras["grad_ratio_C2"] = C2
+    rec_kmax.extras["ratio_max_over_min"] = float(np.max(ratio_minmax))
+    records.append(rec_kmax)
+    slope = np.polyfit(st_t, sup_ratio, 1)[0]
+    sup_ok = bool(np.all(np.isfinite(sup_ratio)) and slope <= 0.05)
+    records.append(Rec("support_ratio", float(slope), 0.0,
+                       float(np.max(sup_ratio)), sup_ok, window,
+                       len(states)))
+    grid = np.array([1.0, 2.0, 5.0, 10.0, 20.0]) * max(C2, 1e-3) / r
+
+    def pinch(signed, required):
+        best = None
+        for nwt in grid:
+            defect = np.empty(len(states))
+            for j, (base, y) in enumerate(ratio_pairs):
+                q = base * np.exp(signed * nwt * y)
+                if signed > 0:
+                    defect[j] = lam2 - float(np.min(q))
+                else:
+                    defect[j] = float(np.max(q)) - lam2
+            pos = defect > 1e-12
+            vacuous = int(np.sum(pos)) < 8
+            if not vacuous:
+                rate, logc = np.polyfit(st_t[pos], np.log(defect[pos]), 1)
+                resid = np.log(defect[pos]) - (rate * st_t[pos] + logc)
+                const = float(np.exp(logc + np.max(resid)))
+                ok = bool(np.isfinite(rate)) and rate >= required * 0.95
+            else:
+                rate, const, ok = required, 0.0, True
+            cand = (ok, float(rate), const, float(nwt), vacuous)
+            if best is None or (cand[0] and not best[0]):
+                best = cand
+            if cand[0]:
+                break
+        ok, rate, const, nwt, vacuous = best
+        return Rec(
+            "height_ratio_lower" if signed > 0 else "height_ratio_upper",
+            rate, required, const, ok, window, len(states),
+            extras={"weight": nwt, "vacuous": vacuous})
+
+    records.append(pinch(+1.0, r))
+    records.append(pinch(-1.0, 2.0 * r))
+    order = ["turning_angle_decay", "support_ratio", "min_curvature_decay",
+             "max_curvature_decay", "height_ratio_lower",
+             "height_ratio_upper"]
+    records.sort(key=lambda rec: order.index(rec.name))
+    return asymptotics.EstimateReport(records=records, r=r, lambda0=lambda0)
+
+
+def _reference_heights_at_time(traj, t_offset, xs):
+    times = traj.state_times
+    i = int(np.searchsorted(times, t_offset))
+    if i <= 0:
+        return traj.states[0].heights_at(xs)
+    if i >= len(times):
+        return traj.states[-1].heights_at(xs)
+    t0, t1 = times[i - 1], times[i]
+    y0 = traj.states[i - 1].heights_at(xs)
+    y1 = traj.states[i].heights_at(xs)
+    w = (t_offset - t0) / (t1 - t0)
+    return (1.0 - w) * y0 + w * y1
+
+
+def _reference_matched_distance(trajA, trajB, tau, sample_times, xs):
+    worst = 0.0
+    for t in sample_times:
+        ya = _reference_heights_at_time(trajA, t, xs)
+        yb = _reference_heights_at_time(trajB, t + tau, xs)
+        m = np.isfinite(ya) & np.isfinite(yb)
+        if not np.any(m):
+            return np.inf
+        worst = max(worst, float(np.max(np.abs(ya[m] - yb[m]))))
+    return worst
+
+
+# ---------------------------------------------------------------------------
+# helpers
+
+
+def _bits(x):
+    """x with every float replaced by its type and hex form, so == compares
+    bit patterns (NaN equal to itself, -0.0 unequal to 0.0)."""
+    if isinstance(x, dict):
+        return {k: _bits(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return type(x)(_bits(v) for v in x)
+    if isinstance(x, (float, np.floating)):
+        return type(x).__name__, float(x).hex()
+    return type(x).__name__, x
+
+
+def _record_bits(report):
+    return [_bits(dataclasses.asdict(rec)) for rec in report.records]
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
+def _bare(traj):
+    """The run with every stored state's cached curvature and edge lengths
+    dropped."""
+    return dataclasses.replace(traj, states=[
+        flow.CurveState(nodes=s.nodes, time=s.time, om_minus=s.om_minus,
+                        om_plus=s.om_plus) for s in traj.states])
+
+
+def _lambda0(ndom):
+    return oval.solve_lambda0(ndom.kappa1, ndom.kappa2)
+
+
+def _window_count(traj):
+    lo, hi = asymptotics._default_window(np.asarray(traj.monitors["t"]))
+    return int(np.sum((traj.state_times >= lo) & (traj.state_times <= hi)))
+
+
+def _synthetic(scale, kappa, empty_at=None):
+    """120 stored states of y = scale e^{t/2} (1.5 - x^2) on 40 to 42
+    nodes, state j at time t caching the curvature kappa(j, t, y).  The
+    state at index empty_at lies flat on y = 0."""
+    t = np.linspace(-7.0, -0.5, 120)
+    states = []
+    for j, tj in enumerate(t):
+        x = np.linspace(-1.0, 1.0, 40 + j % 3)
+        y = scale * np.exp(0.5 * tj) * (1.5 - x * x)
+        if j == empty_at:
+            y = np.zeros_like(x)
+        s = flow.CurveState(nodes=np.column_stack([x, y]), time=tj,
+                            om_minus=3 * np.pi / 2, om_plus=np.pi / 2)
+        s._kap = kappa(j, tj, y)
+        states.append(s)
+    decay = np.exp(1.5 * t)
+    monitors = {"t": t, "theta_plus": decay, "theta_minus": decay,
+                "kappa_min": decay, "kappa_max": 2.0 * decay}
+    return flow.Trajectory(
+        monitors=monitors, states=states, state_times=t, time_offset=0.0,
+        alpha=float(t[0]), extinction_point=np.zeros(2),
+        config=flow.SolverConfig())
+
+
+# ---------------------------------------------------------------------------
+# verify_estimates
+
+
+@pytest.mark.parametrize("name, domain", [("disk_r03_n100", "ndisk"),
+                                          ("egg_r01_n100", "negg")])
+def test_estimates_match_the_per_state_loop(name, domain, runs, request):
+    traj = runs(name)
+    lam0 = _lambda0(request.getfixturevalue(domain))
+    assert _window_count(traj) % BLOCK != 0
+    if name.startswith("egg"):
+        lo, hi = asymptotics._default_window(np.asarray(traj.monitors["t"]))
+        assert {len(s.nodes) for s in traj.states
+                if lo <= s.time <= hi} == {99, 100}
+    assert (_record_bits(asymptotics.verify_estimates(traj, RATE, lam0))
+            == _record_bits(_reference_verify_estimates(traj, RATE, lam0)))
+
+
+def test_estimates_without_cached_curvature_match_the_loop(runs, ndisk):
+    traj = runs("disk_r03_n100")
+    lam0 = _lambda0(ndisk)
+    assert all(s._kap is None and s._seg is None
+               for s in _bare(traj).states)
+    assert (_record_bits(asymptotics.verify_estimates(_bare(traj), RATE,
+                                                      lam0))
+            == _record_bits(_reference_verify_estimates(_bare(traj), RATE,
+                                                        lam0)))
+
+
+@pytest.mark.parametrize("count", [8, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK])
+def test_estimates_match_at_every_block_remainder(count, runs, ndisk):
+    # the run cut so that its window holds count states
+    traj = runs("disk_r03_n100")
+    lam0 = _lambda0(ndisk)
+    lo, _ = asymptotics._default_window(np.asarray(traj.monitors["t"]))
+    first = int(np.searchsorted(traj.state_times, lo))
+    cut = dataclasses.replace(
+        traj, states=traj.states[:first + count],
+        state_times=traj.state_times[:first + count])
+    assert _window_count(cut) == count
+    assert (_record_bits(asymptotics.verify_estimates(cut, RATE, lam0))
+            == _record_bits(_reference_verify_estimates(cut, RATE, lam0)))
+
+
+@pytest.mark.parametrize("c, scale, d, name, vacuous, weight_index", [
+    # every weight fits and fails, so the first weight's fit is reported
+    (0.5, 0.01, 0.0, "height_ratio_lower", False, 0),
+    # fits fail until the largest weight holds outright
+    (0.8, 0.05, 0.0, "height_ratio_lower", True, 4),
+    # the defect decays at rate 1/2 toward the past: both fits pass
+    (1.0, 0.001, 0.5, "height_ratio_lower", False, 0),
+    (1.0, 0.001, -0.5, "height_ratio_upper", False, 0),
+])
+def test_pinch_fits_match_the_per_state_loop(c, scale, d, name, vacuous,
+                                             weight_index):
+    # the height ratio kappa/y is c lambda0^2 (1 - d e^{t/2}) on every node
+    lam0 = 1.2
+
+    def kappa(j, t, y):
+        return c * lam0 * lam0 * (1.0 - d * np.exp(0.5 * t)) * y
+
+    report = asymptotics.verify_estimates(_synthetic(scale, kappa), RATE,
+                                          lam0)
+    assert _record_bits(report) == _record_bits(_reference_verify_estimates(
+        _synthetic(scale, kappa), RATE, lam0))
+    rec = report.record(name)
+    c2 = report.record("max_curvature_decay").extras["grad_ratio_C2"]
+    grid = np.array([1.0, 2.0, 5.0, 10.0, 20.0]) * max(c2, 1e-3) / RATE
+    assert rec.extras == {"weight": float(grid[weight_index]),
+                          "vacuous": vacuous}
+    assert rec.n_samples % BLOCK != 0
+
+
+def test_state_extremes_skip_the_joins_between_states():
+    # curvature constant on each state, alternating 1 and 100 from one
+    # state to the next: every interior curvature derivative is 0, while a
+    # difference taken across two states would read about 99
+    def kappa(j, t, y):
+        return np.full_like(y, 100.0 if j % 2 else 1.0)
+
+    report = asymptotics.verify_estimates(_synthetic(0.01, kappa), RATE, 1.2)
+    assert _record_bits(report) == _record_bits(_reference_verify_estimates(
+        _synthetic(0.01, kappa), RATE, 1.2))
+    assert report.record("max_curvature_decay").extras == {
+        "grad_ratio_C2": 0.0, "ratio_max_over_min": 1.0}
+
+
+def test_pinch_state_without_a_height_raises_analysis_error():
+    traj = _synthetic(0.01, lambda j, t, y: y, empty_at=60)
+    t_flat = traj.states[60].time
+    assert -6.0 <= t_flat <= -1.0
+    with pytest.raises(AnalysisError, match=f"{t_flat:.6g}"):
+        asymptotics.verify_estimates(traj, RATE, 1.2)
+
+
+def test_verify_estimates_peak_memory(runs, ndisk):
+    traj = runs("disk_r03_n100")
+    lam0 = _lambda0(ndisk)
+    asymptotics.verify_estimates(traj, RATE, lam0)
+    tracemalloc.start()
+    try:
+        asymptotics.verify_estimates(traj, RATE, lam0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= LOOP_PEAK_BYTES
+
+
+# ---------------------------------------------------------------------------
+# heights_at_time and matched_distance
+
+
+@pytest.mark.parametrize("name", ["disk_r03_n100", "egg_r01_n100"])
+def test_heights_and_distances_match_the_per_time_loop(name, runs):
+    traj = runs(name)
+    mirror = asymptotics.reflect_trajectory(traj)
+    xs = flow.MATCH_XS
+    # before the first state, inside, on a stored time, and after the last
+    ts = np.concatenate([[traj.alpha - 1.0, traj.state_times[5]],
+                         np.linspace(traj.alpha * 0.85, -0.3, 16), [0.7]])
+    rows = traj.heights_at_time(ts, xs)
+    assert rows.shape == (len(ts), len(xs))
+    for t, row in zip(ts, rows):
+        assert _same_bits(row, _reference_heights_at_time(traj, t, xs))
+    for other in (traj, mirror):
+        for tau in (-0.5, -0.013, 0.0, 0.2, 0.5):
+            got = flow.matched_distance(traj, other, tau, ts, xs)
+            want = _reference_matched_distance(traj, other, tau, ts, xs)
+            assert float(got).hex() == float(want).hex()

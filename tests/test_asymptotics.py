@@ -187,9 +187,9 @@ def test_reflect_twice_gives_back_the_heights(runs):
     traj = runs("disk_r03_n100")
     back = asymptotics.reflect_trajectory(asymptotics.reflect_trajectory(traj))
     xs = np.linspace(-0.85, 0.85, 41)
-    for t in np.linspace(traj.alpha, -0.3, 9):
-        assert np.array_equal(back.heights_at_time(t, xs),
-                              traj.heights_at_time(t, xs), equal_nan=True)
+    ts = np.linspace(traj.alpha, -0.3, 9)
+    assert np.array_equal(back.heights_at_time(ts, xs),
+                          traj.heights_at_time(ts, xs), equal_nan=True)
     for key in traj.monitors:
         assert np.array_equal(back.monitors[key], traj.monitors[key],
                               equal_nan=True)

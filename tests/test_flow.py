@@ -449,15 +449,16 @@ def _linear_trajectory(times, offsets=None):
 
 def test_heights_at_time_exact_at_stored_times():
     traj = _linear_trajectory([-2.0, -1.0, -0.5, 0.0])
-    for s in traj.states:
-        assert np.array_equal(traj.heights_at_time(s.time, _READ_X),
-                              s.heights_at(_READ_X))
+    rows = traj.heights_at_time(traj.state_times, _READ_X)
+    assert rows.shape == (len(traj.states), len(_READ_X))
+    for s, row in zip(traj.states, rows):
+        assert np.array_equal(row, s.heights_at(_READ_X))
 
 
 def test_heights_at_time_midpoint_is_the_average():
     traj = _linear_trajectory([-2.0, -1.0, -0.5, 0.0])
     y0, y1 = (s.heights_at(_READ_X) for s in traj.states[:2])
-    mid = traj.heights_at_time(-1.5, _READ_X)
+    (mid,) = traj.heights_at_time([-1.5], _READ_X)
     assert np.array_equal(mid, 0.5 * (y0 + y1))
     assert np.allclose(mid, 1.5 * (1.0 - 0.25 * _READ_X), rtol=0, atol=1e-15)
 
@@ -465,12 +466,11 @@ def test_heights_at_time_midpoint_is_the_average():
 def test_heights_at_time_clamps_outside_the_stored_times():
     traj = _linear_trajectory([-2.0, -1.0, -0.5, 0.0])
     first, last = traj.states[0], traj.states[-1]
-    for t in (-7.0, -2.0 - 1e-9):
-        assert np.array_equal(traj.heights_at_time(t, _READ_X),
-                              first.heights_at(_READ_X))
-    for t in (1e-9, 3.0):
-        assert np.array_equal(traj.heights_at_time(t, _READ_X),
-                              last.heights_at(_READ_X))
+    rows = traj.heights_at_time([-7.0, -2.0 - 1e-9, 1e-9, 3.0], _READ_X)
+    for row in rows[:2]:
+        assert np.array_equal(row, first.heights_at(_READ_X))
+    for row in rows[2:]:
+        assert np.array_equal(row, last.heights_at(_READ_X))
 
 
 def test_heights_at_time_equal_time_pair():
@@ -478,11 +478,10 @@ def test_heights_at_time_equal_time_pair():
     # interval, at t = 0 itself the bracket ending there returns the first
     traj = _linear_trajectory([-1.0, 0.0, 0.0, 1.0], [0.0, 0.0, 5.0, 5.0])
     first, later = traj.states[1], traj.states[2]
-    assert np.array_equal(traj.heights_at_time(0.0, _READ_X),
-                          first.heights_at(_READ_X))
-    assert np.array_equal(traj.heights_at_time(0.5, _READ_X),
-                          0.5 * (later.heights_at(_READ_X)
-                                 + traj.states[3].heights_at(_READ_X)))
+    at0, past0 = traj.heights_at_time([0.0, 0.5], _READ_X)
+    assert np.array_equal(at0, first.heights_at(_READ_X))
+    assert np.array_equal(past0, 0.5 * (later.heights_at(_READ_X)
+                                        + traj.states[3].heights_at(_READ_X)))
 
 
 def test_matched_distance_of_a_run_with_itself_is_zero():
