@@ -18,18 +18,18 @@ h while the count tracks the length, to h^2 once it sits at its 32-node
 floor near extinction.
 
 Each state's edge lengths are computed once, by the step that makes it,
-and cached on the state; the next step's time step and Laplacian reuse
-them.  Its ghost-closed curvature is likewise computed once and shared by
-the convexity check, the monitors and the late-time analysis.
+and cached on the state; the next step's time step and Laplacian and the
+state's own curvature reuse them.  Its ghost-closed curvature is likewise
+computed once and shared by the convexity check, the stop rule, the
+monitors and the late-time analysis.
 
-A run records monitors on every step but keeps only every k-th full
-state, with the stride k fixed from the first step size: about 900
-states per 0.35 time units while the step stays near its initial value.
-The count therefore grows with the length of the run: the disk at
-rho = 0.1 and n_nodes = 200 keeps 5,585 states of 11,167 steps.  Stored
-states are read in time through Trajectory.heights_at_time, linear
-between the two bracketing states; it takes an array of times and returns
-one row of heights per time, so matched_distance reads each run once.
+A run's only record is its stored states, every k-th state (see
+run_to_extinction).  The monitors (turning angles, curvature extremes,
+length, area, heights at fixed abscissas) are derived from them once the
+run is over, one row per state.  Stored states are read in time through
+Trajectory.heights_at_time, linear between the two bracketing states; it
+takes an array of times and returns one row of heights per time, so
+matched_distance reads each run once.
 
 Every curve advances only through step, the two exact solutions too: a
 semicircle shrinking on a straight wall, and the grim reaper translating
@@ -47,10 +47,8 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgtsv
 
-from . import barrier as barrier_mod
 from . import oval as oval_mod
-from .errors import (ConfigError, FlowError, NonExtinction, RhoTooLarge,
-                     StepRejected)
+from .errors import ConfigError, FlowError, NonExtinction, StepRejected
 from .solve import safe_brentq
 
 
@@ -205,7 +203,8 @@ class SolverConfig:
     n_nodes is the initial (and largest) node count; dt_safety in (0, 1)
     multiplies the step rule dt = _STEP_SCALE * h_bar^2 / h0 (see step);
     max_steps is the step budget of run_to_extinction; the class constant
-    abscissas holds the x at which every step records the curve's height.
+    abscissas holds the x at which the monitors read each stored state's
+    height.
     """
 
     n_nodes: int = 200
@@ -284,12 +283,18 @@ class CurveState:
         return out
 
     def kappa(self, wall):
-        """Vertex curvatures; contacts closed by ghost reflection."""
+        """Vertex curvatures; contacts closed by ghost reflection.  The
+        interior edge lengths are the cached ones; only the two ghost edges
+        are measured here."""
         pts = np.empty((len(self.nodes) + 2, 2))
         pts[1:-1] = self.nodes
         pts[0], pts[-1] = self.ghosts(wall)
         e = pts[1:] - pts[:-1]
-        h = np.hypot(e[:, 0], e[:, 1])
+        h = np.empty(len(e))
+        h[1:-1] = self.seg_cached()
+        # the first and last edges, by strided views
+        ghost = e[::len(e) - 1]
+        h[::len(h) - 1] = np.hypot(ghost[:, 0], ghost[:, 1])
         crossp = e[:-1, 0] * e[1:, 1] - e[:-1, 1] * e[1:, 0]
         dotp = np.einsum("ij,ij->i", e[:-1], e[1:])
         phi = np.arctan2(crossp, dotp)
@@ -558,7 +563,8 @@ def _attempt_step(state, cfg, wall, dt, h0):
 
 @dataclass
 class Trajectory:
-    """Recorded run: raw-time monitor arrays plus thinned full states.
+    """Recorded run: the stored states, and the monitor arrays derived
+    from them, one entry per state; monitors["t"] is state_times.
 
     Reported times are offset so the extrapolated extinction sits at 0.
     """
@@ -573,19 +579,8 @@ class Trajectory:
     config: SolverConfig
     ndom: object = None
     # True when the L^2 fit gave no extinction time in
-    # [t_end, t_end + 0.5] and the last recorded time was used instead
+    # [t_end, t_end + 0.5] and the last stored time was used instead
     extinction_fit_fallback: bool = False
-
-    def to_csv(self, path):
-        cols = ["t", "theta_plus", "theta_minus", "kappa_min", "kappa_max",
-                "area", "dA_dt"]
-        cols += [f"y_at_x{k}" for k in range(len(self.config.abscissas))]
-        cols += ["barrier_margin"]
-        rows = np.column_stack([self.monitors[c] for c in cols])
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(",".join(cols) + "\n")
-            for row in rows:
-                f.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
     def state_at(self, t_offset):
         """Stored state nearest to the requested offset time."""
@@ -654,91 +649,74 @@ def _local_min_count(values):
     return int(np.count_nonzero(falls[:-1] > falls[1:]))
 
 
-def run_to_extinction(initial, cfg, ndom, barrier_config=None,
-                      barrier_t_hat=None):
+def run_to_extinction(initial, cfg, ndom):
     """Step until the length threshold, then extrapolate extinction.
 
     Every step after the first and after each resample is BDF2 (see
-    step).  Monitors are recorded every accepted step.  Full states are
-    kept every k-th step, with k fixed from the first step size dt0 =
-    dt_safety * _STEP_SCALE * h0 so that a run keeps about 900
-    (_THINNING_STATES) states per 0.35 time units while the step stays
-    near that size.  The count is not capped and grows with the run's
-    length: at dt_safety = 0.8, 5,585 states of 11,167 steps on the disk
-    at rho = 0.1, n_nodes = 200 (k = 2), and on the egg at n_nodes = 100
-    every state of its 4,607 steps (k = 1).  Where halvings shrink the
-    step, states are denser in time.
+    step).  Full states are kept every k-th step, with k fixed from the
+    first step size dt0 = dt_safety * _STEP_SCALE * h0 so that a run keeps
+    about 900 (_THINNING_STATES) states per 0.35 time units while the step
+    stays near that size; the last state is always kept.  The count is not
+    capped and grows with the run's length: at dt_safety = 0.8, 5,585
+    states of 11,167 steps on the disk at rho = 0.1, n_nodes = 200 (k = 2),
+    and on the egg at n_nodes = 100 every state of its 4,607 steps (k = 1).
+    Where halvings shrink the step, states are denser in time.  The
+    monitors are derived from the stored states afterwards (_finalize).
+    An exhausted step budget raises NonExtinction, whose partial
+    trajectory ends at the current state.
     """
     wall = ConvexWall(ndom)
     state = initial
     h0 = initial.length / (len(initial.nodes) - 1)
-    xs = np.asarray(cfg.abscissas)
-
-    raw = {k: [] for k in ("t", "theta_plus", "theta_minus", "kappa_min",
-                           "kappa_max", "area", "length", "barrier_margin",
-                           "min_count")}
-    ys = []
-    states, state_times = [], []
-
-    def record(s):
-        kap = s.kappa_cached(wall)
-        inner = kap[1:-1]
-        raw["t"].append(s.time)
-        raw["theta_plus"].append(s.theta_plus)
-        raw["theta_minus"].append(s.theta_minus)
-        raw["kappa_min"].append(float(inner.min()))
-        raw["kappa_max"].append(float(kap.max()))
-        raw["area"].append(enclosed_area(s, wall))
-        raw["length"].append(s.length)
-        raw["min_count"].append(_local_min_count(inner))
-        ys.append(s.heights_at(xs))
-        if barrier_config is not None and barrier_t_hat is not None \
-                and barrier_t_hat + s.time < 0.0:
-            B = barrier_mod.barrier_at(barrier_t_hat + s.time, barrier_config)
-            raw["barrier_margin"].append(
-                barrier_mod.below_barrier(s.nodes, B)[1])
-        else:
-            raw["barrier_margin"].append(np.nan)
-
-    record(state)
-    states.append(state)
-    state_times.append(state.time)
+    states = [state]
 
     # step stride of the state thinning, from the first step size
     dt0 = cfg.dt_safety * _STEP_SCALE * h0
     stride = max(1, int(0.35 / dt0 / _THINNING_STATES)) if dt0 > 0 else 1
 
     nsteps = 0
-    while True:
-        if state.length < _EXTINCTION_LENGTH:
-            break
-        kmax = raw["kappa_max"][-1]
-        if kmax > _KAPPA_CAP:
-            break
+    while (state.length >= _EXTINCTION_LENGTH
+           and state.kappa_cached(wall).max() <= _KAPPA_CAP):
         if nsteps >= cfg.max_steps:
             exc = NonExtinction(
                 f"step budget {cfg.max_steps} exhausted at length "
                 f"{state.length:.3g}")
-            exc.partial = _finalize(raw, ys, states, state_times, cfg, ndom)
+            if states[-1] is not state:
+                states.append(state)
+            exc.partial = _finalize(states, cfg, ndom, wall)
             raise exc
         new = step(state, cfg, wall, h0=h0)
         # the history is read by that step alone; a stored state keeps none
         state._prev = None
         state = new
         nsteps += 1
-        record(state)
         if nsteps % stride == 0:
             states.append(state)
-            state_times.append(state.time)
     if states[-1] is not state:
         states.append(state)
-        state_times.append(state.time)
-    return _finalize(raw, ys, states, state_times, cfg, ndom)
+    return _finalize(states, cfg, ndom, wall)
 
 
-def _finalize(raw, ys, states, state_times, cfg, ndom):
-    monitors = {key: np.asarray(v) for key, v in raw.items()}
-    t, L, area = monitors["t"], monitors["length"], monitors["area"]
+def _finalize(states, cfg, ndom, wall):
+    """The trajectory of the stored states: its monitors, one row per
+    state, and every time offset by the extrapolated extinction time."""
+    kaps = [s.kappa_cached(wall) for s in states]
+    t = np.array([s.time for s in states])
+    L = np.array([s.length for s in states])
+    monitors = {
+        "theta_plus": np.array([s.theta_plus for s in states]),
+        "theta_minus": np.array([s.theta_minus for s in states]),
+        "kappa_min": np.array([float(k[1:-1].min()) for k in kaps]),
+        "kappa_max": np.array([float(k.max()) for k in kaps]),
+        "area": np.array([enclosed_area(s, wall) for s in states]),
+        "length": L,
+        "min_count": np.array([_local_min_count(k[1:-1]) for k in kaps]),
+    }
+    xs = np.asarray(cfg.abscissas)
+    ys = np.array([s.heights_at(xs) for s in states])
+    for j in range(len(xs)):
+        monitors[f"y_at_x{j}"] = ys[:, j]
+
     # length shrinks like sqrt(t_ext - t): fit L^2 linearly near the end
     k = max(2, min(40, len(t) // 4))
     A = np.polyfit(t[-k:], L[-k:] ** 2, 1)
@@ -746,15 +724,8 @@ def _finalize(raw, ys, states, state_times, cfg, ndom):
     fallback = not t[-1] <= t_ext <= t[-1] + 0.5
     offset = float(t[-1]) if fallback else t_ext
 
-    monitors["t"] = t - offset
-    monitors["dA_dt"] = (np.gradient(area, t) if len(t) > 2
-                         else np.zeros_like(area))
-    ymat = np.asarray(ys)
-    for j in range(ymat.shape[1] if ymat.ndim == 2 else 0):
-        monitors[f"y_at_x{j}"] = ymat[:, j]
-
-    final = states[-1]
-    ext_pt = final.nodes.mean(axis=0)
+    times = t - offset
+    monitors["t"] = times
     # stored times are offset, so the last state's step history (in raw
     # time) is dropped with the others'
     for s in states:
@@ -763,10 +734,10 @@ def _finalize(raw, ys, states, state_times, cfg, ndom):
     return Trajectory(
         monitors=monitors,
         states=states,
-        state_times=np.asarray(state_times) - offset,
+        state_times=times,
         time_offset=offset,
-        alpha=float(t[0] - offset),
-        extinction_point=ext_pt,
+        alpha=float(times[0]),
+        extinction_point=states[-1].nodes.mean(axis=0),
         config=cfg,
         ndom=ndom,
         extinction_fit_fallback=fallback,
@@ -786,20 +757,12 @@ def initial_state_from_oval(ov, n_nodes):
 def old_but_not_ancient(ndom, rho, cfg):
     """Run the orthogonal-oval initial data to extinction.
 
-    The barrier monitor uses the arc barrier tangent to the horizontal
-    line through the curve's highest point; if the curve starts higher
-    than any admissible barrier allows, the monitor is disabled.
+    The run records no barrier: the barrier margin is a diagnostic that
+    barrier.below_barrier reads from the stored states.
     """
     ov = oval_mod.construct_orthogonal_oval(ndom, rho)
-    state = initial_state_from_oval(ov, cfg.n_nodes)
-    bcfg = barrier_mod.BarrierConfig.from_domain(ndom)
-    h_max = float(np.max(state.nodes[:, 1]))
-    try:
-        t_hat = barrier_mod.tangency_time(h_max * (1.0 + 1e-9), bcfg.r)
-    except RhoTooLarge:
-        bcfg, t_hat = None, None   # start too high: monitor disabled
-    return run_to_extinction(state, cfg, ndom,
-                             barrier_config=bcfg, barrier_t_hat=t_hat)
+    return run_to_extinction(initial_state_from_oval(ov, cfg.n_nodes), cfg,
+                             ndom)
 
 
 @dataclass

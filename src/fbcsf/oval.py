@@ -205,6 +205,8 @@ def single_point_orthogonal(phi0, dphi0, x0, lam):
 # upper-arc samples just past the first contact left out of the search
 # for the second contact
 _GUARD = 4
+# cosh(a)^2 is finite below this argument (it overflows near 355)
+_COSH_SQUARED_MAX_ARG = 350.0
 
 
 @dataclass
@@ -299,10 +301,15 @@ def construct_orthogonal_oval(ndom, rho):
         raise BracketFailure("endpoint signs of the xi = -1 equation failed")
 
     def shift_residual(lam):
-        """Finite form of xi(lam) = -1, with the sign of xi + 1."""
+        """Finite form of xi(lam) = -1, with the sign of xi + 1.  Where
+        cosh^2 would overflow it is divided out: cosh(a) = e^a / 2 to
+        rounding there."""
         S, C = np.sin(lam * phi0), np.cos(lam * phi0)
         E2 = S * S - (C / dphi0) ** 2
-        return E2 * np.cosh(lam * (x0 + 1.0)) ** 2 - S * S
+        a = lam * (x0 + 1.0)
+        if a < _COSH_SQUARED_MAX_ARG:
+            return E2 * np.cosh(a) ** 2 - S * S
+        return E2 - (2.0 * S * np.exp(-a)) ** 2
 
     lam_star = safe_brentq(shift_residual, lam_min, lam_hat)
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fbcsf.barrier as b
 import fbcsf.flow as f
 import fbcsf.geometry as g
 import fbcsf.oval as ov
@@ -247,6 +248,19 @@ def test_step_budget_raises_with_partial(ndisk):
     # t_end + 0.5, so the offset falls back to the last recorded time
     assert partial.extinction_fit_fallback is True
     assert partial.monitors["t"][-1] == 0.0
+    assert len(partial.states) == 51
+
+
+def test_step_budget_partial_ends_at_the_current_state(ndisk):
+    # at n = 200 every second state is stored; the budget runs out at the
+    # odd step 51, which the partial keeps after step 50
+    cfg = f.SolverConfig(n_nodes=200, dt_safety=0.8, max_steps=51)
+    with pytest.raises(NonExtinction) as exc:
+        f.old_but_not_ancient(ndisk, 0.1, cfg)
+    partial = exc.value.partial
+    assert len(partial.states) == 27
+    gaps = np.diff(partial.state_times)
+    assert gaps[-1] < 0.75 * gaps[-2]
 
 
 def test_lobed_domain_runs_to_extinction(nlobed):
@@ -320,31 +334,48 @@ class TestDiskRun:
         assert float(np.max(rel)) < 6e-3
 
     def test_barrier_margin_nonnegative(self):
-        margin = np.asarray(self.traj.monitors["barrier_margin"])
-        finite = margin[np.isfinite(margin)]
-        assert len(finite) > 10
-        assert float(np.min(finite)) >= -1e-9
-
-    def test_csv_round_trip(self, tmp_path):
-        path = tmp_path / "run.csv"
-        self.traj.to_csv(path)
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().strip()
-        assert header == ("t,theta_plus,theta_minus,kappa_min,kappa_max,"
-                          "area,dA_dt,y_at_x0,y_at_x1,y_at_x2,y_at_x3,"
-                          "y_at_x4,barrier_margin")
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert data.shape == (len(self.traj.monitors["t"]), 13)
-        # %.17g survives the float round trip bit for bit
-        for j, c in enumerate(header.split(",")):
-            assert np.array_equal(
-                data[:, j], np.asarray(self.traj.monitors[c]), equal_nan=True)
+        # the arc barrier tangent to the horizontal line through the initial
+        # curve's highest point, read at every stored state it exists for
+        bcfg = b.BarrierConfig.from_domain(self.ndom)
+        h_max = float(np.max(self.traj.states[0].nodes[:, 1]))
+        t_hat = b.tangency_time(h_max * (1.0 + 1e-9), bcfg.r)
+        margin = []
+        for s in self.traj.states:
+            t = t_hat + s.time + self.traj.time_offset   # raw run time
+            if t < 0.0:
+                margin.append(
+                    b.below_barrier(s.nodes, b.barrier_at(t, bcfg))[1])
+        assert len(margin) > 10
+        assert min(margin) >= -1e-9
 
     def test_stored_states_cover_the_run(self):
         st = self.traj.state_times
         assert st[0] == self.traj.alpha
         assert len(st) > 200
         assert np.all(np.diff(st) > 0.0)
+
+
+@pytest.mark.parametrize("name, fix", [("disk_r03_n100", "ndisk"),
+                                       ("egg_r01_n100", "negg")])
+def test_monitors_are_read_from_the_stored_states(runs, name, fix, request):
+    traj = runs(name)
+    wall = f.ConvexWall(request.getfixturevalue(fix))
+    xs = np.asarray(traj.config.abscissas)
+    keys = ["t", "theta_plus", "theta_minus", "kappa_min", "kappa_max",
+            "area", "length", "min_count"]
+    assert sorted(traj.monitors) == sorted(
+        keys + [f"y_at_x{j}" for j in range(len(xs))])
+    assert np.array_equal(traj.monitors["t"], traj.state_times)
+    for i, s in enumerate(traj.states):
+        kap = s.kappa_cached(wall)
+        row = [s.time, s.theta_plus, s.theta_minus, kap[1:-1].min(),
+               kap.max(), f.enclosed_area(s, wall), s.length,
+               f._local_min_count(kap[1:-1])]
+        want = dict(zip(keys, row))
+        want.update((f"y_at_x{j}", y) for j, y in enumerate(s.heights_at(xs)))
+        for key, value in want.items():
+            assert np.array_equal(traj.monitors[key][i], value,
+                                  equal_nan=True), (key, i)
 
 
 # ---------------------------------------------------------------------------

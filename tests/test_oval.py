@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -216,30 +217,51 @@ def test_lobed_oval_positive_shift(nlobed, rho):
     assert np.all(nlobed.domain.contains(pts))
 
 
-def test_oval_grid_builds_everywhere_it_can(egg, lobed):
-    # every diameter of five domains at five rho: the only failure is the
-    # line y = 0.3 missing the upper boundary of the flat 3:1 ellipse
+def _benchmark_diameters(egg, lobed):
+    """(domain name, diameter index, normalized domain) for every diameter
+    of the benchmark's five domains."""
     doms = {"disk": g.ConvexDomain.disk(1.0),
             "ellipse(2,1)": g.ConvexDomain.ellipse(2.0, 1.0),
             "ellipse(3,1)": g.ConvexDomain.ellipse(3.0, 1.0),
             "egg": egg, "lobed": lobed}
-    failures, built = [], 0
     for name, dom in doms.items():
         for i, d in enumerate(g.find_diameters(dom)):
-            nd = g.normalize(dom, d)
-            for rho in (0.3, 0.2, 0.1, 0.05, 0.02):
-                try:
-                    o = ov.construct_orthogonal_oval(nd, rho)
-                except FBCSFError as exc:
-                    failures.append((name, i, rho, type(exc).__name__))
-                    continue
-                assert max(o.residuals) <= 1e-12, (name, i, rho)
-                if name in ("disk", "ellipse(2,1)", "ellipse(3,1)"):
-                    # every diameter is a mirror axis: the oval is centred
-                    assert abs(o.params.xi) < 1e-8, (name, i, rho)
-                built += 1
+            yield name, i, g.normalize(dom, d)
+
+
+def test_oval_grid_builds_everywhere_it_can(egg, lobed):
+    # every diameter of five domains at five rho: the only failure is the
+    # line y = 0.3 missing the upper boundary of the flat 3:1 ellipse
+    failures, built = [], 0
+    for name, i, nd in _benchmark_diameters(egg, lobed):
+        for rho in (0.3, 0.2, 0.1, 0.05, 0.02):
+            try:
+                o = ov.construct_orthogonal_oval(nd, rho)
+            except FBCSFError as exc:
+                failures.append((name, i, rho, type(exc).__name__))
+                continue
+            assert max(o.residuals) <= 1e-12, (name, i, rho)
+            if name in ("disk", "ellipse(2,1)", "ellipse(3,1)"):
+                # every diameter is a mirror axis: the oval is centred
+                assert abs(o.params.xi) < 1e-8, (name, i, rho)
+            built += 1
     assert failures == [("ellipse(3,1)", 0, 0.3, "RhoTooLarge")]
     assert built == 44
+
+
+def test_small_rho_ovals_build_without_overflow(egg, lobed):
+    # at these rho the xi = -1 scale solve tries scales where
+    # cosh(lam (x0 + 1))^2 overflows; its residual must stay finite, with
+    # no warning
+    built = 0
+    for name, i, nd in _benchmark_diameters(egg, lobed):
+        for rho in (3e-3, 1e-3, 1e-4, 1e-6):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                o = ov.construct_orthogonal_oval(nd, rho)
+            assert max(o.residuals) <= 1e-12, (name, i, rho)
+            built += 1
+    assert built == 36
 
 
 def _oval_bits(o):
