@@ -17,7 +17,8 @@ through Trajectory.heights_at_time, many times in one call.
 import numpy as np
 from dataclasses import dataclass, field, replace
 
-from .errors import AnalysisError, NonPositiveAmplitude, WindowTooShort
+from .errors import (AnalysisError, ConfigError, NonPositiveAmplitude,
+                     WindowTooShort)
 # uniqueness_evidence calls matched_distance through this module's global,
 # so a wrapper set on this module (bench/tracing.py) sees every call
 from .flow import MATCH_XS, ConvexWall, CurveState, matched_distance
@@ -51,13 +52,20 @@ def _default_window(t):
     return lo, hi
 
 
-def _window_mask(t, window, min_samples=_MIN_SAMPLES):
+def _window_mask(t, window, min_samples):
     lo, hi = window
     m = (t >= lo) & (t <= hi)
     if int(np.sum(m)) < min_samples:
         raise WindowTooShort(
             f"window [{lo:.3g}, {hi:.3g}] holds {int(np.sum(m))} samples")
     return m
+
+
+def _check_positive(**values):
+    """ConfigError unless every value is finite and positive."""
+    for name, value in values.items():
+        if not 0.0 < value < np.inf:
+            raise ConfigError(f"{name} must be finite and positive: {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +108,7 @@ def _fit_decay(t, q, required, window):
     to clear required*0.95 and the bound q <= constant*exp(rate*t) to
     hold on every sample at or before the window's late edge.
     """
-    m = _window_mask(t, window)
+    m = _window_mask(t, window, _MIN_SAMPLES)
     logs = np.log(np.maximum(q[m], _LOG_MIN))
     rate, logc = np.polyfit(t[m], logs, 1)
     all_m = t <= window[1]
@@ -216,8 +224,10 @@ def verify_estimates(traj, r, lambda0):
     packs the pinch's (kappa/y, y) at every node above y = 1e-12, and each
     pinch weight then takes every state's extreme by reduceat.  The values
     are those of a per-state loop, bit for bit.  A window state with no
-    node above y = 1e-12 raises AnalysisError.
+    node above y = 1e-12 raises AnalysisError; r or lambda0 not finite and
+    positive raises ConfigError.
     """
+    _check_positive(r=r, lambda0=lambda0)
     t = np.asarray(traj.monitors["t"])
     window = _default_window(t)
     lam2 = lambda0 * lambda0
@@ -338,7 +348,8 @@ def closed_form_c(lambda0, kappa1, kappa2):
 def _rescaled_heights(traj, lambda0, min_samples):
     """(window, times, Z) in the fit window, Z[i, k] the recorded height at
     abscissa k and time i times e^{-lambda0^2 t}; WindowTooShort below
-    min_samples samples."""
+    min_samples samples, ConfigError unless lambda0 is finite and positive."""
+    _check_positive(lambda0=lambda0)
     t = np.asarray(traj.monitors["t"])
     window = _default_window(t)
     m = _window_mask(t, window, min_samples)
@@ -354,7 +365,8 @@ def fit_profile(traj, lambda0, kappa1, kappa2):
 
     The rescaled height e^{-lambda0^2 t} y(x_k, t) converges with a
     correction of order e^{lambda0^2 t}, so the per-time amplitudes are
-    extrapolated linearly in that variable.
+    extrapolated linearly in that variable.  ConfigError unless lambda0 is
+    finite and positive.
     """
     window, tw, Z = _rescaled_heights(traj, lambda0, _MIN_SAMPLES)
     xs = np.asarray(traj.config.abscissas, dtype=float)
@@ -386,7 +398,8 @@ def rescaled_increments(traj, lambda0):
 
     Returns (mid_times, diffs) with diffs[i] the sup over abscissas of
     the change between consecutive sample times; a trajectory settling
-    into the limit shows diffs shrinking toward the past.
+    into the limit shows diffs shrinking toward the past.  ConfigError
+    unless lambda0 is finite and positive.
     """
     _, tw, Z = _rescaled_heights(traj, lambda0, _INCREMENT_TIMES)
     idx = np.unique(np.linspace(0, len(tw) - 1, _INCREMENT_TIMES).astype(int))

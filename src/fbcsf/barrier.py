@@ -149,7 +149,7 @@ class BarrierCurve:
     t: float
     r: float
     omega: float
-    degenerate: bool = False
+    degenerate: bool
 
     @property
     def arc_half_width(self):
@@ -213,7 +213,7 @@ def barrier_at(t, cfg):
     omega = omega_of_time(t / (r * r))
     if omega == 0.0:
         return BarrierCurve(t=float(t), r=r, omega=0.0, degenerate=True)
-    return BarrierCurve(t=float(t), r=r, omega=omega)
+    return BarrierCurve(t=float(t), r=r, omega=omega, degenerate=False)
 
 
 def tangency_time(rho, r):

@@ -3,19 +3,19 @@
 The curve is an open polyline whose endpoints live on the domain boundary,
 stored as boundary turning-angle parameters.  A step is variable-step
 BDF2 in time, with the arc-length Laplacian taken at the edge lengths
-extrapolated to the new time; the initial state and every resampled state
-take a backward-Euler start step instead.  Either way the step is one
+extrapolated to the new time; only the initial state, which has no
+history, takes a backward-Euler start step.  Either way the step is one
 LAPACK gtsv call, and the contacts are solved at the new time level with
 the interior: the same call gives every node's response to a move of
 either end, and each contact parameter is then solved so that the
 discrete endpoint tangent of the resulting curve is parallel to the
 boundary normal (Newton with the residual's analytic slope, from the
-wall's point and normal derivatives).  Cubic arc-length resampling
-follows when the spacing has drifted.  The node count tracks the
-shrinking length so the mean spacing stays near its initial value h0, and
-the step is dt = dt_safety * _STEP_SCALE * h_bar^2 / h0: proportional to
-h while the count tracks the length, to h^2 once it sits at its 32-node
-floor near extinction.
+wall's point and normal derivatives).  Cubic arc-length resampling of
+the new and the previous curve follows when the node count, which tracks
+the shrinking length at a spacing near its initial value h0, changes or
+the spacing has drifted.  The step is dt = dt_safety * _STEP_SCALE *
+h_bar^2 / h0: proportional to h while the count tracks the length, to h^2
+once it sits at its 32-node floor near extinction.
 
 Each state's edge lengths are computed once, by the step that makes it,
 and cached on the state; the next step's time step and Laplacian and the
@@ -31,9 +31,9 @@ Trajectory.heights_at_time, linear between the two bracketing states; it
 takes an array of times and returns one row of heights per time, so
 matched_distance reads each run once.
 
-Every curve advances only through step, the two exact solutions too: a
-semicircle shrinking on a straight wall, and the grim reaper translating
-between the curved walls y = -log|sin x|, which meet it orthogonally.
+Every curve advances only through step and its node policy, the exact
+solutions too: a semicircle shrinking on a straight wall, and the grim
+reaper between the orthogonal walls y = -log|sin x|.
 """
 
 import math
@@ -119,12 +119,6 @@ class ConvexWall:
         s, c = math.sin(om), math.cos(om)
         return px, py, dpx, dpy, s, -c, c, s
 
-    def tangent_xy(self, om):
-        return math.cos(om), math.sin(om)
-
-    def normal_xy(self, om):
-        return math.sin(om), -math.cos(om)
-
     def arc_area(self, om_from, om_to):
         """Green-theorem boundary term of the enclosed area."""
         return self._green_at(om_to) - self._green_at(om_from)
@@ -136,7 +130,7 @@ class ConvexWall:
 
 
 class StraightWall:
-    """The x-axis as a wall, parametrized by abscissa (validation mode)."""
+    """The x-axis as a wall, parametrized by abscissa (for the semicircle)."""
 
     def point_xy(self, p):
         return float(p), 0.0
@@ -144,16 +138,10 @@ class StraightWall:
     def jet_xy(self, p):
         return float(p), 0.0, 1.0, 0.0, 0.0, -1.0, 0.0, 0.0
 
-    def tangent_xy(self, p):
-        return 1.0, 0.0
-
-    def normal_xy(self, p):
-        return 0.0, -1.0
-
 
 class GrimReaperWalls:
     """The curves y = -log|sin x| as walls, parametrized by abscissa
-    (validation mode).  They are the orthogonal trajectories of the grim
+    (for the grim reaper).  They are the orthogonal trajectories of the grim
     reaper's translates y = t - log cos x, met at x = +-arctan(e^-t)."""
 
     def point_xy(self, p):
@@ -162,12 +150,6 @@ class GrimReaperWalls:
     def jet_xy(self, p):
         s, c = math.sin(p), math.cos(p)
         return p, -math.log(abs(s)), 1.0, -c / s, c, s, -s, c
-
-    def tangent_xy(self, p):
-        return -math.sin(p), math.cos(p)
-
-    def normal_xy(self, p):
-        return math.cos(p), math.sin(p)
 
 
 # ---------------------------------------------------------------------------
@@ -238,10 +220,10 @@ class CurveState:
     om_plus: float    # right contact parameter
     _kap: np.ndarray = field(default=None, repr=False, compare=False)
     _seg: np.ndarray = field(default=None, repr=False, compare=False)
-    # the history of a BDF2 step, set when this state was stepped without
-    # a resample: (time, nodes, edge lengths, om_minus, om_plus) of the
+    # the history of a BDF2 step, on every state a step returns: (time,
+    # nodes at this state's count, edge lengths, om_minus, om_plus) of the
     # state it came from, then (time, om_minus, om_plus) of the one before
-    # that, or None
+    # that, or None; None on an initial state
     _prev: tuple = field(default=None, repr=False, compare=False)
 
     def kappa_cached(self, wall):
@@ -251,8 +233,7 @@ class CurveState:
 
     def seg_cached(self):
         if self._seg is None:
-            e = self.nodes[1:] - self.nodes[:-1]
-            self._seg = np.hypot(e[:, 0], e[:, 1])
+            self._seg = _edge_lengths(self.nodes)
         return self._seg
 
     @property
@@ -268,18 +249,17 @@ class CurveState:
         return float(self.seg_cached().sum())
 
     def ghosts(self, wall):
-        """Mirror the first interior node across each contact's wall
-        tangent line; the doubled curve reproduces the contact curvature."""
+        """Mirror the first interior node across each contact's wall tangent
+        (-ny, nx); the doubled curve reproduces the contact curvature."""
         (x0, y0), (x1, y1) = self.nodes[:2].tolist()
         (xm, ym), (xn, yn) = self.nodes[-2:].tolist()
         out = []
         for om, ex, ey, ix, iy in ((self.om_minus, x0, y0, x1, y1),
                                    (self.om_plus, xn, yn, xm, ym)):
-            wx, wy = wall.tangent_xy(om)
-            vx = ix - ex
-            vy = iy - ey
-            d = 2.0 * (vx * wx + vy * wy)
-            out.append((ex + d * wx - vx, ey + d * wy - vy))
+            nx, ny = wall.jet_xy(om)[4:6]
+            vx, vy = ix - ex, iy - ey
+            d = 2.0 * (vy * nx - vx * ny)
+            out.append((ex - d * ny - vx, ey + d * nx - vy))
         return out
 
     def kappa(self, wall):
@@ -425,8 +405,13 @@ def _slave_contact(wall, om_guess, inner1, inner2, g1, g2, end):
         raise FlowError(f"contact solve failed near om = {om_guess}") from exc
 
 
+def _edge_lengths(nodes):
+    e = nodes[1:] - nodes[:-1]
+    return np.hypot(e[:, 0], e[:, 1])
+
+
 def _resample(nodes, n_out):
-    seg = np.hypot(*np.diff(nodes, axis=0).T)
+    seg = _edge_lengths(nodes)
     s = np.concatenate([[0.0], np.cumsum(seg)])
     # guard against zero-length segments
     keep = np.concatenate([[True], seg > 1e-15])
@@ -448,21 +433,20 @@ def _convexity_defect(state, wall):
     return -float(kap.max())
 
 
-def step(state, cfg, wall, h0=None):
+def step(state, cfg, wall, h0):
     """One accepted step; halves dt on convexity rejection up to 20 times.
 
-    The step is dt = dt_safety * _STEP_SCALE * h_bar^2 / h0 for the mean
-    edge h_bar, so dt ~ h while the node count tracks the length (h_bar
-    near h0) and dt ~ h^2 once the count sits at its floor.  With h0 None
-    the node count is fixed and dt = dt_safety * _STEP_SCALE * h_bar.  A
-    state that carries its predecessor (_prev) takes a variable-step BDF2
-    step no more than _MAX_STEP_RATIO times the one before it; any other
-    state takes a backward-Euler start step.
+    h0 is the target spacing: the new curve gets round(length / h0) + 1
+    nodes, clipped to [32, cfg.n_nodes].  The step is dt = dt_safety *
+    _STEP_SCALE * h_bar^2 / h0 for the mean edge h_bar, so dt ~ h while
+    the count tracks the length and dt ~ h^2 once it sits at its floor.  A
+    state with a history (_prev), as every state a step returns has, takes
+    a variable-step BDF2 step at most _MAX_STEP_RATIO times the one before
+    it; an initial state takes a backward-Euler start step.
     """
     seg = state.seg_cached()
     h_bar = float(seg.sum()) / len(seg)
-    dt = cfg.dt_safety * _STEP_SCALE * h_bar * (
-        1.0 if h0 is None else h_bar / h0)
+    dt = cfg.dt_safety * _STEP_SCALE * h_bar * (h_bar / h0)
     if state._prev is not None:
         dt = min(dt, _MAX_STEP_RATIO * (state.time - state._prev[0]))
     for _ in range(21):
@@ -509,8 +493,7 @@ def _attempt_step(state, cfg, wall, dt, h0):
         # quadratically once three contact times are known
         tau1 = state.time - t1
         dm, dp = (om_m - om_m1) / tau1, (om_p - om_p1) / tau1
-        om_m += dt * dm
-        om_p += dt * dp
+        om_m, om_p = om_m + dt * dm, om_p + dt * dp
         if older is not None:
             t2, om_m2, om_p2 = older
             q = dt * (dt + tau1) / (state.time - t2)
@@ -535,23 +518,22 @@ def _attempt_step(state, cfg, wall, dt, h0):
     new = np.dot(np.array([[1.0, 0.0, smx, pp[0] - xn],
                            [0.0, 1.0, smy, pp[1] - yn]]), sol.T).T
     new[0], new[-1] = pm, pp
-    e = new[1:] - new[:-1]
-    seg = np.hypot(e[:, 0], e[:, 1])
-    if h0 is None:
-        n_out = len(new)
-    else:
-        n_out = min(max(round(float(seg.sum()) / h0) + 1, 32), cfg.n_nodes)
+    seg = _edge_lengths(new)
+    n_out = min(max(round(float(seg.sum()) / h0) + 1, 32), cfg.n_nodes)
+    prev_seg = state.seg_cached()
     # resample only once the mesh has actually drifted; spacing decays
-    # by O(dt) per step so most steps skip the spline rebuild.  A
-    # resampled state has new nodes, so its next step starts over.
+    # by O(dt) per step so most steps skip the spline rebuild.  The old
+    # curve is resampled with the new one (its ends on the old contacts),
+    # so the new state's history matches its nodes one to one.
     if n_out != len(new) or float(seg.max()) > 1.25 * float(seg.min()):
         new = _resample(new, n_out)
         new[0], new[-1] = pm, pp
-        return CurveState(nodes=new, time=state.time + dt,
-                          om_minus=om_minus, om_plus=om_plus)
+        seg = _edge_lengths(new)
+        nodes = _resample(nodes, n_out)
+        prev_seg = _edge_lengths(nodes)
     return CurveState(nodes=new, time=state.time + dt,
                       om_minus=om_minus, om_plus=om_plus, _seg=seg,
-                      _prev=(state.time, nodes, state.seg_cached(),
+                      _prev=(state.time, nodes, prev_seg,
                              state.om_minus, state.om_plus,
                              None if state._prev is None else
                              (state._prev[0],) + state._prev[3:5]))
@@ -652,13 +634,14 @@ def _local_min_count(values):
 def run_to_extinction(initial, cfg, ndom):
     """Step until the length threshold, then extrapolate extinction.
 
-    Every step after the first and after each resample is BDF2 (see
-    step).  Full states are kept every k-th step, with k fixed from the
-    first step size dt0 = dt_safety * _STEP_SCALE * h0 so that a run keeps
-    about 900 (_THINNING_STATES) states per 0.35 time units while the step
-    stays near that size; the last state is always kept.  The count is not
-    capped and grows with the run's length: at dt_safety = 0.8, 5,585
-    states of 11,167 steps on the disk at rho = 0.1, n_nodes = 200 (k = 2),
+    Curves have at most cfg.n_nodes nodes spaced near the initial h0 (see
+    step); every step after the first is BDF2, across resamples too.  Full
+    states are kept every k-th step, with k fixed from the first step size
+    dt0 = dt_safety * _STEP_SCALE * h0 so that a run keeps about 900
+    (_THINNING_STATES) states per 0.35 time units while the step stays
+    near that size; the last state is always kept.  The count is not
+    capped and grows with the run's length: at dt_safety = 0.8, 5,584
+    states of 11,166 steps on the disk at rho = 0.1, n_nodes = 200 (k = 2),
     and on the egg at n_nodes = 100 every state of its 4,607 steps (k = 1).
     Where halvings shrink the step, states are denser in time.  The
     monitors are derived from the stored states afterwards (_finalize).
@@ -685,7 +668,7 @@ def run_to_extinction(initial, cfg, ndom):
                 states.append(state)
             exc.partial = _finalize(states, cfg, ndom, wall)
             raise exc
-        new = step(state, cfg, wall, h0=h0)
+        new = step(state, cfg, wall, h0)
         # the history is read by that step alone; a stored state keeps none
         state._prev = None
         state = new
@@ -800,7 +783,7 @@ def ancient_sweep(ndom, rhos, cfg):
 
 
 # ---------------------------------------------------------------------------
-# validation modes (exact solutions)
+# exact solutions, run under the production node policy
 
 
 # step safety of the exact solutions; stationary diameter's nodes, steps
@@ -813,17 +796,18 @@ def grim_reaper_error(n, t_end):
     """Grim reaper y = t - log cos x between the walls of GrimReaperWalls.
 
     Starts at t = 0 with contacts at -+pi/4 and n nodes uniform in arc
-    length, x = arctan(sinh s); runs step with n fixed nodes until t_end
-    is reached or passed; returns the largest node height error there and
-    the final state."""
+    length, x = arctan(sinh s); steps as run_to_extinction does (h0 the
+    initial spacing, at most n nodes) until t_end is reached or passed;
+    returns the largest node height error there and the final state."""
     s = np.linspace(-np.arcsinh(1.0), np.arcsinh(1.0), n)
     xs = np.arctan(np.sinh(s))
     state = CurveState(nodes=np.column_stack([xs, -np.log(np.cos(xs))]),
                        time=0.0, om_minus=-np.pi / 4, om_plus=np.pi / 4)
     cfg = SolverConfig(n_nodes=n, dt_safety=_VALIDATION_DT_SAFETY)
     wall = GrimReaperWalls()
+    h0 = state.length / (n - 1)
     while state.time < t_end:
-        state = step(state, cfg, wall, h0=None)
+        state = step(state, cfg, wall, h0)
     x, y = state.nodes[:, 0], state.nodes[:, 1]
     return float(np.max(np.abs(y - state.time + np.log(np.cos(x))))), state
 
@@ -831,16 +815,18 @@ def grim_reaper_error(n, t_end):
 def semicircle_wall_error(n, t_end, dt_safety=_VALIDATION_DT_SAFETY):
     """Unit half circle on the x-axis wall shrinking as sqrt(1 - 2t).
 
-    Runs step with n fixed nodes until t_end is reached or passed; returns
-    the largest node radius error there and the final state."""
+    Steps as run_to_extinction does (h0 the initial spacing, at most n
+    nodes) until t_end is reached or passed; returns the largest node
+    radius error there and the final state."""
     th = np.linspace(np.pi, 0.0, n)
     pts = np.column_stack([np.cos(th), np.sin(th)])
     pts[0, 1] = pts[-1, 1] = 0.0
     state = CurveState(nodes=pts, time=0.0, om_minus=-1.0, om_plus=1.0)
     wall = StraightWall()
     cfg = SolverConfig(n_nodes=n, dt_safety=dt_safety)
+    h0 = state.length / (n - 1)
     while state.time < t_end:
-        state = step(state, cfg, wall, h0=None)
+        state = step(state, cfg, wall, h0)
     r_exact = np.sqrt(1.0 - 2 * state.time)
     r_num = np.hypot(state.nodes[:, 0] - 0.5 * (state.om_minus + state.om_plus),
                      state.nodes[:, 1])
@@ -855,8 +841,9 @@ def stationary_diameter_drift(ndom):
                        om_minus=3 * np.pi / 2, om_plus=np.pi / 2)
     wall = ConvexWall(ndom)
     cfg = SolverConfig(n_nodes=_DRIFT_NODES)
+    h0 = state.length / (_DRIFT_NODES - 1)
     drift = 0.0
     for _ in range(_DRIFT_STEPS):
-        state = step(state, cfg, wall)
+        state = step(state, cfg, wall, h0)
         drift = max(drift, float(np.max(np.abs(state.nodes[:, 1]))))
     return drift

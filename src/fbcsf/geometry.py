@@ -18,7 +18,7 @@ point and the upper boundary is always the arc omega in [pi/2, 3pi/2]
 (x strictly decreasing there for any strictly convex domain).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -92,8 +92,8 @@ class Diameter:
     omega_plus: float
     omega_minus: float
     length: float
-    kind: str = "unknown"  # 'max' | 'min' | 'saddle' | 'unknown'
-    degenerate: bool = False
+    kind: str  # 'max' | 'min' | 'saddle' | 'degenerate'
+    degenerate: bool
 
 
 @dataclass
@@ -117,7 +117,7 @@ class NormalizedDomain:
     domain: "ConvexDomain"
     kappa1: float  # curvature at +e1 (turning angle pi/2)
     kappa2: float  # curvature at -e1 (turning angle 3pi/2)
-    transform: SimilarityTransform = field(default=None)
+    transform: SimilarityTransform
 
 
 class ConvexDomain:
@@ -419,12 +419,12 @@ def find_diameters(domain):
     if len(merged) > 1 and (merged[0] + np.pi) - merged[-1] < 1e-6:
         merged.pop()
 
-    out = [_make_diameter(domain, r) for r in merged]
+    out = [_make_diameter(domain, r, degenerate=False) for r in merged]
     out.sort(key=lambda d: -d.length)
     return out
 
 
-def _make_diameter(domain, omega, degenerate=False):
+def _make_diameter(domain, omega, degenerate):
     p = domain.point(omega)
     q = domain.point(omega + np.pi)
     length = float(np.linalg.norm(p - q))

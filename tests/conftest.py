@@ -98,24 +98,3 @@ def disk_sweep(ndisk):
     cfg = flow_mod.SolverConfig(n_nodes=200, dt_safety=0.8)
     return flow_mod.ancient_sweep(ndisk, [0.2, 0.1, 0.05], cfg)
 
-
-# ---------------------------------------------------------------------------
-# acceptance reporting: tests register one line per criterion and the
-# terminal summary prints them all, PASS or FAIL, after the run.
-
-ACCEPTANCE_RESULTS = {}
-
-
-@pytest.fixture(scope="session")
-def acceptance_log():
-    return ACCEPTANCE_RESULTS
-
-
-def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    if not ACCEPTANCE_RESULTS:
-        return
-    terminalreporter.section("acceptance criteria")
-    for key in sorted(ACCEPTANCE_RESULTS):
-        ok, detail = ACCEPTANCE_RESULTS[key]
-        status = "PASS" if ok else "FAIL"
-        terminalreporter.write_line(f"{key}: {status}  [{detail}]")

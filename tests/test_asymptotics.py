@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fbcsf import asymptotics, flow, oval
+from fbcsf.errors import ConfigError
 from fbcsf.solve import safe_brentq
 
 
@@ -106,6 +107,31 @@ def test_rescaled_increments_shrink_toward_the_past(runs, ndisk):
     assert np.all(np.diff(mids) > 0.0)
     assert np.all(diffs > 0.0)
     assert np.all(np.diff(diffs) > 0.0)
+
+
+# each analysis entry point with one of its rates replaced by `bad`
+_RATE_INPUTS = {
+    "verify_estimates_r": lambda traj, lam0, k, bad:
+        asymptotics.verify_estimates(traj, bad, lam0),
+    "verify_estimates_lambda0": lambda traj, lam0, k, bad:
+        asymptotics.verify_estimates(traj, 0.25, bad),
+    "fit_profile_lambda0": lambda traj, lam0, k, bad:
+        asymptotics.fit_profile(traj, bad, *k),
+    "rescaled_increments_lambda0": lambda traj, lam0, k, bad:
+        asymptotics.rescaled_increments(traj, bad),
+}
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.25, np.nan, np.inf])
+@pytest.mark.parametrize("call", sorted(_RATE_INPUTS))
+def test_analysis_rejects_rates_that_are_not_finite_and_positive(
+        runs, ndisk, call, bad):
+    # r = 0 or -0.25 and lambda0 = NaN used to pass verify_estimates, and
+    # fit_profile ended in scipy's LinAlgError for lambda0 in {0, NaN, inf}
+    traj = runs("disk_r03_n100")
+    lam0 = oval.solve_lambda0(ndisk.kappa1, ndisk.kappa2)
+    with pytest.raises(ConfigError):
+        _RATE_INPUTS[call](traj, lam0, (ndisk.kappa1, ndisk.kappa2), bad)
 
 
 def test_uniqueness_of_a_run_with_itself_and_its_mirror(runs, ndisk):

@@ -53,7 +53,7 @@ def test_config_accepts_numpy_integers():
 
 @pytest.fixture(scope="module")
 def grim_runs():
-    # measured height errors 2.7e-5, 6.7e-6, 1.7e-6 (orders 2.00 and 2.00)
+    # measured height errors 3.0e-5, 7.6e-6, 1.9e-6 (slope 2.01)
     return [f.grim_reaper_error(n, 0.2) for n in (100, 200, 400)]
 
 
@@ -64,8 +64,8 @@ def test_grim_reaper_second_order(grim_runs):
 
 
 def test_grim_reaper_contacts_follow_the_walls(grim_runs):
-    # the contacts sit at -+arctan(e^-t); measured errors 1.3e-5, 3.3e-6,
-    # 8.2e-7 (orders 2.00 and 2.00)
+    # the contacts sit at -+arctan(e^-t); measured errors 1.5e-5, 3.7e-6,
+    # 9.2e-7 (orders 2.01 and 2.01)
     errs = []
     for _, state in grim_runs:
         x0 = np.arctan(np.exp(-state.time))
@@ -76,8 +76,9 @@ def test_grim_reaper_contacts_follow_the_walls(grim_runs):
 
 def test_semicircle_on_wall_second_order():
     # the regular polygon's arc-length Laplacian is exactly -1/r, so the
-    # error is the contacts' and the time stepping's; with dt ~ h the
-    # measured orders are 3.1 and 3.3 (errors 5.1e-6, 5.7e-7, 5.9e-8)
+    # error is the contacts', the resamples' and the time stepping's; with
+    # dt ~ h the measured orders are 3.07 and 3.12 (errors 1.28e-5,
+    # 1.53e-6, 1.76e-7)
     errs = [f.semicircle_wall_error(n, 0.3)[0] for n in (100, 200, 400)]
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert all(p >= 1.7 for p in orders), (errs, orders)
@@ -95,7 +96,7 @@ def _semicircle_radius_defect(dt_safety):
 def test_semicircle_on_wall_second_order_in_time():
     # at fixed n the spatial part of the defect is common to every run,
     # so the distance to a dt_safety 0.05 run is the time-stepping error
-    # (measured 1.6e-6, 3.9e-7, 9.3e-8: orders 2.02 and 2.06)
+    # (measured 1.8e-6, 4.5e-7, 1.1e-7: orders 1.97 and 2.02)
     ref = _semicircle_radius_defect(0.05)
     errs = [float(np.max(np.abs(_semicircle_radius_defect(s) - ref)))
             for s in (0.8, 0.4, 0.2)]
@@ -140,7 +141,7 @@ def test_flat_diameter_encloses_half_the_domain(fix, half_area, request):
 def test_step_pins_contacts_to_wall(ndisk, disk_wall):
     state = _oval_state(ndisk, 0.3, 100)
     cfg = f.SolverConfig(n_nodes=100, dt_safety=0.8)
-    new = f.step(state, cfg, disk_wall)
+    new = f.step(state, cfg, disk_wall, state.length / 99)
     assert new.time > state.time
     for node, om in ((new.nodes[0], new.om_minus), (new.nodes[-1], new.om_plus)):
         px, py = disk_wall.point_xy(om)
@@ -150,7 +151,7 @@ def test_step_pins_contacts_to_wall(ndisk, disk_wall):
 def test_step_keeps_orthogonal_contact(ndisk, disk_wall):
     state = _oval_state(ndisk, 0.3, 100)
     cfg = f.SolverConfig(n_nodes=100, dt_safety=0.8)
-    new = f.step(state, cfg, disk_wall)
+    new = f.step(state, cfg, disk_wall, state.length / 99)
     for pts, om in ((new.nodes[:3], new.om_minus),
                     (new.nodes[::-1][:3], new.om_plus)):
         h1 = np.hypot(*(pts[1] - pts[0]))
@@ -159,7 +160,7 @@ def test_step_keeps_orthogonal_contact(ndisk, disk_wall):
         c1 = (h1 + h2) / (h1 * h2)
         c2 = -h1 / (h2 * (h1 + h2))
         tang = c0 * pts[0] + c1 * pts[1] + c2 * pts[2]
-        nx, ny = disk_wall.normal_xy(om)
+        nx, ny = disk_wall.jet_xy(om)[4:6]
         cross = tang[0] * ny - tang[1] * nx
         assert abs(cross) / np.hypot(*tang) < 1e-8
 
@@ -175,9 +176,11 @@ def test_steps_solve_the_interior_with_the_new_contacts(ndisk, disk_wall):
     # ends are the contacts it returns
     s0 = _oval_state(ndisk, 0.3, 100)
     cfg = f.SolverConfig(n_nodes=100, dt_safety=0.8)
-    s1 = f.step(s0, cfg, disk_wall)
-    s2 = f.step(s1, cfg, disk_wall)
-    assert s1._prev is not None and s2._prev is not None   # no resample
+    h0 = s0.length / 99
+    s1 = f.step(s0, cfg, disk_wall, h0)
+    s2 = f.step(s1, cfg, disk_wall, h0)
+    # no resample: each history holds the stepped state's own nodes
+    assert s1._prev[1] is s0.nodes and s2._prev[1] is s1.nodes
     seg0, seg1 = s0.seg_cached(), s1.seg_cached()
     be = _pinned_solve(s0.nodes, seg0, s1.time - s0.time, s1)
     assert np.max(np.abs(be - s1.nodes)) < 1e-13
@@ -189,11 +192,58 @@ def test_steps_solve_the_interior_with_the_new_contacts(ndisk, disk_wall):
     assert np.max(np.abs(bdf2 - s2.nodes)) < 1e-13
 
 
+def test_resampled_step_keeps_the_history(ndisk, disk_wall):
+    # a step that changes the node count resamples the curve it came from
+    # to the new count, its ends on the old contacts, and the next step is
+    # the BDF2 solve built from that history
+    state = _oval_state(ndisk, 0.3, 100)
+    cfg = f.SolverConfig(n_nodes=100, dt_safety=0.8)
+    h0 = state.length / 99
+    prev, new = state, f.step(state, cfg, disk_wall, h0)
+    while len(new.nodes) == len(prev.nodes):
+        prev, new = new, f.step(new, cfg, disk_wall, h0)
+    t1, nodes1, seg1, om_m1, om_p1, older = new._prev
+    assert (t1, om_m1, om_p1) == (prev.time, prev.om_minus, prev.om_plus)
+    assert older == (prev._prev[0], prev._prev[3], prev._prev[4])
+    assert np.array_equal(nodes1, f._resample(prev.nodes, len(new.nodes)))
+    assert tuple(nodes1[0]) == disk_wall.point_xy(prev.om_minus)
+    assert tuple(nodes1[-1]) == disk_wall.point_xy(prev.om_plus)
+    assert np.array_equal(seg1, np.hypot(*np.diff(nodes1, axis=0).T))
+    nxt = f.step(new, cfg, disk_wall, h0)
+    assert nxt._prev[1] is new.nodes                  # no resample
+    dt = nxt.time - new.time
+    w = dt / (new.time - t1)
+    rhs = ((1 + w) ** 2 * new.nodes - w ** 2 * nodes1) / (1 + 2 * w)
+    bdf2 = _pinned_solve(rhs, (1 + w) * new.seg_cached() - w * seg1,
+                         dt * (1 + w) / (1 + 2 * w), nxt)
+    assert np.max(np.abs(bdf2 - nxt.nodes)) < 1e-13
+
+
+def test_a_run_takes_one_backward_euler_step(ndisk, monkeypatch):
+    # every state a step returns carries its history, resampled ones too,
+    # so only the initial state takes a backward-Euler start step
+    step = f.step
+    starts, counts = [], set()
+
+    def counting_step(state, *args, **kwargs):
+        if state._prev is None:
+            starts.append(state.time)
+        counts.add(len(state.nodes))
+        return step(state, *args, **kwargs)
+
+    monkeypatch.setattr(f, "step", counting_step)
+    cfg = f.SolverConfig(n_nodes=100, dt_safety=0.8)
+    f.old_but_not_ancient(ndisk, 0.3, cfg)
+    assert starts == [0.0]
+    assert len(counts) > 50          # the node count fell, by resamples
+
+
 def test_bdf2_steps_keep_orthogonal_contact(ndisk, disk_wall):
     state = _oval_state(ndisk, 0.3, 100)
     cfg = f.SolverConfig(n_nodes=100, dt_safety=0.8)
+    h0 = state.length / 99
     for _ in range(5):
-        state = f.step(state, cfg, disk_wall)
+        state = f.step(state, cfg, disk_wall, h0)
     assert state._prev is not None
     for pts, om in ((state.nodes[:3], state.om_minus),
                     (state.nodes[::-1][:3], state.om_plus)):
@@ -202,7 +252,7 @@ def test_bdf2_steps_keep_orthogonal_contact(ndisk, disk_wall):
         tang = (-(2 * h1 + h2) / (h1 * (h1 + h2)) * pts[0]
                 + (h1 + h2) / (h1 * h2) * pts[1]
                 - h1 / (h2 * (h1 + h2)) * pts[2])
-        nx, ny = disk_wall.normal_xy(om)
+        nx, ny = disk_wall.jet_xy(om)[4:6]
         assert abs(tang[0] * ny - tang[1] * nx) / np.hypot(*tang) < 1e-10
 
 
@@ -211,9 +261,10 @@ def test_step_grows_at_most_twofold(ndisk, disk_wall):
     # twice its length, inside BDF2's zero-stability limit 1 + sqrt(2)
     s0 = _oval_state(ndisk, 0.3, 100)
     cfg = f.SolverConfig(n_nodes=100, dt_safety=0.8)
-    full = f.step(s0, cfg, disk_wall).time - s0.time
-    s1 = f._attempt_step(s0, cfg, disk_wall, 0.1 * full, None)
-    s2 = f.step(s1, cfg, disk_wall)
+    h0 = s0.length / 99
+    full = f.step(s0, cfg, disk_wall, h0).time - s0.time
+    s1 = f._attempt_step(s0, cfg, disk_wall, 0.1 * full, h0)
+    s2 = f.step(s1, cfg, disk_wall, h0)
     assert s2.time - s1.time == pytest.approx(2.0 * (s1.time - s0.time),
                                               rel=1e-12)
 
@@ -221,8 +272,9 @@ def test_step_grows_at_most_twofold(ndisk, disk_wall):
 def test_step_preserves_convexity(ndisk, disk_wall):
     state = _oval_state(ndisk, 0.3, 100)
     cfg = f.SolverConfig(n_nodes=100, dt_safety=0.8)
+    h0 = state.length / 99
     for _ in range(20):
-        state = f.step(state, cfg, disk_wall)
+        state = f.step(state, cfg, disk_wall, h0)
     assert float(np.min(state.kappa_cached(disk_wall))) > 0.0
 
 
@@ -234,7 +286,7 @@ def test_step_rejects_nonconvex_curve(ndisk, disk_wall):
                        om_minus=state.om_minus, om_plus=state.om_plus)
     cfg = f.SolverConfig(n_nodes=100, dt_safety=0.8)
     with pytest.raises(StepRejected):
-        f.step(bad, cfg, disk_wall)
+        f.step(bad, cfg, disk_wall, bad.length / 99)
 
 
 def test_step_budget_raises_with_partial(ndisk):

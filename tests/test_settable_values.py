@@ -11,7 +11,7 @@ from pathlib import Path
 
 import fbcsf
 
-SETTABLE_VALUES_MAX = 25
+SETTABLE_VALUES_MAX = 18
 
 
 def _is_dataclass(node):

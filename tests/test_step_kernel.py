@@ -160,11 +160,14 @@ def egg_wall(negg):
 def _check_jet(wall, om, step=1e-5):
     px, py, dpx, dpy, nx, ny, dnx, dny = wall.jet_xy(om)
     assert (px, py) == wall.point_xy(om)
-    assert (nx, ny) == wall.normal_xy(om)
+    # the normal is a unit vector orthogonal to the point's derivative (a
+    # cubic table's derivative on the egg: measured <= 1.1e-11 relative)
+    assert abs(np.hypot(nx, ny) - 1.0) < 1e-15
+    assert abs(nx * dpx + ny * dpy) < 1e-10 * np.hypot(dpx, dpy)
     ahead, behind = wall.point_xy(om + step), wall.point_xy(om - step)
     for k, dv in enumerate((dpx, dpy)):
         assert abs((ahead[k] - behind[k]) / (2 * step) - dv) < 1e-6
-    ahead, behind = wall.normal_xy(om + step), wall.normal_xy(om - step)
+    ahead, behind = wall.jet_xy(om + step)[4:6], wall.jet_xy(om - step)[4:6]
     for k, dv in enumerate((dnx, dny)):
         assert abs((ahead[k] - behind[k]) / (2 * step) - dv) < 1e-6
 
@@ -217,7 +220,7 @@ def _reference_residual(wall, inner1, inner2):
         c1 = (h1 + h2) / (h1 * h2)
         c2 = -h1 / (h2 * (h1 + h2))
         d = c0 * p + c1 * inner1 + c2 * inner2
-        nx, ny = wall.normal_xy(om)
+        nx, ny = wall.jet_xy(om)[4:6]
         return d[0] * ny - d[1] * nx
 
     return resid
@@ -282,7 +285,7 @@ def _following_residual(wall, inner1, inner2, g1, g2, end):
         c1 = (h1 + h2) / (h1 * h2)
         c2 = -h1 / (h2 * (h1 + h2))
         d = c0 * p + c1 * q1 + c2 * q2
-        nx, ny = wall.normal_xy(om)
+        nx, ny = wall.jet_xy(om)[4:6]
         return d[0] * ny - d[1] * nx
 
     return resid
