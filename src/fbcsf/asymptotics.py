@@ -12,6 +12,13 @@ in blocks of _BLOCK_STATES, whose nodes and cached curvature are packed
 end to end so that each per-node quantity is one elementwise pass and each
 per-state extreme one reduceat.  The stored states are read in time
 through Trajectory.heights_at_time, many times in one call.
+
+A run's samples are its steps, which the error controller spaces
+unevenly in time.  So every least-squares fit over window samples (the
+decay fits, the support-ratio slope, the pinch fits and the profile's
+two extrapolations) weights each sample by its trapezoid share of the
+time the samples span (_time_weights): the fit then reads the solution
+over the window, not the step sequence.
 """
 
 import numpy as np
@@ -61,6 +68,18 @@ def _window_mask(t, window, min_samples):
     return m
 
 
+def _time_weights(t):
+    """np.polyfit weights of samples at the sorted times t: the square root
+    of each sample's trapezoid share of the time they span, so that the
+    weighted sum of squared residuals is the trapezoid rule's integral of
+    the squared residual over that time, divided by its length."""
+    gaps = np.diff(t)
+    share = np.empty(len(t))
+    share[0], share[-1] = gaps[0], gaps[-1]
+    np.add(gaps[:-1], gaps[1:], out=share[1:-1])
+    return np.sqrt(share / (2.0 * (t[-1] - t[0])))
+
+
 def _check_positive(**values):
     """ConfigError unless every value is finite and positive."""
     for name, value in values.items():
@@ -102,7 +121,8 @@ class EstimateReport:
 
 
 def _fit_decay(t, q, required, window):
-    """Log-linear fit of q against t; minimal pointwise constant.
+    """Log-linear fit of q against t, weighted by time (_time_weights);
+    minimal pointwise constant.
 
     Returns (rate, constant, passed, n): passed requires the fitted rate
     to clear required*0.95 and the bound q <= constant*exp(rate*t) to
@@ -110,7 +130,7 @@ def _fit_decay(t, q, required, window):
     """
     m = _window_mask(t, window, _MIN_SAMPLES)
     logs = np.log(np.maximum(q[m], _LOG_MIN))
-    rate, logc = np.polyfit(t[m], logs, 1)
+    rate, logc = np.polyfit(t[m], logs, 1, w=_time_weights(t[m]))
     all_m = t <= window[1]
     resid = np.log(np.maximum(q[all_m], _LOG_MIN)) - (rate * t[all_m] + logc)
     const = float(np.exp(logc + np.max(resid)))
@@ -267,7 +287,7 @@ def verify_estimates(traj, r, lambda0):
     records.append(rec_kmax)
 
     # support ratio: required to stay bounded with a non-increasing trend
-    slope = np.polyfit(st_t, sup_ratio, 1)[0]
+    slope = np.polyfit(st_t, sup_ratio, 1, w=_time_weights(st_t))[0]
     sup_ok = bool(np.all(np.isfinite(sup_ratio)) and slope <= 0.05)
     records.append(EstimateRecord(
         "support_ratio", float(slope), 0.0, float(np.max(sup_ratio)),
@@ -292,8 +312,8 @@ def verify_estimates(traj, r, lambda0):
             pos = defect > 1e-12
             vacuous = int(np.sum(pos)) < 8
             if not vacuous:
-                rate, logc = np.polyfit(st_t[pos],
-                                        np.log(defect[pos]), 1)
+                rate, logc = np.polyfit(st_t[pos], np.log(defect[pos]), 1,
+                                        w=_time_weights(st_t[pos]))
                 resid = np.log(defect[pos]) - (rate * st_t[pos] + logc)
                 const = float(np.exp(logc + np.max(resid)))
                 ok = bool(np.isfinite(rate)) and rate >= required * 0.95
@@ -345,14 +365,15 @@ def closed_form_c(lambda0, kappa1, kappa2):
         2.0 * lambda0 - (kappa1 + kappa2) * np.tanh(lambda0))
 
 
-def _rescaled_heights(traj, lambda0, min_samples):
+def _rescaled_heights(traj, lambda0):
     """(window, times, Z) in the fit window, Z[i, k] the recorded height at
     abscissa k and time i times e^{-lambda0^2 t}; WindowTooShort below
-    min_samples samples, ConfigError unless lambda0 is finite and positive."""
+    _MIN_SAMPLES samples, ConfigError unless lambda0 is finite and
+    positive."""
     _check_positive(lambda0=lambda0)
     t = np.asarray(traj.monitors["t"])
     window = _default_window(t)
-    m = _window_mask(t, window, min_samples)
+    m = _window_mask(t, window, _MIN_SAMPLES)
     tw = t[m]
     Y = np.column_stack([np.asarray(traj.monitors[f"y_at_x{k}"])[m]
                          for k in range(len(traj.config.abscissas))])
@@ -365,10 +386,11 @@ def fit_profile(traj, lambda0, kappa1, kappa2):
 
     The rescaled height e^{-lambda0^2 t} y(x_k, t) converges with a
     correction of order e^{lambda0^2 t}, so the per-time amplitudes are
-    extrapolated linearly in that variable.  ConfigError unless lambda0 is
-    finite and positive.
+    extrapolated linearly in that variable, each time weighted by its
+    trapezoid share of the window (_time_weights).  ConfigError unless
+    lambda0 is finite and positive.
     """
-    window, tw, Z = _rescaled_heights(traj, lambda0, _MIN_SAMPLES)
+    window, tw, Z = _rescaled_heights(traj, lambda0)
     xs = np.asarray(traj.config.abscissas, dtype=float)
     lam2 = lambda0 * lambda0
     B = np.column_stack([np.cosh(lambda0 * xs), np.sinh(lambda0 * xs)])
@@ -382,8 +404,9 @@ def fit_profile(traj, lambda0, kappa1, kappa2):
     A_t = coef[:, 0]
     c_t = coef[:, 1] / np.where(np.abs(A_t) > 1e-300, A_t, 1e-300)
     u = np.exp(lam2 * tw)
-    A_inf = float(np.polyfit(u, A_t, 1)[1])
-    c_inf = float(np.polyfit(u, c_t, 1)[1])
+    w = _time_weights(tw)
+    A_inf = float(np.polyfit(u, A_t, 1, w=w)[1])
+    c_inf = float(np.polyfit(u, c_t, 1, w=w)[1])
     if A_inf <= 0.0:
         raise NonPositiveAmplitude(f"extrapolated amplitude {A_inf:.3g}")
     return Profile(
@@ -396,16 +419,26 @@ def fit_profile(traj, lambda0, kappa1, kappa2):
 def rescaled_increments(traj, lambda0):
     """Successive sup-differences of the rescaled height profile.
 
-    Returns (mid_times, diffs) with diffs[i] the sup over abscissas of
-    the change between consecutive sample times; a trajectory settling
-    into the limit shows diffs shrinking toward the past.  ConfigError
-    unless lambda0 is finite and positive.
+    The profile e^{-lambda0^2 t} y(x_k, t) is read at _INCREMENT_TIMES
+    times spread evenly over the fit window, through
+    Trajectory.heights_at_time, so the samples do not follow the step
+    sequence.  Returns (mid_times, diffs) with diffs[i] the sup over
+    abscissas of the change between consecutive sample times; a
+    trajectory settling into the limit shows diffs shrinking toward the
+    past.  WindowTooShort when the window holds fewer than
+    _INCREMENT_TIMES stored states; ConfigError unless lambda0 is finite
+    and positive.
     """
-    _, tw, Z = _rescaled_heights(traj, lambda0, _INCREMENT_TIMES)
-    idx = np.unique(np.linspace(0, len(tw) - 1, _INCREMENT_TIMES).astype(int))
-    diffs = np.max(np.abs(Z[idx[1:]] - Z[idx[:-1]]), axis=1)
-    mids = 0.5 * (tw[idx[1:]] + tw[idx[:-1]])
-    return mids, diffs
+    _check_positive(lambda0=lambda0)
+    t = np.asarray(traj.monitors["t"])
+    window = _default_window(t)
+    _window_mask(t, window, _INCREMENT_TIMES)
+    ts = np.linspace(window[0], window[1], _INCREMENT_TIMES)
+    xs = np.asarray(traj.config.abscissas, dtype=float)
+    Z = traj.heights_at_time(ts, xs)
+    Z *= np.exp(-lambda0 * lambda0 * ts)[:, None]
+    diffs = np.max(np.abs(Z[1:] - Z[:-1]), axis=1)
+    return 0.5 * (ts[1:] + ts[:-1]), diffs
 
 
 # ---------------------------------------------------------------------------
@@ -544,6 +577,21 @@ def eigen_residuals(pair, kappa1, kappa2):
 # uniqueness evidence
 
 
+class _HeightsOnce:
+    """A trajectory whose heights at one array of sample times are read
+    once: heights_at_time returns them for that very array, and reads the
+    trajectory for any other."""
+
+    def __init__(self, traj, sample_times, xs):
+        self._traj, self._times = traj, sample_times
+        self._rows = traj.heights_at_time(sample_times, xs)
+
+    def heights_at_time(self, t_offsets, xs):
+        if t_offsets is self._times:
+            return self._rows
+        return self._traj.heights_at_time(t_offsets, xs)
+
+
 @dataclass
 class UniquenessReport:
     tau_star: float
@@ -556,7 +604,8 @@ def uniqueness_evidence(trajA, trajB, lambda0):
 
     A small minimized distance backs uniqueness-modulo-time-translation;
     trajectories on opposite sides of the diameter stay far apart.
-    lambda0 is not used: the shift is scanned in plain time.
+    lambda0 is not used: the shift is scanned in plain time.  trajA's
+    heights at the sample times are read once and shared by every shift.
     """
     xs = MATCH_XS
     lo = max(float(trajA.monitors["t"][0]), float(trajB.monitors["t"][0]))
@@ -565,6 +614,7 @@ def uniqueness_evidence(trajA, trajB, lambda0):
     if lo >= hi:
         raise WindowTooShort(f"no shared late window: [{lo:.3g}, {hi:.3g}]")
     sample_times = np.linspace(lo, hi, _UNIQUENESS_TIMES)
+    trajA = _HeightsOnce(trajA, sample_times, xs)
 
     taus = np.linspace(-_TAU_SPAN, _TAU_SPAN, 41)
     taus[np.argmin(np.abs(taus))] = 0.0

@@ -11,11 +11,20 @@ either end, and each contact parameter is then solved so that the
 discrete endpoint tangent of the resulting curve is parallel to the
 boundary normal (Newton with the residual's analytic slope, from the
 wall's point and normal derivatives).  Cubic arc-length resampling of
-the new and the previous curve follows when the node count, which tracks
-the shrinking length at a spacing near its initial value h0, changes or
-the spacing has drifted.  The step is dt = dt_safety * _STEP_SCALE *
-h_bar^2 / h0: proportional to h while the count tracks the length, to h^2
-once it sits at its 32-node floor near extinction.
+the new curve and of the two levels before it follows when the node
+count, which tracks the shrinking length at a spacing near its initial
+value h0, changes or the spacing has drifted.
+
+Step lengths follow the solution, not the mesh.  Each BDF2 step that has
+three node levels behind it estimates its local error by Milne's device:
+the largest normal component of the new curve less the quadratic
+extrapolation of those levels.  A PI controller sets the next step from
+that estimate and the one before it against the tolerance
+_ERROR_TOL * dt_safety^3, at most twice the last step and at most
+_MESH_STEP_CAP mesh steps dt_safety * _STEP_SCALE * h_bar^2 / h0, which
+bound the late phase once the node count sits at its 32-node floor (see
+step).  Every step is accepted; a step is retried, at half the length,
+only on a FlowError or a convexity failure.
 
 Each state's edge lengths are computed once, by the step that makes it,
 and cached on the state; the next step's time step and Laplacian and the
@@ -23,13 +32,13 @@ state's own curvature reuse them.  Its ghost-closed curvature is likewise
 computed once and shared by the convexity check, the stop rule, the
 monitors and the late-time analysis.
 
-A run's only record is its stored states, every k-th state (see
-run_to_extinction).  The monitors (turning angles, curvature extremes,
-length, area, heights at fixed abscissas) are derived from them once the
-run is over, one row per state.  Stored states are read in time through
-Trajectory.heights_at_time, linear between the two bracketing states; it
-takes an array of times and returns one row of heights per time, so
-matched_distance reads each run once.
+A run's only record is its stored states: every state a step returns
+(see run_to_extinction).  The monitors (turning angles, curvature
+extremes, length, area, heights at fixed abscissas) are derived from them
+once the run is over, one row per state.  Stored states are read in time
+through Trajectory.heights_at_time, linear between the two bracketing
+states; it takes an array of times and returns one row of heights per
+time, so matched_distance reads each run once.
 
 Every curve advances only through step and its node policy, the exact
 solutions too: a semicircle shrinking on a straight wall, and the grim
@@ -156,9 +165,6 @@ class GrimReaperWalls:
 # state
 
 
-# full states kept per 0.35 time units at the first step size; the stride
-# derived from it stays fixed for the whole run
-_THINNING_STATES = 900
 # a run stops once the curve is shorter than this, or once its curvature
 # exceeds the cap
 _EXTINCTION_LENGTH = 1e-3
@@ -171,11 +177,20 @@ _KAPPA_CAP = 1e3
 _CONTACT_TOL = 1e-13
 _CONTACT_STEP = 1e-8
 _FLAT_REL_TOL = 1e-10
-# the step is dt_safety * _STEP_SCALE * h_bar^2 / h0 (see step); a step
-# grows by at most _MAX_STEP_RATIO over the one before it, inside variable
-# BDF2's zero-stability limit 1 + sqrt(2)
+# the mesh step is dt_safety * _STEP_SCALE * h_bar^2 / h0 (see step); a
+# step grows by at most _MAX_STEP_RATIO over the one before it, inside
+# variable BDF2's zero-stability limit 1 + sqrt(2), and stays within
+# _MESH_STEP_CAP mesh steps.  The error controller aims each step's
+# estimate at the tolerance _ERROR_TOL * dt_safety^3, with the safety
+# factor _CONTROL_SAFETY and the PI exponents _PI_ERR and _PI_PREV_ERR
+# (0.7 / 3 and 0.4 / 3 for a local error of third order)
 _STEP_SCALE = 0.024
 _MAX_STEP_RATIO = 2.0
+_MESH_STEP_CAP = 4.0
+_ERROR_TOL = 2e-7
+_CONTROL_SAFETY = 0.9
+_PI_ERR = 0.7 / 3.0
+_PI_PREV_ERR = 0.4 / 3.0
 
 
 @dataclass
@@ -183,7 +198,8 @@ class SolverConfig:
     """Flow run settings.
 
     n_nodes is the initial (and largest) node count; dt_safety in (0, 1)
-    multiplies the step rule dt = _STEP_SCALE * h_bar^2 / h0 (see step);
+    scales every step, through the mesh rule dt = _STEP_SCALE * h_bar^2 /
+    h0 and the error tolerance _ERROR_TOL * dt_safety^3 (see step);
     max_steps is the step budget of run_to_extinction; the class constant
     abscissas holds the x at which the monitors read each stored state's
     height.
@@ -222,8 +238,11 @@ class CurveState:
     _seg: np.ndarray = field(default=None, repr=False, compare=False)
     # the history of a BDF2 step, on every state a step returns: (time,
     # nodes at this state's count, edge lengths, om_minus, om_plus) of the
-    # state it came from, then (time, om_minus, om_plus) of the one before
-    # that, or None; None on an initial state
+    # state it came from; then (time, nodes at this state's count,
+    # om_minus, om_plus) of the one before that, or None; then the error
+    # estimates of the step that made this state and of the step before
+    # it, each None where that step had fewer than three node levels.
+    # None on an initial state
     _prev: tuple = field(default=None, repr=False, compare=False)
 
     def kappa_cached(self, wall):
@@ -437,18 +456,45 @@ def step(state, cfg, wall, h0):
     """One accepted step; halves dt on convexity rejection up to 20 times.
 
     h0 is the target spacing: the new curve gets round(length / h0) + 1
-    nodes, clipped to [32, cfg.n_nodes].  The step is dt = dt_safety *
-    _STEP_SCALE * h_bar^2 / h0 for the mean edge h_bar, so dt ~ h while
-    the count tracks the length and dt ~ h^2 once it sits at its floor.  A
-    state with a history (_prev), as every state a step returns has, takes
-    a variable-step BDF2 step at most _MAX_STEP_RATIO times the one before
-    it; an initial state takes a backward-Euler start step.
+    nodes, clipped to [32, cfg.n_nodes].  The mesh step is dt_safety *
+    _STEP_SCALE * h_bar^2 / h0 for the mean edge h_bar, so it goes as h
+    while the count tracks the length and as h^2 once the count sits at
+    its floor.  A state with a history (_prev), as every state a step
+    returns has, takes a variable-step BDF2 step at most _MAX_STEP_RATIO
+    times the one before it; an initial state takes a backward-Euler start
+    step of one mesh step.
+
+    Where the step that made the state carries an error estimate err
+    (every step of a run from the third on), the new step is chosen
+    against the tolerance tol = _ERROR_TOL * dt_safety^3 by the PI
+    controller 0.9 dt_prev (tol / err)^(0.7/3) (err_prev / tol)^(0.4/3),
+    BDF2's local error being third order (Gustafsson, ACM TOMS 20, 1994;
+    Hairer, Norsett and Wanner, Solving ODEs I, II.4), or by the
+    elementary controller 0.9 dt_prev (tol / err)^(1/3) where the step
+    before has no estimate err_prev.  The step never exceeds _MESH_STEP_CAP mesh steps, which
+    govern the late phase at the node floor; without an estimate it is
+    one mesh step.  Every step is accepted: only a FlowError or a
+    convexity failure retries it, at half the length.  Every step scales
+    with dt_safety, through the mesh step and through the cube root of
+    tol.
     """
     seg = state.seg_cached()
     h_bar = float(seg.sum()) / len(seg)
     dt = cfg.dt_safety * _STEP_SCALE * h_bar * (h_bar / h0)
     if state._prev is not None:
-        dt = min(dt, _MAX_STEP_RATIO * (state.time - state._prev[0]))
+        dt_prev = state.time - state._prev[0]
+        err, err_prev = state._prev[-1]
+        if err is not None:
+            dt *= _MESH_STEP_CAP
+            tol = _ERROR_TOL * cfg.dt_safety ** 3
+            if err > 0.0:
+                if err_prev:
+                    fac = ((tol / err) ** _PI_ERR
+                           * (err_prev / tol) ** _PI_PREV_ERR)
+                else:
+                    fac = (tol / err) ** (1.0 / 3.0)
+                dt = min(dt, _CONTROL_SAFETY * dt_prev * fac)
+        dt = min(dt, _MAX_STEP_RATIO * dt_prev)
     for _ in range(21):
         try:
             new = _attempt_step(state, cfg, wall, dt, h0)
@@ -460,6 +506,20 @@ def step(state, cfg, wall, h0):
         dt *= 0.5
     raise StepRejected(
         f"convexity kept failing after 20 halvings at t = {state.time:.6g}")
+
+
+def _normal_defect(nodes, pred):
+    """Largest component of nodes - pred along the curve normal, the
+    normal at each node taken across the chords either side of it (the
+    one chord at an end).  Tangential node motion is reparametrisation,
+    not error, so it is left out."""
+    e = nodes[1:] - nodes[:-1]
+    tan = np.empty_like(nodes)
+    tan[0], tan[-1] = e[0], e[-1]
+    np.add(e[:-1], e[1:], out=tan[1:-1])
+    d = nodes - pred
+    cross = d[:, 0] * tan[:, 1] - d[:, 1] * tan[:, 0]
+    return float(np.max(np.abs(cross) / np.hypot(tan[:, 0], tan[:, 1])))
 
 
 def _attempt_step(state, cfg, wall, dt, h0):
@@ -474,31 +534,44 @@ def _attempt_step(state, cfg, wall, dt, h0):
     unit move of each end, so the new curve is X + g- s- + g+ s+ for end
     moves s.  Each contact's Newton runs on that family, with nodes 1 and
     2 moving with the end; the right contact sees the left one's move.
+
+    Where three node levels X^n, X^(n-1), X^(n-2) are known, the step's
+    error estimate (Milne's device) is the largest normal component of the
+    new curve less their quadratic Lagrange extrapolation to the new time,
+    read before any resample.  A resample (node count changed, or spacing
+    drifted) takes the new curve and the two older levels to the new
+    count, so the new state's history matches its nodes one to one.
     """
     nodes = state.nodes
     seg = state.seg_cached()
     om_m, om_p = state.om_minus, state.om_plus
     rhs = np.zeros((len(nodes), 4), order="F")
+    older = pred = err_prev = None
     if state._prev is None:
         beta, h = dt, seg
         rhs[:, :2] = nodes
     else:
-        t1, nodes1, seg1, om_m1, om_p1, older = state._prev
+        t1, nodes1, seg1, om_m1, om_p1, older, (err_prev, _) = state._prev
         w = dt / (state.time - t1)
         beta = dt * (1.0 + w) / (1.0 + 2.0 * w)
         np.multiply(nodes, (1.0 + w) ** 2 / (1.0 + 2.0 * w), out=rhs[:, :2])
         rhs[:, :2] -= (w * w / (1.0 + 2.0 * w)) * nodes1
         h = (1.0 + w) * seg - w * seg1
         # the contacts' first Newton guesses, extrapolated linearly, or
-        # quadratically once three contact times are known
+        # quadratically once three contact times are known; so are the
+        # nodes, for the error estimate
         tau1 = state.time - t1
         dm, dp = (om_m - om_m1) / tau1, (om_p - om_p1) / tau1
         om_m, om_p = om_m + dt * dm, om_p + dt * dp
         if older is not None:
-            t2, om_m2, om_p2 = older
-            q = dt * (dt + tau1) / (state.time - t2)
+            t2, nodes2, om_m2, om_p2 = older
+            tau2 = state.time - t2
+            q = dt * (dt + tau1) / tau2
             om_m += q * (dm - (om_m1 - om_m2) / (t1 - t2))
             om_p += q * (dp - (om_p1 - om_p2) / (t1 - t2))
+            pred = ((dt + tau1) * (dt + tau2) / (tau1 * tau2)) * nodes
+            pred -= (dt * (dt + tau2) / (tau1 * (tau2 - tau1))) * nodes1
+            pred += (q / (tau2 - tau1)) * nodes2
     (x0, y0), (xn, yn) = nodes[0].tolist(), nodes[-1].tolist()
     sol = _implicit_interior(rhs, h, beta,
                              ends=((x0, y0, 1.0, 0.0), (xn, yn, 0.0, 1.0)))
@@ -518,25 +591,28 @@ def _attempt_step(state, cfg, wall, dt, h0):
     new = np.dot(np.array([[1.0, 0.0, smx, pp[0] - xn],
                            [0.0, 1.0, smy, pp[1] - yn]]), sol.T).T
     new[0], new[-1] = pm, pp
+    err = None if pred is None else _normal_defect(new, pred)
     seg = _edge_lengths(new)
     n_out = min(max(round(float(seg.sum()) / h0) + 1, 32), cfg.n_nodes)
     prev_seg = state.seg_cached()
     # resample only once the mesh has actually drifted; spacing decays
-    # by O(dt) per step so most steps skip the spline rebuild.  The old
-    # curve is resampled with the new one (its ends on the old contacts),
-    # so the new state's history matches its nodes one to one.
+    # by O(dt) per step so most steps skip the spline rebuild
     if n_out != len(new) or float(seg.max()) > 1.25 * float(seg.min()):
         new = _resample(new, n_out)
         new[0], new[-1] = pm, pp
         seg = _edge_lengths(new)
         nodes = _resample(nodes, n_out)
         prev_seg = _edge_lengths(nodes)
+        if state._prev is not None:
+            nodes1 = _resample(nodes1, n_out)
+    # the stepped state is the new state's previous level, and its own
+    # previous level the older one
+    if state._prev is not None:
+        older = (t1, nodes1, om_m1, om_p1)
     return CurveState(nodes=new, time=state.time + dt,
                       om_minus=om_minus, om_plus=om_plus, _seg=seg,
-                      _prev=(state.time, nodes, prev_seg,
-                             state.om_minus, state.om_plus,
-                             None if state._prev is None else
-                             (state._prev[0],) + state._prev[3:5]))
+                      _prev=(state.time, nodes, prev_seg, state.om_minus,
+                             state.om_plus, older, (err, err_prev)))
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +652,7 @@ class Trajectory:
         Offset times outside the stored range clamp to the first or last
         state.  Of two states stored at the same time, that time itself
         reads the first and later times interpolate from the second.
-        Nearest-state lookup would quantize time to the thinning stride,
+        Nearest-state lookup would quantize time to the step sequence,
         and that noise floor would drown small distances between runs.
         All times are located in one search and weighted in one pass; each
         bracketing state is read once per time.
@@ -634,48 +710,32 @@ def _local_min_count(values):
 def run_to_extinction(initial, cfg, ndom):
     """Step until the length threshold, then extrapolate extinction.
 
-    Curves have at most cfg.n_nodes nodes spaced near the initial h0 (see
-    step); every step after the first is BDF2, across resamples too.  Full
-    states are kept every k-th step, with k fixed from the first step size
-    dt0 = dt_safety * _STEP_SCALE * h0 so that a run keeps about 900
-    (_THINNING_STATES) states per 0.35 time units while the step stays
-    near that size; the last state is always kept.  The count is not
-    capped and grows with the run's length: at dt_safety = 0.8, 5,584
-    states of 11,166 steps on the disk at rho = 0.1, n_nodes = 200 (k = 2),
-    and on the egg at n_nodes = 100 every state of its 4,607 steps (k = 1).
-    Where halvings shrink the step, states are denser in time.  The
-    monitors are derived from the stored states afterwards (_finalize).
-    An exhausted step budget raises NonExtinction, whose partial
-    trajectory ends at the current state.
+    Curves have at most cfg.n_nodes nodes spaced near the initial h0, and
+    the steps follow the error controller (see step); every step after the
+    first is BDF2, across resamples too.  Every state a step returns is
+    stored, so the stored states are exactly the states stepped through:
+    4,009 states of 4,008 steps on the disk at rho = 0.1, n_nodes = 200,
+    dt_safety 0.8, and 2,241 of 2,240 steps on the egg at n_nodes = 100.
+    The monitors are derived from them afterwards (_finalize).  An
+    exhausted step budget raises NonExtinction, whose partial trajectory
+    ends at the current state.
     """
     wall = ConvexWall(ndom)
     state = initial
     h0 = initial.length / (len(initial.nodes) - 1)
     states = [state]
-
-    # step stride of the state thinning, from the first step size
-    dt0 = cfg.dt_safety * _STEP_SCALE * h0
-    stride = max(1, int(0.35 / dt0 / _THINNING_STATES)) if dt0 > 0 else 1
-
-    nsteps = 0
     while (state.length >= _EXTINCTION_LENGTH
            and state.kappa_cached(wall).max() <= _KAPPA_CAP):
-        if nsteps >= cfg.max_steps:
+        if len(states) > cfg.max_steps:
             exc = NonExtinction(
                 f"step budget {cfg.max_steps} exhausted at length "
                 f"{state.length:.3g}")
-            if states[-1] is not state:
-                states.append(state)
             exc.partial = _finalize(states, cfg, ndom, wall)
             raise exc
         new = step(state, cfg, wall, h0)
         # the history is read by that step alone; a stored state keeps none
         state._prev = None
         state = new
-        nsteps += 1
-        if nsteps % stride == 0:
-            states.append(state)
-    if states[-1] is not state:
         states.append(state)
     return _finalize(states, cfg, ndom, wall)
 

@@ -69,6 +69,8 @@ def nlobed(lobed):
 # ---------------------------------------------------------------------------
 # shared flow runs.  Keyed by (domain, rho, n_nodes); computed once per
 # session on first request so the expensive trajectories are paid for once.
+# runs.stepped(name) lists the states that flow.step returned during the
+# run, in order.
 
 _RUN_SPECS = {
     "disk_r03_n100": ("disk", 0.3, 100),
@@ -81,15 +83,31 @@ _RUN_SPECS = {
 @pytest.fixture(scope="session")
 def runs(ndisk, negg):
     doms = {"disk": ndisk, "egg": negg}
-    cache = {}
+    cache, stepped = {}, {}
+    step = flow_mod.step
 
     def get(name):
         if name not in cache:
             dom_key, rho, n = _RUN_SPECS[name]
             cfg = flow_mod.SolverConfig(n_nodes=n, dt_safety=0.8)
-            cache[name] = flow_mod.old_but_not_ancient(doms[dom_key], rho, cfg)
+            stepped[name] = []
+
+            def recording_step(*args):
+                new = step(*args)
+                stepped[name].append(new)
+                return new
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(flow_mod, "step", recording_step)
+                cache[name] = flow_mod.old_but_not_ancient(doms[dom_key],
+                                                           rho, cfg)
         return cache[name]
 
+    def get_stepped(name):
+        get(name)
+        return stepped[name]
+
+    get.stepped = get_stepped
     return get
 
 

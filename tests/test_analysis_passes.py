@@ -85,7 +85,8 @@ def _reference_verify_estimates(traj, r, lambda0):
     rec_kmax.extras["grad_ratio_C2"] = C2
     rec_kmax.extras["ratio_max_over_min"] = float(np.max(ratio_minmax))
     records.append(rec_kmax)
-    slope = np.polyfit(st_t, sup_ratio, 1)[0]
+    slope = np.polyfit(st_t, sup_ratio, 1,
+                       w=asymptotics._time_weights(st_t))[0]
     sup_ok = bool(np.all(np.isfinite(sup_ratio)) and slope <= 0.05)
     records.append(Rec("support_ratio", float(slope), 0.0,
                        float(np.max(sup_ratio)), sup_ok, window,
@@ -105,7 +106,8 @@ def _reference_verify_estimates(traj, r, lambda0):
             pos = defect > 1e-12
             vacuous = int(np.sum(pos)) < 8
             if not vacuous:
-                rate, logc = np.polyfit(st_t[pos], np.log(defect[pos]), 1)
+                rate, logc = np.polyfit(st_t[pos], np.log(defect[pos]), 1,
+                                        w=asymptotics._time_weights(st_t[pos]))
                 resid = np.log(defect[pos]) - (rate * st_t[pos] + logc)
                 const = float(np.exp(logc + np.max(resid)))
                 ok = bool(np.isfinite(rate)) and rate >= required * 0.95

@@ -99,6 +99,26 @@ def test_egg_profile_matches_closed_form_c(runs, negg):
     assert abs(prof.c - c_cf) < 2e-3      # measured 6.9e-4
 
 
+def test_fits_are_sampling_independent(runs, negg):
+    # the fits weight each sample by its share of the window's time, so
+    # dropping every second state barely moves them (measured: rate by
+    # 1.2e-6, c by 3.0e-8; unweighted fits moved by 8.1e-5 and 7.2e-7)
+    traj = runs("egg_r01_n100")
+    half = dataclasses.replace(
+        traj, states=traj.states[::2], state_times=traj.state_times[::2],
+        monitors={key: np.asarray(val)[::2]
+                  for key, val in traj.monitors.items()})
+    lam0 = oval.solve_lambda0(negg.kappa1, negg.kappa2)
+    k = (negg.kappa1, negg.kappa2)
+    rates, cs = [], []
+    for tr in (traj, half):
+        report = asymptotics.verify_estimates(tr, 0.25, lam0)
+        rates.append(report.record("turning_angle_decay").fitted_rate)
+        cs.append(asymptotics.fit_profile(tr, lam0, *k).c)
+    assert abs(rates[1] - rates[0]) < 1e-3
+    assert abs(cs[1] - cs[0]) < 2e-5
+
+
 def test_rescaled_increments_shrink_toward_the_past(runs, ndisk):
     traj = runs("disk_r03_n100")
     lam0 = oval.solve_lambda0(ndisk.kappa1, ndisk.kappa2)
@@ -144,6 +164,33 @@ def test_uniqueness_of_a_run_with_itself_and_its_mirror(runs, ndisk):
     mirror = asymptotics.reflect_trajectory(traj)
     apart = asymptotics.uniqueness_evidence(traj, mirror, lam0)
     assert 0.25 <= apart.distance <= 4.0
+
+
+def test_uniqueness_reads_the_first_run_once(runs, ndisk, monkeypatch):
+    # the first run's heights at the sample times are read once for all
+    # the shifts, and the report is the one that reading them at every
+    # shift gives, bit for bit
+    traj = runs("disk_r03_n100")
+    mirror = asymptotics.reflect_trajectory(traj)
+    lam0 = oval.solve_lambda0(ndisk.kappa1, ndisk.kappa2)
+    readers = []
+    read = flow.Trajectory.heights_at_time
+
+    def counting_read(self, t_offsets, xs):
+        readers.append(self)
+        return read(self, t_offsets, xs)
+
+    monkeypatch.setattr(flow.Trajectory, "heights_at_time", counting_read)
+    once = asymptotics.uniqueness_evidence(traj, mirror, lam0)
+    assert sum(r is traj for r in readers) == 1
+    assert sum(r is mirror for r in readers) > 40
+    monkeypatch.setattr(asymptotics, "_HeightsOnce",
+                        lambda tr, sample_times, xs: tr)
+    every = asymptotics.uniqueness_evidence(traj, mirror, lam0)
+    assert ([float(v).hex() for v in (once.tau_star, once.distance,
+                                      *once.window)]
+            == [float(v).hex() for v in (every.tau_star, every.distance,
+                                         *every.window)])
 
 
 # ---------------------------------------------------------------------------

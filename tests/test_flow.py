@@ -53,7 +53,7 @@ def test_config_accepts_numpy_integers():
 
 @pytest.fixture(scope="module")
 def grim_runs():
-    # measured height errors 3.0e-5, 7.6e-6, 1.9e-6 (slope 2.01)
+    # measured height errors 3.0e-5, 7.4e-6, 1.8e-6 (slope 2.03)
     return [f.grim_reaper_error(n, 0.2) for n in (100, 200, 400)]
 
 
@@ -64,8 +64,8 @@ def test_grim_reaper_second_order(grim_runs):
 
 
 def test_grim_reaper_contacts_follow_the_walls(grim_runs):
-    # the contacts sit at -+arctan(e^-t); measured errors 1.5e-5, 3.7e-6,
-    # 9.2e-7 (orders 2.01 and 2.01)
+    # the contacts sit at -+arctan(e^-t); measured errors 1.5e-5, 3.6e-6,
+    # 8.8e-7 (orders 2.02 and 2.04)
     errs = []
     for _, state in grim_runs:
         x0 = np.arctan(np.exp(-state.time))
@@ -77,8 +77,8 @@ def test_grim_reaper_contacts_follow_the_walls(grim_runs):
 def test_semicircle_on_wall_second_order():
     # the regular polygon's arc-length Laplacian is exactly -1/r, so the
     # error is the contacts', the resamples' and the time stepping's; with
-    # dt ~ h the measured orders are 3.07 and 3.12 (errors 1.28e-5,
-    # 1.53e-6, 1.76e-7)
+    # the error-controlled steps the measured orders are 3.45 and 3.38
+    # (errors 1.24e-5, 1.14e-6, 1.09e-7)
     errs = [f.semicircle_wall_error(n, 0.3)[0] for n in (100, 200, 400)]
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert all(p >= 1.7 for p in orders), (errs, orders)
@@ -96,7 +96,7 @@ def _semicircle_radius_defect(dt_safety):
 def test_semicircle_on_wall_second_order_in_time():
     # at fixed n the spatial part of the defect is common to every run,
     # so the distance to a dt_safety 0.05 run is the time-stepping error
-    # (measured 1.8e-6, 4.5e-7, 1.1e-7: orders 1.97 and 2.02)
+    # (measured 3.9e-6, 8.8e-7, 2.2e-7: orders 2.14 and 2.00)
     ref = _semicircle_radius_defect(0.05)
     errs = [float(np.max(np.abs(_semicircle_radius_defect(s) - ref)))
             for s in (0.8, 0.4, 0.2)]
@@ -194,18 +194,20 @@ def test_steps_solve_the_interior_with_the_new_contacts(ndisk, disk_wall):
 
 def test_resampled_step_keeps_the_history(ndisk, disk_wall):
     # a step that changes the node count resamples the curve it came from
-    # to the new count, its ends on the old contacts, and the next step is
-    # the BDF2 solve built from that history
+    # and the one before that to the new count, their ends on their own
+    # contacts, and the next step is the BDF2 solve built from that history
     state = _oval_state(ndisk, 0.3, 100)
     cfg = f.SolverConfig(n_nodes=100, dt_safety=0.8)
     h0 = state.length / 99
     prev, new = state, f.step(state, cfg, disk_wall, h0)
     while len(new.nodes) == len(prev.nodes):
         prev, new = new, f.step(new, cfg, disk_wall, h0)
-    t1, nodes1, seg1, om_m1, om_p1, older = new._prev
+    t1, nodes1, seg1, om_m1, om_p1, older, _ = new._prev
     assert (t1, om_m1, om_p1) == (prev.time, prev.om_minus, prev.om_plus)
-    assert older == (prev._prev[0], prev._prev[3], prev._prev[4])
+    t2, nodes2, om_m2, om_p2 = older
+    assert (t2, om_m2, om_p2) == (prev._prev[0], prev._prev[3], prev._prev[4])
     assert np.array_equal(nodes1, f._resample(prev.nodes, len(new.nodes)))
+    assert np.array_equal(nodes2, f._resample(prev._prev[1], len(new.nodes)))
     assert tuple(nodes1[0]) == disk_wall.point_xy(prev.om_minus)
     assert tuple(nodes1[-1]) == disk_wall.point_xy(prev.om_plus)
     assert np.array_equal(seg1, np.hypot(*np.diff(nodes1, axis=0).T))
@@ -217,6 +219,32 @@ def test_resampled_step_keeps_the_history(ndisk, disk_wall):
     bdf2 = _pinned_solve(rhs, (1 + w) * new.seg_cached() - w * seg1,
                          dt * (1 + w) / (1 + 2 * w), nxt)
     assert np.max(np.abs(bdf2 - nxt.nodes)) < 1e-13
+
+
+def _semicircle_estimate(dt, n=100, t_end=0.02):
+    """The error estimate of the last of the fixed steps dt that take the
+    unit semicircle on the x-axis wall to t_end.  The target spacing is
+    half the initial one, so the count stays n and nothing is resampled;
+    by t_end the start step's and the first contact solve's effects on
+    the history have decayed."""
+    th = np.linspace(np.pi, 0.0, n)
+    pts = np.column_stack([np.cos(th), np.sin(th)])
+    pts[0, 1] = pts[-1, 1] = 0.0
+    state = f.CurveState(nodes=pts, time=0.0, om_minus=-1.0, om_plus=1.0)
+    cfg = f.SolverConfig(n_nodes=n, dt_safety=0.8)
+    h0 = 0.5 * state.length / (n - 1)
+    while state.time < t_end - 0.5 * dt:
+        state = f._attempt_step(state, cfg, f.StraightWall(), dt, h0)
+    assert len(state.nodes) == n
+    return state._prev[-1][0]
+
+
+def test_step_error_estimate_is_third_order():
+    # BDF2's local error and the quadratic extrapolation's both go as dt^3
+    # (measured estimates 3.4e-9, 4.2e-10, 5.3e-11: ratios 7.99 and 7.99)
+    errs = [_semicircle_estimate(dt) for dt in (1e-3, 5e-4, 2.5e-4)]
+    ratios = [errs[i] / errs[i + 1] for i in range(2)]
+    assert all(6.0 <= q <= 10.0 for q in ratios), (errs, ratios)
 
 
 def test_a_run_takes_one_backward_euler_step(ndisk, monkeypatch):
@@ -303,16 +331,23 @@ def test_step_budget_raises_with_partial(ndisk):
     assert len(partial.states) == 51
 
 
-def test_step_budget_partial_ends_at_the_current_state(ndisk):
-    # at n = 200 every second state is stored; the budget runs out at the
-    # odd step 51, which the partial keeps after step 50
+def test_step_budget_partial_ends_at_the_current_state(ndisk, monkeypatch):
+    # every state is stored, so the partial holds the initial state and all
+    # 51 stepped ones, and ends at the state the budget ran out at
+    step, stepped = f.step, []
+
+    def recording_step(*args):
+        stepped.append(step(*args))
+        return stepped[-1]
+
+    monkeypatch.setattr(f, "step", recording_step)
     cfg = f.SolverConfig(n_nodes=200, dt_safety=0.8, max_steps=51)
     with pytest.raises(NonExtinction) as exc:
         f.old_but_not_ancient(ndisk, 0.1, cfg)
     partial = exc.value.partial
-    assert len(partial.states) == 27
-    gaps = np.diff(partial.state_times)
-    assert gaps[-1] < 0.75 * gaps[-2]
+    assert len(partial.states) == 52
+    assert partial.states[-1] is stepped[-1]
+    assert np.all(np.diff(partial.state_times) > 0.0)
 
 
 def test_lobed_domain_runs_to_extinction(nlobed):
@@ -387,16 +422,20 @@ class TestDiskRun:
 
     def test_barrier_margin_nonnegative(self):
         # the arc barrier tangent to the horizontal line through the initial
-        # curve's highest point, read at every stored state it exists for
+        # curve's highest point, read on a fixed grid of raw run times over
+        # its lifetime [0, -t_hat); the curve at each time is its finite
+        # heights on MATCH_XS (measured margins 0.030 to 0.100)
         bcfg = b.BarrierConfig.from_domain(self.ndom)
         h_max = float(np.max(self.traj.states[0].nodes[:, 1]))
         t_hat = b.tangency_time(h_max * (1.0 + 1e-9), bcfg.r)
+        raw = np.linspace(0.0, -t_hat, 16, endpoint=False)
+        rows = self.traj.heights_at_time(raw - self.traj.time_offset,
+                                         f.MATCH_XS)
         margin = []
-        for s in self.traj.states:
-            t = t_hat + s.time + self.traj.time_offset   # raw run time
-            if t < 0.0:
-                margin.append(
-                    b.below_barrier(s.nodes, b.barrier_at(t, bcfg))[1])
+        for t, y in zip(t_hat + raw, rows):
+            m = np.isfinite(y)
+            curve = np.column_stack([f.MATCH_XS[m], y[m]])
+            margin.append(b.below_barrier(curve, b.barrier_at(t, bcfg))[1])
         assert len(margin) > 10
         assert min(margin) >= -1e-9
 
@@ -405,6 +444,18 @@ class TestDiskRun:
         assert st[0] == self.traj.alpha
         assert len(st) > 200
         assert np.all(np.diff(st) > 0.0)
+
+
+def test_every_step_is_stored(runs):
+    # the stored states are the initial state and every state a step
+    # returned, in order; the error-controlled run takes 2,023 steps where
+    # the mesh-only step rule took 4,006
+    traj = runs("disk_r03_n100")
+    stepped = runs.stepped("disk_r03_n100")
+    assert len(traj.states) == len(stepped) + 1
+    assert all(s is t for s, t in zip(traj.states[1:], stepped))
+    assert np.all(np.diff(traj.state_times) > 0.0)
+    assert len(stepped) <= 2_400
 
 
 @pytest.mark.parametrize("name, fix", [("disk_r03_n100", "ndisk"),
