@@ -7,11 +7,16 @@ problem on [-1, 1] whose negative spectrum carries the decay scale.
 
 All routines are pure functions over recorded trajectories; none of
 them step the flow, and none keeps anything between calls.  They read a
-run as arrays: the monitors whole, and the stored states of a fit window
-in blocks of _BLOCK_STATES, whose nodes and cached curvature are packed
-end to end so that each per-node quantity is one elementwise pass and each
+run as arrays: the monitors, and the stored states of the fit window in
+blocks of _BLOCK_STATES, whose nodes and cached curvature are packed end
+to end so that each per-node quantity is one elementwise pass and each
 per-state extreme one reduceat.  The stored states are read in time
 through Trajectory.heights_at_time, many times in one call.
+
+Every fit reads one window, and _window alone decides it: the offset
+times from max(t0, WINDOW_FLOOR) to WINDOW_CEIL, t0 the run's first
+stored time, and the stored states inside them.  uniqueness_evidence
+aligns two runs over a window of its own.
 
 A run's samples are its steps, which the error controller spaces
 unevenly in time.  So every least-squares fit over window samples (the
@@ -48,24 +53,20 @@ _UNIQUENESS_TIMES = 16  # uniqueness_evidence: sample times, and the time
 _TAU_SPAN = 0.5         # shifts it scans, on [-_TAU_SPAN, _TAU_SPAN]
 
 
-def _default_window(t):
-    """Offset-time fit window: as far into the past as recorded, capped."""
-    lo = max(float(t[0]), WINDOW_FLOOR)
-    hi = WINDOW_CEIL
-    if lo >= hi:
+def _window(traj, min_samples):
+    """The fit window's offset-time bounds and the slice of the stored
+    states inside them, found by two searches of the sorted state_times.
+    WindowTooShort when the bounds cross or the slice holds fewer than
+    min_samples states."""
+    times = traj.state_times
+    lo, hi = max(float(times[0]), WINDOW_FLOOR), WINDOW_CEIL
+    win = slice(int(np.searchsorted(times, lo, side="left")),
+                int(np.searchsorted(times, hi, side="right")))
+    if lo >= hi or win.stop - win.start < min_samples:
         raise WindowTooShort(
-            f"trajectory spans [{t[0]:.3g}, {t[-1]:.3g}]; "
-            f"no samples before {WINDOW_CEIL}")
-    return lo, hi
-
-
-def _window_mask(t, window, min_samples):
-    lo, hi = window
-    m = (t >= lo) & (t <= hi)
-    if int(np.sum(m)) < min_samples:
-        raise WindowTooShort(
-            f"window [{lo:.3g}, {hi:.3g}] holds {int(np.sum(m))} samples")
-    return m
+            f"window [{lo:.3g}, {hi:.3g}] holds {win.stop - win.start} "
+            f"stored states; {min_samples} needed")
+    return (lo, hi), win
 
 
 def _time_weights(t):
@@ -120,37 +121,23 @@ class EstimateReport:
         raise KeyError(name)
 
 
-def _fit_decay(t, q, required, window):
-    """Log-linear fit of q against t, weighted by time (_time_weights);
-    minimal pointwise constant.
+def _fit_decay(t, q, required, win):
+    """Log-linear fit of q against t over the window slice win, weighted by
+    time (_time_weights); minimal pointwise constant.
 
     Returns (rate, constant, passed, n): passed requires the fitted rate
     to clear required*0.95 and the bound q <= constant*exp(rate*t) to
     hold on every sample at or before the window's late edge.
     """
-    m = _window_mask(t, window, _MIN_SAMPLES)
-    logs = np.log(np.maximum(q[m], _LOG_MIN))
-    rate, logc = np.polyfit(t[m], logs, 1, w=_time_weights(t[m]))
-    all_m = t <= window[1]
-    resid = np.log(np.maximum(q[all_m], _LOG_MIN)) - (rate * t[all_m] + logc)
+    logs = np.log(np.maximum(q[win], _LOG_MIN))
+    rate, logc = np.polyfit(t[win], logs, 1, w=_time_weights(t[win]))
+    upto = slice(win.stop)
+    resid = np.log(np.maximum(q[upto], _LOG_MIN)) - (rate * t[upto] + logc)
     const = float(np.exp(logc + np.max(resid)))
     pointwise = bool(np.all(
-        q[all_m] <= const * np.exp(rate * t[all_m]) * (1.0 + 1e-12)))
+        q[upto] <= const * np.exp(rate * t[upto]) * (1.0 + 1e-12)))
     passed = bool(np.isfinite(rate)) and rate >= required * 0.95 and pointwise
-    return float(rate), const, passed, int(np.sum(m))
-
-
-def _window_states(traj, window):
-    """The stored states whose offset times lie in the window, and those
-    times; state_times is sorted, so two searches find them."""
-    times = traj.state_times
-    lo = int(np.searchsorted(times, window[0], side="left"))
-    hi = int(np.searchsorted(times, window[1], side="right"))
-    if hi - lo < _MIN_SAMPLES:
-        raise WindowTooShort(
-            f"only {hi - lo} stored states in [{window[0]:.3g}, "
-            f"{window[1]:.3g}]")
-    return traj.states[lo:hi], times[lo:hi]
+    return float(rate), const, passed, win.stop - win.start
 
 
 def _blocks(states, wall):
@@ -235,43 +222,35 @@ def verify_estimates(traj, r, lambda0):
     and largest curvature decay (the latter carrying the curvature
     gradient ratio), and the two height-ratio pinches around lambda0^2
     (lower uses rate r, upper the doubled rate).  A pinch whose defect is
-    positive on fewer than 8 states holds outright: it reports the
-    required rate as its fitted rate and sets extras["vacuous"].
+    positive on fewer than _MIN_SAMPLES states holds outright: it reports
+    the required rate as its fitted rate and sets extras["vacuous"].
 
-    The window's stored states are found by two searches of state_times
-    and read in blocks of _BLOCK_STATES: one pass computes each state's
-    support, curvature-gradient and max/min curvature ratios, a second
-    packs the pinch's (kappa/y, y) at every node above y = 1e-12, and each
-    pinch weight then takes every state's extreme by reduceat.  The values
-    are those of a per-state loop, bit for bit.  A window state with no
-    node above y = 1e-12 raises AnalysisError; r or lambda0 not finite and
+    The window's stored states (_window) are read in blocks of
+    _BLOCK_STATES: one pass computes each state's support,
+    curvature-gradient and max/min curvature ratios, a second packs the
+    pinch's (kappa/y, y) at every node above y = 1e-12, and each pinch
+    weight then takes every state's extreme by reduceat.  The values are
+    those of a per-state loop, bit for bit.  A window state with no node
+    above y = 1e-12 raises AnalysisError; r or lambda0 not finite and
     positive raises ConfigError.
     """
     _check_positive(r=r, lambda0=lambda0)
     t = np.asarray(traj.monitors["t"])
-    window = _default_window(t)
+    window, win = _window(traj, _MIN_SAMPLES)
     lam2 = lambda0 * lambda0
     records = []
 
     th = np.asarray(traj.monitors["theta_plus"]) + \
         np.asarray(traj.monitors["theta_minus"])
-    rate, const, ok, n = _fit_decay(t, np.sin(0.5 * th), r, window)
-    records.append(EstimateRecord(
-        "turning_angle_decay", rate, r, const, ok, window, n))
-
-    kmin = np.asarray(traj.monitors["kappa_min"])
-    rate, const, ok, n = _fit_decay(t, kmin, r, window)
-    records.append(EstimateRecord(
-        "min_curvature_decay", rate, r, const, ok, window, n))
-
-    kmax = np.asarray(traj.monitors["kappa_max"])
-    rate, const, ok, n = _fit_decay(t, kmax, r, window)
-    rec_kmax = EstimateRecord(
-        "max_curvature_decay", rate, r, const, ok, window, n)
+    for name, q in (("turning_angle_decay", np.sin(0.5 * th)),
+                    ("min_curvature_decay", traj.monitors["kappa_min"]),
+                    ("max_curvature_decay", traj.monitors["kappa_max"])):
+        rate, const, ok, n = _fit_decay(t, np.asarray(q), r, win)
+        records.append(EstimateRecord(name, rate, r, const, ok, window, n))
 
     # state-based quantities; the wall is read only to compute a stored
     # state's curvature, which run_to_extinction has already cached
-    states, st_t = _window_states(traj, window)
+    states, st_t = traj.states[win], t[win]
     wall = (ConvexWall(traj.ndom) if any(s._kap is None for s in states)
             else None)
     ratios = [_block_ratios(*block) for block in _blocks(states, wall)]
@@ -282,9 +261,9 @@ def verify_estimates(traj, r, lambda0):
                    for block, pts, kap, first, _ in _blocks(states, wall)]
 
     C2 = float(np.max(grad_ratio))
-    rec_kmax.extras["grad_ratio_C2"] = C2
-    rec_kmax.extras["ratio_max_over_min"] = float(np.max(ratio_minmax))
-    records.append(rec_kmax)
+    # the max_curvature_decay record carries the curvature ratios
+    records[-1].extras["grad_ratio_C2"] = C2
+    records[-1].extras["ratio_max_over_min"] = float(np.max(ratio_minmax))
 
     # support ratio: required to stay bounded with a non-increasing trend
     slope = np.polyfit(st_t, sup_ratio, 1, w=_time_weights(st_t))[0]
@@ -310,7 +289,7 @@ def verify_estimates(traj, r, lambda0):
                     parts.append(np.maximum.reduceat(q, first) - lam2)
             defect = np.concatenate(parts)
             pos = defect > 1e-12
-            vacuous = int(np.sum(pos)) < 8
+            vacuous = int(np.sum(pos)) < _MIN_SAMPLES
             if not vacuous:
                 rate, logc = np.polyfit(st_t[pos], np.log(defect[pos]), 1,
                                         w=_time_weights(st_t[pos]))
@@ -354,30 +333,15 @@ class Profile:
     c_closed_form: float
     fit_residual: float
     window: tuple
-    times: np.ndarray = field(default=None, repr=False)
-    A_of_t: np.ndarray = field(default=None, repr=False)
-    c_of_t: np.ndarray = field(default=None, repr=False)
+    times: np.ndarray
+    A_of_t: np.ndarray
+    c_of_t: np.ndarray
 
 
 def closed_form_c(lambda0, kappa1, kappa2):
     """Sinh coefficient of the limiting profile."""
     return (kappa1 - kappa2) / (
         2.0 * lambda0 - (kappa1 + kappa2) * np.tanh(lambda0))
-
-
-def _rescaled_heights(traj, lambda0):
-    """(window, times, Z) in the fit window, Z[i, k] the recorded height at
-    abscissa k and time i times e^{-lambda0^2 t}; WindowTooShort below
-    _MIN_SAMPLES samples, ConfigError unless lambda0 is finite and
-    positive."""
-    _check_positive(lambda0=lambda0)
-    t = np.asarray(traj.monitors["t"])
-    window = _default_window(t)
-    m = _window_mask(t, window, _MIN_SAMPLES)
-    tw = t[m]
-    Y = np.column_stack([np.asarray(traj.monitors[f"y_at_x{k}"])[m]
-                         for k in range(len(traj.config.abscissas))])
-    return window, tw, Y * np.exp(-lambda0 * lambda0 * tw)[:, None]
 
 
 def fit_profile(traj, lambda0, kappa1, kappa2):
@@ -390,9 +354,15 @@ def fit_profile(traj, lambda0, kappa1, kappa2):
     trapezoid share of the window (_time_weights).  ConfigError unless
     lambda0 is finite and positive.
     """
-    window, tw, Z = _rescaled_heights(traj, lambda0)
+    _check_positive(lambda0=lambda0)
+    window, win = _window(traj, _MIN_SAMPLES)
+    tw = np.asarray(traj.monitors["t"])[win]
     xs = np.asarray(traj.config.abscissas, dtype=float)
     lam2 = lambda0 * lambda0
+    # Z[i, k]: the height at abscissa k and window time i, rescaled
+    Z = np.column_stack([np.asarray(traj.monitors[f"y_at_x{k}"])[win]
+                         for k in range(len(xs))])
+    Z *= np.exp(-lam2 * tw)[:, None]
     B = np.column_stack([np.cosh(lambda0 * xs), np.sinh(lambda0 * xs)])
     # per-time 2x2 normal equations, vectorized over samples
     G = B.T @ B
@@ -430,10 +400,8 @@ def rescaled_increments(traj, lambda0):
     and positive.
     """
     _check_positive(lambda0=lambda0)
-    t = np.asarray(traj.monitors["t"])
-    window = _default_window(t)
-    _window_mask(t, window, _INCREMENT_TIMES)
-    ts = np.linspace(window[0], window[1], _INCREMENT_TIMES)
+    (lo, hi), _ = _window(traj, _INCREMENT_TIMES)
+    ts = np.linspace(lo, hi, _INCREMENT_TIMES)
     xs = np.asarray(traj.config.abscissas, dtype=float)
     Z = traj.heights_at_time(ts, xs)
     Z *= np.exp(-lambda0 * lambda0 * ts)[:, None]
@@ -475,34 +443,26 @@ def _pos_secular(s, k1, k2):
             + (s * sn + k2 * c) * (s * c - k1 * sn))
 
 
-def _neg_pair(s, k1, k2, grid):
-    """Assemble and sup-normalize the cosh/sinh eigenfunction for mu=-s^2."""
-    ch, sh = np.cosh(s), np.sinh(s)
-    # ratio b/a from whichever endpoint condition is better conditioned
-    d_right = s * ch - k1 * sh
-    d_left = s * ch - k2 * sh
-    if abs(d_right) >= abs(d_left):
-        b = (k1 * ch - s * sh) / d_right
+def _pair(s, k1, k2, grid, kind):
+    """Assemble and sup-normalize the eigenfunction at s: cosh/sinh with
+    mu = -s^2 for kind "hyperbolic", cos/sin with mu = s^2 for
+    "trigonometric"."""
+    # c, sn: the even and odd parts at x = 1; d_even: the even part's slope
+    if kind == "hyperbolic":
+        c, sn = np.cosh(s), np.sinh(s)
+        mu, d_even = -s * s, s * sn
     else:
-        b = -(k2 * ch - s * sh) / d_left
-    pair = EigenPair(mu=-s * s, coeffs=(1.0, float(b)), kind="hyperbolic")
-    vals = pair.phi(grid)
-    scale = float(np.max(np.abs(vals)))
-    pair.coeffs = (1.0 / scale, float(b) / scale)
-    return pair
-
-
-def _pos_pair(s, k1, k2, grid):
-    c, sn = np.cos(s), np.sin(s)
+        c, sn = np.cos(s), np.sin(s)
+        mu, d_even = s * s, -s * sn
+    # ratio b/a from whichever endpoint condition is better conditioned
     d_right = s * c - k1 * sn
     d_left = s * c - k2 * sn
     if abs(d_right) >= abs(d_left):
-        b = (k1 * c + s * sn) / d_right
+        b = (k1 * c - d_even) / d_right
     else:
-        b = -(s * sn + k2 * c) / d_left
-    pair = EigenPair(mu=s * s, coeffs=(1.0, float(b)), kind="trigonometric")
-    vals = pair.phi(grid)
-    scale = float(np.max(np.abs(vals)))
+        b = -(k2 * c - d_even) / d_left
+    pair = EigenPair(mu=mu, coeffs=(1.0, float(b)), kind=kind)
+    scale = float(np.max(np.abs(pair.phi(grid))))
     pair.coeffs = (1.0 / scale, float(b) / scale)
     return pair
 
@@ -522,7 +482,7 @@ def robin_eigen(kappa1, kappa2):
     kmax = max(kappa1, kappa2)
 
     lam0 = solve_lambda0(kappa1, kappa2)
-    negatives = [_neg_pair(lam0, kappa1, kappa2, grid)]
+    negatives = [_pair(lam0, kappa1, kappa2, grid, "hyperbolic")]
 
     # scan below kmax for a second hyperbolic root
     ss = np.linspace(1e-6, kmax, 4001)
@@ -532,7 +492,7 @@ def robin_eigen(kappa1, kappa2):
     for i in flips:
         s2 = safe_brentq(lambda s: float(lambda0_residual(s, kappa1, kappa2)),
                          float(ss[i]), float(ss[i + 1]))
-        negatives.append(_neg_pair(s2, kappa1, kappa2, grid))
+        negatives.append(_pair(s2, kappa1, kappa2, grid, "hyperbolic"))
 
     k = _POSITIVE_EIGEN
     positives = []
@@ -544,7 +504,8 @@ def robin_eigen(kappa1, kappa2):
     for i in flips:
         s = safe_brentq(lambda s: float(_pos_secular(s, kappa1, kappa2)),
                         float(ss[i]), float(ss[i + 1]))
-        positives.append(_pos_pair(s, kappa1, kappa2, grid))
+        positives.append(_pair(s, kappa1, kappa2, grid,
+                               "trigonometric"))
         if len(positives) >= k:
             break
 

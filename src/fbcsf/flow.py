@@ -48,7 +48,7 @@ reaper between the orthogonal walls y = -log|sin x|.
 import math
 import numbers
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
 import numpy as np
@@ -236,10 +236,10 @@ class CurveState:
     om_plus: float    # right contact parameter
     _kap: np.ndarray = field(default=None, repr=False, compare=False)
     _seg: np.ndarray = field(default=None, repr=False, compare=False)
-    # the history of a BDF2 step, on every state a step returns: (time,
-    # nodes at this state's count, edge lengths, om_minus, om_plus) of the
-    # state it came from; then (time, nodes at this state's count,
-    # om_minus, om_plus) of the one before that, or None; then the error
+    # the history of a BDF2 step, on every state a step returns: (levels,
+    # err, err_prev).  levels holds the one or two earlier node levels,
+    # newest first, each a CurveState with no history of its own, its
+    # nodes at this state's count; err and err_prev are the error
     # estimates of the step that made this state and of the step before
     # it, each None where that step had fewer than three node levels.
     # None on an initial state
@@ -460,9 +460,9 @@ def step(state, cfg, wall, h0):
     _STEP_SCALE * h_bar^2 / h0 for the mean edge h_bar, so it goes as h
     while the count tracks the length and as h^2 once the count sits at
     its floor.  A state with a history (_prev), as every state a step
-    returns has, takes a variable-step BDF2 step at most _MAX_STEP_RATIO
-    times the one before it; an initial state takes a backward-Euler start
-    step of one mesh step.
+    returns has, takes a variable-step BDF2 step from its newest level, at
+    most _MAX_STEP_RATIO times the step from that level to the state; an
+    initial state takes a backward-Euler start step of one mesh step.
 
     Where the step that made the state carries an error estimate err
     (every step of a run from the third on), the new step is chosen
@@ -471,19 +471,19 @@ def step(state, cfg, wall, h0):
     BDF2's local error being third order (Gustafsson, ACM TOMS 20, 1994;
     Hairer, Norsett and Wanner, Solving ODEs I, II.4), or by the
     elementary controller 0.9 dt_prev (tol / err)^(1/3) where the step
-    before has no estimate err_prev.  The step never exceeds _MESH_STEP_CAP mesh steps, which
-    govern the late phase at the node floor; without an estimate it is
-    one mesh step.  Every step is accepted: only a FlowError or a
-    convexity failure retries it, at half the length.  Every step scales
-    with dt_safety, through the mesh step and through the cube root of
-    tol.
+    before has no estimate err_prev.  The step never exceeds
+    _MESH_STEP_CAP mesh steps, which govern the late phase at the node
+    floor; without an estimate it is one mesh step.  Every step is
+    accepted: only a FlowError or a convexity failure retries it, at half
+    the length.  Every step scales with dt_safety, through the mesh step
+    and through the cube root of tol.
     """
     seg = state.seg_cached()
     h_bar = float(seg.sum()) / len(seg)
     dt = cfg.dt_safety * _STEP_SCALE * h_bar * (h_bar / h0)
     if state._prev is not None:
-        dt_prev = state.time - state._prev[0]
-        err, err_prev = state._prev[-1]
+        levels, err, err_prev = state._prev
+        dt_prev = state.time - levels[0].time
         if err is not None:
             dt *= _MESH_STEP_CAP
             tol = _ERROR_TOL * cfg.dt_safety ** 3
@@ -535,43 +535,47 @@ def _attempt_step(state, cfg, wall, dt, h0):
     moves s.  Each contact's Newton runs on that family, with nodes 1 and
     2 moving with the end; the right contact sees the left one's move.
 
-    Where three node levels X^n, X^(n-1), X^(n-2) are known, the step's
-    error estimate (Milne's device) is the largest normal component of the
-    new curve less their quadratic Lagrange extrapolation to the new time,
-    read before any resample.  A resample (node count changed, or spacing
-    drifted) takes the new curve and the two older levels to the new
-    count, so the new state's history matches its nodes one to one.
+    X^(n-1) and X^(n-2) are the state's history levels (_prev).  Where
+    both are known, the step's error estimate (Milne's device) is the
+    largest normal component of the new curve less the quadratic Lagrange
+    extrapolation of the three levels to the new time, read before any
+    resample.  The new state's levels are a new CurveState of the stepped
+    state, without history (so a level keeps no other state alive), and
+    the stepped state's newest level.  A resample (node count changed, or
+    spacing drifted) takes the new curve and both levels to the new count.
     """
     nodes = state.nodes
     seg = state.seg_cached()
     om_m, om_p = state.om_minus, state.om_plus
     rhs = np.zeros((len(nodes), 4), order="F")
-    older = pred = err_prev = None
+    levels, pred, err_prev = (), None, None
     if state._prev is None:
         beta, h = dt, seg
         rhs[:, :2] = nodes
     else:
-        t1, nodes1, seg1, om_m1, om_p1, older, (err_prev, _) = state._prev
-        w = dt / (state.time - t1)
+        levels, err_prev, _ = state._prev
+        p1 = levels[0]
+        tau1 = state.time - p1.time
+        w = dt / tau1
         beta = dt * (1.0 + w) / (1.0 + 2.0 * w)
         np.multiply(nodes, (1.0 + w) ** 2 / (1.0 + 2.0 * w), out=rhs[:, :2])
-        rhs[:, :2] -= (w * w / (1.0 + 2.0 * w)) * nodes1
-        h = (1.0 + w) * seg - w * seg1
+        rhs[:, :2] -= (w * w / (1.0 + 2.0 * w)) * p1.nodes
+        h = (1.0 + w) * seg - w * p1.seg_cached()
         # the contacts' first Newton guesses, extrapolated linearly, or
         # quadratically once three contact times are known; so are the
         # nodes, for the error estimate
-        tau1 = state.time - t1
-        dm, dp = (om_m - om_m1) / tau1, (om_p - om_p1) / tau1
+        dm, dp = (om_m - p1.om_minus) / tau1, (om_p - p1.om_plus) / tau1
         om_m, om_p = om_m + dt * dm, om_p + dt * dp
-        if older is not None:
-            t2, nodes2, om_m2, om_p2 = older
-            tau2 = state.time - t2
+        if len(levels) == 2:
+            p2 = levels[1]
+            tau2 = state.time - p2.time
             q = dt * (dt + tau1) / tau2
-            om_m += q * (dm - (om_m1 - om_m2) / (t1 - t2))
-            om_p += q * (dp - (om_p1 - om_p2) / (t1 - t2))
+            gap = p1.time - p2.time
+            om_m += q * (dm - (p1.om_minus - p2.om_minus) / gap)
+            om_p += q * (dp - (p1.om_plus - p2.om_plus) / gap)
             pred = ((dt + tau1) * (dt + tau2) / (tau1 * tau2)) * nodes
-            pred -= (dt * (dt + tau2) / (tau1 * (tau2 - tau1))) * nodes1
-            pred += (q / (tau2 - tau1)) * nodes2
+            pred -= (dt * (dt + tau2) / (tau1 * (tau2 - tau1))) * p1.nodes
+            pred += (q / (tau2 - tau1)) * p2.nodes
     (x0, y0), (xn, yn) = nodes[0].tolist(), nodes[-1].tolist()
     sol = _implicit_interior(rhs, h, beta,
                              ends=((x0, y0, 1.0, 0.0), (xn, yn, 0.0, 1.0)))
@@ -594,25 +598,20 @@ def _attempt_step(state, cfg, wall, dt, h0):
     err = None if pred is None else _normal_defect(new, pred)
     seg = _edge_lengths(new)
     n_out = min(max(round(float(seg.sum()) / h0) + 1, 32), cfg.n_nodes)
-    prev_seg = state.seg_cached()
+    levels = (CurveState(nodes=nodes, time=state.time, om_minus=state.om_minus,
+                         om_plus=state.om_plus, _seg=state.seg_cached()),
+              ) + levels[:1]
     # resample only once the mesh has actually drifted; spacing decays
     # by O(dt) per step so most steps skip the spline rebuild
     if n_out != len(new) or float(seg.max()) > 1.25 * float(seg.min()):
         new = _resample(new, n_out)
         new[0], new[-1] = pm, pp
         seg = _edge_lengths(new)
-        nodes = _resample(nodes, n_out)
-        prev_seg = _edge_lengths(nodes)
-        if state._prev is not None:
-            nodes1 = _resample(nodes1, n_out)
-    # the stepped state is the new state's previous level, and its own
-    # previous level the older one
-    if state._prev is not None:
-        older = (t1, nodes1, om_m1, om_p1)
+        levels = tuple(replace(p, nodes=_resample(p.nodes, n_out), _seg=None)
+                       for p in levels)
     return CurveState(nodes=new, time=state.time + dt,
                       om_minus=om_minus, om_plus=om_plus, _seg=seg,
-                      _prev=(state.time, nodes, prev_seg, state.om_minus,
-                             state.om_plus, older, (err, err_prev)))
+                      _prev=(levels, err, err_prev))
 
 
 # ---------------------------------------------------------------------------
@@ -635,15 +634,10 @@ class Trajectory:
     alpha: float                # offset start time
     extinction_point: np.ndarray
     config: SolverConfig
-    ndom: object = None
+    ndom: object
     # True when the L^2 fit gave no extinction time in
     # [t_end, t_end + 0.5] and the last stored time was used instead
-    extinction_fit_fallback: bool = False
-
-    def state_at(self, t_offset):
-        """Stored state nearest to the requested offset time."""
-        i = int(np.argmin(np.abs(self.state_times - t_offset)))
-        return self.states[i]
+    extinction_fit_fallback: bool
 
     def heights_at_time(self, t_offsets, xs):
         """Heights at xs for a 1-D array of offset times, one row per time,
@@ -813,7 +807,9 @@ class SweepReport:
     rhos: list
     trajectories: list
     pair_distances: list        # matched-time sup distances, consecutive rhos
-    heights_at_tm2: list        # max height at offset time -2 (NaN if later)
+    heights_at_tm2: list        # largest finite height on MATCH_XS at
+                                # offset time -2, read by heights_at_time
+                                # (NaN where the run starts later)
     alphas: list
 
 
@@ -831,7 +827,7 @@ def ancient_sweep(ndom, rhos, cfg):
         pair.append(matched_distance(a, b, 0.0, ts, MATCH_XS))
     # a run that starts after t = -2 has no height there
     heights = [np.nan if tr.alpha > -2.0
-               else float(np.max(tr.state_at(-2.0).nodes[:, 1]))
+               else float(np.nanmax(tr.heights_at_time([-2.0], MATCH_XS)))
                for tr in trajs]
     return SweepReport(
         rhos=list(rhos),

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from fbcsf import asymptotics, flow, oval
-from fbcsf.errors import AnalysisError
+from fbcsf.errors import AnalysisError, WindowTooShort
 
 RATE = 0.25
 BLOCK = asymptotics._BLOCK_STATES
@@ -46,25 +46,24 @@ def _reference_state_fields(state, wall):
 
 def _reference_verify_estimates(traj, r, lambda0):
     t = np.asarray(traj.monitors["t"])
-    window = asymptotics._default_window(t)
+    window, win = asymptotics._window(traj, 8)
     lam2 = lambda0 * lambda0
     records = []
     Rec = asymptotics.EstimateRecord
 
     th = np.asarray(traj.monitors["theta_plus"]) + \
         np.asarray(traj.monitors["theta_minus"])
-    rate, const, ok, n = asymptotics._fit_decay(t, np.sin(0.5 * th), r,
-                                                window)
+    rate, const, ok, n = asymptotics._fit_decay(t, np.sin(0.5 * th), r, win)
     records.append(Rec("turning_angle_decay", rate, r, const, ok, window, n))
     kmin = np.asarray(traj.monitors["kappa_min"])
-    rate, const, ok, n = asymptotics._fit_decay(t, kmin, r, window)
+    rate, const, ok, n = asymptotics._fit_decay(t, kmin, r, win)
     records.append(Rec("min_curvature_decay", rate, r, const, ok, window, n))
     kmax = np.asarray(traj.monitors["kappa_max"])
-    rate, const, ok, n = asymptotics._fit_decay(t, kmax, r, window)
+    rate, const, ok, n = asymptotics._fit_decay(t, kmax, r, win)
     rec_kmax = Rec("max_curvature_decay", rate, r, const, ok, window, n)
 
     states = [s for s in traj.states if window[0] <= s.time <= window[1]]
-    assert len(states) >= 8
+    assert len(states) == win.stop - win.start >= 8
     wall = (flow.ConvexWall(traj.ndom) if any(s._kap is None for s in states)
             else None)
     st_t = np.array([s.time for s in states])
@@ -197,7 +196,7 @@ def _lambda0(ndom):
 
 
 def _window_count(traj):
-    lo, hi = asymptotics._default_window(np.asarray(traj.monitors["t"]))
+    (lo, hi), _ = asymptotics._window(traj, 8)
     return int(np.sum((traj.state_times >= lo) & (traj.state_times <= hi)))
 
 
@@ -219,10 +218,28 @@ def _synthetic(scale, kappa, empty_at=None):
     decay = np.exp(1.5 * t)
     monitors = {"t": t, "theta_plus": decay, "theta_minus": decay,
                 "kappa_min": decay, "kappa_max": 2.0 * decay}
+    ys = np.array([s.heights_at(flow.SolverConfig.abscissas) for s in states])
+    for k in range(ys.shape[1]):
+        monitors[f"y_at_x{k}"] = ys[:, k]
     return flow.Trajectory(
         monitors=monitors, states=states, state_times=t, time_offset=0.0,
         alpha=float(t[0]), extinction_point=np.zeros(2),
-        config=flow.SolverConfig())
+        config=flow.SolverConfig(), ndom=None, extinction_fit_fallback=False)
+
+
+def _from(traj, first):
+    """The run cut to its stored states from index first on."""
+    return dataclasses.replace(
+        traj, states=traj.states[first:],
+        state_times=traj.state_times[first:],
+        monitors={k: v[first:] for k, v in traj.monitors.items()},
+        alpha=float(traj.state_times[first]))
+
+
+def _holding(traj, count):
+    """The run cut so that its fit window holds count stored states."""
+    last = int(np.searchsorted(traj.state_times, -1.0, side="right"))
+    return _from(traj, last - count)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +253,7 @@ def test_estimates_match_the_per_state_loop(name, domain, runs, request):
     lam0 = _lambda0(request.getfixturevalue(domain))
     assert _window_count(traj) % BLOCK != 0
     if name.startswith("egg"):
-        lo, hi = asymptotics._default_window(np.asarray(traj.monitors["t"]))
+        (lo, hi), _ = asymptotics._window(traj, 8)
         assert {len(s.nodes) for s in traj.states
                 if lo <= s.time <= hi} == {99, 100}
     assert (_record_bits(asymptotics.verify_estimates(traj, RATE, lam0))
@@ -259,7 +276,7 @@ def test_estimates_match_at_every_block_remainder(count, runs, ndisk):
     # the run cut so that its window holds count states
     traj = runs("disk_r03_n100")
     lam0 = _lambda0(ndisk)
-    lo, _ = asymptotics._default_window(np.asarray(traj.monitors["t"]))
+    (lo, _), _ = asymptotics._window(traj, 8)
     first = int(np.searchsorted(traj.state_times, lo))
     cut = dataclasses.replace(
         traj, states=traj.states[:first + count],
@@ -331,6 +348,50 @@ def test_verify_estimates_peak_memory(runs, ndisk):
     finally:
         tracemalloc.stop()
     assert peak <= LOOP_PEAK_BYTES
+
+
+# ---------------------------------------------------------------------------
+# the fit window
+
+_ANALYSES = {
+    "verify_estimates":
+        lambda traj: asymptotics.verify_estimates(traj, RATE, 1.2),
+    "fit_profile": lambda traj: asymptotics.fit_profile(traj, 1.2, 1.0, 1.0),
+    "rescaled_increments":
+        lambda traj: asymptotics.rescaled_increments(traj, 1.2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ANALYSES))
+def test_a_run_after_the_window_raises(name):
+    # every stored time lies after -1, so the window's bounds cross
+    traj = _synthetic(0.01, lambda j, t, y: y)
+    late = _from(traj, int(np.searchsorted(traj.state_times, -1.0,
+                                           side="right")))
+    assert late.state_times[0] > -1.0
+    with pytest.raises(WindowTooShort):
+        _ANALYSES[name](late)
+
+
+@pytest.mark.parametrize("name, floor", [("verify_estimates", 8),
+                                         ("fit_profile", 8),
+                                         ("rescaled_increments", 10)])
+def test_a_window_one_state_short_raises(name, floor):
+    traj = _synthetic(0.01, lambda j, t, y: y)
+    _ANALYSES[name](_holding(traj, floor))
+    with pytest.raises(WindowTooShort):
+        _ANALYSES[name](_holding(traj, floor - 1))
+
+
+def test_runs_without_a_shared_late_window_raise():
+    # the same run 6.7 later: it starts at -0.3, where the shared window ends
+    traj = _synthetic(0.01, lambda j, t, y: y)
+    later = dataclasses.replace(
+        traj, state_times=traj.state_times + 6.7, alpha=traj.alpha + 6.7,
+        monitors={**traj.monitors, "t": traj.monitors["t"] + 6.7})
+    assert asymptotics.uniqueness_evidence(traj, traj, 1.2).distance == 0.0
+    with pytest.raises(WindowTooShort):
+        asymptotics.uniqueness_evidence(traj, later, 1.2)
 
 
 # ---------------------------------------------------------------------------

@@ -179,8 +179,13 @@ def test_steps_solve_the_interior_with_the_new_contacts(ndisk, disk_wall):
     h0 = s0.length / 99
     s1 = f.step(s0, cfg, disk_wall, h0)
     s2 = f.step(s1, cfg, disk_wall, h0)
-    # no resample: each history holds the stepped state's own nodes
-    assert s1._prev[1] is s0.nodes and s2._prev[1] is s1.nodes
+    # no resample: each newest level holds the stepped state's own nodes
+    assert s1._prev[0][0].nodes is s0.nodes
+    assert s2._prev[0][0].nodes is s1.nodes
+    # a level is a new state without history, never the stepped state
+    level = s2._prev[0][0]
+    assert level is not s1 and level._prev is None and level._kap is None
+    assert s2._prev[0][1] is s1._prev[0][0]
     seg0, seg1 = s0.seg_cached(), s1.seg_cached()
     be = _pinned_solve(s0.nodes, seg0, s1.time - s0.time, s1)
     assert np.max(np.abs(be - s1.nodes)) < 1e-13
@@ -202,20 +207,23 @@ def test_resampled_step_keeps_the_history(ndisk, disk_wall):
     prev, new = state, f.step(state, cfg, disk_wall, h0)
     while len(new.nodes) == len(prev.nodes):
         prev, new = new, f.step(new, cfg, disk_wall, h0)
-    t1, nodes1, seg1, om_m1, om_p1, older, _ = new._prev
-    assert (t1, om_m1, om_p1) == (prev.time, prev.om_minus, prev.om_plus)
-    t2, nodes2, om_m2, om_p2 = older
-    assert (t2, om_m2, om_p2) == (prev._prev[0], prev._prev[3], prev._prev[4])
-    assert np.array_equal(nodes1, f._resample(prev.nodes, len(new.nodes)))
-    assert np.array_equal(nodes2, f._resample(prev._prev[1], len(new.nodes)))
-    assert tuple(nodes1[0]) == disk_wall.point_xy(prev.om_minus)
-    assert tuple(nodes1[-1]) == disk_wall.point_xy(prev.om_plus)
-    assert np.array_equal(seg1, np.hypot(*np.diff(nodes1, axis=0).T))
+    (p1, p2), _, _ = new._prev
+    assert (p1.time, p1.om_minus, p1.om_plus) == (prev.time, prev.om_minus,
+                                                  prev.om_plus)
+    q1 = prev._prev[0][0]
+    assert (p2.time, p2.om_minus, p2.om_plus) == (q1.time, q1.om_minus,
+                                                  q1.om_plus)
+    assert np.array_equal(p1.nodes, f._resample(prev.nodes, len(new.nodes)))
+    assert np.array_equal(p2.nodes, f._resample(q1.nodes, len(new.nodes)))
+    assert tuple(p1.nodes[0]) == disk_wall.point_xy(prev.om_minus)
+    assert tuple(p1.nodes[-1]) == disk_wall.point_xy(prev.om_plus)
+    seg1 = p1.seg_cached()
+    assert np.array_equal(seg1, np.hypot(*np.diff(p1.nodes, axis=0).T))
     nxt = f.step(new, cfg, disk_wall, h0)
-    assert nxt._prev[1] is new.nodes                  # no resample
+    assert nxt._prev[0][0].nodes is new.nodes         # no resample
     dt = nxt.time - new.time
-    w = dt / (new.time - t1)
-    rhs = ((1 + w) ** 2 * new.nodes - w ** 2 * nodes1) / (1 + 2 * w)
+    w = dt / (new.time - p1.time)
+    rhs = ((1 + w) ** 2 * new.nodes - w ** 2 * p1.nodes) / (1 + 2 * w)
     bdf2 = _pinned_solve(rhs, (1 + w) * new.seg_cached() - w * seg1,
                          dt * (1 + w) / (1 + 2 * w), nxt)
     assert np.max(np.abs(bdf2 - nxt.nodes)) < 1e-13
@@ -236,7 +244,7 @@ def _semicircle_estimate(dt, n=100, t_end=0.02):
     while state.time < t_end - 0.5 * dt:
         state = f._attempt_step(state, cfg, f.StraightWall(), dt, h0)
     assert len(state.nodes) == n
-    return state._prev[-1][0]
+    return state._prev[1]
 
 
 def test_step_error_estimate_is_third_order():
@@ -578,7 +586,8 @@ def _linear_trajectory(times, offsets=None):
     return f.Trajectory(
         monitors={}, states=states, state_times=np.asarray(times),
         time_offset=0.0, alpha=times[0],
-        extinction_point=np.zeros(2), config=f.SolverConfig())
+        extinction_point=np.zeros(2), config=f.SolverConfig(), ndom=None,
+        extinction_fit_fallback=False)
 
 
 def test_heights_at_time_exact_at_stored_times():
