@@ -43,6 +43,10 @@ time, so matched_distance reads each run once.
 Every curve advances only through step and its node policy, the exact
 solutions too: a semicircle shrinking on a straight wall, and the grim
 reaper between the orthogonal walls y = -log|sin x|.
+
+Resampling and the wall tables use the module's not-a-knot spline (de
+Boor 1978), which reproduces scipy's CubicSpline bit for bit; importing
+scipy.interpolate costs about 0.3 s, half of a short run.
 """
 
 import math
@@ -52,7 +56,6 @@ from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgtsv
 
@@ -81,6 +84,10 @@ class ConvexWall:
     piecewise-polynomial tables of Python floats instead of the Fourier
     series.  An angle off the table raises FlowError, which step answers
     by halving the time step.
+
+    The tables are CubicSpline's and its antiderivative's, bit for bit,
+    from the module's spline kernel, which spares the scipy.interpolate
+    import.
     """
 
     def __init__(self, ndom):
@@ -88,17 +95,24 @@ class ConvexWall:
         om = np.linspace(np.pi / 2 - _WALL_PAD, 3 * np.pi / 2 + _WALL_PAD,
                          _WALL_GRID)
         pts = dom.point(om)
-        point_spl = CubicSpline(om, pts, axis=0)
         dp = dom.dpoint(om)
         green = 0.5 * (pts[:, 0] * dp[:, 1] - pts[:, 1] * dp[:, 0])
-        green_spl = CubicSpline(om, green).antiderivative()
         self._lo, self._hi = float(om[0]), float(om[-1])
         self._hg = float(om[1] - om[0])
         self._nseg = _WALL_GRID - 1
         # per segment: x and y coefficients of u^3, u^2, u, 1, interleaved
-        self._pc = array("d", point_spl.c.transpose(1, 0, 2).tobytes())
+        self._pc = array("d", _spline(om, pts).transpose(1, 0, 2).tobytes())
+        # as PPoly.antiderivative: coefficients over (4, 3, 2, 1), and each
+        # constant term the previous piece's value at the shared knot, summed
+        # in PPoly's order (a running sum of the interleaved terms)
+        gc = _spline(om, green)[:, :, 0] / np.arange(4.0, 0.0, -1.0)[:, None]
+        h = np.diff(om)
+        terms = np.stack([gc[3] * h, gc[2] * (h * h), gc[1] * (h * h * h),
+                          gc[0] * (h * h * h * h)], axis=1)
+        const = np.zeros(self._nseg)
+        const[1:] = np.cumsum(terms[:-1].ravel())[3::4]
         # per segment: coefficients of u^4 .. 1 of the area integrand
-        self._gc = array("d", green_spl.c.T.tobytes())
+        self._gc = array("d", np.vstack([gc, const]).T.tobytes())
 
     def _segment(self, om):
         """Table segment holding om and the offset into it; FlowError off
@@ -430,6 +444,10 @@ def _edge_lengths(nodes):
 
 
 def _resample(nodes, n_out):
+    """n_out points at equal steps of cumulative chord length on the
+    not-a-knot spline through the nodes, ends kept; the spline kernel is
+    CubicSpline's, bit for bit, without importing scipy.interpolate.
+    """
     seg = _edge_lengths(nodes)
     s = np.concatenate([[0.0], np.cumsum(seg)])
     # guard against zero-length segments
@@ -437,11 +455,41 @@ def _resample(nodes, n_out):
     s, pts = s[keep], nodes[keep]
     if len(pts) < 4:
         return nodes
-    spl = CubicSpline(s, pts, axis=0)
-    si = np.linspace(0.0, s[-1], n_out)
-    out = spl(si)
+    out = _spline_at(s, _spline(s, pts), np.linspace(0.0, s[-1], n_out))
     out[0], out[-1] = nodes[0], nodes[-1]
     return out
+
+
+def _spline(x, y):
+    """CubicSpline(x, y, axis=0).c, bit for bit, for n >= 4 knots: the
+    same expressions, solved by the gtsv its solve_banded calls.
+    ValueError on non-finite input, as CubicSpline.
+    """
+    y = y.reshape(len(x), -1)
+    if not math.isfinite(x.sum() + y.sum()):
+        raise ValueError("`x` and `y` must contain only finite values.")
+    dx = np.diff(x)
+    dxr = dx[:, None]
+    slope = np.diff(y, axis=0) / dxr
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    b = np.empty(y.shape)
+    b[0] = ((dxr[0] + 2 * d0) * dxr[1] * slope[0]
+            + dxr[0]**2 * slope[1]) / d0
+    b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+    b[-1] = (dxr[-1]**2 * slope[-2]
+             + (2 * d1 + dxr[-1]) * dxr[-2] * slope[-1]) / d1
+    diag = np.concatenate([dx[1:2], 2 * (dx[:-1] + dx[1:]), dx[-2:-1]])
+    s = _tridiag_solve(np.append(dx[1:], d1), diag, np.append(d0, dx[:-1]), b)
+    t = (s[:-1] + s[1:] - 2 * slope) / dxr
+    return np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]))
+
+
+def _spline_at(x, c, xi):
+    """CubicSpline's values at xi, from knots x and _spline's c."""
+    i = np.clip(np.searchsorted(x, xi, side="right") - 1, 0, len(x) - 2)
+    s = (xi - x[i])[:, None]
+    return ((c[3, i] + c[2, i] * s) + c[1, i] * (s * s)
+            + c[0, i] * (s * s * s))
 
 
 def _convexity_defect(state, wall):

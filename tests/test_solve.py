@@ -1,6 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
+from scipy.optimize import brentq
 
+import fbcsf.solve as solve
 from fbcsf.errors import BracketFailure
 from fbcsf.solve import safe_brentq
 
@@ -8,6 +13,18 @@ from fbcsf.solve import safe_brentq
 def test_brentq_cos():
     r = safe_brentq(np.cos, 1.0, 2.0)
     assert abs(r - np.pi / 2) < 1e-12
+
+
+def test_brentq_evaluates_each_end_once():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return math.cos(x)
+
+    safe_brentq(f, 1.0, 2.0)
+    assert calls[:2] == [1.0, 2.0]
+    assert len(calls) == 7
 
 
 def test_brentq_rejects_same_sign():
@@ -29,3 +46,39 @@ def test_brentq_exact_endpoint_zero():
 def test_brentq_nan_at_an_end_is_bracket_failure(f):
     with pytest.raises(BracketFailure):
         safe_brentq(f, 0.0, 1.0)
+
+
+def test_brentq_nan_inside_is_bracket_failure():
+    f = lambda x: np.nan if 0.3 < x < 0.7 else x - 0.5
+    with pytest.raises(BracketFailure):
+        safe_brentq(f, 0.0, 1.0)
+
+
+def test_brentq_iteration_cap_is_bracket_failure(monkeypatch):
+    monkeypatch.setattr(solve, "_MAXITER", 2)
+    with pytest.raises(BracketFailure):
+        safe_brentq(np.cos, 1.0, 2.0)
+
+
+_coeff = st.floats(-10.0, 10.0)
+
+
+@given(_coeff, _coeff, _coeff, st.floats(-3.0, 3.0), st.floats(1e-3, 6.0),
+       st.floats(0.01, 0.99))
+# underflowing slopes divide by zero, which C answers with an infinity
+@example(0.0, 8.374319768927679e-168, 0.0, 0.0, 1.0, 0.5)
+@settings(max_examples=300, deadline=None)
+def test_brentq_is_scipy_brentq_bit_for_bit(c3, c2, c1, a, width, frac):
+    # a cubic shifted by a value between its end values, so that it changes
+    # sign on [a, b]: every iterate must match scipy's
+    b = a + width
+    g = lambda x: ((c3 * x + c2) * x + c1) * x
+    c0 = -(g(a) + frac * (g(b) - g(a)))
+
+    def f(x):
+        return g(x) + c0
+
+    assume(np.sign(f(a)) * np.sign(f(b)) < 0)
+    want = brentq(f, a, b, xtol=solve._XTOL, rtol=solve._RTOL,
+                  maxiter=solve._MAXITER)
+    assert safe_brentq(f, a, b) == want

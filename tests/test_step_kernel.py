@@ -1,14 +1,17 @@
 """Step-kernel tests: the tridiagonal solves against dense linear algebra,
-the local-minimum counter against its original implementation, and the
+the spline kernel and the wall tables against scipy's CubicSpline, the
+local-minimum counter against its original implementation, and the
 analytic-slope contact Newton against finite differences and a bracketed
 root."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.interpolate import CubicSpline
 from scipy.linalg import LinAlgError, solve_banded
 
 import fbcsf.flow as f
+import fbcsf.geometry as g
 import fbcsf.oval as ov
 from fbcsf.errors import FlowError
 from fbcsf.solve import safe_brentq
@@ -95,6 +98,76 @@ def test_tridiag_solve_rejects_singular_matrix():
     with pytest.raises(LinAlgError):
         f._tridiag_solve(np.zeros(n - 1), np.zeros(n), np.zeros(n - 1),
                          np.ones((n, 2)))
+
+
+# ---------------------------------------------------------------------------
+# not-a-knot spline
+
+
+@st.composite
+def _spline_data(draw):
+    """Strictly increasing knots with gaps spread over three decades, and
+    one or two columns of values."""
+    n = draw(st.integers(4, 300))
+    m = draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.uniform(-5.0, 5.0) + np.concatenate(
+        [[0.0], np.cumsum(10.0 ** rng.uniform(-3.0, 0.5, n - 1))])
+    return x, rng.uniform(-10.0, 10.0, (n, m))
+
+
+@given(_spline_data())
+@settings(max_examples=200, deadline=None)
+def test_spline_is_cubic_spline_bit_for_bit(data):
+    x, y = data
+    ref = CubicSpline(x, y, axis=0)
+    c = f._spline(x, y)
+    assert np.array_equal(c, ref.c)
+    for xi in (np.linspace(x[0], x[-1], 101), x):
+        assert np.array_equal(f._spline_at(x, c, xi), ref(xi))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_spline_rejects_non_finite_input(bad):
+    x = np.linspace(0.0, 1.0, 8)
+    y = np.sin(x)
+    y[3] = bad
+    with pytest.raises(ValueError):
+        f._spline(x, y)
+
+
+@pytest.fixture(scope="module")
+def nflat(flat_ellipse):
+    return g.normalize(flat_ellipse, g.find_diameters(flat_ellipse)[0])
+
+
+@pytest.mark.parametrize("fix", ["negg", "nflat"])
+def test_wall_tables_are_cubic_spline_tables(fix, request):
+    ndom = request.getfixturevalue(fix)
+    # the wall's own construction, with scipy's spline and antiderivative
+    om = np.linspace(np.pi / 2 - f._WALL_PAD, 3 * np.pi / 2 + f._WALL_PAD,
+                     f._WALL_GRID)
+    pts, dp = ndom.domain.point(om), ndom.domain.dpoint(om)
+    green = 0.5 * (pts[:, 0] * dp[:, 1] - pts[:, 1] * dp[:, 0])
+    pc = CubicSpline(om, pts, axis=0).c.transpose(1, 0, 2).ravel()
+    gc = CubicSpline(om, green).antiderivative().c.T.ravel()
+    wall = f.ConvexWall(ndom)
+    assert np.array_equal(np.asarray(wall._pc), pc)
+    assert np.array_equal(np.asarray(wall._gc), gc)
+
+
+def test_resample_drops_a_zero_length_edge_as_cubic_spline(ndisk):
+    nodes = ov.sample_initial_curve(ov.construct_orthogonal_oval(ndisk, 0.3),
+                                    40)
+    nodes = np.insert(nodes, 11, nodes[10], axis=0)
+    seg = _edges(nodes)
+    assert seg[10] == 0.0
+    s = np.concatenate([[0.0], np.cumsum(seg)])
+    keep = np.concatenate([[True], seg > 1e-15])
+    si = np.linspace(0.0, s[-1], 57)
+    want = CubicSpline(s[keep], nodes[keep], axis=0)(si)
+    want[0], want[-1] = nodes[0], nodes[-1]
+    assert np.array_equal(f._resample(nodes, 57), want)
 
 
 # ---------------------------------------------------------------------------
