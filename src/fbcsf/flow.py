@@ -20,11 +20,10 @@ three node levels behind it estimates its local error by Milne's device:
 the largest normal component of the new curve less the quadratic
 extrapolation of those levels.  A PI controller sets the next step from
 that estimate and the one before it against the tolerance
-_ERROR_TOL * dt_safety^3, at most twice the last step and at most
-_MESH_STEP_CAP mesh steps dt_safety * _STEP_SCALE * h_bar^2 / h0, which
-bound the late phase once the node count sits at its 32-node floor (see
-step).  Every step is accepted; a step is retried, at half the length,
-only on a FlowError or a convexity failure.
+_ERROR_TOL * dt_safety^3, at most twice the last step and at most the
+length cap _LENGTH_STEP_CAP * L^2 for the curve length L (see step).
+Every step is accepted; a step is retried, at half the length, only on a
+FlowError or a convexity failure.
 
 Each state's edge lengths are computed once, by the step that makes it,
 and cached on the state; the next step's time step and Laplacian and the
@@ -191,16 +190,17 @@ _KAPPA_CAP = 1e3
 _CONTACT_TOL = 1e-13
 _CONTACT_STEP = 1e-8
 _FLAT_REL_TOL = 1e-10
-# the mesh step is dt_safety * _STEP_SCALE * h_bar^2 / h0 (see step); a
-# step grows by at most _MAX_STEP_RATIO over the one before it, inside
-# variable BDF2's zero-stability limit 1 + sqrt(2), and stays within
-# _MESH_STEP_CAP mesh steps.  The error controller aims each step's
-# estimate at the tolerance _ERROR_TOL * dt_safety^3, with the safety
+# a step without an error estimate is the mesh step dt_safety *
+# _STEP_SCALE * h_bar^2 / h0 (see step).  The error controller aims each
+# later step's estimate at _ERROR_TOL * dt_safety^3, with the safety
 # factor _CONTROL_SAFETY and the PI exponents _PI_ERR and _PI_PREV_ERR
-# (0.7 / 3 and 0.4 / 3 for a local error of third order)
+# (0.7 / 3 and 0.4 / 3 for a local error of third order).  A step grows
+# by at most _MAX_STEP_RATIO over the one before it, inside variable
+# BDF2's zero-stability limit 1 + sqrt(2), and never exceeds the length
+# cap _LENGTH_STEP_CAP * L^2 for the curve length L, whatever dt_safety
 _STEP_SCALE = 0.024
 _MAX_STEP_RATIO = 2.0
-_MESH_STEP_CAP = 4.0
+_LENGTH_STEP_CAP = 0.002
 _ERROR_TOL = 2e-7
 _CONTROL_SAFETY = 0.9
 _PI_ERR = 0.7 / 3.0
@@ -212,11 +212,11 @@ class SolverConfig:
     """Flow run settings.
 
     n_nodes is the initial (and largest) node count; dt_safety in (0, 1)
-    scales every step, through the mesh rule dt = _STEP_SCALE * h_bar^2 /
-    h0 and the error tolerance _ERROR_TOL * dt_safety^3 (see step);
-    max_steps is the step budget of run_to_extinction; the class constant
-    abscissas holds the x at which the monitors read each stored state's
-    height.
+    scales the error tolerance _ERROR_TOL * dt_safety^3 and the first
+    steps' mesh rule dt = dt_safety * _STEP_SCALE * h_bar^2 / h0, but not
+    the length cap (see step); max_steps is the step budget of
+    run_to_extinction; the class constant abscissas holds the x at which
+    the monitors read each stored state's height.
     """
 
     n_nodes: int = 200
@@ -504,13 +504,11 @@ def step(state, cfg, wall, h0):
     """One accepted step; halves dt on convexity rejection up to 20 times.
 
     h0 is the target spacing: the new curve gets round(length / h0) + 1
-    nodes, clipped to [32, cfg.n_nodes].  The mesh step is dt_safety *
-    _STEP_SCALE * h_bar^2 / h0 for the mean edge h_bar, so it goes as h
-    while the count tracks the length and as h^2 once the count sits at
-    its floor.  A state with a history (_prev), as every state a step
-    returns has, takes a variable-step BDF2 step from its newest level, at
-    most _MAX_STEP_RATIO times the step from that level to the state; an
-    initial state takes a backward-Euler start step of one mesh step.
+    nodes, clipped to [32, cfg.n_nodes].  A state with a history (_prev),
+    as every state a step returns has, takes a variable-step BDF2 step
+    from its newest level, at most _MAX_STEP_RATIO times the step from
+    that level to the state; an initial state takes a backward-Euler
+    start step.
 
     Where the step that made the state carries an error estimate err
     (every step of a run from the third on), the new step is chosen
@@ -519,21 +517,24 @@ def step(state, cfg, wall, h0):
     BDF2's local error being third order (Gustafsson, ACM TOMS 20, 1994;
     Hairer, Norsett and Wanner, Solving ODEs I, II.4), or by the
     elementary controller 0.9 dt_prev (tol / err)^(1/3) where the step
-    before has no estimate err_prev.  The step never exceeds
-    _MESH_STEP_CAP mesh steps, which govern the late phase at the node
-    floor; without an estimate it is one mesh step.  Every step is
+    before has no estimate err_prev.  That step never exceeds the length
+    cap _LENGTH_STEP_CAP * L^2, L the state's length: the diffusion time
+    of the whole curve, which does not scale with dt_safety.  It binds
+    only where the curve barely moves, as on a stationary curve (whose
+    step would otherwise double every step) or a long chord early on.
+    The first steps, which have no estimate, take the mesh step dt_safety
+    * _STEP_SCALE * h_bar^2 / h0 for the mean edge h_bar.  Every step is
     accepted: only a FlowError or a convexity failure retries it, at half
-    the length.  Every step scales with dt_safety, through the mesh step
-    and through the cube root of tol.
+    the length.
     """
-    seg = state.seg_cached()
-    h_bar = float(seg.sum()) / len(seg)
+    length = state.length
+    h_bar = length / (len(state.nodes) - 1)
     dt = cfg.dt_safety * _STEP_SCALE * h_bar * (h_bar / h0)
     if state._prev is not None:
         levels, err, err_prev = state._prev
         dt_prev = state.time - levels[0].time
         if err is not None:
-            dt *= _MESH_STEP_CAP
+            dt = _LENGTH_STEP_CAP * length ** 2
             tol = _ERROR_TOL * cfg.dt_safety ** 3
             if err > 0.0:
                 if err_prev:
@@ -756,8 +757,8 @@ def run_to_extinction(initial, cfg, ndom):
     the steps follow the error controller (see step); every step after the
     first is BDF2, across resamples too.  Every state a step returns is
     stored, so the stored states are exactly the states stepped through:
-    4,009 states of 4,008 steps on the disk at rho = 0.1, n_nodes = 200,
-    dt_safety 0.8, and 2,241 of 2,240 steps on the egg at n_nodes = 100.
+    2,251 states of 2,250 steps on the disk at rho = 0.1, n_nodes = 200,
+    dt_safety 0.8, and 1,933 of 1,932 steps on the egg at n_nodes = 100.
     The monitors are derived from them afterwards (_finalize).  An
     exhausted step budget raises NonExtinction, whose partial trajectory
     ends at the current state.
@@ -890,13 +891,12 @@ def ancient_sweep(ndom, rhos, cfg):
 # exact solutions, run under the production node policy
 
 
-# step safety of the exact solutions; stationary diameter's nodes, steps
-_VALIDATION_DT_SAFETY = 0.4
+# stationary diameter's nodes, steps
 _DRIFT_NODES = 64
 _DRIFT_STEPS = 50
 
 
-def grim_reaper_error(n, t_end):
+def grim_reaper_error(n, t_end, dt_safety):
     """Grim reaper y = t - log cos x between the walls of GrimReaperWalls.
 
     Starts at t = 0 with contacts at -+pi/4 and n nodes uniform in arc
@@ -907,7 +907,7 @@ def grim_reaper_error(n, t_end):
     xs = np.arctan(np.sinh(s))
     state = CurveState(nodes=np.column_stack([xs, -np.log(np.cos(xs))]),
                        time=0.0, om_minus=-np.pi / 4, om_plus=np.pi / 4)
-    cfg = SolverConfig(n_nodes=n, dt_safety=_VALIDATION_DT_SAFETY)
+    cfg = SolverConfig(n_nodes=n, dt_safety=dt_safety)
     wall = GrimReaperWalls()
     h0 = state.length / (n - 1)
     while state.time < t_end:
@@ -916,7 +916,7 @@ def grim_reaper_error(n, t_end):
     return float(np.max(np.abs(y - state.time + np.log(np.cos(x))))), state
 
 
-def semicircle_wall_error(n, t_end, dt_safety=_VALIDATION_DT_SAFETY):
+def semicircle_wall_error(n, t_end, dt_safety):
     """Unit half circle on the x-axis wall shrinking as sqrt(1 - 2t).
 
     Steps as run_to_extinction does (h0 the initial spacing, at most n

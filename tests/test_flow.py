@@ -53,8 +53,11 @@ def test_config_accepts_numpy_integers():
 
 @pytest.fixture(scope="module")
 def grim_runs():
-    # measured height errors 3.0e-5, 7.4e-6, 1.8e-6 (slope 2.03)
-    return [f.grim_reaper_error(n, 0.2) for n in (100, 200, 400)]
+    # the tolerance shrinks with the mesh, dt_safety = 0.4 * 100 / n, or
+    # the time error would floor the slope (1.61 at dt_safety 0.4 for all
+    # n); measured height errors 2.8e-5, 6.6e-6, 1.4e-6 (slope 2.16)
+    return [f.grim_reaper_error(n, 0.2, 0.4 * 100 / n)
+            for n in (100, 200, 400)]
 
 
 def test_grim_reaper_second_order(grim_runs):
@@ -64,8 +67,8 @@ def test_grim_reaper_second_order(grim_runs):
 
 
 def test_grim_reaper_contacts_follow_the_walls(grim_runs):
-    # the contacts sit at -+arctan(e^-t); measured errors 1.5e-5, 3.6e-6,
-    # 8.8e-7 (orders 2.02 and 2.04)
+    # the contacts sit at -+arctan(e^-t); measured errors 1.4e-5, 3.3e-6,
+    # 6.9e-7 (orders 2.09 and 2.23)
     errs = []
     for _, state in grim_runs:
         x0 = np.arctan(np.exp(-state.time))
@@ -76,10 +79,13 @@ def test_grim_reaper_contacts_follow_the_walls(grim_runs):
 
 def test_semicircle_on_wall_second_order():
     # the regular polygon's arc-length Laplacian is exactly -1/r, so the
-    # error is the contacts', the resamples' and the time stepping's; with
-    # the error-controlled steps the measured orders are 3.45 and 3.38
-    # (errors 1.24e-5, 1.14e-6, 1.09e-7)
-    errs = [f.semicircle_wall_error(n, 0.3)[0] for n in (100, 200, 400)]
+    # error is the contacts', the resamples' and the time stepping's.  The
+    # tolerance shrinks with the mesh, dt_safety = 0.4 * 100 / n, or the
+    # time error would floor the finer runs (8.7e-7 and 7.0e-7 at n = 200
+    # and 400 with dt_safety 0.4); measured orders 3.09 and 3.20 (errors
+    # 1.24e-5, 1.46e-6, 1.59e-7)
+    errs = [f.semicircle_wall_error(n, 0.3, 0.4 * 100 / n)[0]
+            for n in (100, 200, 400)]
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert all(p >= 1.7 for p in orders), (errs, orders)
     assert errs[-1] <= 1e-6, errs
@@ -106,6 +112,27 @@ def test_semicircle_on_wall_second_order_in_time():
 
 def test_stationary_diameter_does_not_drift(ndisk):
     assert f.stationary_diameter_drift(ndisk) < 1e-10
+
+
+def test_length_cap_holds_the_stationary_diameter(ndisk, monkeypatch):
+    # the flat diameter's error estimate is about zero, so only the length
+    # cap keeps its step from doubling every step (with no cap the drift
+    # was measured at 2.1e-5)
+    step = f.step
+    taken = []
+
+    def recording_step(state, *args):
+        new = step(state, *args)
+        taken.append((new.time - state.time,
+                      f._LENGTH_STEP_CAP * state.length ** 2))
+        return new
+
+    monkeypatch.setattr(f, "step", recording_step)
+    f.stationary_diameter_drift(ndisk)
+    assert len(taken) == 50
+    # a step is read back as a difference of times, within a rounding
+    assert all(dt <= cap * (1.0 + 1e-12) for dt, cap in taken), taken
+    assert taken[-1][0] == pytest.approx(taken[-1][1], rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -566,6 +593,20 @@ def test_nested_initial_curves_stay_ordered(runs):
 def test_alpha_strictly_more_negative_for_smaller_rho(disk_sweep):
     a = disk_sweep.alphas
     assert a[0] > a[1] > a[2]
+
+
+def test_disk_run_step_count(disk_sweep):
+    # rho = 0.1, n_nodes 200, dt_safety 0.8: measured 2,250 steps
+    assert disk_sweep.rhos[1] == 0.1
+    assert len(disk_sweep.trajectories[1].states) - 1 <= 2400
+
+
+def test_minor_axis_run_step_count(nellipse_minor):
+    # a long chord's slow early phase, where the length cap binds:
+    # measured 2,995 steps, 1,318 of them at the cap
+    cfg = f.SolverConfig(n_nodes=100, dt_safety=0.8)
+    traj = f.old_but_not_ancient(nellipse_minor, 0.1, cfg)
+    assert len(traj.states) - 1 <= 3200
 
 
 # ---------------------------------------------------------------------------
