@@ -11,9 +11,9 @@ either end, and each contact parameter is then solved so that the
 discrete endpoint tangent of the resulting curve is parallel to the
 boundary normal (Newton with the residual's analytic slope, from the
 wall's point and normal derivatives).  Cubic arc-length resampling of
-the new curve and of the two levels before it follows when the node
-count, which tracks the shrinking length at a spacing near its initial
-value h0, changes or the spacing has drifted.
+the new curve and of the two levels before it, in one packed spline
+solve, follows when the node count, which tracks the shrinking length at
+a spacing near its initial value h0, changes or the spacing has drifted.
 
 Step lengths follow the solution, not the mesh.  Each BDF2 step that has
 three node levels behind it estimates its local error by Milne's device:
@@ -85,8 +85,8 @@ class ConvexWall:
     by halving the time step.
 
     The tables are CubicSpline's and its antiderivative's, bit for bit,
-    from the module's spline kernel, which spares the scipy.interpolate
-    import.
+    from one solve of the module's spline kernel, which spares the
+    scipy.interpolate import.
     """
 
     def __init__(self, ndom):
@@ -99,12 +99,13 @@ class ConvexWall:
         self._lo, self._hi = float(om[0]), float(om[-1])
         self._hg = float(om[1] - om[0])
         self._nseg = _WALL_GRID - 1
+        c = _spline([om], [np.column_stack([pts, green])])
         # per segment: x and y coefficients of u^3, u^2, u, 1, interleaved
-        self._pc = array("d", _spline(om, pts).transpose(1, 0, 2).tobytes())
+        self._pc = array("d", c[:, :, :2].transpose(1, 0, 2).tobytes())
         # as PPoly.antiderivative: coefficients over (4, 3, 2, 1), and each
         # constant term the previous piece's value at the shared knot, summed
         # in PPoly's order (a running sum of the interleaved terms)
-        gc = _spline(om, green)[:, :, 0] / np.arange(4.0, 0.0, -1.0)[:, None]
+        gc = c[:, :, 2] / np.arange(4.0, 0.0, -1.0)[:, None]
         h = np.diff(om)
         terms = np.stack([gc[3] * h, gc[2] * (h * h), gc[1] * (h * h * h),
                           gc[0] * (h * h * h * h)], axis=1)
@@ -443,53 +444,82 @@ def _edge_lengths(nodes):
     return np.hypot(e[:, 0], e[:, 1])
 
 
-def _resample(nodes, n_out):
-    """n_out points at equal steps of cumulative chord length on the
-    not-a-knot spline through the nodes, ends kept; the spline kernel is
-    CubicSpline's, bit for bit, without importing scipy.interpolate.
-    """
-    seg = _edge_lengths(nodes)
-    s = np.concatenate([[0.0], np.cumsum(seg)])
-    # guard against zero-length segments
-    keep = np.concatenate([[True], seg > 1e-15])
-    s, pts = s[keep], nodes[keep]
-    if len(pts) < 4:
-        return nodes
-    out = _spline_at(s, _spline(s, pts), np.linspace(0.0, s[-1], n_out))
-    out[0], out[-1] = nodes[0], nodes[-1]
-    return out
+def _resample(curves, n_out):
+    """The curves of one resample event, each at n_out points at equal
+    steps of its chord length on the not-a-knot spline through its nodes,
+    ends kept: CubicSpline's points, bit for bit, from one packed spline
+    solve.  FlowError where fewer than 4 distinct nodes remain."""
+    knots, pts = [], []
+    for nodes in curves:
+        seg = _edge_lengths(nodes)
+        # guard against zero-length segments
+        keep = np.concatenate([[True], seg > 1e-15])
+        knots.append(np.concatenate([[0.0], np.cumsum(seg)])[keep])
+        pts.append(nodes[keep])
+    if min(map(len, knots)) < 4:
+        raise FlowError("fewer than 4 distinct nodes to resample")
+    out = _spline_at(knots, _spline(knots, pts),
+                     [np.linspace(0.0, s[-1], n_out) for s in knots])
+    out = out.reshape(len(curves), n_out, -1)
+    out[:, 0], out[:, -1] = [c[0] for c in curves], [c[-1] for c in curves]
+    # copies, so that a stored curve keeps no other curve's nodes alive
+    return [o.copy() for o in out]
 
 
-def _spline(x, y):
-    """CubicSpline(x, y, axis=0).c, bit for bit, for n >= 4 knots: the
-    same expressions, solved by the gtsv its solve_banded calls.
-    ValueError on non-finite input, as CubicSpline.
-    """
-    y = y.reshape(len(x), -1)
+def _spline(xs, ys):
+    """CubicSpline(x, y, axis=0).c, bit for bit, for each pair of knots x
+    and values y in xs and ys, packed: a piece sits at its left knot's index
+    in the joined knots, so the piece after each spline but the last is
+    filler.  CubicSpline's expressions, and one gtsv (as its solve_banded)
+    for all: the bands joining two blocks are 0, so gtsv's multiplier there
+    is 0 and each block's bits are its own solve's.  ValueError on
+    non-finite input, as CubicSpline, and on fewer than 4 knots."""
+    if min(map(len, xs)) < 4:
+        raise ValueError("a not-a-knot spline needs at least 4 knots")
+    x = np.concatenate(xs)
+    y = np.concatenate(ys).reshape(len(x), -1)
     if not math.isfinite(x.sum() + y.sum()):
         raise ValueError("`x` and `y` must contain only finite values.")
+    # each spline's first and last knot; each filler piece gets width 1
+    last = np.cumsum([len(k) for k in xs]) - 1
+    first, join = np.concatenate([[0], last[:-1] + 1]), last[:-1]
     dx = np.diff(x)
+    dx[join] = 1.0
     dxr = dx[:, None]
     slope = np.diff(y, axis=0) / dxr
-    d0, d1 = x[2] - x[0], x[-1] - x[-3]
-    b = np.empty(y.shape)
-    b[0] = ((dxr[0] + 2 * d0) * dxr[1] * slope[0]
-            + dxr[0]**2 * slope[1]) / d0
+    # a last row is a first row with the knots reversed: per end knot, the
+    # piece at it, the next piece, the knot beyond and the width d between
+    end, near, far, tip = np.hstack([first + [[0], [0], [1], [2]],
+                                     last - [[0], [1], [2], [2]]])
+    d = np.abs(x[end] - x[tip])[:, None]
+    b = np.empty(y.shape, order="F")
     b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
-    b[-1] = (dxr[-1]**2 * slope[-2]
-             + (2 * d1 + dxr[-1]) * dxr[-2] * slope[-1]) / d1
-    diag = np.concatenate([dx[1:2], 2 * (dx[:-1] + dx[1:]), dx[-2:-1]])
-    s = _tridiag_solve(np.append(dx[1:], d1), diag, np.append(d0, dx[:-1]), b)
+    b[end] = ((dxr[near] + 2 * d) * dxr[far] * slope[near]
+              + dxr[near]**2 * slope[far]) / d
+    diag = np.concatenate([[0.0], 2 * (dx[:-1] + dx[1:]), [0.0]])
+    diag[end] = dx[far]
+    dl, du = np.empty_like(dx), np.empty_like(dx)
+    dl[:-1], du[1:] = dx[1:], dx[:-1]
+    du[first], dl[last - 1] = d[:len(xs), 0], d[len(xs):, 0]
+    dl[join] = du[join] = 0.0
+    s = _tridiag_solve(dl, diag, du, b)
     t = (s[:-1] + s[1:] - 2 * slope) / dxr
     return np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]))
 
 
-def _spline_at(x, c, xi):
-    """CubicSpline's values at xi, from knots x and _spline's c."""
-    i = np.clip(np.searchsorted(x, xi, side="right") - 1, 0, len(x) - 2)
-    s = (xi - x[i])[:, None]
-    return ((c[3, i] + c[2, i] * s) + c[1, i] * (s * s)
-            + c[0, i] * (s * s * s))
+def _spline_at(xs, c, xis):
+    """CubicSpline's values at each xis[k] on the spline of knots xs[k] in
+    _spline's packed c, stacked, in one evaluation in PPoly's order."""
+    idx, offs, start = [], [], 0
+    for x, xi in zip(xs, xis):
+        # the piece of each xi, the end pieces extended as PPoly's are
+        i = np.searchsorted(x[1:-1], xi, side="right")
+        idx.append(start + i)
+        offs.append(xi - x[i])
+        start += len(x)
+    c = c.take(np.concatenate(idx), axis=1)
+    s = np.concatenate(offs)[:, None]
+    return (c[3] + c[2] * s) + c[1] * (s * s) + c[0] * (s * s * s)
 
 
 def _convexity_defect(state, wall):
@@ -591,7 +621,8 @@ def _attempt_step(state, cfg, wall, dt, h0):
     resample.  The new state's levels are a new CurveState of the stepped
     state, without history (so a level keeps no other state alive), and
     the stepped state's newest level.  A resample (node count changed, or
-    spacing drifted) takes the new curve and both levels to the new count.
+    spacing drifted) takes the new curve and both levels to the new count
+    in one packed spline solve.
     """
     nodes = state.nodes
     seg = state.seg_cached()
@@ -653,11 +684,10 @@ def _attempt_step(state, cfg, wall, dt, h0):
     # resample only once the mesh has actually drifted; spacing decays
     # by O(dt) per step so most steps skip the spline rebuild
     if n_out != len(new) or float(seg.max()) > 1.25 * float(seg.min()):
-        new = _resample(new, n_out)
-        new[0], new[-1] = pm, pp
+        new, *lv = _resample([new] + [p.nodes for p in levels], n_out)
         seg = _edge_lengths(new)
-        levels = tuple(replace(p, nodes=_resample(p.nodes, n_out), _seg=None)
-                       for p in levels)
+        levels = tuple(replace(p, nodes=q, _seg=None)
+                       for p, q in zip(levels, lv))
     return CurveState(nodes=new, time=state.time + dt,
                       om_minus=om_minus, om_plus=om_plus, _seg=seg,
                       _prev=(levels, err, err_prev))

@@ -240,8 +240,9 @@ def test_resampled_step_keeps_the_history(ndisk, disk_wall):
     q1 = prev._prev[0][0]
     assert (p2.time, p2.om_minus, p2.om_plus) == (q1.time, q1.om_minus,
                                                   q1.om_plus)
-    assert np.array_equal(p1.nodes, f._resample(prev.nodes, len(new.nodes)))
-    assert np.array_equal(p2.nodes, f._resample(q1.nodes, len(new.nodes)))
+    n_out = len(new.nodes)
+    assert np.array_equal(p1.nodes, f._resample([prev.nodes], n_out)[0])
+    assert np.array_equal(p2.nodes, f._resample([q1.nodes], n_out)[0])
     assert tuple(p1.nodes[0]) == disk_wall.point_xy(prev.om_minus)
     assert tuple(p1.nodes[-1]) == disk_wall.point_xy(prev.om_plus)
     seg1 = p1.seg_cached()
@@ -254,6 +255,33 @@ def test_resampled_step_keeps_the_history(ndisk, disk_wall):
     bdf2 = _pinned_solve(rhs, (1 + w) * new.seg_cached() - w * seg1,
                          dt * (1 + w) / (1 + 2 * w), nxt)
     assert np.max(np.abs(bdf2 - nxt.nodes)) < 1e-13
+
+
+def test_a_resample_event_is_one_spline_solve(ndisk, monkeypatch):
+    # the wall's point and area tables share one spline solve, and a step
+    # that changes the node count makes two tridiagonal solves: the
+    # interior's, and one packed spline for the new curve and both levels
+    solve, calls = f._tridiag_solve, []
+
+    def counting_solve(*args):
+        calls.append(len(args[1]))
+        return solve(*args)
+
+    monkeypatch.setattr(f, "_tridiag_solve", counting_solve)
+    wall = f.ConvexWall(ndisk)
+    assert calls == [f._WALL_GRID]
+    state = _oval_state(ndisk, 0.3, 100)
+    cfg = f.SolverConfig(n_nodes=100, dt_safety=0.8)
+    h0 = state.length / 99
+    new = f.step(f.step(state, cfg, wall, h0), cfg, wall, h0)
+    while True:
+        calls.clear()
+        prev, new = new, f.step(new, cfg, wall, h0)
+        if len(new.nodes) != len(prev.nodes):
+            break
+    n = len(prev.nodes)
+    assert calls == [n, 3 * n]
+    assert len(new._prev[0]) == 2
 
 
 def _semicircle_estimate(dt, n=100, t_end=0.02):

@@ -121,10 +121,12 @@ def _spline_data(draw):
 def test_spline_is_cubic_spline_bit_for_bit(data):
     x, y = data
     ref = CubicSpline(x, y, axis=0)
-    c = f._spline(x, y)
+    c = f._spline([x], [y])
     assert np.array_equal(c, ref.c)
-    for xi in (np.linspace(x[0], x[-1], 101), x):
-        assert np.array_equal(f._spline_at(x, c, xi), ref(xi))
+    # the knots, and points on and beyond [x0, xn] (the end pieces extend)
+    for xi in (np.linspace(x[0], x[-1], 101), x,
+               np.linspace(x[0] - 1.0, x[-1] + 1.0, 57)):
+        assert np.array_equal(f._spline_at([x], c, [xi]), ref(xi))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -133,7 +135,15 @@ def test_spline_rejects_non_finite_input(bad):
     y = np.sin(x)
     y[3] = bad
     with pytest.raises(ValueError):
-        f._spline(x, y)
+        f._spline([x], [y])
+
+
+@pytest.mark.parametrize("sizes", [(3,), (8, 3)], ids=["alone", "packed"])
+def test_spline_rejects_fewer_than_four_knots(sizes):
+    # scipy's LinAlgError (a ValueError) used to come out of the solve
+    xs = [np.linspace(0.0, 1.0, n) for n in sizes]
+    with pytest.raises(ValueError, match="at least 4 knots"):
+        f._spline(xs, [np.sin(x) for x in xs])
 
 
 @pytest.fixture(scope="module")
@@ -156,18 +166,57 @@ def test_wall_tables_are_cubic_spline_tables(fix, request):
     assert np.array_equal(np.asarray(wall._gc), gc)
 
 
+def _cubic_spline_resample(nodes, n_out):
+    """_resample of one curve, with scipy's CubicSpline."""
+    seg = _edges(nodes)
+    s = np.concatenate([[0.0], np.cumsum(seg)])
+    keep = np.concatenate([[True], seg > 1e-15])
+    want = CubicSpline(s[keep], nodes[keep], axis=0)(
+        np.linspace(0.0, s[-1], n_out))
+    want[0], want[-1] = nodes[0], nodes[-1]
+    return want
+
+
 def test_resample_drops_a_zero_length_edge_as_cubic_spline(ndisk):
     nodes = ov.sample_initial_curve(ov.construct_orthogonal_oval(ndisk, 0.3),
                                     40)
     nodes = np.insert(nodes, 11, nodes[10], axis=0)
-    seg = _edges(nodes)
-    assert seg[10] == 0.0
-    s = np.concatenate([[0.0], np.cumsum(seg)])
-    keep = np.concatenate([[True], seg > 1e-15])
-    si = np.linspace(0.0, s[-1], 57)
-    want = CubicSpline(s[keep], nodes[keep], axis=0)(si)
-    want[0], want[-1] = nodes[0], nodes[-1]
-    assert np.array_equal(f._resample(nodes, 57), want)
+    assert _edges(nodes)[10] == 0.0
+    assert np.array_equal(f._resample([nodes], 57)[0],
+                          _cubic_spline_resample(nodes, 57))
+
+
+@st.composite
+def _resample_events(draw):
+    """One to four curves of 4 to 300 distinct nodes, some with a node
+    repeated, and the node count to take them all to."""
+    curves = []
+    for _ in range(draw(st.integers(1, 4))):
+        nodes = _arc_nodes(draw(st.integers(4, 300)),
+                           draw(st.integers(0, 2**32 - 1)))
+        if draw(st.booleans()):
+            k = draw(st.integers(0, len(nodes) - 1))
+            nodes = np.insert(nodes, k, nodes[k], axis=0)
+        curves.append(nodes)
+    return curves, draw(st.integers(4, 300))
+
+
+@given(_resample_events())
+@settings(max_examples=200, deadline=None)
+def test_packed_resample_is_cubic_spline_of_each_curve(event):
+    # one packed solve gives every curve the bits of its own spline
+    curves, n_out = event
+    out = f._resample(curves, n_out)
+    assert len(out) == len(curves)
+    for nodes, got in zip(curves, out):
+        assert np.array_equal(got, _cubic_spline_resample(nodes, n_out))
+
+
+def test_resample_rejects_fewer_than_four_distinct_nodes():
+    # 41 nodes on 3 points used to come back unchanged, not at 33 nodes
+    nodes = np.repeat(_arc_nodes(3), [14, 14, 13], axis=0)
+    with pytest.raises(FlowError):
+        f._resample([_arc_nodes(40), nodes], 33)
 
 
 # ---------------------------------------------------------------------------
