@@ -11,7 +11,7 @@ run as arrays: the monitors, and the stored states of the fit window in
 blocks of _BLOCK_STATES, whose nodes and cached curvature are packed end
 to end so that each per-node quantity is one elementwise pass and each
 per-state extreme one reduceat.  The stored states are read in time
-through Trajectory.heights_at_time, many times in one call.
+only through Trajectory.heights_at_time, many times in one call.
 
 Every fit reads one window, and _window alone decides it: the offset
 times from max(t0, WINDOW_FLOOR) to WINDOW_CEIL, t0 the run's first
@@ -538,21 +538,6 @@ def eigen_residuals(pair, kappa1, kappa2):
 # uniqueness evidence
 
 
-class _HeightsOnce:
-    """A trajectory whose heights at one array of sample times are read
-    once: heights_at_time returns them for that very array, and reads the
-    trajectory for any other."""
-
-    def __init__(self, traj, sample_times, xs):
-        self._traj, self._times = traj, sample_times
-        self._rows = traj.heights_at_time(sample_times, xs)
-
-    def heights_at_time(self, t_offsets, xs):
-        if t_offsets is self._times:
-            return self._rows
-        return self._traj.heights_at_time(t_offsets, xs)
-
-
 @dataclass
 class UniquenessReport:
     tau_star: float
@@ -566,7 +551,9 @@ def uniqueness_evidence(trajA, trajB, lambda0):
     A small minimized distance backs uniqueness-modulo-time-translation;
     trajectories on opposite sides of the diameter stay far apart.
     lambda0 is not used: the shift is scanned in plain time.  trajA's
-    heights at the sample times are read once and shared by every shift.
+    heights at the sample times are read once and shared by every shift;
+    each shift tau reads trajB's at the sample times plus tau, and
+    matched_distance compares the two arrays of rows.
     """
     xs = MATCH_XS
     lo = max(float(trajA.monitors["t"][0]), float(trajB.monitors["t"][0]))
@@ -575,12 +562,15 @@ def uniqueness_evidence(trajA, trajB, lambda0):
     if lo >= hi:
         raise WindowTooShort(f"no shared late window: [{lo:.3g}, {hi:.3g}]")
     sample_times = np.linspace(lo, hi, _UNIQUENESS_TIMES)
-    trajA = _HeightsOnce(trajA, sample_times, xs)
+    ya = trajA.heights_at_time(sample_times, xs)
+
+    def dist(tau):
+        return matched_distance(
+            ya, trajB.heights_at_time(sample_times + tau, xs))
 
     taus = np.linspace(-_TAU_SPAN, _TAU_SPAN, 41)
     taus[np.argmin(np.abs(taus))] = 0.0
-    dists = np.array([matched_distance(trajA, trajB, tau, sample_times, xs)
-                      for tau in taus])
+    dists = np.array([dist(tau) for tau in taus])
     j = int(np.argmin(dists))
     if dists[j] < 1e-13:
         return UniquenessReport(float(taus[j]), float(dists[j]), (lo, hi))
@@ -591,24 +581,23 @@ def uniqueness_evidence(trajA, trajB, lambda0):
     gr = (np.sqrt(5.0) - 1.0) / 2.0
     c = b - gr * (b - a)
     d = a + gr * (b - a)
-    fc = matched_distance(trajA, trajB, c, sample_times, xs)
-    fd = matched_distance(trajA, trajB, d, sample_times, xs)
+    fc, fd = dist(c), dist(d)
     for _ in range(60):
         if b - a < 1e-5:
             break
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - gr * (b - a)
-            fc = matched_distance(trajA, trajB, c, sample_times, xs)
+            fc = dist(c)
         else:
             a, c, fc = c, d, fd
             d = a + gr * (b - a)
-            fd = matched_distance(trajA, trajB, d, sample_times, xs)
+            fd = dist(d)
     tau = c if fc < fd else d
-    dist = min(fc, fd)
-    if dists[j] < dist:
-        tau, dist = taus[j], dists[j]
-    return UniquenessReport(float(tau), float(dist), (lo, hi))
+    best = min(fc, fd)
+    if dists[j] < best:
+        tau, best = taus[j], dists[j]
+    return UniquenessReport(float(tau), float(best), (lo, hi))
 
 
 def reflect_trajectory(traj):

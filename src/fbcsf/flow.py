@@ -37,7 +37,7 @@ extremes, length, area, heights at fixed abscissas) are derived from them
 once the run is over, one row per state.  Stored states are read in time
 through Trajectory.heights_at_time, linear between the two bracketing
 states; it takes an array of times and returns one row of heights per
-time, so matched_distance reads each run once.
+time.  matched_distance compares two such arrays of rows and reads no run.
 
 Every curve advances only through step and its node policy, the exact
 solutions too: a semicircle shrinking on a straight wall, and the grim
@@ -55,7 +55,6 @@ from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
 import numpy as np
-from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgtsv
 
 from . import oval as oval_mod
@@ -335,12 +334,12 @@ def _tridiag_solve(dl, d, du, b):
     columns of b with LAPACK gtsv, overwriting all four arrays.
 
     gtsv is what solve_banded((1, 1), ...) calls, so results are bitwise
-    the same.  LinAlgError on a singular matrix; the caller checks that
-    its input is finite.
+    the same.  FlowError on a singular matrix, which step answers by
+    halving the time step; the caller checks that its input is finite.
     """
     _, _, _, x, info = dgtsv(dl, d, du, b, True, True, True, True)
     if info > 0:
-        raise LinAlgError("singular matrix")
+        raise FlowError("singular tridiagonal matrix")
     if info < 0:
         raise ValueError(f"illegal value in {-info}-th argument of gtsv")
     return x
@@ -351,9 +350,9 @@ def _implicit_interior(rhs, h, dt, ends):
     Laplacian L of a polyline whose edge lengths are h; the first and last
     rows are pinned to the two rows of `ends`.
 
-    ValueError on non-finite input, as solve_banded: the bands are finite
-    when the diagonal is, so the diagonal and rhs are checked (a sum that
-    overflows counts as non-finite).
+    FlowError on non-finite input: the bands are finite when the diagonal
+    is, so the diagonal and rhs are checked (a sum that overflows counts as
+    non-finite).
     """
     n = len(rhs)
     hl, hr = h[:-1], h[1:]
@@ -369,7 +368,7 @@ def _implicit_interior(rhs, h, dt, ends):
     rhs = np.array(rhs, order="F")
     rhs[0], rhs[-1] = ends
     if not math.isfinite(d.sum() + rhs.sum()):
-        raise ValueError("array must not contain infs or NaNs")
+        raise FlowError("non-finite implicit system")
     return _tridiag_solve(dl, d, du, rhs)
 
 
@@ -473,7 +472,8 @@ def _spline(xs, ys):
     filler.  CubicSpline's expressions, and one gtsv (as its solve_banded)
     for all: the bands joining two blocks are 0, so gtsv's multiplier there
     is 0 and each block's bits are its own solve's.  ValueError on
-    non-finite input, as CubicSpline, and on fewer than 4 knots."""
+    non-finite input or knots that do not strictly increase, as
+    CubicSpline, and on fewer than 4 knots."""
     if min(map(len, xs)) < 4:
         raise ValueError("a not-a-knot spline needs at least 4 knots")
     x = np.concatenate(xs)
@@ -485,6 +485,8 @@ def _spline(xs, ys):
     first, join = np.concatenate([[0], last[:-1] + 1]), last[:-1]
     dx = np.diff(x)
     dx[join] = 1.0
+    if not np.all(dx > 0.0):
+        raise ValueError("`x` must be strictly increasing sequence.")
     dxr = dx[:, None]
     slope = np.diff(y, axis=0) / dxr
     # a last row is a first row with the knots reversed: per end knot, the
@@ -531,7 +533,8 @@ def _convexity_defect(state, wall):
 
 
 def step(state, cfg, wall, h0):
-    """One accepted step; halves dt on convexity rejection up to 20 times.
+    """One accepted step; halves dt on a FlowError or a convexity failure,
+    up to 20 times, then raises StepRejected.
 
     h0 is the target spacing: the new curve gets round(length / h0) + 1
     nodes, clipped to [32, cfg.n_nodes].  A state with a history (_prev),
@@ -584,7 +587,7 @@ def step(state, cfg, wall, h0):
             return new
         dt *= 0.5
     raise StepRejected(
-        f"convexity kept failing after 20 halvings at t = {state.time:.6g}")
+        f"step kept failing after 20 halvings at t = {state.time:.6g}")
 
 
 def _normal_defect(nodes, pred):
@@ -745,21 +748,18 @@ class Trajectory:
         return rows
 
 
-# abscissas at which matched_distance compares two runs, in ancient_sweep
-# and in asymptotics.uniqueness_evidence
+# abscissas at which two runs are compared, in ancient_sweep and in
+# asymptotics.uniqueness_evidence
 MATCH_XS = np.linspace(-0.85, 0.85, 241)
 MATCH_XS.flags.writeable = False
 
 
-def matched_distance(trajA, trajB, tau, sample_times, xs):
-    """Sup over times and abscissas of |y_A(t) - y_B(t + tau)|.
-
-    Only abscissas where both curves have a height count; a sample time
-    at which the two share none makes the distance inf.
+def matched_distance(ya, yb):
+    """Sup of |ya - yb| over the entries finite in both, for two arrays of
+    height rows, one row per sample time, as Trajectory.heights_at_time
+    returns them.  A sample time whose rows share no finite abscissa makes
+    the distance inf.
     """
-    sample_times = np.asarray(sample_times, dtype=float)
-    ya = trajA.heights_at_time(sample_times, xs)
-    yb = trajB.heights_at_time(sample_times + tau, xs)
     m = np.isfinite(ya) & np.isfinite(yb)
     if not np.all(np.any(m, axis=1)):
         return np.inf
@@ -903,7 +903,8 @@ def ancient_sweep(ndom, rhos, cfg):
     for a, b in zip(trajs[:-1], trajs[1:]):
         lo = max(a.alpha, b.alpha) * 0.85
         ts = np.linspace(lo, -0.3, 24)
-        pair.append(matched_distance(a, b, 0.0, ts, MATCH_XS))
+        pair.append(matched_distance(a.heights_at_time(ts, MATCH_XS),
+                                     b.heights_at_time(ts, MATCH_XS)))
     # a run that starts after t = -2 has no height there
     heights = [np.nan if tr.alpha > -2.0
                else float(np.nanmax(tr.heights_at_time([-2.0], MATCH_XS)))

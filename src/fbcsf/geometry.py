@@ -130,8 +130,9 @@ class ConvexDomain:
         First harmonics must vanish (closure); sin_coeffs[0] is unused.
     center : translation added to the zero-mean position series.
 
-    The upper boundary sampled at _UPPER_ARC_SAMPLES turning angles is
-    computed on first use of ``upper_arc`` and kept for the domain's life.
+    The area, the extremes of rho and the upper boundary sampled at
+    _UPPER_ARC_SAMPLES turning angles (``upper_arc``) are each computed on
+    first use and kept for the domain's life.
     """
 
     def __init__(self, cos_coeffs, sin_coeffs=None, center=(0.0, 0.0)):
@@ -161,8 +162,6 @@ class ConvexDomain:
         self._check_convex()
         self._prims = _primitives(a, b)
         self._m = np.arange(len(self._prims[0]))
-        self._extremes = None
-        self._area = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -231,26 +230,22 @@ class ConvexDomain:
     def perimeter(self):
         return 2.0 * np.pi * self.a[0]
 
-    @property
+    @cached_property
     def area(self):
-        if self._area is None:
-            K = len(self._m)
-            n = max(1024, 8 * K)
-            om = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
-            p = self.point(om)
-            dp = self.dpoint(om)
-            cross = p[:, 0] * dp[:, 1] - p[:, 1] * dp[:, 0]
-            self._area = 0.5 * float(np.mean(cross)) * 2 * np.pi
-        return self._area
+        K = len(self._m)
+        n = max(1024, 8 * K)
+        om = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
+        p = self.point(om)
+        dp = self.dpoint(om)
+        cross = p[:, 0] * dp[:, 1] - p[:, 1] * dp[:, 0]
+        return 0.5 * float(np.mean(cross)) * 2 * np.pi
 
+    @cached_property
     def _rho_extremes(self):
-        if self._extremes is not None:
-            return self._extremes
         a, b = self.a, self.b
         if max(np.max(np.abs(a[1:]), initial=0.0),
                np.max(np.abs(b[1:]), initial=0.0)) < 1e-14 * a[0]:
-            self._extremes = (a[0], a[0])
-            return self._extremes
+            return (a[0], a[0])
         K = len(a) - 1
         n = max(4096, 32 * K)
         grid = np.linspace(0.0, 2 * np.pi, n + 1)
@@ -263,16 +258,15 @@ class ConvexDomain:
                 cand.append(safe_brentq(lambda w: float(self.drho(w)),
                                         grid[i], grid[i + 1]))
         vals = self.rho(np.array(cand))
-        self._extremes = (float(np.min(vals)), float(np.max(vals)))
-        return self._extremes
+        return (float(np.min(vals)), float(np.max(vals)))
 
     @property
     def kappa_min(self):
-        return 1.0 / self._rho_extremes()[1]
+        return 1.0 / self._rho_extremes[1]
 
     @property
     def kappa_max(self):
-        return 1.0 / self._rho_extremes()[0]
+        return 1.0 / self._rho_extremes[0]
 
     def support(self, theta):
         """Support function h(theta) = <Phi(theta + pi/2), (cos theta, sin theta)>."""

@@ -158,6 +158,47 @@ def _reference_matched_distance(trajA, trajB, tau, sample_times, xs):
     return worst
 
 
+def _reference_uniqueness(trajA, trajB):
+    """uniqueness_evidence's (tau_star, distance, window), with every
+    distance from _reference_matched_distance: both runs read at every
+    shift, one sample time at a time."""
+    xs = flow.MATCH_XS
+    lo = max(float(trajA.monitors["t"][0]), float(trajB.monitors["t"][0]))
+    lo = lo + 0.15 * abs(lo)
+    hi = -0.3
+    ts = np.linspace(lo, hi, asymptotics._UNIQUENESS_TIMES)
+
+    def dist(tau):
+        return _reference_matched_distance(trajA, trajB, tau, ts, xs)
+
+    span = asymptotics._TAU_SPAN
+    taus = np.linspace(-span, span, 41)
+    taus[np.argmin(np.abs(taus))] = 0.0
+    dists = np.array([dist(tau) for tau in taus])
+    j = int(np.argmin(dists))
+    if dists[j] < 1e-13:
+        return float(taus[j]), float(dists[j]), (lo, hi)
+    a, b = taus[max(j - 1, 0)], taus[min(j + 1, len(taus) - 1)]
+    gr = (np.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - gr * (b - a), a + gr * (b - a)
+    fc, fd = dist(c), dist(d)
+    for _ in range(60):
+        if b - a < 1e-5:
+            break
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - gr * (b - a)
+            fc = dist(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + gr * (b - a)
+            fd = dist(d)
+    tau, best = (c, fc) if fc < fd else (d, fd)
+    if dists[j] < best:
+        tau, best = taus[j], dists[j]
+    return float(tau), float(best), (lo, hi)
+
+
 # ---------------------------------------------------------------------------
 # helpers
 
@@ -412,6 +453,7 @@ def test_heights_and_distances_match_the_per_time_loop(name, runs):
         assert _same_bits(row, _reference_heights_at_time(traj, t, xs))
     for other in (traj, mirror):
         for tau in (-0.5, -0.013, 0.0, 0.2, 0.5):
-            got = flow.matched_distance(traj, other, tau, ts, xs)
+            got = flow.matched_distance(rows,
+                                        other.heights_at_time(ts + tau, xs))
             want = _reference_matched_distance(traj, other, tau, ts, xs)
             assert float(got).hex() == float(want).hex()

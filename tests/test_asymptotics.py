@@ -9,6 +9,7 @@ import pytest
 from fbcsf import asymptotics, flow, oval
 from fbcsf.errors import ConfigError
 from fbcsf.solve import safe_brentq
+from test_analysis_passes import _reference_uniqueness
 
 
 def test_estimate_report_on_disk_run(runs, ndisk):
@@ -168,8 +169,8 @@ def test_uniqueness_of_a_run_with_itself_and_its_mirror(runs, ndisk):
 
 def test_uniqueness_reads_the_first_run_once(runs, ndisk, monkeypatch):
     # the first run's heights at the sample times are read once for all
-    # the shifts, and the report is the one that reading them at every
-    # shift gives, bit for bit
+    # the shifts, and the report is the one that reading both runs at every
+    # shift, one sample time at a time, gives, bit for bit
     traj = runs("disk_r03_n100")
     mirror = asymptotics.reflect_trajectory(traj)
     lam0 = oval.solve_lambda0(ndisk.kappa1, ndisk.kappa2)
@@ -184,13 +185,10 @@ def test_uniqueness_reads_the_first_run_once(runs, ndisk, monkeypatch):
     once = asymptotics.uniqueness_evidence(traj, mirror, lam0)
     assert sum(r is traj for r in readers) == 1
     assert sum(r is mirror for r in readers) > 40
-    monkeypatch.setattr(asymptotics, "_HeightsOnce",
-                        lambda tr, sample_times, xs: tr)
-    every = asymptotics.uniqueness_evidence(traj, mirror, lam0)
+    tau, dist, window = _reference_uniqueness(traj, mirror)
     assert ([float(v).hex() for v in (once.tau_star, once.distance,
                                       *once.window)]
-            == [float(v).hex() for v in (every.tau_star, every.distance,
-                                         *every.window)])
+            == [float(v).hex() for v in (tau, dist, *window)])
 
 
 # ---------------------------------------------------------------------------

@@ -380,6 +380,19 @@ def test_step_rejects_nonconvex_curve(ndisk, disk_wall):
         f.step(bad, cfg, disk_wall, bad.length / 99)
 
 
+def test_step_with_a_nan_node_is_rejected(ndisk, disk_wall):
+    # the non-finite implicit system is a FlowError, so every halving fails
+    # and the step ends typed; it used to end in a ValueError
+    state = _oval_state(ndisk, 0.3, 100)
+    nodes = state.nodes.copy()
+    nodes[40, 1] = np.nan
+    bad = f.CurveState(nodes=nodes, time=0.0,
+                       om_minus=state.om_minus, om_plus=state.om_plus)
+    cfg = f.SolverConfig(n_nodes=100, dt_safety=0.8)
+    with pytest.raises(StepRejected):
+        f.step(bad, cfg, disk_wall, state.length / 99)
+
+
 def test_step_budget_raises_with_partial(ndisk):
     cfg = f.SolverConfig(n_nodes=100, dt_safety=0.8, max_steps=50)
     with pytest.raises(NonExtinction) as exc:
@@ -699,9 +712,22 @@ def test_heights_at_time_equal_time_pair():
 def test_matched_distance_of_a_run_with_itself_is_zero():
     traj = _linear_trajectory([-2.0, -1.0, -0.5, 0.0])
     ts = np.linspace(-1.9, -0.1, 7)
-    assert f.matched_distance(traj, traj, 0.0, ts, _READ_X) == 0.0
+    rows = traj.heights_at_time(ts, _READ_X)
+    assert f.matched_distance(rows, traj.heights_at_time(ts, _READ_X)) == 0.0
     # a sample time at which the curves share no abscissa
-    assert f.matched_distance(traj, traj, 0.0, ts, np.array([2.0])) == np.inf
+    off = traj.heights_at_time(ts, np.array([2.0]))
+    assert f.matched_distance(off, off) == np.inf
+
+
+def test_matched_distance_reads_entries_finite_in_both_rows():
+    ya = np.array([[0.0, 1.0, np.nan], [2.0, 2.5, 3.0]])
+    yb = np.array([[0.5, 1.25, 9.0], [np.nan, 2.0, 3.0]])
+    # the NaN in each row masks its column in that row only
+    assert f.matched_distance(ya, yb) == 0.5
+    assert f.matched_distance(yb, ya) == 0.5
+    # the first sample time keeps no abscissa finite in both rows
+    yb[0, :2] = np.nan
+    assert f.matched_distance(ya, yb) == np.inf
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.interpolate import CubicSpline
-from scipy.linalg import LinAlgError, solve_banded
+from scipy.linalg import solve_banded
 
 import fbcsf.flow as f
 import fbcsf.geometry as g
@@ -76,9 +76,10 @@ def test_implicit_interior_matches_dense_solve():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_implicit_interior_rejects_non_finite_nodes(bad):
+    # a FlowError, which step answers by halving dt (it was a ValueError)
     nodes = _arc_nodes(20)
     nodes[7, 1] = bad
-    with pytest.raises(ValueError):
+    with pytest.raises(FlowError):
         f._implicit_interior(nodes, _edges(nodes), 1e-3,
                              ends=(nodes[0], nodes[-1]))
 
@@ -88,14 +89,16 @@ def test_implicit_interior_rejects_repeated_node():
     # a zero-length edge gives infinite Laplacian weights
     nodes = _arc_nodes(20)
     nodes[8] = nodes[7]
-    with pytest.raises(ValueError):
+    with pytest.raises(FlowError):
         f._implicit_interior(nodes, _edges(nodes), 1e-3,
                              ends=(nodes[0], nodes[-1]))
 
 
 def test_tridiag_solve_rejects_singular_matrix():
+    # a FlowError, which step answers by halving dt (it was scipy's
+    # LinAlgError)
     n = 6
-    with pytest.raises(LinAlgError):
+    with pytest.raises(FlowError):
         f._tridiag_solve(np.zeros(n - 1), np.zeros(n), np.zeros(n - 1),
                          np.ones((n, 2)))
 
@@ -143,6 +146,19 @@ def test_spline_rejects_fewer_than_four_knots(sizes):
     # scipy's LinAlgError (a ValueError) used to come out of the solve
     xs = [np.linspace(0.0, 1.0, n) for n in sizes]
     with pytest.raises(ValueError, match="at least 4 knots"):
+        f._spline(xs, [np.sin(x) for x in xs])
+
+
+@pytest.mark.parametrize("packed", [False, True], ids=["alone", "packed"])
+@pytest.mark.parametrize("knots", [[0.0, 1.0, 1.0, 2.0, 3.0],
+                                   [0.0, 2.0, 1.0, 3.0, 4.0]],
+                         ids=["repeated", "unordered"])
+def test_spline_rejects_knots_that_do_not_increase(knots, packed):
+    # the repeated knot ended in a divide RuntimeWarning, and the unordered
+    # knots gave finite coefficients; packed, the bad block follows a good
+    # one, whose join to it is no knot width
+    xs = ([np.linspace(0.0, 1.0, 8)] if packed else []) + [np.array(knots)]
+    with pytest.raises(ValueError, match="strictly increasing"):
         f._spline(xs, [np.sin(x) for x in xs])
 
 
