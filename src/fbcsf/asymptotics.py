@@ -540,9 +540,14 @@ def eigen_residuals(pair, kappa1, kappa2):
 
 @dataclass
 class UniquenessReport:
+    """The best shift tau_star, the sup distance there, and the sample
+    window.  tau_at_edge marks a tau_star on the edge of the scanned
+    shifts (|tau_star| >= _TAU_SPAN - 1e-5): the distance is then an upper
+    bound on the minimum over shifts, not a minimum."""
     tau_star: float
     distance: float
     window: tuple
+    tau_at_edge: bool
 
 
 def uniqueness_evidence(trajA, trajB, lambda0):
@@ -573,7 +578,7 @@ def uniqueness_evidence(trajA, trajB, lambda0):
     dists = np.array([dist(tau) for tau in taus])
     j = int(np.argmin(dists))
     if dists[j] < 1e-13:
-        return UniquenessReport(float(taus[j]), float(dists[j]), (lo, hi))
+        return _uniqueness_report(taus[j], dists[j], (lo, hi))
 
     # golden-section refinement inside the bracketing pair
     a = taus[max(j - 1, 0)]
@@ -597,7 +602,14 @@ def uniqueness_evidence(trajA, trajB, lambda0):
     best = min(fc, fd)
     if dists[j] < best:
         tau, best = taus[j], dists[j]
-    return UniquenessReport(float(tau), float(best), (lo, hi))
+    return _uniqueness_report(tau, best, (lo, hi))
+
+
+def _uniqueness_report(tau, dist, window):
+    """The report of the best shift tau and its distance dist."""
+    tau = float(tau)
+    return UniquenessReport(tau, float(dist), window,
+                            abs(tau) >= _TAU_SPAN - 1e-5)
 
 
 def reflect_trajectory(traj):

@@ -62,11 +62,15 @@ class InvalidScale(SolverError):
 
 
 class StepRejected(SolverError):
-    """Time step kept violating convexity after repeated halving."""
+    """flow.step found no step it could take: it halves dt after each
+    FlowError or convexity failure, and raises this when the attempt after
+    the 20th halving fails too."""
 
 
 class FlowError(SolverError):
-    """Time stepping broke down (step rejection cascade, NaNs, ...)."""
+    """One step attempt failed: a singular or non-finite linear system, a
+    failed contact solve, or a wall angle off the wall's table.  flow.step
+    answers it by halving dt and trying again."""
 
 
 class NonExtinction(SolverError):

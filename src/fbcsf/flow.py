@@ -46,20 +46,66 @@ reaper between the orthogonal walls y = -log|sin x|.
 Resampling and the wall tables use the module's not-a-knot spline (de
 Boor 1978), which reproduces scipy's CubicSpline bit for bit; importing
 scipy.interpolate costs about 0.3 s, half of a short run.
+
+The one LAPACK routine the module calls, dgtsv, is taken from scipy's
+compiled extension scipy/linalg/_flapack, loaded by itself (see
+_load_dgtsv): importing the scipy.linalg package around it costs about
+0.3 s, more than a short run, and loading the extension alone about
+5 ms.  It is the same compiled function that scipy.linalg.lapack.dgtsv
+is, so every result is scipy's bit for bit.
 """
 
+import importlib.machinery
+import importlib.util
 import math
 import numbers
+import os
+import sys
 from array import array
 from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from . import oval as oval_mod
 from .errors import ConfigError, FlowError, NonExtinction, StepRejected
 from .solve import safe_brentq
+
+
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _load_dgtsv():
+    """dgtsv from scipy/linalg/_flapack, found without importing scipy and
+    loaded by itself; ImportError, naming the file, if it is missing.
+
+    The load registers the extension in sys.modules, where it would stop a
+    later `import scipy.linalg` from setting the package's _flapack
+    attribute, so that entry is removed: CPython caches a single-phase
+    extension, and the import then gets the same dgtsv.  If scipy.linalg
+    loaded the extension first, dgtsv is taken from it.
+    """
+    if _FLAPACK in sys.modules:
+        return sys.modules[_FLAPACK].dgtsv
+    scipy = importlib.util.find_spec("scipy")
+    root = scipy.submodule_search_locations[0] if scipy else "scipy"
+    stem = os.path.join(root, "linalg", "_flapack")
+    suffixes = importlib.machinery.EXTENSION_SUFFIXES
+    path = next((stem + sfx for sfx in suffixes
+                 if os.path.isfile(stem + sfx)), None)
+    if path is None:
+        raise ImportError(f"LAPACK extension {stem}{suffixes[0]} not found",
+                          name=_FLAPACK)
+    loader = importlib.machinery.ExtensionFileLoader(_FLAPACK, path)
+    spec = importlib.util.spec_from_file_location(_FLAPACK, path,
+                                                  loader=loader)
+    try:
+        return importlib.util.module_from_spec(spec).dgtsv
+    finally:
+        sys.modules.pop(_FLAPACK, None)
+
+
+dgtsv = _load_dgtsv()
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +380,10 @@ def _tridiag_solve(dl, d, du, b):
     columns of b with LAPACK gtsv, overwriting all four arrays.
 
     gtsv is what solve_banded((1, 1), ...) calls, so results are bitwise
-    the same.  FlowError on a singular matrix, which step answers by
+    the same: dgtsv is the very function object of
+    scipy.linalg.lapack.dgtsv, loaded from its extension alone by
+    _load_dgtsv so that the module does not import scipy.linalg (about
+    0.3 s).  FlowError on a singular matrix, which step answers by
     halving the time step; the caller checks that its input is finite.
     """
     _, _, _, x, info = dgtsv(dl, d, du, b, True, True, True, True)
@@ -476,8 +525,10 @@ def _spline(xs, ys):
     CubicSpline, and on fewer than 4 knots."""
     if min(map(len, xs)) < 4:
         raise ValueError("a not-a-knot spline needs at least 4 knots")
-    x = np.concatenate(xs)
-    y = np.concatenate(ys).reshape(len(x), -1)
+    # a lone block is read in place, not copied
+    x, y = ((np.asarray(xs[0]), np.asarray(ys[0])) if len(xs) == 1
+            else (np.concatenate(xs), np.concatenate(ys)))
+    y = y.reshape(len(x), -1)
     if not math.isfinite(x.sum() + y.sum()):
         raise ValueError("`x` and `y` must contain only finite values.")
     # each spline's first and last knot; each filler piece gets width 1
@@ -505,8 +556,20 @@ def _spline(xs, ys):
     du[first], dl[last - 1] = d[:len(xs), 0], d[len(xs):, 0]
     dl[join] = du[join] = 0.0
     s = _tridiag_solve(dl, diag, du, b)
-    t = (s[:-1] + s[1:] - 2 * slope) / dxr
-    return np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]))
+    # c's four rows written in place, each in CubicSpline's operation
+    # order: t = (s[:-1] + s[1:] - 2 slope) / dx, then t / dx,
+    # (slope - s[:-1]) / dx - t, s[:-1] and y[:-1]
+    c = np.empty((4,) + slope.shape)
+    t = np.add(s[:-1], s[1:], out=c[0])
+    t -= np.multiply(2, slope, out=c[2])
+    t /= dxr
+    np.subtract(slope, s[:-1], out=c[1])
+    c[1] /= dxr
+    c[1] -= t
+    t /= dxr
+    c[2] = s[:-1]
+    c[3] = y[:-1]
+    return c
 
 
 def _spline_at(xs, c, xis):

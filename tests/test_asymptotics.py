@@ -160,11 +160,27 @@ def test_uniqueness_of_a_run_with_itself_and_its_mirror(runs, ndisk):
     lam0 = oval.solve_lambda0(ndisk.kappa1, ndisk.kappa2)
     same = asymptotics.uniqueness_evidence(traj, traj, lam0)
     assert same.tau_star == 0.0 and same.distance == 0.0
+    assert not same.tau_at_edge
     # the mirror run lies on the other side of the diameter: O(1) apart
     # (measured 0.935)
     mirror = asymptotics.reflect_trajectory(traj)
     apart = asymptotics.uniqueness_evidence(traj, mirror, lam0)
     assert 0.25 <= apart.distance <= 4.0
+
+
+@pytest.mark.parametrize("name,dom", [("disk_r03_n100", "ndisk"),
+                                      ("egg_r01_n100", "negg")])
+def test_mirror_shift_is_labelled_at_the_scan_edge(runs, name, dom,
+                                                   request):
+    # the distance to the mirror run falls towards earlier shifts all the
+    # way to the edge of the scan (measured tau* = -0.5 on both runs), so
+    # it is an upper bound on the minimum over shifts, and says so
+    ndom = request.getfixturevalue(dom)
+    traj = runs(name)
+    lam0 = oval.solve_lambda0(ndom.kappa1, ndom.kappa2)
+    apart = asymptotics.uniqueness_evidence(
+        traj, asymptotics.reflect_trajectory(traj), lam0)
+    assert apart.tau_at_edge and apart.tau_star < 0.0
 
 
 def test_uniqueness_reads_the_first_run_once(runs, ndisk, monkeypatch):

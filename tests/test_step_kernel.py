@@ -4,6 +4,8 @@ local-minimum counter against its original implementation, and the
 analytic-slope contact Newton against finite differences and a bracketed
 root."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -180,6 +182,21 @@ def test_wall_tables_are_cubic_spline_tables(fix, request):
     wall = f.ConvexWall(ndom)
     assert np.array_equal(np.asarray(wall._pc), pc)
     assert np.array_equal(np.asarray(wall._gc), gc)
+
+
+def test_spline_writes_its_coefficients_in_place():
+    # the wall table's solve, 4,096 knots and 3 columns: a lone block is
+    # read in place and c's rows are written into one array (measured peak
+    # 0.86 MB; c itself is 0.39 MB)
+    om = np.linspace(0.0, 4.0, 4096)
+    pts = np.column_stack([np.cos(om), np.sin(om), np.sin(2.0 * om)])
+    tracemalloc.start()
+    try:
+        f._spline([om], [pts])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.95e6
 
 
 def _cubic_spline_resample(nodes, n_out):
