@@ -4,6 +4,10 @@ Three layers: exponential-estimate verification (decay-rate fits of
 turning angle and curvature monitors against the barrier rate), the
 rescaled height profile and its cosh/sinh fit, and the Robin eigenvalue
 problem on [-1, 1] whose negative spectrum carries the decay scale.
+Each Robin eigenfunction is a even + b odd in one basis, cosh/sinh or
+cos/sin by the sign of mu (_basis), with (a, b) the null vector of the
+larger Robin row, found without a division, so that the odd modes of a
+symmetric chord are as finite as the even ones.
 
 All routines are pure functions over recorded trajectories; none of
 them step the flow, and none keeps anything between calls.  They read a
@@ -28,6 +32,7 @@ over the window, not the step sequence.
 
 import numpy as np
 from dataclasses import dataclass, field, replace
+from itertools import islice
 
 from .errors import (AnalysisError, ConfigError, NonPositiveAmplitude,
                      WindowTooShort)
@@ -416,16 +421,12 @@ def rescaled_increments(traj, lambda0):
 @dataclass
 class EigenPair:
     mu: float
-    coeffs: tuple       # (even amplitude, odd amplitude) in the basis below
-    kind: str           # "hyperbolic" (mu < 0) or "trigonometric" (mu > 0)
+    coeffs: tuple       # (a, b): phi = a even + b odd, _basis's solutions
 
     def phi(self, x):
-        x = np.asarray(x, dtype=float)
-        s = np.sqrt(abs(self.mu))
+        even, odd = _basis(self.mu, np.asarray(x, dtype=float))
         a, b = self.coeffs
-        if self.kind == "hyperbolic":
-            return a * np.cosh(s * x) + b * np.sinh(s * x)
-        return a * np.cos(s * x) + b * np.sin(s * x)
+        return a * even + b * odd
 
 
 @dataclass
@@ -437,101 +438,95 @@ class EigenResult:
     kappa2: float
 
 
+def _basis(mu, x):
+    """The even and odd solutions of -phi'' = mu phi at x: cosh(sx) and
+    sinh(sx) for mu < 0, cos(sx) and sin(sx) for mu > 0, s = sqrt|mu|.
+    Their slopes are -sign(mu) s odd and s even."""
+    s = np.sqrt(abs(mu))
+    if mu < 0:
+        return np.cosh(s * x), np.sinh(s * x)
+    return np.cos(s * x), np.sin(s * x)
+
+
+def _robin_rows(mu, kappa1, kappa2):
+    """The Robin conditions phi'(1) = kappa1 phi(1) and phi'(-1) =
+    -kappa2 phi(-1), each as the row (p, q) of p a + q b = 0 for
+    phi = a even + b odd.  The basis is read at x = 1 alone: at x = -1
+    the odd solution and the even one's slope change sign."""
+    s = np.sqrt(abs(mu))
+    even, odd = _basis(mu, 1.0)
+    d_even, d_odd = np.copysign(s, -mu) * odd, s * even
+    return [(d_even - kappa1 * even, d_odd - kappa1 * odd),
+            (kappa2 * even - d_even, d_odd - kappa2 * odd)]
+
+
 def _pos_secular(s, k1, k2):
     c, sn = np.cos(s), np.sin(s)
     return ((k1 * c + s * sn) * (s * c - k2 * sn)
             + (s * sn + k2 * c) * (s * c - k1 * sn))
 
 
-def _pair(s, k1, k2, grid, kind):
-    """Assemble and sup-normalize the eigenfunction at s: cosh/sinh with
-    mu = -s^2 for kind "hyperbolic", cos/sin with mu = s^2 for
-    "trigonometric"."""
-    # c, sn: the even and odd parts at x = 1; d_even: the even part's slope
-    if kind == "hyperbolic":
-        c, sn = np.cosh(s), np.sinh(s)
-        mu, d_even = -s * s, s * sn
-    else:
-        c, sn = np.cos(s), np.sin(s)
-        mu, d_even = s * s, -s * sn
-    # ratio b/a from whichever endpoint condition is better conditioned
-    d_right = s * c - k1 * sn
-    d_left = s * c - k2 * sn
-    if abs(d_right) >= abs(d_left):
-        b = (k1 * c - d_even) / d_right
-    else:
-        b = -(k2 * c - d_even) / d_left
-    pair = EigenPair(mu=mu, coeffs=(1.0, float(b)), kind=kind)
-    scale = float(np.max(np.abs(pair.phi(grid))))
-    pair.coeffs = (1.0 / scale, float(b) / scale)
-    return pair
+def _pair(mu, k1, k2, grid):
+    """The eigenpair at mu, sup-normalized on the grid, and its
+    eigenfunction there before normalizing.  (a, b) is the null vector
+    (q, -p) of the larger Robin row (p, q), signed so that a >= 0: with no
+    division, an odd mode of a symmetric chord (a = 0, q = 0 in both rows)
+    is found as well as an even one."""
+    p, q = max(_robin_rows(mu, k1, k2), key=lambda r: abs(r[0]) + abs(r[1]))
+    a, b = (q, -p) if q >= 0 else (-q, p)
+    even, odd = _basis(mu, grid)
+    phi = a * even + b * odd
+    scale = np.max(np.abs(phi))
+    return EigenPair(mu, (float(a / scale), float(b / scale))), phi
+
+
+def _roots(f, samples):
+    """The roots of f, one per sign change over the sorted samples, in
+    order; each is found by Brent's method only when it is asked for."""
+    sign = np.sign(f(samples))
+    for i in np.flatnonzero(sign[:-1] * sign[1:] < 0):
+        yield safe_brentq(f, float(samples[i]), float(samples[i + 1]))
 
 
 def robin_eigen(kappa1, kappa2):
     """Spectrum of -phi'' = mu phi with outward slope kappa^Omega phi.
 
-    Negative eigenvalues come from the hyperbolic secular equation (the
-    principal one, with s above max(kappa1, kappa2), is -lambda0^2); a
-    second negative eigenvalue may exist below max(kappa1, kappa2) and
-    its eigenfunction is then sign-changing.  Positive eigenvalues are
-    the first _POSITIVE_EIGEN roots of the trigonometric secular equation.
+    Negative eigenvalues are -s^2 at the roots s of the hyperbolic
+    secular equation (the principal one, with s above max(kappa1,
+    kappa2), is -lambda0^2); a second negative eigenvalue may exist below
+    max(kappa1, kappa2) and its eigenfunction is then sign-changing.
+    Positive eigenvalues are s^2 at the first _POSITIVE_EIGEN roots of the
+    trigonometric secular equation.  Each eigenfunction is a even + b odd
+    in the basis of _basis, (a, b) a Robin row's null vector (_pair), so
+    it is finite on symmetric chords too, where each mode is even or odd.
     """
     if kappa1 <= 0 or kappa2 <= 0:
         raise AnalysisError("endpoint curvatures must be positive")
     grid = np.linspace(-1.0, 1.0, _EIGEN_NGRID)
     kmax = max(kappa1, kappa2)
 
-    lam0 = solve_lambda0(kappa1, kappa2)
-    negatives = [_pair(lam0, kappa1, kappa2, grid, "hyperbolic")]
-
-    # scan below kmax for a second hyperbolic root
-    ss = np.linspace(1e-6, kmax, 4001)
-    vals = lambda0_residual(ss, kappa1, kappa2)
-    sign = np.sign(vals)
-    flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    for i in flips:
-        s2 = safe_brentq(lambda s: float(lambda0_residual(s, kappa1, kappa2)),
-                         float(ss[i]), float(ss[i + 1]))
-        negatives.append(_pair(s2, kappa1, kappa2, grid, "hyperbolic"))
-
-    k = _POSITIVE_EIGEN
-    positives = []
-    hi = (k + 2) * np.pi + kmax
-    ss = np.linspace(1e-6, hi, 200 * (k + 4))
-    vals = _pos_secular(ss, kappa1, kappa2)
-    sign = np.sign(vals)
-    flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    for i in flips:
-        s = safe_brentq(lambda s: float(_pos_secular(s, kappa1, kappa2)),
-                        float(ss[i]), float(ss[i + 1]))
-        positives.append(_pair(s, kappa1, kappa2, grid,
-                               "trigonometric"))
-        if len(positives) >= k:
-            break
-
-    flags = [bool(np.all(p.phi(grid) > 0.0)) for p in negatives]
+    below = _roots(lambda s: lambda0_residual(s, kappa1, kappa2),
+                   np.linspace(1e-6, kmax, 4001))
+    negatives = [_pair(-s * s, kappa1, kappa2, grid)
+                 for s in (solve_lambda0(kappa1, kappa2), *below)]
+    hi = (_POSITIVE_EIGEN + 2) * np.pi + kmax
+    above = _roots(lambda s: _pos_secular(s, kappa1, kappa2),
+                   np.linspace(1e-6, hi, 200 * (_POSITIVE_EIGEN + 4)))
     return EigenResult(
-        negative_eigenvalues=negatives,
-        positive_eigenvalues=positives,
-        convexity_flags=flags,
+        negative_eigenvalues=[pair for pair, _ in negatives],
+        positive_eigenvalues=[_pair(s * s, kappa1, kappa2, grid)[0]
+                              for s in islice(above, _POSITIVE_EIGEN)],
+        convexity_flags=[bool(np.all(phi > 0.0)) for _, phi in negatives],
         kappa1=float(kappa1), kappa2=float(kappa2))
 
 
 def eigen_residuals(pair, kappa1, kappa2):
-    """(right BC residual, left BC residual) of an eigenpair.
-
-    The cosh/sinh and cos/sin bases satisfy -phi'' = mu phi by
-    construction, so only the two Robin conditions can fail.
-    """
-    s = np.sqrt(abs(pair.mu))
+    """(right BC residual, left BC residual) of an eigenpair: the Robin
+    rows applied to its coefficients.  The basis solves -phi'' = mu phi
+    by construction, so only the two Robin conditions can fail."""
     a, b = pair.coeffs
-    if pair.kind == "hyperbolic":
-        dphi = lambda x: s * (a * np.sinh(s * x) + b * np.cosh(s * x))
-    else:
-        dphi = lambda x: s * (-a * np.sin(s * x) + b * np.cos(s * x))
-    bc_r = float(abs(dphi(1.0) - kappa1 * pair.phi(1.0)))
-    bc_l = float(abs(dphi(-1.0) + kappa2 * pair.phi(-1.0)))
-    return bc_r, bc_l
+    return tuple(float(abs(p * a + q * b))
+                 for p, q in _robin_rows(pair.mu, kappa1, kappa2))
 
 
 # ---------------------------------------------------------------------------
@@ -577,8 +572,6 @@ def uniqueness_evidence(trajA, trajB, lambda0):
     taus[np.argmin(np.abs(taus))] = 0.0
     dists = np.array([dist(tau) for tau in taus])
     j = int(np.argmin(dists))
-    if dists[j] < 1e-13:
-        return _uniqueness_report(taus[j], dists[j], (lo, hi))
 
     # golden-section refinement inside the bracketing pair
     a = taus[max(j - 1, 0)]
@@ -602,13 +595,8 @@ def uniqueness_evidence(trajA, trajB, lambda0):
     best = min(fc, fd)
     if dists[j] < best:
         tau, best = taus[j], dists[j]
-    return _uniqueness_report(tau, best, (lo, hi))
-
-
-def _uniqueness_report(tau, dist, window):
-    """The report of the best shift tau and its distance dist."""
     tau = float(tau)
-    return UniquenessReport(tau, float(dist), window,
+    return UniquenessReport(tau, float(best), (lo, hi),
                             abs(tau) >= _TAU_SPAN - 1e-5)
 
 

@@ -228,6 +228,8 @@ class GrimReaperWalls:
 # exceeds the cap
 _EXTINCTION_LENGTH = 1e-3
 _KAPPA_CAP = 1e3
+# run_to_extinction's step budget: NonExtinction after this many steps
+_MAX_STEPS = 2_000_000
 # the contact Newton stops below this residual, or after an update below
 # _CONTACT_STEP: it converges quadratically, with |error| about 0.7 times
 # the squared update on the disk, so what an update that small leaves is
@@ -260,27 +262,22 @@ class SolverConfig:
     n_nodes is the initial (and largest) node count; dt_safety in (0, 1)
     scales the error tolerance _ERROR_TOL * dt_safety^3 and the first
     steps' mesh rule dt = dt_safety * _STEP_SCALE * h_bar^2 / h0, but not
-    the length cap (see step); max_steps is the step budget of
-    run_to_extinction; the class constant abscissas holds the x at which
-    the monitors read each stored state's height.
+    the length cap (see step); the class constant abscissas holds the x
+    at which the monitors read each stored state's height.
     """
 
     n_nodes: int = 200
     dt_safety: float = 0.4
-    max_steps: int = 2_000_000
     abscissas: ClassVar[tuple] = (-0.8, -0.4, 0.0, 0.4, 0.8)
 
     def __post_init__(self):
-        for name in ("n_nodes", "max_steps"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ConfigError(
-                    f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not isinstance(self.n_nodes, numbers.Integral):
+            raise ConfigError(
+                f"n_nodes must be an integer, got {self.n_nodes!r}")
         if self.n_nodes < 32:
             raise ConfigError("n_nodes must be at least 32")
         if not 0.0 < self.dt_safety < 1.0:
             raise ConfigError("dt_safety must lie in (0, 1)")
-        if self.max_steps < 1:
-            raise ConfigError("max_steps must be at least 1")
 
 
 @dataclass
@@ -799,8 +796,12 @@ class Trajectory:
         times = self.state_times
         t_offsets = np.asarray(t_offsets, dtype=float)
         i = np.searchsorted(times, t_offsets)
-        inside = (i > 0) & (i < len(times))
-        first = np.where(inside, i - 1, np.minimum(i, len(times) - 1))
+        last = len(times) - 1
+        # a stored time reads its state alone: weight 1 on it would still
+        # carry a NaN of the state before it into the row
+        stored = times[np.minimum(i, last)] == t_offsets
+        inside = (i > 0) & (i <= last) & ~stored
+        first = np.where(inside, i - 1, np.minimum(i, last))
         rows = np.array([self.states[k].heights_at(xs) for k in first])
         if np.any(inside):
             i1 = i[inside]
@@ -853,8 +854,8 @@ def run_to_extinction(initial, cfg, ndom):
     2,251 states of 2,250 steps on the disk at rho = 0.1, n_nodes = 200,
     dt_safety 0.8, and 1,933 of 1,932 steps on the egg at n_nodes = 100.
     The monitors are derived from them afterwards (_finalize).  An
-    exhausted step budget raises NonExtinction, whose partial trajectory
-    ends at the current state.
+    exhausted step budget (_MAX_STEPS) raises NonExtinction, whose partial
+    trajectory ends at the current state.
     """
     wall = ConvexWall(ndom)
     state = initial
@@ -862,9 +863,9 @@ def run_to_extinction(initial, cfg, ndom):
     states = [state]
     while (state.length >= _EXTINCTION_LENGTH
            and state.kappa_cached(wall).max() <= _KAPPA_CAP):
-        if len(states) > cfg.max_steps:
+        if len(states) > _MAX_STEPS:
             exc = NonExtinction(
-                f"step budget {cfg.max_steps} exhausted at length "
+                f"step budget {_MAX_STEPS} exhausted at length "
                 f"{state.length:.3g}")
             exc.partial = _finalize(states, cfg, ndom, wall)
             raise exc

@@ -304,7 +304,7 @@ class ConvexDomain:
     # -- constructors ----------------------------------------------------------
 
     @classmethod
-    def disk(cls, radius=1.0):
+    def disk(cls, radius):
         if radius <= 0:
             raise ConfigError("disk radius must be positive")
         return cls([radius])

@@ -176,8 +176,6 @@ def _reference_uniqueness(trajA, trajB):
     taus[np.argmin(np.abs(taus))] = 0.0
     dists = np.array([dist(tau) for tau in taus])
     j = int(np.argmin(dists))
-    if dists[j] < 1e-13:
-        return float(taus[j]), float(dists[j]), (lo, hi)
     a, b = taus[max(j - 1, 0)], taus[min(j + 1, len(taus) - 1)]
     gr = (np.sqrt(5.0) - 1.0) / 2.0
     c, d = b - gr * (b - a), a + gr * (b - a)

@@ -2,11 +2,12 @@
 against closed forms, and the mirror run used for uniqueness."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
-from fbcsf import asymptotics, flow, oval
+from fbcsf import asymptotics, flow, geometry, oval
 from fbcsf.errors import ConfigError
 from fbcsf.solve import safe_brentq
 from test_analysis_passes import _reference_uniqueness
@@ -241,6 +242,41 @@ def test_robin_eigen_residuals(domain, request):
         # the Robin residuals difference slopes that grow with mu
         scale = 1.0 + max(p.mu, 0.0)
         assert max(asymptotics.eigen_residuals(p, k1, k2)) / scale <= 1e-14
+
+
+# the minor axis of ellipse(1.5, 1) and the major axis of ellipse(2.4, 1):
+# on a symmetric chord every mode is even or odd, and the odd ones used to
+# come back with NaN coefficients and a RuntimeWarning
+@pytest.mark.parametrize("kappa", [4 / 9, 5.76])
+def test_robin_symmetric_chord_modes_are_finite_and_even_or_odd(kappa):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        eig = asymptotics.robin_eigen(kappa, kappa)
+    pairs = eig.negative_eigenvalues + eig.positive_eigenvalues
+    assert np.all(np.isfinite([p.coeffs for p in pairs]))
+    assert all(p.coeffs[0] >= 0.0 for p in pairs)
+    # at 5.76 the second negative eigenvalue lies 2.6e-3 above the
+    # principal one; that mode stays ill-conditioned (residual 7.1e-11,
+    # the same before the even/odd basis), so it is left out.  Elsewhere
+    # the smaller coefficient measured at most 3.1e-12 of the larger
+    for p in eig.negative_eigenvalues[:1] + eig.positive_eigenvalues:
+        small, large = sorted(abs(c) for c in p.coeffs)
+        assert small <= 1e-10 * large
+        scale = 1.0 + max(p.mu, 0.0)
+        assert max(asymptotics.eigen_residuals(p, kappa, kappa)) <= \
+            1e-14 * scale
+
+
+@pytest.mark.parametrize("a", [1.5, 2.4])
+def test_robin_spectrum_on_every_ellipse_diameter(a):
+    dom = geometry.ConvexDomain.ellipse(a, 1.0)
+    for d in geometry.find_diameters(dom):
+        ndom = geometry.normalize(dom, d)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eig = asymptotics.robin_eigen(ndom.kappa1, ndom.kappa2)
+        pairs = eig.negative_eigenvalues + eig.positive_eigenvalues
+        assert np.all(np.isfinite([p.coeffs for p in pairs]))
 
 
 # ---------------------------------------------------------------------------

@@ -35,16 +35,9 @@ def test_config_rejects_non_integer_node_count(n_nodes):
         f.SolverConfig(n_nodes=n_nodes)
 
 
-@pytest.mark.parametrize("max_steps", [0, -3, 2.5, float("nan")])
-def test_config_rejects_empty_step_budget(max_steps):
-    # 0 and -3 used to end in numpy's divide warning in the extinction fit
-    with pytest.raises(ConfigError):
-        f.SolverConfig(max_steps=max_steps)
-
-
 def test_config_accepts_numpy_integers():
-    cfg = f.SolverConfig(n_nodes=np.int64(64), max_steps=np.int32(10))
-    assert cfg.n_nodes == 64 and cfg.max_steps == 10
+    cfg = f.SolverConfig(n_nodes=np.int64(64))
+    assert cfg.n_nodes == 64
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +386,9 @@ def test_step_with_a_nan_node_is_rejected(ndisk, disk_wall):
         f.step(bad, cfg, disk_wall, state.length / 99)
 
 
-def test_step_budget_raises_with_partial(ndisk):
-    cfg = f.SolverConfig(n_nodes=100, dt_safety=0.8, max_steps=50)
+def test_step_budget_raises_with_partial(ndisk, monkeypatch):
+    monkeypatch.setattr(f, "_MAX_STEPS", 50)
+    cfg = f.SolverConfig(n_nodes=100, dt_safety=0.8)
     with pytest.raises(NonExtinction) as exc:
         f.old_but_not_ancient(ndisk, 0.3, cfg)
     partial = exc.value.partial
@@ -417,7 +411,8 @@ def test_step_budget_partial_ends_at_the_current_state(ndisk, monkeypatch):
         return stepped[-1]
 
     monkeypatch.setattr(f, "step", recording_step)
-    cfg = f.SolverConfig(n_nodes=200, dt_safety=0.8, max_steps=51)
+    monkeypatch.setattr(f, "_MAX_STEPS", 51)
+    cfg = f.SolverConfig(n_nodes=200, dt_safety=0.8)
     with pytest.raises(NonExtinction) as exc:
         f.old_but_not_ancient(ndisk, 0.1, cfg)
     partial = exc.value.partial
@@ -707,6 +702,25 @@ def test_heights_at_time_equal_time_pair():
     assert np.array_equal(at0, first.heights_at(_READ_X))
     assert np.array_equal(past0, 0.5 * (later.heights_at(_READ_X)
                                         + traj.states[3].heights_at(_READ_X)))
+
+
+def test_heights_at_time_reads_a_stored_time_from_its_state_alone():
+    # the state before spans less of the chord, so it has no height at
+    # x = 0.7; reading t = 0 used to weight it by 0 and return 0 * NaN
+    spans = {-1.0: 0.5, 0.0: 0.9}
+    states = [f.CurveState(
+        nodes=np.column_stack([np.linspace(-w, w, 5), np.ones(5)]),
+        time=t, om_minus=3 * np.pi / 2, om_plus=np.pi / 2)
+        for t, w in spans.items()]
+    traj = f.Trajectory(
+        monitors={}, states=states, state_times=np.array(list(spans)),
+        time_offset=0.0, alpha=-1.0, extinction_point=np.zeros(2),
+        config=f.SolverConfig(), ndom=None, extinction_fit_fallback=False)
+    xs = np.array([0.0, 0.7])
+    (row,) = traj.heights_at_time([0.0], xs)
+    assert np.array_equal(row, [1.0, 1.0])
+    (mid,) = traj.heights_at_time([-0.5], xs)
+    assert mid[0] == 1.0 and np.isnan(mid[1])
 
 
 def test_matched_distance_of_a_run_with_itself_is_zero():
