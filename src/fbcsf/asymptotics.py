@@ -553,7 +553,9 @@ def uniqueness_evidence(trajA, trajB, lambda0):
     lambda0 is not used: the shift is scanned in plain time.  trajA's
     heights at the sample times are read once and shared by every shift;
     each shift tau reads trajB's at the sample times plus tau, and
-    matched_distance compares the two arrays of rows.
+    matched_distance compares the two arrays of rows.  The best of 41
+    scanned shifts is refined by golden section between its neighbours,
+    unless it is the first or last, which is reported as scanned.
     """
     xs = MATCH_XS
     lo = max(float(trajA.monitors["t"][0]), float(trajB.monitors["t"][0]))
@@ -572,10 +574,14 @@ def uniqueness_evidence(trajA, trajB, lambda0):
     taus[np.argmin(np.abs(taus))] = 0.0
     dists = np.array([dist(tau) for tau in taus])
     j = int(np.argmin(dists))
+    if j in (0, len(taus) - 1):
+        # the minimum lies at or beyond the scan's edge: the scanned value
+        # is reported as the upper bound it is, without refinement
+        return UniquenessReport(float(taus[j]), float(dists[j]), (lo, hi),
+                                True)
 
     # golden-section refinement inside the bracketing pair
-    a = taus[max(j - 1, 0)]
-    b = taus[min(j + 1, len(taus) - 1)]
+    a, b = taus[j - 1], taus[j + 1]
     gr = (np.sqrt(5.0) - 1.0) / 2.0
     c = b - gr * (b - a)
     d = a + gr * (b - a)

@@ -16,6 +16,12 @@ nu(omega) = (sin omega, -cos omega).  The unit disk is
 Phi(omega) = (sin omega, -cos omega), so omega = pi/2 is the rightmost
 point and the upper boundary is always the arc omega in [pi/2, 3pi/2]
 (x strictly decreasing there for any strictly convex domain).
+
+Evaluation takes two paths.  A scan that reads only signs or brackets
+from a full period of samples (the convexity check, the diameter search,
+the extremes of rho) synthesizes the samples by one inverse real FFT
+(``_sample_series``); single angles and every value that feeds an output
+(points, the upper arc, the area, the wall tables) use the direct series.
 """
 
 from dataclasses import dataclass
@@ -42,6 +48,40 @@ def _eval_series(cos_c, sin_c, omega):
     m = np.arange(len(cos_c))
     ang = np.multiply.outer(om, m)
     return np.cos(ang) @ np.asarray(cos_c) + np.sin(ang) @ np.asarray(sin_c)
+
+
+def _sample_series(cos_c, sin_c, n):
+    """sum_k cos_c[k] cos(k w) + sin_c[k] sin(k w) at w = 2 pi j / n,
+    j = 0 ... n-1, by one inverse real FFT.  n must exceed twice the
+    highest harmonic; sin_c[0] is not read."""
+    spec = np.zeros(n // 2 + 1, dtype=complex)
+    spec[:len(cos_c)] = 0.5 * (np.asarray(cos_c) - 1j * np.asarray(sin_c))
+    spec[0] = cos_c[0]
+    return np.fft.irfft(spec, n, norm="forward")
+
+
+def _grid_roots(f, grid, vals):
+    """Roots of f from its samples vals = f(grid[:-1]) on a periodic grid
+    whose last point grid[-1] closes the period, in grid order.
+
+    A zero sample is a root; a sign change between neighbours is refined
+    by Brent on f.  f evaluates one angle at a time, which can differ
+    from the samples in the last bits, so a root within rounding of a grid
+    point can lose its sign change: the end with the smaller sample is
+    then the root.
+    """
+    nxt = np.append(vals[1:], vals[0])
+    roots = []
+    for i in np.flatnonzero((vals == 0.0) | (vals * nxt < 0.0)):
+        if vals[i] == 0.0:
+            roots.append(grid[i])
+            continue
+        try:
+            roots.append(safe_brentq(f, grid[i], grid[i + 1]))
+        except BracketFailure:
+            roots.append(grid[i] if abs(vals[i]) <= abs(nxt[i])
+                         else grid[i + 1])
+    return roots
 
 
 def _rotate_coeffs(a, b, beta):
@@ -167,8 +207,7 @@ class ConvexDomain:
 
     def _check_convex(self):
         K = len(self.a) - 1
-        grid = np.linspace(0.0, 2 * np.pi, max(2048, 16 * K), endpoint=False)
-        vals = self.rho(grid)
+        vals = _sample_series(self.a, self.b, max(2048, 16 * K))
         if np.min(vals) <= 0.0:
             raise NonConvex(
                 f"radius of curvature reaches {np.min(vals):.3e} <= 0"
@@ -248,15 +287,10 @@ class ConvexDomain:
             return (a[0], a[0])
         K = len(a) - 1
         n = max(4096, 32 * K)
-        grid = np.linspace(0.0, 2 * np.pi, n + 1)
-        dv = self.drho(grid)
-        cand = []
-        for i in range(n):
-            if dv[i] == 0.0:
-                cand.append(grid[i])
-            elif dv[i] * dv[i + 1] < 0.0:
-                cand.append(safe_brentq(lambda w: float(self.drho(w)),
-                                        grid[i], grid[i + 1]))
+        k = np.arange(len(a))
+        dv = _sample_series(k * b, -k * a, n)
+        cand = _grid_roots(lambda w: float(self.drho(w)),
+                           np.linspace(0.0, 2 * np.pi, n + 1), dv)
         vals = self.rho(np.array(cand))
         return (float(np.min(vals)), float(np.max(vals)))
 
@@ -378,31 +412,24 @@ def find_diameters(domain):
     (disk, constant-width domains) yields a single representative chord
     flagged degenerate=True.
     """
-    grid = np.linspace(0.0, np.pi, _NSCAN, endpoint=False)
-    g = domain.double_normal_residual(grid)
+    # Phi on 2 _NSCAN angles over the full period, so Phi(w + pi) is the
+    # second half; a series with too many harmonics for that grid is
+    # synthesized on a multiple of it and read at every m-th sample
+    px_c, px_s, py_c, py_s = domain._prims
+    m = (len(px_c) - 1) // _NSCAN + 1
+    x = _sample_series(px_c, px_s, 2 * m * _NSCAN)[::m]
+    y = _sample_series(py_c, py_s, 2 * m * _NSCAN)[::m]
+    grid = np.linspace(0.0, np.pi, _NSCAN + 1)
+    om = grid[:-1]
+    g = ((x[:_NSCAN] - x[_NSCAN:]) * np.cos(om)
+         + (y[:_NSCAN] - y[_NSCAN:]) * np.sin(om))
     scale = max(1.0, domain.perimeter)
     if np.max(np.abs(g)) < _DEGENERATE_TOL * scale:
         d = _make_diameter(domain, np.pi / 2, degenerate=True)
         return [d]
 
-    roots = []
-    gw = np.append(g, g[0])  # periodic wrap
-    gridw = np.append(grid, np.pi)
-    for i in range(_NSCAN):
-        v0, v1 = gw[i], gw[i + 1]
-        if v0 == 0.0:
-            roots.append(gridw[i])
-        elif v0 * v1 < 0.0:
-            try:
-                root = safe_brentq(
-                    lambda w: float(domain.double_normal_residual(w)),
-                    gridw[i], gridw[i + 1])
-            except BracketFailure:
-                # Brent evaluates one angle at a time, which differs from
-                # the grid's many-angle path in the last bits; a root within
-                # rounding of a grid point can so lose its sign change
-                root = gridw[i] if abs(v0) <= abs(v1) else gridw[i + 1]
-            roots.append(root)
+    roots = _grid_roots(lambda w: float(domain.double_normal_residual(w)),
+                        grid, g)
     # merge near-coincident roots (mod pi)
     roots = sorted(r % np.pi for r in roots)
     merged = []

@@ -12,8 +12,11 @@ import numpy as np
 
 from .errors import BracketFailure
 
-# Brent's stopping tolerances and iteration cap
-_RTOL, _XTOL, _MAXITER = 4 * np.finfo(float).eps, 1e-15, 200
+# Brent's stopping tolerances and iteration cap.  The tolerances are Python
+# floats, so a tolerance step keeps the iterate one: in numpy scalar
+# arithmetic an extrapolation step that overflows warns, where a Python
+# float is inf or NaN and the step bisects
+_RTOL, _XTOL, _MAXITER = 4 * float(np.finfo(float).eps), 1e-15, 200
 
 
 def safe_brentq(f, a, b):

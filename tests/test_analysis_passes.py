@@ -161,7 +161,8 @@ def _reference_matched_distance(trajA, trajB, tau, sample_times, xs):
 def _reference_uniqueness(trajA, trajB):
     """uniqueness_evidence's (tau_star, distance, window), with every
     distance from _reference_matched_distance: both runs read at every
-    shift, one sample time at a time."""
+    shift, one sample time at a time.  It refines a best shift on the
+    scan's edge too, where uniqueness_evidence reports the scanned one."""
     xs = flow.MATCH_XS
     lo = max(float(trajA.monitors["t"][0]), float(trajB.monitors["t"][0]))
     lo = lo + 0.15 * abs(lo)

@@ -208,6 +208,31 @@ def test_uniqueness_reads_the_first_run_once(runs, ndisk, monkeypatch):
             == [float(v).hex() for v in (tau, dist, *window)])
 
 
+def test_uniqueness_at_the_scan_edge_reads_only_the_scan(runs, ndisk,
+                                                          monkeypatch):
+    # the best shift to the mirror run is the scan's first (tau* = -0.5),
+    # so the report is the scanned value, with no golden-section reads;
+    # refining there would not have lowered it
+    traj = runs("disk_r03_n100")
+    mirror = asymptotics.reflect_trajectory(traj)
+    lam0 = oval.solve_lambda0(ndisk.kappa1, ndisk.kappa2)
+    reads = []
+    read = asymptotics.matched_distance
+
+    def counting_read(ya, yb):
+        reads.append(1)
+        return read(ya, yb)
+
+    monkeypatch.setattr(asymptotics, "matched_distance", counting_read)
+    rep = asymptotics.uniqueness_evidence(traj, mirror, lam0)
+    assert len(reads) == 41
+    assert rep.tau_at_edge and rep.tau_star == -asymptotics._TAU_SPAN
+    tau, dist, window = _reference_uniqueness(traj, mirror)
+    assert ([float(v).hex() for v in (rep.tau_star, rep.distance,
+                                      *rep.window)]
+            == [float(v).hex() for v in (tau, dist, *window)])
+
+
 # ---------------------------------------------------------------------------
 # Robin eigenproblem
 

@@ -148,6 +148,113 @@ def test_point_of_one_angle_matches_array_path(disk, flat_ellipse, egg,
             assert p.tobytes() == want
 
 
+# --------------------------------------------------- FFT-sampled scans
+
+_BENCHMARK_DOMAINS = ("disk", "ellipse", "flat_ellipse", "egg", "lobed")
+
+
+def _assert_samples_match(cos_c, sin_c, n):
+    w = np.arange(n) * (2 * np.pi / n)
+    want = g._eval_series(cos_c, sin_c, w)
+    got = g._sample_series(cos_c, sin_c, n)
+    tol = 1e-13 * (np.sum(np.abs(cos_c)) + np.sum(np.abs(sin_c[1:])))
+    assert got.shape == (n,)
+    assert np.max(np.abs(got - want)) <= tol
+
+
+@pytest.mark.parametrize("name", _BENCHMARK_DOMAINS)
+def test_sample_series_is_the_series_on_the_full_period(name, request):
+    # rho, drho and both position series, each on the grid its scan uses
+    dom = request.getfixturevalue(name)
+    K = len(dom.a) - 1
+    k = np.arange(K + 1)
+    _assert_samples_match(dom.a, dom.b, max(2048, 16 * K))
+    _assert_samples_match(k * dom.b, -k * dom.a, max(4096, 32 * K))
+    px_c, px_s, py_c, py_s = dom._prims
+    _assert_samples_match(px_c, px_s, 2 * g._NSCAN)
+    _assert_samples_match(py_c, py_s, 2 * g._NSCAN)
+
+
+@pytest.mark.parametrize("K", [0, 1, 2, 7, 64, 150, 300])
+def test_sample_series_on_random_coefficients(K):
+    rng = np.random.default_rng(K)
+    cos_c = rng.standard_normal(K + 1)
+    sin_c = rng.standard_normal(K + 1)
+    # the smallest grids the precondition allows, odd and even, and a
+    # larger one
+    for n in (2 * K + 1, 2 * K + 2, 4 * K + 7):
+        _assert_samples_match(cos_c, sin_c, n)
+
+
+def _reference_find_diameters(domain):
+    """find_diameters as a per-sample scan of the residual evaluated by
+    the direct series on the grid."""
+    grid = np.linspace(0.0, np.pi, g._NSCAN, endpoint=False)
+    gv = domain.double_normal_residual(grid)
+    if np.max(np.abs(gv)) < g._DEGENERATE_TOL * max(1.0, domain.perimeter):
+        return [g._make_diameter(domain, np.pi / 2, degenerate=True)]
+    roots = []
+    gw = np.append(gv, gv[0])
+    gridw = np.append(grid, np.pi)
+    for i in range(g._NSCAN):
+        v0, v1 = gw[i], gw[i + 1]
+        if v0 == 0.0:
+            roots.append(gridw[i])
+        elif v0 * v1 < 0.0:
+            try:
+                root = g.safe_brentq(
+                    lambda w: float(domain.double_normal_residual(w)),
+                    gridw[i], gridw[i + 1])
+            except g.BracketFailure:
+                root = gridw[i] if abs(v0) <= abs(v1) else gridw[i + 1]
+            roots.append(root)
+    merged = []
+    for r in sorted(r % np.pi for r in roots):
+        if not (merged and abs(r - merged[-1]) < 1e-6):
+            merged.append(r)
+    if len(merged) > 1 and (merged[0] + np.pi) - merged[-1] < 1e-6:
+        merged.pop()
+    out = [g._make_diameter(domain, r, degenerate=False) for r in merged]
+    out.sort(key=lambda d: -d.length)
+    return out
+
+
+@pytest.mark.parametrize("name", _BENCHMARK_DOMAINS
+                         + ("ellipse(1.5,1)", "ellipse(2.4,1)"))
+def test_find_diameters_matches_the_per_sample_scan(name, request):
+    if name in _BENCHMARK_DOMAINS:
+        dom = request.getfixturevalue(name)
+    else:
+        dom = g.ConvexDomain.ellipse(float(name[8:11]), 1.0)
+    got = g.find_diameters(dom)
+    want = _reference_find_diameters(dom)
+    if name == "egg":
+        # g(0) = int_0^pi rho(u) cos u du = 0 exactly for this rho: the
+        # synthesized residual is an exact zero there, where the direct
+        # series reads -1.5e-16 and Brent refines to 5.0e-16
+        assert got[1].omega_plus == 0.0 and 0.0 < want[1].omega_plus < 1e-15
+        assert (got[1].length, got[1].kind) == (want[1].length, want[1].kind)
+        got, want = got[:1], want[:1]
+    assert got == want
+
+
+def test_find_diameters_past_the_scan_grid():
+    # position harmonics up to 2050 > _NSCAN: the series is synthesized on
+    # twice the grid and read at every other sample
+    a = np.zeros(2050)
+    a[[0, 2, 2049]] = 1.0, 0.2, 1e-3
+    b = np.zeros(4)
+    b[3] = 0.1
+    dom = g.ConvexDomain(a, b)
+    assert len(dom._prims[0]) - 1 > g._NSCAN
+    ds = g.find_diameters(dom)
+    assert len(ds) == 2
+    assert abs(ds[0].length - 32.0 / 15.0) < 1e-6
+    assert abs(ds[1].length - 28.0 / 15.0) < 1e-6
+    for d in ds:
+        assert abs(dom.double_normal_residual(d.omega_plus)) < 1e-12
+
+
 # ----------------------------------------------------------------- egg
 
 def test_egg_has_exactly_two_diameters(egg):

@@ -264,6 +264,21 @@ def test_small_rho_ovals_build_without_overflow(egg, lobed):
     assert built == 36
 
 
+@pytest.mark.parametrize("rho", [0.015, 0.01])
+def test_moderate_rho_ovals_build_without_warning(egg, lobed, rho):
+    # the xi = -1 solve's Brent iterate used to become a numpy scalar after
+    # a tolerance step, and an overflowing extrapolation then warned on
+    # every diameter but the ellipse(3,1) major axis
+    built = 0
+    for name, i, nd in _benchmark_diameters(egg, lobed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            o = ov.construct_orthogonal_oval(nd, rho)
+        assert max(o.residuals) <= 1e-12, (name, i, rho)
+        built += 1
+    assert built == 9
+
+
 def _oval_bits(o):
     """Every field of an OrthogonalOval as raw bytes."""
     return [np.asarray(v, dtype=float).tobytes()
