@@ -95,23 +95,28 @@ def _primitives(a, b):
     """Closed-form primitives of rho(u)cos(u) and rho(u)sin(u): the cos
     and sin coefficients (px_c, px_s, py_c, py_s) of the zero-mean
     position series.  a[1], b[1] and b[0] are not read."""
-    n = len(a) + 1
-    px_c = np.zeros(n)
-    px_s = np.zeros(n)
-    py_c = np.zeros(n)
-    py_s = np.zeros(n)
+    K = len(a)
+    px_c = np.zeros(K + 1)
+    px_s = np.zeros(K + 1)
+    py_c = np.zeros(K + 1)
+    py_s = np.zeros(K + 1)
     px_s[1] += a[0]
     py_c[1] -= a[0]
-    for k in range(2, len(a)):
-        ak, bk = a[k], b[k]
-        px_s[k - 1] += ak / (2 * (k - 1))
-        px_s[k + 1] += ak / (2 * (k + 1))
-        px_c[k + 1] -= bk / (2 * (k + 1))
-        px_c[k - 1] -= bk / (2 * (k - 1))
-        py_c[k + 1] -= ak / (2 * (k + 1))
-        py_c[k - 1] += ak / (2 * (k - 1))
-        py_s[k - 1] += bk / (2 * (k - 1))
-        py_s[k + 1] -= bk / (2 * (k + 1))
+    # harmonic k of rho feeds harmonics k - 1 and k + 1; entry m takes its
+    # term from k = m - 1 before the one from k = m + 1, as a loop over k
+    # would add them, so every entry (signed zeros too) is that loop's
+    k = np.arange(2, K)
+    a_up, a_down = a[2:K] / (2 * (k + 1)), a[2:K] / (2 * (k - 1))
+    b_up, b_down = b[2:K] / (2 * (k + 1)), b[2:K] / (2 * (k - 1))
+    up, down = slice(3, K + 1), slice(1, K - 1)
+    px_s[up] += a_up
+    px_s[down] += a_down
+    px_c[up] -= b_up
+    px_c[down] -= b_down
+    py_c[up] -= a_up
+    py_c[down] += a_down
+    py_s[up] -= b_up
+    py_s[down] += b_down
     return px_c, px_s, py_c, py_s
 
 

@@ -21,14 +21,23 @@ crosses the boundary orthogonally at a second, left contact as well:
     from the far wall, at the top) for the orthogonal second crossing.
 
 The second crossing is bracketed on the domain's upper arc, sampled once
-per domain (ConvexDomain.upper_arc) and shared by every oval built on it;
-each oval then evaluates boundary points one at a time.
+per domain (ConvexDomain.upper_arc) and shared by every oval built on it.
+Left of the first contact the gap d = phi - h between the boundary graph
+and the oval's lower branch h is concave (phi is concave, h convex on its
+support) and vanishes at the contact, so along the arc samples its signs
+run non-negative, then negative.  The crossing lies just before the first
+negative sample, found by a coarse-to-fine search: every _COARSE_STRIDE-th
+sample, then the samples before the first negative one.  Each build
+evaluates a boundary point once per turning angle and each trial scale
+once.
 
 As rho -> 0 the scale tends to lambda0, the unique root above both
 endpoint curvatures of  lam^2 - lam (k1 + k2) coth(2 lam) + k1 k2 = 0,
 which also rules the exponential decay rate lambda0^2 of the flow.
 """
 
+import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,6 +214,8 @@ def single_point_orthogonal(phi0, dphi0, x0, lam):
 # upper-arc samples just past the first contact left out of the search
 # for the second contact
 _GUARD = 4
+# upper-arc samples between two coarse reads of the second-contact search
+_COARSE_STRIDE = 64
 # cosh(a)^2 is finite below this argument (it overflows near 355)
 _COSH_SQUARED_MAX_ARG = 350.0
 
@@ -236,6 +247,38 @@ def _alignment_residual(n_oval, tau_bd):
     return float(1.0 - abs(float(n @ tau_bd)))
 
 
+def _gap_stop(xs_rev, xlim):
+    """One past the last upper-arc sample at or right of x = xlim.
+
+    xs decreases along the arc, so those samples are an index prefix;
+    xs_rev is xs reversed, increasing, for the binary search.
+    """
+    return len(xs_rev) - int(np.searchsorted(xs_rev, xlim))
+
+
+def _first_negative(gap, start, stop):
+    """The first index of [start, stop) where the gap is negative, or None.
+
+    gap(idx) evaluates the gap at an index array.  Its signs along the
+    range must run non-negative, then negative (either run may be empty),
+    so the gap is read at every _COARSE_STRIDE-th index, then at the
+    indices after the last non-negative coarse read, up to the first
+    negative one or the end of the range.
+    """
+    if stop <= start:
+        return None
+    coarse = np.arange(start, stop, _COARSE_STRIDE)
+    neg = np.flatnonzero(gap(coarse) < 0.0)
+    if len(neg) and neg[0] == 0:
+        return start
+    k = neg[0] if len(neg) else len(coarse)
+    fine = np.arange(coarse[k - 1] + 1, coarse[k] if len(neg) else stop)
+    neg_fine = np.flatnonzero(gap(fine) < 0.0)
+    if len(neg_fine):
+        return int(fine[neg_fine[0]])
+    return int(coarse[k]) if len(neg) else None
+
+
 def construct_orthogonal_oval(ndom, rho):
     """Build the oval meeting the boundary orthogonally twice below y = rho.
 
@@ -260,16 +303,25 @@ def construct_orthogonal_oval(ndom, rho):
     dom.upper_arc, which is computed on the first call for a domain and
     reused by every later call on it, and refines it by Brent; a bracket
     that rounding leaves without a sign change is widened by one sample
-    on each side, once.
+    on each side, once.  The bracket is the first sample left of the first
+    contact (past _GUARD samples, and inside the oval's support) where the
+    gap d = y - h(x) between the arc and the oval's lower branch h is
+    negative.  d is concave there and 0 at the first contact, so its signs
+    run non-negative, then negative, and _first_negative finds that sample
+    from every _COARSE_STRIDE-th one and at most _COARSE_STRIDE - 1 more.
+    Each turning angle's boundary point and each scale's residual are
+    evaluated once per call.
 
-    Raises RhoTooLarge when the line y = rho fails to cross the upper
-    boundary twice, and BracketFailure when a sign condition of either
-    solve fails or the orthogonal scale has no second crossing (no bracket
-    is widened beyond that one sample).
+    Raises ConfigError when rho is NaN, RhoTooLarge when the line y = rho
+    fails to cross the upper boundary twice, and BracketFailure when a sign
+    condition of either solve fails or the orthogonal scale has no second
+    crossing (no bracket is widened beyond that one sample).
     """
     dom = ndom.domain
     if not dom.is_normalized:
         raise ConfigError("domain must be normalized (diameter on [-1,1])")
+    if np.isnan(rho):
+        raise ConfigError("rho is NaN")
 
     om_grid, xs, ys = dom.upper_arc
     itop = int(np.argmax(ys))
@@ -278,15 +330,16 @@ def construct_orthogonal_oval(ndom, rho):
         raise RhoTooLarge(
             f"line y = {rho:.6g} misses the upper boundary (max height {ymax:.6g})")
 
-    def y_of(om):
-        return float(dom.point(om)[1])
+    # each boundary point once per angle in this build
+    point = functools.cache(dom.point)
 
     lam_hat = np.pi / (2.0 * rho)
 
     # first contact pinned at half the cap height on the descending side;
     # the scale solves below then drive the second contact to orthogonality
-    om0 = safe_brentq(lambda w: y_of(w) - 0.5 * rho, np.pi / 2, om_grid[itop])
-    p0 = dom.point(om0)
+    om0 = safe_brentq(lambda w: float(point(w)[1]) - 0.5 * rho,
+                      np.pi / 2, om_grid[itop])
+    p0 = point(om0)
     x0, phi0, dphi0 = float(p0[0]), float(p0[1]), float(np.tan(om0))
     lam_min, lam_max_adm = admissible_interval(phi0, dphi0)
     if not lam_min < lam_hat:
@@ -313,29 +366,25 @@ def construct_orthogonal_oval(ndom, rho):
 
     lam_star = safe_brentq(shift_residual, lam_min, lam_hat)
 
+    # the second contact is searched from _GUARD samples past the first
+    start = int(np.searchsorted(om_grid, om0, "right")) + _GUARD
+    xs_rev = np.ascontiguousarray(xs[::-1])
+
     def second_contact(lam):
         """(omega_hat, params) of the second boundary crossing, or None."""
         par = single_point_orthogonal(phi0, dphi0, x0, lam)
-        w = par.support_halfwidth
-        xlim = par.xi - w
-        sel = np.nonzero((om_grid > om0) & (xs >= max(xlim, xs[-1])))[0]
-        sel = sel[_GUARD:] if len(sel) > _GUARD else sel[:0]
-        if len(sel) == 0:
+        stop = _gap_stop(xs_rev, par.xi - par.support_halfwidth)
+        j = _first_negative(
+            lambda i: ys[i] - par.lower_height(xs[i], clip=True), start, stop)
+        if j is None:
             return None
-        d = ys[sel] - par.lower_height(xs[sel], clip=True)
-        neg = np.nonzero(d < 0.0)[0]
-        if len(neg) == 0:
-            return None
-        j = sel[neg[0]]
-        om_b = om_grid[j]
-        om_a = om_grid[j - 1] if j > 0 else om0
 
         def dres(om):
-            p = dom.point(om)
+            p = point(om)
             return float(p[1] - par.lower_height(p[0], clip=True))
 
         try:
-            om_hat = safe_brentq(dres, om_a, om_b)
+            om_hat = safe_brentq(dres, om_grid[j - 1], om_grid[j])
         except BracketFailure:
             # the samples and dom.point's one-angle path differ in the last
             # bits, so a crossing within rounding of a sample can sit just
@@ -344,12 +393,13 @@ def construct_orthogonal_oval(ndom, rho):
                                  om_grid[min(j + 1, len(om_grid) - 1)])
         return float(om_hat), par
 
+    @functools.cache
     def angle_residual(lam):
         hit = second_contact(lam)
         if hit is None:
             return 1.0, None  # no crossing: treat as the acute side
         om_hat, par = hit
-        p = dom.point(om_hat)
+        p = point(om_hat)
         n_ov = par.normal_direction(p[0], p[1])
         n_ov = n_ov / np.linalg.norm(n_ov)
         n_bd = np.array([np.sin(om_hat), -np.cos(om_hat)])
@@ -373,7 +423,7 @@ def construct_orthogonal_oval(ndom, rho):
             f"no second crossing at the orthogonal scale {lam:.6g}")
 
     om_hat, par = hit
-    p_hat = dom.point(om_hat)
+    p_hat = point(om_hat)
     tau0 = np.array([np.cos(om0), np.sin(om0)])
     tau_hat = np.array([np.cos(om_hat), np.sin(om_hat)])
     r1 = _alignment_residual(par.normal_direction(p0[0], p0[1]), tau0)
@@ -397,10 +447,11 @@ def sample_initial_curve(oval, n):
     """n nodes on the oval arc between its contacts, uniform in arc length.
 
     Nodes run left to right; the two end nodes are placed exactly at the
-    boundary contact points.
+    boundary contact points.  n must be an integer (not a bool) of at
+    least 16.
     """
-    if n < 16:
-        raise ConfigError("need at least 16 nodes")
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 16:
+        raise ConfigError(f"need an integer of at least 16 nodes, got {n!r}")
     par = oval.params
     m = max(4001, 16 * n + 1)
     xs = np.linspace(oval.xhat, oval.x0, m)

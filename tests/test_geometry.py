@@ -186,6 +186,50 @@ def test_sample_series_on_random_coefficients(K):
         _assert_samples_match(cos_c, sin_c, n)
 
 
+def _reference_primitives(a, b):
+    """geometry._primitives as a loop over the harmonics."""
+    n = len(a) + 1
+    px_c, px_s, py_c, py_s = (np.zeros(n) for _ in range(4))
+    px_s[1] += a[0]
+    py_c[1] -= a[0]
+    for k in range(2, len(a)):
+        ak, bk = a[k], b[k]
+        px_s[k - 1] += ak / (2 * (k - 1))
+        px_s[k + 1] += ak / (2 * (k + 1))
+        px_c[k + 1] -= bk / (2 * (k + 1))
+        px_c[k - 1] -= bk / (2 * (k - 1))
+        py_c[k + 1] -= ak / (2 * (k + 1))
+        py_c[k - 1] += ak / (2 * (k - 1))
+        py_s[k - 1] += bk / (2 * (k - 1))
+        py_s[k + 1] -= bk / (2 * (k + 1))
+    return px_c, px_s, py_c, py_s
+
+
+def _assert_primitives_match_the_loop(a, b):
+    for got, want in zip(g._primitives(a, b), _reference_primitives(a, b)):
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("name", _BENCHMARK_DOMAINS)
+def test_primitives_match_the_loop_on_benchmark_domains(name, request):
+    dom = request.getfixturevalue(name)
+    _assert_primitives_match_the_loop(dom.a, dom.b)
+
+
+@pytest.mark.parametrize("K", [0, 1, 2, 3, 4, 7, 64, 150, 300])
+def test_primitives_match_the_loop_on_random_coefficients(K):
+    # sparse coefficients with signed zeros among them, so that entries
+    # summing two zero terms keep the loop's sign too
+    rng = np.random.default_rng(K)
+    for _ in range(5):
+        a, b = (rng.standard_normal(K + 1) * (rng.random(K + 1) < 0.5)
+                for _ in range(2))
+        a[rng.random(K + 1) < 0.3] = -0.0
+        b[rng.random(K + 1) < 0.3] = -0.0
+        _assert_primitives_match_the_loop(a, b)
+
+
 def _reference_find_diameters(domain):
     """find_diameters as a per-sample scan of the residual evaluated by
     the direct series on the grid."""

@@ -326,6 +326,141 @@ def test_rho_too_large(ndisk):
         ov.construct_orthogonal_oval(ndisk, 1.2)
     with pytest.raises(RhoTooLarge):
         ov.construct_orthogonal_oval(ndisk, -0.1)
+    with pytest.raises(RhoTooLarge):
+        ov.construct_orthogonal_oval(ndisk, np.inf)
+
+
+def test_nan_rho_is_a_config_error(ndisk):
+    with pytest.raises(ConfigError):
+        ov.construct_orthogonal_oval(ndisk, np.nan)
+
+
+# ------------------------------------------- second-contact search
+
+def _full_scan(signs):
+    """The first negative index of a row, or None."""
+    neg = np.flatnonzero(signs < 0.0)
+    return int(neg[0]) if len(neg) else None
+
+
+def _counted_gap(row, reads):
+    def gap(idx):
+        reads.append(len(idx))
+        return row[idx]
+    return gap
+
+
+@pytest.mark.parametrize("start", [0, 3])
+def test_first_negative_matches_the_full_scan_on_sign_rows(start):
+    # every row of length 0 to 200 whose signs run non-negative (zeros of
+    # both signs among them), then negative from index f, for every f:
+    # all non-negative, all negative, negative only at the last index,
+    # and negative only after the last coarse read among them
+    S = ov._COARSE_STRIDE
+    for n in range(201):
+        for f in range(n + 1):
+            row = np.empty(start + n)
+            row[:start + f] = np.resize([1.0, 0.0, -0.0, 2.5], start + f)
+            row[start + f:] = -1.0
+            reads = []
+            got = ov._first_negative(_counted_gap(row, reads), start,
+                                     start + n)
+            want = _full_scan(row[start:])
+            assert got == (None if want is None else start + want), (n, f)
+            assert len(reads) <= 2
+            assert sum(reads) <= -(-n // S) + S - 1
+
+
+def test_first_negative_on_stride_multiples():
+    S = ov._COARSE_STRIDE
+    for n in (S - 1, S, S + 1, 2 * S - 1, 2 * S, 2 * S + 1, 3 * S + 1):
+        for f in (0, 1, S - 1, S, S + 1, n - 1, n):
+            if not 0 <= f <= n:
+                continue
+            row = np.where(np.arange(n) < f, 0.5, -0.5)
+            assert ov._first_negative(lambda i: row[i], 0, n) == \
+                _full_scan(row), (n, f)
+
+
+def _shift_scale(phi0, dphi0, x0, lam_lo, lam_hi):
+    """The scale of shift xi = -1: the root of E^2 cosh^2(lam (x0 + 1)) -
+    sin^2(lam phi0), with E^2 = sin^2(lam phi0) - cos^2(lam phi0)/phi'^2."""
+    def f(lam):
+        S, C = np.sin(lam * phi0), np.cos(lam * phi0)
+        return (S * S - (C / dphi0) ** 2) * np.cosh(lam * (x0 + 1.0)) ** 2 \
+            - S * S
+    return ov.safe_brentq(f, lam_lo, lam_hi)
+
+
+def test_second_contact_search_matches_the_masked_scan(egg, lobed):
+    # on the gap rows of every benchmark diameter, at every rho of the
+    # benchmark grid and 20 scales from lam* (xi = -1) to pi/(2 rho): the
+    # searched samples are the masked scan's, the gap's signs run
+    # non-negative then negative along them, and the search finds the
+    # scan's first negative sample
+    rows = 0
+    for name, i, nd in _benchmark_diameters(egg, lobed):
+        om_grid, xs, ys = nd.domain.upper_arc
+        assert np.all(np.diff(xs) < 0.0)
+        xs_rev = np.ascontiguousarray(xs[::-1])
+        for rho in (0.3, 0.2, 0.1, 0.05, 0.02):
+            try:
+                o = ov.construct_orthogonal_oval(nd, rho)
+            except RhoTooLarge:
+                continue
+            om0, (x0, phi0) = o.omega0, o.p_first
+            dphi0 = float(np.tan(om0))
+            lam_lo, _ = ov.admissible_interval(phi0, dphi0)
+            lam_hat = np.pi / (2.0 * rho)
+            lam_star = _shift_scale(phi0, dphi0, x0, lam_lo, lam_hat)
+            start = int(np.searchsorted(om_grid, om0, "right")) + ov._GUARD
+            for lam in np.linspace(lam_star, lam_hat, 20):
+                par = ov.single_point_orthogonal(phi0, dphi0, x0, lam)
+                xlim = par.xi - par.support_halfwidth
+                sel = np.nonzero((om_grid > om0)
+                                 & (xs >= max(xlim, xs[-1])))[0]
+                sel = sel[ov._GUARD:] if len(sel) > ov._GUARD else sel[:0]
+                stop = ov._gap_stop(xs_rev, xlim)
+                assert np.array_equal(sel, np.arange(start, stop)), \
+                    (name, i, rho, lam)
+                d = ys[sel] - par.lower_height(xs[sel], clip=True)
+                neg = d < 0.0
+                assert not np.any(neg[:-1] & ~neg[1:]), (name, i, rho, lam)
+                want = _full_scan(d)
+                got = ov._first_negative(
+                    lambda j: ys[j] - par.lower_height(xs[j], clip=True),
+                    start, stop)
+                assert got == (None if want is None else sel[want]), \
+                    (name, i, rho, lam)
+                rows += 1
+    assert rows == 44 * 20
+
+
+def test_disk_build_evaluates_each_boundary_point_once(disk, monkeypatch):
+    # a fresh normalization, its upper arc sampled by a first build
+    nd = g.normalize(disk, g.find_diameters(disk)[0])
+    first = ov.construct_orthogonal_oval(nd, 0.1)
+    calls, scales = [], []
+    point, place = g.ConvexDomain.point, ov.single_point_orthogonal
+
+    def counted_point(self, omega):
+        calls.append(np.ravel(omega).tolist())
+        return point(self, omega)
+
+    def counted_place(phi0, dphi0, x0, lam):
+        scales.append(lam)
+        return place(phi0, dphi0, x0, lam)
+
+    monkeypatch.setattr(g.ConvexDomain, "point", counted_point)
+    monkeypatch.setattr(ov, "single_point_orthogonal", counted_place)
+    second = ov.construct_orthogonal_oval(nd, 0.1)
+    assert _oval_bits(second) == _oval_bits(first)
+    # 71 calls when every Brent iterate, end and contact read its own point
+    assert len(calls) <= 50
+    angles = [c[0] for c in calls if len(c) == 1]
+    assert len(set(angles)) == len(angles)
+    # one placement, so one angle residual, per trial scale
+    assert len(set(scales)) == len(scales)
 
 
 # ------------------------------------------------------ initial curve
@@ -397,3 +532,12 @@ def test_sample_initial_curve_min_nodes(ndisk):
     o = ov.construct_orthogonal_oval(ndisk, 0.3)
     with pytest.raises(ConfigError):
         ov.sample_initial_curve(o, 15)
+
+
+def test_sample_initial_curve_node_count_is_an_integer(ndisk):
+    o = ov.construct_orthogonal_oval(ndisk, 0.3)
+    for n in (100.0, True, np.bool_(True), "100", None):
+        with pytest.raises(ConfigError):
+            ov.sample_initial_curve(o, n)
+    assert np.array_equal(ov.sample_initial_curve(o, np.int64(16)),
+                          ov.sample_initial_curve(o, 16))
