@@ -15,7 +15,11 @@ run as arrays: the monitors, and the stored states of the fit window in
 blocks of _BLOCK_STATES, whose nodes and cached curvature are packed end
 to end so that each per-node quantity is one elementwise pass and each
 per-state extreme one reduceat.  The stored states are read in time
-only through Trajectory.heights_at_time, many times in one call.
+only through Trajectory.heights_at_time, many times in one call, which
+reads each bracketing state once.  uniqueness_evidence so reads each run
+once for its whole scan of shifts, and the mirror run it is checked
+against (reflect_trajectory) is a view that mirrors a stored state only
+when the state is read.
 
 Every fit reads one window, and _window alone decides it: the offset
 times from max(t0, WINDOW_FLOOR) to WINDOW_CEIL, t0 the run's first
@@ -31,6 +35,7 @@ over the window, not the step sequence.
 """
 
 import numpy as np
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from itertools import islice
 
@@ -552,10 +557,13 @@ def uniqueness_evidence(trajA, trajB, lambda0):
     trajectories on opposite sides of the diameter stay far apart.
     lambda0 is not used: the shift is scanned in plain time.  trajA's
     heights at the sample times are read once and shared by every shift;
-    each shift tau reads trajB's at the sample times plus tau, and
-    matched_distance compares the two arrays of rows.  The best of 41
-    scanned shifts is refined by golden section between its neighbours,
-    unless it is the first or last, which is reported as scanned.
+    trajB's are read once for all 41 scanned shifts, at the grid of the
+    sample times plus each shift, so that each stored state of trajB is
+    read at most once however many shifts it brackets, and
+    matched_distance compares trajA's rows with each shift's block.  The
+    best scanned shift is refined by golden section between its
+    neighbours, reading trajB at one shift per step, unless it is the
+    first or last, which is reported as scanned.
     """
     xs = MATCH_XS
     lo = max(float(trajA.monitors["t"][0]), float(trajB.monitors["t"][0]))
@@ -572,7 +580,8 @@ def uniqueness_evidence(trajA, trajB, lambda0):
 
     taus = np.linspace(-_TAU_SPAN, _TAU_SPAN, 41)
     taus[np.argmin(np.abs(taus))] = 0.0
-    dists = np.array([dist(tau) for tau in taus])
+    dists = np.array([matched_distance(ya, yb) for yb in
+                      trajB.heights_at_time(taus[:, None] + sample_times, xs)])
     j = int(np.argmin(dists))
     if j in (0, len(taus) - 1):
         # the minimum lies at or beyond the scan's edge: the scanned value
@@ -606,19 +615,51 @@ def uniqueness_evidence(trajA, trajB, lambda0):
                             abs(tau) >= _TAU_SPAN - 1e-5)
 
 
+_FLIP = np.array([1.0, -1.0])   # (x, y) -> (x, -y)
+_FLIP.flags.writeable = False
+
+
+def _mirror(state):
+    """state mirrored across the diameter, a new CurveState sharing its
+    edge lengths, which the mirror leaves unchanged."""
+    return CurveState(nodes=state.nodes * _FLIP, time=state.time,
+                      om_minus=state.om_minus, om_plus=state.om_plus,
+                      _seg=state._seg)
+
+
+class _MirroredStates(Sequence):
+    """A read-only sequence over a run's stored states, each mirrored
+    across the diameter only when it is read: every index, slice element
+    or iteration step builds a new CurveState (_mirror), so that making
+    the view copies no node array."""
+
+    def __init__(self, states):
+        self._states = states
+
+    def __len__(self):
+        return len(self._states)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return _MirroredStates(self._states[k])
+        return _mirror(self._states[k])
+
+    def __iter__(self):
+        return map(_mirror, self._states)
+
+
 def reflect_trajectory(traj):
     """The same run mapped to the other side of the diameter.
 
     Contacts, turning angles, curvature magnitudes and areas are mirror
     invariant; only heights and the extinction point change sign.  The
-    mirror gets new states and height monitors and shares everything else
-    with traj, which it leaves unchanged.
+    mirror's states are a read-only view over traj's (_MirroredStates),
+    which builds each mirrored state when it is read; it gets new height
+    monitors and shares everything else with traj, which it leaves
+    unchanged.
     """
-    flip = np.array([1.0, -1.0])
-    states = [CurveState(nodes=s.nodes * flip, time=s.time,
-                         om_minus=s.om_minus, om_plus=s.om_plus, _seg=s._seg)
-              for s in traj.states]
     monitors = {key: -np.asarray(val) if key.startswith("y_at_x") else val
                 for key, val in traj.monitors.items()}
-    return replace(traj, states=states, monitors=monitors,
-                   extinction_point=np.asarray(traj.extinction_point) * flip)
+    return replace(traj, states=_MirroredStates(traj.states),
+                   monitors=monitors,
+                   extinction_point=np.asarray(traj.extinction_point) * _FLIP)

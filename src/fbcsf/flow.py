@@ -36,8 +36,10 @@ A run's only record is its stored states: every state a step returns
 extremes, length, area, heights at fixed abscissas) are derived from them
 once the run is over, one row per state.  Stored states are read in time
 through Trajectory.heights_at_time, linear between the two bracketing
-states; it takes an array of times and returns one row of heights per
-time.  matched_distance compares two such arrays of rows and reads no run.
+states; it takes an array of times of any shape and returns one row of
+heights per time, and it reads each bracketing state once per call
+however many of the times that state brackets.  matched_distance compares
+two such arrays of rows and reads no run.
 
 Every curve advances only through step and its node policy, the exact
 solutions too: a semicircle shrinking on a straight wall, and the grim
@@ -782,34 +784,61 @@ class Trajectory:
     extinction_fit_fallback: bool
 
     def heights_at_time(self, t_offsets, xs):
-        """Heights at xs for a 1-D array of offset times, one row per time,
+        """Heights at xs for an array of offset times of any shape: an
+        array of shape t_offsets.shape + (len(xs),), one row per time,
         linear in time between the two bracketing states.
 
-        Offset times outside the stored range clamp to the first or last
-        state.  Of two states stored at the same time, that time itself
-        reads the first and later times interpolate from the second.
-        Nearest-state lookup would quantize time to the step sequence,
-        and that noise floor would drown small distances between runs.
-        All times are located in one search and weighted in one pass; each
-        bracketing state is read once per time.
+        Offset times outside the stored range, -inf and inf too, clamp to
+        the first or last state; a NaN time raises ConfigError.  Of two
+        states stored at the same time, that time itself reads the first
+        and later times interpolate from the second.  Nearest-state lookup
+        would quantize time to the step sequence, and that noise floor
+        would drown small distances between runs.  All times are located
+        in one search, and each distinct bracketing state is read once per
+        call, into a table from which the rows are gathered and weighted,
+        one leading index of t_offsets at a time.
         """
         times = self.state_times
         t_offsets = np.asarray(t_offsets, dtype=float)
+        if np.isnan(t_offsets).any():
+            raise ConfigError("an offset time is NaN; no state brackets it")
+        out = np.empty(t_offsets.shape + (len(xs),))
+        if out.size == 0:
+            return out
         i = np.searchsorted(times, t_offsets)
         last = len(times) - 1
+        clamped = np.minimum(i, last)
         # a stored time reads its state alone: weight 1 on it would still
         # carry a NaN of the state before it into the row
-        stored = times[np.minimum(i, last)] == t_offsets
+        stored = times[clamped] == t_offsets
         inside = (i > 0) & (i <= last) & ~stored
-        first = np.where(inside, i - 1, np.minimum(i, last))
-        rows = np.array([self.states[k].heights_at(xs) for k in first])
-        if np.any(inside):
-            i1 = i[inside]
-            y1 = np.array([self.states[k].heights_at(xs) for k in i1])
-            t0, t1 = times[i1 - 1], times[i1]
-            w = ((t_offsets[inside] - t0) / (t1 - t0))[:, None]
-            rows[inside] = (1.0 - w) * rows[inside] + w * y1
-        return rows
+        first = np.where(inside, i - 1, clamped)
+        # the distinct bracketing states, marked on a mask of the stored
+        # states: sorting them (np.unique) would fault in numpy's sort
+        # kernels, about 1 MB of resident memory no other analysis needs
+        read = np.zeros(len(times), dtype=bool)
+        read[first] = True
+        read[i[inside]] = True
+        table = np.empty((np.count_nonzero(read), len(xs)))
+        for row, k in zip(table, np.flatnonzero(read)):
+            row[:] = self.states[k].heights_at(xs)
+        at = np.cumsum(read) - 1     # a read state's row of the table
+        # one block of rows per leading index of t_offsets (a single block
+        # for 0-d and 1-D times), and each time's first and second
+        # bracketing state as table rows; the second is read only where
+        # the time is inside
+        lead = len(t_offsets) if t_offsets.ndim > 1 else 1
+        blocks = (a.reshape(lead, -1) for a in (
+            t_offsets, i, inside, at[first], at[clamped]))
+        for rows, t, i_b, ins, k0, k1 in zip(out.reshape(lead, -1, len(xs)),
+                                             *blocks):
+            np.take(table, k0, axis=0, out=rows)
+            if ins.any():
+                i1 = i_b[ins]
+                t0, t1 = times[i1 - 1], times[i1]
+                w = ((t[ins] - t0) / (t1 - t0))[:, None]
+                rows[ins] = (1.0 - w) * rows[ins] + w * table[k1[ins]]
+        return out
 
 
 # abscissas at which two runs are compared, in ancient_sweep and in
@@ -820,12 +849,19 @@ MATCH_XS.flags.writeable = False
 
 def matched_distance(ya, yb):
     """Sup of |ya - yb| over the entries finite in both, for two arrays of
-    height rows, one row per sample time, as Trajectory.heights_at_time
-    returns them.  A sample time whose rows share no finite abscissa makes
-    the distance inf.
+    height rows of one shape, one row per sample time along the last axis,
+    as Trajectory.heights_at_time returns them.  A sample time whose rows
+    share no finite abscissa makes the distance inf.  ConfigError when the
+    shapes differ or the arrays hold no sample time.
     """
+    shape = np.shape(ya)
+    if shape != np.shape(yb):
+        raise ConfigError(
+            f"height rows of shapes {shape} and {np.shape(yb)} differ")
+    if not shape or 0 in shape[:-1]:
+        raise ConfigError(f"height rows of shape {shape} hold no sample time")
     m = np.isfinite(ya) & np.isfinite(yb)
-    if not np.all(np.any(m, axis=1)):
+    if not np.all(np.any(m, axis=-1)):
         return np.inf
     return float(np.max(np.abs(ya[m] - yb[m])))
 

@@ -5,6 +5,7 @@ bit for bit."""
 
 import dataclasses
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -456,3 +457,73 @@ def test_heights_and_distances_match_the_per_time_loop(name, runs):
                                         other.heights_at_time(ts + tau, xs))
             want = _reference_matched_distance(traj, other, tau, ts, xs)
             assert float(got).hex() == float(want).hex()
+
+
+def _time_grid(traj):
+    """Rows of offset times: before the first state, on a stored time,
+    inside, and after the last, each row shifted as uniqueness_evidence
+    shifts its sample times, and one row of stored times."""
+    ts = np.concatenate([[traj.alpha - 1.0, traj.state_times[5]],
+                         np.linspace(traj.alpha * 0.85, -0.3, 16), [0.7]])
+    taus = np.array([-0.5, -0.013, 0.0, 0.2])
+    return np.vstack([taus[:, None] + ts, traj.state_times[3:3 + len(ts)]])
+
+
+def _bracketing_states(traj, t):
+    """The indices of the stored states that offset time t reads."""
+    times = traj.state_times
+    if t <= times[0]:
+        return {0}
+    if t >= times[-1]:
+        return {len(times) - 1}
+    i = int(np.searchsorted(times, t))
+    return {i} if times[i] == t else {i - 1, i}
+
+
+@pytest.mark.parametrize("name", ["disk_r03_n100", "egg_r01_n100"])
+def test_a_time_grid_matches_the_per_time_loop(name, runs):
+    traj = runs(name)
+    xs = flow.MATCH_XS
+    grid = _time_grid(traj)
+    rows = traj.heights_at_time(grid, xs)
+    assert rows.shape == grid.shape + (len(xs),)
+    for ts, block in zip(grid, rows):
+        assert _same_bits(block, traj.heights_at_time(ts, xs))
+        for t, row in zip(ts, block):
+            assert _same_bits(row, _reference_heights_at_time(traj, t, xs))
+    # a third axis reads the same rows
+    deep = traj.heights_at_time(grid.reshape(len(grid), 1, -1), xs)
+    assert _same_bits(deep.reshape(rows.shape), rows)
+
+
+@pytest.mark.parametrize("shape", ["grid", "flat"])
+@pytest.mark.parametrize("name", ["disk_r03_n100", "egg_r01_n100"])
+def test_a_call_reads_each_bracketing_state_once(name, shape, runs,
+                                                 monkeypatch):
+    traj = runs(name)
+    grid = _time_grid(traj)
+    if shape == "flat":
+        grid = grid.ravel()
+    index = {id(s): k for k, s in enumerate(traj.states)}
+    reads = Counter()
+    read = flow.CurveState.heights_at
+
+    def counting_read(self, xs):
+        reads[index[id(self)]] += 1
+        return read(self, xs)
+
+    monkeypatch.setattr(flow.CurveState, "heights_at", counting_read)
+    traj.heights_at_time(grid, flow.MATCH_XS)
+    per_time = [_bracketing_states(traj, t) for t in grid.ravel()]
+    # the shifted rows share states, which a per-time read repeats
+    assert sum(map(len, per_time)) > len(set().union(*per_time))
+    assert set(reads) == set().union(*per_time)
+    assert set(reads.values()) == {1}
+
+
+def test_sweep_pair_distances_match_the_per_time_loop(disk_sweep):
+    trajs = disk_sweep.trajectories
+    for a, b, got in zip(trajs[:-1], trajs[1:], disk_sweep.pair_distances):
+        ts = np.linspace(max(a.alpha, b.alpha) * 0.85, -0.3, 24)
+        want = _reference_matched_distance(a, b, 0.0, ts, flow.MATCH_XS)
+        assert float(got).hex() == float(want).hex()

@@ -1,7 +1,9 @@
 """Analysis layer: estimate reports on a recorded run, the Robin spectrum
 against closed forms, and the mirror run used for uniqueness."""
 
+import collections.abc
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 from fbcsf import asymptotics, flow, geometry, oval
 from fbcsf.errors import ConfigError
 from fbcsf.solve import safe_brentq
-from test_analysis_passes import _reference_uniqueness
+from test_analysis_passes import _reference_uniqueness, _same_bits
 
 
 def test_estimate_report_on_disk_run(runs, ndisk):
@@ -184,10 +186,12 @@ def test_mirror_shift_is_labelled_at_the_scan_edge(runs, name, dom,
     assert apart.tau_at_edge and apart.tau_star < 0.0
 
 
-def test_uniqueness_reads_the_first_run_once(runs, ndisk, monkeypatch):
+def test_uniqueness_reads_each_run_once(runs, ndisk, monkeypatch):
     # the first run's heights at the sample times are read once for all
-    # the shifts, and the report is the one that reading both runs at every
-    # shift, one sample time at a time, gives, bit for bit
+    # the shifts, the mirror's once for the whole scan (its best shift is
+    # the scan's edge, so no refinement reads it again), and the report is
+    # the one that reading both runs at every shift, one sample time at a
+    # time, gives, bit for bit
     traj = runs("disk_r03_n100")
     mirror = asymptotics.reflect_trajectory(traj)
     lam0 = oval.solve_lambda0(ndisk.kappa1, ndisk.kappa2)
@@ -201,7 +205,7 @@ def test_uniqueness_reads_the_first_run_once(runs, ndisk, monkeypatch):
     monkeypatch.setattr(flow.Trajectory, "heights_at_time", counting_read)
     once = asymptotics.uniqueness_evidence(traj, mirror, lam0)
     assert sum(r is traj for r in readers) == 1
-    assert sum(r is mirror for r in readers) > 40
+    assert sum(r is mirror for r in readers) == 1
     tau, dist, window = _reference_uniqueness(traj, mirror)
     assert ([float(v).hex() for v in (once.tau_star, once.distance,
                                       *once.window)]
@@ -329,6 +333,63 @@ def test_reflect_trajectory_leaves_the_run_unchanged(runs):
     assert np.array_equal(mirror.monitors["y_at_x2"],
                           -traj.monitors["y_at_x2"], equal_nan=True)
     assert np.array_equal(mirror.extinction_point, ext * [1.0, -1.0])
+
+
+def test_mirror_states_are_a_read_only_view(runs):
+    traj = runs("disk_r03_n100")
+    states = asymptotics.reflect_trajectory(traj).states
+    flip = np.array([1.0, -1.0])
+    n = len(traj.states)
+    assert isinstance(states, collections.abc.Sequence)
+    assert len(states) == n
+    for k in (0, 7, n - 1, -1, -n):
+        assert _same_bits(states[k].nodes, traj.states[k].nodes * flip)
+        assert states[k].time == traj.states[k].time
+    # every read builds a new state
+    assert states[3] is not states[3]
+    for part, want in ((states[10:20:3], traj.states[10:20:3]),
+                       (states[-3:], traj.states[-3:])):
+        assert len(part) == len(want)
+        for m, s in zip(part, want):
+            assert _same_bits(m.nodes, s.nodes * flip)
+    count = 0
+    for m, s in zip(states, traj.states):
+        assert _same_bits(m.nodes, s.nodes * flip)
+        count += 1
+    assert count == n
+    with pytest.raises(IndexError):
+        states[n]
+    with pytest.raises(TypeError):
+        states[0] = traj.states[0]
+    back = asymptotics.reflect_trajectory(
+        asymptotics.reflect_trajectory(traj)).states
+    assert len(back) == n
+    for k in (0, 7, -1):
+        assert _same_bits(back[k].nodes, traj.states[k].nodes)
+
+
+def test_making_the_mirror_reads_and_copies_no_state(runs, monkeypatch):
+    # the states are mirrored when read: making the mirror allocates only
+    # its height monitors (2,095 KB when it copied every state)
+    traj = runs("disk_r03_n100")
+    reads = []
+    read = flow.CurveState.heights_at
+
+    def counting_read(self, xs):
+        reads.append(1)
+        return read(self, xs)
+
+    monkeypatch.setattr(flow.CurveState, "heights_at", counting_read)
+    asymptotics.reflect_trajectory(traj)
+    tracemalloc.start()
+    try:
+        mirror = asymptotics.reflect_trajectory(traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(mirror.states) == len(traj.states)
+    assert not reads
+    assert peak < 128 * 1024
 
 
 def test_reflect_twice_gives_back_the_heights(runs):

@@ -723,6 +723,42 @@ def test_heights_at_time_reads_a_stored_time_from_its_state_alone():
     assert mid[0] == 1.0 and np.isnan(mid[1])
 
 
+def test_heights_at_time_takes_times_of_any_shape():
+    traj = _linear_trajectory([-2.0, -1.0, -0.5, 0.0])
+    ts = np.array([[-3.0, -1.5, -1.0], [-0.75, 0.0, 2.0]])
+    rows = traj.heights_at_time(ts, _READ_X)
+    assert rows.shape == (2, 3, len(_READ_X))
+    assert np.array_equal(rows.reshape(6, -1),
+                          traj.heights_at_time(ts.ravel(), _READ_X))
+    # a 0-d time reads one row
+    (mid,) = traj.heights_at_time([-1.5], _READ_X)
+    assert np.array_equal(traj.heights_at_time(-1.5, _READ_X), mid)
+    # no time: no row and no state read
+    assert traj.heights_at_time([], _READ_X).shape == (0, len(_READ_X))
+    assert traj.heights_at_time(np.empty((3, 0)), _READ_X).shape == \
+        (3, 0, len(_READ_X))
+
+
+def test_heights_at_time_rejects_nan_and_clamps_infinities():
+    traj = _linear_trajectory([-2.0, -1.0, -0.5, 0.0])
+    for ts in ([np.nan], [[-1.0, np.nan]], np.nan):
+        with pytest.raises(ConfigError):
+            traj.heights_at_time(ts, _READ_X)
+    lo, hi = traj.heights_at_time([-np.inf, np.inf], _READ_X)
+    assert np.array_equal(lo, traj.states[0].heights_at(_READ_X))
+    assert np.array_equal(hi, traj.states[-1].heights_at(_READ_X))
+
+
+def test_matched_distance_rejects_unmatched_or_empty_rows():
+    ya = np.zeros((3, 5))
+    for yb in (np.zeros((3, 4)), np.zeros((2, 5)), np.zeros(5)):
+        with pytest.raises(ConfigError):
+            f.matched_distance(ya, yb)
+    for empty in (np.zeros((0, 5)), np.zeros((2, 0, 5)), np.float64(0.0)):
+        with pytest.raises(ConfigError):
+            f.matched_distance(empty, empty)
+
+
 def test_matched_distance_of_a_run_with_itself_is_zero():
     traj = _linear_trajectory([-2.0, -1.0, -0.5, 0.0])
     ts = np.linspace(-1.9, -0.1, 7)
