@@ -9,22 +9,25 @@ cos/sin by the sign of mu (_basis), with (a, b) the null vector of the
 larger Robin row, found without a division, so that the odd modes of a
 symmetric chord are as finite as the even ones.
 
-All routines are pure functions over recorded trajectories; none of
-them step the flow, and none keeps anything between calls.  They read a
-run as arrays: the monitors, and the stored states of the fit window in
-blocks of _BLOCK_STATES, whose nodes and cached curvature are packed end
-to end so that each per-node quantity is one elementwise pass and each
-per-state extreme one reduceat.  The stored states are read in time
-only through Trajectory.heights_at_time, many times in one call, which
-reads each bracketing state once.  uniqueness_evidence so reads each run
-once for its whole scan of shifts, and the mirror run it is checked
-against (reflect_trajectory) is a view that mirrors a stored state only
-when the state is read.
+The routines are pure functions over recorded trajectories and keep
+nothing between calls; all but ancient_sweep read runs and step none.
+They read a run as arrays: the monitors, and the stored states of the
+fit window in blocks of _BLOCK_STATES, whose nodes and cached curvature
+are packed end to end so that each per-node quantity is one elementwise
+pass and each per-state extreme one reduceat.  The stored states are
+read in time only through Trajectory.heights_at_time, many times in one
+call, which reads each bracketing state once.
 
 Every fit reads one window, and _window alone decides it: the offset
 times from max(t0, WINDOW_FLOOR) to WINDOW_CEIL, t0 the run's first
-stored time, and the stored states inside them.  uniqueness_evidence
-aligns two runs over a window of its own.
+stored time, and the stored states inside them.
+
+uniqueness_evidence is the one comparison of two runs: one window of
+its own, one set of sample times, and one golden-section search of the
+time shift on a small bracket.  ancient_sweep runs the flow at each rho
+of a sweep and reports it for every consecutive pair.  The mirror of a
+run across the diameter (reflect_trajectory) is a view that mirrors a
+stored state only when the state is read, for height reads only.
 
 A run's samples are its steps, which the error controller spaces
 unevenly in time.  So every least-squares fit over window samples (the
@@ -41,9 +44,7 @@ from itertools import islice
 
 from .errors import (AnalysisError, ConfigError, NonPositiveAmplitude,
                      WindowTooShort)
-# uniqueness_evidence calls matched_distance through this module's global,
-# so a wrapper set on this module (bench/tracing.py) sees every call
-from .flow import MATCH_XS, ConvexWall, CurveState, matched_distance
+from .flow import ConvexWall, CurveState, old_but_not_ancient
 from .oval import lambda0_residual, solve_lambda0
 from .solve import safe_brentq
 
@@ -59,8 +60,9 @@ _BLOCK_STATES = 32    # verify_estimates packs this many states per pass
 _EIGEN_NGRID = 1001   # eigenfunction grid on [-1, 1]: sup norm and sign
 _POSITIVE_EIGEN = 3   # positive Robin eigenvalues that robin_eigen reports
 _INCREMENT_TIMES = 10   # rescaled_increments: sample times in the window
-_UNIQUENESS_TIMES = 16  # uniqueness_evidence: sample times, and the time
-_TAU_SPAN = 0.5         # shifts it scans, on [-_TAU_SPAN, _TAU_SPAN]
+_UNIQUENESS_TIMES = 16  # uniqueness_evidence: sample times,
+_TAU_SPAN = 1e-3        # the shift bracket [-_TAU_SPAN, _TAU_SPAN]
+_TAU_TOL = 1e-5         # and the bracket width that stops its search
 
 
 def _window(traj, min_samples):
@@ -535,15 +537,42 @@ def eigen_residuals(pair, kappa1, kappa2):
 
 
 # ---------------------------------------------------------------------------
-# uniqueness evidence
+# comparing runs
+
+
+# abscissas at which two runs are compared
+MATCH_XS = np.linspace(-0.85, 0.85, 241)
+MATCH_XS.flags.writeable = False
+
+
+# uniqueness_evidence calls matched_distance through this module's global,
+# so a wrapper set on this module (bench/tracing.py) sees every call
+def matched_distance(ya, yb):
+    """Sup of |ya - yb| over the entries finite in both, for two arrays of
+    height rows of one shape, one row per sample time along the last axis,
+    as Trajectory.heights_at_time returns them.  A sample time whose rows
+    share no finite abscissa makes the distance inf.  ConfigError when the
+    shapes differ or the arrays hold no sample time.
+    """
+    shape = np.shape(ya)
+    if shape != np.shape(yb):
+        raise ConfigError(
+            f"height rows of shapes {shape} and {np.shape(yb)} differ")
+    if not shape or 0 in shape[:-1]:
+        raise ConfigError(f"height rows of shape {shape} hold no sample time")
+    m = np.isfinite(ya) & np.isfinite(yb)
+    if not np.all(np.any(m, axis=-1)):
+        return np.inf
+    return float(np.max(np.abs(ya[m] - yb[m])))
 
 
 @dataclass
 class UniquenessReport:
     """The best shift tau_star, the sup distance there, and the sample
-    window.  tau_at_edge marks a tau_star on the edge of the scanned
-    shifts (|tau_star| >= _TAU_SPAN - 1e-5): the distance is then an upper
-    bound on the minimum over shifts, not a minimum."""
+    window.  tau_at_edge marks a tau_star at the edge of the searched
+    bracket (|tau_star| >= _TAU_SPAN - _TAU_TOL): the minimum over shifts
+    may then lie outside it, and the distance only bounds that minimum
+    from above."""
     tau_star: float
     distance: float
     window: tuple
@@ -554,50 +583,35 @@ def uniqueness_evidence(trajA, trajB, lambda0):
     """Best time shift aligning two runs, and the aligned sup distance.
 
     A small minimized distance backs uniqueness-modulo-time-translation;
-    trajectories on opposite sides of the diameter stay far apart.
-    lambda0 is not used: the shift is scanned in plain time.  trajA's
-    heights at the sample times are read once and shared by every shift;
-    trajB's are read once for all 41 scanned shifts, at the grid of the
-    sample times plus each shift, so that each stored state of trajB is
-    read at most once however many shifts it brackets, and
-    matched_distance compares trajA's rows with each shift's block.  The
-    best scanned shift is refined by golden section between its
-    neighbours, reading trajB at one shift per step, unless it is the
-    first or last, which is reported as scanned.
+    runs on opposite sides of the diameter stay far apart.  lambda0 is
+    not used: the shift is searched in plain time.  The runs are compared
+    on MATCH_XS at _UNIQUENESS_TIMES sample times spread over [lo +
+    0.15 |lo|, -0.3], lo the later first stored time of the two; trajB is
+    read at the sample times plus the shift tau.  Golden section searches
+    tau on [-_TAU_SPAN, _TAU_SPAN] until its bracket is narrower than
+    _TAU_TOL, and tau = 0 is read once besides, so that an unshifted tie
+    wins.  trajA is read once, trajB once per shift, and matched_distance
+    compares them at each of the 15 shifts.  WindowTooShort when the
+    window is empty.
     """
-    xs = MATCH_XS
     lo = max(float(trajA.monitors["t"][0]), float(trajB.monitors["t"][0]))
     lo = lo + 0.15 * abs(lo)
     hi = -0.3
     if lo >= hi:
         raise WindowTooShort(f"no shared late window: [{lo:.3g}, {hi:.3g}]")
     sample_times = np.linspace(lo, hi, _UNIQUENESS_TIMES)
-    ya = trajA.heights_at_time(sample_times, xs)
+    ya = trajA.heights_at_time(sample_times, MATCH_XS)
 
     def dist(tau):
         return matched_distance(
-            ya, trajB.heights_at_time(sample_times + tau, xs))
+            ya, trajB.heights_at_time(sample_times + tau, MATCH_XS))
 
-    taus = np.linspace(-_TAU_SPAN, _TAU_SPAN, 41)
-    taus[np.argmin(np.abs(taus))] = 0.0
-    dists = np.array([matched_distance(ya, yb) for yb in
-                      trajB.heights_at_time(taus[:, None] + sample_times, xs)])
-    j = int(np.argmin(dists))
-    if j in (0, len(taus) - 1):
-        # the minimum lies at or beyond the scan's edge: the scanned value
-        # is reported as the upper bound it is, without refinement
-        return UniquenessReport(float(taus[j]), float(dists[j]), (lo, hi),
-                                True)
-
-    # golden-section refinement inside the bracketing pair
-    a, b = taus[j - 1], taus[j + 1]
+    a, b = -_TAU_SPAN, _TAU_SPAN
     gr = (np.sqrt(5.0) - 1.0) / 2.0
     c = b - gr * (b - a)
     d = a + gr * (b - a)
     fc, fd = dist(c), dist(d)
-    for _ in range(60):
-        if b - a < 1e-5:
-            break
+    while b - a >= _TAU_TOL:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - gr * (b - a)
@@ -606,13 +620,46 @@ def uniqueness_evidence(trajA, trajB, lambda0):
             a, c, fc = c, d, fd
             d = a + gr * (b - a)
             fd = dist(d)
-    tau = c if fc < fd else d
-    best = min(fc, fd)
-    if dists[j] < best:
-        tau, best = taus[j], dists[j]
+    tau, best = (c, fc) if fc < fd else (d, fd)
+    unshifted = dist(0.0)
+    if unshifted <= best:
+        tau, best = 0.0, unshifted
     tau = float(tau)
     return UniquenessReport(tau, float(best), (lo, hi),
-                            abs(tau) >= _TAU_SPAN - 1e-5)
+                            abs(tau) >= _TAU_SPAN - _TAU_TOL)
+
+
+@dataclass
+class SweepReport:
+    rhos: list
+    trajectories: list
+    pairs: list                 # uniqueness_evidence of consecutive rhos
+    heights_at_tm2: list        # largest finite height on MATCH_XS at
+                                # offset time -2, read by heights_at_time
+                                # (NaN where the run starts later)
+    alphas: list
+
+
+def ancient_sweep(ndom, rhos, cfg):
+    """Old-but-not-ancient runs over decreasing rho, aligned by extinction,
+    each consecutive pair compared by uniqueness_evidence."""
+    rhos = sorted(rhos, reverse=True)
+    if len(rhos) < 3:
+        raise ConfigError("sweep needs at least 3 rho values")
+    trajs = [old_but_not_ancient(ndom, r, cfg) for r in rhos]
+    lam0 = solve_lambda0(ndom.kappa1, ndom.kappa2)
+    # a run that starts after t = -2 has no height there
+    heights = [np.nan if tr.alpha > -2.0
+               else float(np.nanmax(tr.heights_at_time([-2.0], MATCH_XS)))
+               for tr in trajs]
+    return SweepReport(
+        rhos=list(rhos),
+        trajectories=trajs,
+        pairs=[uniqueness_evidence(a, b, lam0)
+               for a, b in zip(trajs[:-1], trajs[1:])],
+        heights_at_tm2=heights,
+        alphas=[tr.alpha for tr in trajs],
+    )
 
 
 _FLIP = np.array([1.0, -1.0])   # (x, y) -> (x, -y)
@@ -651,12 +698,18 @@ class _MirroredStates(Sequence):
 def reflect_trajectory(traj):
     """The same run mapped to the other side of the diameter.
 
-    Contacts, turning angles, curvature magnitudes and areas are mirror
-    invariant; only heights and the extinction point change sign.  The
-    mirror's states are a read-only view over traj's (_MirroredStates),
-    which builds each mirrored state when it is read; it gets new height
+    Turning angles, curvature magnitudes and areas are mirror invariant;
+    only heights and the extinction point change sign.  The mirror's
+    states are a read-only view over traj's (_MirroredStates), which
+    builds each mirrored state when it is read; it gets new height
     monitors and shares everything else with traj, which it leaves
     unchanged.
+
+    A mirror supports height reads only: heights_at_time and the height
+    monitors.  A mirrored state keeps the run's contact parameters, which
+    name points of the upper boundary arc, so its curvature against the
+    wall is wrong; verify_estimates on a mirror raises AnalysisError, as
+    no node of a mirrored state lies above the diameter.
     """
     monitors = {key: -np.asarray(val) if key.startswith("y_at_x") else val
                 for key, val in traj.monitors.items()}

@@ -57,10 +57,6 @@ class UnitDiskArc:
         c, s = np.cos(self.omega), np.sin(self.omega)
         return np.array([[-c, s], [c, s]])
 
-    @property
-    def apex(self):
-        return np.array([0.0, np.tan(self.omega / 2.0)])
-
     def height(self, x):
         """Lower-branch graph y(x) on |x| <= cos omega."""
         x = np.asarray(x, dtype=float)
@@ -180,11 +176,6 @@ class BarrierCurve:
         if self.degenerate:
             return 0.0
         return self.r * np.sin(self.omega)
-
-    @property
-    def apexes(self):
-        c = 1.0 - self.r
-        return np.array([[-c, self.apex_height], [c, self.apex_height]])
 
     def height(self, x):
         """Barrier graph; NaN outside the spanned x-range."""

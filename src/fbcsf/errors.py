@@ -53,10 +53,6 @@ class LambdaOutOfRange(SolverError):
     """Oval scale parameter left its admissible interval."""
 
 
-class OutOfSupport(SolverError):
-    """Evaluation requested outside the support of a profile."""
-
-
 class InvalidScale(SolverError):
     """Scale parameter fails its positivity/admissibility constraint."""
 

@@ -38,8 +38,9 @@ once the run is over, one row per state.  Stored states are read in time
 through Trajectory.heights_at_time, linear between the two bracketing
 states; it takes an array of times of any shape and returns one row of
 heights per time, and it reads each bracketing state once per call
-however many of the times that state brackets.  matched_distance compares
-two such arrays of rows and reads no run.
+however many of the times that state brackets.  The module runs and
+reads runs but compares none: asymptotics holds every comparison of two
+runs, the sweep over rho included.
 
 Every curve advances only through step and its node policy, the exact
 solutions too: a semicircle shrinking on a straight wall, and the grim
@@ -794,23 +795,24 @@ class Trajectory:
         and later times interpolate from the second.  Nearest-state lookup
         would quantize time to the step sequence, and that noise floor
         would drown small distances between runs.  All times are located
-        in one search, and each distinct bracketing state is read once per
-        call, into a table from which the rows are gathered and weighted,
-        one leading index of t_offsets at a time.
+        in one search of the flattened times, and each distinct bracketing
+        state is read once per call, into a table from which the rows are
+        gathered and weighted in one pass, then shaped as the times.
         """
         times = self.state_times
         t_offsets = np.asarray(t_offsets, dtype=float)
         if np.isnan(t_offsets).any():
             raise ConfigError("an offset time is NaN; no state brackets it")
-        out = np.empty(t_offsets.shape + (len(xs),))
-        if out.size == 0:
-            return out
-        i = np.searchsorted(times, t_offsets)
+        shape = t_offsets.shape + (len(xs),)
+        if 0 in shape:
+            return np.empty(shape)
+        t = t_offsets.ravel()
+        i = np.searchsorted(times, t)
         last = len(times) - 1
         clamped = np.minimum(i, last)
         # a stored time reads its state alone: weight 1 on it would still
         # carry a NaN of the state before it into the row
-        stored = times[clamped] == t_offsets
+        stored = times[clamped] == t
         inside = (i > 0) & (i <= last) & ~stored
         first = np.where(inside, i - 1, clamped)
         # the distinct bracketing states, marked on a mask of the stored
@@ -823,47 +825,15 @@ class Trajectory:
         for row, k in zip(table, np.flatnonzero(read)):
             row[:] = self.states[k].heights_at(xs)
         at = np.cumsum(read) - 1     # a read state's row of the table
-        # one block of rows per leading index of t_offsets (a single block
-        # for 0-d and 1-D times), and each time's first and second
-        # bracketing state as table rows; the second is read only where
-        # the time is inside
-        lead = len(t_offsets) if t_offsets.ndim > 1 else 1
-        blocks = (a.reshape(lead, -1) for a in (
-            t_offsets, i, inside, at[first], at[clamped]))
-        for rows, t, i_b, ins, k0, k1 in zip(out.reshape(lead, -1, len(xs)),
-                                             *blocks):
-            np.take(table, k0, axis=0, out=rows)
-            if ins.any():
-                i1 = i_b[ins]
-                t0, t1 = times[i1 - 1], times[i1]
-                w = ((t[ins] - t0) / (t1 - t0))[:, None]
-                rows[ins] = (1.0 - w) * rows[ins] + w * table[k1[ins]]
-        return out
-
-
-# abscissas at which two runs are compared, in ancient_sweep and in
-# asymptotics.uniqueness_evidence
-MATCH_XS = np.linspace(-0.85, 0.85, 241)
-MATCH_XS.flags.writeable = False
-
-
-def matched_distance(ya, yb):
-    """Sup of |ya - yb| over the entries finite in both, for two arrays of
-    height rows of one shape, one row per sample time along the last axis,
-    as Trajectory.heights_at_time returns them.  A sample time whose rows
-    share no finite abscissa makes the distance inf.  ConfigError when the
-    shapes differ or the arrays hold no sample time.
-    """
-    shape = np.shape(ya)
-    if shape != np.shape(yb):
-        raise ConfigError(
-            f"height rows of shapes {shape} and {np.shape(yb)} differ")
-    if not shape or 0 in shape[:-1]:
-        raise ConfigError(f"height rows of shape {shape} hold no sample time")
-    m = np.isfinite(ya) & np.isfinite(yb)
-    if not np.all(np.any(m, axis=-1)):
-        return np.inf
-    return float(np.max(np.abs(ya[m] - yb[m])))
+        # each time's first bracketing state, and the second where the
+        # time is inside
+        rows = table[at[first]]
+        if inside.any():
+            i1 = i[inside]
+            t0, t1 = times[i1 - 1], times[i1]
+            w = ((t[inside] - t0) / (t1 - t0))[:, None]
+            rows[inside] = (1.0 - w) * rows[inside] + w * table[at[i1]]
+        return rows.reshape(shape)
 
 
 def _local_min_count(values):
@@ -979,43 +949,6 @@ def old_but_not_ancient(ndom, rho, cfg):
     ov = oval_mod.construct_orthogonal_oval(ndom, rho)
     return run_to_extinction(initial_state_from_oval(ov, cfg.n_nodes), cfg,
                              ndom)
-
-
-@dataclass
-class SweepReport:
-    rhos: list
-    trajectories: list
-    pair_distances: list        # matched-time sup distances, consecutive rhos
-    heights_at_tm2: list        # largest finite height on MATCH_XS at
-                                # offset time -2, read by heights_at_time
-                                # (NaN where the run starts later)
-    alphas: list
-
-
-def ancient_sweep(ndom, rhos, cfg):
-    """Old-but-not-ancient runs over decreasing rho, aligned by extinction."""
-    rhos = sorted(rhos, reverse=True)
-    if len(rhos) < 3:
-        raise ConfigError("sweep needs at least 3 rho values")
-    trajs = [old_but_not_ancient(ndom, r, cfg) for r in rhos]
-
-    pair = []
-    for a, b in zip(trajs[:-1], trajs[1:]):
-        lo = max(a.alpha, b.alpha) * 0.85
-        ts = np.linspace(lo, -0.3, 24)
-        pair.append(matched_distance(a.heights_at_time(ts, MATCH_XS),
-                                     b.heights_at_time(ts, MATCH_XS)))
-    # a run that starts after t = -2 has no height there
-    heights = [np.nan if tr.alpha > -2.0
-               else float(np.nanmax(tr.heights_at_time([-2.0], MATCH_XS)))
-               for tr in trajs]
-    return SweepReport(
-        rhos=list(rhos),
-        trajectories=trajs,
-        pair_distances=pair,
-        heights_at_tm2=heights,
-        alphas=[tr.alpha for tr in trajs],
-    )
 
 
 # ---------------------------------------------------------------------------

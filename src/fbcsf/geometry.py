@@ -380,29 +380,6 @@ class ConvexDomain:
 
         return cls.from_radius_function(rho)
 
-    @classmethod
-    def from_spec(cls, cfg):
-        """Build from the JSON domain spec {"kind": ..., ...}; ConfigError
-        on an unknown kind or a missing or non-numeric value."""
-        if not isinstance(cfg, dict):
-            raise ConfigError("domain spec must be a JSON object")
-        kind = cfg.get("kind")
-        try:
-            if kind == "disk":
-                return cls.disk(float(cfg.get("a", 1.0)))
-            if kind == "ellipse":
-                return cls.ellipse(float(cfg["a"]), float(cfg["b"]))
-            if kind == "fourier":
-                cos_c = cfg.get("cos_coeffs")
-                if cos_c is None:
-                    raise ConfigError("fourier spec needs cos_coeffs")
-                return cls(cos_c, cfg.get("sin_coeffs"))
-        except KeyError as e:
-            raise ConfigError(f"ellipse spec needs semi-axis {e}") from e
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"malformed {kind} spec: {e}") from e
-        raise ConfigError(f"unknown domain kind: {kind!r}")
-
 
 # -- module-level operations ----------------------------------------------
 

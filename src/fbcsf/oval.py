@@ -48,7 +48,6 @@ from .errors import (
     InvalidScale,
     LambdaOutOfRange,
     NoRoot,
-    OutOfSupport,
     RhoTooLarge,
 )
 from .solve import safe_brentq
@@ -75,16 +74,12 @@ class OvalParams:
         """Half-width of the oval: tips sit at xi -+ this."""
         return float(np.arccosh(1.0 / self.height_factor) / self.lam)
 
-    def lower_height(self, x, clip=False):
+    def lower_height(self, x):
+        """Height of the lower branch at x, the tips' height pi/(2 lam)
+        beyond them."""
         E = self.height_factor
         u = E * np.cosh(self.lam * (np.asarray(x, dtype=float) - self.xi))
-        if clip:
-            u = np.minimum(u, 1.0)
-        else:
-            if np.any(u > 1.0 + 1e-12):
-                raise OutOfSupport("point beyond the oval tips")
-            u = np.minimum(u, 1.0)
-        return np.arcsin(u) / self.lam
+        return np.arcsin(np.minimum(u, 1.0)) / self.lam
 
     def lower_slope(self, x):
         E = self.height_factor
@@ -375,13 +370,13 @@ def construct_orthogonal_oval(ndom, rho):
         par = single_point_orthogonal(phi0, dphi0, x0, lam)
         stop = _gap_stop(xs_rev, par.xi - par.support_halfwidth)
         j = _first_negative(
-            lambda i: ys[i] - par.lower_height(xs[i], clip=True), start, stop)
+            lambda i: ys[i] - par.lower_height(xs[i]), start, stop)
         if j is None:
             return None
 
         def dres(om):
             p = point(om)
-            return float(p[1] - par.lower_height(p[0], clip=True))
+            return float(p[1] - par.lower_height(p[0]))
 
         try:
             om_hat = safe_brentq(dres, om_grid[j - 1], om_grid[j])
@@ -462,7 +457,7 @@ def sample_initial_curve(oval, n):
     cum = np.concatenate([[0.0], np.cumsum(seg)])
     targets = np.linspace(0.0, cum[-1], n)
     xq = np.interp(targets, cum, xs)
-    pts = np.stack([xq, par.lower_height(xq, clip=True)], axis=-1)
+    pts = np.stack([xq, par.lower_height(xq)], axis=-1)
     pts[0] = oval.p_second
     pts[-1] = oval.p_first
     return pts

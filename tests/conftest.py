@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from fbcsf import asymptotics
 from fbcsf import geometry as g
 from fbcsf import flow as flow_mod
 
@@ -114,5 +115,13 @@ def runs(ndisk, negg):
 @pytest.fixture(scope="session")
 def disk_sweep(ndisk):
     cfg = flow_mod.SolverConfig(n_nodes=200, dt_safety=0.8)
-    return flow_mod.ancient_sweep(ndisk, [0.2, 0.1, 0.05], cfg)
+    return asymptotics.ancient_sweep(ndisk, [0.2, 0.1, 0.05], cfg)
+
+
+@pytest.fixture(scope="session")
+def egg_sweep(negg):
+    # same-side runs whose extinction alignment leaves a time error of a
+    # few 1e-5, which the shift search takes up
+    cfg = flow_mod.SolverConfig(n_nodes=100, dt_safety=0.8)
+    return asymptotics.ancient_sweep(negg, [0.1, 0.05, 0.025], cfg)
 

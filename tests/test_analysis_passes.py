@@ -162,9 +162,10 @@ def _reference_matched_distance(trajA, trajB, tau, sample_times, xs):
 def _reference_uniqueness(trajA, trajB):
     """uniqueness_evidence's (tau_star, distance, window), with every
     distance from _reference_matched_distance: both runs read at every
-    shift, one sample time at a time.  It refines a best shift on the
-    scan's edge too, where uniqueness_evidence reports the scanned one."""
-    xs = flow.MATCH_XS
+    shift, one sample time at a time.  Golden section on the bracket
+    [-_TAU_SPAN, _TAU_SPAN] down to a width below _TAU_TOL, and tau = 0
+    read once besides, winning a tie."""
+    xs = asymptotics.MATCH_XS
     lo = max(float(trajA.monitors["t"][0]), float(trajB.monitors["t"][0]))
     lo = lo + 0.15 * abs(lo)
     hi = -0.3
@@ -173,18 +174,11 @@ def _reference_uniqueness(trajA, trajB):
     def dist(tau):
         return _reference_matched_distance(trajA, trajB, tau, ts, xs)
 
-    span = asymptotics._TAU_SPAN
-    taus = np.linspace(-span, span, 41)
-    taus[np.argmin(np.abs(taus))] = 0.0
-    dists = np.array([dist(tau) for tau in taus])
-    j = int(np.argmin(dists))
-    a, b = taus[max(j - 1, 0)], taus[min(j + 1, len(taus) - 1)]
+    a, b = -asymptotics._TAU_SPAN, asymptotics._TAU_SPAN
     gr = (np.sqrt(5.0) - 1.0) / 2.0
     c, d = b - gr * (b - a), a + gr * (b - a)
     fc, fd = dist(c), dist(d)
-    for _ in range(60):
-        if b - a < 1e-5:
-            break
+    while b - a >= asymptotics._TAU_TOL:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - gr * (b - a)
@@ -194,8 +188,9 @@ def _reference_uniqueness(trajA, trajB):
             d = a + gr * (b - a)
             fd = dist(d)
     tau, best = (c, fc) if fc < fd else (d, fd)
-    if dists[j] < best:
-        tau, best = taus[j], dists[j]
+    unshifted = dist(0.0)
+    if unshifted <= best:
+        tau, best = 0.0, unshifted
     return float(tau), float(best), (lo, hi)
 
 
@@ -443,7 +438,7 @@ def test_runs_without_a_shared_late_window_raise():
 def test_heights_and_distances_match_the_per_time_loop(name, runs):
     traj = runs(name)
     mirror = asymptotics.reflect_trajectory(traj)
-    xs = flow.MATCH_XS
+    xs = asymptotics.MATCH_XS
     # before the first state, inside, on a stored time, and after the last
     ts = np.concatenate([[traj.alpha - 1.0, traj.state_times[5]],
                          np.linspace(traj.alpha * 0.85, -0.3, 16), [0.7]])
@@ -453,8 +448,8 @@ def test_heights_and_distances_match_the_per_time_loop(name, runs):
         assert _same_bits(row, _reference_heights_at_time(traj, t, xs))
     for other in (traj, mirror):
         for tau in (-0.5, -0.013, 0.0, 0.2, 0.5):
-            got = flow.matched_distance(rows,
-                                        other.heights_at_time(ts + tau, xs))
+            got = asymptotics.matched_distance(
+                rows, other.heights_at_time(ts + tau, xs))
             want = _reference_matched_distance(traj, other, tau, ts, xs)
             assert float(got).hex() == float(want).hex()
 
@@ -483,7 +478,7 @@ def _bracketing_states(traj, t):
 @pytest.mark.parametrize("name", ["disk_r03_n100", "egg_r01_n100"])
 def test_a_time_grid_matches_the_per_time_loop(name, runs):
     traj = runs(name)
-    xs = flow.MATCH_XS
+    xs = asymptotics.MATCH_XS
     grid = _time_grid(traj)
     rows = traj.heights_at_time(grid, xs)
     assert rows.shape == grid.shape + (len(xs),)
@@ -513,7 +508,7 @@ def test_a_call_reads_each_bracketing_state_once(name, shape, runs,
         return read(self, xs)
 
     monkeypatch.setattr(flow.CurveState, "heights_at", counting_read)
-    traj.heights_at_time(grid, flow.MATCH_XS)
+    traj.heights_at_time(grid, asymptotics.MATCH_XS)
     per_time = [_bracketing_states(traj, t) for t in grid.ravel()]
     # the shifted rows share states, which a per-time read repeats
     assert sum(map(len, per_time)) > len(set().union(*per_time))
@@ -521,9 +516,31 @@ def test_a_call_reads_each_bracketing_state_once(name, shape, runs,
     assert set(reads.values()) == {1}
 
 
-def test_sweep_pair_distances_match_the_per_time_loop(disk_sweep):
-    trajs = disk_sweep.trajectories
-    for a, b, got in zip(trajs[:-1], trajs[1:], disk_sweep.pair_distances):
-        ts = np.linspace(max(a.alpha, b.alpha) * 0.85, -0.3, 24)
-        want = _reference_matched_distance(a, b, 0.0, ts, flow.MATCH_XS)
-        assert float(got).hex() == float(want).hex()
+def _report_bits(rep):
+    return _bits(dataclasses.astuple(rep))
+
+
+@pytest.mark.parametrize("other", ["self", "mirror"])
+@pytest.mark.parametrize("name,domain", [("disk_r03_n100", "ndisk"),
+                                         ("egg_r01_n100", "negg")])
+def test_uniqueness_matches_the_per_time_search(name, domain, other, runs,
+                                                request):
+    traj = runs(name)
+    partner = (traj if other == "self"
+               else asymptotics.reflect_trajectory(traj))
+    rep = asymptotics.uniqueness_evidence(
+        traj, partner, _lambda0(request.getfixturevalue(domain)))
+    tau, dist, window = _reference_uniqueness(traj, partner)
+    assert _report_bits(rep)[:3] == _bits((tau, dist, window))
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_sweep_pairs_match_the_per_time_search(disk_sweep, ndisk, k):
+    a, b = disk_sweep.trajectories[k:k + 2]
+    got = disk_sweep.pairs[k]
+    assert len(disk_sweep.pairs) == len(disk_sweep.trajectories) - 1
+    assert (_report_bits(got)
+            == _report_bits(asymptotics.uniqueness_evidence(
+                a, b, _lambda0(ndisk))))
+    tau, dist, window = _reference_uniqueness(a, b)
+    assert _report_bits(got)[:3] == _bits((tau, dist, window))

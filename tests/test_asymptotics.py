@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from fbcsf import asymptotics, flow, geometry, oval
-from fbcsf.errors import ConfigError
+from fbcsf.errors import AnalysisError, ConfigError
 from fbcsf.solve import safe_brentq
-from test_analysis_passes import _reference_uniqueness, _same_bits
+from test_analysis_passes import _same_bits
+from test_flow import _READ_X, _linear_trajectory
 
 
 def test_estimate_report_on_disk_run(runs, ndisk):
@@ -165,7 +166,7 @@ def test_uniqueness_of_a_run_with_itself_and_its_mirror(runs, ndisk):
     assert same.tau_star == 0.0 and same.distance == 0.0
     assert not same.tau_at_edge
     # the mirror run lies on the other side of the diameter: O(1) apart
-    # (measured 0.935)
+    # (measured 1.329)
     mirror = asymptotics.reflect_trajectory(traj)
     apart = asymptotics.uniqueness_evidence(traj, mirror, lam0)
     assert 0.25 <= apart.distance <= 4.0
@@ -176,8 +177,8 @@ def test_uniqueness_of_a_run_with_itself_and_its_mirror(runs, ndisk):
 def test_mirror_shift_is_labelled_at_the_scan_edge(runs, name, dom,
                                                    request):
     # the distance to the mirror run falls towards earlier shifts all the
-    # way to the edge of the scan (measured tau* = -0.5 on both runs), so
-    # it is an upper bound on the minimum over shifts, and says so
+    # way to the edge of the bracket (measured tau* = -9.98e-4 on the
+    # disk), so it is an upper bound on the minimum over shifts, and says so
     ndom = request.getfixturevalue(dom)
     traj = runs(name)
     lam0 = oval.solve_lambda0(ndom.kappa1, ndom.kappa2)
@@ -186,55 +187,132 @@ def test_mirror_shift_is_labelled_at_the_scan_edge(runs, name, dom,
     assert apart.tau_at_edge and apart.tau_star < 0.0
 
 
-def test_uniqueness_reads_each_run_once(runs, ndisk, monkeypatch):
-    # the first run's heights at the sample times are read once for all
-    # the shifts, the mirror's once for the whole scan (its best shift is
-    # the scan's edge, so no refinement reads it again), and the report is
-    # the one that reading both runs at every shift, one sample time at a
-    # time, gives, bit for bit
+def test_matched_distance_rejects_unmatched_or_empty_rows():
+    ya = np.zeros((3, 5))
+    for yb in (np.zeros((3, 4)), np.zeros((2, 5)), np.zeros(5)):
+        with pytest.raises(ConfigError):
+            asymptotics.matched_distance(ya, yb)
+    for empty in (np.zeros((0, 5)), np.zeros((2, 0, 5)), np.float64(0.0)):
+        with pytest.raises(ConfigError):
+            asymptotics.matched_distance(empty, empty)
+
+
+def test_matched_distance_of_a_run_with_itself_is_zero():
+    traj = _linear_trajectory([-2.0, -1.0, -0.5, 0.0])
+    ts = np.linspace(-1.9, -0.1, 7)
+    rows = traj.heights_at_time(ts, _READ_X)
+    assert asymptotics.matched_distance(
+        rows, traj.heights_at_time(ts, _READ_X)) == 0.0
+    # a sample time at which the curves share no abscissa
+    off = traj.heights_at_time(ts, np.array([2.0]))
+    assert asymptotics.matched_distance(off, off) == np.inf
+
+
+def test_matched_distance_reads_entries_finite_in_both_rows():
+    ya = np.array([[0.0, 1.0, np.nan], [2.0, 2.5, 3.0]])
+    yb = np.array([[0.5, 1.25, 9.0], [np.nan, 2.0, 3.0]])
+    # the NaN in each row masks its column in that row only
+    assert asymptotics.matched_distance(ya, yb) == 0.5
+    assert asymptotics.matched_distance(yb, ya) == 0.5
+    # the first sample time keeps no abscissa finite in both rows
+    yb[0, :2] = np.nan
+    assert asymptotics.matched_distance(ya, yb) == np.inf
+
+
+def test_mirror_search_reads_the_first_run_once(runs, ndisk, monkeypatch):
+    # the first run is read once and shared by every shift; the mirror is
+    # read once per shift: the first two, 12 golden-section steps that
+    # narrow the bracket [-1e-3, 1e-3] below 1e-5, and tau = 0
     traj = runs("disk_r03_n100")
     mirror = asymptotics.reflect_trajectory(traj)
     lam0 = oval.solve_lambda0(ndisk.kappa1, ndisk.kappa2)
-    readers = []
+    readers, compared = [], []
     read = flow.Trajectory.heights_at_time
+    distance = asymptotics.matched_distance
 
     def counting_read(self, t_offsets, xs):
         readers.append(self)
         return read(self, t_offsets, xs)
 
+    def counting_distance(ya, yb):
+        compared.append(1)
+        return distance(ya, yb)
+
     monkeypatch.setattr(flow.Trajectory, "heights_at_time", counting_read)
-    once = asymptotics.uniqueness_evidence(traj, mirror, lam0)
+    monkeypatch.setattr(asymptotics, "matched_distance", counting_distance)
+    asymptotics.uniqueness_evidence(traj, mirror, lam0)
+    assert len(compared) == 15
     assert sum(r is traj for r in readers) == 1
-    assert sum(r is mirror for r in readers) == 1
-    tau, dist, window = _reference_uniqueness(traj, mirror)
-    assert ([float(v).hex() for v in (once.tau_star, once.distance,
-                                      *once.window)]
-            == [float(v).hex() for v in (tau, dist, *window)])
+    assert sum(r is mirror for r in readers) == 15
+    assert len(readers) == 16
 
 
-def test_uniqueness_at_the_scan_edge_reads_only_the_scan(runs, ndisk,
-                                                          monkeypatch):
-    # the best shift to the mirror run is the scan's first (tau* = -0.5),
-    # so the report is the scanned value, with no golden-section reads;
-    # refining there would not have lowered it
-    traj = runs("disk_r03_n100")
-    mirror = asymptotics.reflect_trajectory(traj)
-    lam0 = oval.solve_lambda0(ndisk.kappa1, ndisk.kappa2)
-    reads = []
-    read = asymptotics.matched_distance
+@pytest.mark.parametrize("name,dom", [("disk_r03_n100", "ndisk"),
+                                      ("egg_r01_n100", "negg")])
+def test_verify_estimates_rejects_a_mirror(runs, name, dom, request):
+    # a mirrored state keeps the run's contacts, so its curvature against
+    # the wall is not the run's: the mirror serves height reads only, and
+    # verify_estimates on it returns no numbers
+    ndom = request.getfixturevalue(dom)
+    lam0 = oval.solve_lambda0(ndom.kappa1, ndom.kappa2)
+    with pytest.raises(AnalysisError):
+        asymptotics.verify_estimates(
+            asymptotics.reflect_trajectory(runs(name)), 0.25, lam0)
 
-    def counting_read(ya, yb):
-        reads.append(1)
-        return read(ya, yb)
 
-    monkeypatch.setattr(asymptotics, "matched_distance", counting_read)
-    rep = asymptotics.uniqueness_evidence(traj, mirror, lam0)
-    assert len(reads) == 41
-    assert rep.tau_at_edge and rep.tau_star == -asymptotics._TAU_SPAN
-    tau, dist, window = _reference_uniqueness(traj, mirror)
-    assert ([float(v).hex() for v in (rep.tau_star, rep.distance,
-                                      *rep.window)]
-            == [float(v).hex() for v in (tau, dist, *window)])
+# ---------------------------------------------------------------------------
+# the sweep over rho
+
+
+def test_sweep_needs_three_rho_values(ndisk):
+    with pytest.raises(ConfigError):
+        asymptotics.ancient_sweep(ndisk, [0.2, 0.1], flow.SolverConfig())
+
+
+def test_sweep_pair_distances_small_and_decreasing(disk_sweep):
+    # the best shift is tau = 0 on both disk pairs (measured 5.957e-6 and
+    # 9.345e-7, the distances there)
+    pairs = disk_sweep.pairs
+    assert len(pairs) == 2
+    assert all(p.tau_star == 0.0 and not p.tau_at_edge for p in pairs)
+    d = [p.distance for p in pairs]
+    assert d[0] < 5e-5 and d[1] < 5e-5
+    assert d[1] < d[0]
+
+
+def test_sweep_heights_settle_to_positive_limit(disk_sweep):
+    h = disk_sweep.heights_at_tm2
+    # rho = 0.2 starts after t = -2 (alpha = -1.63): no height there
+    assert np.isnan(h[0])
+    assert h[1] > 0.0 and h[2] > 0.0
+    assert abs(h[2] - h[1]) < 1e-4
+
+
+# the egg pairs' distances at the best shift that a scan of 41 shifts on
+# +-0.5, refined by golden section, found: the search on the small bracket
+# must come within 2% of them (measured 1.878e-4 and 3.723e-5)
+_EGG_SCANNED = (1.876e-4, 3.713e-5)
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_egg_sweep_shift_lies_inside_the_bracket(egg_sweep, k):
+    # extinction alignment leaves the egg runs a few 1e-5 apart in time
+    # (measured tau* = -3.3e-5 and -5.5e-6)
+    p = egg_sweep.pairs[k]
+    assert abs(p.tau_star) < asymptotics._TAU_SPAN - asymptotics._TAU_TOL
+    assert not p.tau_at_edge
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_egg_sweep_shift_lowers_the_distance(egg_sweep, k):
+    a, b = egg_sweep.trajectories[k:k + 2]
+    p = egg_sweep.pairs[k]
+    ts = np.linspace(*p.window, asymptotics._UNIQUENESS_TIMES)
+    xs = asymptotics.MATCH_XS
+    unshifted = asymptotics.matched_distance(a.heights_at_time(ts, xs),
+                                             b.heights_at_time(ts, xs))
+    assert p.distance < unshifted
+    assert p.distance <= 1.02 * _EGG_SCANNED[k]
 
 
 # ---------------------------------------------------------------------------

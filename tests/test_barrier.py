@@ -57,7 +57,6 @@ def test_unit_arc_quarter():
     assert arc.radius == pytest.approx(1.0, abs=1e-14)
     s2 = np.sqrt(2.0) / 2.0
     assert np.allclose(arc.endpoints, [[-s2, s2], [s2, s2]], atol=1e-14)
-    assert np.allclose(arc.apex, [0.0, np.tan(np.pi / 8)], atol=1e-14)
     assert arc.curvature == pytest.approx(1.0, abs=1e-14)
 
 
@@ -65,7 +64,6 @@ def test_unit_arc_degenerates_to_top_point():
     arc = bar.unit_disk_arc(np.pi / 2 - 1e-9)
     assert arc.radius < 2e-9
     assert np.allclose(arc.endpoints, [[0.0, 1.0], [0.0, 1.0]], atol=1e-8)
-    assert arc.apex == pytest.approx([0.0, 1.0], abs=1e-8)
 
 
 @pytest.mark.parametrize("omega", [0.1, 0.5, 1.0])
@@ -131,7 +129,6 @@ def test_barrier_near_zero_time(ndisk):
     assert B.arc_half_width < 1e-4
     assert B.max_height == pytest.approx(cfg.r, rel=1e-8)
     assert B.apex_height == pytest.approx(cfg.r, rel=1e-4)
-    assert np.allclose(B.apexes[:, 0], [-(1 - cfg.r), 1 - cfg.r], atol=1e-14)
 
 
 def test_barrier_rejects_nonnegative_time(ndisk):

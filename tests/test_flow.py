@@ -1,5 +1,5 @@
 """Flow solver tests: exact-solution validation, structural identities
-along production runs, sweep reporting, and failure modes."""
+along production runs, reading runs in time, and failure modes."""
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import fbcsf.barrier as b
 import fbcsf.flow as f
+from fbcsf.asymptotics import MATCH_XS
 import fbcsf.geometry as g
 import fbcsf.oval as ov
 from fbcsf.errors import ConfigError, NonExtinction, StepRejected
@@ -501,11 +502,11 @@ class TestDiskRun:
         t_hat = b.tangency_time(h_max * (1.0 + 1e-9), bcfg.r)
         raw = np.linspace(0.0, -t_hat, 16, endpoint=False)
         rows = self.traj.heights_at_time(raw - self.traj.time_offset,
-                                         f.MATCH_XS)
+                                         MATCH_XS)
         margin = []
         for t, y in zip(t_hat + raw, rows):
             m = np.isfinite(y)
-            curve = np.column_stack([f.MATCH_XS[m], y[m]])
+            curve = np.column_stack([MATCH_XS[m], y[m]])
             margin.append(b.below_barrier(curve, b.barrier_at(t, bcfg))[1])
         assert len(margin) > 10
         assert min(margin) >= -1e-9
@@ -747,60 +748,6 @@ def test_heights_at_time_rejects_nan_and_clamps_infinities():
     lo, hi = traj.heights_at_time([-np.inf, np.inf], _READ_X)
     assert np.array_equal(lo, traj.states[0].heights_at(_READ_X))
     assert np.array_equal(hi, traj.states[-1].heights_at(_READ_X))
-
-
-def test_matched_distance_rejects_unmatched_or_empty_rows():
-    ya = np.zeros((3, 5))
-    for yb in (np.zeros((3, 4)), np.zeros((2, 5)), np.zeros(5)):
-        with pytest.raises(ConfigError):
-            f.matched_distance(ya, yb)
-    for empty in (np.zeros((0, 5)), np.zeros((2, 0, 5)), np.float64(0.0)):
-        with pytest.raises(ConfigError):
-            f.matched_distance(empty, empty)
-
-
-def test_matched_distance_of_a_run_with_itself_is_zero():
-    traj = _linear_trajectory([-2.0, -1.0, -0.5, 0.0])
-    ts = np.linspace(-1.9, -0.1, 7)
-    rows = traj.heights_at_time(ts, _READ_X)
-    assert f.matched_distance(rows, traj.heights_at_time(ts, _READ_X)) == 0.0
-    # a sample time at which the curves share no abscissa
-    off = traj.heights_at_time(ts, np.array([2.0]))
-    assert f.matched_distance(off, off) == np.inf
-
-
-def test_matched_distance_reads_entries_finite_in_both_rows():
-    ya = np.array([[0.0, 1.0, np.nan], [2.0, 2.5, 3.0]])
-    yb = np.array([[0.5, 1.25, 9.0], [np.nan, 2.0, 3.0]])
-    # the NaN in each row masks its column in that row only
-    assert f.matched_distance(ya, yb) == 0.5
-    assert f.matched_distance(yb, ya) == 0.5
-    # the first sample time keeps no abscissa finite in both rows
-    yb[0, :2] = np.nan
-    assert f.matched_distance(ya, yb) == np.inf
-
-
-# ---------------------------------------------------------------------------
-# sweep report
-
-
-class TestSweep:
-    def test_needs_three_rho_values(self, ndisk):
-        with pytest.raises(ConfigError):
-            f.ancient_sweep(ndisk, [0.2, 0.1], f.SolverConfig())
-
-    def test_pair_distances_small_and_decreasing(self, disk_sweep):
-        d = disk_sweep.pair_distances
-        assert len(d) == 2
-        assert d[0] < 5e-5 and d[1] < 5e-5
-        assert d[1] < d[0]
-
-    def test_heights_settle_to_positive_limit(self, disk_sweep):
-        h = disk_sweep.heights_at_tm2
-        # rho = 0.2 starts after t = -2 (alpha = -1.63): no height there
-        assert np.isnan(h[0])
-        assert h[1] > 0.0 and h[2] > 0.0
-        assert abs(h[2] - h[1]) < 1e-4
 
 
 def test_reflected_domain_gives_the_mirror_solution(ellipse):

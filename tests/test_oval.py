@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from fbcsf import geometry as g
 from fbcsf import oval as ov
 from fbcsf.errors import (BracketFailure, ConfigError, FBCSFError,
-                          LambdaOutOfRange, OutOfSupport, RhoTooLarge)
+                          LambdaOutOfRange, RhoTooLarge)
 
 
 # ------------------------------------------------------ scalar limits
@@ -98,8 +98,14 @@ def test_lower_height_branch_junction():
     par = ov.OvalParams(lam=1.0, xi=0.0, t=-1.0)
     w = par.support_halfwidth
     assert abs(par.lower_height(w) - np.pi / 2) < 1e-7
-    with pytest.raises(OutOfSupport):
-        par.lower_height(w * 1.01)
+
+
+def test_lower_height_beyond_the_tips_is_the_tip_height():
+    # the lower branch is read past its tips as the tips' height pi/(2 lam)
+    par = ov.OvalParams(lam=2.0, xi=0.3, t=-1.0)
+    w = par.support_halfwidth
+    xs = np.array([0.3 - 2.0 * w, 0.3 - 1.01 * w, 0.3 + 1.01 * w])
+    assert np.array_equal(par.lower_height(xs), np.full(3, np.pi / 4))
 
 
 def test_height_factor_bound():
@@ -423,12 +429,12 @@ def test_second_contact_search_matches_the_masked_scan(egg, lobed):
                 stop = ov._gap_stop(xs_rev, xlim)
                 assert np.array_equal(sel, np.arange(start, stop)), \
                     (name, i, rho, lam)
-                d = ys[sel] - par.lower_height(xs[sel], clip=True)
+                d = ys[sel] - par.lower_height(xs[sel])
                 neg = d < 0.0
                 assert not np.any(neg[:-1] & ~neg[1:]), (name, i, rho, lam)
                 want = _full_scan(d)
                 got = ov._first_negative(
-                    lambda j: ys[j] - par.lower_height(xs[j], clip=True),
+                    lambda j: ys[j] - par.lower_height(xs[j]),
                     start, stop)
                 assert got == (None if want is None else sel[want]), \
                     (name, i, rho, lam)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import fbcsf
 
-SETTABLE_VALUES_MAX = 10
+SETTABLE_VALUES_MAX = 9
 
 
 def _is_dataclass(node):
