@@ -122,10 +122,6 @@ class EstimateReport:
     r: float
     lambda0: float
 
-    @property
-    def passed(self):
-        return all(rec.passed for rec in self.records)
-
     def record(self, name):
         for rec in self.records:
             if rec.name == name:
@@ -230,12 +226,13 @@ def _block_pairs(block, pts, kap, first):
 def verify_estimates(traj, r, lambda0):
     """Decay-rate checks of the late-time monitors against the rate r.
 
-    Six records: turning-angle decay, support-function ratio, smallest
-    and largest curvature decay (the latter carrying the curvature
-    gradient ratio), and the two height-ratio pinches around lambda0^2
-    (lower uses rate r, upper the doubled rate).  A pinch whose defect is
-    positive on fewer than _MIN_SAMPLES states holds outright: it reports
-    the required rate as its fitted rate and sets extras["vacuous"].
+    Six records, in this order: turning-angle decay, support-function
+    ratio, smallest and largest curvature decay (the latter carrying the
+    curvature gradient ratio), and the two height-ratio pinches around
+    lambda0^2 (lower uses rate r, upper the doubled rate).  A pinch whose
+    defect is positive on fewer than _MIN_SAMPLES states holds outright:
+    it reports the required rate as its fitted rate and sets
+    extras["vacuous"].
 
     The window's stored states (_window) are read in blocks of
     _BLOCK_STATES: one pass computes each state's support,
@@ -250,15 +247,10 @@ def verify_estimates(traj, r, lambda0):
     t = np.asarray(traj.monitors["t"])
     window, win = _window(traj, _MIN_SAMPLES)
     lam2 = lambda0 * lambda0
-    records = []
 
-    th = np.asarray(traj.monitors["theta_plus"]) + \
-        np.asarray(traj.monitors["theta_minus"])
-    for name, q in (("turning_angle_decay", np.sin(0.5 * th)),
-                    ("min_curvature_decay", traj.monitors["kappa_min"]),
-                    ("max_curvature_decay", traj.monitors["kappa_max"])):
+    def decay(name, q):
         rate, const, ok, n = _fit_decay(t, np.asarray(q), r, win)
-        records.append(EstimateRecord(name, rate, r, const, ok, window, n))
+        return EstimateRecord(name, rate, r, const, ok, window, n)
 
     # state-based quantities; the wall is read only to compute a stored
     # state's curvature, which run_to_extinction has already cached
@@ -274,15 +266,16 @@ def verify_estimates(traj, r, lambda0):
 
     C2 = float(np.max(grad_ratio))
     # the max_curvature_decay record carries the curvature ratios
-    records[-1].extras["grad_ratio_C2"] = C2
-    records[-1].extras["ratio_max_over_min"] = float(np.max(ratio_minmax))
+    kmax = decay("max_curvature_decay", traj.monitors["kappa_max"])
+    kmax.extras["grad_ratio_C2"] = C2
+    kmax.extras["ratio_max_over_min"] = float(np.max(ratio_minmax))
 
     # support ratio: required to stay bounded with a non-increasing trend
     slope = np.polyfit(st_t, sup_ratio, 1, w=_time_weights(st_t))[0]
     sup_ok = bool(np.all(np.isfinite(sup_ratio)) and slope <= 0.05)
-    records.append(EstimateRecord(
+    support = EstimateRecord(
         "support_ratio", float(slope), 0.0, float(np.max(sup_ratio)),
-        sup_ok, window, len(states)))
+        sup_ok, window, len(states))
 
     # height-ratio pinch.  kappa/y exp(+-n y) brackets lambda0^2 up to a
     # decaying defect; the weight n is a nuisance constant chosen from a
@@ -323,13 +316,11 @@ def verify_estimates(traj, r, lambda0):
             rate, required, const, ok, window, len(states),
             extras={"weight": nwt, "vacuous": vacuous})
 
-    records.append(pinch(+1.0, r))
-    records.append(pinch(-1.0, 2.0 * r))
-
-    order = ["turning_angle_decay", "support_ratio", "min_curvature_decay",
-             "max_curvature_decay", "height_ratio_lower",
-             "height_ratio_upper"]
-    records.sort(key=lambda rec: order.index(rec.name))
+    th = np.asarray(traj.monitors["theta_plus"]) + \
+        np.asarray(traj.monitors["theta_minus"])
+    records = [decay("turning_angle_decay", np.sin(0.5 * th)), support,
+               decay("min_curvature_decay", traj.monitors["kappa_min"]),
+               kmax, pinch(+1.0, r), pinch(-1.0, 2.0 * r)]
     return EstimateReport(records=records, r=r, lambda0=lambda0)
 
 
@@ -634,10 +625,6 @@ class SweepReport:
     rhos: list
     trajectories: list
     pairs: list                 # uniqueness_evidence of consecutive rhos
-    heights_at_tm2: list        # largest finite height on MATCH_XS at
-                                # offset time -2, read by heights_at_time
-                                # (NaN where the run starts later)
-    alphas: list
 
 
 def ancient_sweep(ndom, rhos, cfg):
@@ -648,17 +635,11 @@ def ancient_sweep(ndom, rhos, cfg):
         raise ConfigError("sweep needs at least 3 rho values")
     trajs = [old_but_not_ancient(ndom, r, cfg) for r in rhos]
     lam0 = solve_lambda0(ndom.kappa1, ndom.kappa2)
-    # a run that starts after t = -2 has no height there
-    heights = [np.nan if tr.alpha > -2.0
-               else float(np.nanmax(tr.heights_at_time([-2.0], MATCH_XS)))
-               for tr in trajs]
     return SweepReport(
         rhos=list(rhos),
         trajectories=trajs,
         pairs=[uniqueness_evidence(a, b, lam0)
                for a, b in zip(trajs[:-1], trajs[1:])],
-        heights_at_tm2=heights,
-        alphas=[tr.alpha for tr in trajs],
     )
 
 

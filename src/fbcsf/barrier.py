@@ -115,18 +115,14 @@ def _fit_violation(dom, r):
 
 
 def admissible_radius(ndom):
-    """Largest r with 4r <= curvature <= 1/(4r) whose tangent circles fit.
-
-    The curvature pinch already forces r below the rolling radius of a
-    convex domain, so the reduction loop is a numerical safeguard only.
+    """Largest r with 4r <= curvature <= 1/(4r).  Its tangent circles lie
+    inside (Blaschke's rolling theorem); _fit_violation checks them once.
     """
     dom = ndom.domain
     r = min(dom.kappa_min / 4.0, 1.0 / (4.0 * dom.kappa_max))
-    for _ in range(200):
-        if _fit_violation(dom, r) <= _FIT_TOL:
-            return float(r)
-        r *= 0.95
-    raise ConfigError("no tangent-circle radius fits inside the domain")
+    if _fit_violation(dom, r) > _FIT_TOL:
+        raise ConfigError(f"tangent circles of radius {r:.6g} do not fit")
+    return float(r)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,8 @@ that estimate and the one before it against the tolerance
 _ERROR_TOL * dt_safety^3, at most twice the last step and at most the
 length cap _LENGTH_STEP_CAP * L^2 for the curve length L (see step).
 Every step is accepted; a step is retried, at half the length, only on a
-FlowError or a convexity failure.
+FlowError (a contact Newton that does not converge raises one) or a
+convexity failure.
 
 Each state's edge lengths are computed once, by the step that makes it,
 and cached on the state; the next step's time step and Laplacian and the
@@ -72,7 +73,8 @@ import numpy as np
 
 from . import oval as oval_mod
 from .errors import ConfigError, FlowError, NonExtinction, StepRejected
-from .solve import safe_brentq
+# uncalled: the binding that bench/tracing.py wraps as solve.safe_brentq.flow
+from .solve import safe_brentq  # noqa: F401
 
 
 _FLAPACK = "scipy.linalg._flapack"
@@ -265,12 +267,12 @@ class SolverConfig:
     n_nodes is the initial (and largest) node count; dt_safety in (0, 1)
     scales the error tolerance _ERROR_TOL * dt_safety^3 and the first
     steps' mesh rule dt = dt_safety * _STEP_SCALE * h_bar^2 / h0, but not
-    the length cap (see step); the class constant abscissas holds the x
-    at which the monitors read each stored state's height.
+    the length cap (see step); both are required.  The class constant
+    abscissas holds the x at which the monitors read each state's height.
     """
 
-    n_nodes: int = 200
-    dt_safety: float = 0.4
+    n_nodes: int
+    dt_safety: float
     abscissas: ClassVar[tuple] = (-0.8, -0.4, 0.0, 0.4, 0.8)
 
     def __post_init__(self):
@@ -327,27 +329,21 @@ class CurveState:
     def length(self):
         return float(self.seg_cached().sum())
 
-    def ghosts(self, wall):
-        """Mirror the first interior node across each contact's wall tangent
-        (-ny, nx); the doubled curve reproduces the contact curvature."""
+    def kappa(self, wall):
+        """Vertex curvatures; each contact closed by a ghost node, the
+        first interior node mirrored across the wall tangent (-ny, nx).
+        Interior edge lengths are the cached ones; only the two ghost
+        edges are measured here."""
+        pts = np.empty((len(self.nodes) + 2, 2))
+        pts[1:-1] = self.nodes
         (x0, y0), (x1, y1) = self.nodes[:2].tolist()
         (xm, ym), (xn, yn) = self.nodes[-2:].tolist()
-        out = []
-        for om, ex, ey, ix, iy in ((self.om_minus, x0, y0, x1, y1),
-                                   (self.om_plus, xn, yn, xm, ym)):
+        for k, om, ex, ey, ix, iy in ((0, self.om_minus, x0, y0, x1, y1),
+                                      (-1, self.om_plus, xn, yn, xm, ym)):
             nx, ny = wall.jet_xy(om)[4:6]
             vx, vy = ix - ex, iy - ey
             d = 2.0 * (vy * nx - vx * ny)
-            out.append((ex - d * ny - vx, ey + d * nx - vy))
-        return out
-
-    def kappa(self, wall):
-        """Vertex curvatures; contacts closed by ghost reflection.  The
-        interior edge lengths are the cached ones; only the two ghost edges
-        are measured here."""
-        pts = np.empty((len(self.nodes) + 2, 2))
-        pts[1:-1] = self.nodes
-        pts[0], pts[-1] = self.ghosts(wall)
+            pts[k] = ex - d * ny - vx, ey + d * nx - vy
         e = pts[1:] - pts[:-1]
         h = np.empty(len(e))
         h[1:-1] = self.seg_cached()
@@ -429,7 +425,9 @@ def _slave_contact(wall, om_guess, inner1, inner2, g1, g2, end):
     end), which is how a linear solve's solution answers a move of its
     pinned end from `end` to P(om).  With g1 = g2 = 0 they stay at inner1
     and inner2.  Newton's slope is the residual's exact derivative, built
-    from the wall's point and normal derivatives (wall.jet_xy).
+    from the wall's point and normal derivatives (wall.jet_xy).  A zero
+    slope, an update above 0.3 or 60 iterations raise FlowError, which
+    step answers by halving the time step.
     """
     i1x, i1y = float(inner1[0]), float(inner1[1])
     i2x, i2y = float(inner2[0]), float(inner2[1])
@@ -479,12 +477,7 @@ def _slave_contact(wall, om_guess, inner1, inner2, g1, g2, end):
         if abs(delta) < _CONTACT_STEP:
             return om
         f, df = resid(om)
-    # bracketed fallback around the guess
-    lo, hi = om_guess - 0.25, om_guess + 0.25
-    try:
-        return safe_brentq(lambda w: resid(w)[0], lo, hi)
-    except Exception as exc:
-        raise FlowError(f"contact solve failed near om = {om_guess}") from exc
+    raise FlowError(f"contact Newton did not converge from om = {om_guess}")
 
 
 def _edge_lengths(nodes):
@@ -1008,7 +1001,7 @@ def stationary_diameter_drift(ndom):
     state = CurveState(nodes=pts, time=0.0,
                        om_minus=3 * np.pi / 2, om_plus=np.pi / 2)
     wall = ConvexWall(ndom)
-    cfg = SolverConfig(n_nodes=_DRIFT_NODES)
+    cfg = SolverConfig(n_nodes=_DRIFT_NODES, dt_safety=0.4)
     h0 = state.length / (_DRIFT_NODES - 1)
     drift = 0.0
     for _ in range(_DRIFT_STEPS):

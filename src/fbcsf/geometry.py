@@ -21,7 +21,7 @@ Evaluation takes two paths.  A scan that reads only signs or brackets
 from a full period of samples (the convexity check, the diameter search,
 the extremes of rho) synthesizes the samples by one inverse real FFT
 (``_sample_series``); single angles and every value that feeds an output
-(points, the upper arc, the area, the wall tables) use the direct series.
+(points, the upper arc, the wall tables) use the direct series.
 """
 
 from dataclasses import dataclass
@@ -175,7 +175,7 @@ class ConvexDomain:
         First harmonics must vanish (closure); sin_coeffs[0] is unused.
     center : translation added to the zero-mean position series.
 
-    The area, the extremes of rho and the upper boundary sampled at
+    The extremes of rho and the upper boundary sampled at
     _UPPER_ARC_SAMPLES turning angles (``upper_arc``) are each computed on
     first use and kept for the domain's life.
     """
@@ -274,15 +274,13 @@ class ConvexDomain:
     def perimeter(self):
         return 2.0 * np.pi * self.a[0]
 
-    @cached_property
+    @property
     def area(self):
-        K = len(self._m)
-        n = max(1024, 8 * K)
-        om = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
-        p = self.point(om)
-        dp = self.dpoint(om)
-        cross = p[:, 0] * dp[:, 1] - p[:, 1] * dp[:, 0]
-        return 0.5 * float(np.mean(cross)) * 2 * np.pi
+        """(1/2) int h rho, h the support function (h + h'' = rho): pi a0^2
+        + (pi/2) sum_{k>=2} (a_k^2 + b_k^2) / (1 - k^2)."""
+        a, b, k = self.a[2:], self.b[2:], np.arange(2.0, len(self.a))
+        return float(np.pi * self.a[0] ** 2
+                     + 0.5 * np.pi * np.sum((a * a + b * b) / (1.0 - k * k)))
 
     @cached_property
     def _rho_extremes(self):

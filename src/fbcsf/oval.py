@@ -114,9 +114,9 @@ def solve_sigma(kappa):
     def f(s):
         return s * np.tanh(s) - kappa
 
+    # f(hi) > 0, as hi >= kappa + 2 >= 2 gives f(hi) >= 2 - hi (1 - tanh hi)
+    # = 2 - 2 hi / (e^(2 hi) + 1) >= 2 - 4 / (e^4 + 1)
     hi = max(np.sqrt(kappa), kappa) + 2.0
-    while f(hi) < 0:
-        hi *= 2.0
     return float(safe_brentq(f, 1e-14, hi))
 
 

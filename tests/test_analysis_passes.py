@@ -260,7 +260,8 @@ def _synthetic(scale, kappa, empty_at=None):
     return flow.Trajectory(
         monitors=monitors, states=states, state_times=t, time_offset=0.0,
         alpha=float(t[0]), extinction_point=np.zeros(2),
-        config=flow.SolverConfig(), ndom=None, extinction_fit_fallback=False)
+        config=flow.SolverConfig(n_nodes=200, dt_safety=0.4), ndom=None,
+        extinction_fit_fallback=False)
 
 
 def _from(traj, first):

@@ -266,7 +266,9 @@ def test_verify_estimates_rejects_a_mirror(runs, name, dom, request):
 
 def test_sweep_needs_three_rho_values(ndisk):
     with pytest.raises(ConfigError):
-        asymptotics.ancient_sweep(ndisk, [0.2, 0.1], flow.SolverConfig())
+        asymptotics.ancient_sweep(ndisk, [0.2, 0.1],
+                                  flow.SolverConfig(n_nodes=200,
+                                                    dt_safety=0.4))
 
 
 def test_sweep_pair_distances_small_and_decreasing(disk_sweep):
@@ -278,14 +280,6 @@ def test_sweep_pair_distances_small_and_decreasing(disk_sweep):
     d = [p.distance for p in pairs]
     assert d[0] < 5e-5 and d[1] < 5e-5
     assert d[1] < d[0]
-
-
-def test_sweep_heights_settle_to_positive_limit(disk_sweep):
-    h = disk_sweep.heights_at_tm2
-    # rho = 0.2 starts after t = -2 (alpha = -1.63): no height there
-    assert np.isnan(h[0])
-    assert h[1] > 0.0 and h[2] > 0.0
-    assert abs(h[2] - h[1]) < 1e-4
 
 
 # the egg pairs' distances at the best shift that a scan of 41 shifts on
@@ -337,6 +331,31 @@ def test_robin_egg_second_negative_eigenvalue(negg):
     assert abs(mus[1] - (-0.979876009738524)) < 1e-9
     # the principal eigenfunction is positive, the second changes sign
     assert eig.convexity_flags == [True, False]
+
+
+def test_robin_disk_principal_mode_is_cosh():
+    # kappa1 = kappa2 = 1: phi = cosh(lambda0 x) / cosh(lambda0), whose sup
+    # on [-1, 1] is 1 at the ends (measured 3.3e-15 off)
+    lam = oval.solve_lambda0(1.0, 1.0)
+    x = np.linspace(-1.0, 1.0, 2001)
+    phi = asymptotics.robin_eigen(1.0, 1.0).negative_eigenvalues[0].phi(x)
+    assert np.max(np.abs(phi - np.cosh(lam * x) / np.cosh(lam))) < 1e-14
+
+
+def _sign_changes(values):
+    signs = np.sign(values)
+    signs = signs[signs != 0.0]
+    return int(np.count_nonzero(signs[1:] != signs[:-1]))
+
+
+def test_robin_egg_modes_oscillate_as_sturm_predicts(negg):
+    # Sturm oscillation: the k-th mode in increasing mu changes sign k times
+    eig = asymptotics.robin_eigen(negg.kappa1, negg.kappa2)
+    x = np.linspace(-1.0, 1.0, 2001)
+    assert [_sign_changes(p.phi(x)) for p in eig.negative_eigenvalues] \
+        == [0, 1]
+    assert [_sign_changes(p.phi(x)) for p in eig.positive_eigenvalues] \
+        == [2, 3, 4]
 
 
 @pytest.mark.parametrize("domain", ["ndisk", "negg"])

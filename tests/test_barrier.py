@@ -33,6 +33,14 @@ def test_admissible_radius_egg(negg):
     assert bar.admissible_radius(negg) == pytest.approx(expect, rel=1e-12)
 
 
+def test_admissible_radius_raises_when_the_circles_leave(ndisk,
+                                                         monkeypatch):
+    # the fit is checked once, at the pinch radius, and never shrunk
+    monkeypatch.setattr(bar, "_fit_violation", lambda dom, r: 1.0)
+    with pytest.raises(ConfigError):
+        bar.admissible_radius(ndisk)
+
+
 @pytest.mark.parametrize("fix", ["ndisk", "negg", "nellipse_minor"])
 def test_config_curvature_pinch_and_fit(fix, request):
     ndom = request.getfixturevalue(fix)

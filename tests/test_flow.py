@@ -19,25 +19,25 @@ from fbcsf.errors import ConfigError, NonExtinction, StepRejected
 
 def test_config_rejects_tiny_node_count():
     with pytest.raises(ConfigError):
-        f.SolverConfig(n_nodes=8)
+        f.SolverConfig(n_nodes=8, dt_safety=0.4)
 
 
 def test_config_rejects_bad_safety():
     with pytest.raises(ConfigError):
-        f.SolverConfig(dt_safety=0.0)
+        f.SolverConfig(n_nodes=200, dt_safety=0.0)
     with pytest.raises(ConfigError):
-        f.SolverConfig(dt_safety=1.5)
+        f.SolverConfig(n_nodes=200, dt_safety=1.5)
 
 
 @pytest.mark.parametrize("n_nodes", [64.5, 100.0, "100", None])
 def test_config_rejects_non_integer_node_count(n_nodes):
     # 64.5 used to end in a TypeError deep inside the first resample
     with pytest.raises(ConfigError):
-        f.SolverConfig(n_nodes=n_nodes)
+        f.SolverConfig(n_nodes=n_nodes, dt_safety=0.4)
 
 
 def test_config_accepts_numpy_integers():
-    cfg = f.SolverConfig(n_nodes=np.int64(64))
+    cfg = f.SolverConfig(n_nodes=np.int64(64), dt_safety=0.4)
     assert cfg.n_nodes == 64
 
 
@@ -628,7 +628,7 @@ def test_nested_initial_curves_stay_ordered(runs):
 
 
 def test_alpha_strictly_more_negative_for_smaller_rho(disk_sweep):
-    a = disk_sweep.alphas
+    a = [tr.alpha for tr in disk_sweep.trajectories]
     assert a[0] > a[1] > a[2]
 
 
@@ -664,7 +664,8 @@ def _linear_trajectory(times, offsets=None):
     return f.Trajectory(
         monitors={}, states=states, state_times=np.asarray(times),
         time_offset=0.0, alpha=times[0],
-        extinction_point=np.zeros(2), config=f.SolverConfig(), ndom=None,
+        extinction_point=np.zeros(2),
+        config=f.SolverConfig(n_nodes=200, dt_safety=0.4), ndom=None,
         extinction_fit_fallback=False)
 
 
@@ -716,7 +717,8 @@ def test_heights_at_time_reads_a_stored_time_from_its_state_alone():
     traj = f.Trajectory(
         monitors={}, states=states, state_times=np.array(list(spans)),
         time_offset=0.0, alpha=-1.0, extinction_point=np.zeros(2),
-        config=f.SolverConfig(), ndom=None, extinction_fit_fallback=False)
+        config=f.SolverConfig(n_nodes=200, dt_safety=0.4), ndom=None,
+        extinction_fit_fallback=False)
     xs = np.array([0.0, 0.7])
     (row,) = traj.heights_at_time([0.0], xs)
     assert np.array_equal(row, [1.0, 1.0])

@@ -60,6 +60,22 @@ def test_ellipse_area(ellipse):
     assert abs(ellipse.area - 2 * np.pi) < 1e-11
 
 
+def test_flat_ellipse_area_is_exact(flat_ellipse):
+    # the closed form in the coefficients gives 3 pi to the last bit
+    assert flat_ellipse.area == 3 * np.pi
+
+
+@pytest.mark.parametrize("fix", ["egg", "lobed"])
+def test_area_matches_greens_theorem(fix, request):
+    # (1/2) int x y' - y x' by the periodic trapezoid rule on 1,024 angles,
+    # exact for these trig polynomials up to rounding (measured 4.4e-16)
+    dom = request.getfixturevalue(fix)
+    om = np.linspace(0.0, 2 * np.pi, 1024, endpoint=False)
+    (x, y), (dx, dy) = dom.point(om).T, dom.dpoint(om).T
+    green = np.pi * float(np.mean(x * dy - y * dx))
+    assert abs(dom.area - green) < 4e-15
+
+
 def test_ellipse_diameters(ellipse):
     ds = g.find_diameters(ellipse)
     assert len(ds) == 2

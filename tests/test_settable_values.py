@@ -11,7 +11,7 @@ from pathlib import Path
 
 import fbcsf
 
-SETTABLE_VALUES_MAX = 9
+SETTABLE_VALUES_MAX = 7
 
 
 def _is_dataclass(node):

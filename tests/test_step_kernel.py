@@ -412,6 +412,14 @@ def test_slave_contact_on_straight_wall(monkeypatch):
     got = f._slave_contact(wall, root + 1e-3, inner1, inner2,
                            0.0, 0.0, (0.0, 0.0))
     assert abs(got - root) < 1e-12
+    # from a guess a unit off, Newton's first update exceeds 0.3: the
+    # solve ends in FlowError, for step to halve dt, and tries no bracket
+    calls = []
+    monkeypatch.setattr(f, "safe_brentq", lambda *args: calls.append(args))
+    with pytest.raises(FlowError):
+        f._slave_contact(wall, root + 1.0, inner1, inner2,
+                         0.0, 0.0, (0.0, 0.0))
+    assert calls == []
 
 
 def test_slave_contact_on_grim_reaper_walls(monkeypatch):
