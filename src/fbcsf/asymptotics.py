@@ -24,10 +24,14 @@ stored time, and the stored states inside them.
 
 uniqueness_evidence is the one comparison of two runs: one window of
 its own, one set of sample times, and one golden-section search of the
-time shift on a small bracket.  ancient_sweep runs the flow at each rho
-of a sweep and reports it for every consecutive pair.  The mirror of a
-run across the diameter (reflect_trajectory) is a view that mirrors a
-stored state only when the state is read, for height reads only.
+time shift on a small bracket.  Its window ends at -flow._ANALYSIS_END,
+the latest offset time any analysis here reads: run_to_extinction
+loosens its step tolerance only once it estimates less than that much
+time left, so every state these analyses read was stepped at the uniform
+tolerance.  ancient_sweep runs the flow at each rho of a sweep and
+reports it for every consecutive pair.  The mirror of a run across the
+diameter (reflect_trajectory) is a view that mirrors a stored state only
+when the state is read, for height reads only.
 
 A run's samples are its steps, which the error controller spaces
 unevenly in time.  So every least-squares fit over window samples (the
@@ -44,7 +48,7 @@ from itertools import islice
 
 from .errors import (AnalysisError, ConfigError, NonPositiveAmplitude,
                      WindowTooShort)
-from .flow import ConvexWall, CurveState, old_but_not_ancient
+from .flow import _ANALYSIS_END, ConvexWall, CurveState, old_but_not_ancient
 from .oval import lambda0_residual, solve_lambda0
 from .solve import safe_brentq
 
@@ -577,17 +581,17 @@ def uniqueness_evidence(trajA, trajB, lambda0):
     runs on opposite sides of the diameter stay far apart.  lambda0 is
     not used: the shift is searched in plain time.  The runs are compared
     on MATCH_XS at _UNIQUENESS_TIMES sample times spread over [lo +
-    0.15 |lo|, -0.3], lo the later first stored time of the two; trajB is
-    read at the sample times plus the shift tau.  Golden section searches
-    tau on [-_TAU_SPAN, _TAU_SPAN] until its bracket is narrower than
-    _TAU_TOL, and tau = 0 is read once besides, so that an unshifted tie
-    wins.  trajA is read once, trajB once per shift, and matched_distance
-    compares them at each of the 15 shifts.  WindowTooShort when the
-    window is empty.
+    0.15 |lo|, -_ANALYSIS_END], lo the later first stored time of the two
+    and _ANALYSIS_END = 0.3 the flow's; trajB is read at the sample times
+    plus the shift tau.  Golden section searches tau on [-_TAU_SPAN,
+    _TAU_SPAN] until its bracket is narrower than _TAU_TOL, and tau = 0 is
+    read once besides, so that an unshifted tie wins.  trajA is read
+    once, trajB once per shift, and matched_distance compares them at
+    each of the 15 shifts.  WindowTooShort when the window is empty.
     """
     lo = max(float(trajA.monitors["t"][0]), float(trajB.monitors["t"][0]))
     lo = lo + 0.15 * abs(lo)
-    hi = -0.3
+    hi = -_ANALYSIS_END
     if lo >= hi:
         raise WindowTooShort(f"no shared late window: [{lo:.3g}, {hi:.3g}]")
     sample_times = np.linspace(lo, hi, _UNIQUENESS_TIMES)

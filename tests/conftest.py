@@ -71,31 +71,35 @@ def nlobed(lobed):
 # shared flow runs.  Keyed by (domain, rho, n_nodes); computed once per
 # session on first request so the expensive trajectories are paid for once.
 # runs.stepped(name) lists the states that flow.step returned during the
-# run, in order.
+# run, in order, runs.tols(name) the tolerance each step was passed, and
+# runs.spec(name) the run's (normalized domain, rho, n_nodes).
 
 _RUN_SPECS = {
     "disk_r03_n100": ("disk", 0.3, 100),
     "disk_r03_n200": ("disk", 0.3, 200),
     "disk_r015_n100": ("disk", 0.15, 100),
+    "disk_r01_n200": ("disk", 0.1, 200),
     "egg_r01_n100": ("egg", 0.1, 100),
+    "minor_r01_n100": ("minor", 0.1, 100),
 }
 
 
 @pytest.fixture(scope="session")
-def runs(ndisk, negg):
-    doms = {"disk": ndisk, "egg": negg}
-    cache, stepped = {}, {}
+def runs(ndisk, negg, nellipse_minor):
+    doms = {"disk": ndisk, "egg": negg, "minor": nellipse_minor}
+    cache, stepped, tols = {}, {}, {}
     step = flow_mod.step
 
     def get(name):
         if name not in cache:
             dom_key, rho, n = _RUN_SPECS[name]
             cfg = flow_mod.SolverConfig(n_nodes=n, dt_safety=0.8)
-            stepped[name] = []
+            stepped[name], tols[name] = [], []
 
-            def recording_step(*args):
-                new = step(*args)
+            def recording_step(state, cfg, wall, h0, tol):
+                new = step(state, cfg, wall, h0, tol)
                 stepped[name].append(new)
+                tols[name].append(tol)
                 return new
 
             with pytest.MonkeyPatch.context() as mp:
@@ -108,7 +112,15 @@ def runs(ndisk, negg):
         get(name)
         return stepped[name]
 
-    get.stepped = get_stepped
+    def get_tols(name):
+        get(name)
+        return tols[name]
+
+    def get_spec(name):
+        dom_key, rho, n = _RUN_SPECS[name]
+        return doms[dom_key], rho, n
+
+    get.stepped, get.tols, get.spec = get_stepped, get_tols, get_spec
     return get
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import fbcsf.barrier as b
 import fbcsf.flow as f
-from fbcsf.asymptotics import MATCH_XS
+from fbcsf.asymptotics import MATCH_XS, WINDOW_CEIL, verify_estimates
 import fbcsf.geometry as g
 import fbcsf.oval as ov
 from fbcsf.errors import ConfigError, NonExtinction, StepRejected
@@ -162,7 +162,7 @@ def test_flat_diameter_encloses_half_the_domain(fix, half_area, request):
 def test_step_pins_contacts_to_wall(ndisk, disk_wall):
     state = _oval_state(ndisk, 0.3, 100)
     cfg = f.SolverConfig(n_nodes=100, dt_safety=0.8)
-    new = f.step(state, cfg, disk_wall, state.length / 99)
+    new = f.step(state, cfg, disk_wall, state.length / 99, cfg.error_tol)
     assert new.time > state.time
     for node, om in ((new.nodes[0], new.om_minus), (new.nodes[-1], new.om_plus)):
         px, py = disk_wall.point_xy(om)
@@ -172,7 +172,7 @@ def test_step_pins_contacts_to_wall(ndisk, disk_wall):
 def test_step_keeps_orthogonal_contact(ndisk, disk_wall):
     state = _oval_state(ndisk, 0.3, 100)
     cfg = f.SolverConfig(n_nodes=100, dt_safety=0.8)
-    new = f.step(state, cfg, disk_wall, state.length / 99)
+    new = f.step(state, cfg, disk_wall, state.length / 99, cfg.error_tol)
     for pts, om in ((new.nodes[:3], new.om_minus),
                     (new.nodes[::-1][:3], new.om_plus)):
         h1 = np.hypot(*(pts[1] - pts[0]))
@@ -198,8 +198,8 @@ def test_steps_solve_the_interior_with_the_new_contacts(ndisk, disk_wall):
     s0 = _oval_state(ndisk, 0.3, 100)
     cfg = f.SolverConfig(n_nodes=100, dt_safety=0.8)
     h0 = s0.length / 99
-    s1 = f.step(s0, cfg, disk_wall, h0)
-    s2 = f.step(s1, cfg, disk_wall, h0)
+    s1 = f.step(s0, cfg, disk_wall, h0, cfg.error_tol)
+    s2 = f.step(s1, cfg, disk_wall, h0, cfg.error_tol)
     # no resample: each newest level holds the stepped state's own nodes
     assert s1._prev[0][0].nodes is s0.nodes
     assert s2._prev[0][0].nodes is s1.nodes
@@ -225,9 +225,9 @@ def test_resampled_step_keeps_the_history(ndisk, disk_wall):
     state = _oval_state(ndisk, 0.3, 100)
     cfg = f.SolverConfig(n_nodes=100, dt_safety=0.8)
     h0 = state.length / 99
-    prev, new = state, f.step(state, cfg, disk_wall, h0)
+    prev, new = state, f.step(state, cfg, disk_wall, h0, cfg.error_tol)
     while len(new.nodes) == len(prev.nodes):
-        prev, new = new, f.step(new, cfg, disk_wall, h0)
+        prev, new = new, f.step(new, cfg, disk_wall, h0, cfg.error_tol)
     (p1, p2), _, _ = new._prev
     assert (p1.time, p1.om_minus, p1.om_plus) == (prev.time, prev.om_minus,
                                                   prev.om_plus)
@@ -241,7 +241,7 @@ def test_resampled_step_keeps_the_history(ndisk, disk_wall):
     assert tuple(p1.nodes[-1]) == disk_wall.point_xy(prev.om_plus)
     seg1 = p1.seg_cached()
     assert np.array_equal(seg1, np.hypot(*np.diff(p1.nodes, axis=0).T))
-    nxt = f.step(new, cfg, disk_wall, h0)
+    nxt = f.step(new, cfg, disk_wall, h0, cfg.error_tol)
     assert nxt._prev[0][0].nodes is new.nodes         # no resample
     dt = nxt.time - new.time
     w = dt / (new.time - p1.time)
@@ -267,10 +267,11 @@ def test_a_resample_event_is_one_spline_solve(ndisk, monkeypatch):
     state = _oval_state(ndisk, 0.3, 100)
     cfg = f.SolverConfig(n_nodes=100, dt_safety=0.8)
     h0 = state.length / 99
-    new = f.step(f.step(state, cfg, wall, h0), cfg, wall, h0)
+    tol = cfg.error_tol
+    new = f.step(f.step(state, cfg, wall, h0, tol), cfg, wall, h0, tol)
     while True:
         calls.clear()
-        prev, new = new, f.step(new, cfg, wall, h0)
+        prev, new = new, f.step(new, cfg, wall, h0, tol)
         if len(new.nodes) != len(prev.nodes):
             break
     n = len(prev.nodes)
@@ -328,7 +329,7 @@ def test_bdf2_steps_keep_orthogonal_contact(ndisk, disk_wall):
     cfg = f.SolverConfig(n_nodes=100, dt_safety=0.8)
     h0 = state.length / 99
     for _ in range(5):
-        state = f.step(state, cfg, disk_wall, h0)
+        state = f.step(state, cfg, disk_wall, h0, cfg.error_tol)
     assert state._prev is not None
     for pts, om in ((state.nodes[:3], state.om_minus),
                     (state.nodes[::-1][:3], state.om_plus)):
@@ -347,9 +348,9 @@ def test_step_grows_at_most_twofold(ndisk, disk_wall):
     s0 = _oval_state(ndisk, 0.3, 100)
     cfg = f.SolverConfig(n_nodes=100, dt_safety=0.8)
     h0 = s0.length / 99
-    full = f.step(s0, cfg, disk_wall, h0).time - s0.time
+    full = f.step(s0, cfg, disk_wall, h0, cfg.error_tol).time - s0.time
     s1 = f._attempt_step(s0, cfg, disk_wall, 0.1 * full, h0)
-    s2 = f.step(s1, cfg, disk_wall, h0)
+    s2 = f.step(s1, cfg, disk_wall, h0, cfg.error_tol)
     assert s2.time - s1.time == pytest.approx(2.0 * (s1.time - s0.time),
                                               rel=1e-12)
 
@@ -359,7 +360,7 @@ def test_step_preserves_convexity(ndisk, disk_wall):
     cfg = f.SolverConfig(n_nodes=100, dt_safety=0.8)
     h0 = state.length / 99
     for _ in range(20):
-        state = f.step(state, cfg, disk_wall, h0)
+        state = f.step(state, cfg, disk_wall, h0, cfg.error_tol)
     assert float(np.min(state.kappa_cached(disk_wall))) > 0.0
 
 
@@ -371,7 +372,7 @@ def test_step_rejects_nonconvex_curve(ndisk, disk_wall):
                        om_minus=state.om_minus, om_plus=state.om_plus)
     cfg = f.SolverConfig(n_nodes=100, dt_safety=0.8)
     with pytest.raises(StepRejected):
-        f.step(bad, cfg, disk_wall, bad.length / 99)
+        f.step(bad, cfg, disk_wall, bad.length / 99, cfg.error_tol)
 
 
 def test_step_with_a_nan_node_is_rejected(ndisk, disk_wall):
@@ -384,7 +385,7 @@ def test_step_with_a_nan_node_is_rejected(ndisk, disk_wall):
                        om_minus=state.om_minus, om_plus=state.om_plus)
     cfg = f.SolverConfig(n_nodes=100, dt_safety=0.8)
     with pytest.raises(StepRejected):
-        f.step(bad, cfg, disk_wall, state.length / 99)
+        f.step(bad, cfg, disk_wall, state.length / 99, cfg.error_tol)
 
 
 def test_step_budget_raises_with_partial(ndisk, monkeypatch):
@@ -520,14 +521,14 @@ class TestDiskRun:
 
 def test_every_step_is_stored(runs):
     # the stored states are the initial state and every state a step
-    # returned, in order; the error-controlled run takes 2,023 steps where
-    # the mesh-only step rule took 4,006
+    # returned, in order; the run takes 1,234 steps (1,752 with the
+    # uniform tolerance throughout, 4,006 under the mesh-only step rule)
     traj = runs("disk_r03_n100")
     stepped = runs.stepped("disk_r03_n100")
     assert len(traj.states) == len(stepped) + 1
     assert all(s is t for s, t in zip(traj.states[1:], stepped))
     assert np.all(np.diff(traj.state_times) > 0.0)
-    assert len(stepped) <= 2_400
+    assert len(stepped) <= 1_350
 
 
 @pytest.mark.parametrize("name, fix", [("disk_r03_n100", "ndisk"),
@@ -633,17 +634,83 @@ def test_alpha_strictly_more_negative_for_smaller_rho(disk_sweep):
 
 
 def test_disk_run_step_count(disk_sweep):
-    # rho = 0.1, n_nodes 200, dt_safety 0.8: measured 2,250 steps
+    # rho = 0.1, n_nodes 200, dt_safety 0.8: measured 1,660 steps (2,250
+    # at the uniform tolerance)
     assert disk_sweep.rhos[1] == 0.1
-    assert len(disk_sweep.trajectories[1].states) - 1 <= 2400
+    assert len(disk_sweep.trajectories[1].states) - 1 <= 1750
 
 
-def test_minor_axis_run_step_count(nellipse_minor):
+def test_minor_axis_run_step_count(runs):
     # a long chord's slow early phase, where the length cap binds:
-    # measured 2,995 steps, 1,318 of them at the cap
-    cfg = f.SolverConfig(n_nodes=100, dt_safety=0.8)
-    traj = f.old_but_not_ancient(nellipse_minor, 0.1, cfg)
-    assert len(traj.states) - 1 <= 3200
+    # measured 2,506 steps (2,995 at the uniform tolerance, 1,318 of them
+    # at the cap)
+    assert len(runs("minor_r01_n100").states) - 1 <= 2650
+
+
+# ---------------------------------------------------------------------------
+# the collapse phase's looser tolerance
+
+_SWITCH_RUNS = ["disk_r01_n200", "egg_r01_n100", "minor_r01_n100"]
+
+
+def _first_loose_step(runs, name):
+    """The index of the first step passed a tolerance other than the
+    uniform one: the stored state it starts from."""
+    uniform = runs(name).config.error_tol
+    return next(k for k, tol in enumerate(runs.tols(name)) if tol != uniform)
+
+
+@pytest.mark.parametrize("name", _SWITCH_RUNS)
+def test_tolerance_loosens_once_after_every_analysis_window(runs, name):
+    # measured: the first loosened step starts at offset -0.189 (disk),
+    # -0.191 (egg) and -0.171 (ellipse(2,1) minor axis), and 642, 662 and
+    # 572 steps follow it
+    traj, tols = runs(name), runs.tols(name)
+    uniform = traj.config.error_tol
+    k = _first_loose_step(runs, name)
+    assert WINDOW_CEIL < -f._ANALYSIS_END
+    assert traj.state_times[k] > -f._ANALYSIS_END
+    # the switch latches
+    assert tols[k:] == [f._COLLAPSE_TOL_FACTOR * uniform] * (len(tols) - k)
+    assert len(tols) - k > 500
+
+
+def test_uniqueness_window_ends_where_the_tolerance_may_loosen(disk_sweep):
+    assert all(p.window[1] == -f._ANALYSIS_END for p in disk_sweep.pairs)
+
+
+@pytest.mark.parametrize("name", ["disk_r01_n200", "egg_r01_n100"])
+def test_states_before_the_switch_are_the_uniform_runs(runs, name):
+    # a plain loop of steps at the uniform tolerance from the same initial
+    # state reproduces every stored state before the switch, bit for bit
+    traj = runs(name)
+    ndom, rho, n = runs.spec(name)
+    cfg = traj.config
+    state = _oval_state(ndom, rho, n)
+    wall = f.ConvexWall(ndom)
+    h0 = state.length / (n - 1)
+    assert np.array_equal(state.nodes, traj.states[0].nodes)
+    for stored in traj.states[1:_first_loose_step(runs, name) + 1]:
+        state = f.step(state, cfg, wall, h0, cfg.error_tol)
+        assert np.array_equal(state.nodes, stored.nodes)
+        assert (state.om_minus, state.om_plus) == (stored.om_minus,
+                                                   stored.om_plus)
+
+
+# alpha and the fitted turning-angle rate at the uniform tolerance: the
+# switch moved alpha by 5.8e-6 (disk) and 8.0e-6 (egg), left the disk's
+# rate bit-identical and moved the egg's by its last bit
+@pytest.mark.parametrize("name, alpha, rate", [
+    ("disk_r01_n200", -2.111870981971794, 1.4382709846065023),
+    ("egg_r01_n100", -1.5893443146028727, 2.3600770794787223)])
+def test_looser_collapse_keeps_alpha_and_the_rate(runs, name, alpha, rate):
+    traj = runs(name)
+    ndom = runs.spec(name)[0]
+    lam0 = ov.solve_lambda0(ndom.kappa1, ndom.kappa2)
+    report = verify_estimates(traj, 0.25, lam0)
+    fitted = report.record("turning_angle_decay").fitted_rate
+    assert abs(traj.alpha - alpha) < 1e-4
+    assert abs(fitted - rate) <= 1e-12 * rate
 
 
 # ---------------------------------------------------------------------------

@@ -315,6 +315,7 @@ def egg_wall(negg):
 def _check_jet(wall, om, step=1e-5):
     px, py, dpx, dpy, nx, ny, dnx, dny = wall.jet_xy(om)
     assert (px, py) == wall.point_xy(om)
+    assert (nx, ny) == wall.normal_xy(om)
     # the normal is a unit vector orthogonal to the point's derivative (a
     # cubic table's derivative on the egg: measured <= 1.1e-11 relative)
     assert abs(np.hypot(nx, ny) - 1.0) < 1e-15
@@ -341,6 +342,8 @@ def test_convex_wall_off_the_table_raises_flow_error(egg_wall, om):
         egg_wall.jet_xy(om)
     with pytest.raises(FlowError):
         egg_wall.point_xy(om)
+    with pytest.raises(FlowError):
+        egg_wall.normal_xy(om)
     with pytest.raises(FlowError):
         egg_wall.arc_area(om, np.pi)
     with pytest.raises(FlowError):
