@@ -21,12 +21,13 @@ the largest normal component of the new curve less the quadratic
 extrapolation of those levels.  A PI controller sets the next step from
 that estimate and the one before it against the tolerance its caller
 passes, at most twice the last step and at most the length cap
-_LENGTH_STEP_CAP * L^2 for the curve length L (see step).  The tolerance
-is _ERROR_TOL * dt_safety^3 (SolverConfig.error_tol) until a run is past
-every analysis window: run_to_extinction multiplies it by
-_COLLAPSE_TOL_FACTOR from the first step at which its extrapolation of L^2
-puts extinction less than _ANALYSIS_END ahead, and the exact solutions
-keep it uniform.
+_LENGTH_STEP_CAP * L^2 for the curve length L, scaled by the cube root of
+the tolerance over the uniform one as the controller's step is (see
+step).  The tolerance is _ERROR_TOL * dt_safety^3 (SolverConfig.error_tol)
+until a run is past every analysis window: run_to_extinction multiplies
+it by _COLLAPSE_TOL_FACTOR = 64, and so the cap by 4, from the first step
+at which its extrapolation of L^2 puts extinction less than _ANALYSIS_END
+ahead, and the exact solutions keep it uniform.
 Every step is accepted; a step is retried, at half the length, only on a
 FlowError (a contact Newton that does not converge raises one) or a
 convexity failure.
@@ -229,17 +230,28 @@ class StraightWall:
 class GrimReaperWalls:
     """The curves y = -log|sin x| as walls, parametrized by abscissa
     (for the grim reaper).  They are the orthogonal trajectories of the grim
-    reaper's translates y = t - log cos x, met at x = +-arctan(e^-t)."""
+    reaper's translates y = t - log cos x, met at x = +-arctan(e^-t).
+    The pole p = 0, where sin p = 0 and the wall has no point, and a p
+    that is not finite raise FlowError, which step answers by halving the
+    time step."""
+
+    @staticmethod
+    def _sin_cos(p):
+        if p == 0.0 or not math.isfinite(p):
+            raise FlowError(f"wall abscissa {p} is the pole or not finite")
+        return math.sin(p), math.cos(p)
 
     def point_xy(self, p):
-        return p, -math.log(abs(math.sin(p)))
+        return p, -math.log(abs(self._sin_cos(p)[0]))
 
     def jet_xy(self, p):
-        s, c = math.sin(p), math.cos(p)
+        s, c = self._sin_cos(p)
         return p, -math.log(abs(s)), 1.0, -c / s, c, s, -s, c
 
     def normal_xy(self, p):
-        return math.cos(p), math.sin(p)
+        """jet_xy(p)[4:6]; FlowError where jet_xy raises it."""
+        s, c = self._sin_cos(p)
+        return c, s
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +279,9 @@ _FLAT_REL_TOL = 1e-10
 # (0.7 / 3 and 0.4 / 3 for a local error of third order).  A step grows
 # by at most _MAX_STEP_RATIO over the one before it, inside variable
 # BDF2's zero-stability limit 1 + sqrt(2), and never exceeds the length
-# cap _LENGTH_STEP_CAP * L^2 for the curve length L, whatever dt_safety
+# cap _LENGTH_STEP_CAP * L^2 for the curve length L, whatever dt_safety,
+# times (tol / error_tol)^(1/3) for a tolerance tol looser than the uniform
+# error_tol
 _STEP_SCALE = 0.024
 _MAX_STEP_RATIO = 2.0
 _LENGTH_STEP_CAP = 0.002
@@ -278,10 +292,13 @@ _PI_PREV_ERR = 0.4 / 3.0
 # every analysis reads offset times at or before -_ANALYSIS_END; after
 # that only the extinction-time fit reads a run, so run_to_extinction
 # loosens its tolerance by _COLLAPSE_TOL_FACTOR once it estimates less
-# than _ANALYSIS_END left (that estimate runs 1.02 to 1.17 times the true
-# time left on the nine benchmark diameters at rho 0.1 and 0.01)
+# than _ANALYSIS_END left.  On the nine benchmark diameters at rho 0.1 and
+# 0.01 that estimate runs 1.36 to 1.83 times the true time left at the
+# switch (1.58 on the disk, 1.57 on the egg) and 1.87 to 2.29 times it at
+# a true 0.3 (1.94 and 1.91; the runs on ellipse(3,1)'s long diameter start
+# after -0.3), so the switch fires at offset times -0.22 to -0.16
 _ANALYSIS_END = 0.3
-_COLLAPSE_TOL_FACTOR = 8.0
+_COLLAPSE_TOL_FACTOR = 64.0
 
 
 @dataclass
@@ -637,10 +654,14 @@ def step(state, cfg, wall, h0, tol):
     Hairer, Norsett and Wanner, Solving ODEs I, II.4), or by the
     elementary controller 0.9 dt_prev (tol / err)^(1/3) where the step
     before has no estimate err_prev.  That step never exceeds the length
-    cap _LENGTH_STEP_CAP * L^2, L the state's length: the diffusion time
-    of the whole curve, which does not scale with dt_safety.  It binds
-    only where the curve barely moves, as on a stationary curve (whose
-    step would otherwise double every step) or a long chord early on.
+    cap _LENGTH_STEP_CAP * L^2 (tol / cfg.error_tol)^(1/3), L the state's
+    length: the diffusion time of the whole curve, which does not scale
+    with dt_safety, scaled with tol as the controller's step is (a step
+    goes as tol^(1/3) at a local error of third order; Soderlind, Numer.
+    Algorithms 31, 2002), so at cfg.error_tol it is _LENGTH_STEP_CAP * L^2
+    exactly.  It binds only where the curve barely moves, as on a
+    stationary curve (whose step would otherwise double every step) or a
+    long chord early on.
     The first steps, which have no estimate, take the mesh step dt_safety
     * _STEP_SCALE * h_bar^2 / h0 for the mean edge h_bar.  Every step is
     accepted: only a FlowError or a convexity failure retries it, at half
@@ -659,7 +680,8 @@ def step(state, cfg, wall, h0, tol):
         levels, err, err_prev = state._prev
         dt_prev = state.time - levels[0].time
         if err is not None:
-            dt = _LENGTH_STEP_CAP * length ** 2
+            dt = (_LENGTH_STEP_CAP * length ** 2
+                  * (tol / cfg.error_tol) ** (1.0 / 3.0))
             if err > 0.0:
                 if err_prev:
                     fac = ((tol / err) ** _PI_ERR
@@ -893,11 +915,12 @@ def run_to_extinction(initial, cfg, ndom):
     a run at the uniform tolerance, bit for bit.
 
     Every state a step returns is stored, so the stored states are exactly
-    the states stepped through: 1,661 states of 1,660 steps on the disk at
-    rho = 0.1, n_nodes = 200, dt_safety 0.8, and 1,412 of 1,411 steps on
-    the egg at n_nodes = 100.  The monitors are derived from them
-    afterwards (_finalize).  An exhausted step budget (_MAX_STEPS) raises
-    NonExtinction, whose partial trajectory ends at the current state.
+    the states stepped through: 1,213 states of 1,212 steps on the disk at
+    rho = 0.1, n_nodes = 200, dt_safety 0.8, and 1,061 of 1,060 steps on
+    the egg at n_nodes = 100, of which 372 and 311 come after the switch.
+    The monitors are derived from them afterwards (_finalize).  An
+    exhausted step budget (_MAX_STEPS) raises NonExtinction, whose partial
+    trajectory ends at the current state.
     """
     wall = ConvexWall(ndom)
     state = initial

@@ -355,6 +355,39 @@ def test_step_grows_at_most_twofold(ndisk, disk_wall):
                                               rel=1e-12)
 
 
+class _StepTaken(Exception):
+    pass
+
+
+@pytest.mark.parametrize("factor", [1.0, 64.0])
+def test_length_cap_scales_with_the_tolerance(ndisk, disk_wall, monkeypatch,
+                                              factor):
+    # an estimate far under the tolerance after a step of 1: neither the
+    # controller nor the twofold limit binds, so the cap sets the step.  At
+    # the uniform tolerance it is _LENGTH_STEP_CAP * L^2 exactly, and at
+    # 64 times it 64^(1/3) = 4 times that, as the controller's step scales
+    state = _oval_state(ndisk, 0.3, 100)
+    cfg = f.SolverConfig(n_nodes=100, dt_safety=0.8)
+    level = f.CurveState(nodes=state.nodes, time=state.time - 1.0,
+                         om_minus=state.om_minus, om_plus=state.om_plus)
+    state._prev = ((level,), 1e-30, 1e-30)
+    taken = []
+
+    def attempt(state, cfg, wall, dt, h0):
+        taken.append(dt)
+        raise _StepTaken
+
+    monkeypatch.setattr(f, "_attempt_step", attempt)
+    with pytest.raises(_StepTaken):
+        f.step(state, cfg, disk_wall, state.length / 99,
+               factor * cfg.error_tol)
+    cap = f._LENGTH_STEP_CAP * state.length ** 2
+    if factor == 1.0:
+        assert taken == [cap]
+    else:
+        assert taken == [pytest.approx(4.0 * cap, rel=1e-15)]
+
+
 def test_step_preserves_convexity(ndisk, disk_wall):
     state = _oval_state(ndisk, 0.3, 100)
     cfg = f.SolverConfig(n_nodes=100, dt_safety=0.8)
@@ -521,14 +554,14 @@ class TestDiskRun:
 
 def test_every_step_is_stored(runs):
     # the stored states are the initial state and every state a step
-    # returned, in order; the run takes 1,234 steps (1,752 with the
+    # returned, in order; the run takes 889 steps (1,752 with the
     # uniform tolerance throughout, 4,006 under the mesh-only step rule)
     traj = runs("disk_r03_n100")
     stepped = runs.stepped("disk_r03_n100")
     assert len(traj.states) == len(stepped) + 1
     assert all(s is t for s, t in zip(traj.states[1:], stepped))
     assert np.all(np.diff(traj.state_times) > 0.0)
-    assert len(stepped) <= 1_350
+    assert len(stepped) <= 950
 
 
 @pytest.mark.parametrize("name, fix", [("disk_r03_n100", "ndisk"),
@@ -634,17 +667,17 @@ def test_alpha_strictly_more_negative_for_smaller_rho(disk_sweep):
 
 
 def test_disk_run_step_count(disk_sweep):
-    # rho = 0.1, n_nodes 200, dt_safety 0.8: measured 1,660 steps (2,250
+    # rho = 0.1, n_nodes 200, dt_safety 0.8: measured 1,212 steps (2,250
     # at the uniform tolerance)
     assert disk_sweep.rhos[1] == 0.1
-    assert len(disk_sweep.trajectories[1].states) - 1 <= 1750
+    assert len(disk_sweep.trajectories[1].states) - 1 <= 1300
 
 
 def test_minor_axis_run_step_count(runs):
     # a long chord's slow early phase, where the length cap binds:
-    # measured 2,506 steps (2,995 at the uniform tolerance, 1,318 of them
+    # measured 2,183 steps (2,995 at the uniform tolerance, 1,318 of them
     # at the cap)
-    assert len(runs("minor_r01_n100").states) - 1 <= 2650
+    assert len(runs("minor_r01_n100").states) - 1 <= 2300
 
 
 # ---------------------------------------------------------------------------
@@ -663,8 +696,8 @@ def _first_loose_step(runs, name):
 @pytest.mark.parametrize("name", _SWITCH_RUNS)
 def test_tolerance_loosens_once_after_every_analysis_window(runs, name):
     # measured: the first loosened step starts at offset -0.189 (disk),
-    # -0.191 (egg) and -0.171 (ellipse(2,1) minor axis), and 642, 662 and
-    # 572 steps follow it
+    # -0.191 (egg) and -0.171 (ellipse(2,1) minor axis), and 372, 311 and
+    # 249 steps follow it
     traj, tols = runs(name), runs.tols(name)
     uniform = traj.config.error_tol
     k = _first_loose_step(runs, name)
@@ -672,7 +705,10 @@ def test_tolerance_loosens_once_after_every_analysis_window(runs, name):
     assert traj.state_times[k] > -f._ANALYSIS_END
     # the switch latches
     assert tols[k:] == [f._COLLAPSE_TOL_FACTOR * uniform] * (len(tols) - k)
-    assert len(tols) - k > 500
+    # the switch fires well before the end, and the collapse after it is
+    # short
+    assert traj.state_times[k] < -0.15
+    assert len(tols) - k <= 400
 
 
 def test_uniqueness_window_ends_where_the_tolerance_may_loosen(disk_sweep):
@@ -698,8 +734,8 @@ def test_states_before_the_switch_are_the_uniform_runs(runs, name):
 
 
 # alpha and the fitted turning-angle rate at the uniform tolerance: the
-# switch moved alpha by 5.8e-6 (disk) and 8.0e-6 (egg), left the disk's
-# rate bit-identical and moved the egg's by its last bit
+# switch moved alpha by 3.0e-5 (disk) and 3.1e-5 (egg), and each rate by
+# a few units in its last place
 @pytest.mark.parametrize("name, alpha, rate", [
     ("disk_r01_n200", -2.111870981971794, 1.4382709846065023),
     ("egg_r01_n100", -1.5893443146028727, 2.3600770794787223)])

@@ -367,6 +367,18 @@ def test_grim_reaper_walls_jet_matches_central_difference(p):
     _check_jet(f.GrimReaperWalls(), p)
 
 
+# the pole, where sin p = 0, and abscissas that are not finite
+@pytest.mark.parametrize("p", [0.0, -0.0, np.inf, -np.inf, np.nan])
+def test_grim_reaper_walls_pole_raises_flow_error(p):
+    wall = f.GrimReaperWalls()
+    with pytest.raises(FlowError):
+        wall.jet_xy(p)
+    with pytest.raises(FlowError):
+        wall.point_xy(p)
+    with pytest.raises(FlowError):
+        wall.normal_xy(p)
+
+
 def _reference_residual(wall, inner1, inner2):
     """The contact residual written directly from point and normal."""
     h2 = np.hypot(*(inner2 - inner1))
