@@ -12,8 +12,10 @@ discrete endpoint tangent of the resulting curve is parallel to the
 boundary normal (Newton with the residual's analytic slope, from the
 wall's point and normal derivatives).  Cubic arc-length resampling of
 the new curve and of the two levels before it, in one packed spline
-solve, follows when the node count, which tracks the shrinking length at
-a spacing near its initial value h0, changes or the spacing has drifted.
+solve, follows when the node count changes or the spacing has drifted.
+Until a run is past every analysis window the count tracks the shrinking
+length at a spacing near its initial value h0; from then on it is held at
+the count the curve has there, so that only a drifted spacing resamples.
 
 Step lengths follow the solution, not the mesh.  Each BDF2 step that has
 three node levels behind it estimates its local error by Milne's device:
@@ -27,7 +29,8 @@ step).  The tolerance is _ERROR_TOL * dt_safety^3 (SolverConfig.error_tol)
 until a run is past every analysis window: run_to_extinction multiplies
 it by _COLLAPSE_TOL_FACTOR = 64, and so the cap by 4, from the first step
 at which its extrapolation of L^2 puts extinction less than _ANALYSIS_END
-ahead, and the exact solutions keep it uniform.
+ahead, and holds the node count from that step on; the exact solutions
+keep the tolerance uniform.
 Every step is accepted; a step is retried, at half the length, only on a
 FlowError (a contact Newton that does not converge raises one) or a
 convexity failure.
@@ -55,7 +58,7 @@ reaper between the orthogonal walls y = -log|sin x|.
 
 Resampling and the wall tables use the module's not-a-knot spline (de
 Boor 1978), which reproduces scipy's CubicSpline bit for bit; importing
-scipy.interpolate costs about 0.3 s, half of a short run.
+scipy.interpolate costs about 0.3 s, about twice a short run.
 
 The one LAPACK routine the module calls, dgtsv, is taken from scipy's
 compiled extension scipy/linalg/_flapack, loaded by itself (see
@@ -149,26 +152,37 @@ class ConvexWall:
         dom = ndom.domain
         om = np.linspace(np.pi / 2 - _WALL_PAD, 3 * np.pi / 2 + _WALL_PAD,
                          _WALL_GRID)
-        pts = dom.point(om)
-        dp = dom.dpoint(om)
-        green = 0.5 * (pts[:, 0] * dp[:, 1] - pts[:, 1] * dp[:, 0])
         self._lo, self._hi = float(om[0]), float(om[-1])
         self._hg = float(om[1] - om[0])
         self._nseg = _WALL_GRID - 1
-        c = _spline([om], [np.column_stack([pts, green])])
-        # per segment: x and y coefficients of u^3, u^2, u, 1, interleaved
-        self._pc = array("d", c[:, :, :2].transpose(1, 0, 2).tobytes())
-        # as PPoly.antiderivative: coefficients over (4, 3, 2, 1), and each
+        # the spline's three columns: the point and the area integrand; each
+        # array is dropped as soon as it is read, to keep the set-up peak low
+        vals = np.empty((_WALL_GRID, 3))
+        vals[:, :2] = dom.point(om)
+        dp = dom.dpoint(om)
+        vals[:, 2] = 0.5 * (vals[:, 0] * dp[:, 1] - vals[:, 1] * dp[:, 0])
+        del dp
+        c = _spline([om], [vals])
+        del vals
+        # per segment: x and y coefficients of u^3, u^2, u, 1, interleaved;
+        # each table is filled through a numpy view of its own buffer
+        self._pc = array("d", [0.0]) * (8 * self._nseg)
+        np.frombuffer(self._pc).reshape(self._nseg, 4, 2)[:] = (
+            c[:, :, :2].transpose(1, 0, 2))
+        # per segment: coefficients of u^4 .. 1 of the area integrand, as
+        # PPoly.antiderivative: the spline's over (4, 3, 2, 1), and each
         # constant term the previous piece's value at the shared knot, summed
-        # in PPoly's order (a running sum of the interleaved terms)
-        gc = c[:, :, 2] / np.arange(4.0, 0.0, -1.0)[:, None]
+        # in PPoly's order (a running sum of the interleaved terms, whose
+        # powers of the width h are the products h * h * ... of its code)
+        self._gc = array("d", [0.0]) * (5 * self._nseg)
+        gc = np.frombuffer(self._gc).reshape(self._nseg, 5)
+        np.divide(c[:, :, 2].T, np.arange(4.0, 0.0, -1.0), out=gc[:, :4])
+        del c
         h = np.diff(om)
-        terms = np.stack([gc[3] * h, gc[2] * (h * h), gc[1] * (h * h * h),
-                          gc[0] * (h * h * h * h)], axis=1)
-        const = np.zeros(self._nseg)
-        const[1:] = np.cumsum(terms[:-1].ravel())[3::4]
-        # per segment: coefficients of u^4 .. 1 of the area integrand
-        self._gc = array("d", np.vstack([gc, const]).T.tobytes())
+        terms = gc[:-1, 3::-1] * np.cumprod(
+            np.broadcast_to(h[:-1, None], (self._nseg - 1, 4)), axis=1)
+        gc[0, 4] = 0.0
+        gc[1:, 4] = np.cumsum(terms.ravel())[3::4]
 
     def _segment(self, om):
         """Table segment holding om and the offset into it; FlowError off
@@ -289,14 +303,14 @@ _ERROR_TOL = 2e-7
 _CONTROL_SAFETY = 0.9
 _PI_ERR = 0.7 / 3.0
 _PI_PREV_ERR = 0.4 / 3.0
-# every analysis reads offset times at or before -_ANALYSIS_END; after
-# that only the extinction-time fit reads a run, so run_to_extinction
-# loosens its tolerance by _COLLAPSE_TOL_FACTOR once it estimates less
-# than _ANALYSIS_END left.  On the nine benchmark diameters at rho 0.1 and
-# 0.01 that estimate runs 1.36 to 1.83 times the true time left at the
-# switch (1.58 on the disk, 1.57 on the egg) and 1.87 to 2.29 times it at
-# a true 0.3 (1.94 and 1.91; the runs on ellipse(3,1)'s long diameter start
-# after -0.3), so the switch fires at offset times -0.22 to -0.16
+# every analysis reads offset times at or before -_ANALYSIS_END; after that
+# only the extinction-time fit reads a run, so run_to_extinction loosens its
+# tolerance by _COLLAPSE_TOL_FACTOR, and step holds the node count, once it
+# estimates less than _ANALYSIS_END left.  On the nine benchmark diameters at
+# rho 0.1 and 0.01 that estimate runs 1.36 to 1.83 times the true time left at
+# the switch (1.58 on the disk, 1.57 on the egg) and 1.87 to 2.29 times it at a
+# true 0.3 (1.94 and 1.91; the runs on ellipse(3,1)'s long diameter start after
+# -0.3), so the switch fires at offset times -0.22 to -0.16
 _ANALYSIS_END = 0.3
 _COLLAPSE_TOL_FACTOR = 64.0
 
@@ -639,8 +653,14 @@ def step(state, cfg, wall, h0, tol):
     """One accepted step; halves dt on a FlowError or a convexity failure,
     up to 20 times, then raises StepRejected.
 
-    h0 is the target spacing: the new curve gets round(length / h0) + 1
-    nodes, clipped to [32, cfg.n_nodes].  A state with a history (_prev),
+    h0 is the target spacing at the uniform tolerance: there the new curve
+    gets round(length / h0) + 1 nodes, clipped to [32, cfg.n_nodes].  At a
+    tolerance looser than cfg.error_tol, which run_to_extinction passes
+    only past the switch, the new curve keeps the stepped curve's count:
+    a count-change resample perturbs the three BDF2 levels, Milne's
+    estimate reads that as error, and the controller would shorten the
+    next steps.  h0 still sets the mesh step of a step without an error
+    estimate.  A state with a history (_prev),
     as every state a step returns has, takes a variable-step BDF2 step
     from its newest level, at most _MAX_STEP_RATIO times the step from
     that level to the state; an initial state takes a backward-Euler
@@ -671,7 +691,7 @@ def step(state, cfg, wall, h0, tol):
     passes _COLLAPSE_TOL_FACTOR times it only once it estimates less than
     _ANALYSIS_END left, after every analysis window, and the exact
     solutions pass it throughout, so that their order tests measure one
-    tolerance.
+    tolerance and their node policy is the length-tracking one.
     """
     length = state.length
     h_bar = length / (len(state.nodes) - 1)
@@ -690,9 +710,11 @@ def step(state, cfg, wall, h0, tol):
                     fac = (tol / err) ** (1.0 / 3.0)
                 dt = min(dt, _CONTROL_SAFETY * dt_prev * fac)
         dt = min(dt, _MAX_STEP_RATIO * dt_prev)
+    # past the switch the count is held: no target spacing
+    target = h0 if tol <= cfg.error_tol else None
     for _ in range(21):
         try:
-            new = _attempt_step(state, cfg, wall, dt, h0)
+            new = _attempt_step(state, cfg, wall, dt, target)
         except FlowError:
             dt *= 0.5
             continue
@@ -718,7 +740,8 @@ def _normal_defect(nodes, pred):
 
 
 def _attempt_step(state, cfg, wall, dt, h0):
-    """Linearly implicit step of length dt, contacts at the new time.
+    """Linearly implicit step of length dt, contacts at the new time; h0
+    is the target spacing, or None to keep the stepped curve's count.
 
     BDF2 with step ratio w = dt / dt_prev solves
     (I - beta L*) X = ((1 + w)^2 X^n - w^2 X^(n-1)) / (1 + 2w),
@@ -737,8 +760,10 @@ def _attempt_step(state, cfg, wall, dt, h0):
     resample.  The new state's levels are a new CurveState of the stepped
     state, without history (so a level keeps no other state alive), and
     the stepped state's newest level.  A resample (node count changed, or
-    spacing drifted) takes the new curve and both levels to the new count
-    in one packed spline solve.
+    spacing drifted: longest edge over 1.25 times the shortest) takes the
+    new curve and both levels to the new count in one packed spline
+    solve; with h0 None only a drifted spacing resamples, at the same
+    count.
     """
     nodes = state.nodes
     seg = state.seg_cached()
@@ -793,7 +818,8 @@ def _attempt_step(state, cfg, wall, dt, h0):
     new[0], new[-1] = pm, pp
     err = None if pred is None else _normal_defect(new, pred)
     seg = _edge_lengths(new)
-    n_out = min(max(round(float(seg.sum()) / h0) + 1, 32), cfg.n_nodes)
+    n_out = (len(new) if h0 is None
+             else min(max(round(float(seg.sum()) / h0) + 1, 32), cfg.n_nodes))
     levels = (CurveState(nodes=nodes, time=state.time, om_minus=state.om_minus,
                          om_plus=state.om_plus, _seg=state.seg_cached()),
               ) + levels[:1]
@@ -903,21 +929,23 @@ def _local_min_count(values):
 def run_to_extinction(initial, cfg, ndom):
     """Step until the length threshold, then extrapolate extinction.
 
-    Curves have at most cfg.n_nodes nodes spaced near the initial h0, and
-    the steps follow the error controller (see step); every step after the
-    first is BDF2, across resamples too.  The controller's tolerance is
-    cfg.error_tol until the run is past every analysis window, and
-    _COLLAPSE_TOL_FACTOR times it from then on: from the first step at
-    which L^2, extrapolated linearly (as _finalize fits it) through the
-    two newest states, puts extinction less than _ANALYSIS_END ahead.
-    The switch latches, and it comes at offset times -0.22 to -0.16 on the
-    benchmark diameters, so every state before -_ANALYSIS_END is that of
-    a run at the uniform tolerance, bit for bit.
+    Curves have at most cfg.n_nodes nodes, and the steps follow the error
+    controller (see step); every step after the first is BDF2, across
+    resamples too.  The controller's tolerance is cfg.error_tol until the
+    run is past every analysis window, and _COLLAPSE_TOL_FACTOR times it
+    from then on: from the first step at which L^2, extrapolated linearly
+    (as _finalize fits it) through the two newest states, puts extinction
+    less than _ANALYSIS_END ahead.  The switch latches, and it comes at
+    offset times -0.22 to -0.16 on the benchmark diameters, so every state
+    before -_ANALYSIS_END is that of a run at the uniform tolerance, bit
+    for bit.  Until the switch the node count tracks the length at a
+    spacing near the initial h0; from it on, step holds the count the
+    curve has there (141 nodes on the disk below, 72 on the egg).
 
     Every state a step returns is stored, so the stored states are exactly
-    the states stepped through: 1,213 states of 1,212 steps on the disk at
-    rho = 0.1, n_nodes = 200, dt_safety 0.8, and 1,061 of 1,060 steps on
-    the egg at n_nodes = 100, of which 372 and 311 come after the switch.
+    the states stepped through: 1,067 states of 1,066 steps on the disk at
+    rho = 0.1, n_nodes = 200, dt_safety 0.8, and 977 of 976 steps on the
+    egg at n_nodes = 100, of which 226 and 227 come after the switch.
     The monitors are derived from them afterwards (_finalize).  An
     exhausted step budget (_MAX_STEPS) raises NonExtinction, whose partial
     trajectory ends at the current state.

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from fbcsf import asymptotics, flow, oval
-from fbcsf.errors import AnalysisError, WindowTooShort
+from fbcsf.errors import AnalysisError, NonPositiveAmplitude, WindowTooShort
 
 RATE = 0.25
 BLOCK = asymptotics._BLOCK_STATES
@@ -418,6 +418,18 @@ def test_a_window_one_state_short_raises(name, floor):
     _ANALYSES[name](_holding(traj, floor))
     with pytest.raises(WindowTooShort):
         _ANALYSES[name](_holding(traj, floor - 1))
+
+
+def test_a_negative_profile_amplitude_raises():
+    # lambda0^2 = 1/2 is the synthetic run's own rate, so the extrapolated
+    # amplitude is the scale's sign times 1.07
+    lam0 = np.sqrt(0.5)
+    prof = asymptotics.fit_profile(_synthetic(1.0, lambda j, t, y: y), lam0,
+                                   1.0, 1.0)
+    assert 1.0 < prof.A < 1.1
+    with pytest.raises(NonPositiveAmplitude, match="-1.07"):
+        asymptotics.fit_profile(_synthetic(-1.0, lambda j, t, y: y), lam0,
+                                1.0, 1.0)
 
 
 def test_runs_without_a_shared_late_window_raise():

@@ -321,7 +321,8 @@ def test_a_run_takes_one_backward_euler_step(ndisk, monkeypatch):
     cfg = f.SolverConfig(n_nodes=100, dt_safety=0.8)
     f.old_but_not_ancient(ndisk, 0.3, cfg)
     assert starts == [0.0]
-    assert len(counts) > 50          # the node count fell, by resamples
+    # the node count fell, by resamples, until the switch: 30 counts
+    assert len(counts) > 20
 
 
 def test_bdf2_steps_keep_orthogonal_contact(ndisk, disk_wall):
@@ -554,14 +555,15 @@ class TestDiskRun:
 
 def test_every_step_is_stored(runs):
     # the stored states are the initial state and every state a step
-    # returned, in order; the run takes 889 steps (1,752 with the
-    # uniform tolerance throughout, 4,006 under the mesh-only step rule)
+    # returned, in order; the run takes 816 steps (889 with the count
+    # tracking the length after the switch too, 1,752 with the uniform
+    # tolerance throughout, 4,006 under the mesh-only step rule)
     traj = runs("disk_r03_n100")
     stepped = runs.stepped("disk_r03_n100")
     assert len(traj.states) == len(stepped) + 1
     assert all(s is t for s, t in zip(traj.states[1:], stepped))
     assert np.all(np.diff(traj.state_times) > 0.0)
-    assert len(stepped) <= 950
+    assert len(stepped) <= 880
 
 
 @pytest.mark.parametrize("name, fix", [("disk_r03_n100", "ndisk"),
@@ -667,17 +669,19 @@ def test_alpha_strictly_more_negative_for_smaller_rho(disk_sweep):
 
 
 def test_disk_run_step_count(disk_sweep):
-    # rho = 0.1, n_nodes 200, dt_safety 0.8: measured 1,212 steps (2,250
-    # at the uniform tolerance)
+    # rho = 0.1, n_nodes 200, dt_safety 0.8: measured 1,066 steps (1,212
+    # with the count tracking the length after the switch too, 2,250 at
+    # the uniform tolerance)
     assert disk_sweep.rhos[1] == 0.1
-    assert len(disk_sweep.trajectories[1].states) - 1 <= 1300
+    assert len(disk_sweep.trajectories[1].states) - 1 <= 1150
 
 
 def test_minor_axis_run_step_count(runs):
     # a long chord's slow early phase, where the length cap binds:
-    # measured 2,183 steps (2,995 at the uniform tolerance, 1,318 of them
-    # at the cap)
-    assert len(runs("minor_r01_n100").states) - 1 <= 2300
+    # measured 2,156 steps (2,183 with the count tracking the length after
+    # the switch too, 2,995 at the uniform tolerance, 1,318 of them at the
+    # cap)
+    assert len(runs("minor_r01_n100").states) - 1 <= 2250
 
 
 # ---------------------------------------------------------------------------
@@ -696,8 +700,8 @@ def _first_loose_step(runs, name):
 @pytest.mark.parametrize("name", _SWITCH_RUNS)
 def test_tolerance_loosens_once_after_every_analysis_window(runs, name):
     # measured: the first loosened step starts at offset -0.189 (disk),
-    # -0.191 (egg) and -0.171 (ellipse(2,1) minor axis), and 372, 311 and
-    # 249 steps follow it
+    # -0.191 (egg) and -0.171 (ellipse(2,1) minor axis), and 226, 227 and
+    # 222 steps follow it
     traj, tols = runs(name), runs.tols(name)
     uniform = traj.config.error_tol
     k = _first_loose_step(runs, name)
@@ -708,7 +712,20 @@ def test_tolerance_loosens_once_after_every_analysis_window(runs, name):
     # the switch fires well before the end, and the collapse after it is
     # short
     assert traj.state_times[k] < -0.15
-    assert len(tols) - k <= 400
+    assert len(tols) - k <= 260
+
+
+@pytest.mark.parametrize("name", _SWITCH_RUNS)
+def test_node_count_is_held_after_the_switch(runs, name):
+    # from the switch on, every stored state keeps the count the curve had
+    # there (measured 141, 72 and 55 nodes); before it the count still
+    # tracks the shrinking length from n_nodes down
+    traj = runs(name)
+    counts = [len(s.nodes) for s in traj.states]
+    k = _first_loose_step(runs, name)
+    assert counts[k:] == [counts[k]] * (len(counts) - k)
+    assert counts[0] == traj.config.n_nodes
+    assert counts[k] < traj.config.n_nodes
 
 
 def test_uniqueness_window_ends_where_the_tolerance_may_loosen(disk_sweep):

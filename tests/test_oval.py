@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from fbcsf import geometry as g
 from fbcsf import oval as ov
 from fbcsf.errors import (BracketFailure, ConfigError, FBCSFError,
-                          LambdaOutOfRange, RhoTooLarge)
+                          InvalidScale, LambdaOutOfRange, RhoTooLarge)
 
 
 # ------------------------------------------------------ scalar limits
@@ -44,6 +44,14 @@ def test_xi0_oracle():
     lam = ov.solve_lambda0(1.0, 0.5)
     x = ov.xi0(lam, 1.0)
     assert abs(x - (-0.5328116536289997)) < 1e-12
+
+
+@pytest.mark.parametrize("lam", [1.0, 0.5])
+def test_xi0_rejects_a_scale_not_above_the_curvature(lam):
+    # arctanh(kappa1 / lambda0) is infinite at lambda0 = kappa1 and NaN
+    # below it
+    with pytest.raises(InvalidScale):
+        ov.xi0(lam, 1.0)
 
 
 def test_limits_shift_identities():
