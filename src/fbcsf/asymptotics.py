@@ -25,9 +25,9 @@ stored time, and the stored states inside them.
 uniqueness_evidence is the one comparison of two runs: one window of
 its own, one set of sample times, and one golden-section search of the
 time shift on a small bracket.  Its window ends at -flow._ANALYSIS_END,
-the latest offset time any analysis here reads: run_to_extinction
-loosens its step tolerance only once it estimates less than that much
-time left, so every state these analyses read was stepped at the uniform
+the latest offset time any analysis here reads: run_to_extinction enters
+its collapse phase only once it estimates less than that much time left,
+so every state these analyses read was stepped at the uniform
 tolerance.  ancient_sweep runs the flow at each rho of a sweep and
 reports it for every consecutive pair.  The mirror of a run across the
 diameter (reflect_trajectory) is a view that mirrors a stored state only
@@ -71,10 +71,10 @@ _TAU_TOL = 1e-5         # and the bracket width that stops its search
 
 def _window(traj, min_samples):
     """The fit window's offset-time bounds and the slice of the stored
-    states inside them, found by two searches of the sorted state_times.
+    states inside them, found by two searches of the sorted monitors["t"].
     WindowTooShort when the bounds cross or the slice holds fewer than
     min_samples states."""
-    times = traj.state_times
+    times = traj.monitors["t"]
     lo, hi = max(float(times[0]), WINDOW_FLOOR), WINDOW_CEIL
     win = slice(int(np.searchsorted(times, lo, side="left")),
                 int(np.searchsorted(times, hi, side="right")))
@@ -113,7 +113,6 @@ class EstimateRecord:
     name: str
     fitted_rate: float
     required_rate: float
-    fitted_constant: float
     passed: bool
     window: tuple
     n_samples: int
@@ -135,11 +134,12 @@ class EstimateReport:
 
 def _fit_decay(t, q, required, win):
     """Log-linear fit of q against t over the window slice win, weighted by
-    time (_time_weights); minimal pointwise constant.
+    time (_time_weights).
 
-    Returns (rate, constant, passed, n): passed requires the fitted rate
-    to clear required*0.95 and the bound q <= constant*exp(rate*t) to
-    hold on every sample at or before the window's late edge.
+    Returns (rate, passed, n): passed requires the fitted rate to clear
+    required*0.95 and the bound q <= constant*exp(rate*t), with the least
+    such constant, to hold on every sample at or before the window's late
+    edge.
     """
     logs = np.log(np.maximum(q[win], _LOG_MIN))
     rate, logc = np.polyfit(t[win], logs, 1, w=_time_weights(t[win]))
@@ -149,7 +149,7 @@ def _fit_decay(t, q, required, win):
     pointwise = bool(np.all(
         q[upto] <= const * np.exp(rate * t[upto]) * (1.0 + 1e-12)))
     passed = bool(np.isfinite(rate)) and rate >= required * 0.95 and pointwise
-    return float(rate), const, passed, win.stop - win.start
+    return float(rate), passed, win.stop - win.start
 
 
 def _blocks(states, wall):
@@ -253,8 +253,8 @@ def verify_estimates(traj, r, lambda0):
     lam2 = lambda0 * lambda0
 
     def decay(name, q):
-        rate, const, ok, n = _fit_decay(t, np.asarray(q), r, win)
-        return EstimateRecord(name, rate, r, const, ok, window, n)
+        rate, ok, n = _fit_decay(t, np.asarray(q), r, win)
+        return EstimateRecord(name, rate, r, ok, window, n)
 
     # state-based quantities; the wall is read only to compute a stored
     # state's curvature, which run_to_extinction has already cached
@@ -277,9 +277,8 @@ def verify_estimates(traj, r, lambda0):
     # support ratio: required to stay bounded with a non-increasing trend
     slope = np.polyfit(st_t, sup_ratio, 1, w=_time_weights(st_t))[0]
     sup_ok = bool(np.all(np.isfinite(sup_ratio)) and slope <= 0.05)
-    support = EstimateRecord(
-        "support_ratio", float(slope), 0.0, float(np.max(sup_ratio)),
-        sup_ok, window, len(states))
+    support = EstimateRecord("support_ratio", float(slope), 0.0, sup_ok,
+                             window, len(states))
 
     # height-ratio pinch.  kappa/y exp(+-n y) brackets lambda0^2 up to a
     # decaying defect; the weight n is a nuisance constant chosen from a
@@ -300,24 +299,22 @@ def verify_estimates(traj, r, lambda0):
             pos = defect > 1e-12
             vacuous = int(np.sum(pos)) < _MIN_SAMPLES
             if not vacuous:
-                rate, logc = np.polyfit(st_t[pos], np.log(defect[pos]), 1,
-                                        w=_time_weights(st_t[pos]))
-                resid = np.log(defect[pos]) - (rate * st_t[pos] + logc)
-                const = float(np.exp(logc + np.max(resid)))
+                rate = np.polyfit(st_t[pos], np.log(defect[pos]), 1,
+                                  w=_time_weights(st_t[pos]))[0]
                 ok = bool(np.isfinite(rate)) and rate >= required * 0.95
             else:
                 # bound holds outright on almost the whole window; the
                 # reported rate is the required one, not a fit
-                rate, const, ok = required, 0.0, True
-            cand = (ok, float(rate), const, float(nwt), vacuous)
+                rate, ok = required, True
+            cand = (ok, float(rate), float(nwt), vacuous)
             if best is None or (cand[0] and not best[0]):
                 best = cand
             if cand[0]:
                 break
-        ok, rate, const, nwt, vacuous = best
+        ok, rate, nwt, vacuous = best
         return EstimateRecord(
             "height_ratio_lower" if signed > 0 else "height_ratio_upper",
-            rate, required, const, ok, window, len(states),
+            rate, required, ok, window, len(states),
             extras={"weight": nwt, "vacuous": vacuous})
 
     th = np.asarray(traj.monitors["theta_plus"]) + \
@@ -338,11 +335,7 @@ class Profile:
     lambda0: float
     c: float
     c_closed_form: float
-    fit_residual: float
     window: tuple
-    times: np.ndarray
-    A_of_t: np.ndarray
-    c_of_t: np.ndarray
 
 
 def closed_form_c(lambda0, kappa1, kappa2):
@@ -375,9 +368,6 @@ def fit_profile(traj, lambda0, kappa1, kappa2):
     G = B.T @ B
     rhs = Z @ B                       # (n_t, 2)
     coef = np.linalg.solve(G, rhs.T).T
-    fit = coef @ B.T
-    resid = float(np.max(np.abs(fit - Z)))
-
     A_t = coef[:, 0]
     c_t = coef[:, 1] / np.where(np.abs(A_t) > 1e-300, A_t, 1e-300)
     u = np.exp(lam2 * tw)
@@ -389,8 +379,7 @@ def fit_profile(traj, lambda0, kappa1, kappa2):
     return Profile(
         A=A_inf, lambda0=lambda0, c=c_inf,
         c_closed_form=float(closed_form_c(lambda0, kappa1, kappa2)),
-        fit_residual=resid, window=window,
-        times=tw, A_of_t=A_t, c_of_t=c_t)
+        window=window)
 
 
 def rescaled_increments(traj, lambda0):
@@ -684,9 +673,9 @@ def reflect_trajectory(traj):
     """The same run mapped to the other side of the diameter.
 
     Turning angles, curvature magnitudes and areas are mirror invariant;
-    only heights and the extinction point change sign.  The mirror's
-    states are a read-only view over traj's (_MirroredStates), which
-    builds each mirrored state when it is read; it gets new height
+    only heights change sign, and with them the extinction point.  The
+    mirror's states are a read-only view over traj's (_MirroredStates),
+    which builds each mirrored state when it is read; it gets new height
     monitors and shares everything else with traj, which it leaves
     unchanged.
 
@@ -699,5 +688,4 @@ def reflect_trajectory(traj):
     monitors = {key: -np.asarray(val) if key.startswith("y_at_x") else val
                 for key, val in traj.monitors.items()}
     return replace(traj, states=_MirroredStates(traj.states),
-                   monitors=monitors,
-                   extinction_point=np.asarray(traj.extinction_point) * _FLIP)
+                   monitors=monitors)

@@ -21,16 +21,15 @@ Step lengths follow the solution, not the mesh.  Each BDF2 step that has
 three node levels behind it estimates its local error by Milne's device:
 the largest normal component of the new curve less the quadratic
 extrapolation of those levels.  A PI controller sets the next step from
-that estimate and the one before it against the tolerance its caller
-passes, at most twice the last step and at most the length cap
-_LENGTH_STEP_CAP * L^2 for the curve length L, scaled by the cube root of
-the tolerance over the uniform one as the controller's step is (see
-step).  The tolerance is _ERROR_TOL * dt_safety^3 (SolverConfig.error_tol)
-until a run is past every analysis window: run_to_extinction multiplies
-it by _COLLAPSE_TOL_FACTOR = 64, and so the cap by 4, from the first step
-at which its extrapolation of L^2 puts extinction less than _ANALYSIS_END
-ahead, and holds the node count from that step on; the exact solutions
-keep the tolerance uniform.
+that estimate and the one before it, at most twice the last step and at
+most the length cap _LENGTH_STEP_CAP * L^2 for the curve length L.  Its
+tolerance is _ERROR_TOL * dt_safety^3 (SolverConfig.error_tol) until a
+run is past every analysis window.  From the first step at which
+run_to_extinction's extrapolation of L^2 puts extinction less than
+_ANALYSIS_END ahead, it passes step h0 = None, the collapse phase: the
+node count is held, the tolerance is _COLLAPSE_TOL_FACTOR = 64 times the
+uniform one and the cap 64^(1/3) = 4 times its own (see step).  The exact
+solutions stay in the uniform phase throughout.
 Every step is accepted; a step is retried, at half the length, only on a
 FlowError (a contact Newton that does not converge raises one) or a
 convexity failure.
@@ -294,8 +293,7 @@ _FLAT_REL_TOL = 1e-10
 # by at most _MAX_STEP_RATIO over the one before it, inside variable
 # BDF2's zero-stability limit 1 + sqrt(2), and never exceeds the length
 # cap _LENGTH_STEP_CAP * L^2 for the curve length L, whatever dt_safety,
-# times (tol / error_tol)^(1/3) for a tolerance tol looser than the uniform
-# error_tol
+# scaled in the collapse phase as the tolerance is (see step)
 _STEP_SCALE = 0.024
 _MAX_STEP_RATIO = 2.0
 _LENGTH_STEP_CAP = 0.002
@@ -304,13 +302,14 @@ _CONTROL_SAFETY = 0.9
 _PI_ERR = 0.7 / 3.0
 _PI_PREV_ERR = 0.4 / 3.0
 # every analysis reads offset times at or before -_ANALYSIS_END; after that
-# only the extinction-time fit reads a run, so run_to_extinction loosens its
-# tolerance by _COLLAPSE_TOL_FACTOR, and step holds the node count, once it
-# estimates less than _ANALYSIS_END left.  On the nine benchmark diameters at
-# rho 0.1 and 0.01 that estimate runs 1.36 to 1.83 times the true time left at
-# the switch (1.58 on the disk, 1.57 on the egg) and 1.87 to 2.29 times it at a
-# true 0.3 (1.94 and 1.91; the runs on ellipse(3,1)'s long diameter start after
-# -0.3), so the switch fires at offset times -0.22 to -0.16
+# only the extinction-time fit reads a run, so run_to_extinction steps it in
+# the collapse phase (h0 None: the node count held, the tolerance loosened by
+# _COLLAPSE_TOL_FACTOR) once it estimates less than _ANALYSIS_END left.  On
+# the nine benchmark diameters at rho 0.1 and 0.01 that estimate runs 1.36 to
+# 1.83 times the true time left at the switch (1.58 on the disk, 1.57 on the
+# egg) and 1.87 to 2.29 times it at a true 0.3 (1.94 and 1.91; the runs on
+# ellipse(3,1)'s long diameter start after -0.3), so the switch fires at
+# offset times -0.22 to -0.16
 _ANALYSIS_END = 0.3
 _COLLAPSE_TOL_FACTOR = 64.0
 
@@ -337,8 +336,11 @@ class SolverConfig:
                 f"n_nodes must be an integer, got {self.n_nodes!r}")
         if self.n_nodes < 32:
             raise ConfigError("n_nodes must be at least 32")
-        if not 0.0 < self.dt_safety < 1.0:
-            raise ConfigError("dt_safety must lie in (0, 1)")
+        if not (isinstance(self.dt_safety, numbers.Real)
+                and 0.0 < self.dt_safety < 1.0):
+            raise ConfigError(
+                f"dt_safety must be a real number in (0, 1), got "
+                f"{self.dt_safety!r}")
 
     @property
     def error_tol(self):
@@ -649,72 +651,71 @@ def _convexity_defect(state, wall):
     return -float(kap.max())
 
 
-def step(state, cfg, wall, h0, tol):
+def step(state, cfg, wall, h0):
     """One accepted step; halves dt on a FlowError or a convexity failure,
     up to 20 times, then raises StepRejected.
 
-    h0 is the target spacing at the uniform tolerance: there the new curve
-    gets round(length / h0) + 1 nodes, clipped to [32, cfg.n_nodes].  At a
-    tolerance looser than cfg.error_tol, which run_to_extinction passes
-    only past the switch, the new curve keeps the stepped curve's count:
-    a count-change resample perturbs the three BDF2 levels, Milne's
-    estimate reads that as error, and the controller would shorten the
-    next steps.  h0 still sets the mesh step of a step without an error
-    estimate.  A state with a history (_prev),
-    as every state a step returns has, takes a variable-step BDF2 step
-    from its newest level, at most _MAX_STEP_RATIO times the step from
-    that level to the state; an initial state takes a backward-Euler
-    start step.
+    h0 is the target spacing of the uniform phase: the new curve gets
+    round(length / h0) + 1 nodes, clipped to [32, cfg.n_nodes], and a step
+    without an error estimate takes the mesh step dt_safety * _STEP_SCALE *
+    h_bar^2 / h0 for the mean edge h_bar.  h0 None is the collapse phase,
+    which run_to_extinction enters once a run is past every analysis
+    window: the new curve keeps the stepped curve's count, since a
+    count-change resample perturbs the three BDF2 levels, Milne's estimate
+    reads that as error, and the controller would shorten the next steps.
+    It has no mesh step, so h0 None on a state without an error estimate
+    raises ConfigError.  A state with a history (_prev), as every state a
+    step returns has, takes a variable-step BDF2 step from its newest
+    level, at most _MAX_STEP_RATIO times the step from that level to the
+    state; an initial state takes a backward-Euler start step.
 
     Where the step that made the state carries an error estimate err
     (every step of a run from the third on), the new step is chosen
-    against the caller's tolerance tol by the PI controller
+    against the tolerance tol by the PI controller
     0.9 dt_prev (tol / err)^(0.7/3) (err_prev / tol)^(0.4/3), BDF2's
     local error being third order (Gustafsson, ACM TOMS 20, 1994;
     Hairer, Norsett and Wanner, Solving ODEs I, II.4), or by the
     elementary controller 0.9 dt_prev (tol / err)^(1/3) where the step
-    before has no estimate err_prev.  That step never exceeds the length
-    cap _LENGTH_STEP_CAP * L^2 (tol / cfg.error_tol)^(1/3), L the state's
-    length: the diffusion time of the whole curve, which does not scale
-    with dt_safety, scaled with tol as the controller's step is (a step
-    goes as tol^(1/3) at a local error of third order; Soderlind, Numer.
-    Algorithms 31, 2002), so at cfg.error_tol it is _LENGTH_STEP_CAP * L^2
-    exactly.  It binds only where the curve barely moves, as on a
-    stationary curve (whose step would otherwise double every step) or a
-    long chord early on.
-    The first steps, which have no estimate, take the mesh step dt_safety
-    * _STEP_SCALE * h_bar^2 / h0 for the mean edge h_bar.  Every step is
-    accepted: only a FlowError or a convexity failure retries it, at half
-    the length.
-
-    tol is cfg.error_tol wherever a run is analysed: run_to_extinction
-    passes _COLLAPSE_TOL_FACTOR times it only once it estimates less than
-    _ANALYSIS_END left, after every analysis window, and the exact
-    solutions pass it throughout, so that their order tests measure one
-    tolerance and their node policy is the length-tracking one.
+    before has no estimate err_prev.  tol is cfg.error_tol in the uniform
+    phase and _COLLAPSE_TOL_FACTOR times it in the collapse phase.  The
+    step never exceeds the length cap _LENGTH_STEP_CAP * L^2, L the
+    state's length: the diffusion time of the whole curve, which does not
+    scale with dt_safety.  In the collapse phase the cap is scaled by
+    _COLLAPSE_TOL_FACTOR^(1/3), as the controller's step is (a step goes
+    as tol^(1/3) at a local error of third order; Soderlind, Numer.
+    Algorithms 31, 2002).  It binds only where the curve barely moves, as
+    on a stationary curve (whose step would otherwise double every step)
+    or a long chord early on.  Every step is accepted: only a FlowError or
+    a convexity failure retries it, at half the length.
     """
     length = state.length
-    h_bar = length / (len(state.nodes) - 1)
-    dt = cfg.dt_safety * _STEP_SCALE * h_bar * (h_bar / h0)
-    if state._prev is not None:
-        levels, err, err_prev = state._prev
+    levels, err, err_prev = state._prev or ((), None, None)
+    if levels:
         dt_prev = state.time - levels[0].time
-        if err is not None:
-            dt = (_LENGTH_STEP_CAP * length ** 2
-                  * (tol / cfg.error_tol) ** (1.0 / 3.0))
-            if err > 0.0:
-                if err_prev:
-                    fac = ((tol / err) ** _PI_ERR
-                           * (err_prev / tol) ** _PI_PREV_ERR)
-                else:
-                    fac = (tol / err) ** (1.0 / 3.0)
-                dt = min(dt, _CONTROL_SAFETY * dt_prev * fac)
+    if err is None:
+        if h0 is None:
+            raise ConfigError("the collapse phase (h0 None) needs a state "
+                              "with an error estimate")
+        h_bar = length / (len(state.nodes) - 1)
+        dt = cfg.dt_safety * _STEP_SCALE * h_bar * (h_bar / h0)
+    else:
+        tol, scale = cfg.error_tol, 1.0
+        if h0 is None:
+            tol *= _COLLAPSE_TOL_FACTOR
+            scale = _COLLAPSE_TOL_FACTOR ** (1.0 / 3.0)
+        dt = _LENGTH_STEP_CAP * length ** 2 * scale
+        if err > 0.0:
+            if err_prev:
+                fac = ((tol / err) ** _PI_ERR
+                       * (err_prev / tol) ** _PI_PREV_ERR)
+            else:
+                fac = (tol / err) ** (1.0 / 3.0)
+            dt = min(dt, _CONTROL_SAFETY * dt_prev * fac)
+    if levels:
         dt = min(dt, _MAX_STEP_RATIO * dt_prev)
-    # past the switch the count is held: no target spacing
-    target = h0 if tol <= cfg.error_tol else None
     for _ in range(21):
         try:
-            new = _attempt_step(state, cfg, wall, dt, target)
+            new = _attempt_step(state, cfg, wall, dt, h0)
         except FlowError:
             dt *= 0.5
             continue
@@ -842,23 +843,30 @@ def _attempt_step(state, cfg, wall, dt, h0):
 @dataclass
 class Trajectory:
     """Recorded run: the stored states, and the monitor arrays derived
-    from them, one entry per state; monitors["t"] is state_times.
+    from them, one entry per state; monitors["t"] holds the states' times.
 
     Reported times are offset so the extrapolated extinction sits at 0.
     """
 
     monitors: dict
     states: list
-    state_times: np.ndarray
     time_offset: float          # raw extinction time, subtracted from
                                 # raw times
-    alpha: float                # offset start time
-    extinction_point: np.ndarray
     config: SolverConfig
     ndom: object
     # True when the L^2 fit gave no extinction time in
     # [t_end, t_end + 0.5] and the last stored time was used instead
     extinction_fit_fallback: bool
+
+    @property
+    def alpha(self):
+        """The offset start time."""
+        return float(self.monitors["t"][0])
+
+    @property
+    def extinction_point(self):
+        """The mean node of the last stored state."""
+        return self.states[-1].nodes.mean(axis=0)
 
     def heights_at_time(self, t_offsets, xs):
         """Heights at xs for an array of offset times of any shape: an
@@ -875,7 +883,7 @@ class Trajectory:
         state is read once per call, into a table from which the rows are
         gathered and weighted in one pass, then shaped as the times.
         """
-        times = self.state_times
+        times = self.monitors["t"]
         t_offsets = np.asarray(t_offsets, dtype=float)
         if np.isnan(t_offsets).any():
             raise ConfigError("an offset time is NaN; no state brackets it")
@@ -931,16 +939,17 @@ def run_to_extinction(initial, cfg, ndom):
 
     Curves have at most cfg.n_nodes nodes, and the steps follow the error
     controller (see step); every step after the first is BDF2, across
-    resamples too.  The controller's tolerance is cfg.error_tol until the
-    run is past every analysis window, and _COLLAPSE_TOL_FACTOR times it
-    from then on: from the first step at which L^2, extrapolated linearly
-    (as _finalize fits it) through the two newest states, puts extinction
-    less than _ANALYSIS_END ahead.  The switch latches, and it comes at
-    offset times -0.22 to -0.16 on the benchmark diameters, so every state
-    before -_ANALYSIS_END is that of a run at the uniform tolerance, bit
-    for bit.  Until the switch the node count tracks the length at a
-    spacing near the initial h0; from it on, step holds the count the
-    curve has there (141 nodes on the disk below, 72 on the egg).
+    resamples too.  Steps are in the uniform phase (h0 the initial spacing)
+    until the run is past every analysis window, and in the collapse phase
+    (h0 None) from then on: from the first step from a state with an error
+    estimate (the fourth) at which L^2, extrapolated linearly (as _finalize
+    fits it) through the two newest states, puts extinction less than
+    _ANALYSIS_END ahead.  The switch latches, and it comes at offset times
+    -0.22 to -0.16 on the benchmark diameters, so every state before
+    -_ANALYSIS_END is that of a run in the uniform phase, bit for bit.
+    Until the switch the node count tracks the length at a spacing near
+    the initial h0; from it on, step holds the count the curve has there
+    (141 nodes on the disk below, 72 on the egg).
 
     Every state a step returns is stored, so the stored states are exactly
     the states stepped through: 1,067 states of 1,066 steps on the disk at
@@ -953,8 +962,6 @@ def run_to_extinction(initial, cfg, ndom):
     wall = ConvexWall(ndom)
     state = initial
     h0 = initial.length / (len(initial.nodes) - 1)
-    tol = cfg.error_tol
-    loose = False
     states = [state]
     while (state.length >= _EXTINCTION_LENGTH
            and state.kappa_cached(wall).max() <= _KAPPA_CAP):
@@ -964,16 +971,16 @@ def run_to_extinction(initial, cfg, ndom):
                 f"{state.length:.3g}")
             exc.partial = _finalize(states, cfg, ndom, wall)
             raise exc
-        if not loose and len(states) > 1:
+        # the fourth state is the first with an error estimate
+        if h0 is not None and len(states) > 3:
             # time left, L^2 extrapolated linearly, below _ANALYSIS_END;
             # the left side is positive, so L^2 fell where this holds
             prev = states[-2]
             sq = state.length ** 2
             if sq * (state.time - prev.time) < _ANALYSIS_END * (
                     prev.length ** 2 - sq):
-                loose = True
-                tol *= _COLLAPSE_TOL_FACTOR
-        new = step(state, cfg, wall, h0, tol)
+                h0 = None
+        new = step(state, cfg, wall, h0)
         # the history is read by that step alone; a stored state keeps none
         state._prev = None
         state = new
@@ -1008,8 +1015,7 @@ def _finalize(states, cfg, ndom, wall):
     fallback = not t[-1] <= t_ext <= t[-1] + 0.5
     offset = float(t[-1]) if fallback else t_ext
 
-    times = t - offset
-    monitors["t"] = times
+    monitors["t"] = t - offset
     # stored times are offset, so the last state's step history (in raw
     # time) is dropped with the others'
     for s in states:
@@ -1018,10 +1024,7 @@ def _finalize(states, cfg, ndom, wall):
     return Trajectory(
         monitors=monitors,
         states=states,
-        state_times=times,
         time_offset=offset,
-        alpha=float(times[0]),
-        extinction_point=states[-1].nodes.mean(axis=0),
         config=cfg,
         ndom=ndom,
         extinction_fit_fallback=fallback,
@@ -1073,7 +1076,7 @@ def grim_reaper_error(n, t_end, dt_safety):
     wall = GrimReaperWalls()
     h0 = state.length / (n - 1)
     while state.time < t_end:
-        state = step(state, cfg, wall, h0, cfg.error_tol)
+        state = step(state, cfg, wall, h0)
     x, y = state.nodes[:, 0], state.nodes[:, 1]
     return float(np.max(np.abs(y - state.time + np.log(np.cos(x))))), state
 
@@ -1092,7 +1095,7 @@ def semicircle_wall_error(n, t_end, dt_safety):
     cfg = SolverConfig(n_nodes=n, dt_safety=dt_safety)
     h0 = state.length / (n - 1)
     while state.time < t_end:
-        state = step(state, cfg, wall, h0, cfg.error_tol)
+        state = step(state, cfg, wall, h0)
     r_exact = np.sqrt(1.0 - 2 * state.time)
     r_num = np.hypot(state.nodes[:, 0] - 0.5 * (state.om_minus + state.om_plus),
                      state.nodes[:, 1])
@@ -1110,6 +1113,6 @@ def stationary_diameter_drift(ndom):
     h0 = state.length / (_DRIFT_NODES - 1)
     drift = 0.0
     for _ in range(_DRIFT_STEPS):
-        state = step(state, cfg, wall, h0, cfg.error_tol)
+        state = step(state, cfg, wall, h0)
         drift = max(drift, float(np.max(np.abs(state.nodes[:, 1]))))
     return drift

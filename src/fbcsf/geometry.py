@@ -135,7 +135,6 @@ class Diameter:
     """A double normal: a chord orthogonal to the boundary at both ends."""
 
     omega_plus: float
-    omega_minus: float
     length: float
     kind: str  # 'max' | 'min' | 'saddle' | 'degenerate'
     degenerate: bool
@@ -445,9 +444,8 @@ def _make_diameter(domain, omega, degenerate):
             kind = "min"
         else:
             kind = "saddle"
-    return Diameter(omega_plus=float(omega % (2 * np.pi)),
-                    omega_minus=float((omega + np.pi) % (2 * np.pi)),
-                    length=length, kind=kind, degenerate=degenerate)
+    return Diameter(omega_plus=float(omega % (2 * np.pi)), length=length,
+                    kind=kind, degenerate=degenerate)
 
 
 def normalize(domain, diameter):

@@ -227,8 +227,6 @@ class OrthogonalOval:
     omega_hat: float              # boundary turning angle at the left contact
     p_first: np.ndarray
     p_second: np.ndarray
-    claim_f_lo: float
-    claim_f_hi: float
 
     @property
     def lam(self):
@@ -287,8 +285,8 @@ def construct_orthogonal_oval(ndom, rho):
         of E^2 cosh^2(lam (x0 + 1)) - sin^2(lam phi0), where
         E^2 = sin^2(lam phi0) - cos^2(lam phi0)/phi'(x0)^2 and phi0 =
         phi(x0).  It has the sign of xi + 1, as has the equivalent
-        phi'(x0)^2 tanh^2(lam (x0 + 1)) - cot^2(lam phi0), which reads
-        claim_f_lo at lam_min and claim_f_hi at pi/(2 phi0);
+        phi'(x0)^2 tanh^2(lam (x0 + 1)) - cot^2(lam phi0), which must be
+        negative at lam_min and positive at pi/(2 phi0);
       * the orthogonal scale, the root on [lam*, pi/(2 rho)] of the cosine
         between the oval and boundary normals at the second crossing
         (obtuse, negative, at lam*; acute or detached from the far wall,
@@ -307,16 +305,17 @@ def construct_orthogonal_oval(ndom, rho):
     Each turning angle's boundary point and each scale's residual are
     evaluated once per call.
 
-    Raises ConfigError when rho is NaN, RhoTooLarge when the line y = rho
-    fails to cross the upper boundary twice, and BracketFailure when a sign
-    condition of either solve fails or the orthogonal scale has no second
-    crossing (no bracket is widened beyond that one sample).
+    Raises ConfigError when rho is not a real number or is NaN,
+    RhoTooLarge when the line y = rho fails to cross the upper boundary
+    twice, and BracketFailure when a sign condition of either solve fails
+    or the orthogonal scale has no second crossing (no bracket is widened
+    beyond that one sample).
     """
     dom = ndom.domain
     if not dom.is_normalized:
         raise ConfigError("domain must be normalized (diameter on [-1,1])")
-    if np.isnan(rho):
-        raise ConfigError("rho is NaN")
+    if not isinstance(rho, numbers.Real) or np.isnan(rho):
+        raise ConfigError(f"rho must be a real number, got {rho!r}")
 
     om_grid, xs, ys = dom.upper_arc
     itop = int(np.argmax(ys))
@@ -433,8 +432,6 @@ def construct_orthogonal_oval(ndom, rho):
         omega_hat=float(om_hat),
         p_first=p0,
         p_second=p_hat,
-        claim_f_lo=float(claim_f_lo),
-        claim_f_hi=float(claim_f_hi),
     )
 
 

@@ -71,8 +71,9 @@ def nlobed(lobed):
 # shared flow runs.  Keyed by (domain, rho, n_nodes); computed once per
 # session on first request so the expensive trajectories are paid for once.
 # runs.stepped(name) lists the states that flow.step returned during the
-# run, in order, runs.tols(name) the tolerance each step was passed, and
-# runs.spec(name) the run's (normalized domain, rho, n_nodes).
+# run, in order, runs.held(name) whether each step was in the collapse
+# phase (h0 None, the node count held), and runs.spec(name) the run's
+# (normalized domain, rho, n_nodes).
 
 _RUN_SPECS = {
     "disk_r03_n100": ("disk", 0.3, 100),
@@ -87,19 +88,19 @@ _RUN_SPECS = {
 @pytest.fixture(scope="session")
 def runs(ndisk, negg, nellipse_minor):
     doms = {"disk": ndisk, "egg": negg, "minor": nellipse_minor}
-    cache, stepped, tols = {}, {}, {}
+    cache, stepped, held = {}, {}, {}
     step = flow_mod.step
 
     def get(name):
         if name not in cache:
             dom_key, rho, n = _RUN_SPECS[name]
             cfg = flow_mod.SolverConfig(n_nodes=n, dt_safety=0.8)
-            stepped[name], tols[name] = [], []
+            stepped[name], held[name] = [], []
 
-            def recording_step(state, cfg, wall, h0, tol):
-                new = step(state, cfg, wall, h0, tol)
+            def recording_step(*args):
+                new = step(*args)
                 stepped[name].append(new)
-                tols[name].append(tol)
+                held[name].append(args[3] is None)
                 return new
 
             with pytest.MonkeyPatch.context() as mp:
@@ -112,15 +113,15 @@ def runs(ndisk, negg, nellipse_minor):
         get(name)
         return stepped[name]
 
-    def get_tols(name):
+    def get_held(name):
         get(name)
-        return tols[name]
+        return held[name]
 
     def get_spec(name):
         dom_key, rho, n = _RUN_SPECS[name]
         return doms[dom_key], rho, n
 
-    get.stepped, get.tols, get.spec = get_stepped, get_tols, get_spec
+    get.stepped, get.held, get.spec = get_stepped, get_held, get_spec
     return get
 
 

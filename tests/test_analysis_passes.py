@@ -54,14 +54,14 @@ def _reference_verify_estimates(traj, r, lambda0):
 
     th = np.asarray(traj.monitors["theta_plus"]) + \
         np.asarray(traj.monitors["theta_minus"])
-    rate, const, ok, n = asymptotics._fit_decay(t, np.sin(0.5 * th), r, win)
-    records.append(Rec("turning_angle_decay", rate, r, const, ok, window, n))
+    rate, ok, n = asymptotics._fit_decay(t, np.sin(0.5 * th), r, win)
+    records.append(Rec("turning_angle_decay", rate, r, ok, window, n))
     kmin = np.asarray(traj.monitors["kappa_min"])
-    rate, const, ok, n = asymptotics._fit_decay(t, kmin, r, win)
-    records.append(Rec("min_curvature_decay", rate, r, const, ok, window, n))
+    rate, ok, n = asymptotics._fit_decay(t, kmin, r, win)
+    records.append(Rec("min_curvature_decay", rate, r, ok, window, n))
     kmax = np.asarray(traj.monitors["kappa_max"])
-    rate, const, ok, n = asymptotics._fit_decay(t, kmax, r, win)
-    rec_kmax = Rec("max_curvature_decay", rate, r, const, ok, window, n)
+    rate, ok, n = asymptotics._fit_decay(t, kmax, r, win)
+    rec_kmax = Rec("max_curvature_decay", rate, r, ok, window, n)
 
     states = [s for s in traj.states if window[0] <= s.time <= window[1]]
     assert len(states) == win.stop - win.start >= 8
@@ -88,8 +88,7 @@ def _reference_verify_estimates(traj, r, lambda0):
     slope = np.polyfit(st_t, sup_ratio, 1,
                        w=asymptotics._time_weights(st_t))[0]
     sup_ok = bool(np.all(np.isfinite(sup_ratio)) and slope <= 0.05)
-    records.append(Rec("support_ratio", float(slope), 0.0,
-                       float(np.max(sup_ratio)), sup_ok, window,
+    records.append(Rec("support_ratio", float(slope), 0.0, sup_ok, window,
                        len(states)))
     grid = np.array([1.0, 2.0, 5.0, 10.0, 20.0]) * max(C2, 1e-3) / r
 
@@ -106,22 +105,20 @@ def _reference_verify_estimates(traj, r, lambda0):
             pos = defect > 1e-12
             vacuous = int(np.sum(pos)) < 8
             if not vacuous:
-                rate, logc = np.polyfit(st_t[pos], np.log(defect[pos]), 1,
-                                        w=asymptotics._time_weights(st_t[pos]))
-                resid = np.log(defect[pos]) - (rate * st_t[pos] + logc)
-                const = float(np.exp(logc + np.max(resid)))
+                rate = np.polyfit(st_t[pos], np.log(defect[pos]), 1,
+                                  w=asymptotics._time_weights(st_t[pos]))[0]
                 ok = bool(np.isfinite(rate)) and rate >= required * 0.95
             else:
-                rate, const, ok = required, 0.0, True
-            cand = (ok, float(rate), const, float(nwt), vacuous)
+                rate, ok = required, True
+            cand = (ok, float(rate), float(nwt), vacuous)
             if best is None or (cand[0] and not best[0]):
                 best = cand
             if cand[0]:
                 break
-        ok, rate, const, nwt, vacuous = best
+        ok, rate, nwt, vacuous = best
         return Rec(
             "height_ratio_lower" if signed > 0 else "height_ratio_upper",
-            rate, required, const, ok, window, len(states),
+            rate, required, ok, window, len(states),
             extras={"weight": nwt, "vacuous": vacuous})
 
     records.append(pinch(+1.0, r))
@@ -134,7 +131,7 @@ def _reference_verify_estimates(traj, r, lambda0):
 
 
 def _reference_heights_at_time(traj, t_offset, xs):
-    times = traj.state_times
+    times = traj.monitors["t"]
     i = int(np.searchsorted(times, t_offset))
     if i <= 0:
         return traj.states[0].heights_at(xs)
@@ -233,7 +230,8 @@ def _lambda0(ndom):
 
 def _window_count(traj):
     (lo, hi), _ = asymptotics._window(traj, 8)
-    return int(np.sum((traj.state_times >= lo) & (traj.state_times <= hi)))
+    t = traj.monitors["t"]
+    return int(np.sum((t >= lo) & (t <= hi)))
 
 
 def _synthetic(scale, kappa, empty_at=None):
@@ -258,8 +256,7 @@ def _synthetic(scale, kappa, empty_at=None):
     for k in range(ys.shape[1]):
         monitors[f"y_at_x{k}"] = ys[:, k]
     return flow.Trajectory(
-        monitors=monitors, states=states, state_times=t, time_offset=0.0,
-        alpha=float(t[0]), extinction_point=np.zeros(2),
+        monitors=monitors, states=states, time_offset=0.0,
         config=flow.SolverConfig(n_nodes=200, dt_safety=0.4), ndom=None,
         extinction_fit_fallback=False)
 
@@ -268,14 +265,12 @@ def _from(traj, first):
     """The run cut to its stored states from index first on."""
     return dataclasses.replace(
         traj, states=traj.states[first:],
-        state_times=traj.state_times[first:],
-        monitors={k: v[first:] for k, v in traj.monitors.items()},
-        alpha=float(traj.state_times[first]))
+        monitors={k: v[first:] for k, v in traj.monitors.items()})
 
 
 def _holding(traj, count):
     """The run cut so that its fit window holds count stored states."""
-    last = int(np.searchsorted(traj.state_times, -1.0, side="right"))
+    last = int(np.searchsorted(traj.monitors["t"], -1.0, side="right"))
     return _from(traj, last - count)
 
 
@@ -314,10 +309,10 @@ def test_estimates_match_at_every_block_remainder(count, runs, ndisk):
     traj = runs("disk_r03_n100")
     lam0 = _lambda0(ndisk)
     (lo, _), _ = asymptotics._window(traj, 8)
-    first = int(np.searchsorted(traj.state_times, lo))
+    first = int(np.searchsorted(traj.monitors["t"], lo))
     cut = dataclasses.replace(
         traj, states=traj.states[:first + count],
-        state_times=traj.state_times[:first + count])
+        monitors={k: v[:first + count] for k, v in traj.monitors.items()})
     assert _window_count(cut) == count
     assert (_record_bits(asymptotics.verify_estimates(cut, RATE, lam0))
             == _record_bits(_reference_verify_estimates(cut, RATE, lam0)))
@@ -403,9 +398,9 @@ _ANALYSES = {
 def test_a_run_after_the_window_raises(name):
     # every stored time lies after -1, so the window's bounds cross
     traj = _synthetic(0.01, lambda j, t, y: y)
-    late = _from(traj, int(np.searchsorted(traj.state_times, -1.0,
+    late = _from(traj, int(np.searchsorted(traj.monitors["t"], -1.0,
                                            side="right")))
-    assert late.state_times[0] > -1.0
+    assert late.alpha > -1.0
     with pytest.raises(WindowTooShort):
         _ANALYSES[name](late)
 
@@ -436,8 +431,7 @@ def test_runs_without_a_shared_late_window_raise():
     # the same run 6.7 later: it starts at -0.3, where the shared window ends
     traj = _synthetic(0.01, lambda j, t, y: y)
     later = dataclasses.replace(
-        traj, state_times=traj.state_times + 6.7, alpha=traj.alpha + 6.7,
-        monitors={**traj.monitors, "t": traj.monitors["t"] + 6.7})
+        traj, monitors={**traj.monitors, "t": traj.monitors["t"] + 6.7})
     assert asymptotics.uniqueness_evidence(traj, traj, 1.2).distance == 0.0
     with pytest.raises(WindowTooShort):
         asymptotics.uniqueness_evidence(traj, later, 1.2)
@@ -453,7 +447,7 @@ def test_heights_and_distances_match_the_per_time_loop(name, runs):
     mirror = asymptotics.reflect_trajectory(traj)
     xs = asymptotics.MATCH_XS
     # before the first state, inside, on a stored time, and after the last
-    ts = np.concatenate([[traj.alpha - 1.0, traj.state_times[5]],
+    ts = np.concatenate([[traj.alpha - 1.0, traj.monitors["t"][5]],
                          np.linspace(traj.alpha * 0.85, -0.3, 16), [0.7]])
     rows = traj.heights_at_time(ts, xs)
     assert rows.shape == (len(ts), len(xs))
@@ -471,15 +465,15 @@ def _time_grid(traj):
     """Rows of offset times: before the first state, on a stored time,
     inside, and after the last, each row shifted as uniqueness_evidence
     shifts its sample times, and one row of stored times."""
-    ts = np.concatenate([[traj.alpha - 1.0, traj.state_times[5]],
+    ts = np.concatenate([[traj.alpha - 1.0, traj.monitors["t"][5]],
                          np.linspace(traj.alpha * 0.85, -0.3, 16), [0.7]])
     taus = np.array([-0.5, -0.013, 0.0, 0.2])
-    return np.vstack([taus[:, None] + ts, traj.state_times[3:3 + len(ts)]])
+    return np.vstack([taus[:, None] + ts, traj.monitors["t"][3:3 + len(ts)]])
 
 
 def _bracketing_states(traj, t):
     """The indices of the stored states that offset time t reads."""
-    times = traj.state_times
+    times = traj.monitors["t"]
     if t <= times[0]:
         return {0}
     if t >= times[-1]:

@@ -110,8 +110,7 @@ def test_fits_are_sampling_independent(runs, negg):
     # 1.2e-6, c by 3.0e-8; unweighted fits moved by 8.1e-5 and 7.2e-7)
     traj = runs("egg_r01_n100")
     half = dataclasses.replace(
-        traj, states=traj.states[::2], state_times=traj.state_times[::2],
-        monitors={key: np.asarray(val)[::2]
+        traj, states=traj.states[::2], monitors={key: np.asarray(val)[::2]
                   for key, val in traj.monitors.items()})
     lam0 = oval.solve_lambda0(negg.kappa1, negg.kappa2)
     k = (negg.kappa1, negg.kappa2)

@@ -36,6 +36,13 @@ def test_config_rejects_non_integer_node_count(n_nodes):
         f.SolverConfig(n_nodes=n_nodes, dt_safety=0.4)
 
 
+@pytest.mark.parametrize("dt_safety", ["0.5", None, 0.5 + 0j])
+def test_config_rejects_non_real_safety(dt_safety):
+    # each used to end in a bare TypeError from the range comparison
+    with pytest.raises(ConfigError):
+        f.SolverConfig(n_nodes=100, dt_safety=dt_safety)
+
+
 def test_config_accepts_numpy_integers():
     cfg = f.SolverConfig(n_nodes=np.int64(64), dt_safety=0.4)
     assert cfg.n_nodes == 64
@@ -162,7 +169,7 @@ def test_flat_diameter_encloses_half_the_domain(fix, half_area, request):
 def test_step_pins_contacts_to_wall(ndisk, disk_wall):
     state = _oval_state(ndisk, 0.3, 100)
     cfg = f.SolverConfig(n_nodes=100, dt_safety=0.8)
-    new = f.step(state, cfg, disk_wall, state.length / 99, cfg.error_tol)
+    new = f.step(state, cfg, disk_wall, state.length / 99)
     assert new.time > state.time
     for node, om in ((new.nodes[0], new.om_minus), (new.nodes[-1], new.om_plus)):
         px, py = disk_wall.point_xy(om)
@@ -172,7 +179,7 @@ def test_step_pins_contacts_to_wall(ndisk, disk_wall):
 def test_step_keeps_orthogonal_contact(ndisk, disk_wall):
     state = _oval_state(ndisk, 0.3, 100)
     cfg = f.SolverConfig(n_nodes=100, dt_safety=0.8)
-    new = f.step(state, cfg, disk_wall, state.length / 99, cfg.error_tol)
+    new = f.step(state, cfg, disk_wall, state.length / 99)
     for pts, om in ((new.nodes[:3], new.om_minus),
                     (new.nodes[::-1][:3], new.om_plus)):
         h1 = np.hypot(*(pts[1] - pts[0]))
@@ -198,8 +205,8 @@ def test_steps_solve_the_interior_with_the_new_contacts(ndisk, disk_wall):
     s0 = _oval_state(ndisk, 0.3, 100)
     cfg = f.SolverConfig(n_nodes=100, dt_safety=0.8)
     h0 = s0.length / 99
-    s1 = f.step(s0, cfg, disk_wall, h0, cfg.error_tol)
-    s2 = f.step(s1, cfg, disk_wall, h0, cfg.error_tol)
+    s1 = f.step(s0, cfg, disk_wall, h0)
+    s2 = f.step(s1, cfg, disk_wall, h0)
     # no resample: each newest level holds the stepped state's own nodes
     assert s1._prev[0][0].nodes is s0.nodes
     assert s2._prev[0][0].nodes is s1.nodes
@@ -225,9 +232,9 @@ def test_resampled_step_keeps_the_history(ndisk, disk_wall):
     state = _oval_state(ndisk, 0.3, 100)
     cfg = f.SolverConfig(n_nodes=100, dt_safety=0.8)
     h0 = state.length / 99
-    prev, new = state, f.step(state, cfg, disk_wall, h0, cfg.error_tol)
+    prev, new = state, f.step(state, cfg, disk_wall, h0)
     while len(new.nodes) == len(prev.nodes):
-        prev, new = new, f.step(new, cfg, disk_wall, h0, cfg.error_tol)
+        prev, new = new, f.step(new, cfg, disk_wall, h0)
     (p1, p2), _, _ = new._prev
     assert (p1.time, p1.om_minus, p1.om_plus) == (prev.time, prev.om_minus,
                                                   prev.om_plus)
@@ -241,7 +248,7 @@ def test_resampled_step_keeps_the_history(ndisk, disk_wall):
     assert tuple(p1.nodes[-1]) == disk_wall.point_xy(prev.om_plus)
     seg1 = p1.seg_cached()
     assert np.array_equal(seg1, np.hypot(*np.diff(p1.nodes, axis=0).T))
-    nxt = f.step(new, cfg, disk_wall, h0, cfg.error_tol)
+    nxt = f.step(new, cfg, disk_wall, h0)
     assert nxt._prev[0][0].nodes is new.nodes         # no resample
     dt = nxt.time - new.time
     w = dt / (new.time - p1.time)
@@ -267,11 +274,10 @@ def test_a_resample_event_is_one_spline_solve(ndisk, monkeypatch):
     state = _oval_state(ndisk, 0.3, 100)
     cfg = f.SolverConfig(n_nodes=100, dt_safety=0.8)
     h0 = state.length / 99
-    tol = cfg.error_tol
-    new = f.step(f.step(state, cfg, wall, h0, tol), cfg, wall, h0, tol)
+    new = f.step(f.step(state, cfg, wall, h0), cfg, wall, h0)
     while True:
         calls.clear()
-        prev, new = new, f.step(new, cfg, wall, h0, tol)
+        prev, new = new, f.step(new, cfg, wall, h0)
         if len(new.nodes) != len(prev.nodes):
             break
     n = len(prev.nodes)
@@ -330,7 +336,7 @@ def test_bdf2_steps_keep_orthogonal_contact(ndisk, disk_wall):
     cfg = f.SolverConfig(n_nodes=100, dt_safety=0.8)
     h0 = state.length / 99
     for _ in range(5):
-        state = f.step(state, cfg, disk_wall, h0, cfg.error_tol)
+        state = f.step(state, cfg, disk_wall, h0)
     assert state._prev is not None
     for pts, om in ((state.nodes[:3], state.om_minus),
                     (state.nodes[::-1][:3], state.om_plus)):
@@ -349,9 +355,9 @@ def test_step_grows_at_most_twofold(ndisk, disk_wall):
     s0 = _oval_state(ndisk, 0.3, 100)
     cfg = f.SolverConfig(n_nodes=100, dt_safety=0.8)
     h0 = s0.length / 99
-    full = f.step(s0, cfg, disk_wall, h0, cfg.error_tol).time - s0.time
+    full = f.step(s0, cfg, disk_wall, h0).time - s0.time
     s1 = f._attempt_step(s0, cfg, disk_wall, 0.1 * full, h0)
-    s2 = f.step(s1, cfg, disk_wall, h0, cfg.error_tol)
+    s2 = f.step(s1, cfg, disk_wall, h0)
     assert s2.time - s1.time == pytest.approx(2.0 * (s1.time - s0.time),
                                               rel=1e-12)
 
@@ -360,13 +366,14 @@ class _StepTaken(Exception):
     pass
 
 
-@pytest.mark.parametrize("factor", [1.0, 64.0])
+@pytest.mark.parametrize("held", [False, True], ids=["h0", "None"])
 def test_length_cap_scales_with_the_tolerance(ndisk, disk_wall, monkeypatch,
-                                              factor):
+                                              held):
     # an estimate far under the tolerance after a step of 1: neither the
-    # controller nor the twofold limit binds, so the cap sets the step.  At
-    # the uniform tolerance it is _LENGTH_STEP_CAP * L^2 exactly, and at
-    # 64 times it 64^(1/3) = 4 times that, as the controller's step scales
+    # controller nor the twofold limit binds, so the cap sets the step.  In
+    # the uniform phase it is _LENGTH_STEP_CAP * L^2 exactly, and in the
+    # collapse phase (h0 None), at 64 times the tolerance, 64^(1/3) = 4
+    # times that, as the controller's step scales
     state = _oval_state(ndisk, 0.3, 100)
     cfg = f.SolverConfig(n_nodes=100, dt_safety=0.8)
     level = f.CurveState(nodes=state.nodes, time=state.time - 1.0,
@@ -380,10 +387,9 @@ def test_length_cap_scales_with_the_tolerance(ndisk, disk_wall, monkeypatch,
 
     monkeypatch.setattr(f, "_attempt_step", attempt)
     with pytest.raises(_StepTaken):
-        f.step(state, cfg, disk_wall, state.length / 99,
-               factor * cfg.error_tol)
+        f.step(state, cfg, disk_wall, None if held else state.length / 99)
     cap = f._LENGTH_STEP_CAP * state.length ** 2
-    if factor == 1.0:
+    if not held:
         assert taken == [cap]
     else:
         assert taken == [pytest.approx(4.0 * cap, rel=1e-15)]
@@ -394,7 +400,7 @@ def test_step_preserves_convexity(ndisk, disk_wall):
     cfg = f.SolverConfig(n_nodes=100, dt_safety=0.8)
     h0 = state.length / 99
     for _ in range(20):
-        state = f.step(state, cfg, disk_wall, h0, cfg.error_tol)
+        state = f.step(state, cfg, disk_wall, h0)
     assert float(np.min(state.kappa_cached(disk_wall))) > 0.0
 
 
@@ -406,7 +412,7 @@ def test_step_rejects_nonconvex_curve(ndisk, disk_wall):
                        om_minus=state.om_minus, om_plus=state.om_plus)
     cfg = f.SolverConfig(n_nodes=100, dt_safety=0.8)
     with pytest.raises(StepRejected):
-        f.step(bad, cfg, disk_wall, bad.length / 99, cfg.error_tol)
+        f.step(bad, cfg, disk_wall, bad.length / 99)
 
 
 def test_step_with_a_nan_node_is_rejected(ndisk, disk_wall):
@@ -419,7 +425,7 @@ def test_step_with_a_nan_node_is_rejected(ndisk, disk_wall):
                        om_minus=state.om_minus, om_plus=state.om_plus)
     cfg = f.SolverConfig(n_nodes=100, dt_safety=0.8)
     with pytest.raises(StepRejected):
-        f.step(bad, cfg, disk_wall, state.length / 99, cfg.error_tol)
+        f.step(bad, cfg, disk_wall, state.length / 99)
 
 
 def test_step_budget_raises_with_partial(ndisk, monkeypatch):
@@ -454,7 +460,7 @@ def test_step_budget_partial_ends_at_the_current_state(ndisk, monkeypatch):
     partial = exc.value.partial
     assert len(partial.states) == 52
     assert partial.states[-1] is stepped[-1]
-    assert np.all(np.diff(partial.state_times) > 0.0)
+    assert np.all(np.diff(partial.monitors["t"]) > 0.0)
 
 
 def test_lobed_domain_runs_to_extinction(nlobed):
@@ -547,7 +553,7 @@ class TestDiskRun:
         assert min(margin) >= -1e-9
 
     def test_stored_states_cover_the_run(self):
-        st = self.traj.state_times
+        st = self.traj.monitors["t"]
         assert st[0] == self.traj.alpha
         assert len(st) > 200
         assert np.all(np.diff(st) > 0.0)
@@ -562,7 +568,7 @@ def test_every_step_is_stored(runs):
     stepped = runs.stepped("disk_r03_n100")
     assert len(traj.states) == len(stepped) + 1
     assert all(s is t for s, t in zip(traj.states[1:], stepped))
-    assert np.all(np.diff(traj.state_times) > 0.0)
+    assert np.all(np.diff(traj.monitors["t"]) > 0.0)
     assert len(stepped) <= 880
 
 
@@ -576,7 +582,6 @@ def test_monitors_are_read_from_the_stored_states(runs, name, fix, request):
             "area", "length", "min_count"]
     assert sorted(traj.monitors) == sorted(
         keys + [f"y_at_x{j}" for j in range(len(xs))])
-    assert np.array_equal(traj.monitors["t"], traj.state_times)
     for i, s in enumerate(traj.states):
         kap = s.kappa_cached(wall)
         row = [s.time, s.theta_plus, s.theta_minus, kap[1:-1].min(),
@@ -597,7 +602,7 @@ def _angle_ode_error(traj, ndom, wall, window=(-0.9, -0.35)):
     tm = np.asarray(traj.monitors["t"])
     dthp = np.gradient(np.asarray(traj.monitors["theta_plus"]), tm)
     errs = []
-    for s, t in zip(traj.states, traj.state_times):
+    for s, t in zip(traj.states, traj.monitors["t"]):
         if not (window[0] <= t <= window[1]):
             continue
         kap = s.kappa_cached(wall)
@@ -610,7 +615,7 @@ def _contact_kappa_s_error(traj, ndom, wall, window=(-0.9, -0.35)):
     # line fit over six interior vertices, skipping the closure layer of
     # three nodes nearest the contact, read off at the wall
     errs = []
-    for s, t in zip(traj.states, traj.state_times):
+    for s, t in zip(traj.states, traj.monitors["t"]):
         if not (window[0] <= t <= window[1]):
             continue
         kap = s.kappa_cached(wall)
@@ -685,34 +690,33 @@ def test_minor_axis_run_step_count(runs):
 
 
 # ---------------------------------------------------------------------------
-# the collapse phase's looser tolerance
+# the collapse phase: h0 None, the count held and the tolerance loosened
 
 _SWITCH_RUNS = ["disk_r01_n200", "egg_r01_n100", "minor_r01_n100"]
 
 
-def _first_loose_step(runs, name):
-    """The index of the first step passed a tolerance other than the
-    uniform one: the stored state it starts from."""
-    uniform = runs(name).config.error_tol
-    return next(k for k, tol in enumerate(runs.tols(name)) if tol != uniform)
+def _first_held_step(runs, name):
+    """The index of the first step in the collapse phase (h0 None): the
+    stored state it starts from."""
+    return runs.held(name).index(True)
 
 
 @pytest.mark.parametrize("name", _SWITCH_RUNS)
 def test_tolerance_loosens_once_after_every_analysis_window(runs, name):
-    # measured: the first loosened step starts at offset -0.189 (disk),
+    # measured: the first held step starts at offset -0.189 (disk),
     # -0.191 (egg) and -0.171 (ellipse(2,1) minor axis), and 226, 227 and
     # 222 steps follow it
-    traj, tols = runs(name), runs.tols(name)
-    uniform = traj.config.error_tol
-    k = _first_loose_step(runs, name)
+    traj, held = runs(name), runs.held(name)
+    t = traj.monitors["t"]
+    k = _first_held_step(runs, name)
     assert WINDOW_CEIL < -f._ANALYSIS_END
-    assert traj.state_times[k] > -f._ANALYSIS_END
+    assert t[k] > -f._ANALYSIS_END
     # the switch latches
-    assert tols[k:] == [f._COLLAPSE_TOL_FACTOR * uniform] * (len(tols) - k)
+    assert held[k:] == [True] * (len(held) - k)
     # the switch fires well before the end, and the collapse after it is
     # short
-    assert traj.state_times[k] < -0.15
-    assert len(tols) - k <= 260
+    assert t[k] < -0.15
+    assert len(held) - k <= 260
 
 
 @pytest.mark.parametrize("name", _SWITCH_RUNS)
@@ -722,7 +726,7 @@ def test_node_count_is_held_after_the_switch(runs, name):
     # tracks the shrinking length from n_nodes down
     traj = runs(name)
     counts = [len(s.nodes) for s in traj.states]
-    k = _first_loose_step(runs, name)
+    k = _first_held_step(runs, name)
     assert counts[k:] == [counts[k]] * (len(counts) - k)
     assert counts[0] == traj.config.n_nodes
     assert counts[k] < traj.config.n_nodes
@@ -734,20 +738,52 @@ def test_uniqueness_window_ends_where_the_tolerance_may_loosen(disk_sweep):
 
 @pytest.mark.parametrize("name", ["disk_r01_n200", "egg_r01_n100"])
 def test_states_before_the_switch_are_the_uniform_runs(runs, name):
-    # a plain loop of steps at the uniform tolerance from the same initial
-    # state reproduces every stored state before the switch, bit for bit
+    # a plain loop of steps from the same initial state, in the uniform
+    # phase until the recorded switch and with h0 None from it on,
+    # reproduces every stored state, bit for bit: before the switch they
+    # are a uniform run's
     traj = runs(name)
     ndom, rho, n = runs.spec(name)
     cfg = traj.config
     state = _oval_state(ndom, rho, n)
     wall = f.ConvexWall(ndom)
     h0 = state.length / (n - 1)
+    switch = _first_held_step(runs, name)
     assert np.array_equal(state.nodes, traj.states[0].nodes)
-    for stored in traj.states[1:_first_loose_step(runs, name) + 1]:
-        state = f.step(state, cfg, wall, h0, cfg.error_tol)
+    for k, stored in enumerate(traj.states[1:]):
+        if k == switch:
+            h0 = None
+        state = f.step(state, cfg, wall, h0)
         assert np.array_equal(state.nodes, stored.nodes)
         assert (state.om_minus, state.om_plus) == (stored.om_minus,
                                                    stored.om_plus)
+
+
+def test_collapse_step_needs_an_error_estimate(ndisk, disk_wall):
+    # the collapse phase has no mesh step, so a state whose history holds
+    # no error estimate, as an initial state, cannot take one
+    state = _oval_state(ndisk, 0.3, 100)
+    cfg = f.SolverConfig(n_nodes=100, dt_safety=0.8)
+    with pytest.raises(ConfigError):
+        f.step(state, cfg, disk_wall, None)
+
+
+def test_switch_waits_for_the_first_error_estimate(ndisk, monkeypatch):
+    # with the switch rule holding from the start, the fourth step, the
+    # first from a state with an error estimate, is the first held one
+    step, held = f.step, []
+
+    def recording_step(*args):
+        held.append(args[3] is None)
+        return step(*args)
+
+    monkeypatch.setattr(f, "step", recording_step)
+    monkeypatch.setattr(f, "_ANALYSIS_END", 1e6)
+    monkeypatch.setattr(f, "_MAX_STEPS", 8)
+    cfg = f.SolverConfig(n_nodes=100, dt_safety=0.8)
+    with pytest.raises(NonExtinction):
+        f.old_but_not_ancient(ndisk, 0.3, cfg)
+    assert held == [False] * 3 + [True] * 5
 
 
 # alpha and the fitted turning-angle rate at the uniform tolerance: the
@@ -782,16 +818,14 @@ def _linear_trajectory(times, offsets=None):
         time=t, om_minus=3 * np.pi / 2, om_plus=np.pi / 2)
         for t, c in zip(times, offsets)]
     return f.Trajectory(
-        monitors={}, states=states, state_times=np.asarray(times),
-        time_offset=0.0, alpha=times[0],
-        extinction_point=np.zeros(2),
+        monitors={"t": np.asarray(times)}, states=states, time_offset=0.0,
         config=f.SolverConfig(n_nodes=200, dt_safety=0.4), ndom=None,
         extinction_fit_fallback=False)
 
 
 def test_heights_at_time_exact_at_stored_times():
     traj = _linear_trajectory([-2.0, -1.0, -0.5, 0.0])
-    rows = traj.heights_at_time(traj.state_times, _READ_X)
+    rows = traj.heights_at_time(traj.monitors["t"], _READ_X)
     assert rows.shape == (len(traj.states), len(_READ_X))
     for s, row in zip(traj.states, rows):
         assert np.array_equal(row, s.heights_at(_READ_X))
@@ -835,9 +869,8 @@ def test_heights_at_time_reads_a_stored_time_from_its_state_alone():
         time=t, om_minus=3 * np.pi / 2, om_plus=np.pi / 2)
         for t, w in spans.items()]
     traj = f.Trajectory(
-        monitors={}, states=states, state_times=np.array(list(spans)),
-        time_offset=0.0, alpha=-1.0, extinction_point=np.zeros(2),
-        config=f.SolverConfig(n_nodes=200, dt_safety=0.4), ndom=None,
+        monitors={"t": np.array(list(spans))}, states=states,
+        time_offset=0.0, config=f.SolverConfig(n_nodes=200, dt_safety=0.4), ndom=None,
         extinction_fit_fallback=False)
     xs = np.array([0.0, 0.7])
     (row,) = traj.heights_at_time([0.0], xs)

@@ -188,11 +188,6 @@ def test_egg_oval_asymmetric(negg):
     assert abs(lhs - rhs) < 1e-10
 
 
-def test_oval_sign_claims(negg):
-    o = ov.construct_orthogonal_oval(negg, 0.2)
-    assert o.claim_f_lo < 0.0 < o.claim_f_hi
-
-
 def test_oval_scale_bounds(ndisk, negg, nellipse_minor):
     for nd, rho in ((ndisk, 0.2), (negg, 0.2), (nellipse_minor, 0.2)):
         o = ov.construct_orthogonal_oval(nd, rho)
@@ -347,6 +342,13 @@ def test_rho_too_large(ndisk):
 def test_nan_rho_is_a_config_error(ndisk):
     with pytest.raises(ConfigError):
         ov.construct_orthogonal_oval(ndisk, np.nan)
+
+
+@pytest.mark.parametrize("rho", ["0.1", None])
+def test_non_real_rho_is_a_config_error(ndisk, rho):
+    # each used to end in a bare TypeError from np.isnan
+    with pytest.raises(ConfigError):
+        ov.construct_orthogonal_oval(ndisk, rho)
 
 
 # ------------------------------------------- second-contact search
