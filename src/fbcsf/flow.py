@@ -34,16 +34,20 @@ Every step is accepted; a step is retried, at half the length, only on a
 FlowError (a contact Newton that does not converge raises one) or a
 convexity failure.
 
-Each state's edge lengths are computed once, by the step that makes it,
-and cached on the state; the next step's time step and Laplacian and the
-state's own curvature reuse them.  Its ghost-closed curvature is likewise
-computed once and shared by the convexity check, the stop rule, the
-monitors and the late-time analysis.
+The step that makes a state forms its edge vectors once (again only
+after a resample) and derives from them everything the state's geometry
+needs: the error estimate's tangents, the edge lengths and the
+ghost-closed curvature, all cached on the state, and its length is summed
+once.  The next step's time step and Laplacian reuse the edge lengths;
+the convexity check, the stop rule, the monitors and the late-time
+analysis read the cached curvature.
 
 A run's only record is its stored states: every state a step returns
 (see run_to_extinction).  The monitors (turning angles, curvature
 extremes, length, area, heights at fixed abscissas) are derived from them
-once the run is over, one row per state.  Stored states are read in time
+once the run is over, one row per state; the curvature extremes, the area
+and the minimum count in block passes over consecutive states of one node
+count (_block_monitors).  Stored states are read in time
 through Trajectory.heights_at_time, linear between the two bracketing
 states; it takes an array of times of any shape and returns one row of
 heights per time, and it reads each bracketing state once per call
@@ -312,6 +316,11 @@ _PI_PREV_ERR = 0.4 / 3.0
 # offset times -0.22 to -0.16
 _ANALYSIS_END = 0.3
 _COLLAPSE_TOL_FACTOR = 64.0
+# _finalize reads the stored states' curvature and nodes in blocks of at
+# most this many consecutive states of one node count (as
+# asymptotics._BLOCK_STATES): whole groups, such as the 226 collapse
+# states of 141 nodes on the disk, would raise the run's peak memory
+_BLOCK_STATES = 32
 
 
 @dataclass
@@ -388,17 +397,31 @@ class CurveState:
     def theta_minus(self):
         return 3.0 * np.pi / 2.0 - self.om_minus
 
+    # the summed length, set on the first read; not a field, so not a
+    # settable value (functools.cached_property would give each state a
+    # __dict__ of its own: more memory and slower attribute reads)
+    _length = None
+
     @property
     def length(self):
-        return float(self.seg_cached().sum())
+        """The sum of the cached edge lengths, summed once per state."""
+        if self._length is None:
+            self._length = float(self.seg_cached().sum())
+        return self._length
 
     def kappa(self, wall):
         """Vertex curvatures; each contact closed by a ghost node, the
-        first interior node mirrored across the wall tangent (-ny, nx).
-        Interior edge lengths are the cached ones; only the two ghost
-        edges are measured here."""
-        pts = np.empty((len(self.nodes) + 2, 2))
-        pts[1:-1] = self.nodes
+        first interior node mirrored across the wall tangent (-ny, nx)."""
+        return self._kappa_from(wall, self.nodes[1:] - self.nodes[:-1])
+
+    def _kappa_from(self, wall, e):
+        """kappa from the edge vectors e = nodes[1:] - nodes[:-1], which the
+        step that makes a state has already formed: only the two ghost
+        edges are formed here, and interior edge lengths are the cached
+        ones."""
+        n = len(self.nodes)
+        edges = np.empty((n + 1, 2))
+        edges[1:-1] = e
         (x0, y0), (x1, y1) = self.nodes[:2].tolist()
         (xm, ym), (xn, yn) = self.nodes[-2:].tolist()
         for k, om, ex, ey, ix, iy in ((0, self.om_minus, x0, y0, x1, y1),
@@ -406,15 +429,15 @@ class CurveState:
             nx, ny = wall.normal_xy(om)
             vx, vy = ix - ex, iy - ey
             d = 2.0 * (vy * nx - vx * ny)
-            pts[k] = ex - d * ny - vx, ey + d * nx - vy
-        e = pts[1:] - pts[:-1]
-        h = np.empty(len(e))
+            gx, gy = ex - d * ny - vx, ey + d * nx - vy
+            edges[k] = (ex - gx, ey - gy) if k == 0 else (gx - ex, gy - ey)
+        h = np.empty(n + 1)
         h[1:-1] = self.seg_cached()
         # the first and last edges, by strided views
-        ghost = e[::len(e) - 1]
-        h[::len(h) - 1] = np.hypot(ghost[:, 0], ghost[:, 1])
-        crossp = e[:-1, 0] * e[1:, 1] - e[:-1, 1] * e[1:, 0]
-        dotp = np.einsum("ij,ij->i", e[:-1], e[1:])
+        ghost = edges[::n]
+        h[::n] = np.hypot(ghost[:, 0], ghost[:, 1])
+        crossp = edges[:-1, 0] * edges[1:, 1] - edges[:-1, 1] * edges[1:, 0]
+        dotp = np.einsum("ij,ij->i", edges[:-1], edges[1:])
         phi = np.arctan2(crossp, dotp)
         return 2.0 * phi / (h[:-1] + h[1:])
 
@@ -664,7 +687,8 @@ def step(state, cfg, wall, h0):
     count-change resample perturbs the three BDF2 levels, Milne's estimate
     reads that as error, and the controller would shorten the next steps.
     It has no mesh step, so h0 None on a state without an error estimate
-    raises ConfigError.  A state with a history (_prev), as every state a
+    raises ConfigError, as does an h0 that is not None and not a finite
+    positive real.  A state with a history (_prev), as every state a
     step returns has, takes a variable-step BDF2 step from its newest
     level, at most _MAX_STEP_RATIO times the step from that level to the
     state; an initial state takes a backward-Euler start step.
@@ -688,6 +712,11 @@ def step(state, cfg, wall, h0):
     or a long chord early on.  Every step is accepted: only a FlowError or
     a convexity failure retries it, at half the length.
     """
+    if h0 is not None and not (isinstance(h0, numbers.Real)
+                               and 0.0 < h0 < math.inf):
+        raise ConfigError(
+            f"the target spacing h0 must be None or a finite positive real, "
+            f"got {h0!r}")
     length = state.length
     levels, err, err_prev = state._prev or ((), None, None)
     if levels:
@@ -726,18 +755,21 @@ def step(state, cfg, wall, h0):
         f"step kept failing after 20 halvings at t = {state.time:.6g}")
 
 
-def _normal_defect(nodes, pred):
+def _normal_defect(nodes, pred, e):
     """Largest component of nodes - pred along the curve normal, the
     normal at each node taken across the chords either side of it (the
-    one chord at an end).  Tangential node motion is reparametrisation,
-    not error, so it is left out."""
-    e = nodes[1:] - nodes[:-1]
+    one chord at an end), from the edge vectors e = nodes[1:] - nodes[:-1].
+    Tangential node motion is reparametrisation, not error, so it is left
+    out.  pred is overwritten."""
     tan = np.empty_like(nodes)
     tan[0], tan[-1] = e[0], e[-1]
     np.add(e[:-1], e[1:], out=tan[1:-1])
-    d = nodes - pred
-    cross = d[:, 0] * tan[:, 1] - d[:, 1] * tan[:, 0]
-    return float(np.max(np.abs(cross) / np.hypot(tan[:, 0], tan[:, 1])))
+    d = np.subtract(nodes, pred, out=pred)
+    cross = d[:, 0] * tan[:, 1]
+    cross -= d[:, 1] * tan[:, 0]
+    np.abs(cross, out=cross)
+    cross /= np.hypot(tan[:, 0], tan[:, 1])
+    return float(cross.max())
 
 
 def _attempt_step(state, cfg, wall, dt, h0):
@@ -764,7 +796,8 @@ def _attempt_step(state, cfg, wall, dt, h0):
     spacing drifted: longest edge over 1.25 times the shortest) takes the
     new curve and both levels to the new count in one packed spline
     solve; with h0 None only a drifted spacing resamples, at the same
-    count.
+    count.  The new state's edge lengths (_seg) and curvature (_kap) come
+    from the edge vectors that the error estimate reads.
     """
     nodes = state.nodes
     seg = state.seg_cached()
@@ -817,8 +850,11 @@ def _attempt_step(state, cfg, wall, dt, h0):
     new = np.dot(np.array([[1.0, 0.0, smx, pp[0] - xn],
                            [0.0, 1.0, smy, pp[1] - yn]]), sol.T).T
     new[0], new[-1] = pm, pp
-    err = None if pred is None else _normal_defect(new, pred)
-    seg = _edge_lengths(new)
+    # the new curve's edge vectors, formed once (again after a resample)
+    # for the error estimate, the edge lengths and the curvature
+    e = new[1:] - new[:-1]
+    err = None if pred is None else _normal_defect(new, pred, e)
+    seg = np.hypot(e[:, 0], e[:, 1])
     n_out = (len(new) if h0 is None
              else min(max(round(float(seg.sum()) / h0) + 1, 32), cfg.n_nodes))
     levels = (CurveState(nodes=nodes, time=state.time, om_minus=state.om_minus,
@@ -828,12 +864,14 @@ def _attempt_step(state, cfg, wall, dt, h0):
     # by O(dt) per step so most steps skip the spline rebuild
     if n_out != len(new) or float(seg.max()) > 1.25 * float(seg.min()):
         new, *lv = _resample([new] + [p.nodes for p in levels], n_out)
-        seg = _edge_lengths(new)
+        e = new[1:] - new[:-1]
+        seg = np.hypot(e[:, 0], e[:, 1])
         levels = tuple(replace(p, nodes=q, _seg=None)
                        for p, q in zip(levels, lv))
-    return CurveState(nodes=new, time=state.time + dt,
-                      om_minus=om_minus, om_plus=om_plus, _seg=seg,
-                      _prev=(levels, err, err_prev))
+    out = CurveState(nodes=new, time=state.time + dt, om_minus=om_minus,
+                     om_plus=om_plus, _seg=seg, _prev=(levels, err, err_prev))
+    out._kap = out._kappa_from(wall, e)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -927,11 +965,67 @@ def _local_min_count(values):
     descent/ascent test miss the minimum, so increments smaller than
     _FLAT_REL_TOL * max|values| are treated as flat and dropped.
     """
-    d = values[1:] - values[:-1]
-    tol = _FLAT_REL_TOL * float(np.abs(values).max()) + 1e-300
-    # a minimum is a descent followed by an ascent among significant steps
-    falls = d[np.abs(d) > tol] < 0.0
-    return int(np.count_nonzero(falls[:-1] > falls[1:]))
+    return int(_local_min_counts(values[None])[0])
+
+
+def _local_min_counts(values):
+    """_local_min_count of each row of a 2-D array, in one pass.
+
+    The significant increments of all rows, taken in row order, form one
+    sequence; a minimum is a descent followed by an ascent inside one
+    row, counted per row by bincount.
+    """
+    d = values[:, 1:] - values[:, :-1]
+    tol = _FLAT_REL_TOL * np.abs(values).max(axis=1) + 1e-300
+    sig = np.abs(d) > tol[:, None]
+    falls = d[sig] < 0.0
+    rows = np.repeat(np.arange(len(values)), np.count_nonzero(sig, axis=1))
+    turns = (falls[:-1] > falls[1:]) & (rows[:-1] == rows[1:])
+    return np.bincount(rows[:-1][turns], minlength=len(values))
+
+
+def _block_monitors(states, wall):
+    """kappa_min, kappa_max, area and min_count of each stored state, bit
+    for bit the per-state reads (the interior curvature's minimum, the
+    curvature's maximum, enclosed_area and _local_min_count of the
+    interior curvature), from blocks of at most _BLOCK_STATES consecutive
+    states of one node count.  A block stacks its states one per row, and
+    each entry reduces one row, over the per-state values in their order.
+    """
+    size = len(states)
+    kmin, kmax, area = np.empty(size), np.empty(size), np.empty(size)
+    count = np.empty(size, dtype=int)
+    sizes = np.array([len(s.nodes) for s in states])
+    cuts = (np.flatnonzero(sizes[1:] != sizes[:-1]) + 1).tolist()
+    for lo, hi in zip([0] + cuts, cuts + [size]):
+        for i in range(lo, hi, _BLOCK_STATES):
+            block = states[i:min(i + _BLOCK_STATES, hi)]
+            rows = slice(i, i + len(block))
+            kap = np.array([s.kappa_cached(wall) for s in block])
+            kmin[rows] = kap[:, 1:-1].min(axis=1)
+            kmax[rows] = kap.max(axis=1)
+            count[rows] = _local_min_counts(kap[:, 1:-1])
+            # dropped before the nodes are stacked, to keep the peak low
+            kap = None
+            area[rows] = _block_area(block, wall)
+    return kmin, kmax, area, count
+
+
+def _block_area(block, wall):
+    """enclosed_area of each state of a block of one node count.  The
+    shoelace terms are 1-D products over the nodes end to end (2-D views
+    would cost numpy iterator buffers), summed one state per row without
+    the term that joins a state to the next: a row sum is bit for bit the
+    sum of that row alone, and np.add.reduceat is not."""
+    size, n = len(block), len(block[0].nodes)
+    pts = np.array([s.nodes for s in block]).reshape(-1, 2)
+    terms = np.empty(size * n)
+    x, y = pts[:, 0], pts[:, 1]
+    np.multiply(x[:-1], y[1:], out=terms[:-1])
+    terms[:-1] -= y[:-1] * x[1:]
+    shoelace = 0.5 * terms.reshape(size, n)[:, :-1].sum(axis=1)
+    return shoelace + np.array(
+        [wall.arc_area(s.om_plus, s.om_minus) for s in block])
 
 
 def run_to_extinction(initial, cfg, ndom):
@@ -957,14 +1051,25 @@ def run_to_extinction(initial, cfg, ndom):
     egg at n_nodes = 100, of which 226 and 227 come after the switch.
     The monitors are derived from them afterwards (_finalize).  An
     exhausted step budget (_MAX_STEPS) raises NonExtinction, whose partial
-    trajectory ends at the current state.
+    trajectory ends at the current state.  An initial state that already
+    meets the stop rule (shorter than _EXTINCTION_LENGTH, or curvature
+    above _KAPPA_CAP) leaves nothing to step or to extrapolate, and raises
+    ConfigError.
     """
     wall = ConvexWall(ndom)
+
+    def running(state):
+        return (state.length >= _EXTINCTION_LENGTH
+                and state.kappa_cached(wall).max() <= _KAPPA_CAP)
+
+    if not running(initial):
+        raise ConfigError(
+            f"the initial state already meets the stop rule (length "
+            f"{initial.length:.3g}), so there is no run to record")
     state = initial
     h0 = initial.length / (len(initial.nodes) - 1)
     states = [state]
-    while (state.length >= _EXTINCTION_LENGTH
-           and state.kappa_cached(wall).max() <= _KAPPA_CAP):
+    while running(state):
         if len(states) > _MAX_STEPS:
             exc = NonExtinction(
                 f"step budget {_MAX_STEPS} exhausted at length "
@@ -990,18 +1095,22 @@ def run_to_extinction(initial, cfg, ndom):
 
 def _finalize(states, cfg, ndom, wall):
     """The trajectory of the stored states: its monitors, one row per
-    state, and every time offset by the extrapolated extinction time."""
-    kaps = [s.kappa_cached(wall) for s in states]
+    state, and every time offset by the extrapolated extinction time.
+    The curvature extremes, the area and the minimum count come from block
+    passes (_block_monitors); times, turning angles, lengths and the
+    heights at the abscissas are read state by state.
+    """
     t = np.array([s.time for s in states])
     L = np.array([s.length for s in states])
+    kmin, kmax, area, count = _block_monitors(states, wall)
     monitors = {
         "theta_plus": np.array([s.theta_plus for s in states]),
         "theta_minus": np.array([s.theta_minus for s in states]),
-        "kappa_min": np.array([float(k[1:-1].min()) for k in kaps]),
-        "kappa_max": np.array([float(k.max()) for k in kaps]),
-        "area": np.array([enclosed_area(s, wall) for s in states]),
+        "kappa_min": kmin,
+        "kappa_max": kmax,
+        "area": area,
         "length": L,
-        "min_count": np.array([_local_min_count(k[1:-1]) for k in kaps]),
+        "min_count": count,
     }
     xs = np.asarray(cfg.abscissas)
     ys = np.array([s.heights_at(xs) for s in states])

@@ -428,6 +428,31 @@ def test_step_with_a_nan_node_is_rejected(ndisk, disk_wall):
         f.step(bad, cfg, disk_wall, state.length / 99)
 
 
+@pytest.mark.parametrize("h0", [0.0, np.nan, -0.03, np.inf],
+                         ids=["zero", "nan", "negative", "inf"])
+def test_step_rejects_a_bad_target_spacing(ndisk, disk_wall, h0):
+    # 0 used to end in a ZeroDivisionError, NaN in StepRejected after 21
+    # attempts; -0.03 stepped back in time and inf took a step of dt = 0
+    state = _oval_state(ndisk, 0.3, 100)
+    cfg = f.SolverConfig(n_nodes=100, dt_safety=0.8)
+    with pytest.raises(ConfigError):
+        f.step(state, cfg, disk_wall, h0)
+
+
+def test_run_with_nothing_to_step_is_rejected(ndisk, disk_wall):
+    # a chord of the disk about 5e-4 long, under _EXTINCTION_LENGTH: the
+    # run used to store it alone and fail in the extinction-time fit
+    om = np.pi / 2
+    ends = [disk_wall.point_xy(om + 5e-4), disk_wall.point_xy(om)]
+    nodes = np.linspace(*np.array(ends), 40)
+    state = f.CurveState(nodes=nodes, time=0.0, om_minus=om + 5e-4,
+                         om_plus=om)
+    assert state.length < f._EXTINCTION_LENGTH
+    cfg = f.SolverConfig(n_nodes=100, dt_safety=0.8)
+    with pytest.raises(ConfigError):
+        f.run_to_extinction(state, cfg, ndisk)
+
+
 def test_step_budget_raises_with_partial(ndisk, monkeypatch):
     monkeypatch.setattr(f, "_MAX_STEPS", 50)
     cfg = f.SolverConfig(n_nodes=100, dt_safety=0.8)
@@ -592,6 +617,26 @@ def test_monitors_are_read_from_the_stored_states(runs, name, fix, request):
         for key, value in want.items():
             assert np.array_equal(traj.monitors[key][i], value,
                                   equal_nan=True), (key, i)
+
+
+@pytest.mark.parametrize("name, fix", [("disk_r03_n100", "ndisk"),
+                                       ("egg_r01_n100", "negg")])
+def test_step_caches_match_a_fresh_state(runs, name, fix, request):
+    # the step forms its curve's edges once and caches the lengths, their
+    # sum and the curvature; each must be what a state without caches
+    # computes from its nodes, bit for bit, on the states right after a
+    # resample too, where edges formed before it would be stale
+    traj = runs(name)
+    wall = f.ConvexWall(request.getfixturevalue(fix))
+    counts = [len(s.nodes) for s in traj.states]
+    assert any(a != b for a, b in zip(counts[:-1], counts[1:]))
+    for i, s in enumerate(traj.states):
+        fresh = f.CurveState(nodes=s.nodes, time=s.time,
+                             om_minus=s.om_minus, om_plus=s.om_plus)
+        assert s._kap.tobytes() == fresh.kappa(wall).tobytes(), i
+        seg = f._edge_lengths(s.nodes)
+        assert s._seg.tobytes() == seg.tobytes(), i
+        assert s.length == float(seg.sum()), i
 
 
 # ---------------------------------------------------------------------------

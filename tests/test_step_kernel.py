@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 
@@ -344,6 +344,67 @@ def test_min_count_matches_reference(vals):
 def test_min_count_short_plateau_and_tie_cases(vals):
     vals = np.asarray(vals)
     assert f._local_min_count(vals) == _local_min_count_reference(vals)
+
+
+class _ArcAreaWall:
+    """A wall whose boundary term of the area is a fixed smooth function
+    of the two contact parameters; the block pass reads nothing else."""
+
+    @staticmethod
+    def arc_area(om_from, om_to):
+        return np.sin(om_from) - 0.5 * om_to
+
+
+_CURVATURE_LEVELS = np.array([0.0, -0.0, 1.0, 2.0, 2.0 + 1e-12, 3.0, -1.0])
+
+
+def _ragged_states(groups, seed):
+    """Synthetic stored states, group by group: each group is (node count,
+    states, kind), its curvature drawn from few levels (plateaus and
+    exact ties), held constant, or continuous."""
+    rng = np.random.default_rng(seed)
+    states = []
+    for n, count, kind in groups:
+        for _ in range(count):
+            if kind == "levels":
+                kap = rng.choice(_CURVATURE_LEVELS, n)
+            elif kind == "flat":
+                kap = np.full(n, rng.uniform(-2.0, 2.0))
+            else:
+                kap = rng.uniform(-5.0, 5.0, n)
+            states.append(f.CurveState(
+                nodes=rng.uniform(-1.0, 1.0, (n, 2)), time=0.0,
+                om_minus=float(rng.uniform(2.0, 4.0)),
+                om_plus=float(rng.uniform(1.0, 2.0)), _kap=kap))
+    return states
+
+
+_groups = st.lists(st.tuples(st.integers(4, 9), st.integers(1, 70),
+                             st.sampled_from(["levels", "flat", "floats"])),
+                   min_size=1, max_size=4)
+
+
+@given(_groups, st.integers(0, 2**32 - 1))
+@example([(6, 70, "levels"), (5, 1, "floats"), (6, 33, "flat")], 0)
+@example([(4, 1, "levels"), (4, 32, "levels"), (7, 1, "levels")], 1)
+@settings(max_examples=60, deadline=None)
+def test_block_monitors_are_the_per_state_reads(groups, seed):
+    # groups longer than one block (_BLOCK_STATES = 32), one-state groups,
+    # plateaus and exact ties: every entry is the state's own read, bit for
+    # bit, with the per-state dtypes
+    states = _ragged_states(groups, seed)
+    wall = _ArcAreaWall()
+    got = f._block_monitors(states, wall)
+    kaps = [s._kap for s in states]
+    want = (np.array([float(k[1:-1].min()) for k in kaps]),
+            np.array([float(k.max()) for k in kaps]),
+            np.array([f.enclosed_area(s, wall) for s in states]),
+            np.array([f._local_min_count(k[1:-1]) for k in kaps]))
+    for g_arr, w_arr in zip(got, want):
+        assert g_arr.dtype == w_arr.dtype
+        assert g_arr.tobytes() == w_arr.tobytes()
+    assert got[3].tolist() == [_local_min_count_reference(k[1:-1])
+                               for k in kaps]
 
 
 # ---------------------------------------------------------------------------
