@@ -48,7 +48,8 @@ from itertools import islice
 
 from .errors import (AnalysisError, ConfigError, NonPositiveAmplitude,
                      WindowTooShort)
-from .flow import _ANALYSIS_END, ConvexWall, CurveState, old_but_not_ancient
+from .flow import (_ANALYSIS_END, _BLOCK_STATES, ConvexWall, CurveState,
+                   old_but_not_ancient)
 from .oval import lambda0_residual, solve_lambda0
 from .solve import safe_brentq
 
@@ -60,7 +61,6 @@ WINDOW_FLOOR = -6.0   # never fit below this offset time
 WINDOW_CEIL = -1.0    # never fit above this offset time
 _MIN_SAMPLES = 8      # a fit needs this many samples in its window
 _LOG_MIN = 1e-300     # monitors are clipped to this before their logarithm
-_BLOCK_STATES = 32    # verify_estimates packs this many states per pass
 _EIGEN_NGRID = 1001   # eigenfunction grid on [-1, 1]: sup norm and sign
 _POSITIVE_EIGEN = 3   # positive Robin eigenvalues that robin_eigen reports
 _INCREMENT_TIMES = 10   # rescaled_increments: sample times in the window

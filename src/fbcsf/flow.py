@@ -79,6 +79,7 @@ import os
 import sys
 from array import array
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from typing import ClassVar
 
 import numpy as np
@@ -200,8 +201,11 @@ class ConvexWall:
         return i, u - i * self._hg
 
     def point_xy(self, om):
-        """Scalar boundary point as a float pair."""
-        return self.jet_xy(om)[:2]
+        """Scalar boundary point as a float pair: jet_xy(om)[:2] alone."""
+        i, u = self._segment(om)
+        ax, ay, bx, by, cx, cy, dx, dy = self._pc[8 * i:8 * i + 8]
+        return (((ax * u + bx) * u + cx) * u + dx,
+                ((ay * u + by) * u + cy) * u + dy)
 
     def jet_xy(self, om):
         """Point, its om-derivative, normal and the normal's om-derivative:
@@ -222,13 +226,17 @@ class ConvexWall:
         return math.sin(om), -math.cos(om)
 
     def arc_area(self, om_from, om_to):
-        """Green-theorem boundary term of the enclosed area."""
-        return self._green_at(om_to) - self._green_at(om_from)
-
-    def _green_at(self, om):
-        i, u = self._segment(om)
-        a, b, c, d, e = self._gc[5 * i:5 * i + 5]
-        return (((a * u + b) * u + c) * u + d) * u + e
+        """Green-theorem boundary term of the enclosed area, for two angles
+        or two arrays of them, in one array pass over the area table, with
+        _segment's operations; FlowError where an angle is off the table."""
+        u = np.array([om_to, om_from], dtype=float) - self._lo
+        if not ((u >= 0.0) & (u <= self._hi - self._lo)).all():
+            raise FlowError(f"wall angles {om_from}, {om_to} leave the table")
+        i = np.minimum((u / self._hg).astype(int), self._nseg - 1)
+        u -= i * self._hg
+        a, b, c, d, e = np.frombuffer(self._gc).reshape(-1, 5).T[:, i]
+        g = (((a * u + b) * u + c) * u + d) * u + e
+        return g[0] - g[1]
 
 
 class StraightWall:
@@ -317,9 +325,9 @@ _PI_PREV_ERR = 0.4 / 3.0
 _ANALYSIS_END = 0.3
 _COLLAPSE_TOL_FACTOR = 64.0
 # _finalize reads the stored states' curvature and nodes in blocks of at
-# most this many consecutive states of one node count (as
-# asymptotics._BLOCK_STATES): whole groups, such as the 226 collapse
-# states of 141 nodes on the disk, would raise the run's peak memory
+# most this many consecutive states of one node count, and asymptotics
+# packs this many per pass: whole groups, such as the 226 collapse states
+# of 141 nodes on the disk, would raise the run's peak memory
 _BLOCK_STATES = 32
 
 
@@ -357,19 +365,20 @@ class SolverConfig:
         return _ERROR_TOL * self.dt_safety ** 3
 
 
-@dataclass
+@dataclass(eq=False)
 class CurveState:
     """Open curve with endpoints slaved to the wall.
 
     nodes[0] and nodes[-1] equal the wall points of om_minus / om_plus.
+    States compare and hash by identity: arrays have no single truth value.
     """
 
     nodes: np.ndarray
     time: float
     om_minus: float   # left contact parameter
     om_plus: float    # right contact parameter
-    _kap: np.ndarray = field(default=None, repr=False, compare=False)
-    _seg: np.ndarray = field(default=None, repr=False, compare=False)
+    _kap: np.ndarray = field(default=None, repr=False)
+    _seg: np.ndarray = field(default=None, repr=False)
     # the history of a BDF2 step, on every state a step returns: (levels,
     # err, err_prev).  levels holds the one or two earlier node levels,
     # newest first, each a CurveState with no history of its own, its
@@ -377,7 +386,7 @@ class CurveState:
     # estimates of the step that made this state and of the step before
     # it, each None where that step had fewer than three node levels.
     # None on an initial state
-    _prev: tuple = field(default=None, repr=False, compare=False)
+    _prev: tuple = field(default=None, repr=False)
 
     def kappa_cached(self, wall):
         if self._kap is None:
@@ -415,31 +424,30 @@ class CurveState:
         return self._kappa_from(wall, self.nodes[1:] - self.nodes[:-1])
 
     def _kappa_from(self, wall, e):
-        """kappa from the edge vectors e = nodes[1:] - nodes[:-1], which the
-        step that makes a state has already formed: only the two ghost
-        edges are formed here, and interior edge lengths are the cached
-        ones."""
+        """kappa from the edge vectors e = nodes[1:] - nodes[:-1] that the
+        step making a state formed, only read: their x, y rows sit between
+        the ghost edges' slots, and edge lengths are the cached ones."""
         n = len(self.nodes)
-        edges = np.empty((n + 1, 2))
-        edges[1:-1] = e
+        ex, ey, h = buf = np.empty((3, n + 1))   # edge x, y and length rows
+        buf[:2, 1:-1] = e.T
+        h[1:-1] = self.seg_cached()
         (x0, y0), (x1, y1) = self.nodes[:2].tolist()
         (xm, ym), (xn, yn) = self.nodes[-2:].tolist()
-        for k, om, ex, ey, ix, iy in ((0, self.om_minus, x0, y0, x1, y1),
-                                      (-1, self.om_plus, xn, yn, xm, ym)):
+        for k, om, px, py, ix, iy in ((0, self.om_minus, x0, y0, x1, y1),
+                                      (n, self.om_plus, xn, yn, xm, ym)):
             nx, ny = wall.normal_xy(om)
-            vx, vy = ix - ex, iy - ey
+            vx, vy = ix - px, iy - py
             d = 2.0 * (vy * nx - vx * ny)
-            gx, gy = ex - d * ny - vx, ey + d * nx - vy
-            edges[k] = (ex - gx, ey - gy) if k == 0 else (gx - ex, gy - ey)
-        h = np.empty(n + 1)
-        h[1:-1] = self.seg_cached()
-        # the first and last edges, by strided views
-        ghost = edges[::n]
-        h[::n] = np.hypot(ghost[:, 0], ghost[:, 1])
-        crossp = edges[:-1, 0] * edges[1:, 1] - edges[:-1, 1] * edges[1:, 0]
-        dotp = np.einsum("ij,ij->i", edges[:-1], edges[1:])
-        phi = np.arctan2(crossp, dotp)
-        return 2.0 * phi / (h[:-1] + h[1:])
+            gx, gy = px - d * ny - vx, py + d * nx - vy
+            ex[k], ey[k] = (px - gx, py - gy) if k == 0 else (gx - px, gy - py)
+        h[::n] = np.hypot(ex[::n], ey[::n])
+        cross = ex[:-1] * ey[1:] - ey[:-1] * ex[1:]
+        # + 0.0 makes a -0.0 dot product +0.0: arctan2 reads a zero's sign
+        dot = ex[:-1] * ex[1:] + ey[:-1] * ey[1:] + 0.0
+        phi = np.arctan2(cross, dot, out=cross)
+        phi *= 2.0
+        phi /= np.add(h[:-1], h[1:], out=dot)
+        return phi
 
     def heights_at(self, xs):
         return np.interp(xs, self.nodes[:, 0], self.nodes[:, 1],
@@ -479,23 +487,26 @@ def _tridiag_solve(dl, d, du, b):
 def _implicit_interior(rhs, h, dt, ends):
     """Solve (I - dt L) X = rhs, column by column, for the arc-length
     Laplacian L of a polyline whose edge lengths are h; the first and last
-    rows are pinned to the two rows of `ends`.
+    rows are pinned to the two rows of `ends`.  The three bands are built
+    end to end in one buffer, and rhs is copied, not written.
 
     FlowError on non-finite input: the bands are finite when the diagonal
     is, so the diagonal and rhs are checked (a sum that overflows counts as
     non-finite).
     """
     n = len(rhs)
-    hl, hr = h[:-1], h[1:]
-    hs = hl + hr
-    a = 2.0 / (hl * hs)
-    c = 2.0 / (hr * hs)
-    d = np.ones(n)
-    d[1:-1] += dt * (a + c)
-    dl = np.zeros(n - 1)
-    np.multiply(-dt, a, out=dl[:-1])
-    du = np.zeros(n - 1)
-    np.multiply(-dt, c, out=du[1:])
+    bands = np.empty(3 * n - 2)
+    dl, d, du = bands[:n - 1], bands[n - 1:2 * n - 1], bands[2 * n - 1:]
+    mid = np.add(h[:-1], h[1:], out=d[1:-1])
+    a = np.divide(2.0, np.multiply(h[:-1], mid, out=dl[:-1]), out=dl[:-1])
+    c = np.divide(2.0, np.multiply(h[1:], mid, out=du[1:]), out=du[1:])
+    np.add(a, c, out=mid)
+    mid *= dt
+    mid += 1.0
+    a *= -dt
+    c *= -dt
+    d[0] = d[-1] = 1.0
+    dl[-1] = du[0] = 0.0
     rhs = np.array(rhs, order="F")
     rhs[0], rhs[-1] = ends
     if not math.isfinite(d.sum() + rhs.sum()):
@@ -575,22 +586,29 @@ def _resample(curves, n_out):
     """The curves of one resample event, each at n_out points at equal
     steps of its chord length on the not-a-knot spline through its nodes,
     ends kept: CubicSpline's points, bit for bit, from one packed spline
-    solve.  FlowError where fewer than 4 distinct nodes remain."""
+    solve.  FlowError where fewer than 4 distinct nodes remain.  The curves
+    are only read; a node that ends a zero-length edge is dropped."""
     knots, pts = [], []
     for nodes in curves:
         seg = _edge_lengths(nodes)
-        # guard against zero-length segments
-        keep = np.concatenate([[True], seg > 1e-15])
-        knots.append(np.concatenate([[0.0], np.cumsum(seg)])[keep])
-        pts.append(nodes[keep])
+        s = np.zeros(len(nodes))
+        np.cumsum(seg, out=s[1:])
+        if not (seg > 1e-15).all():
+            keep = np.concatenate([[True], seg > 1e-15])
+            s, nodes = s[keep], nodes[keep]
+        knots.append(s)
+        pts.append(nodes)
     if min(map(len, knots)) < 4:
         raise FlowError("fewer than 4 distinct nodes to resample")
     out = _spline_at(knots, _spline(knots, pts),
                      [np.linspace(0.0, s[-1], n_out) for s in knots])
-    out = out.reshape(len(curves), n_out, -1)
-    out[:, 0], out[:, -1] = [c[0] for c in curves], [c[-1] for c in curves]
-    # copies, so that a stored curve keeps no other curve's nodes alive
-    return [o.copy() for o in out]
+    # copies, so that a stored curve keeps no other curve's nodes alive; in
+    # Fortran order, as a step's new curve is
+    res = [out[k * n_out:(k + 1) * n_out].copy(order="K")
+           for k in range(len(curves))]
+    for o, nodes in zip(res, curves):
+        o[0], o[-1] = nodes[0], nodes[-1]
+    return res
 
 
 def _spline(xs, ys):
@@ -610,35 +628,40 @@ def _spline(xs, ys):
     y = y.reshape(len(x), -1)
     if not math.isfinite(x.sum() + y.sum()):
         raise ValueError("`x` and `y` must contain only finite values.")
-    # each spline's first and last knot; each filler piece gets width 1
-    last = np.cumsum([len(k) for k in xs]) - 1
-    first, join = np.concatenate([[0], last[:-1] + 1]), last[:-1]
-    dx = np.diff(x)
+    # each spline's first and last knot, as int lists; each filler piece
+    # gets width 1
+    last = [i - 1 for i in accumulate(map(len, xs))]
+    first, join = [0] + [i + 1 for i in last[:-1]], last[:-1]
+    dx = x[1:] - x[:-1]
     dx[join] = 1.0
-    if not np.all(dx > 0.0):
+    if not (dx > 0.0).all():
         raise ValueError("`x` must be strictly increasing sequence.")
     dxr = dx[:, None]
-    slope = np.diff(y, axis=0) / dxr
+    # slope, b, s and c's rows in Fortran order, so operations run down columns
+    slope = np.divide(np.subtract(y[1:], y[:-1], order="F"), dxr, order="F")
     # a last row is a first row with the knots reversed: per end knot, the
     # piece at it, the next piece, the knot beyond and the width d between
-    end, near, far, tip = np.hstack([first + [[0], [0], [1], [2]],
-                                     last - [[0], [1], [2], [2]]])
+    end, near = first + last, first + [i - 1 for i in last]
+    far = [i + 1 for i in first] + [i - 2 for i in last]
+    tip = [i + 2 for i in first] + [i - 2 for i in last]
     d = np.abs(x[end] - x[tip])[:, None]
     b = np.empty(y.shape, order="F")
     b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
-    b[end] = ((dxr[near] + 2 * d) * dxr[far] * slope[near]
-              + dxr[near]**2 * slope[far]) / d
-    diag = np.concatenate([[0.0], 2 * (dx[:-1] + dx[1:]), [0.0]])
+    dn = dxr[near]
+    b[end] = ((dn + 2 * d) * dxr[far] * slope[near] + dn**2 * slope[far]) / d
+    diag = np.empty(len(x))
+    np.add(dx[:-1], dx[1:], out=diag[1:-1])
+    diag[1:-1] *= 2
     diag[end] = dx[far]
     dl, du = np.empty_like(dx), np.empty_like(dx)
     dl[:-1], du[1:] = dx[1:], dx[:-1]
-    du[first], dl[last - 1] = d[:len(xs), 0], d[len(xs):, 0]
+    du[first], dl[near[len(xs):]] = d[:len(xs), 0], d[len(xs):, 0]
     dl[join] = du[join] = 0.0
     s = _tridiag_solve(dl, diag, du, b)
     # c's four rows written in place, each in CubicSpline's operation
     # order: t = (s[:-1] + s[1:] - 2 slope) / dx, then t / dx,
     # (slope - s[:-1]) / dx - t, s[:-1] and y[:-1]
-    c = np.empty((4,) + slope.shape)
+    c = np.empty((4, y.shape[1], len(dx))).transpose(0, 2, 1)
     t = np.add(s[:-1], s[1:], out=c[0])
     t -= np.multiply(2, slope, out=c[2])
     t /= dxr
@@ -661,16 +684,19 @@ def _spline_at(xs, c, xis):
         idx.append(start + i)
         offs.append(xi - x[i])
         start += len(x)
-    c = c.take(np.concatenate(idx), axis=1)
-    s = np.concatenate(offs)[:, None]
-    return (c[3] + c[2] * s) + c[1] * (s * s) + c[0] * (s * s * s)
+    # one row per column of values, so that the evaluation runs along rows
+    c = c.transpose(0, 2, 1).take(np.concatenate(idx), axis=2)
+    s = np.concatenate(offs)
+    return ((c[3] + c[2] * s) + c[1] * (s * s) + c[0] * (s * s * s)).T
 
 
 def _convexity_defect(state, wall):
-    """Smallest orientation-normalized vertex curvature."""
+    """Smallest orientation-normalized vertex curvature.  The sum that sets
+    the orientation is read only where the minimum is negative."""
     kap = state.kappa_cached(wall)
-    if kap.sum() >= 0.0:
-        return float(kap.min())
+    lo = float(kap.min())
+    if lo >= 0.0 or kap.sum() >= 0.0:
+        return lo
     return -float(kap.max())
 
 
@@ -760,15 +786,15 @@ def _normal_defect(nodes, pred, e):
     normal at each node taken across the chords either side of it (the
     one chord at an end), from the edge vectors e = nodes[1:] - nodes[:-1].
     Tangential node motion is reparametrisation, not error, so it is left
-    out.  pred is overwritten."""
-    tan = np.empty_like(nodes)
-    tan[0], tan[-1] = e[0], e[-1]
-    np.add(e[:-1], e[1:], out=tan[1:-1])
+    out.  pred is overwritten; the tangents are two rows, x and y."""
+    tx, ty = tan = np.empty((2, len(nodes)))
+    np.add(e[:-1].T, e[1:].T, out=tan[:, 1:-1])
+    tan[:, ::len(nodes) - 1] = e[::len(e) - 1].T
     d = np.subtract(nodes, pred, out=pred)
-    cross = d[:, 0] * tan[:, 1]
-    cross -= d[:, 1] * tan[:, 0]
+    cross = d[:, 0] * ty
+    cross -= d[:, 1] * tx
     np.abs(cross, out=cross)
-    cross /= np.hypot(tan[:, 0], tan[:, 1])
+    cross /= np.hypot(tx, ty, out=tx)
     return float(cross.max())
 
 
@@ -800,12 +826,12 @@ def _attempt_step(state, cfg, wall, dt, h0):
     from the edge vectors that the error estimate reads.
     """
     nodes = state.nodes
-    seg = state.seg_cached()
+    seg0 = state.seg_cached()
     om_m, om_p = state.om_minus, state.om_plus
     rhs = np.zeros((len(nodes), 4), order="F")
     levels, pred, err_prev = (), None, None
     if state._prev is None:
-        beta, h = dt, seg
+        beta, h = dt, seg0
         rhs[:, :2] = nodes
     else:
         levels, err_prev, _ = state._prev
@@ -815,7 +841,7 @@ def _attempt_step(state, cfg, wall, dt, h0):
         beta = dt * (1.0 + w) / (1.0 + 2.0 * w)
         np.multiply(nodes, (1.0 + w) ** 2 / (1.0 + 2.0 * w), out=rhs[:, :2])
         rhs[:, :2] -= (w * w / (1.0 + 2.0 * w)) * p1.nodes
-        h = (1.0 + w) * seg - w * p1.seg_cached()
+        h = (1.0 + w) * seg0 - w * p1.seg_cached()
         # the contacts' first Newton guesses, extrapolated linearly, or
         # quadratically once three contact times are known; so are the
         # nodes, for the error estimate
@@ -831,7 +857,7 @@ def _attempt_step(state, cfg, wall, dt, h0):
             pred = ((dt + tau1) * (dt + tau2) / (tau1 * tau2)) * nodes
             pred -= (dt * (dt + tau2) / (tau1 * (tau2 - tau1))) * p1.nodes
             pred += (q / (tau2 - tau1)) * p2.nodes
-    (x0, y0), (xn, yn) = nodes[0].tolist(), nodes[-1].tolist()
+    (x0, y0), (xn, yn) = nodes[::len(nodes) - 1].tolist()
     sol = _implicit_interior(rhs, h, beta,
                              ends=((x0, y0, 1.0, 0.0), (xn, yn, 0.0, 1.0)))
     # rows as (x, y, g-, g+)
@@ -855,10 +881,11 @@ def _attempt_step(state, cfg, wall, dt, h0):
     e = new[1:] - new[:-1]
     err = None if pred is None else _normal_defect(new, pred, e)
     seg = np.hypot(e[:, 0], e[:, 1])
+    length = float(seg.sum())
     n_out = (len(new) if h0 is None
-             else min(max(round(float(seg.sum()) / h0) + 1, 32), cfg.n_nodes))
+             else min(max(round(length / h0) + 1, 32), cfg.n_nodes))
     levels = (CurveState(nodes=nodes, time=state.time, om_minus=state.om_minus,
-                         om_plus=state.om_plus, _seg=state.seg_cached()),
+                         om_plus=state.om_plus, _seg=seg0),
               ) + levels[:1]
     # resample only once the mesh has actually drifted; spacing decays
     # by O(dt) per step so most steps skip the spline rebuild
@@ -868,9 +895,11 @@ def _attempt_step(state, cfg, wall, dt, h0):
         seg = np.hypot(e[:, 0], e[:, 1])
         levels = tuple(replace(p, nodes=q, _seg=None)
                        for p, q in zip(levels, lv))
+        length = None
     out = CurveState(nodes=new, time=state.time + dt, om_minus=om_minus,
                      om_plus=om_plus, _seg=seg, _prev=(levels, err, err_prev))
     out._kap = out._kappa_from(wall, e)
+    out._length = length
     return out
 
 
@@ -878,7 +907,7 @@ def _attempt_step(state, cfg, wall, dt, h0):
 # trajectories
 
 
-@dataclass
+@dataclass(eq=False)
 class Trajectory:
     """Recorded run: the stored states, and the monitor arrays derived
     from them, one entry per state; monitors["t"] holds the states' times.
@@ -979,7 +1008,7 @@ def _local_min_counts(values):
     tol = _FLAT_REL_TOL * np.abs(values).max(axis=1) + 1e-300
     sig = np.abs(d) > tol[:, None]
     falls = d[sig] < 0.0
-    rows = np.repeat(np.arange(len(values)), np.count_nonzero(sig, axis=1))
+    rows = np.nonzero(sig)[0]
     turns = (falls[:-1] > falls[1:]) & (rows[:-1] == rows[1:])
     return np.bincount(rows[:-1][turns], minlength=len(values))
 
@@ -991,10 +1020,13 @@ def _block_monitors(states, wall):
     interior curvature), from blocks of at most _BLOCK_STATES consecutive
     states of one node count.  A block stacks its states one per row, and
     each entry reduces one row, over the per-state values in their order.
+    Each block adds its shoelace terms to one arc_area pass over all states.
     """
     size = len(states)
-    kmin, kmax, area = np.empty(size), np.empty(size), np.empty(size)
+    kmin, kmax = np.empty(size), np.empty(size)
     count = np.empty(size, dtype=int)
+    area = wall.arc_area(np.array([s.om_plus for s in states]),
+                         np.array([s.om_minus for s in states]))
     sizes = np.array([len(s.nodes) for s in states])
     cuts = (np.flatnonzero(sizes[1:] != sizes[:-1]) + 1).tolist()
     for lo, hi in zip([0] + cuts, cuts + [size]):
@@ -1007,25 +1039,23 @@ def _block_monitors(states, wall):
             count[rows] = _local_min_counts(kap[:, 1:-1])
             # dropped before the nodes are stacked, to keep the peak low
             kap = None
-            area[rows] = _block_area(block, wall)
+            area[rows] += _block_shoelace(block)
     return kmin, kmax, area, count
 
 
-def _block_area(block, wall):
-    """enclosed_area of each state of a block of one node count.  The
-    shoelace terms are 1-D products over the nodes end to end (2-D views
-    would cost numpy iterator buffers), summed one state per row without
-    the term that joins a state to the next: a row sum is bit for bit the
-    sum of that row alone, and np.add.reduceat is not."""
+def _block_shoelace(block):
+    """The shoelace term of enclosed_area for each state of a block of one
+    node count.  The terms are 1-D products over the nodes end to end (2-D
+    views would cost numpy iterator buffers), summed one state per row
+    without the term that joins a state to the next: a row sum is bit for
+    bit the sum of that row alone, and np.add.reduceat is not."""
     size, n = len(block), len(block[0].nodes)
     pts = np.array([s.nodes for s in block]).reshape(-1, 2)
     terms = np.empty(size * n)
     x, y = pts[:, 0], pts[:, 1]
     np.multiply(x[:-1], y[1:], out=terms[:-1])
     terms[:-1] -= y[:-1] * x[1:]
-    shoelace = 0.5 * terms.reshape(size, n)[:, :-1].sum(axis=1)
-    return shoelace + np.array(
-        [wall.arc_area(s.om_plus, s.om_minus) for s in block])
+    return 0.5 * terms.reshape(size, n)[:, :-1].sum(axis=1)
 
 
 def run_to_extinction(initial, cfg, ndom):

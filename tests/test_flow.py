@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import fbcsf.barrier as b
 import fbcsf.flow as f
-from fbcsf.asymptotics import MATCH_XS, WINDOW_CEIL, verify_estimates
+from fbcsf.asymptotics import (MATCH_XS, WINDOW_CEIL, reflect_trajectory,
+                                verify_estimates)
 import fbcsf.geometry as g
 import fbcsf.oval as ov
 from fbcsf.errors import ConfigError, NonExtinction, StepRejected
@@ -595,6 +596,24 @@ def test_every_step_is_stored(runs):
     assert all(s is t for s, t in zip(traj.states[1:], stepped))
     assert np.all(np.diff(traj.monitors["t"]) > 0.0)
     assert len(stepped) <= 880
+
+
+def test_states_and_runs_compare_by_identity(runs):
+    # a field-wise == compares arrays, and raised "the truth value of an
+    # array ... is ambiguous" on two states, in `in`, index and count, and
+    # on two runs; neither could be hashed
+    traj = runs("disk_r03_n100")
+    s, t = traj.states[3], traj.states[4]
+    assert s == s and s != t
+    assert s != f.CurveState(nodes=s.nodes, time=s.time,
+                             om_minus=s.om_minus, om_plus=s.om_plus)
+    assert t in traj.states and traj.states.index(t) == 4
+    assert len({s, t, s}) == 2
+    assert traj == traj and len({traj, traj}) == 1
+    # a mirror builds each of its states when it is read, so none is a
+    # state of the run
+    mirror = reflect_trajectory(traj)
+    assert s not in mirror.states and mirror.states.count(s) == 0
 
 
 @pytest.mark.parametrize("name, fix", [("disk_r03_n100", "ndisk"),

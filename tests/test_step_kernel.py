@@ -1,8 +1,9 @@
 """Step-kernel tests: the tridiagonal solves against dense linear algebra,
 the spline kernel and the wall tables against scipy's CubicSpline, the
-local-minimum counter against its original implementation, and the
+local-minimum counter against its original implementation, the
 analytic-slope contact Newton against finite differences and a bracketed
-root."""
+root, and the slimmed flow kernels against the forms they replaced, with
+no write into an input a kernel does not own."""
 
 import tracemalloc
 
@@ -348,11 +349,13 @@ def test_min_count_short_plateau_and_tie_cases(vals):
 
 class _ArcAreaWall:
     """A wall whose boundary term of the area is a fixed smooth function
-    of the two contact parameters; the block pass reads nothing else."""
+    of the two contact parameters, of floats or of arrays; the block pass
+    reads nothing else.  It is plain arithmetic, whose bits do not depend
+    on how many values one call takes (np.sin's may, by host)."""
 
     @staticmethod
     def arc_area(om_from, om_to):
-        return np.sin(om_from) - 0.5 * om_to
+        return om_from * (1.0 - 0.25 * om_from) - 0.5 * om_to
 
 
 _CURVATURE_LEVELS = np.array([0.0, -0.0, 1.0, 2.0, 2.0 + 1e-12, 3.0, -1.0])
@@ -593,3 +596,220 @@ def test_slave_contact_with_following_nodes_reaches_bracketed_root(
             got = f._slave_contact(egg_wall, root + offset, inner1, inner2,
                                    0.4, 0.15, tuple(end))
         assert abs(got - root) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the slimmed kernels: bit for bit the forms they replaced, kept here as
+# references, and no write into an input a kernel does not own
+
+
+def _kappa_from_reference(state, wall, e):
+    """CurveState._kappa_from as it was: the edges as the rows of an
+    (n + 1, 2) array, and each dot product by einsum."""
+    n = len(state.nodes)
+    edges = np.empty((n + 1, 2))
+    edges[1:-1] = e
+    (x0, y0), (x1, y1) = state.nodes[:2].tolist()
+    (xm, ym), (xn, yn) = state.nodes[-2:].tolist()
+    for k, om, ex, ey, ix, iy in ((0, state.om_minus, x0, y0, x1, y1),
+                                  (-1, state.om_plus, xn, yn, xm, ym)):
+        nx, ny = wall.normal_xy(om)
+        vx, vy = ix - ex, iy - ey
+        d = 2.0 * (vy * nx - vx * ny)
+        gx, gy = ex - d * ny - vx, ey + d * nx - vy
+        edges[k] = (ex - gx, ey - gy) if k == 0 else (gx - ex, gy - ey)
+    h = np.empty(n + 1)
+    h[1:-1] = state.seg_cached()
+    ghost = edges[::n]
+    h[::n] = np.hypot(ghost[:, 0], ghost[:, 1])
+    crossp = edges[:-1, 0] * edges[1:, 1] - edges[:-1, 1] * edges[1:, 0]
+    dotp = np.einsum("ij,ij->i", edges[:-1], edges[1:])
+    phi = np.arctan2(crossp, dotp)
+    return 2.0 * phi / (h[:-1] + h[1:])
+
+
+def _normal_defect_reference(nodes, pred, e):
+    """_normal_defect as it was, on a copy of pred: the tangents as the
+    rows of an (n, 2) array."""
+    tan = np.empty_like(nodes)
+    tan[0], tan[-1] = e[0], e[-1]
+    np.add(e[:-1], e[1:], out=tan[1:-1])
+    d = nodes - pred
+    cross = d[:, 0] * tan[:, 1]
+    cross -= d[:, 1] * tan[:, 0]
+    np.abs(cross, out=cross)
+    cross /= np.hypot(tan[:, 0], tan[:, 1])
+    return float(cross.max())
+
+
+def _implicit_interior_reference(rhs, h, dt, ends):
+    """_implicit_interior as it was: each band an array of its own."""
+    n = len(rhs)
+    hl, hr = h[:-1], h[1:]
+    hs = hl + hr
+    a = 2.0 / (hl * hs)
+    c = 2.0 / (hr * hs)
+    d = np.ones(n)
+    d[1:-1] += dt * (a + c)
+    dl = np.zeros(n - 1)
+    np.multiply(-dt, a, out=dl[:-1])
+    du = np.zeros(n - 1)
+    np.multiply(-dt, c, out=du[1:])
+    rhs = np.array(rhs, order="F")
+    rhs[0], rhs[-1] = ends
+    return f._tridiag_solve(dl, d, du, rhs)
+
+
+def _green_reference(wall, om):
+    """ConvexWall's area antiderivative as it was, on one float."""
+    i, u = wall._segment(om)
+    a, b, c, d, e = wall._gc[5 * i:5 * i + 5]
+    return (((a * u + b) * u + c) * u + d) * u + e
+
+
+def _pinned_rhs(nodes, rng):
+    """A right-hand side as a step's: the nodes and two end-response
+    columns, here drawn, in Fortran order; and its pinned end rows."""
+    rhs = np.asfortranarray(np.column_stack(
+        [nodes, rng.uniform(-1.0, 1.0, (len(nodes), 2))]))
+    ends = (tuple(nodes[0]) + (1.0, 0.0), tuple(nodes[-1]) + (0.0, 1.0))
+    return rhs, ends
+
+
+def _check_kernels(state, wall, pred, dt, rng):
+    """Each slimmed kernel against its reference on one state."""
+    nodes = state.nodes
+    e = nodes[1:] - nodes[:-1]
+    kap = _kappa_from_reference(state, wall, e)
+    assert state._kappa_from(wall, e).tobytes() == kap.tobytes()
+    assert (f._normal_defect(nodes, pred.copy(), e)
+            == _normal_defect_reference(nodes, pred, e))
+    rhs, ends = _pinned_rhs(nodes, rng)
+    h = state.seg_cached()
+    assert (f._implicit_interior(rhs, h, dt, ends).tobytes()
+            == _implicit_interior_reference(rhs, h, dt, ends).tobytes())
+    for om in (state.om_minus, state.om_plus):
+        assert wall.point_xy(om) == wall.jet_xy(om)[:2]
+    return kap
+
+
+def _check_boundary_terms(wall, om_from, om_to):
+    """The array pass of arc_area against the per-state reads."""
+    got = wall.arc_area(om_from, om_to)
+    want = np.array([_green_reference(wall, b) - _green_reference(wall, a)
+                     for a, b in zip(om_from.tolist(), om_to.tolist())])
+    per_state = np.array([wall.arc_area(a, b)
+                          for a, b in zip(om_from.tolist(), om_to.tolist())])
+    assert got.tobytes() == want.tobytes() == per_state.tobytes()
+
+
+@pytest.mark.parametrize("name, fix", [("disk_r03_n100", "ndisk"),
+                                       ("egg_r01_n100", "negg")])
+def test_slimmed_kernels_match_their_references_on_stored_states(
+        runs, name, fix, request):
+    # test_flow's cache test compares a step's cached curvature with a
+    # fresh state's, and both run the new kernel; here every kernel meets
+    # the form it replaced, on every stored state: the previous state as
+    # the prediction where the counts agree, the time to it as the step
+    traj = runs(name)
+    wall = f.ConvexWall(request.getfixturevalue(fix))
+    rng = np.random.default_rng(0)
+    states = traj.states
+    for i, s in enumerate(states):
+        prev = states[i - 1]
+        pred = (prev.nodes if len(prev.nodes) == len(s.nodes)
+                else s.nodes + 1e-6)
+        kap = _check_kernels(s, wall, pred, abs(s.time - prev.time), rng)
+        assert s._kap.tobytes() == kap.tobytes(), i
+    # the monitors' boundary term of the area, one pass over all states
+    _check_boundary_terms(wall, np.array([s.om_plus for s in states]),
+                          np.array([s.om_minus for s in states]))
+
+
+@st.composite
+def _states_on_the_egg(draw):
+    """A wobbly arc of 4 to 300 nodes with contact angles on the egg's
+    wall table, a prediction near it and a time step."""
+    nodes = _arc_nodes(draw(st.integers(4, 300)),
+                       draw(st.integers(0, 2**32 - 1)))
+    state = f.CurveState(nodes=nodes, time=0.0,
+                         om_minus=draw(st.floats(3.2, 5.0)),
+                         om_plus=draw(st.floats(1.25, 3.1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pred = nodes + rng.normal(0.0, 10.0 ** draw(st.floats(-9.0, -2.0)),
+                              nodes.shape)
+    return state, pred, 10.0 ** draw(st.floats(-7.0, 0.0)), rng
+
+
+@given(_states_on_the_egg())
+@settings(max_examples=150, deadline=None)
+def test_slimmed_kernels_match_their_references_on_draws(egg_wall, drawn):
+    state, pred, dt, rng = drawn
+    _check_kernels(state, egg_wall, pred, dt, rng)
+    om = rng.uniform(np.pi / 2 - 0.35, 3 * np.pi / 2 + 0.35, (2, 50))
+    _check_boundary_terms(egg_wall, om[0], om[1])
+
+
+def test_kappa_from_reads_a_repeated_node_as_einsum_did(egg_wall):
+    # after an edge towards -x and -y, a repeated node's zero edge makes
+    # both products of a dot product -0.0.  einsum sums from +0.0, so its
+    # dot product is +0.0, and arctan2 reads the sign of a zero: pi, not
+    # 0, at -0.0
+    nodes = _arc_nodes(40, 3)
+    nodes = np.insert(nodes, 30, nodes[30], axis=0)
+    e = nodes[1:] - nodes[:-1]
+    assert np.all(e[29] < 0.0) and not e[30].any()
+    state = f.CurveState(nodes=nodes, time=0.0, om_minus=4.0, om_plus=2.0)
+    want = _kappa_from_reference(state, egg_wall, e)
+    assert state._kappa_from(egg_wall, e).tobytes() == want.tobytes()
+
+
+def _bytes(*arrays):
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+def test_implicit_interior_leaves_rhs_and_h_alone():
+    # its copy of rhs takes the pinned end rows; writing them into rhs
+    # itself would move the caller's end nodes
+    nodes = _arc_nodes(60, 5)
+    rhs, ends = _pinned_rhs(nodes, np.random.default_rng(1))
+    h = _edges(nodes)
+    before = _bytes(rhs, h)
+    f._implicit_interior(rhs, h, 1e-3, ends=((-1.2, 0.1, 1.0, 0.0),
+                                              (1.1, 0.2, 0.0, 1.0)))
+    assert _bytes(rhs, h) == before
+
+
+@pytest.mark.parametrize("sizes", [(40,), (40, 57, 33)],
+                         ids=["alone", "packed"])
+def test_spline_leaves_its_knots_and_values_alone(sizes):
+    # a lone block is read in place, not copied
+    xs = [np.cumsum(np.linspace(0.5, 1.5, n)) for n in sizes]
+    ys = [np.column_stack([np.sin(x), np.cos(x)]) for x in xs]
+    before = _bytes(*xs, *ys)
+    f._spline(xs, ys)
+    assert _bytes(*xs, *ys) == before
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_resample_leaves_its_curves_alone(order):
+    # a resample's first curve is the new one, and the others are stored
+    # states' own node arrays; one has a repeated node, which the knots
+    # drop
+    curves = [np.asarray(_arc_nodes(n, n), order=order)
+              for n in (80, 81, 79)]
+    curves[1] = np.insert(curves[1], 20, curves[1][20], axis=0)
+    before = _bytes(*curves)
+    out = f._resample(curves, 70)
+    assert _bytes(*curves) == before
+    # each output owns its nodes
+    assert all(o.base is None for o in out)
+
+
+def test_kappa_from_leaves_the_edges_alone(egg_wall):
+    nodes = _arc_nodes(50, 7)
+    e = nodes[1:] - nodes[:-1]
+    before = _bytes(e)
+    f.CurveState(nodes=nodes, time=0.0, om_minus=4.0,
+                 om_plus=2.0)._kappa_from(egg_wall, e)
+    assert _bytes(e) == before
