@@ -10,29 +10,23 @@ the interior: the same call gives every node's response to a move of
 either end, and each contact parameter is then solved so that the
 discrete endpoint tangent of the resulting curve is parallel to the
 boundary normal (Newton with the residual's analytic slope, from the
-wall's point and normal derivatives).  Cubic arc-length resampling of
-the new curve and of the two levels before it, in one packed spline
-solve, follows when the node count changes or the spacing has drifted.
-Until a run is past every analysis window the count tracks the shrinking
-length at a spacing near its initial value h0; from then on it is held at
-the count the curve has there, so that only a drifted spacing resamples.
+wall's point and normal derivatives).  Every state of a run keeps the
+node count of its initial state: cubic arc-length resampling of the new
+curve and of the two levels before it, at that count in one packed
+spline solve, follows only when the spacing has drifted.
 
 Step lengths follow the solution, not the mesh.  Each BDF2 step that has
-three node levels behind it estimates its local error by Milne's device:
-the largest normal component of the new curve less the quadratic
-extrapolation of those levels.  A PI controller sets the next step from
-that estimate and the one before it, at most twice the last step and at
-most the length cap _LENGTH_STEP_CAP * L^2 for the curve length L.  Its
-tolerance is _ERROR_TOL * dt_safety^3 (SolverConfig.error_tol) until a
-run is past every analysis window.  From the first step at which
-run_to_extinction's extrapolation of L^2 puts extinction less than
-_ANALYSIS_END ahead, it passes step h0 = None, the collapse phase: the
-node count is held, the tolerance is _COLLAPSE_TOL_FACTOR = 64 times the
-uniform one and the cap 64^(1/3) = 4 times its own (see step).  The exact
-solutions stay in the uniform phase throughout.
-Every step is accepted; a step is retried, at half the length, only on a
-FlowError (a contact Newton that does not converge raises one) or a
-convexity failure.
+three node levels behind it estimates its local error by Milne's device,
+and a PI controller sets the next step from that estimate, at most twice
+the last step and at most the length cap _LENGTH_STEP_CAP * L^2 for the
+curve length L (see step).  Its tolerance is SolverConfig.error_tol
+until run_to_extinction estimates less than _ANALYSIS_END to extinction;
+from then on it passes step h0 = None, the collapse phase, whose
+tolerance is _COLLAPSE_TOL_FACTOR = 64 times looser and whose cap is
+64^(1/3) = 4 times longer.  The exact solutions stay in the uniform
+phase.  Every step is accepted; a step is retried, at half the length,
+only on a FlowError (a contact Newton that does not converge raises one)
+or a convexity failure.
 
 The step that makes a state forms its edge vectors once (again only
 after a resample) and derives from them everything the state's geometry
@@ -46,8 +40,8 @@ A run's only record is its stored states: every state a step returns
 (see run_to_extinction).  The monitors (turning angles, curvature
 extremes, length, area, heights at fixed abscissas) are derived from them
 once the run is over, one row per state; the curvature extremes, the area
-and the minimum count in block passes over consecutive states of one node
-count (_block_monitors).  Stored states are read in time
+and the minimum count in block passes over consecutive states
+(_block_monitors).  Stored states are read in time
 through Trajectory.heights_at_time, linear between the two bracketing
 states; it takes an array of times of any shape and returns one row of
 heights per time, and it reads each bracketing state once per call
@@ -55,9 +49,9 @@ however many of the times that state brackets.  The module runs and
 reads runs but compares none: asymptotics holds every comparison of two
 runs, the sweep over rho included.
 
-Every curve advances only through step and its node policy, the exact
-solutions too: a semicircle shrinking on a straight wall, and the grim
-reaper between the orthogonal walls y = -log|sin x|.
+Every curve advances only through step, the exact solutions too: a
+semicircle shrinking on a straight wall, and the grim reaper between the
+orthogonal walls y = -log|sin x|.
 
 Resampling and the wall tables use the module's not-a-knot spline (de
 Boor 1978), which reproduces scipy's CubicSpline bit for bit; importing
@@ -315,19 +309,19 @@ _PI_ERR = 0.7 / 3.0
 _PI_PREV_ERR = 0.4 / 3.0
 # every analysis reads offset times at or before -_ANALYSIS_END; after that
 # only the extinction-time fit reads a run, so run_to_extinction steps it in
-# the collapse phase (h0 None: the node count held, the tolerance loosened by
-# _COLLAPSE_TOL_FACTOR) once it estimates less than _ANALYSIS_END left.  On
-# the nine benchmark diameters at rho 0.1 and 0.01 that estimate runs 1.36 to
-# 1.83 times the true time left at the switch (1.58 on the disk, 1.57 on the
-# egg) and 1.87 to 2.29 times it at a true 0.3 (1.94 and 1.91; the runs on
+# the collapse phase (h0 None: the tolerance loosened by _COLLAPSE_TOL_FACTOR)
+# once it estimates less than _ANALYSIS_END left.  On the nine benchmark
+# diameters at rho 0.1 and 0.01 (n_nodes 100) that estimate runs 1.36 to
+# 1.83 times the true time left at the switch (1.58 on the disk, 1.56 on the
+# egg) and 1.87 to 2.29 times it at a true 0.3 (1.93 and 1.91; the runs on
 # ellipse(3,1)'s long diameter start after -0.3), so the switch fires at
-# offset times -0.22 to -0.16
+# offset times -0.221 to -0.163
 _ANALYSIS_END = 0.3
 _COLLAPSE_TOL_FACTOR = 64.0
 # _finalize reads the stored states' curvature and nodes in blocks of at
-# most this many consecutive states of one node count, and asymptotics
-# packs this many per pass: whole groups, such as the 226 collapse states
-# of 141 nodes on the disk, would raise the run's peak memory
+# most this many consecutive states, and asymptotics packs this many per
+# pass: a whole run, such as the disk's 865 states of 200 nodes, would
+# raise its peak memory
 _BLOCK_STATES = 32
 
 
@@ -335,10 +329,11 @@ _BLOCK_STATES = 32
 class SolverConfig:
     """Flow run settings.
 
-    n_nodes is the initial (and largest) node count; dt_safety in (0, 1)
-    scales the error tolerance error_tol = _ERROR_TOL * dt_safety^3 and
-    the first steps' mesh rule dt = dt_safety * _STEP_SCALE * h_bar^2 /
-    h0, but not the length cap (see step); both are required.  The class
+    n_nodes is the node count of old_but_not_ancient's initial state,
+    which every state of its run keeps; dt_safety in (0, 1) scales the
+    error tolerance error_tol = _ERROR_TOL * dt_safety^3 and the first
+    steps' mesh rule dt = dt_safety * _STEP_SCALE * h_bar^2 / h0, but not
+    the length cap (see step); both are required.  The class
     constant abscissas holds the x at which the monitors read each state's
     height.
     """
@@ -704,18 +699,15 @@ def step(state, cfg, wall, h0):
     """One accepted step; halves dt on a FlowError or a convexity failure,
     up to 20 times, then raises StepRejected.
 
-    h0 is the target spacing of the uniform phase: the new curve gets
-    round(length / h0) + 1 nodes, clipped to [32, cfg.n_nodes], and a step
-    without an error estimate takes the mesh step dt_safety * _STEP_SCALE *
-    h_bar^2 / h0 for the mean edge h_bar.  h0 None is the collapse phase,
-    which run_to_extinction enters once a run is past every analysis
-    window: the new curve keeps the stepped curve's count, since a
-    count-change resample perturbs the three BDF2 levels, Milne's estimate
-    reads that as error, and the controller would shorten the next steps.
-    It has no mesh step, so h0 None on a state without an error estimate
-    raises ConfigError, as does an h0 that is not None and not a finite
-    positive real.  A state with a history (_prev), as every state a
-    step returns has, takes a variable-step BDF2 step from its newest
+    The new curve keeps the stepped curve's node count (_attempt_step).
+    A step without an error estimate, one of a run's first three, takes
+    the mesh step dt_safety * _STEP_SCALE * h_bar^2 / h0, h_bar the mean
+    edge.  h0 None is the collapse phase (see run_to_extinction), which
+    differs from the uniform phase only in its looser tolerance and longer
+    length cap and has no mesh step: h0 None on a state without an error
+    estimate raises ConfigError, as does an h0 that is not None and not a
+    finite positive real.  A state with a history (_prev), as every state
+    a step returns has, takes a variable-step BDF2 step from its newest
     level, at most _MAX_STEP_RATIO times the step from that level to the
     state; an initial state takes a backward-Euler start step.
 
@@ -770,7 +762,7 @@ def step(state, cfg, wall, h0):
         dt = min(dt, _MAX_STEP_RATIO * dt_prev)
     for _ in range(21):
         try:
-            new = _attempt_step(state, cfg, wall, dt, h0)
+            new = _attempt_step(state, wall, dt)
         except FlowError:
             dt *= 0.5
             continue
@@ -798,9 +790,9 @@ def _normal_defect(nodes, pred, e):
     return float(cross.max())
 
 
-def _attempt_step(state, cfg, wall, dt, h0):
-    """Linearly implicit step of length dt, contacts at the new time; h0
-    is the target spacing, or None to keep the stepped curve's count.
+def _attempt_step(state, wall, dt):
+    """Linearly implicit step of length dt, contacts at the new time, at
+    the stepped curve's node count.
 
     BDF2 with step ratio w = dt / dt_prev solves
     (I - beta L*) X = ((1 + w)^2 X^n - w^2 X^(n-1)) / (1 + 2w),
@@ -818,12 +810,13 @@ def _attempt_step(state, cfg, wall, dt, h0):
     extrapolation of the three levels to the new time, read before any
     resample.  The new state's levels are a new CurveState of the stepped
     state, without history (so a level keeps no other state alive), and
-    the stepped state's newest level.  A resample (node count changed, or
-    spacing drifted: longest edge over 1.25 times the shortest) takes the
-    new curve and both levels to the new count in one packed spline
-    solve; with h0 None only a drifted spacing resamples, at the same
-    count.  The new state's edge lengths (_seg) and curvature (_kap) come
-    from the edge vectors that the error estimate reads.
+    the stepped state's newest level.  Only a drifted spacing (longest
+    edge over 1.25 times the shortest) resamples: the new curve and both
+    levels, at the same count, in one packed spline solve.  A count change
+    would perturb the three BDF2 levels, Milne's estimate would read that
+    as error, and the controller would shorten the next steps.  The new
+    state's edge lengths (_seg) and curvature (_kap) come from the edge
+    vectors that the error estimate reads.
     """
     nodes = state.nodes
     seg0 = state.seg_cached()
@@ -881,25 +874,21 @@ def _attempt_step(state, cfg, wall, dt, h0):
     e = new[1:] - new[:-1]
     err = None if pred is None else _normal_defect(new, pred, e)
     seg = np.hypot(e[:, 0], e[:, 1])
-    length = float(seg.sum())
-    n_out = (len(new) if h0 is None
-             else min(max(round(length / h0) + 1, 32), cfg.n_nodes))
     levels = (CurveState(nodes=nodes, time=state.time, om_minus=state.om_minus,
                          om_plus=state.om_plus, _seg=seg0),
               ) + levels[:1]
     # resample only once the mesh has actually drifted; spacing decays
     # by O(dt) per step so most steps skip the spline rebuild
-    if n_out != len(new) or float(seg.max()) > 1.25 * float(seg.min()):
-        new, *lv = _resample([new] + [p.nodes for p in levels], n_out)
+    if float(seg.max()) > 1.25 * float(seg.min()):
+        new, *lv = _resample([new] + [p.nodes for p in levels], len(new))
         e = new[1:] - new[:-1]
         seg = np.hypot(e[:, 0], e[:, 1])
         levels = tuple(replace(p, nodes=q, _seg=None)
                        for p, q in zip(levels, lv))
-        length = None
     out = CurveState(nodes=new, time=state.time + dt, om_minus=om_minus,
                      om_plus=om_plus, _seg=seg, _prev=(levels, err, err_prev))
     out._kap = out._kappa_from(wall, e)
-    out._length = length
+    out._length = float(seg.sum())
     return out
 
 
@@ -1014,70 +1003,55 @@ def _local_min_counts(values):
 
 
 def _block_monitors(states, wall):
-    """kappa_min, kappa_max, area and min_count of each stored state, bit
-    for bit the per-state reads (the interior curvature's minimum, the
-    curvature's maximum, enclosed_area and _local_min_count of the
-    interior curvature), from blocks of at most _BLOCK_STATES consecutive
-    states of one node count.  A block stacks its states one per row, and
-    each entry reduces one row, over the per-state values in their order.
-    Each block adds its shoelace terms to one arc_area pass over all states.
+    """kappa_min, kappa_max, area and min_count of the stored states of a
+    run, all of one node count: bit for bit the per-state reads (the
+    interior curvature's minimum, the curvature's maximum, enclosed_area
+    and _local_min_count of the interior curvature), from blocks of at
+    most _BLOCK_STATES consecutive states, one state per row, each entry
+    reducing one row in the per-state order.  The blocks' shoelace terms
+    add to one arc_area pass over all states.
     """
     size = len(states)
     kmin, kmax = np.empty(size), np.empty(size)
     count = np.empty(size, dtype=int)
     area = wall.arc_area(np.array([s.om_plus for s in states]),
                          np.array([s.om_minus for s in states]))
-    sizes = np.array([len(s.nodes) for s in states])
-    cuts = (np.flatnonzero(sizes[1:] != sizes[:-1]) + 1).tolist()
-    for lo, hi in zip([0] + cuts, cuts + [size]):
-        for i in range(lo, hi, _BLOCK_STATES):
-            block = states[i:min(i + _BLOCK_STATES, hi)]
-            rows = slice(i, i + len(block))
-            kap = np.array([s.kappa_cached(wall) for s in block])
-            kmin[rows] = kap[:, 1:-1].min(axis=1)
-            kmax[rows] = kap.max(axis=1)
-            count[rows] = _local_min_counts(kap[:, 1:-1])
-            # dropped before the nodes are stacked, to keep the peak low
-            kap = None
-            area[rows] += _block_shoelace(block)
+    for i in range(0, size, _BLOCK_STATES):
+        block = states[i:i + _BLOCK_STATES]
+        rows = slice(i, i + len(block))
+        kap = np.array([s.kappa_cached(wall) for s in block])
+        kmin[rows] = kap[:, 1:-1].min(axis=1)
+        kmax[rows] = kap.max(axis=1)
+        count[rows] = _local_min_counts(kap[:, 1:-1])
+        # dropped before the nodes are stacked, to keep the peak low
+        kap = None
+        # one row of x and one of y per state: each row's sum is bit for
+        # bit the sum of that state's terms alone
+        x, y = np.array([s.nodes.T for s in block]).transpose(1, 0, 2)
+        terms = x[:, :-1] * y[:, 1:]
+        terms -= y[:, :-1] * x[:, 1:]
+        area[rows] += 0.5 * terms.sum(axis=1)
     return kmin, kmax, area, count
-
-
-def _block_shoelace(block):
-    """The shoelace term of enclosed_area for each state of a block of one
-    node count.  The terms are 1-D products over the nodes end to end (2-D
-    views would cost numpy iterator buffers), summed one state per row
-    without the term that joins a state to the next: a row sum is bit for
-    bit the sum of that row alone, and np.add.reduceat is not."""
-    size, n = len(block), len(block[0].nodes)
-    pts = np.array([s.nodes for s in block]).reshape(-1, 2)
-    terms = np.empty(size * n)
-    x, y = pts[:, 0], pts[:, 1]
-    np.multiply(x[:-1], y[1:], out=terms[:-1])
-    terms[:-1] -= y[:-1] * x[1:]
-    return 0.5 * terms.reshape(size, n)[:, :-1].sum(axis=1)
 
 
 def run_to_extinction(initial, cfg, ndom):
     """Step until the length threshold, then extrapolate extinction.
 
-    Curves have at most cfg.n_nodes nodes, and the steps follow the error
-    controller (see step); every step after the first is BDF2, across
-    resamples too.  Steps are in the uniform phase (h0 the initial spacing)
-    until the run is past every analysis window, and in the collapse phase
-    (h0 None) from then on: from the first step from a state with an error
-    estimate (the fourth) at which L^2, extrapolated linearly (as _finalize
-    fits it) through the two newest states, puts extinction less than
-    _ANALYSIS_END ahead.  The switch latches, and it comes at offset times
-    -0.22 to -0.16 on the benchmark diameters, so every state before
-    -_ANALYSIS_END is that of a run in the uniform phase, bit for bit.
-    Until the switch the node count tracks the length at a spacing near
-    the initial h0; from it on, step holds the count the curve has there
-    (141 nodes on the disk below, 72 on the egg).
+    Every state keeps the initial state's node count, and the steps follow
+    the error controller (see step); every step after the first is BDF2,
+    across resamples too.  Steps are in the uniform phase (h0 the initial
+    spacing, read by the first steps' mesh rule) until the run is past
+    every analysis window, and in the collapse phase (h0 None) from the
+    first step from a state with an error estimate (the fourth) at which
+    L^2, extrapolated linearly (as _finalize fits it) through the two
+    newest states, puts extinction less than _ANALYSIS_END ahead.  The
+    switch latches, and it comes at offset times -0.221 to -0.163 on the
+    benchmark diameters, so every state before -_ANALYSIS_END is that of a
+    run in the uniform phase, bit for bit.
 
     Every state a step returns is stored, so the stored states are exactly
-    the states stepped through: 1,067 states of 1,066 steps on the disk at
-    rho = 0.1, n_nodes = 200, dt_safety 0.8, and 977 of 976 steps on the
+    the states stepped through: 865 states of 864 steps on the disk at
+    rho = 0.1, n_nodes = 200, dt_safety 0.8, and 847 of 846 steps on the
     egg at n_nodes = 100, of which 226 and 227 come after the switch.
     The monitors are derived from them afterwards (_finalize).  An
     exhausted step budget (_MAX_STEPS) raises NonExtinction, whose partial
@@ -1205,7 +1179,7 @@ def grim_reaper_error(n, t_end, dt_safety):
 
     Starts at t = 0 with contacts at -+pi/4 and n nodes uniform in arc
     length, x = arctan(sinh s); steps as run_to_extinction does (h0 the
-    initial spacing, at most n nodes) until t_end is reached or passed;
+    initial spacing, n nodes throughout) until t_end is reached or passed;
     returns the largest node height error there and the final state."""
     s = np.linspace(-np.arcsinh(1.0), np.arcsinh(1.0), n)
     xs = np.arctan(np.sinh(s))
@@ -1223,8 +1197,8 @@ def grim_reaper_error(n, t_end, dt_safety):
 def semicircle_wall_error(n, t_end, dt_safety):
     """Unit half circle on the x-axis wall shrinking as sqrt(1 - 2t).
 
-    Steps as run_to_extinction does (h0 the initial spacing, at most n
-    nodes) until t_end is reached or passed; returns the largest node
+    Steps as run_to_extinction does (h0 the initial spacing, n nodes
+    throughout) until t_end is reached or passed; returns the largest node
     radius error there and the final state."""
     th = np.linspace(np.pi, 0.0, n)
     pts = np.column_stack([np.cos(th), np.sin(th)])

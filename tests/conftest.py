@@ -72,8 +72,9 @@ def nlobed(lobed):
 # session on first request so the expensive trajectories are paid for once.
 # runs.stepped(name) lists the states that flow.step returned during the
 # run, in order, runs.held(name) whether each step was in the collapse
-# phase (h0 None, the node count held), and runs.spec(name) the run's
-# (normalized domain, rho, n_nodes).
+# phase (h0 None), runs.resampled(name) whether each step resampled (its
+# new state's newest level is not the stepped state's nodes), and
+# runs.spec(name) the run's (normalized domain, rho, n_nodes).
 
 _RUN_SPECS = {
     "disk_r03_n100": ("disk", 0.3, 100),
@@ -88,19 +89,21 @@ _RUN_SPECS = {
 @pytest.fixture(scope="session")
 def runs(ndisk, negg, nellipse_minor):
     doms = {"disk": ndisk, "egg": negg, "minor": nellipse_minor}
-    cache, stepped, held = {}, {}, {}
+    cache, stepped, held, resampled = {}, {}, {}, {}
     step = flow_mod.step
 
     def get(name):
         if name not in cache:
             dom_key, rho, n = _RUN_SPECS[name]
             cfg = flow_mod.SolverConfig(n_nodes=n, dt_safety=0.8)
-            stepped[name], held[name] = [], []
+            stepped[name], held[name], resampled[name] = [], [], []
 
             def recording_step(*args):
                 new = step(*args)
                 stepped[name].append(new)
                 held[name].append(args[3] is None)
+                resampled[name].append(new._prev[0][0].nodes
+                                       is not args[0].nodes)
                 return new
 
             with pytest.MonkeyPatch.context() as mp:
@@ -117,11 +120,16 @@ def runs(ndisk, negg, nellipse_minor):
         get(name)
         return held[name]
 
+    def get_resampled(name):
+        get(name)
+        return resampled[name]
+
     def get_spec(name):
         dom_key, rho, n = _RUN_SPECS[name]
         return doms[dom_key], rho, n
 
     get.stepped, get.held, get.spec = get_stepped, get_held, get_spec
+    get.resampled = get_resampled
     return get
 
 

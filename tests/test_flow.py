@@ -55,9 +55,10 @@ def test_config_accepts_numpy_integers():
 
 @pytest.fixture(scope="module")
 def grim_runs():
-    # the tolerance shrinks with the mesh, dt_safety = 0.4 * 100 / n, or
-    # the time error would floor the slope (1.61 at dt_safety 0.4 for all
-    # n); measured height errors 2.8e-5, 6.6e-6, 1.4e-6 (slope 2.16)
+    # the tolerance shrinks with the mesh, dt_safety = 0.4 * 100 / n, so
+    # that the time error cannot floor the slope (at dt_safety 0.4 for all
+    # n it read 2.23, and 1.61 when the count tracked the length); measured
+    # height errors 2.6e-5, 6.6e-6, 1.6e-6 (slope 2.01)
     return [f.grim_reaper_error(n, 0.2, 0.4 * 100 / n)
             for n in (100, 200, 400)]
 
@@ -69,8 +70,8 @@ def test_grim_reaper_second_order(grim_runs):
 
 
 def test_grim_reaper_contacts_follow_the_walls(grim_runs):
-    # the contacts sit at -+arctan(e^-t); measured errors 1.4e-5, 3.3e-6,
-    # 6.9e-7 (orders 2.09 and 2.23)
+    # the contacts sit at -+arctan(e^-t); measured errors 1.3e-5, 3.2e-6,
+    # 8.0e-7 (orders 2.01 and 2.00)
     errs = []
     for _, state in grim_runs:
         x0 = np.arctan(np.exp(-state.time))
@@ -80,12 +81,12 @@ def test_grim_reaper_contacts_follow_the_walls(grim_runs):
 
 
 def test_semicircle_on_wall_second_order():
-    # the regular polygon's arc-length Laplacian is exactly -1/r, so the
-    # error is the contacts', the resamples' and the time stepping's.  The
-    # tolerance shrinks with the mesh, dt_safety = 0.4 * 100 / n, or the
-    # time error would floor the finer runs (8.7e-7 and 7.0e-7 at n = 200
-    # and 400 with dt_safety 0.4); measured orders 3.09 and 3.20 (errors
-    # 1.24e-5, 1.46e-6, 1.59e-7)
+    # the regular polygon's arc-length Laplacian is exactly -1/r and its
+    # spacing never drifts, so the error is the contacts' and the time
+    # stepping's.  The tolerance shrinks with the mesh, dt_safety = 0.4 *
+    # 100 / n, or the time error would floor the finer runs (6.9e-7 and
+    # 7.2e-7 at n = 200 and 400 with dt_safety 0.4); measured orders 3.22
+    # and 3.65 (errors 4.43e-6, 4.75e-7, 3.79e-8)
     errs = [f.semicircle_wall_error(n, 0.3, 0.4 * 100 / n)[0]
             for n in (100, 200, 400)]
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
@@ -104,7 +105,7 @@ def _semicircle_radius_defect(dt_safety):
 def test_semicircle_on_wall_second_order_in_time():
     # at fixed n the spatial part of the defect is common to every run,
     # so the distance to a dt_safety 0.05 run is the time-stepping error
-    # (measured 3.9e-6, 8.8e-7, 2.2e-7: orders 2.14 and 2.00)
+    # (measured 4.1e-6, 1.0e-6, 2.4e-7: orders 2.03 and 2.09)
     ref = _semicircle_radius_defect(0.05)
     errs = [float(np.max(np.abs(_semicircle_radius_defect(s) - ref)))
             for s in (0.8, 0.4, 0.2)]
@@ -226,16 +227,27 @@ def test_steps_solve_the_interior_with_the_new_contacts(ndisk, disk_wall):
     assert np.max(np.abs(bdf2 - s2.nodes)) < 1e-13
 
 
-def test_resampled_step_keeps_the_history(ndisk, disk_wall):
-    # a step that changes the node count resamples the curve it came from
-    # and the one before that to the new count, their ends on their own
-    # contacts, and the next step is the BDF2 solve built from that history
+@pytest.fixture(scope="module")
+def drift_resample(ndisk, disk_wall):
+    """(prev, new, cfg, h0): the first step of a disk run (rho 0.3, n 100)
+    whose spacing drifted, so that it resampled (measured: the 366th);
+    prev keeps its history, so the step can be taken again."""
     state = _oval_state(ndisk, 0.3, 100)
     cfg = f.SolverConfig(n_nodes=100, dt_safety=0.8)
     h0 = state.length / 99
     prev, new = state, f.step(state, cfg, disk_wall, h0)
-    while len(new.nodes) == len(prev.nodes):
+    for _ in range(600):
+        if new._prev[0][0].nodes is not prev.nodes:
+            return prev, new, cfg, h0
         prev, new = new, f.step(new, cfg, disk_wall, h0)
+    pytest.fail("no step resampled its levels")
+
+
+def test_resampled_step_keeps_the_history(drift_resample, disk_wall):
+    # a step whose spacing drifted resamples the curve it came from and the
+    # one before that at the same count, their ends on their own contacts,
+    # and the next step is the BDF2 solve built from that history
+    prev, new, cfg, h0 = drift_resample
     (p1, p2), _, _ = new._prev
     assert (p1.time, p1.om_minus, p1.om_plus) == (prev.time, prev.om_minus,
                                                   prev.om_plus)
@@ -243,6 +255,7 @@ def test_resampled_step_keeps_the_history(ndisk, disk_wall):
     assert (p2.time, p2.om_minus, p2.om_plus) == (q1.time, q1.om_minus,
                                                   q1.om_plus)
     n_out = len(new.nodes)
+    assert n_out == len(prev.nodes) == 100
     assert np.array_equal(p1.nodes, f._resample([prev.nodes], n_out)[0])
     assert np.array_equal(p2.nodes, f._resample([q1.nodes], n_out)[0])
     assert tuple(p1.nodes[0]) == disk_wall.point_xy(prev.om_minus)
@@ -259,10 +272,11 @@ def test_resampled_step_keeps_the_history(ndisk, disk_wall):
     assert np.max(np.abs(bdf2 - nxt.nodes)) < 1e-13
 
 
-def test_a_resample_event_is_one_spline_solve(ndisk, monkeypatch):
+def test_a_resample_event_is_one_spline_solve(ndisk, drift_resample,
+                                             monkeypatch):
     # the wall's point and area tables share one spline solve, and a step
-    # that changes the node count makes two tridiagonal solves: the
-    # interior's, and one packed spline for the new curve and both levels
+    # that resamples makes two tridiagonal solves: the interior's, and one
+    # packed spline for the new curve and both levels
     solve, calls = f._tridiag_solve, []
 
     def counting_solve(*args):
@@ -272,15 +286,10 @@ def test_a_resample_event_is_one_spline_solve(ndisk, monkeypatch):
     monkeypatch.setattr(f, "_tridiag_solve", counting_solve)
     wall = f.ConvexWall(ndisk)
     assert calls == [f._WALL_GRID]
-    state = _oval_state(ndisk, 0.3, 100)
-    cfg = f.SolverConfig(n_nodes=100, dt_safety=0.8)
-    h0 = state.length / 99
-    new = f.step(f.step(state, cfg, wall, h0), cfg, wall, h0)
-    while True:
-        calls.clear()
-        prev, new = new, f.step(new, cfg, wall, h0)
-        if len(new.nodes) != len(prev.nodes):
-            break
+    prev, _, cfg, h0 = drift_resample
+    calls.clear()
+    new = f.step(prev, cfg, wall, h0)
+    assert new._prev[0][0].nodes is not prev.nodes
     n = len(prev.nodes)
     assert calls == [n, 3 * n]
     assert len(new._prev[0]) == 2
@@ -288,19 +297,17 @@ def test_a_resample_event_is_one_spline_solve(ndisk, monkeypatch):
 
 def _semicircle_estimate(dt, n=100, t_end=0.02):
     """The error estimate of the last of the fixed steps dt that take the
-    unit semicircle on the x-axis wall to t_end.  The target spacing is
-    half the initial one, so the count stays n and nothing is resampled;
-    by t_end the start step's and the first contact solve's effects on
-    the history have decayed."""
+    unit semicircle on the x-axis wall to t_end.  The regular polygon's
+    spacing does not drift, so nothing is resampled; by t_end the start
+    step's and the first contact solve's effects on the history have
+    decayed."""
     th = np.linspace(np.pi, 0.0, n)
     pts = np.column_stack([np.cos(th), np.sin(th)])
     pts[0, 1] = pts[-1, 1] = 0.0
     state = f.CurveState(nodes=pts, time=0.0, om_minus=-1.0, om_plus=1.0)
-    cfg = f.SolverConfig(n_nodes=n, dt_safety=0.8)
-    h0 = 0.5 * state.length / (n - 1)
     while state.time < t_end - 0.5 * dt:
-        state = f._attempt_step(state, cfg, f.StraightWall(), dt, h0)
-    assert len(state.nodes) == n
+        prev, state = state, f._attempt_step(state, f.StraightWall(), dt)
+        assert state._prev[0][0].nodes is prev.nodes
     return state._prev[1]
 
 
@@ -315,21 +322,26 @@ def test_step_error_estimate_is_third_order():
 def test_a_run_takes_one_backward_euler_step(ndisk, monkeypatch):
     # every state a step returns carries its history, resampled ones too,
     # so only the initial state takes a backward-Euler start step
-    step = f.step
-    starts, counts = [], set()
+    step, resample = f.step, f._resample
+    starts, events = [], []
 
     def counting_step(state, *args, **kwargs):
         if state._prev is None:
             starts.append(state.time)
-        counts.add(len(state.nodes))
         return step(state, *args, **kwargs)
 
+    def counting_resample(*args):
+        events.append(len(args[0]))
+        return resample(*args)
+
     monkeypatch.setattr(f, "step", counting_step)
+    monkeypatch.setattr(f, "_resample", counting_resample)
     cfg = f.SolverConfig(n_nodes=100, dt_safety=0.8)
     f.old_but_not_ancient(ndisk, 0.3, cfg)
     assert starts == [0.0]
-    # the node count fell, by resamples, until the switch: 30 counts
-    assert len(counts) > 20
+    # the run resampled a drifted spacing, each time with both levels
+    # (measured 7 events)
+    assert events and set(events) == {3}
 
 
 def test_bdf2_steps_keep_orthogonal_contact(ndisk, disk_wall):
@@ -357,7 +369,7 @@ def test_step_grows_at_most_twofold(ndisk, disk_wall):
     cfg = f.SolverConfig(n_nodes=100, dt_safety=0.8)
     h0 = s0.length / 99
     full = f.step(s0, cfg, disk_wall, h0).time - s0.time
-    s1 = f._attempt_step(s0, cfg, disk_wall, 0.1 * full, h0)
+    s1 = f._attempt_step(s0, disk_wall, 0.1 * full)
     s2 = f.step(s1, cfg, disk_wall, h0)
     assert s2.time - s1.time == pytest.approx(2.0 * (s1.time - s0.time),
                                               rel=1e-12)
@@ -382,7 +394,7 @@ def test_length_cap_scales_with_the_tolerance(ndisk, disk_wall, monkeypatch,
     state._prev = ((level,), 1e-30, 1e-30)
     taken = []
 
-    def attempt(state, cfg, wall, dt, h0):
+    def attempt(state, wall, dt):
         taken.append(dt)
         raise _StepTaken
 
@@ -587,15 +599,16 @@ class TestDiskRun:
 
 def test_every_step_is_stored(runs):
     # the stored states are the initial state and every state a step
-    # returned, in order; the run takes 816 steps (889 with the count
-    # tracking the length after the switch too, 1,752 with the uniform
-    # tolerance throughout, 4,006 under the mesh-only step rule)
+    # returned, in order; the run takes 717 steps (816 with the count
+    # tracking the length until the switch, 889 with it tracking the length
+    # throughout, 1,752 with the uniform tolerance throughout, 4,006 under
+    # the mesh-only step rule)
     traj = runs("disk_r03_n100")
     stepped = runs.stepped("disk_r03_n100")
     assert len(traj.states) == len(stepped) + 1
     assert all(s is t for s, t in zip(traj.states[1:], stepped))
     assert np.all(np.diff(traj.monitors["t"]) > 0.0)
-    assert len(stepped) <= 880
+    assert len(stepped) <= 750
 
 
 def test_states_and_runs_compare_by_identity(runs):
@@ -647,8 +660,7 @@ def test_step_caches_match_a_fresh_state(runs, name, fix, request):
     # resample too, where edges formed before it would be stale
     traj = runs(name)
     wall = f.ConvexWall(request.getfixturevalue(fix))
-    counts = [len(s.nodes) for s in traj.states]
-    assert any(a != b for a, b in zip(counts[:-1], counts[1:]))
+    assert any(runs.resampled(name))
     for i, s in enumerate(traj.states):
         fresh = f.CurveState(nodes=s.nodes, time=s.time,
                              om_minus=s.om_minus, om_plus=s.om_plus)
@@ -738,23 +750,23 @@ def test_alpha_strictly_more_negative_for_smaller_rho(disk_sweep):
 
 
 def test_disk_run_step_count(disk_sweep):
-    # rho = 0.1, n_nodes 200, dt_safety 0.8: measured 1,066 steps (1,212
-    # with the count tracking the length after the switch too, 2,250 at
-    # the uniform tolerance)
+    # rho = 0.1, n_nodes 200, dt_safety 0.8: measured 864 steps (1,066 with
+    # the count tracking the length until the switch, 1,212 with it
+    # tracking the length throughout, 2,250 at the uniform tolerance)
     assert disk_sweep.rhos[1] == 0.1
-    assert len(disk_sweep.trajectories[1].states) - 1 <= 1150
+    assert len(disk_sweep.trajectories[1].states) - 1 <= 900
 
 
 def test_minor_axis_run_step_count(runs):
     # a long chord's slow early phase, where the length cap binds:
-    # measured 2,156 steps (2,183 with the count tracking the length after
-    # the switch too, 2,995 at the uniform tolerance, 1,318 of them at the
-    # cap)
-    assert len(runs("minor_r01_n100").states) - 1 <= 2250
+    # measured 2,082 steps (2,156 with the count tracking the length until
+    # the switch, 2,183 with it tracking the length throughout, 2,995 at
+    # the uniform tolerance, 1,318 of them at the cap)
+    assert len(runs("minor_r01_n100").states) - 1 <= 2150
 
 
 # ---------------------------------------------------------------------------
-# the collapse phase: h0 None, the count held and the tolerance loosened
+# the collapse phase: h0 None, the tolerance loosened
 
 _SWITCH_RUNS = ["disk_r01_n200", "egg_r01_n100", "minor_r01_n100"]
 
@@ -769,7 +781,7 @@ def _first_held_step(runs, name):
 def test_tolerance_loosens_once_after_every_analysis_window(runs, name):
     # measured: the first held step starts at offset -0.189 (disk),
     # -0.191 (egg) and -0.171 (ellipse(2,1) minor axis), and 226, 227 and
-    # 222 steps follow it
+    # 221 steps follow it
     traj, held = runs(name), runs.held(name)
     t = traj.monitors["t"]
     k = _first_held_step(runs, name)
@@ -784,16 +796,18 @@ def test_tolerance_loosens_once_after_every_analysis_window(runs, name):
 
 
 @pytest.mark.parametrize("name", _SWITCH_RUNS)
-def test_node_count_is_held_after_the_switch(runs, name):
-    # from the switch on, every stored state keeps the count the curve had
-    # there (measured 141, 72 and 55 nodes); before it the count still
-    # tracks the shrinking length from n_nodes down
+def test_every_state_keeps_the_initial_node_count(runs, name):
+    # in both phases, so that only a drifted spacing resamples
     traj = runs(name)
     counts = [len(s.nodes) for s in traj.states]
-    k = _first_held_step(runs, name)
-    assert counts[k:] == [counts[k]] * (len(counts) - k)
-    assert counts[0] == traj.config.n_nodes
-    assert counts[k] < traj.config.n_nodes
+    assert counts == [traj.config.n_nodes] * len(counts)
+
+
+@pytest.mark.parametrize("name", _SWITCH_RUNS)
+def test_only_a_drifted_spacing_resamples(runs, name):
+    # measured 8, 9 and 7 resample events (65, 34 and 51 with the count
+    # tracking the length until the switch)
+    assert 1 <= sum(runs.resampled(name)) <= 12
 
 
 def test_uniqueness_window_ends_where_the_tolerance_may_loosen(disk_sweep):
@@ -850,12 +864,12 @@ def test_switch_waits_for_the_first_error_estimate(ndisk, monkeypatch):
     assert held == [False] * 3 + [True] * 5
 
 
-# alpha and the fitted turning-angle rate at the uniform tolerance: the
-# switch moved alpha by 3.0e-5 (disk) and 3.1e-5 (egg), and each rate by
-# a few units in its last place
+# alpha and the fitted turning-angle rate at the uniform tolerance
+# throughout: the switch moved alpha by 4.1e-5 (disk) and 4.1e-5 (egg),
+# and each rate by a unit in its last place
 @pytest.mark.parametrize("name, alpha, rate", [
-    ("disk_r01_n200", -2.111870981971794, 1.4382709846065023),
-    ("egg_r01_n100", -1.5893443146028727, 2.3600770794787223)])
+    ("disk_r01_n200", -2.111908407577843, 1.4382697845794759),
+    ("egg_r01_n100", -1.5894920867417843, 2.359574825908546)])
 def test_looser_collapse_keeps_alpha_and_the_rate(runs, name, alpha, rate):
     traj = runs(name)
     ndom = runs.spec(name)[0]

@@ -361,13 +361,13 @@ class _ArcAreaWall:
 _CURVATURE_LEVELS = np.array([0.0, -0.0, 1.0, 2.0, 2.0 + 1e-12, 3.0, -1.0])
 
 
-def _ragged_states(groups, seed):
-    """Synthetic stored states, group by group: each group is (node count,
-    states, kind), its curvature drawn from few levels (plateaus and
-    exact ties), held constant, or continuous."""
+def _ragged_states(n, groups, seed):
+    """Synthetic stored states of n nodes, as a run's are, group by group:
+    each group is (states, kind), its curvature drawn from few levels
+    (plateaus and exact ties), held constant, or continuous."""
     rng = np.random.default_rng(seed)
     states = []
-    for n, count, kind in groups:
+    for count, kind in groups:
         for _ in range(count):
             if kind == "levels":
                 kap = rng.choice(_CURVATURE_LEVELS, n)
@@ -382,20 +382,21 @@ def _ragged_states(groups, seed):
     return states
 
 
-_groups = st.lists(st.tuples(st.integers(4, 9), st.integers(1, 70),
+_groups = st.lists(st.tuples(st.integers(1, 70),
                              st.sampled_from(["levels", "flat", "floats"])),
                    min_size=1, max_size=4)
 
 
-@given(_groups, st.integers(0, 2**32 - 1))
-@example([(6, 70, "levels"), (5, 1, "floats"), (6, 33, "flat")], 0)
-@example([(4, 1, "levels"), (4, 32, "levels"), (7, 1, "levels")], 1)
+@given(st.integers(4, 9), _groups, st.integers(0, 2**32 - 1))
+@example(6, [(70, "levels"), (1, "floats"), (33, "flat")], 0)
+@example(4, [(1, "levels"), (32, "levels"), (1, "levels")], 1)
+@example(200, [(40, "floats")], 2)   # row sums past numpy's 128-term block
 @settings(max_examples=60, deadline=None)
-def test_block_monitors_are_the_per_state_reads(groups, seed):
-    # groups longer than one block (_BLOCK_STATES = 32), one-state groups,
+def test_block_monitors_are_the_per_state_reads(n, groups, seed):
+    # runs longer than one block (_BLOCK_STATES = 32) and of one state,
     # plateaus and exact ties: every entry is the state's own read, bit for
     # bit, with the per-state dtypes
-    states = _ragged_states(groups, seed)
+    states = _ragged_states(n, groups, seed)
     wall = _ArcAreaWall()
     got = f._block_monitors(states, wall)
     kaps = [s._kap for s in states]
