@@ -2,31 +2,33 @@
 
 The curve is an open polyline whose endpoints live on the domain boundary,
 stored as boundary turning-angle parameters.  A step is variable-step
-BDF2 in time, with the arc-length Laplacian taken at the edge lengths
-extrapolated to the new time; only the initial state, which has no
-history, takes a backward-Euler start step.  Either way the step is one
-LAPACK gtsv call, and the contacts are solved at the new time level with
-the interior: the same call gives every node's response to a move of
-either end, and each contact parameter is then solved so that the
-discrete endpoint tangent of the resulting curve is parallel to the
-boundary normal (Newton with the residual's analytic slope, from the
-wall's point and normal derivatives).  Every state of a run keeps the
+BDF2 in time until the last analysis window is past and BDF3 after it,
+with the arc-length Laplacian taken at the edge lengths extrapolated to
+the new time; only the initial state, which has no history, takes a
+backward-Euler start step.  Each way the step is one LAPACK gtsv call,
+and the contacts are solved at the new time level with the interior: the
+same call gives every node's response to a move of either end, and each
+contact parameter is then solved so that the discrete endpoint tangent
+of the resulting curve is parallel to the boundary normal (Newton with
+the residual's analytic slope, from the wall's point and normal
+derivatives).  Every state of a run keeps the
 node count of its initial state: cubic arc-length resampling of the new
-curve and of the two levels before it, at that count in one packed
-spline solve, follows only when the spacing has drifted.
+curve and of the up to three levels before it, at that count in one
+packed spline solve, follows only when the spacing has drifted.
 
-Step lengths follow the solution, not the mesh.  Each BDF2 step that has
-three node levels behind it estimates its local error by Milne's device,
+Step lengths follow the solution, not the mesh.  Each step that has
+enough node levels behind it estimates its local error by Milne's device,
 and a PI controller sets the next step from that estimate, at most twice
 the last step and at most the length cap _LENGTH_STEP_CAP * L^2 for the
 curve length L (see step).  Its tolerance is SolverConfig.error_tol
 until run_to_extinction estimates less than _ANALYSIS_END to extinction;
-from then on it passes step h0 = None, the collapse phase, whose
-tolerance is _COLLAPSE_TOL_FACTOR = 64 times looser and whose cap is
-64^(1/3) = 4 times longer.  The exact solutions stay in the uniform
-phase.  Every step is accepted; a step is retried, at half the length,
-only on a FlowError (a contact Newton that does not converge raises one)
-or a convexity failure.
+from then on it passes step h0 = None, the collapse phase, which only
+locates the extinction time: its steps are BDF3, its tolerance is
+_COLLAPSE_TOL_FACTOR = 256 times looser and its cap 256^(1/4) = 4 times
+longer.  The exact solutions stay in the uniform phase.  Every step is
+accepted; a step is retried, at half the length, only on a FlowError (a
+contact Newton that does not converge raises one) or a convexity
+failure.
 
 The step that makes a state forms its edge vectors once (again only
 after a resample) and derives from them everything the state's geometry
@@ -295,9 +297,12 @@ _FLAT_REL_TOL = 1e-10
 # _STEP_SCALE * h_bar^2 / h0 (see step).  The error controller aims each
 # later step's estimate at _ERROR_TOL * dt_safety^3, with the safety
 # factor _CONTROL_SAFETY and the PI exponents _PI_ERR and _PI_PREV_ERR
-# (0.7 / 3 and 0.4 / 3 for a local error of third order).  A step grows
-# by at most _MAX_STEP_RATIO over the one before it, inside variable
-# BDF2's zero-stability limit 1 + sqrt(2), and never exceeds the length
+# over the order of the local error (0.7 / 3 and 0.4 / 3 for BDF2's
+# third, 0.7 / 4 and 0.4 / 4 for BDF3's fourth).  A step grows by at
+# most _MAX_STEP_RATIO over the one before it, inside variable BDF2's
+# zero-stability limit 1 + sqrt(2) (the collapse phase's BDF3 steps grow
+# by at most 1.65, 1.68 and 1.83 on the disk, the egg and the ellipse(2,1)
+# minor axis at rho 0.1), and never exceeds the length
 # cap _LENGTH_STEP_CAP * L^2 for the curve length L, whatever dt_safety,
 # scaled in the collapse phase as the tolerance is (see step)
 _STEP_SCALE = 0.024
@@ -305,22 +310,23 @@ _MAX_STEP_RATIO = 2.0
 _LENGTH_STEP_CAP = 0.002
 _ERROR_TOL = 2e-7
 _CONTROL_SAFETY = 0.9
-_PI_ERR = 0.7 / 3.0
-_PI_PREV_ERR = 0.4 / 3.0
+_PI_ERR = 0.7
+_PI_PREV_ERR = 0.4
 # every analysis reads offset times at or before -_ANALYSIS_END; after that
 # only the extinction-time fit reads a run, so run_to_extinction steps it in
-# the collapse phase (h0 None: the tolerance loosened by _COLLAPSE_TOL_FACTOR)
-# once it estimates less than _ANALYSIS_END left.  On the nine benchmark
-# diameters at rho 0.1 and 0.01 (n_nodes 100) that estimate runs 1.36 to
-# 1.83 times the true time left at the switch (1.58 on the disk, 1.56 on the
-# egg) and 1.87 to 2.29 times it at a true 0.3 (1.93 and 1.91; the runs on
-# ellipse(3,1)'s long diameter start after -0.3), so the switch fires at
-# offset times -0.221 to -0.163
+# the collapse phase (h0 None: BDF3, the tolerance loosened by
+# _COLLAPSE_TOL_FACTOR and the length cap by its fourth root,
+# 256^(1/4) = 4 exactly) once it estimates less than _ANALYSIS_END left.
+# On the nine benchmark diameters at rho 0.1 and 0.01 (n_nodes 100) that
+# estimate runs 1.36 to 1.83 times the true time left at the switch (1.58
+# on the disk, 1.56 on the egg) and 1.87 to 2.29 times it at a true 0.3
+# (1.93 and 1.91; the runs on ellipse(3,1)'s long diameter start after
+# -0.3), so the switch fires at offset times -0.221 to -0.163
 _ANALYSIS_END = 0.3
-_COLLAPSE_TOL_FACTOR = 64.0
+_COLLAPSE_TOL_FACTOR = 256.0
 # _finalize reads the stored states' curvature and nodes in blocks of at
 # most this many consecutive states, and asymptotics packs this many per
-# pass: a whole run, such as the disk's 865 states of 200 nodes, would
+# pass: a whole run, such as the disk's 755 states of 200 nodes, would
 # raise its peak memory
 _BLOCK_STATES = 32
 
@@ -374,13 +380,13 @@ class CurveState:
     om_plus: float    # right contact parameter
     _kap: np.ndarray = field(default=None, repr=False)
     _seg: np.ndarray = field(default=None, repr=False)
-    # the history of a BDF2 step, on every state a step returns: (levels,
-    # err, err_prev).  levels holds the one or two earlier node levels,
+    # the history of a BDF step, on every state a step returns: (levels,
+    # err, err_prev).  levels holds the one to three earlier node levels,
     # newest first, each a CurveState with no history of its own, its
     # nodes at this state's count; err and err_prev are the error
     # estimates of the step that made this state and of the step before
-    # it, each None where that step had fewer than three node levels.
-    # None on an initial state
+    # it, each None where that step had no estimate (a run's first three
+    # steps).  None on an initial state
     _prev: tuple = field(default=None, repr=False)
 
     def kappa_cached(self, wall):
@@ -703,38 +709,43 @@ def step(state, cfg, wall, h0):
     A step without an error estimate, one of a run's first three, takes
     the mesh step dt_safety * _STEP_SCALE * h_bar^2 / h0, h_bar the mean
     edge.  h0 None is the collapse phase (see run_to_extinction), which
-    differs from the uniform phase only in its looser tolerance and longer
-    length cap and has no mesh step: h0 None on a state without an error
-    estimate raises ConfigError, as does an h0 that is not None and not a
-    finite positive real.  A state with a history (_prev), as every state
-    a step returns has, takes a variable-step BDF2 step from its newest
-    level, at most _MAX_STEP_RATIO times the step from that level to the
-    state; an initial state takes a backward-Euler start step.
+    differs from the uniform phase in its BDF3 step, its looser tolerance,
+    its controller's exponents and its longer length cap, and has no mesh
+    step: h0 None on a state without an error estimate raises
+    ConfigError, as does an h0 that is not None and not a finite positive
+    real (a bool included).  A state with a history (_prev), as every
+    state a step returns has, takes a variable-step BDF2 step (BDF3 in the
+    collapse phase) from its levels, at most _MAX_STEP_RATIO times the
+    step from its newest level to the state; an initial state takes a
+    backward-Euler start step (_attempt_step).
 
     Where the step that made the state carries an error estimate err
     (every step of a run from the third on), the new step is chosen
     against the tolerance tol by the PI controller
-    0.9 dt_prev (tol / err)^(0.7/3) (err_prev / tol)^(0.4/3), BDF2's
-    local error being third order (Gustafsson, ACM TOMS 20, 1994;
-    Hairer, Norsett and Wanner, Solving ODEs I, II.4), or by the
-    elementary controller 0.9 dt_prev (tol / err)^(1/3) where the step
-    before has no estimate err_prev.  tol is cfg.error_tol in the uniform
-    phase and _COLLAPSE_TOL_FACTOR times it in the collapse phase.  The
-    step never exceeds the length cap _LENGTH_STEP_CAP * L^2, L the
-    state's length: the diffusion time of the whole curve, which does not
-    scale with dt_safety.  In the collapse phase the cap is scaled by
-    _COLLAPSE_TOL_FACTOR^(1/3), as the controller's step is (a step goes
-    as tol^(1/3) at a local error of third order; Soderlind, Numer.
-    Algorithms 31, 2002).  It binds only where the curve barely moves, as
-    on a stationary curve (whose step would otherwise double every step)
-    or a long chord early on.  Every step is accepted: only a FlowError or
-    a convexity failure retries it, at half the length.
+    0.9 dt_prev (tol / err)^(0.7/p) (err_prev / tol)^(0.4/p) for a local
+    error of order p, BDF2's third in the uniform phase and BDF3's fourth
+    in the collapse phase (Gustafsson, ACM TOMS 20, 1994; Hairer, Norsett
+    and Wanner, Solving ODEs I, II.4), or by the elementary controller
+    0.9 dt_prev (tol / err)^(1/p) where the step before has no estimate
+    err_prev.  tol is cfg.error_tol in the uniform phase and
+    _COLLAPSE_TOL_FACTOR times it in the collapse phase.  The step never
+    exceeds the length cap _LENGTH_STEP_CAP * L^2, L the state's length:
+    the diffusion time of the whole curve, which does not scale with
+    dt_safety.  In the collapse phase the cap is scaled by
+    _COLLAPSE_TOL_FACTOR^(1/4) = 4, as the controller's step is (a step
+    goes as tol^(1/p); Soderlind, Numer. Algorithms 31, 2002).  The cap
+    binds only where the curve barely moves, as on a stationary curve
+    (whose step would otherwise double every step) or a long chord early
+    on.  The first collapse step reads the estimates of two BDF2 steps
+    with BDF3's exponents.  Every step is accepted: only a FlowError or a
+    convexity failure retries it, at half the length.
     """
-    if h0 is not None and not (isinstance(h0, numbers.Real)
-                               and 0.0 < h0 < math.inf):
+    if h0 is not None and (isinstance(h0, bool)
+                           or not (isinstance(h0, numbers.Real)
+                                   and 0.0 < h0 < math.inf)):
         raise ConfigError(
-            f"the target spacing h0 must be None or a finite positive real, "
-            f"got {h0!r}")
+            f"the target spacing h0 must be None or a finite positive real "
+            f"(not a bool), got {h0!r}")
     length = state.length
     levels, err, err_prev = state._prev or ((), None, None)
     if levels:
@@ -746,23 +757,25 @@ def step(state, cfg, wall, h0):
         h_bar = length / (len(state.nodes) - 1)
         dt = cfg.dt_safety * _STEP_SCALE * h_bar * (h_bar / h0)
     else:
-        tol, scale = cfg.error_tol, 1.0
+        # the order of the local error: BDF2's third, BDF3's fourth
+        tol, order, scale = cfg.error_tol, 3.0, 1.0
         if h0 is None:
             tol *= _COLLAPSE_TOL_FACTOR
-            scale = _COLLAPSE_TOL_FACTOR ** (1.0 / 3.0)
+            order = 4.0
+            scale = _COLLAPSE_TOL_FACTOR ** (1.0 / order)
         dt = _LENGTH_STEP_CAP * length ** 2 * scale
         if err > 0.0:
             if err_prev:
-                fac = ((tol / err) ** _PI_ERR
-                       * (err_prev / tol) ** _PI_PREV_ERR)
+                fac = ((tol / err) ** (_PI_ERR / order)
+                       * (err_prev / tol) ** (_PI_PREV_ERR / order))
             else:
-                fac = (tol / err) ** (1.0 / 3.0)
+                fac = (tol / err) ** (1.0 / order)
             dt = min(dt, _CONTROL_SAFETY * dt_prev * fac)
     if levels:
         dt = min(dt, _MAX_STEP_RATIO * dt_prev)
     for _ in range(21):
         try:
-            new = _attempt_step(state, wall, dt)
+            new = _attempt_step(state, wall, dt, h0 is None)
         except FlowError:
             dt *= 0.5
             continue
@@ -771,6 +784,13 @@ def step(state, cfg, wall, h0):
         dt *= 0.5
     raise StepRejected(
         f"step kept failing after 20 halvings at t = {state.time:.6g}")
+
+
+def _extrapolation_weights(d):
+    """Weights of the Lagrange extrapolation to a new time through levels
+    at the distances d back from it."""
+    return [math.prod(dk / (dk - dj) for k, dk in enumerate(d) if k != j)
+            for j, dj in enumerate(d)]
 
 
 def _normal_defect(nodes, pred, e):
@@ -790,32 +810,41 @@ def _normal_defect(nodes, pred, e):
     return float(cross.max())
 
 
-def _attempt_step(state, wall, dt):
+def _attempt_step(state, wall, dt, collapse):
     """Linearly implicit step of length dt, contacts at the new time, at
-    the stepped curve's node count.
+    the stepped curve's node count; collapse is the phase (step's h0 None).
 
-    BDF2 with step ratio w = dt / dt_prev solves
+    In the uniform phase, BDF2 with step ratio w = dt / dt_prev solves
     (I - beta L*) X = ((1 + w)^2 X^n - w^2 X^(n-1)) / (1 + 2w),
     beta = dt (1 + w) / (1 + 2w), with the Laplacian L* of the edge
-    lengths extrapolated to the new time; the start step is backward
-    Euler, (I - dt L^n) X = X^n.  The ends are pinned at the old contacts
-    and two more right-hand sides give the response g of every node to a
-    unit move of each end, so the new curve is X + g- s- + g+ s+ for end
-    moves s.  Each contact's Newton runs on that family, with nodes 1 and
-    2 moving with the end; the right contact sees the left one's move.
+    lengths extrapolated linearly to the new time.  In the collapse phase,
+    variable-step BDF3 solves (I - beta L*) X = sum_j (beta / d_j) l_j X^j
+    over X^n, X^(n-1) and X^(n-2), d_j the distance of level j back from
+    the new time, l_j its quadratic extrapolation weight and
+    1 / beta = 1/d_0 + 1/d_1 + 1/d_2, with L* at the edge lengths
+    extrapolated quadratically (linearly implicit BDF with extrapolated
+    coefficients: Akrivis and Lubich, Numer. Math. 131, 2015).  The start
+    step is backward Euler, (I - dt L^n) X = X^n.  The ends are pinned at
+    the old contacts and two more right-hand sides give the response g of
+    every node to a unit move of each end, so the new curve is
+    X + g- s- + g+ s+ for end moves s.  Each contact's Newton runs on that
+    family, with nodes 1 and 2 moving with the end; the right contact sees
+    the left one's move.
 
-    X^(n-1) and X^(n-2) are the state's history levels (_prev).  Where
-    both are known, the step's error estimate (Milne's device) is the
-    largest normal component of the new curve less the quadratic Lagrange
-    extrapolation of the three levels to the new time, read before any
-    resample.  The new state's levels are a new CurveState of the stepped
-    state, without history (so a level keeps no other state alive), and
-    the stepped state's newest level.  Only a drifted spacing (longest
-    edge over 1.25 times the shortest) resamples: the new curve and both
-    levels, at the same count, in one packed spline solve.  A count change
-    would perturb the three BDF2 levels, Milne's estimate would read that
-    as error, and the controller would shorten the next steps.  The new
-    state's edge lengths (_seg) and curvature (_kap) come from the edge
+    X^(n-1), X^(n-2) and X^(n-3) are the state's history levels (_prev).
+    The step's error estimate (Milne's device) is the largest normal
+    component of the new curve less the Lagrange extrapolation of the
+    levels to the new time, read before any resample: the quadratic one of
+    three levels for BDF2, where two history levels are known, and the
+    cubic one of four for BDF3, which needs all three (every state with an
+    error estimate has them).  The new state's levels are a new CurveState
+    of the stepped state, without history (so a level keeps no other state
+    alive), and the stepped state's two newest levels.  Only a drifted
+    spacing (longest edge over 1.25 times the shortest) resamples: the new
+    curve and every level, at the same count, in one packed spline solve.
+    A count change would perturb the levels, Milne's estimate would read
+    that as error, and the controller would shorten the next steps.  The
+    new state's edge lengths (_seg) and curvature (_kap) come from the edge
     vectors that the error estimate reads.
     """
     nodes = state.nodes
@@ -830,26 +859,41 @@ def _attempt_step(state, wall, dt):
         levels, err_prev, _ = state._prev
         p1 = levels[0]
         tau1 = state.time - p1.time
-        w = dt / tau1
-        beta = dt * (1.0 + w) / (1.0 + 2.0 * w)
-        np.multiply(nodes, (1.0 + w) ** 2 / (1.0 + 2.0 * w), out=rhs[:, :2])
-        rhs[:, :2] -= (w * w / (1.0 + 2.0 * w)) * p1.nodes
-        h = (1.0 + w) * seg0 - w * p1.seg_cached()
+        if collapse:
+            # BDF3: each level's weight is beta / d_j times its quadratic
+            # extrapolation weight, d_j its distance back from the new time
+            xs = [nodes] + [p.nodes for p in levels]
+            d = [dt] + [dt + (state.time - p.time) for p in levels]
+            w = _extrapolation_weights(d[:3])
+            beta = 1.0 / (1.0 / d[0] + 1.0 / d[1] + 1.0 / d[2])
+            rhs[:, :2] = sum((beta * wj / dj) * x
+                             for wj, dj, x in zip(w, d, xs))
+            h = (w[0] * seg0 + w[1] * p1.seg_cached()
+                 + w[2] * levels[1].seg_cached())
+            pred = sum(wj * x for wj, x in zip(_extrapolation_weights(d), xs))
+        else:
+            w = dt / tau1
+            beta = dt * (1.0 + w) / (1.0 + 2.0 * w)
+            np.multiply(nodes, (1.0 + w) ** 2 / (1.0 + 2.0 * w),
+                        out=rhs[:, :2])
+            rhs[:, :2] -= (w * w / (1.0 + 2.0 * w)) * p1.nodes
+            h = (1.0 + w) * seg0 - w * p1.seg_cached()
         # the contacts' first Newton guesses, extrapolated linearly, or
         # quadratically once three contact times are known; so are the
-        # nodes, for the error estimate
+        # nodes, for BDF2's error estimate
         dm, dp = (om_m - p1.om_minus) / tau1, (om_p - p1.om_plus) / tau1
         om_m, om_p = om_m + dt * dm, om_p + dt * dp
-        if len(levels) == 2:
+        if len(levels) > 1:
             p2 = levels[1]
             tau2 = state.time - p2.time
             q = dt * (dt + tau1) / tau2
             gap = p1.time - p2.time
             om_m += q * (dm - (p1.om_minus - p2.om_minus) / gap)
             om_p += q * (dp - (p1.om_plus - p2.om_plus) / gap)
-            pred = ((dt + tau1) * (dt + tau2) / (tau1 * tau2)) * nodes
-            pred -= (dt * (dt + tau2) / (tau1 * (tau2 - tau1))) * p1.nodes
-            pred += (q / (tau2 - tau1)) * p2.nodes
+            if not collapse:
+                pred = ((dt + tau1) * (dt + tau2) / (tau1 * tau2)) * nodes
+                pred -= (dt * (dt + tau2) / (tau1 * (tau2 - tau1))) * p1.nodes
+                pred += (q / (tau2 - tau1)) * p2.nodes
     (x0, y0), (xn, yn) = nodes[::len(nodes) - 1].tolist()
     sol = _implicit_interior(rhs, h, beta,
                              ends=((x0, y0, 1.0, 0.0), (xn, yn, 0.0, 1.0)))
@@ -876,7 +920,7 @@ def _attempt_step(state, wall, dt):
     seg = np.hypot(e[:, 0], e[:, 1])
     levels = (CurveState(nodes=nodes, time=state.time, om_minus=state.om_minus,
                          om_plus=state.om_plus, _seg=seg0),
-              ) + levels[:1]
+              ) + levels[:2]
     # resample only once the mesh has actually drifted; spacing decays
     # by O(dt) per step so most steps skip the spline rebuild
     if float(seg.max()) > 1.25 * float(seg.min()):
@@ -1039,26 +1083,27 @@ def run_to_extinction(initial, cfg, ndom):
 
     Every state keeps the initial state's node count, and the steps follow
     the error controller (see step); every step after the first is BDF2,
-    across resamples too.  Steps are in the uniform phase (h0 the initial
-    spacing, read by the first steps' mesh rule) until the run is past
-    every analysis window, and in the collapse phase (h0 None) from the
-    first step from a state with an error estimate (the fourth) at which
-    L^2, extrapolated linearly (as _finalize fits it) through the two
-    newest states, puts extinction less than _ANALYSIS_END ahead.  The
-    switch latches, and it comes at offset times -0.221 to -0.163 on the
-    benchmark diameters, so every state before -_ANALYSIS_END is that of a
-    run in the uniform phase, bit for bit.
+    or BDF3 in the collapse phase, across resamples too.  Steps are in the
+    uniform phase (h0 the initial spacing, read by the first steps' mesh
+    rule) until the run is past every analysis window, and in the collapse
+    phase (h0 None) from the first step from a state with an error
+    estimate (the fourth) at which L^2, extrapolated linearly (as
+    _finalize fits it) through the two newest states, puts extinction less
+    than _ANALYSIS_END ahead.  The switch latches, and it comes at offset
+    times -0.221 to -0.163 on the benchmark diameters, so every state
+    before -_ANALYSIS_END is that of a run in the uniform phase, bit for
+    bit.
 
     Every state a step returns is stored, so the stored states are exactly
-    the states stepped through: 865 states of 864 steps on the disk at
-    rho = 0.1, n_nodes = 200, dt_safety 0.8, and 847 of 846 steps on the
-    egg at n_nodes = 100, of which 226 and 227 come after the switch.
-    The monitors are derived from them afterwards (_finalize).  An
-    exhausted step budget (_MAX_STEPS) raises NonExtinction, whose partial
-    trajectory ends at the current state.  An initial state that already
-    meets the stop rule (shorter than _EXTINCTION_LENGTH, or curvature
-    above _KAPPA_CAP) leaves nothing to step or to extrapolate, and raises
-    ConfigError.
+    the states stepped through: 755 states of 754 steps on the disk at
+    rho = 0.1, n_nodes = 200, dt_safety 0.8, and 736 of 735 steps on the
+    egg at n_nodes = 100, of which 116 and 116 come after the switch (226
+    and 227 with BDF2 steps there).  The monitors are derived from them
+    afterwards (_finalize).  An exhausted step budget (_MAX_STEPS) raises
+    NonExtinction, whose partial trajectory ends at the current state.  An
+    initial state that already meets the stop rule (shorter than
+    _EXTINCTION_LENGTH, or curvature above _KAPPA_CAP) leaves nothing to
+    step or to extrapolate, and raises ConfigError.
     """
     wall = ConvexWall(ndom)
 

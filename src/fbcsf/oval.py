@@ -305,7 +305,7 @@ def construct_orthogonal_oval(ndom, rho):
     Each turning angle's boundary point and each scale's residual are
     evaluated once per call.
 
-    Raises ConfigError when rho is not a real number or is NaN,
+    Raises ConfigError when rho is a bool, not a real number or NaN,
     RhoTooLarge when the line y = rho fails to cross the upper boundary
     twice, and BracketFailure when a sign condition of either solve fails
     or the orthogonal scale has no second crossing (no bracket is widened
@@ -314,8 +314,10 @@ def construct_orthogonal_oval(ndom, rho):
     dom = ndom.domain
     if not dom.is_normalized:
         raise ConfigError("domain must be normalized (diameter on [-1,1])")
-    if not isinstance(rho, numbers.Real) or np.isnan(rho):
-        raise ConfigError(f"rho must be a real number, got {rho!r}")
+    if (isinstance(rho, bool) or not isinstance(rho, numbers.Real)
+            or np.isnan(rho)):
+        raise ConfigError(f"rho must be a real number (not a bool), got "
+                          f"{rho!r}")
 
     om_grid, xs, ys = dom.upper_arc
     itop = int(np.argmax(ys))

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -68,6 +70,31 @@ def nlobed(lobed):
 
 
 # ---------------------------------------------------------------------------
+# the CPU seconds of each shared flow run and sweep built in this session, by
+# name, printed in the terminal summary: a flow saving too small to show in
+# the whole suite's time shows in these
+_FIXTURE_CPU = {}
+
+
+def _timed(name, build, *args):
+    """build(*args), its process CPU time recorded under name."""
+    start = time.process_time()
+    try:
+        return build(*args)
+    finally:
+        _FIXTURE_CPU[name] = time.process_time() - start
+
+
+def pytest_terminal_summary(terminalreporter):
+    if not _FIXTURE_CPU:
+        return
+    terminalreporter.section("shared flow fixtures, CPU s")
+    for name, cpu in _FIXTURE_CPU.items():
+        terminalreporter.write_line(f"{cpu:7.3f}  {name}")
+    terminalreporter.write_line(f"{sum(_FIXTURE_CPU.values()):7.3f}  total")
+
+
+# ---------------------------------------------------------------------------
 # shared flow runs.  Keyed by (domain, rho, n_nodes); computed once per
 # session on first request so the expensive trajectories are paid for once.
 # runs.stepped(name) lists the states that flow.step returned during the
@@ -108,8 +135,8 @@ def runs(ndisk, negg, nellipse_minor):
 
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(flow_mod, "step", recording_step)
-                cache[name] = flow_mod.old_but_not_ancient(doms[dom_key],
-                                                           rho, cfg)
+                cache[name] = _timed(name, flow_mod.old_but_not_ancient,
+                                     doms[dom_key], rho, cfg)
         return cache[name]
 
     def get_stepped(name):
@@ -136,7 +163,8 @@ def runs(ndisk, negg, nellipse_minor):
 @pytest.fixture(scope="session")
 def disk_sweep(ndisk):
     cfg = flow_mod.SolverConfig(n_nodes=200, dt_safety=0.8)
-    return asymptotics.ancient_sweep(ndisk, [0.2, 0.1, 0.05], cfg)
+    return _timed("disk_sweep", asymptotics.ancient_sweep, ndisk,
+                  [0.2, 0.1, 0.05], cfg)
 
 
 @pytest.fixture(scope="session")
@@ -144,5 +172,6 @@ def egg_sweep(negg):
     # same-side runs whose extinction alignment leaves a time error of a
     # few 1e-5, which the shift search takes up
     cfg = flow_mod.SolverConfig(n_nodes=100, dt_safety=0.8)
-    return asymptotics.ancient_sweep(negg, [0.1, 0.05, 0.025], cfg)
+    return _timed("egg_sweep", asymptotics.ancient_sweep, negg,
+                  [0.1, 0.05, 0.025], cfg)
 

@@ -351,6 +351,16 @@ def test_non_real_rho_is_a_config_error(ndisk, rho):
         ov.construct_orthogonal_oval(ndisk, rho)
 
 
+@pytest.mark.parametrize("rho", [True, False])
+def test_bool_rho_is_a_config_error(nellipse_minor, rho):
+    # a bool is a numbers.Real: the minor axis's upper arc is 2 high, so
+    # True used to build the oval at rho = 1.0 (and False ended in
+    # RhoTooLarge)
+    assert max(nellipse_minor.domain.upper_arc[2]) > 1.0
+    with pytest.raises(ConfigError):
+        ov.construct_orthogonal_oval(nellipse_minor, rho)
+
+
 # ------------------------------------------- second-contact search
 
 def _full_scan(signs):
