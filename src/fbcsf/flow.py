@@ -1,20 +1,21 @@
 """Linearly implicit curvature flow with sliding orthogonal contacts.
 
 The curve is an open polyline whose endpoints live on the domain boundary,
-stored as boundary turning-angle parameters.  A step is variable-step
-BDF2 in time until the last analysis window is past and BDF3 after it,
-with the arc-length Laplacian taken at the edge lengths extrapolated to
-the new time; only the initial state, which has no history, takes a
-backward-Euler start step.  Each way the step is one LAPACK gtsv call,
-and the contacts are solved at the new time level with the interior: the
-same call gives every node's response to a move of either end, and each
-contact parameter is then solved so that the discrete endpoint tangent
-of the resulting curve is parallel to the boundary normal (Newton with
-the residual's analytic slope, from the wall's point and normal
-derivatives).  Every state of a run keeps the
-node count of its initial state: cubic arc-length resampling of the new
-curve and of the up to three levels before it, at that count in one
-packed spline solve, follows only when the spacing has drifted.
+stored as boundary turning-angle parameters.  A step is one formula,
+linearly implicit variable-step BDF in time with the arc-length
+Laplacian taken at the edge lengths extrapolated to the new time, whose
+order the phase sets: 2 until the last analysis window is past and 3
+after it, and 1 (backward Euler) from the initial state, which has no
+history.  The step is one LAPACK gtsv call, and the contacts are solved
+at the new time level with the interior: the same call gives every
+node's response to a move of either end, and each contact parameter is
+then solved so that the discrete endpoint tangent of the resulting curve
+is parallel to the boundary normal (Newton with the residual's analytic
+slope, from the wall's point and normal derivatives).  Every state of a
+run keeps the node count of its initial state: cubic arc-length
+resampling of the new curve and of the up to three levels before it, at
+that count in one packed spline solve, follows only when the spacing has
+drifted.
 
 Step lengths follow the solution, not the mesh.  Each step that has
 enough node levels behind it estimates its local error by Milne's device,
@@ -300,11 +301,13 @@ _FLAT_REL_TOL = 1e-10
 # over the order of the local error (0.7 / 3 and 0.4 / 3 for BDF2's
 # third, 0.7 / 4 and 0.4 / 4 for BDF3's fourth).  A step grows by at
 # most _MAX_STEP_RATIO over the one before it, inside variable BDF2's
-# zero-stability limit 1 + sqrt(2) (the collapse phase's BDF3 steps grow
-# by at most 1.65, 1.68 and 1.83 on the disk, the egg and the ellipse(2,1)
-# minor axis at rho 0.1), and never exceeds the length
-# cap _LENGTH_STEP_CAP * L^2 for the curve length L, whatever dt_safety,
-# scaled in the collapse phase as the tolerance is (see step)
+# zero-stability limit 1 + sqrt(2); the collapse steps pass BDF3's
+# constant-ratio limit 1.618 (Calvo, Grande and Grigorieff, Numer. Math.
+# 57, 1990) one or two times per run, by up to 1.65, 1.68 and 1.83 on the
+# disk, the egg and the ellipse(2,1) minor axis at rho 0.1.  A step never
+# exceeds the length cap _LENGTH_STEP_CAP * L^2 for the curve length L,
+# whatever dt_safety, scaled in the collapse phase as the tolerance is
+# (see step)
 _STEP_SCALE = 0.024
 _MAX_STEP_RATIO = 2.0
 _LENGTH_STEP_CAP = 0.002
@@ -705,29 +708,24 @@ def step(state, cfg, wall, h0):
     """One accepted step; halves dt on a FlowError or a convexity failure,
     up to 20 times, then raises StepRejected.
 
-    The new curve keeps the stepped curve's node count (_attempt_step).
-    A step without an error estimate, one of a run's first three, takes
-    the mesh step dt_safety * _STEP_SCALE * h_bar^2 / h0, h_bar the mean
-    edge.  h0 None is the collapse phase (see run_to_extinction), which
-    differs from the uniform phase in its BDF3 step, its looser tolerance,
-    its controller's exponents and its longer length cap, and has no mesh
-    step: h0 None on a state without an error estimate raises
+    h0 sets the phase (see run_to_extinction) and with it the BDF order
+    that _attempt_step takes: 2 in the uniform phase, where h0 is the
+    spacing that the mesh step reads, and 3 in the collapse phase, h0
+    None, which also has a looser tolerance, the controller exponents of
+    its order and a longer length cap.  A step without an error estimate, one of a
+    run's first three, takes the mesh step dt_safety * _STEP_SCALE *
+    h_bar^2 / h0, h_bar the mean edge; h0 None on such a state raises
     ConfigError, as does an h0 that is not None and not a finite positive
-    real (a bool included).  A state with a history (_prev), as every
-    state a step returns has, takes a variable-step BDF2 step (BDF3 in the
-    collapse phase) from its levels, at most _MAX_STEP_RATIO times the
-    step from its newest level to the state; an initial state takes a
-    backward-Euler start step (_attempt_step).
+    real (a bool included).  A state with levels steps at most
+    _MAX_STEP_RATIO times the step from its newest level to the state.
 
-    Where the step that made the state carries an error estimate err
-    (every step of a run from the third on), the new step is chosen
-    against the tolerance tol by the PI controller
-    0.9 dt_prev (tol / err)^(0.7/p) (err_prev / tol)^(0.4/p) for a local
-    error of order p, BDF2's third in the uniform phase and BDF3's fourth
-    in the collapse phase (Gustafsson, ACM TOMS 20, 1994; Hairer, Norsett
-    and Wanner, Solving ODEs I, II.4), or by the elementary controller
-    0.9 dt_prev (tol / err)^(1/p) where the step before has no estimate
-    err_prev.  tol is cfg.error_tol in the uniform phase and
+    Where the step that made the state carries an error estimate err, the
+    new step is chosen against the tolerance tol by the PI controller
+    0.9 dt_prev (tol / err)^(0.7/p) (err_prev / tol)^(0.4/p), p = order + 1
+    the order of the local error (Gustafsson, ACM TOMS 20, 1994; Hairer,
+    Norsett and Wanner, Solving ODEs I, II.4), or by the elementary
+    controller 0.9 dt_prev (tol / err)^(1/p) where the step before has no
+    estimate err_prev.  tol is cfg.error_tol in the uniform phase and
     _COLLAPSE_TOL_FACTOR times it in the collapse phase.  The step never
     exceeds the length cap _LENGTH_STEP_CAP * L^2, L the state's length:
     the diffusion time of the whole curve, which does not scale with
@@ -737,8 +735,7 @@ def step(state, cfg, wall, h0):
     binds only where the curve barely moves, as on a stationary curve
     (whose step would otherwise double every step) or a long chord early
     on.  The first collapse step reads the estimates of two BDF2 steps
-    with BDF3's exponents.  Every step is accepted: only a FlowError or a
-    convexity failure retries it, at half the length.
+    with BDF3's exponents.
     """
     if h0 is not None and (isinstance(h0, bool)
                            or not (isinstance(h0, numbers.Real)
@@ -746,6 +743,7 @@ def step(state, cfg, wall, h0):
         raise ConfigError(
             f"the target spacing h0 must be None or a finite positive real "
             f"(not a bool), got {h0!r}")
+    order = 2 if h0 is not None else 3
     length = state.length
     levels, err, err_prev = state._prev or ((), None, None)
     if levels:
@@ -757,25 +755,22 @@ def step(state, cfg, wall, h0):
         h_bar = length / (len(state.nodes) - 1)
         dt = cfg.dt_safety * _STEP_SCALE * h_bar * (h_bar / h0)
     else:
-        # the order of the local error: BDF2's third, BDF3's fourth
-        tol, order, scale = cfg.error_tol, 3.0, 1.0
-        if h0 is None:
-            tol *= _COLLAPSE_TOL_FACTOR
-            order = 4.0
-            scale = _COLLAPSE_TOL_FACTOR ** (1.0 / order)
-        dt = _LENGTH_STEP_CAP * length ** 2 * scale
+        p = order + 1
+        loosen = 1.0 if h0 is not None else _COLLAPSE_TOL_FACTOR
+        tol = cfg.error_tol * loosen
+        dt = _LENGTH_STEP_CAP * length ** 2 * loosen ** (1.0 / p)
         if err > 0.0:
             if err_prev:
-                fac = ((tol / err) ** (_PI_ERR / order)
-                       * (err_prev / tol) ** (_PI_PREV_ERR / order))
+                fac = ((tol / err) ** (_PI_ERR / p)
+                       * (err_prev / tol) ** (_PI_PREV_ERR / p))
             else:
-                fac = (tol / err) ** (1.0 / order)
+                fac = (tol / err) ** (1.0 / p)
             dt = min(dt, _CONTROL_SAFETY * dt_prev * fac)
     if levels:
         dt = min(dt, _MAX_STEP_RATIO * dt_prev)
     for _ in range(21):
         try:
-            new = _attempt_step(state, wall, dt, h0 is None)
+            new = _attempt_step(state, wall, dt, order)
         except FlowError:
             dt *= 0.5
             continue
@@ -787,10 +782,31 @@ def step(state, cfg, wall, h0):
 
 
 def _extrapolation_weights(d):
-    """Weights of the Lagrange extrapolation to a new time through levels
-    at the distances d back from it."""
-    return [math.prod(dk / (dk - dj) for k, dk in enumerate(d) if k != j)
-            for j, dj in enumerate(d)]
+    """Lagrange extrapolation weights to a new time through the first m
+    levels at the distances d back from it, one row per m = 1 .. len(d);
+    a weight is the product of dk / (dk - dj) over the other levels."""
+    row = [1.0]
+    rows = [row]
+    for m in range(1, len(d)):
+        dm, last, new = d[m], 1.0, []
+        for j in range(m):
+            dj = d[j]
+            new.append(row[j] * (dm / (dm - dj)))
+            last *= dj / (dj - dm)
+        new.append(last)
+        rows.append(new)
+        row = new
+    return rows
+
+
+def _bdf_weights(w, d):
+    """beta and the weights c_j = beta w_j / d_j of the BDF step
+    (I - beta L) X = sum_j c_j X^j through levels at the distances d back
+    from the new time, w their extrapolation weights: 1 / beta =
+    sum_j 1 / d_j, summed as d_0 / sum_j (d_0 / d_j) so that one level
+    gives backward Euler exactly."""
+    beta = d[0] / sum([d[0] / dj for dj in d])
+    return beta, [beta * wj / dj for wj, dj in zip(w, d)]
 
 
 def _normal_defect(nodes, pred, e):
@@ -810,90 +826,63 @@ def _normal_defect(nodes, pred, e):
     return float(cross.max())
 
 
-def _attempt_step(state, wall, dt, collapse):
+def _attempt_step(state, wall, dt, order):
     """Linearly implicit step of length dt, contacts at the new time, at
-    the stepped curve's node count; collapse is the phase (step's h0 None).
+    the stepped curve's node count: variable-step BDF of the order
+    k = min(order, 1 + the state's level count).
 
-    In the uniform phase, BDF2 with step ratio w = dt / dt_prev solves
-    (I - beta L*) X = ((1 + w)^2 X^n - w^2 X^(n-1)) / (1 + 2w),
-    beta = dt (1 + w) / (1 + 2w), with the Laplacian L* of the edge
-    lengths extrapolated linearly to the new time.  In the collapse phase,
-    variable-step BDF3 solves (I - beta L*) X = sum_j (beta / d_j) l_j X^j
-    over X^n, X^(n-1) and X^(n-2), d_j the distance of level j back from
-    the new time, l_j its quadratic extrapolation weight and
-    1 / beta = 1/d_0 + 1/d_1 + 1/d_2, with L* at the edge lengths
-    extrapolated quadratically (linearly implicit BDF with extrapolated
-    coefficients: Akrivis and Lubich, Numer. Math. 131, 2015).  The start
-    step is backward Euler, (I - dt L^n) X = X^n.  The ends are pinned at
-    the old contacts and two more right-hand sides give the response g of
-    every node to a unit move of each end, so the new curve is
-    X + g- s- + g+ s+ for end moves s.  Each contact's Newton runs on that
-    family, with nodes 1 and 2 moving with the end; the right contact sees
-    the left one's move.
+    With X^j the state and its levels (_prev), newest first, d_j the
+    distance of each back from the new time and l_j the weights of the
+    extrapolation to the new time through the first k, the step solves
+    (I - beta L*) X = sum_j (beta l_j / d_j) X^j, 1 / beta = sum_j 1 / d_j,
+    L* the Laplacian of the edge lengths sum_j l_j h^j (Akrivis and
+    Lubich, Numer. Math. 131, 2015): backward Euler at k = 1.  The ends
+    are pinned at the old contacts and two more right-hand sides give the
+    response g of every node to a unit move of each end, so the new curve
+    is X + g- s- + g+ s+ for end moves s.  Each contact's Newton runs on
+    that family from the contact extrapolated through up to three levels,
+    with nodes 1 and 2 moving with the end; the right contact sees the
+    left one's move.
 
-    X^(n-1), X^(n-2) and X^(n-3) are the state's history levels (_prev).
-    The step's error estimate (Milne's device) is the largest normal
-    component of the new curve less the Lagrange extrapolation of the
-    levels to the new time, read before any resample: the quadratic one of
-    three levels for BDF2, where two history levels are known, and the
-    cubic one of four for BDF3, which needs all three (every state with an
-    error estimate has them).  The new state's levels are a new CurveState
-    of the stepped state, without history (so a level keeps no other state
-    alive), and the stepped state's two newest levels.  Only a drifted
-    spacing (longest edge over 1.25 times the shortest) resamples: the new
-    curve and every level, at the same count, in one packed spline solve.
-    A count change would perturb the levels, Milne's estimate would read
-    that as error, and the controller would shorten the next steps.  The
-    new state's edge lengths (_seg) and curvature (_kap) come from the edge
+    Where a level beyond the k is known, the error estimate (Milne's
+    device) is the largest normal component of the new curve less the
+    extrapolation through k + 1 levels, read before any resample.  The
+    new state's levels are a history-free CurveState of the stepped state
+    (so a level keeps no other state alive) and the stepped state's two
+    newest levels.  Only a drifted spacing (longest edge over 1.25 times
+    the shortest) resamples: the new curve and every level, at the same
+    count, in one packed spline solve; a count change would perturb the
+    levels, and Milne's estimate would read that as error.  The new
+    state's edge lengths (_seg) and curvature (_kap) come from the edge
     vectors that the error estimate reads.
     """
     nodes = state.nodes
-    seg0 = state.seg_cached()
-    om_m, om_p = state.om_minus, state.om_plus
+    levels, err_prev, _ = state._prev or ((), None, None)
+    xs = (state,) + levels
+    k = min(order, len(xs))
+    d = [dt + (state.time - p.time) for p in xs]
+    # the weight sets the step reads, as rows of one table: k levels for
+    # the BDF formula and the edge lengths, k + 1 for the predictor and up
+    # to three for the contacts
+    ws = _extrapolation_weights(d[:max(k + 1, 3)])
+    w = ws[k - 1]
+    beta, c = _bdf_weights(w, d[:k])
     rhs = np.zeros((len(nodes), 4), order="F")
-    levels, pred, err_prev = (), None, None
-    if state._prev is None:
-        beta, h = dt, seg0
-        rhs[:, :2] = nodes
-    else:
-        levels, err_prev, _ = state._prev
-        p1 = levels[0]
-        tau1 = state.time - p1.time
-        if collapse:
-            # BDF3: each level's weight is beta / d_j times its quadratic
-            # extrapolation weight, d_j its distance back from the new time
-            xs = [nodes] + [p.nodes for p in levels]
-            d = [dt] + [dt + (state.time - p.time) for p in levels]
-            w = _extrapolation_weights(d[:3])
-            beta = 1.0 / (1.0 / d[0] + 1.0 / d[1] + 1.0 / d[2])
-            rhs[:, :2] = sum((beta * wj / dj) * x
-                             for wj, dj, x in zip(w, d, xs))
-            h = (w[0] * seg0 + w[1] * p1.seg_cached()
-                 + w[2] * levels[1].seg_cached())
-            pred = sum(wj * x for wj, x in zip(_extrapolation_weights(d), xs))
-        else:
-            w = dt / tau1
-            beta = dt * (1.0 + w) / (1.0 + 2.0 * w)
-            np.multiply(nodes, (1.0 + w) ** 2 / (1.0 + 2.0 * w),
-                        out=rhs[:, :2])
-            rhs[:, :2] -= (w * w / (1.0 + 2.0 * w)) * p1.nodes
-            h = (1.0 + w) * seg0 - w * p1.seg_cached()
-        # the contacts' first Newton guesses, extrapolated linearly, or
-        # quadratically once three contact times are known; so are the
-        # nodes, for BDF2's error estimate
-        dm, dp = (om_m - p1.om_minus) / tau1, (om_p - p1.om_plus) / tau1
-        om_m, om_p = om_m + dt * dm, om_p + dt * dp
-        if len(levels) > 1:
-            p2 = levels[1]
-            tau2 = state.time - p2.time
-            q = dt * (dt + tau1) / tau2
-            gap = p1.time - p2.time
-            om_m += q * (dm - (p1.om_minus - p2.om_minus) / gap)
-            om_p += q * (dp - (p1.om_plus - p2.om_plus) / gap)
-            if not collapse:
-                pred = ((dt + tau1) * (dt + tau2) / (tau1 * tau2)) * nodes
-                pred -= (dt * (dt + tau2) / (tau1 * (tau2 - tau1))) * p1.nodes
-                pred += (q / (tau2 - tau1)) * p2.nodes
+    x = np.multiply(nodes, c[0], out=rhs[:, :2])
+    h = w[0] * state.seg_cached()
+    for j in range(1, k):
+        x += c[j] * xs[j].nodes
+        h += w[j] * xs[j].seg_cached()
+    om_m = om_p = 0.0
+    for wj, p in zip(ws[min(3, len(xs)) - 1], xs):
+        om_m += wj * p.om_minus
+        om_p += wj * p.om_plus
+    pred = None
+    if len(xs) > k:
+        wp = ws[k]
+        pred = wp[0] * nodes
+        for j in range(1, k + 1):
+            pred += wp[j] * xs[j].nodes
     (x0, y0), (xn, yn) = nodes[::len(nodes) - 1].tolist()
     sol = _implicit_interior(rhs, h, beta,
                              ends=((x0, y0, 1.0, 0.0), (xn, yn, 0.0, 1.0)))
@@ -908,7 +897,7 @@ def _attempt_step(state, wall, dt, collapse):
                              (xl + gml * smx, yl + gml * smy), gpm, gpl,
                              (xn, yn))
     pp = wall.point_xy(om_plus)
-    # Fortran order, as gtsv returns it, so that the next step's BDF2
+    # Fortran order, as gtsv returns it, so that the next step's BDF
     # right-hand side combines contiguous columns
     new = np.dot(np.array([[1.0, 0.0, smx, pp[0] - xn],
                            [0.0, 1.0, smy, pp[1] - yn]]), sol.T).T
@@ -919,7 +908,7 @@ def _attempt_step(state, wall, dt, collapse):
     err = None if pred is None else _normal_defect(new, pred, e)
     seg = np.hypot(e[:, 0], e[:, 1])
     levels = (CurveState(nodes=nodes, time=state.time, om_minus=state.om_minus,
-                         om_plus=state.om_plus, _seg=seg0),
+                         om_plus=state.om_plus, _seg=state.seg_cached()),
               ) + levels[:2]
     # resample only once the mesh has actually drifted; spacing decays
     # by O(dt) per step so most steps skip the spline rebuild
@@ -1219,22 +1208,29 @@ _DRIFT_NODES = 64
 _DRIFT_STEPS = 50
 
 
+def _step_until(state, wall, t_end, dt_safety):
+    """The state stepped as run_to_extinction steps it in the uniform phase
+    (h0 the initial spacing, its node count throughout) until t_end is
+    reached or passed."""
+    n = len(state.nodes)
+    cfg = SolverConfig(n_nodes=n, dt_safety=dt_safety)
+    h0 = state.length / (n - 1)
+    while state.time < t_end:
+        state = step(state, cfg, wall, h0)
+    return state
+
+
 def grim_reaper_error(n, t_end, dt_safety):
     """Grim reaper y = t - log cos x between the walls of GrimReaperWalls.
 
     Starts at t = 0 with contacts at -+pi/4 and n nodes uniform in arc
-    length, x = arctan(sinh s); steps as run_to_extinction does (h0 the
-    initial spacing, n nodes throughout) until t_end is reached or passed;
+    length, x = arctan(sinh s); steps it until t_end (_step_until) and
     returns the largest node height error there and the final state."""
     s = np.linspace(-np.arcsinh(1.0), np.arcsinh(1.0), n)
     xs = np.arctan(np.sinh(s))
     state = CurveState(nodes=np.column_stack([xs, -np.log(np.cos(xs))]),
                        time=0.0, om_minus=-np.pi / 4, om_plus=np.pi / 4)
-    cfg = SolverConfig(n_nodes=n, dt_safety=dt_safety)
-    wall = GrimReaperWalls()
-    h0 = state.length / (n - 1)
-    while state.time < t_end:
-        state = step(state, cfg, wall, h0)
+    state = _step_until(state, GrimReaperWalls(), t_end, dt_safety)
     x, y = state.nodes[:, 0], state.nodes[:, 1]
     return float(np.max(np.abs(y - state.time + np.log(np.cos(x))))), state
 
@@ -1242,18 +1238,13 @@ def grim_reaper_error(n, t_end, dt_safety):
 def semicircle_wall_error(n, t_end, dt_safety):
     """Unit half circle on the x-axis wall shrinking as sqrt(1 - 2t).
 
-    Steps as run_to_extinction does (h0 the initial spacing, n nodes
-    throughout) until t_end is reached or passed; returns the largest node
-    radius error there and the final state."""
+    Steps it with n nodes until t_end (_step_until) and returns the
+    largest node radius error there and the final state."""
     th = np.linspace(np.pi, 0.0, n)
     pts = np.column_stack([np.cos(th), np.sin(th)])
     pts[0, 1] = pts[-1, 1] = 0.0
     state = CurveState(nodes=pts, time=0.0, om_minus=-1.0, om_plus=1.0)
-    wall = StraightWall()
-    cfg = SolverConfig(n_nodes=n, dt_safety=dt_safety)
-    h0 = state.length / (n - 1)
-    while state.time < t_end:
-        state = step(state, cfg, wall, h0)
+    state = _step_until(state, StraightWall(), t_end, dt_safety)
     r_exact = np.sqrt(1.0 - 2 * state.time)
     r_num = np.hypot(state.nodes[:, 0] - 0.5 * (state.om_minus + state.om_plus),
                      state.nodes[:, 1])

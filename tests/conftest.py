@@ -72,8 +72,11 @@ def nlobed(lobed):
 # ---------------------------------------------------------------------------
 # the CPU seconds of each shared flow run and sweep built in this session, by
 # name, printed in the terminal summary: a flow saving too small to show in
-# the whole suite's time shows in these
+# the whole suite's time shows in these.  Next to a run's seconds stand its
+# step count and resample events, so a change that keeps the step sequence
+# shows it too
 _FIXTURE_CPU = {}
+_FIXTURE_STEPS = {}
 
 
 def _timed(name, build, *args):
@@ -88,10 +91,13 @@ def _timed(name, build, *args):
 def pytest_terminal_summary(terminalreporter):
     if not _FIXTURE_CPU:
         return
-    terminalreporter.section("shared flow fixtures, CPU s")
+    terminalreporter.section("shared flow fixtures: CPU s, steps, resamples")
     for name, cpu in _FIXTURE_CPU.items():
-        terminalreporter.write_line(f"{cpu:7.3f}  {name}")
-    terminalreporter.write_line(f"{sum(_FIXTURE_CPU.values()):7.3f}  total")
+        counts = ("%6d %4d" % _FIXTURE_STEPS[name] if name in _FIXTURE_STEPS
+                  else " " * 11)
+        terminalreporter.write_line(f"{cpu:7.3f} {counts}  {name}")
+    terminalreporter.write_line(
+        f"{sum(_FIXTURE_CPU.values()):7.3f} {' ' * 11}  total")
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +143,7 @@ def runs(ndisk, negg, nellipse_minor):
                 mp.setattr(flow_mod, "step", recording_step)
                 cache[name] = _timed(name, flow_mod.old_but_not_ancient,
                                      doms[dom_key], rho, cfg)
+            _FIXTURE_STEPS[name] = (len(stepped[name]), sum(resampled[name]))
         return cache[name]
 
     def get_stepped(name):

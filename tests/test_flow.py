@@ -305,8 +305,7 @@ def _semicircle_estimate(dt, n=100, t_end=0.02):
     pts[0, 1] = pts[-1, 1] = 0.0
     state = f.CurveState(nodes=pts, time=0.0, om_minus=-1.0, om_plus=1.0)
     while state.time < t_end - 0.5 * dt:
-        prev, state = state, f._attempt_step(state, f.StraightWall(), dt,
-                                             False)
+        prev, state = state, f._attempt_step(state, f.StraightWall(), dt, 2)
         assert state._prev[0][0].nodes is prev.nodes
     return state._prev[1]
 
@@ -342,7 +341,8 @@ def semicircle_collapse_steps():
     pts[0, 1] = pts[-1, 1] = 0.0
     ref = [f.CurveState(nodes=pts, time=0.0, om_minus=-1.0, om_plus=1.0)]
     for k in range(round(t_end / ref_dt)):
-        ref.append(f._attempt_step(ref[-1], wall, ref_dt, k >= 3))
+        ref.append(f._attempt_step(ref[-1], wall, ref_dt,
+                                   3 if k >= 3 else 2))
     errs, ests = [], []
     for dt in dts:
         m, k0 = round(dt / ref_dt), round(t0 / ref_dt)
@@ -350,7 +350,7 @@ def semicircle_collapse_steps():
         state._prev = (tuple(_semicircle_level(ref[k0 + k * m])
                              for k in (2, 1, 0)), None, None)
         for _ in range(round((t_end - t0) / dt) - 3):
-            prev, state = state, f._attempt_step(state, wall, dt, True)
+            prev, state = state, f._attempt_step(state, wall, dt, 3)
             assert state._prev[0][0].nodes is prev.nodes
         assert state.time == pytest.approx(t_end, abs=1e-12)
         errs.append(float(np.max(np.abs(state.nodes - ref[-1].nodes))))
@@ -375,6 +375,17 @@ def test_collapse_error_estimate_is_fourth_order(semicircle_collapse_steps):
     assert all(14.0 <= q <= 18.0 for q in ratios), (ests, ratios)
 
 
+def _lagrange_derivatives(t):
+    """The derivative at the new time t[0] of each Lagrange basis
+    polynomial through the times t, in their order."""
+    a = [sum(1.0 / (t[0] - s) for s in t[1:])]
+    for j in range(1, len(t)):
+        others = [s for k, s in enumerate(t) if k not in (0, j)]
+        a.append(np.prod([t[0] - s for s in others])
+                 / np.prod([t[j] - s for k, s in enumerate(t) if k != j]))
+    return a
+
+
 def test_a_collapse_step_is_the_bdf3_solve(ndisk, disk_wall):
     # from a state with three levels, a collapse step (h0 None) is one
     # linear solve: the variable-step BDF3 combination of the state and its
@@ -390,12 +401,7 @@ def test_a_collapse_step_is_the_bdf3_solve(ndisk, disk_wall):
     assert new._prev[0][0].nodes is state.nodes
     assert new._prev[0][1:] == (p1, p2)
     t = [new.time, state.time, p1.time, p2.time]
-    # derivatives at the new time of the Lagrange basis through t
-    a = [sum(1.0 / (t[0] - s) for s in t[1:])]
-    for j in (1, 2, 3):
-        others = [s for k, s in enumerate(t) if k not in (0, j)]
-        a.append(np.prod([t[0] - s for s in others])
-                 / np.prod([t[j] - s for k, s in enumerate(t) if k != j]))
+    a = _lagrange_derivatives(t)
     rhs = -(a[1] * state.nodes + a[2] * p1.nodes + a[3] * p2.nodes) / a[0]
     # the quadratic through the edge lengths at the three times, at t[0]
     segs = [state.seg_cached(), p1.seg_cached(), p2.seg_cached()]
@@ -455,7 +461,7 @@ def test_step_grows_at_most_twofold(ndisk, disk_wall):
     cfg = f.SolverConfig(n_nodes=100, dt_safety=0.8)
     h0 = s0.length / 99
     full = f.step(s0, cfg, disk_wall, h0).time - s0.time
-    s1 = f._attempt_step(s0, disk_wall, 0.1 * full, False)
+    s1 = f._attempt_step(s0, disk_wall, 0.1 * full, 2)
     s2 = f.step(s1, cfg, disk_wall, h0)
     assert s2.time - s1.time == pytest.approx(2.0 * (s1.time - s0.time),
                                               rel=1e-12)
@@ -473,7 +479,7 @@ def test_length_cap_scales_with_the_tolerance(ndisk, disk_wall, monkeypatch,
     # the uniform phase it is _LENGTH_STEP_CAP * L^2 exactly, and in the
     # collapse phase (h0 None), at 256 times the tolerance, 256^(1/4) = 4
     # times that, exactly, as the controller's step scales at BDF3's
-    # fourth order; the attempt is told the phase
+    # fourth order; the attempt is told the phase's BDF order
     state = _oval_state(ndisk, 0.3, 100)
     cfg = f.SolverConfig(n_nodes=100, dt_safety=0.8)
     level = f.CurveState(nodes=state.nodes, time=state.time - 1.0,
@@ -481,15 +487,15 @@ def test_length_cap_scales_with_the_tolerance(ndisk, disk_wall, monkeypatch,
     state._prev = ((level,), 1e-30, 1e-30)
     taken = []
 
-    def attempt(state, wall, dt, collapse):
-        taken.append((dt, collapse))
+    def attempt(state, wall, dt, order):
+        taken.append((dt, order))
         raise _StepTaken
 
     monkeypatch.setattr(f, "_attempt_step", attempt)
     with pytest.raises(_StepTaken):
         f.step(state, cfg, disk_wall, None if held else state.length / 99)
     cap = f._LENGTH_STEP_CAP * state.length ** 2
-    assert taken == [(4.0 * cap if held else cap, held)]
+    assert taken == [(4.0 * cap, 3) if held else (cap, 2)]
 
 
 def test_step_preserves_convexity(ndisk, disk_wall):
@@ -882,6 +888,27 @@ def test_tolerance_loosens_once_after_every_analysis_window(runs, name):
     assert len(held) - k <= 130
 
 
+def test_collapse_steps_keep_bdf3_zero_stable(runs):
+    # at a constant step ratio, variable-step BDF3 is zero-stable only up
+    # to 1.618 (Calvo, Grande and Grigorieff, Numer. Math. 57, 1990); the
+    # collapse steps pass that twice on this run (ratios up to 1.650, under
+    # _MAX_STEP_RATIO 2), so the BDF3 recursion on y' = 0 is held instead:
+    # the product of its companion matrices over the collapse steps' times
+    # has a 2-norm that peaks at 7.37, three steps after the switch, and
+    # ends at 5.78 (7.31 and 5.19 on the egg, 7.79 and 5.83 on the
+    # ellipse(2,1) minor axis, at rho 0.1)
+    name = "disk_r01_n200"
+    t = runs(name).monitors["t"]
+    prod, norms = np.eye(3), []
+    for k in range(_first_held_step(runs, name), len(t) - 1):
+        a = _lagrange_derivatives(t[[k + 1, k, k - 1, k - 2]])
+        comp = np.array([[-a[1] / a[0], -a[2] / a[0], -a[3] / a[0]],
+                         [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        prod = comp @ prod
+        norms.append(np.linalg.norm(prod, 2))
+    assert max(norms) < 8.0 and norms[-1] < 6.5, (max(norms), norms[-1])
+
+
 @pytest.mark.parametrize("name", _SWITCH_RUNS)
 def test_every_state_keeps_the_initial_node_count(runs, name):
     # in both phases, so that only a drifted spacing resamples
@@ -976,8 +1003,8 @@ def test_switch_waits_for_the_first_error_estimate(ndisk, monkeypatch):
 # 4.1e-5 and 4.1e-5 with BDF2 steps after it, and each rate by at most
 # three units in its last place
 @pytest.mark.parametrize("name, alpha, rate", [
-    ("disk_r01_n200", -2.111908407577843, 1.4382697845794759),
-    ("egg_r01_n100", -1.5894920867417843, 2.359574825908546)])
+    ("disk_r01_n200", -2.1119084075776646, 1.438269784572755),
+    ("egg_r01_n100", -1.589492086741772, 2.3595748259159244)])
 def test_looser_collapse_keeps_alpha_and_the_rate(runs, name, alpha, rate):
     traj = runs(name)
     ndom = runs.spec(name)[0]

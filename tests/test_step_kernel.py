@@ -2,10 +2,12 @@
 the spline kernel and the wall tables against scipy's CubicSpline, the
 local-minimum counter against its original implementation, the
 analytic-slope contact Newton against finite differences and a bracketed
-root, and the slimmed flow kernels against the forms they replaced, with
+root, the BDF weights against polynomial exactness and BDF2's closed
+form, and the slimmed flow kernels against the forms they replaced, with
 no write into an input a kernel does not own."""
 
 import tracemalloc
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -104,6 +106,68 @@ def test_tridiag_solve_rejects_singular_matrix():
     with pytest.raises(FlowError):
         f._tridiag_solve(np.zeros(n - 1), np.zeros(n), np.zeros(n - 1),
                          np.ones((n, 2)))
+
+
+# ---------------------------------------------------------------------------
+# the BDF weights
+
+_EPS = np.finfo(float).eps
+
+
+@st.composite
+def _distances(draw):
+    """1 to 4 distances of levels back from a new time, as a step reads
+    them: the first the step, each next one further back by a step 0.1 to
+    10 times the one before."""
+    steps = [draw(st.floats(1e-3, 1.0))]
+    for r in draw(st.lists(st.floats(0.1, 10.0), max_size=3)):
+        steps.append(steps[-1] * r)
+    return list(accumulate(steps))
+
+
+@given(_distances())
+@settings(max_examples=200, deadline=None)
+def test_extrapolation_weights_reproduce_polynomials(d):
+    # row r - 1 of the table, the extrapolation through the first r
+    # levels, is exact, up to rounding, on every polynomial of degree
+    # below r: on each monomial t^m, with the new time at t = 0 and the
+    # levels at t = -d_j
+    rows = f._extrapolation_weights(d)
+    assert [len(w) for w in rows] == list(range(1, len(d) + 1))
+    for w in rows:
+        for m in range(len(w)):
+            terms = [wj * (-dj) ** m for wj, dj in zip(w, d)]
+            tol = 8 * len(w) * _EPS * sum(map(abs, terms))
+            assert abs(sum(terms) - (m == 0)) <= tol, (m, terms)
+
+
+@given(_distances())
+@settings(max_examples=200, deadline=None)
+def test_bdf_weights_sum_to_one(d):
+    # the BDF-k right-hand side's weights beta l_j / d_j keep a constant
+    # curve where it is
+    beta, c = f._bdf_weights(f._extrapolation_weights(d)[-1], d)
+    assert 0.0 < beta <= d[0]
+    assert abs(sum(c) - 1.0) <= 8 * len(d) * _EPS * sum(map(abs, c)), c
+
+
+@given(st.floats(1e-6, 1.0), st.floats(1e-3, 2.0))
+@settings(max_examples=200, deadline=None)
+def test_bdf2_weights_are_the_closed_form(dt, ratio):
+    # two levels: BDF2 with the step ratio w = dt / dt_prev, its weights
+    # (1 + w)^2 / (1 + 2w) and -w^2 / (1 + 2w), beta = dt (1 + w) / (1 + 2w)
+    d = [dt, dt + dt / ratio]
+    w = dt / (d[1] - d[0])
+    beta, c = f._bdf_weights(f._extrapolation_weights(d)[-1], d)
+    assert beta == pytest.approx(dt * (1 + w) / (1 + 2 * w), rel=1e-15)
+    assert c[0] == pytest.approx((1 + w) ** 2 / (1 + 2 * w), rel=1e-15)
+    assert c[1] == pytest.approx(-w * w / (1 + 2 * w), rel=1e-15)
+
+
+@pytest.mark.parametrize("dt", [1e-7, 3e-3, 0.1, 1.0 / 3.0])
+def test_one_level_is_backward_euler_exactly(dt):
+    assert f._extrapolation_weights([dt]) == [[1.0]]
+    assert f._bdf_weights([1.0], [dt]) == (dt, [1.0])
 
 
 # ---------------------------------------------------------------------------
