@@ -36,19 +36,20 @@ after a resample) and derives from them everything the state's geometry
 needs: the error estimate's tangents, the edge lengths and the
 ghost-closed curvature, all cached on the state, and its length is summed
 once.  The next step's time step and Laplacian reuse the edge lengths;
-the convexity check, the stop rule, the monitors and the late-time
-analysis read the cached curvature.
+the convexity check, the monitors and the late-time analysis read the
+cached curvature.
 
-A run's only record is its stored states: every state a step returns
-(see run_to_extinction).  The monitors (turning angles, curvature
-extremes, length, area, heights at fixed abscissas) are derived from them
-once the run is over, one row per state; the curvature extremes, the area
-and the minimum count in block passes over consecutive states
-(_block_monitors).  Stored states are read in time
-through Trajectory.heights_at_time, linear between the two bracketing
-states; it takes an array of times of any shape and returns one row of
-heights per time, and it reads each bracketing state once per call
-however many of the times that state brackets.  The module runs and
+A run's only record is its stored states: every state a step returns,
+up to the first shorter than _EXTINCTION_LENGTH (see run_to_extinction),
+its times offset by the extinction time of the area law (_finalize).  The
+monitors (turning angles, curvature extremes, length, area, heights at
+fixed abscissas) are derived from them once the run is over, one row per
+state; the curvature extremes, the area and the minimum count in block
+passes over consecutive states (_block_monitors).  Stored states are read
+in time through Trajectory.heights_at_time, linear between the two
+bracketing states; it takes an array of times of any shape and returns
+one row of heights per time, and it reads each bracketing state once per
+call however many of the times that state brackets.  The module runs and
 reads runs but compares none: asymptotics holds every comparison of two
 runs, the sweep over rho included.
 
@@ -280,10 +281,9 @@ class GrimReaperWalls:
 # state
 
 
-# a run stops once the curve is shorter than this, or once its curvature
-# exceeds the cap
-_EXTINCTION_LENGTH = 1e-3
-_KAPPA_CAP = 1e3
+# a run stops at its first state shorter than this, where the area law's
+# extinction time (_finalize) is within 6e-9 of its value at L = 0.003
+_EXTINCTION_LENGTH = 1e-2
 # run_to_extinction's step budget: NonExtinction after this many steps
 _MAX_STEPS = 2_000_000
 # the contact Newton stops below this residual, or after an update below
@@ -329,7 +329,7 @@ _ANALYSIS_END = 0.3
 _COLLAPSE_TOL_FACTOR = 256.0
 # _finalize reads the stored states' curvature and nodes in blocks of at
 # most this many consecutive states, and asymptotics packs this many per
-# pass: a whole run, such as the disk's 755 states of 200 nodes, would
+# pass: a whole run, such as the disk's 741 states of 200 nodes, would
 # raise its peak memory
 _BLOCK_STATES = 32
 
@@ -934,7 +934,8 @@ class Trajectory:
     """Recorded run: the stored states, and the monitor arrays derived
     from them, one entry per state; monitors["t"] holds the states' times.
 
-    Reported times are offset so the extrapolated extinction sits at 0.
+    Reported times are offset so that the extinction time the area law
+    reads at the last state sits at 0 (see _finalize).
     """
 
     monitors: dict
@@ -943,9 +944,6 @@ class Trajectory:
                                 # raw times
     config: SolverConfig
     ndom: object
-    # True when the L^2 fit gave no extinction time in
-    # [t_end, t_end + 0.5] and the last stored time was used instead
-    extinction_fit_fallback: bool
 
     @property
     def alpha(self):
@@ -1068,7 +1066,8 @@ def _block_monitors(states, wall):
 
 
 def run_to_extinction(initial, cfg, ndom):
-    """Step until the length threshold, then extrapolate extinction.
+    """Step to the first state shorter than _EXTINCTION_LENGTH, then read
+    the extinction time from the area law (_finalize).
 
     Every state keeps the initial state's node count, and the steps follow
     the error controller (see step); every step after the first is BDF2,
@@ -1076,38 +1075,31 @@ def run_to_extinction(initial, cfg, ndom):
     uniform phase (h0 the initial spacing, read by the first steps' mesh
     rule) until the run is past every analysis window, and in the collapse
     phase (h0 None) from the first step from a state with an error
-    estimate (the fourth) at which L^2, extrapolated linearly (as
-    _finalize fits it) through the two newest states, puts extinction less
-    than _ANALYSIS_END ahead.  The switch latches, and it comes at offset
-    times -0.221 to -0.163 on the benchmark diameters, so every state
-    before -_ANALYSIS_END is that of a run in the uniform phase, bit for
-    bit.
+    estimate (the fourth) at which L^2, extrapolated linearly through the
+    two newest states, puts extinction less than _ANALYSIS_END ahead.  The
+    switch latches, and it comes at offset times -0.221 to -0.163 on the
+    benchmark diameters, so every state before -_ANALYSIS_END is that of a
+    run in the uniform phase, bit for bit.
 
     Every state a step returns is stored, so the stored states are exactly
-    the states stepped through: 755 states of 754 steps on the disk at
-    rho = 0.1, n_nodes = 200, dt_safety 0.8, and 736 of 735 steps on the
-    egg at n_nodes = 100, of which 116 and 116 come after the switch (226
-    and 227 with BDF2 steps there).  The monitors are derived from them
-    afterwards (_finalize).  An exhausted step budget (_MAX_STEPS) raises
-    NonExtinction, whose partial trajectory ends at the current state.  An
-    initial state that already meets the stop rule (shorter than
-    _EXTINCTION_LENGTH, or curvature above _KAPPA_CAP) leaves nothing to
-    step or to extrapolate, and raises ConfigError.
+    the states stepped through: 741 states of 740 steps on the disk at
+    rho = 0.1, n_nodes = 200, dt_safety 0.8, and 722 of 721 steps on the
+    egg at n_nodes = 100, of which 102 and 102 come after the switch.  The
+    monitors are derived from them afterwards (_finalize).  An exhausted
+    step budget (_MAX_STEPS) raises NonExtinction, whose partial trajectory
+    ends at the current state, its times offset in the same way.  An
+    initial state already shorter than _EXTINCTION_LENGTH leaves nothing
+    to step, and raises ConfigError.
     """
     wall = ConvexWall(ndom)
-
-    def running(state):
-        return (state.length >= _EXTINCTION_LENGTH
-                and state.kappa_cached(wall).max() <= _KAPPA_CAP)
-
-    if not running(initial):
+    if initial.length < _EXTINCTION_LENGTH:
         raise ConfigError(
             f"the initial state already meets the stop rule (length "
             f"{initial.length:.3g}), so there is no run to record")
     state = initial
     h0 = initial.length / (len(initial.nodes) - 1)
     states = [state]
-    while running(state):
+    while state.length >= _EXTINCTION_LENGTH:
         if len(states) > _MAX_STEPS:
             exc = NonExtinction(
                 f"step budget {_MAX_STEPS} exhausted at length "
@@ -1133,13 +1125,13 @@ def run_to_extinction(initial, cfg, ndom):
 
 def _finalize(states, cfg, ndom, wall):
     """The trajectory of the stored states: its monitors, one row per
-    state, and every time offset by the extrapolated extinction time.
+    state, and every time offset by the extinction time t + A /
+    (theta+ + theta-) of the last state, read from the monitors.
     The curvature extremes, the area and the minimum count come from block
     passes (_block_monitors); times, turning angles, lengths and the
     heights at the abscissas are read state by state.
     """
     t = np.array([s.time for s in states])
-    L = np.array([s.length for s in states])
     kmin, kmax, area, count = _block_monitors(states, wall)
     monitors = {
         "theta_plus": np.array([s.theta_plus for s in states]),
@@ -1147,7 +1139,7 @@ def _finalize(states, cfg, ndom, wall):
         "kappa_min": kmin,
         "kappa_max": kmax,
         "area": area,
-        "length": L,
+        "length": np.array([s.length for s in states]),
         "min_count": count,
     }
     xs = np.asarray(cfg.abscissas)
@@ -1155,12 +1147,12 @@ def _finalize(states, cfg, ndom, wall):
     for j in range(len(xs)):
         monitors[f"y_at_x{j}"] = ys[:, j]
 
-    # length shrinks like sqrt(t_ext - t): fit L^2 linearly near the end
-    k = max(2, min(40, len(t) // 4))
-    A = np.polyfit(t[-k:], L[-k:] ** 2, 1)
-    t_ext = float(-A[1] / A[0]) if A[0] < 0 else np.nan
-    fallback = not t[-1] <= t_ext <= t[-1] + 0.5
-    offset = float(t[-1]) if fallback else t_ext
+    # dA/dt = -(theta+ + theta-) for a curve meeting the wall at right
+    # angles; near a boundary point the curve is nearly a half disk whose
+    # turning angle barely moves, so its area A runs out A / (theta+ +
+    # theta-) later
+    offset = float(t[-1] + area[-1] / (monitors["theta_plus"][-1]
+                                       + monitors["theta_minus"][-1]))
 
     monitors["t"] = t - offset
     # stored times are offset, so the last state's step history (in raw
@@ -1174,7 +1166,6 @@ def _finalize(states, cfg, ndom, wall):
         time_offset=offset,
         config=cfg,
         ndom=ndom,
-        extinction_fit_fallback=fallback,
     )
 
 

@@ -1,5 +1,3 @@
-import time
-
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -70,34 +68,18 @@ def nlobed(lobed):
 
 
 # ---------------------------------------------------------------------------
-# the CPU seconds of each shared flow run and sweep built in this session, by
-# name, printed in the terminal summary: a flow saving too small to show in
-# the whole suite's time shows in these.  Next to a run's seconds stand its
-# step count and resample events, so a change that keeps the step sequence
-# shows it too
-_FIXTURE_CPU = {}
+# the step count and resample events of each shared flow run built in this
+# session, by name, printed in the terminal summary: both are deterministic,
+# so a change that keeps the step sequence shows it
 _FIXTURE_STEPS = {}
 
 
-def _timed(name, build, *args):
-    """build(*args), its process CPU time recorded under name."""
-    start = time.process_time()
-    try:
-        return build(*args)
-    finally:
-        _FIXTURE_CPU[name] = time.process_time() - start
-
-
 def pytest_terminal_summary(terminalreporter):
-    if not _FIXTURE_CPU:
+    if not _FIXTURE_STEPS:
         return
-    terminalreporter.section("shared flow fixtures: CPU s, steps, resamples")
-    for name, cpu in _FIXTURE_CPU.items():
-        counts = ("%6d %4d" % _FIXTURE_STEPS[name] if name in _FIXTURE_STEPS
-                  else " " * 11)
-        terminalreporter.write_line(f"{cpu:7.3f} {counts}  {name}")
-    terminalreporter.write_line(
-        f"{sum(_FIXTURE_CPU.values()):7.3f} {' ' * 11}  total")
+    terminalreporter.section("shared flow runs: steps, resamples")
+    for name, (steps, resamples) in _FIXTURE_STEPS.items():
+        terminalreporter.write_line(f"{steps:6d} {resamples:4d}  {name}")
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +123,8 @@ def runs(ndisk, negg, nellipse_minor):
 
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(flow_mod, "step", recording_step)
-                cache[name] = _timed(name, flow_mod.old_but_not_ancient,
-                                     doms[dom_key], rho, cfg)
+                cache[name] = flow_mod.old_but_not_ancient(
+                    doms[dom_key], rho, cfg)
             _FIXTURE_STEPS[name] = (len(stepped[name]), sum(resampled[name]))
         return cache[name]
 
@@ -170,8 +152,7 @@ def runs(ndisk, negg, nellipse_minor):
 @pytest.fixture(scope="session")
 def disk_sweep(ndisk):
     cfg = flow_mod.SolverConfig(n_nodes=200, dt_safety=0.8)
-    return _timed("disk_sweep", asymptotics.ancient_sweep, ndisk,
-                  [0.2, 0.1, 0.05], cfg)
+    return asymptotics.ancient_sweep(ndisk, [0.2, 0.1, 0.05], cfg)
 
 
 @pytest.fixture(scope="session")
@@ -179,6 +160,5 @@ def egg_sweep(negg):
     # same-side runs whose extinction alignment leaves a time error of a
     # few 1e-5, which the shift search takes up
     cfg = flow_mod.SolverConfig(n_nodes=100, dt_safety=0.8)
-    return _timed("egg_sweep", asymptotics.ancient_sweep, negg,
-                  [0.1, 0.05, 0.025], cfg)
+    return asymptotics.ancient_sweep(negg, [0.1, 0.05, 0.025], cfg)
 

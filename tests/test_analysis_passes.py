@@ -273,8 +273,7 @@ def _synthetic(scale, kappa, empty_at=None):
         monitors[f"y_at_x{k}"] = ys[:, k]
     return flow.Trajectory(
         monitors=monitors, states=states, time_offset=0.0,
-        config=flow.SolverConfig(n_nodes=200, dt_safety=0.4), ndom=None,
-        extinction_fit_fallback=False)
+        config=flow.SolverConfig(n_nodes=200, dt_safety=0.4), ndom=None)
 
 
 def _from(traj, first):

@@ -545,7 +545,7 @@ def test_step_rejects_a_bad_target_spacing(ndisk, disk_wall, h0):
 
 def test_run_with_nothing_to_step_is_rejected(ndisk, disk_wall):
     # a chord of the disk about 5e-4 long, under _EXTINCTION_LENGTH: the
-    # run used to store it alone and fail in the extinction-time fit
+    # run would store it alone, with no step to record
     om = np.pi / 2
     ends = [disk_wall.point_xy(om + 5e-4), disk_wall.point_xy(om)]
     nodes = np.linspace(*np.array(ends), 40)
@@ -563,12 +563,15 @@ def test_step_budget_raises_with_partial(ndisk, monkeypatch):
     with pytest.raises(NonExtinction) as exc:
         f.old_but_not_ancient(ndisk, 0.3, cfg)
     partial = exc.value.partial
-    assert len(partial.monitors["t"]) == 51
-    assert float(np.min(partial.monitors["kappa_min"])) > 0.0
-    # fifty steps are far from extinction: the L^2 fit lands well past
-    # t_end + 0.5, so the offset falls back to the last recorded time
-    assert partial.extinction_fit_fallback is True
-    assert partial.monitors["t"][-1] == 0.0
+    m = partial.monitors
+    assert len(m["t"]) == 51
+    assert float(np.min(m["kappa_min"])) > 0.0
+    # fifty steps are far from extinction: the area law puts it
+    # A / (theta+ + theta-) after the last state, as at the end of a run
+    assert abs(m["t"][-1] + m["area"][-1] / (
+        m["theta_plus"][-1] + m["theta_minus"][-1])) < 1e-14
+    assert m["t"][-1] < -0.5
+    assert partial.states[-1].time == m["t"][-1]
     assert len(partial.states) == 51
 
 
@@ -592,13 +595,21 @@ def test_step_budget_partial_ends_at_the_current_state(ndisk, monkeypatch):
     assert np.all(np.diff(partial.monitors["t"]) > 0.0)
 
 
+def _assert_ends_at_the_stop_length(traj):
+    # every state is stored, so the run's last state is the first one
+    # shorter than _EXTINCTION_LENGTH
+    length = traj.monitors["length"]
+    assert np.all(length[:-1] >= f._EXTINCTION_LENGTH)
+    assert length[-1] < f._EXTINCTION_LENGTH
+
+
 def test_lobed_domain_runs_to_extinction(nlobed):
     # no mirror symmetry, and the oval starts with shift xi = +0.20
     cfg = f.SolverConfig(n_nodes=100, dt_safety=0.8)
     traj = f.old_but_not_ancient(nlobed, 0.2, cfg)
     assert -1.4 < traj.alpha < -1.15          # measured -1.272
     assert float(np.min(traj.monitors["kappa_min"])) > 0.0
-    assert traj.extinction_fit_fallback is False
+    _assert_ends_at_the_stop_length(traj)
 
 
 # ---------------------------------------------------------------------------
@@ -617,12 +628,15 @@ class TestDiskRun:
         assert abs(y - 1.0) < 1e-2
 
     def test_monitor_times_end_near_zero(self):
+        # the last state is about a half disk meeting the wall, whose
+        # A / (theta+ + theta-) is L^2 / (2 pi^2): the stop length gives
+        # -5.07e-6 (measured -4.69e-6 at L = 0.0096)
         t = np.asarray(self.traj.monitors["t"])
         assert t[0] == self.traj.alpha
-        assert -2e-2 < t[-1] <= 0.0
+        assert -f._EXTINCTION_LENGTH ** 2 / (2.0 * np.pi ** 2) < t[-1] < 0.0
 
-    def test_extinction_fit_lands_in_range(self):
-        assert self.traj.extinction_fit_fallback is False
+    def test_run_ends_at_the_first_state_below_the_stop_length(self):
+        _assert_ends_at_the_stop_length(self.traj)
 
     def test_area_strictly_decreasing(self):
         area = np.asarray(self.traj.monitors["area"])
@@ -690,8 +704,9 @@ class TestDiskRun:
 
 def test_every_step_is_stored(runs):
     # the stored states are the initial state and every state a step
-    # returned, in order; the run takes 606 steps (717 with BDF2 steps after
-    # the switch, 816 with the count also tracking the length until the
+    # returned, in order; the run takes 592 steps (606 stopping at the
+    # curvature cap 1e3 near L = 0.003, 717 with BDF2 steps after the
+    # switch as well, 816 with the count also tracking the length until the
     # switch, 889 with it tracking the length throughout, 1,752 with the
     # uniform tolerance throughout, 4,006 under the mesh-only step rule)
     traj = runs("disk_r03_n100")
@@ -804,6 +819,28 @@ def test_angle_ode_matches_at_first_order(runs, ndisk):
     assert 1.4 < e100 / e200 < 2.8
 
 
+def _area_ledger(traj):
+    """max |D| of D(t) = A(t) - A(alpha) + the integral of theta+ + theta-
+    from alpha to t, by the trapezoid rule over the stored states at or
+    before -_ANALYSIS_END: zero for the exact flow, whose contacts meet the
+    wall at right angles (dA/dt = -(theta+ + theta-))."""
+    m = traj.monitors
+    keep = m["t"] <= -f._ANALYSIS_END
+    t, area = m["t"][keep], m["area"][keep]
+    th = (m["theta_plus"] + m["theta_minus"])[keep]
+    swept = np.concatenate([[0.0], np.cumsum(0.5 * (th[1:] + th[:-1])
+                                             * np.diff(t))])
+    return float(np.max(np.abs(area - area[0] + swept)))
+
+
+def test_area_law_ledger_falls_with_the_mesh(runs):
+    # the identity the extinction time is read from (_finalize); measured
+    # 1.68e-4 at n_nodes 100 and 4.05e-5 at 200, a factor of 4.14
+    d100 = _area_ledger(runs("disk_r03_n100"))
+    d200 = _area_ledger(runs("disk_r03_n200"))
+    assert d100 / d200 >= 3.5, (d100, d200)
+
+
 def test_contact_curvature_gradient_identity(runs, ndisk):
     wall = f.ConvexWall(ndisk)
     e100 = _contact_kappa_s_error(runs("disk_r03_n100"), ndisk, wall)
@@ -841,8 +878,9 @@ def test_alpha_strictly_more_negative_for_smaller_rho(disk_sweep):
 
 
 def test_disk_run_step_count(disk_sweep):
-    # rho = 0.1, n_nodes 200, dt_safety 0.8: measured 754 steps (864 with
-    # BDF2 steps after the switch, 1,066 with the count also tracking the
+    # rho = 0.1, n_nodes 200, dt_safety 0.8: measured 740 steps (754
+    # stopping at the curvature cap 1e3 near L = 0.003, 864 with BDF2 steps
+    # after the switch as well, 1,066 with the count also tracking the
     # length until the switch, 1,212 with it tracking the length
     # throughout, 2,250 at the uniform tolerance)
     assert disk_sweep.rhos[1] == 0.1
@@ -851,10 +889,11 @@ def test_disk_run_step_count(disk_sweep):
 
 def test_minor_axis_run_step_count(runs):
     # a long chord's slow early phase, where the length cap binds:
-    # measured 1,967 steps (2,082 with BDF2 steps after the switch, 2,156
-    # with the count also tracking the length until the switch, 2,183 with
-    # it tracking the length throughout, 2,995 at the uniform tolerance,
-    # 1,318 of them at the cap)
+    # measured 1,953 steps (1,967 stopping at the curvature cap 1e3 near
+    # L = 0.003, 2,082 with BDF2 steps after the switch as well, 2,156 with
+    # the count also tracking the length until the switch, 2,183 with it
+    # tracking the length throughout, 2,995 at the uniform tolerance,
+    # 1,318 of them at the length cap)
     assert len(runs("minor_r01_n100").states) - 1 <= 2050
 
 
@@ -873,8 +912,9 @@ def _first_held_step(runs, name):
 @pytest.mark.parametrize("name", _SWITCH_RUNS)
 def test_tolerance_loosens_once_after_every_analysis_window(runs, name):
     # measured: the first held step starts at offset -0.189 (disk),
-    # -0.191 (egg) and -0.171 (ellipse(2,1) minor axis), and 116, 116 and
-    # 106 BDF3 steps follow it (226, 227 and 221 BDF2 steps)
+    # -0.191 (egg) and -0.171 (ellipse(2,1) minor axis), and 102, 102 and
+    # 92 BDF3 steps follow it to the stop length (116, 116 and 106 to the
+    # curvature cap 1e3; 226, 227 and 221 BDF2 steps to that cap)
     traj, held = runs(name), runs.held(name)
     t = traj.monitors["t"]
     k = _first_held_step(runs, name)
@@ -971,6 +1011,22 @@ def test_collapse_phase_approaches_the_lens_limit(runs):
     assert np.all(np.abs(reads - _LENS_LIMIT) < 0.01), reads
 
 
+# measured 2.8e-8 (disk), 1.3e-8 (egg) and 1.2e-7 (ellipse(2,1) minor
+# axis, whose reading at the stop is within 5e-10 of the one at L = 0.003)
+@pytest.mark.parametrize("name, bound", [
+    ("disk_r01_n200", 1e-7), ("egg_r01_n100", 1e-7),
+    ("minor_r01_n100", 2e-7)])
+def test_extinction_estimate_has_settled_before_the_stop(runs, name, bound):
+    # read at the first state shorter than 0.03 the area law's extinction
+    # time is already that of the last state, so stopping at
+    # _EXTINCTION_LENGTH = 0.01 loses nothing the estimate could still gain
+    m = runs(name).monitors
+    est = m["t"] + m["area"] / (m["theta_plus"] + m["theta_minus"])
+    first = int(np.argmax(m["length"] < 0.03))
+    assert 0 < first < len(est) - 1
+    assert abs(est[first] - est[-1]) < bound, est[first] - est[-1]
+
+
 def test_collapse_step_needs_an_error_estimate(ndisk, disk_wall):
     # the collapse phase has no mesh step, so a state whose history holds
     # no error estimate, as an initial state, cannot take one
@@ -1032,8 +1088,7 @@ def _linear_trajectory(times, offsets=None):
         for t, c in zip(times, offsets)]
     return f.Trajectory(
         monitors={"t": np.asarray(times)}, states=states, time_offset=0.0,
-        config=f.SolverConfig(n_nodes=200, dt_safety=0.4), ndom=None,
-        extinction_fit_fallback=False)
+        config=f.SolverConfig(n_nodes=200, dt_safety=0.4), ndom=None)
 
 
 def test_heights_at_time_exact_at_stored_times():
@@ -1083,8 +1138,8 @@ def test_heights_at_time_reads_a_stored_time_from_its_state_alone():
         for t, w in spans.items()]
     traj = f.Trajectory(
         monitors={"t": np.array(list(spans))}, states=states,
-        time_offset=0.0, config=f.SolverConfig(n_nodes=200, dt_safety=0.4), ndom=None,
-        extinction_fit_fallback=False)
+        time_offset=0.0, config=f.SolverConfig(n_nodes=200, dt_safety=0.4),
+        ndom=None)
     xs = np.array([0.0, 0.7])
     (row,) = traj.heights_at_time([0.0], xs)
     assert np.array_equal(row, [1.0, 1.0])
