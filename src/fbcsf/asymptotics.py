@@ -15,8 +15,10 @@ They read a run as arrays: the monitors, and the stored states of the
 fit window in blocks of _BLOCK_STATES, whose nodes and cached curvature
 are packed end to end so that each per-node quantity is one elementwise
 pass and each per-state extreme one reduceat.  The stored states are
-read in time only through Trajectory.heights_at_time, many times in one
-call, which reads each bracketing state once.
+read in time only through Trajectory.height_reader (heights_at_time is
+one call of a new reader), many times in one call: a reader reads each
+stored state once at most however often it is called, so the shift
+search of uniqueness_evidence reads each state of the second run once.
 
 Every fit reads one window, and _window alone decides it: the offset
 times from max(t0, WINDOW_FLOOR) to WINDOW_CEIL, t0 the run's first
@@ -575,8 +577,9 @@ def uniqueness_evidence(trajA, trajB, lambda0):
     plus the shift tau.  Golden section searches tau on [-_TAU_SPAN,
     _TAU_SPAN] until its bracket is narrower than _TAU_TOL, and tau = 0 is
     read once besides, so that an unshifted tie wins.  trajA is read
-    once, trajB once per shift, and matched_distance compares them at
-    each of the 15 shifts.  WindowTooShort when the window is empty.
+    once, and trajB through one height_reader for all 15 shifts, so each
+    of its stored states once at most; matched_distance compares them at
+    each shift.  WindowTooShort when the window is empty.
     """
     lo = max(float(trajA.monitors["t"][0]), float(trajB.monitors["t"][0]))
     lo = lo + 0.15 * abs(lo)
@@ -585,10 +588,10 @@ def uniqueness_evidence(trajA, trajB, lambda0):
         raise WindowTooShort(f"no shared late window: [{lo:.3g}, {hi:.3g}]")
     sample_times = np.linspace(lo, hi, _UNIQUENESS_TIMES)
     ya = trajA.heights_at_time(sample_times, MATCH_XS)
+    read_b = trajB.height_reader(MATCH_XS)
 
     def dist(tau):
-        return matched_distance(
-            ya, trajB.heights_at_time(sample_times + tau, MATCH_XS))
+        return matched_distance(ya, read_b(sample_times + tau))
 
     a, b = -_TAU_SPAN, _TAU_SPAN
     gr = (np.sqrt(5.0) - 1.0) / 2.0

@@ -46,12 +46,13 @@ monitors (turning angles, curvature extremes, length, area, heights at
 fixed abscissas) are derived from them once the run is over, one row per
 state; the curvature extremes, the area and the minimum count in block
 passes over consecutive states (_block_monitors).  Stored states are read
-in time through Trajectory.heights_at_time, linear between the two
-bracketing states; it takes an array of times of any shape and returns
-one row of heights per time, and it reads each bracketing state once per
-call however many of the times that state brackets.  The module runs and
-reads runs but compares none: asymptotics holds every comparison of two
-runs, the sweep over rho included.
+in time through Trajectory.height_reader, linear between the two
+bracketing states; a reader takes arrays of times of any shape and
+returns one row of heights per time, and it reads each stored state once
+at most in its life, however many of its calls' times that state
+brackets (heights_at_time is one call of a new reader).  The module runs
+and reads runs but compares none: asymptotics holds every comparison of
+two runs, the sweep over rho included.
 
 Every curve advances only through step, the exact solutions too: a
 semicircle shrinking on a straight wall, and the grim reaper between the
@@ -958,6 +959,14 @@ class Trajectory:
     def heights_at_time(self, t_offsets, xs):
         """Heights at xs for an array of offset times of any shape: an
         array of shape t_offsets.shape + (len(xs),), one row per time,
+        linear in time between the two bracketing states.  One call of a
+        new height_reader(xs), so each bracketing state is read once per
+        call."""
+        return self.height_reader(xs)(t_offsets)
+
+    def height_reader(self, xs):
+        """A function from offset times of any shape to heights at xs: an
+        array of shape t_offsets.shape + (len(xs),), one row per time,
         linear in time between the two bracketing states.
 
         Offset times outside the stored range, -inf and inf too, clamp to
@@ -965,46 +974,70 @@ class Trajectory:
         states stored at the same time, that time itself reads the first
         and later times interpolate from the second.  Nearest-state lookup
         would quantize time to the step sequence, and that noise floor
-        would drown small distances between runs.  All times are located
-        in one search of the flattened times, and each distinct bracketing
-        state is read once per call, into a table from which the rows are
-        gathered and weighted in one pass, then shaped as the times.
+        would drown small distances between runs.  Each call locates its
+        times in one search of the flattened times, reads the bracketing
+        states that no earlier call of this reader read, and gathers and
+        weights its rows from the reader's table in one pass, then shapes
+        them as the times: every stored state is read at most once in the
+        reader's life, so repeated calls at nearby times (a shift search)
+        read only the states that are new to it.
         """
         times = self.monitors["t"]
-        t_offsets = np.asarray(t_offsets, dtype=float)
-        if np.isnan(t_offsets).any():
-            raise ConfigError("an offset time is NaN; no state brackets it")
-        shape = t_offsets.shape + (len(xs),)
-        if 0 in shape:
-            return np.empty(shape)
-        t = t_offsets.ravel()
-        i = np.searchsorted(times, t)
+        states = self.states
         last = len(times) - 1
-        clamped = np.minimum(i, last)
-        # a stored time reads its state alone: weight 1 on it would still
-        # carry a NaN of the state before it into the row
-        stored = times[clamped] == t
-        inside = (i > 0) & (i <= last) & ~stored
-        first = np.where(inside, i - 1, clamped)
-        # the distinct bracketing states, marked on a mask of the stored
-        # states: sorting them (np.unique) would fault in numpy's sort
-        # kernels, about 1 MB of resident memory no other analysis needs
-        read = np.zeros(len(times), dtype=bool)
-        read[first] = True
-        read[i[inside]] = True
-        table = np.empty((np.count_nonzero(read), len(xs)))
-        for row, k in zip(table, np.flatnonzero(read)):
-            row[:] = self.states[k].heights_at(xs)
-        at = np.cumsum(read) - 1     # a read state's row of the table
-        # each time's first bracketing state, and the second where the
-        # time is inside
-        rows = table[at[first]]
-        if inside.any():
+        # each read state's row of the table, -1 for a state not read; kept
+        # by state index, as sorting the indices (np.unique) would fault in
+        # numpy's sort kernels, about 1 MB of resident memory no other
+        # analysis needs
+        slot = np.full(len(times), -1)
+        table = np.empty((0, len(xs)))
+
+        def read(t_offsets):
+            nonlocal table
+            t_offsets = np.asarray(t_offsets, dtype=float)
+            if np.isnan(t_offsets).any():
+                raise ConfigError(
+                    "an offset time is NaN; no state brackets it")
+            shape = t_offsets.shape + (len(xs),)
+            if 0 in shape:
+                return np.empty(shape)
+            t = t_offsets.ravel()
+            i = np.searchsorted(times, t)
+            clamped = np.minimum(i, last)
+            # a stored time reads its state alone: weight 1 on it would
+            # still carry a NaN of the state before it into the row
+            stored = times[clamped] == t
+            inside = (i > 0) & (i <= last) & ~stored
+            # each time's first bracketing state, and the second where the
+            # time is inside
+            first = np.where(inside, i - 1, clamped)
             i1 = i[inside]
-            t0, t1 = times[i1 - 1], times[i1]
-            w = ((t[inside] - t0) / (t1 - t0))[:, None]
-            rows[inside] = (1.0 - w) * rows[inside] + w * table[at[i1]]
-        return rows.reshape(shape)
+            # the bracketing states that no earlier call read
+            wanted = np.zeros(len(times), dtype=bool)
+            wanted[first] = True
+            wanted[i1] = True
+            new = np.flatnonzero(wanted & (slot < 0))
+            if len(new):
+                n = len(table)
+                grown = np.empty((n + len(new), len(xs)))
+                grown[:n] = table
+                for row, k in zip(grown[n:], new):
+                    row[:] = states[k].heights_at(xs)
+                slot[new] = np.arange(n, len(grown))
+                table = grown
+            rows = table[slot[first]]
+            if len(i1):
+                t0, t1 = times[i1 - 1], times[i1]
+                w = ((t[inside] - t0) / (t1 - t0))[:, None]
+                # (1 - w) y0 + w y1, in place: two temporaries, not four
+                y0, y1 = rows[inside], table[slot[i1]]
+                y0 *= 1.0 - w
+                y1 *= w
+                y0 += y1
+                rows[inside] = y0
+            return rows.reshape(shape)
+
+        return read
 
 
 def _local_min_count(values):

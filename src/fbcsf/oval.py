@@ -64,9 +64,9 @@ class OvalParams:
     xi: float
     t: float
 
-    @property
+    @functools.cached_property
     def height_factor(self):
-        """e^{lam^2 t}, in (0,1) for t < 0."""
+        """e^{lam^2 t}, in (0,1) for t < 0; computed once per params."""
         return float(np.exp(self.lam ** 2 * self.t))
 
     @property
@@ -78,6 +78,11 @@ class OvalParams:
         """Height of the lower branch at x, the tips' height pi/(2 lam)
         beyond them."""
         E = self.height_factor
+        if isinstance(x, float):
+            # the contact solves' scalar reads: the same ufuncs on a float,
+            # without the 0-d array (min keeps a NaN u, as np.minimum does)
+            u = E * np.cosh(self.lam * (x - self.xi))
+            return np.arcsin(min(u, 1.0)) / self.lam
         u = E * np.cosh(self.lam * (np.asarray(x, dtype=float) - self.xi))
         return np.arcsin(np.minimum(u, 1.0)) / self.lam
 

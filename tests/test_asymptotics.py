@@ -5,6 +5,7 @@ import collections.abc
 import dataclasses
 import tracemalloc
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -218,32 +219,49 @@ def test_matched_distance_reads_entries_finite_in_both_rows():
     assert asymptotics.matched_distance(ya, yb) == np.inf
 
 
-def test_mirror_search_reads_the_first_run_once(runs, ndisk, monkeypatch):
-    # the first run is read once and shared by every shift; the mirror is
-    # read once per shift: the first two, 12 golden-section steps that
-    # narrow the bracket [-1e-3, 1e-3] below 1e-5, and tau = 0
+def test_mirror_search_reads_each_state_once(runs, ndisk, monkeypatch):
+    # the first run is read once, at the sample times, and shared by every
+    # shift; the mirror is read through one height_reader for all 15
+    # shifts (the first two, 12 golden-section steps that narrow the
+    # bracket [-1e-3, 1e-3] below 1e-5, and tau = 0), so no stored state
+    # of either run is read twice (both runs: 512 state reads when each
+    # shift read the mirror anew, 74 with the reader)
     traj = runs("disk_r03_n100")
     mirror = asymptotics.reflect_trajectory(traj)
     lam0 = oval.solve_lambda0(ndisk.kappa1, ndisk.kappa2)
-    readers, compared = [], []
-    read = flow.Trajectory.heights_at_time
+    times = traj.monitors["t"]
+    # a mirrored state is a new CurveState at its run state's raw time
+    run_states = {id(s) for s in traj.states}
+    at_time = {s.time: k for k, s in enumerate(traj.states)}
+    assert len(at_time) == len(times)
+    reads = Counter()
+    compared = []
+    read = flow.CurveState.heights_at
     distance = asymptotics.matched_distance
 
-    def counting_read(self, t_offsets, xs):
-        readers.append(self)
-        return read(self, t_offsets, xs)
+    def counting_read(self, xs):
+        side = "run" if id(self) in run_states else "mirror"
+        reads[side, at_time[self.time]] += 1
+        return read(self, xs)
 
     def counting_distance(ya, yb):
         compared.append(1)
         return distance(ya, yb)
 
-    monkeypatch.setattr(flow.Trajectory, "heights_at_time", counting_read)
+    monkeypatch.setattr(flow.CurveState, "heights_at", counting_read)
     monkeypatch.setattr(asymptotics, "matched_distance", counting_distance)
-    asymptotics.uniqueness_evidence(traj, mirror, lam0)
+    report = asymptotics.uniqueness_evidence(traj, mirror, lam0)
     assert len(compared) == 15
-    assert sum(r is traj for r in readers) == 1
-    assert sum(r is mirror for r in readers) == 15
-    assert len(readers) == 16
+    assert set(reads.values()) == {1}
+    # the first run reads the states that bracket its sample times
+    brackets = set()
+    for t in np.linspace(*report.window, asymptotics._UNIQUENESS_TIMES):
+        i = int(np.searchsorted(times, t))
+        brackets |= {i} if times[i] == t else {i - 1, i}
+    assert {k for side, k in reads if side == "run"} == brackets
+    # the shifts reach states past the first run's brackets, each once
+    mirrored = {k for side, k in reads if side == "mirror"}
+    assert brackets < mirrored
 
 
 @pytest.mark.parametrize("name,dom", [("disk_r03_n100", "ndisk"),

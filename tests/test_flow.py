@@ -1091,41 +1091,63 @@ def _linear_trajectory(times, offsets=None):
         config=f.SolverConfig(n_nodes=200, dt_safety=0.4), ndom=None)
 
 
+def _reads():
+    """The two ways to read a run in time, through which every case below
+    must hold bit for bit: one heights_at_time call per read, and calls of
+    one height_reader kept per run and abscissas, so that later calls
+    gather rows of states that an earlier call read."""
+    readers = {}
+
+    def through_one_reader(traj, ts, xs):
+        key = (id(traj), np.asarray(xs).tobytes())
+        if key not in readers:
+            readers[key] = traj, traj.height_reader(xs)
+        return readers[key][1](ts)
+
+    return (lambda traj, ts, xs: traj.heights_at_time(ts, xs),
+            through_one_reader)
+
+
 def test_heights_at_time_exact_at_stored_times():
     traj = _linear_trajectory([-2.0, -1.0, -0.5, 0.0])
-    rows = traj.heights_at_time(traj.monitors["t"], _READ_X)
-    assert rows.shape == (len(traj.states), len(_READ_X))
-    for s, row in zip(traj.states, rows):
-        assert np.array_equal(row, s.heights_at(_READ_X))
+    for read in _reads():
+        rows = read(traj, traj.monitors["t"], _READ_X)
+        assert rows.shape == (len(traj.states), len(_READ_X))
+        for s, row in zip(traj.states, rows):
+            assert np.array_equal(row, s.heights_at(_READ_X))
 
 
 def test_heights_at_time_midpoint_is_the_average():
     traj = _linear_trajectory([-2.0, -1.0, -0.5, 0.0])
     y0, y1 = (s.heights_at(_READ_X) for s in traj.states[:2])
-    (mid,) = traj.heights_at_time([-1.5], _READ_X)
-    assert np.array_equal(mid, 0.5 * (y0 + y1))
-    assert np.allclose(mid, 1.5 * (1.0 - 0.25 * _READ_X), rtol=0, atol=1e-15)
+    for read in _reads():
+        (mid,) = read(traj, [-1.5], _READ_X)
+        assert np.array_equal(mid, 0.5 * (y0 + y1))
+        assert np.allclose(mid, 1.5 * (1.0 - 0.25 * _READ_X), rtol=0,
+                           atol=1e-15)
 
 
 def test_heights_at_time_clamps_outside_the_stored_times():
     traj = _linear_trajectory([-2.0, -1.0, -0.5, 0.0])
     first, last = traj.states[0], traj.states[-1]
-    rows = traj.heights_at_time([-7.0, -2.0 - 1e-9, 1e-9, 3.0], _READ_X)
-    for row in rows[:2]:
-        assert np.array_equal(row, first.heights_at(_READ_X))
-    for row in rows[2:]:
-        assert np.array_equal(row, last.heights_at(_READ_X))
+    for read in _reads():
+        rows = read(traj, [-7.0, -2.0 - 1e-9, 1e-9, 3.0], _READ_X)
+        for row in rows[:2]:
+            assert np.array_equal(row, first.heights_at(_READ_X))
+        for row in rows[2:]:
+            assert np.array_equal(row, last.heights_at(_READ_X))
 
 
 def test_heights_at_time_equal_time_pair():
     # two stored states at t = 0; past it the later one starts the next
     # interval, at t = 0 itself the bracket ending there returns the first
     traj = _linear_trajectory([-1.0, 0.0, 0.0, 1.0], [0.0, 0.0, 5.0, 5.0])
-    first, later = traj.states[1], traj.states[2]
-    at0, past0 = traj.heights_at_time([0.0, 0.5], _READ_X)
-    assert np.array_equal(at0, first.heights_at(_READ_X))
-    assert np.array_equal(past0, 0.5 * (later.heights_at(_READ_X)
-                                        + traj.states[3].heights_at(_READ_X)))
+    first, later, after = traj.states[1:]
+    for read in _reads():
+        at0, past0 = read(traj, [0.0, 0.5], _READ_X)
+        assert np.array_equal(at0, first.heights_at(_READ_X))
+        assert np.array_equal(past0, 0.5 * (later.heights_at(_READ_X)
+                                            + after.heights_at(_READ_X)))
 
 
 def test_heights_at_time_reads_a_stored_time_from_its_state_alone():
@@ -1141,36 +1163,64 @@ def test_heights_at_time_reads_a_stored_time_from_its_state_alone():
         time_offset=0.0, config=f.SolverConfig(n_nodes=200, dt_safety=0.4),
         ndom=None)
     xs = np.array([0.0, 0.7])
-    (row,) = traj.heights_at_time([0.0], xs)
-    assert np.array_equal(row, [1.0, 1.0])
-    (mid,) = traj.heights_at_time([-0.5], xs)
-    assert mid[0] == 1.0 and np.isnan(mid[1])
+    for read in _reads():
+        (row,) = read(traj, [0.0], xs)
+        assert np.array_equal(row, [1.0, 1.0])
+        (mid,) = read(traj, [-0.5], xs)
+        assert mid[0] == 1.0 and np.isnan(mid[1])
 
 
 def test_heights_at_time_takes_times_of_any_shape():
     traj = _linear_trajectory([-2.0, -1.0, -0.5, 0.0])
     ts = np.array([[-3.0, -1.5, -1.0], [-0.75, 0.0, 2.0]])
-    rows = traj.heights_at_time(ts, _READ_X)
-    assert rows.shape == (2, 3, len(_READ_X))
-    assert np.array_equal(rows.reshape(6, -1),
-                          traj.heights_at_time(ts.ravel(), _READ_X))
-    # a 0-d time reads one row
-    (mid,) = traj.heights_at_time([-1.5], _READ_X)
-    assert np.array_equal(traj.heights_at_time(-1.5, _READ_X), mid)
-    # no time: no row and no state read
-    assert traj.heights_at_time([], _READ_X).shape == (0, len(_READ_X))
-    assert traj.heights_at_time(np.empty((3, 0)), _READ_X).shape == \
-        (3, 0, len(_READ_X))
+    for read in _reads():
+        rows = read(traj, ts, _READ_X)
+        assert rows.shape == (2, 3, len(_READ_X))
+        assert np.array_equal(rows.reshape(6, -1),
+                              read(traj, ts.ravel(), _READ_X))
+        # a 0-d time reads one row
+        (mid,) = read(traj, [-1.5], _READ_X)
+        assert np.array_equal(read(traj, -1.5, _READ_X), mid)
+        # no time: no row and no state read
+        assert read(traj, [], _READ_X).shape == (0, len(_READ_X))
+        assert read(traj, np.empty((3, 0)), _READ_X).shape == \
+            (3, 0, len(_READ_X))
 
 
 def test_heights_at_time_rejects_nan_and_clamps_infinities():
     traj = _linear_trajectory([-2.0, -1.0, -0.5, 0.0])
-    for ts in ([np.nan], [[-1.0, np.nan]], np.nan):
-        with pytest.raises(ConfigError):
-            traj.heights_at_time(ts, _READ_X)
-    lo, hi = traj.heights_at_time([-np.inf, np.inf], _READ_X)
-    assert np.array_equal(lo, traj.states[0].heights_at(_READ_X))
-    assert np.array_equal(hi, traj.states[-1].heights_at(_READ_X))
+    for read in _reads():
+        for ts in ([np.nan], [[-1.0, np.nan]], np.nan):
+            with pytest.raises(ConfigError):
+                read(traj, ts, _READ_X)
+        lo, hi = read(traj, [-np.inf, np.inf], _READ_X)
+        assert np.array_equal(lo, traj.states[0].heights_at(_READ_X))
+        assert np.array_equal(hi, traj.states[-1].heights_at(_READ_X))
+
+
+def test_a_reader_reads_each_state_once(monkeypatch):
+    traj = _linear_trajectory([-2.0, -1.0, -0.5, 0.0])
+    index = {id(s): k for k, s in enumerate(traj.states)}
+    reads = []
+    read = f.CurveState.heights_at
+
+    def counting_read(self, xs):
+        reads.append(index[id(self)])
+        return read(self, xs)
+
+    monkeypatch.setattr(f.CurveState, "heights_at", counting_read)
+    reader = traj.height_reader(_READ_X)
+    first = reader([-1.5, -0.75])
+    assert reads == [0, 1, 2]       # state 1 brackets both times
+    want = traj.heights_at_time([-1.75, -0.25], _READ_X)
+    # a second call at the same times reads no state again, and gives the
+    # same rows
+    reads.clear()
+    assert np.array_equal(reader([-1.5, -0.75]), first)
+    assert reads == []
+    # a call whose times bracket one new state reads that state alone
+    assert np.array_equal(reader([[-1.75], [-0.25]]).reshape(2, -1), want)
+    assert reads == [3]
 
 
 def test_reflected_domain_gives_the_mirror_solution(ellipse):
