@@ -49,7 +49,7 @@ from dataclasses import dataclass, field, replace
 from itertools import islice
 
 from .errors import (AnalysisError, ConfigError, NonPositiveAmplitude,
-                     WindowTooShort)
+                     UnknownRecord, WindowTooShort)
 from .flow import (_ANALYSIS_END, _BLOCK_STATES, ConvexWall, CurveState,
                    old_but_not_ancient)
 from .oval import lambda0_residual, solve_lambda0
@@ -131,7 +131,7 @@ class EstimateReport:
         for rec in self.records:
             if rec.name == name:
                 return rec
-        raise KeyError(name)
+        raise UnknownRecord(name)
 
 
 def _fit_decay(t, q, required, win):

@@ -77,6 +77,11 @@ class AnalysisError(FBCSFError):
     """Post-processing of a trajectory failed."""
 
 
+class UnknownRecord(AnalysisError, KeyError):
+    """A report has no record of the requested name.  It is a KeyError
+    too, so a lookup's ``except KeyError`` still catches it."""
+
+
 class WindowTooShort(AnalysisError):
     """Fit window contains too few samples to regress."""
 

@@ -174,9 +174,10 @@ class ConvexDomain:
         First harmonics must vanish (closure); sin_coeffs[0] is unused.
     center : translation added to the zero-mean position series.
 
-    The extremes of rho and the upper boundary sampled at
-    _UPPER_ARC_SAMPLES turning angles (``upper_arc``) are each computed on
-    first use and kept for the domain's life.
+    The extremes of rho, the upper boundary sampled at _UPPER_ARC_SAMPLES
+    turning angles (``upper_arc``), its abscissas in increasing order
+    (``upper_arc_x_increasing``) and ``is_normalized`` are per-domain
+    values: each is computed on first use and kept for the domain's life.
     """
 
     def __init__(self, cos_coeffs, sin_coeffs=None, center=(0.0, 0.0)):
@@ -258,6 +259,15 @@ class ConvexDomain:
             arr.flags.writeable = False
         return out
 
+    @cached_property
+    def upper_arc_x_increasing(self):
+        """The abscissas of upper_arc reversed, so increasing (x decreases
+        along the arc), for binary searches; read-only and computed once
+        per domain."""
+        out = np.ascontiguousarray(self.upper_arc[1][::-1])
+        out.flags.writeable = False
+        return out
+
     def tangent(self, omega):
         om = np.asarray(omega, dtype=float)
         return np.stack([np.cos(om), np.sin(om)], axis=-1)
@@ -331,8 +341,10 @@ class ConvexDomain:
         return ConvexDomain(self.a, -self.b,
                             center=self.center * np.array([1.0, -1.0]))
 
-    @property
+    @cached_property
     def is_normalized(self):
+        """Whether the turning angles pi/2 and 3pi/2 sit at (1, 0) and
+        (-1, 0) to 1e-10; computed once per domain."""
         p = self.point(np.array([np.pi / 2, 3 * np.pi / 2]))
         return (np.linalg.norm(p[0] - [1.0, 0.0]) < 1e-10
                 and np.linalg.norm(p[1] + [1.0, 0.0]) < 1e-10)

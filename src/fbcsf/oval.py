@@ -26,10 +26,11 @@ Left of the first contact the gap d = phi - h between the boundary graph
 and the oval's lower branch h is concave (phi is concave, h convex on its
 support) and vanishes at the contact, so along the arc samples its signs
 run non-negative, then negative.  The crossing lies just before the first
-negative sample, found by a coarse-to-fine search: every _COARSE_STRIDE-th
-sample, then the samples before the first negative one.  Each build
-evaluates a boundary point once per turning angle and each trial scale
-once.
+negative sample.  A build carries that sample from one trial scale to the
+next and keeps it when two scalar gap reads confirm it; otherwise a
+coarse-to-fine search finds it: every _COARSE_STRIDE-th sample, then the
+samples before the first negative one.  Each build evaluates a boundary
+point once per turning angle and each trial scale once.
 
 As rho -> 0 the scale tends to lambda0, the unique root above both
 endpoint curvatures of  lam^2 - lam (k1 + k2) coth(2 lam) + k1 k2 = 0,
@@ -94,6 +95,10 @@ class OvalParams:
 
     def normal_direction(self, x, y):
         """Unnormalized outward normal (tanh(lam(x-xi)), -cot(lam y))."""
+        if isinstance(x, float) and isinstance(y, float):
+            # one point: the same ufuncs on floats, without 0-d arrays
+            return np.array((np.tanh(self.lam * (x - self.xi)),
+                             -1.0 / np.tan(self.lam * y)))
         v = self.lam * (np.asarray(x, dtype=float) - self.xi)
         return np.stack(
             [np.tanh(v), -1.0 / np.tan(self.lam * np.asarray(y, dtype=float))],
@@ -241,7 +246,8 @@ class OrthogonalOval:
 def _alignment_residual(n_oval, tau_bd):
     """1 - |cos(angle between the oval normal and the boundary tangent)|."""
     n = np.asarray(n_oval, dtype=float)
-    n = n / np.linalg.norm(n)
+    # np.linalg.norm of a float vector, without its argument checks
+    n = n / np.sqrt(n.dot(n))
     return float(1.0 - abs(float(n @ tau_bd)))
 
 
@@ -261,7 +267,9 @@ def _first_negative(gap, start, stop):
     range must run non-negative, then negative (either run may be empty),
     so the gap is read at every _COARSE_STRIDE-th index, then at the
     indices after the last non-negative coarse read, up to the first
-    negative one or the end of the range.
+    negative one or the end of the range.  A build carries the index
+    between trial scales and runs this scan only where two scalar reads
+    do not confirm it (_carried_negative).
     """
     if stop <= start:
         return None
@@ -275,6 +283,21 @@ def _first_negative(gap, start, stop):
     if len(neg_fine):
         return int(fine[neg_fine[0]])
     return int(coarse[k]) if len(neg) else None
+
+
+def _carried_negative(gap, j, start, stop):
+    """_first_negative(gap, start, stop), confirmed at a carried index j.
+
+    gap also reads one int index.  Under _first_negative's sign order, an
+    index with both neighbours' reads inside [start, stop), gap[j - 1] >= 0
+    and gap[j] < 0 is the first negative one, so two scalar reads keep j;
+    otherwise (j None or at an end of the range, either read failing, or
+    a NaN) the coarse-to-fine scan runs.
+    """
+    if (j is not None and start < j < stop
+            and gap(j - 1) >= 0.0 and gap(j) < 0.0):
+        return j
+    return _first_negative(gap, start, stop)
 
 
 def construct_orthogonal_oval(ndom, rho):
@@ -305,10 +328,13 @@ def construct_orthogonal_oval(ndom, rho):
     contact (past _GUARD samples, and inside the oval's support) where the
     gap d = y - h(x) between the arc and the oval's lower branch h is
     negative.  d is concave there and 0 at the first contact, so its signs
-    run non-negative, then negative, and _first_negative finds that sample
-    from every _COARSE_STRIDE-th one and at most _COARSE_STRIDE - 1 more.
-    Each turning angle's boundary point and each scale's residual are
-    evaluated once per call.
+    run non-negative, then negative.  The bracket is carried from one trial
+    scale to the next and kept when two scalar reads of d confirm it
+    (_carried_negative); otherwise _first_negative finds that sample from
+    every _COARSE_STRIDE-th one and at most _COARSE_STRIDE - 1 more.  Each
+    turning angle's boundary point and each scale's residual are evaluated
+    once per call, and the domain's normalization and reversed upper-arc
+    abscissas are per-domain values, read once per domain.
 
     Raises ConfigError when rho is a bool, not a real number or NaN,
     RhoTooLarge when the line y = rho fails to cross the upper boundary
@@ -369,16 +395,20 @@ def construct_orthogonal_oval(ndom, rho):
 
     # the second contact is searched from _GUARD samples past the first
     start = int(np.searchsorted(om_grid, om0, "right")) + _GUARD
-    xs_rev = np.ascontiguousarray(xs[::-1])
+    xs_rev = dom.upper_arc_x_increasing
+    # the last trial scale's bracket, where the next one's is looked for
+    carried = None
 
     def second_contact(lam):
         """(omega_hat, params) of the second boundary crossing, or None."""
+        nonlocal carried
         par = single_point_orthogonal(phi0, dphi0, x0, lam)
         stop = _gap_stop(xs_rev, par.xi - par.support_halfwidth)
-        j = _first_negative(
-            lambda i: ys[i] - par.lower_height(xs[i]), start, stop)
+        j = _carried_negative(
+            lambda i: ys[i] - par.lower_height(xs[i]), carried, start, stop)
         if j is None:
             return None
+        carried = j
 
         def dres(om):
             p = point(om)
@@ -402,7 +432,7 @@ def construct_orthogonal_oval(ndom, rho):
         om_hat, par = hit
         p = point(om_hat)
         n_ov = par.normal_direction(p[0], p[1])
-        n_ov = n_ov / np.linalg.norm(n_ov)
+        n_ov = n_ov / np.sqrt(n_ov.dot(n_ov))
         n_bd = np.array([np.sin(om_hat), -np.cos(om_hat)])
         return float(n_ov @ n_bd), hit
 
@@ -455,7 +485,8 @@ def sample_initial_curve(oval, n):
     m = max(4001, 16 * n + 1)
     xs = np.linspace(oval.xhat, oval.x0, m)
     sp = par.lower_slope(xs)
-    seg = np.hypot(np.diff(xs), np.diff(xs) * 0.5 * (sp[1:] + sp[:-1]))
+    dx = np.diff(xs)
+    seg = np.hypot(dx, dx * 0.5 * (sp[1:] + sp[:-1]))
     # trapezoid of sqrt(1+y'^2) is equivalent at this resolution but the
     # midpoint-slope form avoids endpoint slope spikes
     cum = np.concatenate([[0.0], np.cumsum(seg)])

@@ -36,7 +36,8 @@ def safe_brentq(f, a, b):
         return a
     if fb == 0.0:
         return b
-    if np.sign(fa) == np.sign(fb):
+    # neither end is NaN or zero here, so the signs compare as floats
+    if (fa > 0.0) == (fb > 0.0):
         raise BracketFailure(
             f"no sign change on [{a:.6g}, {b:.6g}]: f(a)={fa:.3e}, f(b)={fb:.3e}"
         )

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from fbcsf import asymptotics, flow, geometry, oval
-from fbcsf.errors import AnalysisError, ConfigError
+from fbcsf.errors import AnalysisError, ConfigError, UnknownRecord
 from fbcsf.solve import safe_brentq
 from test_analysis_passes import _same_bits
 from test_flow import _READ_X, _linear_trajectory
@@ -29,6 +29,25 @@ def test_estimate_report_on_disk_run(runs, ndisk):
         assert rec.extras["vacuous"] is True
         assert rec.passed
         assert rec.fitted_rate == rec.required_rate
+
+
+def test_unknown_record_is_a_typed_key_error(runs, ndisk):
+    # a name no record carries raises UnknownRecord: an AnalysisError, and
+    # a KeyError with the name as its key, so except KeyError still works
+    traj = runs("disk_r03_n100")
+    lam0 = oval.solve_lambda0(ndisk.kappa1, ndisk.kappa2)
+    report = asymptotics.verify_estimates(traj, 0.25, lam0)
+    with pytest.raises(UnknownRecord) as info:
+        report.record("no_such_estimate")
+    assert isinstance(info.value, AnalysisError)
+    assert isinstance(info.value, KeyError)
+    assert info.value.args == ("no_such_estimate",)
+    try:
+        report.record("")
+    except KeyError as exc:
+        assert type(exc) is UnknownRecord
+    else:
+        pytest.fail("no KeyError")
 
 
 def test_estimates_same_with_curvature_recomputed(runs, ndisk):

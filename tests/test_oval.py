@@ -129,6 +129,42 @@ def test_lower_height_of_a_float_is_the_array_read(lam, xi, t):
     assert np.isnan(par.lower_height(float("nan")))
 
 
+@pytest.mark.parametrize("lam, xi, t", [(2.0, 0.3, -1.0), (1.3, -0.2, -0.8)])
+def test_normal_direction_of_two_floats_is_the_array_row(lam, xi, t):
+    # two floats skip the 0-d arrays and the stack: each point's normal is
+    # the row of the array read at all 301 points, inside the tips and
+    # beyond them, where the lower branch reads the tips' height
+    par = ov.OvalParams(lam=lam, xi=xi, t=t)
+    w = par.support_halfwidth
+    xs = np.linspace(xi - 1.5 * w, xi + 1.5 * w, 301)
+    ys = par.lower_height(xs)
+    rows = par.normal_direction(xs, ys)
+    assert rows.shape == (301, 2)
+    for x, y, row in zip(xs, ys, rows):
+        for got in (par.normal_direction(float(x), float(y)),
+                    par.normal_direction(x, y)):
+            assert got.shape == (2,)
+            assert [float(v).hex() for v in got] == \
+                [float(v).hex() for v in row]
+
+
+# squares of these sum without overflow
+_component = st.floats(-1e150, 1e150)
+
+
+@given(_component, _component)
+@settings(max_examples=300, deadline=None)
+def test_vector_length_is_the_linalg_norm(a, b):
+    # the build divides by np.sqrt(n.dot(n)), which is what np.linalg.norm
+    # computes for a 1-d float vector
+    n = np.array([a, b])
+    assert float(np.sqrt(n.dot(n))).hex() == float(np.linalg.norm(n)).hex()
+    if 0.0 < np.linalg.norm(n) < np.inf:
+        tau = np.array([np.cos(0.7), np.sin(0.7)])
+        want = 1.0 - abs(float(n / np.linalg.norm(n) @ tau))
+        assert ov._alignment_residual(n, tau) == want
+
+
 def test_height_factor_bound():
     par = ov.OvalParams(lam=2.0, xi=0.0, t=-0.5)
     assert 0.0 < par.height_factor < 1.0
@@ -337,6 +373,8 @@ def test_second_contact_just_past_a_sample_still_builds(egg, monkeypatch):
     xs[j], ys[j] = nd.domain.point(om[j])
     ys[j] -= 1e-12
     monkeypatch.setitem(nd.domain.__dict__, "upper_arc", (om, xs, ys))
+    monkeypatch.setitem(nd.domain.__dict__, "upper_arc_x_increasing",
+                        np.ascontiguousarray(xs[::-1]))
     second = ov.construct_orthogonal_oval(nd, 0.1)
     assert abs(second.omega_hat - first.omega_hat) < 1e-12
     assert abs(second.params.lam - first.params.lam) < 1e-9
@@ -421,6 +459,48 @@ def test_first_negative_on_stride_multiples():
                 _full_scan(row), (n, f)
 
 
+def _carried_cases(start, stop, first):
+    """Carried indices for a row whose first negative index is first: none,
+    outside the range, at either end, inside either run and at first."""
+    cases = [None, start - 2, start - 1, start, start + 1, stop - 1, stop,
+             stop + 3, (start + stop) // 2]
+    if first is not None:
+        cases += [first - 2, first - 1, first, first + 1, first + 5]
+    return cases
+
+
+@given(st.integers(0, 5), st.integers(0, 200), st.data())
+@settings(max_examples=300, deadline=None)
+def test_carried_bracket_is_the_scan(start, n, data):
+    # rows whose signs run non-negative (zeros of both signs among them),
+    # then negative: for every carried index the helper returns the scan's
+    # index, and a kept index costs two scalar reads and no scan
+    f = data.draw(st.integers(0, n), label="first negative offset")
+    stop = start + n
+    row = np.empty(stop + 4)
+    row[:start + f] = np.resize(
+        data.draw(st.sampled_from([[1.0, 0.0, -0.0, 2.5], [0.0], [-0.0],
+                                   [3.0, 1e-300]]), label="non-negative"),
+        start + f)
+    row[start + f:] = np.resize(
+        data.draw(st.sampled_from([[-1.0], [-1e-300, -2.0]]),
+                  label="negative"), len(row) - start - f)
+    want = ov._first_negative(lambda i: row[i], start, stop)
+    first = start + f if f < n else None
+    assert want == first
+    for j in _carried_cases(start, stop, first):
+        reads = []
+
+        def gap(i):
+            reads.append(np.ndim(i))
+            return row[i]
+
+        got = ov._carried_negative(gap, j, start, stop)
+        assert got == want, (start, n, f, j)
+        if j is not None and got == j and start < j < stop:
+            assert reads == [0, 0], (start, n, f, j)
+
+
 def _shift_scale(phi0, dphi0, x0, lam_lo, lam_hi):
     """The scale of shift xi = -1: the root of E^2 cosh^2(lam (x0 + 1)) -
     sin^2(lam phi0), with E^2 = sin^2(lam phi0) - cos^2(lam phi0)/phi'^2."""
@@ -475,6 +555,35 @@ def test_second_contact_search_matches_the_masked_scan(egg, lobed):
     assert rows == 44 * 20
 
 
+def test_carried_bracket_builds_the_scan_ovals(egg, lobed, monkeypatch):
+    # every benchmark diameter at eight rho down to 1e-6: carrying the
+    # bracket between trial scales builds every oval bit for bit as a scan
+    # at every scale does
+    rhos = (0.3, 0.2, 0.1, 0.05, 0.02, 0.01, 1e-3, 1e-6)
+    diameters = list(_benchmark_diameters(egg, lobed))
+
+    def build_all():
+        out = []
+        for name, i, nd in diameters:
+            for rho in rhos:
+                try:
+                    out.append(_oval_bits(ov.construct_orthogonal_oval(nd,
+                                                                       rho)))
+                except RhoTooLarge:
+                    out.append((name, i, rho, "RhoTooLarge"))
+        return out
+
+    carried = build_all()
+    monkeypatch.setattr(ov, "_carried_negative",
+                        lambda gap, j, start, stop:
+                        ov._first_negative(gap, start, stop))
+    scanned = build_all()
+    assert carried == scanned
+    assert [b for b in carried if isinstance(b, tuple)] == \
+        [("ellipse(3,1)", 0, 0.3, "RhoTooLarge")]
+    assert len(carried) == 9 * len(rhos)
+
+
 def test_disk_build_evaluates_each_boundary_point_once(disk, monkeypatch):
     # a fresh normalization, its upper arc sampled by a first build
     nd = g.normalize(disk, g.find_diameters(disk)[0])
@@ -500,6 +609,40 @@ def test_disk_build_evaluates_each_boundary_point_once(disk, monkeypatch):
     assert len(set(angles)) == len(angles)
     # one placement, so one angle residual, per trial scale
     assert len(set(scales)) == len(scales)
+
+
+def test_egg_build_work_counts(egg, monkeypatch):
+    # one build on a domain whose per-domain values (normalization, upper
+    # arc, its reversed abscissas) are set: of its 9 trial scales, 4 keep
+    # the bracket carried from the scale before, so 5 scan; the 38 point
+    # calls are the build's own one-angle reads (the normalization read
+    # made 39 per build)
+    nd = g.normalize(egg, g.find_diameters(egg)[0])
+    first = ov.construct_orthogonal_oval(nd, 0.1)
+    scans, points, scales = [], [], []
+    scan, point, place = (ov._first_negative, g.ConvexDomain.point,
+                          ov.single_point_orthogonal)
+
+    def counted_scan(gap, start, stop):
+        scans.append((start, stop))
+        return scan(gap, start, stop)
+
+    def counted_point(self, omega):
+        points.append(np.size(omega))
+        return point(self, omega)
+
+    def counted_place(phi0, dphi0, x0, lam):
+        scales.append(lam)
+        return place(phi0, dphi0, x0, lam)
+
+    monkeypatch.setattr(ov, "_first_negative", counted_scan)
+    monkeypatch.setattr(g.ConvexDomain, "point", counted_point)
+    monkeypatch.setattr(ov, "single_point_orthogonal", counted_place)
+    second = ov.construct_orthogonal_oval(nd, 0.1)
+    assert _oval_bits(second) == _oval_bits(first)
+    assert len(scales) == 9
+    assert len(scans) == 5
+    assert len(points) == 38 and set(points) == {1}
 
 
 # ------------------------------------------------------ initial curve

@@ -38,6 +38,48 @@ def test_brentq_exact_endpoint_zero():
     assert safe_brentq(f, 0.0, 1.0) == 1.0
 
 
+@pytest.mark.parametrize("fa, fb", [(1.0, 2.0), (-1.0, -2.0), (5e-324, 1.0),
+                                    (-np.inf, -1.0), (np.inf, np.inf)])
+def test_brentq_same_signed_ends_are_bracket_failure(fa, fb):
+    # the end signs compare as floats: any two ends of one sign, subnormal
+    # and infinite ones included, raise before an iterate is tried
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return fa if x == 0.0 else fb
+
+    with pytest.raises(BracketFailure):
+        safe_brentq(f, 0.0, 1.0)
+    assert calls == [0.0, 1.0]
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_brentq_returns_a_signed_zero_end(zero):
+    # a zero of either sign at an end is that end's root, whatever the
+    # other end's sign
+    for other in (1.0, -1.0):
+        assert safe_brentq(lambda x: zero if x == 2.0 else other,
+                           2.0, 3.0) == 2.0
+        assert safe_brentq(lambda x: zero if x == 3.0 else other,
+                           2.0, 3.0) == 3.0
+
+
+@pytest.mark.parametrize("fa, fb", [(-np.inf, np.inf), (np.inf, -np.inf),
+                                    (-np.inf, 1.0), (1.0, -np.inf)])
+def test_brentq_infinite_ends_bracket(fa, fb):
+    # an infinite end has the sign of its infinity: the ends bracket the
+    # root of x - 0.25 inside
+    def f(x):
+        if x == 0.0:
+            return fa
+        if x == 1.0:
+            return fb
+        return (x - 0.25) * (1.0 if fb > fa else -1.0)
+
+    assert abs(safe_brentq(f, 0.0, 1.0) - 0.25) < 1e-15
+
+
 @pytest.mark.parametrize("f", [
     lambda x: np.nan if x < 0.5 else x - 0.7,
     lambda x: x - 0.3 if x < 0.5 else np.nan,
