@@ -52,7 +52,7 @@ from .errors import (AnalysisError, ConfigError, NonPositiveAmplitude,
                      UnknownRecord, WindowTooShort)
 from .flow import (_ANALYSIS_END, _BLOCK_STATES, ConvexWall, CurveState,
                    old_but_not_ancient)
-from .oval import lambda0_residual, solve_lambda0
+from .oval import _equal_curvatures, lambda0_residual, solve_lambda0
 from .solve import safe_brentq
 
 
@@ -487,7 +487,11 @@ def robin_eigen(kappa1, kappa2):
     Negative eigenvalues are -s^2 at the roots s of the hyperbolic
     secular equation (the principal one, with s above max(kappa1,
     kappa2), is -lambda0^2); a second negative eigenvalue may exist below
-    max(kappa1, kappa2) and its eigenfunction is then sign-changing.
+    max(kappa1, kappa2) and its eigenfunction is then sign-changing.  On
+    a chord of equal end curvatures k (oval._equal_curvatures) that mode
+    is odd, at the simple root of s - k tanh s on (0, k]: the secular
+    equation is that factor times the principal one's, and near a steep
+    chord's principal root it is too flat to locate the second root.
     Positive eigenvalues are s^2 at the first _POSITIVE_EIGEN roots of the
     trigonometric secular equation.  Each eigenfunction is a even + b odd
     in the basis of _basis, (a, b) a Robin row's null vector (_pair), so
@@ -498,8 +502,13 @@ def robin_eigen(kappa1, kappa2):
     grid = np.linspace(-1.0, 1.0, _EIGEN_NGRID)
     kmax = max(kappa1, kappa2)
 
-    below = _roots(lambda s: lambda0_residual(s, kappa1, kappa2),
-                   np.linspace(1e-6, kmax, 4001))
+    if _equal_curvatures(kappa1, kappa2):
+        k = 0.5 * (kappa1 + kappa2)
+        below = _roots(lambda s: s - k * np.tanh(s),
+                       np.linspace(1e-6, kmax, 4001))
+    else:
+        below = _roots(lambda s: lambda0_residual(s, kappa1, kappa2),
+                       np.linspace(1e-6, kmax, 4001))
     negatives = [_pair(-s * s, kappa1, kappa2, grid)
                  for s in (solve_lambda0(kappa1, kappa2), *below)]
     hi = (_POSITIVE_EIGEN + 2) * np.pi + kmax

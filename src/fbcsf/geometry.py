@@ -17,11 +17,16 @@ Phi(omega) = (sin omega, -cos omega), so omega = pi/2 is the rightmost
 point and the upper boundary is always the arc omega in [pi/2, 3pi/2]
 (x strictly decreasing there for any strictly convex domain).
 
-Evaluation takes two paths.  A scan that reads only signs or brackets
+Evaluation takes three paths.  A scan that reads only signs or brackets
 from a full period of samples (the convexity check, the diameter search,
 the extremes of rho) synthesizes the samples by one inverse real FFT
-(``_sample_series``); single angles and every value that feeds an output
-(points, the upper arc, the wall tables) use the direct series.
+(``_sample_series``).  A single boundary point sums the direct series at
+one angle (``_point_at``).  Arrays of angles, and so every value that
+feeds an output (points, the upper arc, the wall tables), sum the direct
+series in blocks (``_synthesize``): at most _SERIES_BLOCK angle-harmonic
+products at a time, each block written into one preallocated output, so
+the working memory stays near 1 MB whatever the angle count (the angles
+x harmonics matrix of the upper arc of ellipse(3,1) alone is 7 MB).
 """
 
 from dataclasses import dataclass
@@ -40,14 +45,50 @@ _CONTAINS_DIRS = 720   # contains: support directions and slack
 _CONTAINS_TOL = 1e-9
 _NSCAN = 2048          # find_diameters: residual samples over [0, pi)
 _UPPER_ARC_SAMPLES = 8193  # upper_arc: turning angles on [pi/2, 3pi/2]
+_SERIES_BLOCK = 2 ** 16    # _synthesize: angle-harmonic products per block,
+_SERIES_ROWS = 16          # in whole groups of this many angles
+
+
+def _synthesize(omega, m, series):
+    """sum_k c[k] cos(m[k] w) + s[k] sin(m[k] w) for each pair (c, s) of
+    series, at every angle w of omega: shape omega.shape + (len(series),).
+
+    The angles go in blocks of at most _SERIES_BLOCK angle-harmonic
+    products, each one the angles x harmonics matrices of its angles and a
+    matrix-vector product per coefficient vector, written into the one
+    output.  An omega of at most _SERIES_BLOCK products is one block as
+    given, so its bytes are those of one call on it.  Across blocks, a
+    block holds whole groups of _SERIES_ROWS angles, so a matrix-vector
+    kernel that sums its rows in groups (four in OpenBLAS's Haswell dgemv)
+    meets the groups of one call, and a single-threaded product gives one
+    call's bytes; a product that BLAS splits across threads may round a
+    cancelling entry's last bit differently.
+    """
+    om = np.asarray(omega, dtype=float)
+    out = np.empty(om.shape + (len(series),))
+    if om.size * len(m) <= _SERIES_BLOCK:
+        blocks = [(om, out)]
+    else:
+        rows = max(1, _SERIES_BLOCK // len(m) // _SERIES_ROWS * _SERIES_ROWS)
+        flat, dst = om.reshape(-1), out.reshape(-1, len(series))
+        blocks = ((flat[i:i + rows], dst[i:i + rows])
+                  for i in range(0, len(flat), rows))
+    for w, block_out in blocks:
+        c = np.multiply.outer(w, m)
+        s = np.sin(c)
+        # the cosine overwrites the angles: one block matrix fewer alive
+        np.cos(c, out=c)
+        for j, (cos_c, sin_c) in enumerate(series):
+            block_out[..., j] = c @ cos_c + s @ sin_c
+        # freed before the next block's angles are formed
+        del c, s
+    return out
 
 
 def _eval_series(cos_c, sin_c, omega):
     """Evaluate sum_k cos_c[k] cos(k w) + sin_c[k] sin(k w), vectorized in w."""
-    om = np.asarray(omega, dtype=float)
-    m = np.arange(len(cos_c))
-    ang = np.multiply.outer(om, m)
-    return np.cos(ang) @ np.asarray(cos_c) + np.sin(ang) @ np.asarray(sin_c)
+    series = [(np.asarray(cos_c), np.asarray(sin_c))]
+    return _synthesize(omega, np.arange(len(cos_c)), series)[..., 0]
 
 
 def _sample_series(cos_c, sin_c, n):
@@ -234,16 +275,11 @@ class ConvexDomain:
         om = np.asarray(omega, dtype=float)
         if om.ndim == 0:
             # one angle: the array path's products and dot products on a
-            # single angle, without its outer product and stack
+            # single angle, without its outer product and output array
             return _point_at(self._prims, self._m, om, self.center)
-        ang = np.multiply.outer(om, self._m)
-        # the cosine overwrites the angles: one n x K matrix fewer alive
-        s = np.sin(ang)
-        c = np.cos(ang, out=ang)
-        px_c, px_s, py_c, py_s = self._prims
-        x = c @ px_c + s @ px_s + self.center[0]
-        y = c @ py_c + s @ py_s + self.center[1]
-        return np.stack([x, y], axis=-1)
+        out = _synthesize(om, self._m, (self._prims[:2], self._prims[2:]))
+        out += self.center
+        return out
 
     @cached_property
     def upper_arc(self):

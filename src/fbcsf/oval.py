@@ -136,18 +136,24 @@ def lambda0_residual(lam, kappa1, kappa2):
     return lam ** 2 - lam * (kappa1 + kappa2) / np.tanh(2.0 * lam) + kappa1 * kappa2
 
 
+def _equal_curvatures(kappa1, kappa2):
+    """Whether a chord's end curvatures agree to 1e-12 relative: N is then
+    taken as the symmetric chord's (lam tanh lam - k)(lam - k tanh lam) /
+    tanh(lam), k their mean."""
+    return abs(kappa1 - kappa2) <= 1e-12 * max(kappa1, kappa2)
+
+
 def solve_lambda0(kappa1, kappa2):
     """The unique root of N above max(kappa1, kappa2).
 
-    For equal curvatures the equation factorizes as
-    (lam tanh lam - k)(lam - k tanh lam)/tanh(lam) and the admissible
-    factor is lam tanh lam = k, handled directly for exactness.
+    For equal curvatures (_equal_curvatures) the admissible factor of N is
+    lam tanh lam = k, handled directly for exactness.
     """
     if not (0.0 < kappa1 < np.inf and 0.0 < kappa2 < np.inf):
         raise ConfigError(
             f"curvatures must be finite and positive, got {kappa1}, {kappa2}")
     kmax = max(kappa1, kappa2)
-    if abs(kappa1 - kappa2) <= 1e-12 * kmax:
+    if _equal_curvatures(kappa1, kappa2):
         return solve_sigma(0.5 * (kappa1 + kappa2))
     sigma = solve_sigma(kmax)
     lo = kmax

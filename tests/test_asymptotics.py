@@ -419,15 +419,36 @@ def test_robin_symmetric_chord_modes_are_finite_and_even_or_odd(kappa):
     assert np.all(np.isfinite([p.coeffs for p in pairs]))
     assert all(p.coeffs[0] >= 0.0 for p in pairs)
     # at 5.76 the second negative eigenvalue lies 2.6e-3 above the
-    # principal one; that mode stays ill-conditioned (residual 7.1e-11,
-    # the same before the even/odd basis), so it is left out.  Elsewhere
-    # the smaller coefficient measured at most 3.1e-12 of the larger
-    for p in eig.negative_eigenvalues[:1] + eig.positive_eigenvalues:
+    # principal one (residual 7.1e-11 when it was a root of the whole
+    # secular equation); the smaller coefficient measured at most 3.1e-12
+    # of the larger
+    for p in pairs:
         small, large = sorted(abs(c) for c in p.coeffs)
         assert small <= 1e-10 * large
         scale = 1.0 + max(p.mu, 0.0)
         assert max(asymptotics.eigen_residuals(p, kappa, kappa)) <= \
             1e-14 * scale
+
+
+def test_robin_second_mode_on_every_steep_ellipse_major_axis():
+    # the major axes of ellipse(a, 1), a = 1.05 ... 3.00 (kappa1 = kappa2 =
+    # a^2): the second mode is odd, the root of s - kappa tanh s.  As a
+    # root of the whole secular equation, flat beside the principal root,
+    # 29 of them read residuals above 1e-14, up to 5.3e-8 (a = 3, mu =
+    # -80.9999946 against the principal -81.0000049)
+    x = np.linspace(-1.0, 1.0, 2001)
+    for a in np.arange(1.05, 3.01, 0.05):
+        dom = geometry.ConvexDomain.ellipse(float(a), 1.0)
+        ndom = geometry.normalize(dom, geometry.find_diameters(dom)[0])
+        k1, k2 = ndom.kappa1, ndom.kappa2
+        eig = asymptotics.robin_eigen(k1, k2)
+        first, second = eig.negative_eigenvalues
+        s = np.sqrt(-second.mu)
+        assert s < k1 < np.sqrt(-first.mu)
+        assert abs(s - k1 * np.tanh(s)) <= 4e-15 * k1
+        assert _sign_changes(second.phi(x)) == 1
+        for p in (first, second):
+            assert max(asymptotics.eigen_residuals(p, k1, k2)) <= 1e-14
 
 
 @pytest.mark.parametrize("a", [1.5, 2.4])

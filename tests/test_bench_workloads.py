@@ -1,15 +1,19 @@
 """The benchmark's own correctness gates, run on the library: the
 egg_analysis checks on the shared egg run, and the oval family's set-up,
 accuracy and checks on one diameter.  They guard every library call that
-bench/workloads.py makes."""
+bench/workloads.py makes.  The oval family's builds are also compared
+with builds on upper arcs synthesized in one call."""
 
 import sys
 import types
+from functools import cached_property
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from fbcsf import flow
+from fbcsf import flow, geometry
+from test_geometry import _one_call_point
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -59,3 +63,34 @@ def test_oval_family_gate_on_one_diameter(workloads):
     metrics, checks = fam.accuracy(diameters)
     assert set(metrics) == {"rate_relerr", "profile_c_abserr"}
     assert not _failed(checks)
+
+
+def _one_call_arc(dom):
+    """ConvexDomain.upper_arc from the one-call synthesis of the arc."""
+    om = np.linspace(np.pi / 2, 3 * np.pi / 2, geometry._UPPER_ARC_SAMPLES)
+    pts = _one_call_point(dom, om)
+    out = (om, pts[:, 0].copy(), pts[:, 1].copy())
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
+def test_oval_family_builds_are_those_on_one_call_arcs(workloads,
+                                                       monkeypatch):
+    # the 45 default attempts and a drawn grid: the same lam, xi and node
+    # bytes (Attempt.key) on blocked arcs as on one-call arcs
+    fam = workloads.WORKLOADS["oval_family"]
+    seeds = (workloads.DEFAULT_SEED, 7)
+
+    def keys():
+        diameters = fam.setup()
+        return [[r.key() for r in fam.sweep(fam.attempts(diameters, seed))[1]]
+                for seed in seeds]
+
+    blocked = keys()
+    arc = cached_property(_one_call_arc)
+    arc.__set_name__(geometry.ConvexDomain, "upper_arc")
+    monkeypatch.setattr(geometry.ConvexDomain, "upper_arc", arc)
+    one_call = keys()
+    assert [len(k) for k in blocked] == [45, 45]
+    assert blocked == one_call

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -164,10 +166,143 @@ def test_point_of_one_angle_matches_array_path(disk, flat_ellipse, egg,
             assert p.tobytes() == want
 
 
-# --------------------------------------------------- FFT-sampled scans
+# ------------------------------------------------ blocked array synthesis
 
 _BENCHMARK_DOMAINS = ("disk", "ellipse", "flat_ellipse", "egg", "lobed")
 
+
+
+def _one_call_point(dom, omega):
+    """ConvexDomain.point's array path as one call: the whole angles x
+    harmonics matrix at once, the form that the blocks replaced."""
+    ang = np.multiply.outer(np.asarray(omega, dtype=float), dom._m)
+    s = np.sin(ang)
+    c = np.cos(ang, out=ang)
+    px_c, px_s, py_c, py_s = dom._prims
+    x = c @ px_c + s @ px_s + dom.center[0]
+    y = c @ py_c + s @ py_s + dom.center[1]
+    return np.stack([x, y], axis=-1)
+
+
+def _one_call_series(cos_c, sin_c, omega):
+    """_eval_series as one call, the form that the blocks replaced."""
+    m = np.arange(len(cos_c))
+    ang = np.multiply.outer(np.asarray(omega, dtype=float), m)
+    return np.cos(ang) @ cos_c + np.sin(ang) @ sin_c
+
+
+def _array_forms(dom):
+    """(name, blocked form, one-call form, harmonic count, size of the
+    series' terms) for point, rho and drho of dom."""
+    k = np.arange(len(dom.a))
+    dc, ds = k * dom.b, -k * dom.a
+    size = sum(np.sum(np.abs(p)) for p in dom._prims)
+    size += np.sum(np.abs(dom.center))
+    return [
+        ("point", dom.point, lambda w: _one_call_point(dom, w), len(dom._m),
+         size),
+        ("rho", dom.rho, lambda w: _one_call_series(dom.a, dom.b, w),
+         len(dom.a), np.sum(np.abs(dom.a)) + np.sum(np.abs(dom.b))),
+        ("drho", dom.drho, lambda w: _one_call_series(dc, ds, w),
+         len(dom.a), np.sum(np.abs(dc)) + np.sum(np.abs(ds))),
+    ]
+
+
+@pytest.mark.parametrize("name", _BENCHMARK_DOMAINS)
+def test_synthesis_within_one_block_is_the_one_call_bytes(name, request):
+    # up to _SERIES_BLOCK angle-harmonic products the array is one block,
+    # taken as given: 1-D and 2-D, the bytes of one call
+    dom = request.getfixturevalue(name)
+    rng = np.random.default_rng(5)
+    for _, blocked, one_call, K, _ in _array_forms(dom):
+        n = g._SERIES_BLOCK // K
+        for shape in ((n,), (1,), (7,), (3, n // 3), (n // 5, 5)):
+            w = rng.uniform(-7.0, 7.0, shape)
+            assert blocked(w).tobytes() == one_call(w).tobytes()
+
+
+@pytest.mark.parametrize("name", ["disk", "egg", "lobed"])
+def test_small_domains_arcs_are_one_block(name, request):
+    # every array the disk, the egg and the lobed domain evaluate is one
+    # block (the 4,096-angle wall grids are smaller than the arc's), so
+    # they keep the one-call bytes
+    dom = request.getfixturevalue(name)
+    assert g._UPPER_ARC_SAMPLES * len(dom._m) <= g._SERIES_BLOCK
+    om, x, y = dom.upper_arc
+    want = _one_call_point(dom, om)
+    assert x.tobytes() == np.ascontiguousarray(want[:, 0]).tobytes()
+    assert y.tobytes() == np.ascontiguousarray(want[:, 1]).tobytes()
+
+
+def _block_rows(K):
+    """The angles per block of an array of K harmonics: whole groups of
+    _SERIES_ROWS, at most _SERIES_BLOCK products."""
+    return g._SERIES_BLOCK // K // g._SERIES_ROWS * g._SERIES_ROWS
+
+
+@pytest.mark.parametrize("name", ["ellipse", "flat_ellipse"])
+def test_synthesis_across_blocks_is_the_one_call_on_each_block(name,
+                                                               request):
+    # the upper arc's grid takes 9 to 14 blocks on the ellipses
+    dom = request.getfixturevalue(name)
+    om = np.linspace(np.pi / 2, 3 * np.pi / 2, g._UPPER_ARC_SAMPLES)
+    for _, blocked, one_call, K, _ in _array_forms(dom):
+        rows = _block_rows(K)
+        assert rows * K <= g._SERIES_BLOCK and len(om) > 8 * rows
+        want = np.concatenate([one_call(om[i:i + rows])
+                               for i in range(0, len(om), rows)])
+        assert blocked(om).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", ["ellipse", "flat_ellipse"])
+def test_synthesis_across_blocks_is_within_ulps_of_one_call(name, request):
+    # whole row groups per block: the bytes of one call on one BLAS
+    # thread; one call on two threads moved one entry of 8,193 on three of
+    # the four ellipse arcs, by 2.5e-32 to 4.9e-32 (a cancelling entry's
+    # last bit), where the blocks read the same on one to four threads
+    dom = request.getfixturevalue(name)
+    om = np.linspace(np.pi / 2, 3 * np.pi / 2, g._UPPER_ARC_SAMPLES)
+    for _, blocked, one_call, _, size in _array_forms(dom):
+        err = np.max(np.abs(blocked(om) - one_call(om)))
+        assert err <= 4.0 * np.finfo(float).eps * size
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (0, 3), (1,), (9,), (4, 3),
+                                   (40, 30)])
+def test_synthesis_keeps_the_angle_shape(flat_ellipse, shape):
+    # (40, 30) takes two or three blocks of the flattened angles
+    w = np.random.default_rng(2).uniform(-7.0, 7.0, shape)
+    dom = flat_ellipse
+    for name, blocked, one_call, _, size in _array_forms(dom):
+        got = blocked(w)
+        want_shape = shape + (2,) if name == "point" else shape
+        assert np.shape(got) == want_shape
+        assert np.all(np.abs(got - one_call(w))
+                      <= 4.0 * np.finfo(float).eps * size)
+    assert dom.dpoint(w).shape == shape + (2,)
+    assert np.shape(dom.curvature(w)) == shape
+    if np.size(w) * len(dom._m) > g._SERIES_BLOCK:
+        assert dom.point(w).tobytes() == dom.point(w.ravel()).tobytes()
+
+
+def test_upper_arc_memory_is_bounded_by_the_blocks(flat_ellipse):
+    # fresh normalizations of the ellipse(3,1) major axis, 108 position
+    # terms: measured peak 1.24 MB, two block matrices of 0.51 MB and
+    # the arc; 2.29 MB with a block's matrices alive while the next ones
+    # are formed, 14.5 MB as one call
+    d = g.find_diameters(flat_ellipse)[0]
+    g.normalize(flat_ellipse, d).domain.upper_arc
+    dom = g.normalize(flat_ellipse, d).domain
+    tracemalloc.start()
+    try:
+        dom.upper_arc
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5e6
+
+
+# --------------------------------------------------- FFT-sampled scans
 
 def _assert_samples_match(cos_c, sin_c, n):
     w = np.arange(n) * (2 * np.pi / n)

@@ -292,6 +292,22 @@ def test_wall_set_up_frees_its_arrays_early(negg):
     assert peak <= 1.2e6
 
 
+def test_steep_wall_set_up_memory_is_bounded_by_the_blocks(flat_ellipse):
+    # fresh normalizations of the ellipse(3,1) major axis: measured peak
+    # 1.24 MB, set by the blocked point and dpoint synthesis; 7.3 MB when
+    # each built the whole 4,096 x 108 angle-harmonic matrices
+    d = g.find_diameters(flat_ellipse)[0]
+    f.ConvexWall(g.normalize(flat_ellipse, d))
+    ndom = g.normalize(flat_ellipse, d)
+    tracemalloc.start()
+    try:
+        f.ConvexWall(ndom)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5e6
+
+
 def test_spline_writes_its_coefficients_in_place():
     # the wall table's solve, 4,096 knots and 3 columns: a lone block is
     # read in place and c's rows are written into one array (measured peak
