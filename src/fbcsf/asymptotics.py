@@ -50,8 +50,8 @@ from itertools import islice
 
 from .errors import (AnalysisError, ConfigError, NonPositiveAmplitude,
                      UnknownRecord, WindowTooShort)
-from .flow import (_ANALYSIS_END, _BLOCK_STATES, ConvexWall, CurveState,
-                   old_but_not_ancient)
+from .flow import (_ANALYSIS_END, _BLOCK_STATES, CurveState,
+                   old_but_not_ancient, wall_for)
 from .oval import _equal_curvatures, lambda0_residual, solve_lambda0
 from .solve import safe_brentq
 
@@ -261,7 +261,7 @@ def verify_estimates(traj, r, lambda0):
     # state-based quantities; the wall is read only to compute a stored
     # state's curvature, which run_to_extinction has already cached
     states, st_t = traj.states[win], t[win]
-    wall = (ConvexWall(traj.ndom) if any(s._kap is None for s in states)
+    wall = (wall_for(traj.ndom) if any(s._kap is None for s in states)
             else None)
     ratios = [_block_ratios(*block) for block in _blocks(states, wall)]
     sup_ratio, grad_ratio, ratio_minmax = map(np.concatenate, zip(*ratios))
@@ -464,9 +464,18 @@ def _pair(mu, k1, k2, grid):
     eigenfunction there before normalizing.  (a, b) is the null vector
     (q, -p) of the larger Robin row (p, q), signed so that a >= 0: with no
     division, an odd mode of a symmetric chord (a = 0, q = 0 in both rows)
-    is found as well as an even one."""
+    is found as well as an even one.  On a chord of equal end curvatures
+    (oval._equal_curvatures) the rows are (p, q) and (-p, q), and every
+    mode is even (p = 0) or odd (q = 0), so the smaller coefficient, the
+    rounding of p or q (up to 3.4e-9 of the sup on a steep chord), is set
+    to 0."""
     p, q = max(_robin_rows(mu, k1, k2), key=lambda r: abs(r[0]) + abs(r[1]))
     a, b = (q, -p) if q >= 0 else (-q, p)
+    if _equal_curvatures(k1, k2):
+        if abs(a) >= abs(b):
+            b = 0.0
+        else:
+            a = 0.0
     even, odd = _basis(mu, grid)
     phi = a * even + b * odd
     scale = np.max(np.abs(phi))

@@ -59,14 +59,15 @@ class InvalidScale(SolverError):
 
 class StepRejected(SolverError):
     """flow.step found no step it could take: it halves dt after each
-    FlowError or convexity failure, and raises this when the attempt after
-    the 20th halving fails too."""
+    FlowError, and raises this when the attempt after the 20th halving
+    fails too."""
 
 
 class FlowError(SolverError):
     """One step attempt failed: a singular or non-finite linear system, a
-    failed contact solve, or a wall angle off the wall's table.  flow.step
-    answers it by halving dt and trying again."""
+    failed contact solve, a wall angle off the wall's table, or a stepped
+    curve that is not convex.  flow.step answers it by halving dt and
+    trying again."""
 
 
 class NonExtinction(SolverError):

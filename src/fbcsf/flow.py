@@ -22,22 +22,26 @@ enough node levels behind it estimates its local error by Milne's device,
 and a PI controller sets the next step from that estimate, at most twice
 the last step and at most the length cap _LENGTH_STEP_CAP * L^2 for the
 curve length L (see step).  Its tolerance is SolverConfig.error_tol
-until run_to_extinction estimates less than _ANALYSIS_END to extinction;
-from then on it passes step h0 = None, the collapse phase, which only
-locates the extinction time: its steps are BDF3, its tolerance is
-_COLLAPSE_TOL_FACTOR = 256 times looser and its cap 256^(1/4) = 4 times
-longer.  The exact solutions stay in the uniform phase.  Every step is
-accepted; a step is retried, at half the length, only on a FlowError (a
-contact Newton that does not converge raises one) or a convexity
-failure.
+until the area law dA/dt = -(theta+ + theta-) puts extinction less than
+_ANALYSIS_END ahead (see run_to_extinction); from then on the run passes
+step h0 = None, the collapse phase, which only locates the extinction
+time: its steps are BDF3, its tolerance is _COLLAPSE_TOL_FACTOR = 256
+times looser and its cap 256^(1/4) = 4 times longer.  The exact solutions
+stay in the uniform phase.  Every step is accepted; a step is retried, at
+half the length, only on a FlowError, which a contact Newton that does
+not converge raises, and so does a stepped curve that is not convex.
 
 The step that makes a state forms its edge vectors once (again only
-after a resample) and derives from them everything the state's geometry
-needs: the error estimate's tangents, the edge lengths and the
-ghost-closed curvature, all cached on the state, and its length is summed
-once.  The next step's time step and Laplacian reuse the edge lengths;
-the convexity check, the monitors and the late-time analysis read the
-cached curvature.
+after a resample) and derives from them what the state's geometry needs:
+the error estimate's tangents, the edge lengths, cached on the state,
+and the sign of each node's turn; its length is summed once.  A curve
+whose every turn is positive is convex, as nearly every stepped curve is,
+and the step leaves its curvature to _finalize, which computes it in the
+monitors' block pass; only another curve has its curvature read in the
+step, by the convexity check.  The next step's time step and Laplacian
+and a resample reuse the edge lengths; the monitors and the late-time
+analysis read the cached curvature.  A normalized domain's wall is built
+once and kept with its domain (wall_for).
 
 A run's only record is its stored states: every state a step returns,
 up to the first shorter than _EXTINCTION_LENGTH (see run_to_extinction),
@@ -76,9 +80,10 @@ import math
 import numbers
 import os
 import sys
+import weakref
 from array import array
 from dataclasses import dataclass, field, replace
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 from typing import ClassVar
 
 import numpy as np
@@ -238,6 +243,21 @@ class ConvexWall:
         return g[0] - g[1]
 
 
+# one ConvexWall per normalized domain, keyed weakly on ndom.domain: the
+# wall holds no reference to its domain, so it is freed with it
+_WALLS = weakref.WeakKeyDictionary()
+
+
+def wall_for(ndom):
+    """The ConvexWall of a normalized domain, built on the first call for
+    ndom.domain and kept until that domain is freed, so that repeated runs
+    and a sweep over rho build the wall's tables once."""
+    wall = _WALLS.get(ndom.domain)
+    if wall is None:
+        wall = _WALLS[ndom.domain] = ConvexWall(ndom)
+    return wall
+
+
 class StraightWall:
     """The x-axis as a wall, parametrized by abscissa (for the semicircle)."""
 
@@ -320,17 +340,19 @@ _PI_PREV_ERR = 0.4
 # only the extinction-time fit reads a run, so run_to_extinction steps it in
 # the collapse phase (h0 None: BDF3, the tolerance loosened by
 # _COLLAPSE_TOL_FACTOR and the length cap by its fourth root,
-# 256^(1/4) = 4 exactly) once it estimates less than _ANALYSIS_END left.
-# On the nine benchmark diameters at rho 0.1 and 0.01 (n_nodes 100) that
-# estimate runs 1.36 to 1.83 times the true time left at the switch (1.58
-# on the disk, 1.56 on the egg) and 1.87 to 2.29 times it at a true 0.3
-# (1.93 and 1.91; the runs on ellipse(3,1)'s long diameter start after
-# -0.3), so the switch fires at offset times -0.221 to -0.163
+# 256^(1/4) = 4 exactly) once the area law leaves less than _ANALYSIS_END.
+# Its estimate of the time left, the area clock over theta+ + theta-, is
+# an upper bound while theta+ + theta- does not fall.  On the nine
+# benchmark diameters at rho 0.1 and 0.01 (n_nodes 100) it runs 1.29 to
+# 1.61 times the true time left at the switch (1.30 on the disk, 1.29 on
+# the egg) and 1.34 to 1.81 times it at a true 0.3 (1.37 and 1.37; the
+# runs on ellipse(3,1)'s long diameter start after -0.3), so the switch
+# fires at offset times -0.232 to -0.187
 _ANALYSIS_END = 0.3
 _COLLAPSE_TOL_FACTOR = 256.0
 # _finalize reads the stored states' curvature and nodes in blocks of at
 # most this many consecutive states, and asymptotics packs this many per
-# pass: a whole run, such as the disk's 741 states of 200 nodes, would
+# pass: a whole run, such as the disk's 704 states of 200 nodes, would
 # raise its peak memory
 _BLOCK_STATES = 32
 
@@ -382,6 +404,8 @@ class CurveState:
     time: float
     om_minus: float   # left contact parameter
     om_plus: float    # right contact parameter
+    # the cached curvature and edge lengths; _kap is None on a state that a
+    # step accepted by its turns' signs until _finalize computes it
     _kap: np.ndarray = field(default=None, repr=False)
     _seg: np.ndarray = field(default=None, repr=False)
     # the history of a BDF step, on every state a step returns: (levels,
@@ -415,6 +439,8 @@ class CurveState:
     # settable value (functools.cached_property would give each state a
     # __dict__ of its own: more memory and slower attribute reads)
     _length = None
+    # the ghost edges (_ghost_edges), kept in the same way
+    _ghosts = None
 
     @property
     def length(self):
@@ -424,39 +450,71 @@ class CurveState:
         return self._length
 
     def kappa(self, wall):
-        """Vertex curvatures; each contact closed by a ghost node, the
-        first interior node mirrored across the wall tangent (-ny, nx)."""
-        return self._kappa_from(wall, self.nodes[1:] - self.nodes[:-1])
-
-    def _kappa_from(self, wall, e):
-        """kappa from the edge vectors e = nodes[1:] - nodes[:-1] that the
-        step making a state formed, only read: their x, y rows sit between
-        the ghost edges' slots, and edge lengths are the cached ones."""
-        n = len(self.nodes)
-        ex, ey, h = buf = np.empty((3, n + 1))   # edge x, y and length rows
-        buf[:2, 1:-1] = e.T
-        h[1:-1] = self.seg_cached()
-        (x0, y0), (x1, y1) = self.nodes[:2].tolist()
-        (xm, ym), (xn, yn) = self.nodes[-2:].tolist()
-        for k, om, px, py, ix, iy in ((0, self.om_minus, x0, y0, x1, y1),
-                                      (n, self.om_plus, xn, yn, xm, ym)):
-            nx, ny = wall.normal_xy(om)
-            vx, vy = ix - px, iy - py
-            d = 2.0 * (vy * nx - vx * ny)
-            gx, gy = px - d * ny - vx, py + d * nx - vy
-            ex[k], ey[k] = (px - gx, py - gy) if k == 0 else (gx - px, gy - py)
-        h[::n] = np.hypot(ex[::n], ey[::n])
-        cross = ex[:-1] * ey[1:] - ey[:-1] * ex[1:]
-        # + 0.0 makes a -0.0 dot product +0.0: arctan2 reads a zero's sign
-        dot = ex[:-1] * ex[1:] + ey[:-1] * ey[1:] + 0.0
-        phi = np.arctan2(cross, dot, out=cross)
-        phi *= 2.0
-        phi /= np.add(h[:-1], h[1:], out=dot)
-        return phi
+        """Vertex curvatures, closed at each contact by a ghost edge
+        (_ghost_edges): a block of one state (_kappa_rows)."""
+        return _kappa_rows([self], wall, *self.nodes.T[:, None])[0]
 
     def heights_at(self, xs):
         return np.interp(xs, self.nodes[:, 0], self.nodes[:, 1],
                          left=np.nan, right=np.nan)
+
+
+def _ghost_edges(state, wall):
+    """The edges that close a curve at its contacts, four floats kept on
+    the state: from the ghost node before the first node and to the one
+    after the last, each the node next to its contact mirrored across the
+    wall tangent (-ny, nx) there."""
+    if state._ghosts is None:
+        (x0, y0), (x1, y1) = state.nodes[:2].tolist()
+        (xm, ym), (xn, yn) = state.nodes[-2:].tolist()
+        ghosts = []
+        for om, px, py, ix, iy in ((state.om_minus, x0, y0, x1, y1),
+                                   (state.om_plus, xn, yn, xm, ym)):
+            nx, ny = wall.normal_xy(om)
+            vx, vy = ix - px, iy - py
+            d = 2.0 * (vy * nx - vx * ny)
+            ghosts += (px - d * ny - vx, py + d * nx - vy)
+        g0x, g0y, gnx, gny = ghosts
+        state._ghosts = x0 - g0x, y0 - g0y, gnx - xn, gny - yn
+    return state._ghosts
+
+
+def _kappa_rows(states, wall, x, y):
+    """Vertex curvatures of states of one node count, one row per state,
+    from rows x and y of their nodes: twice the angle from a node's edge
+    in to its edge out (the ghost edges at the contacts) over the sum of
+    their lengths (seg_cached inside).  A row reads its own state's floats
+    alone, so it is the same in any block."""
+    m, n = x.shape
+    # edge x, y and length rows, the ghost edges in the end slots; three
+    # arrays, not one, to keep each allocation small
+    ex, ey, h = (np.empty((m, n + 1)) for _ in range(3))
+    np.subtract(x[:, 1:], x[:, :-1], out=ex[:, 1:-1])
+    np.subtract(y[:, 1:], y[:, :-1], out=ey[:, 1:-1])
+    ex[:, 0], ey[:, 0], ex[:, n], ey[:, n] = np.array(
+        [_ghost_edges(s, wall) for s in states]).T
+    h[:, 1:-1] = [s.seg_cached() for s in states]
+    h[:, ::n] = np.hypot(ex[:, ::n], ey[:, ::n])
+    cross = ex[:, :-1] * ey[:, 1:] - ey[:, :-1] * ex[:, 1:]
+    # + 0.0 makes a -0.0 dot product +0.0: arctan2 reads a zero's sign
+    dot = ex[:, :-1] * ex[:, 1:] + ey[:, :-1] * ey[:, 1:] + 0.0
+    phi = np.arctan2(cross, dot, out=cross)
+    phi *= 2.0
+    phi /= np.add(h[:, :-1], h[:, 1:], out=dot)
+    return phi
+
+
+def _turns_positive(state, e, wall):
+    """Whether the cross product of every node's edge in and edge out
+    (e = nodes[1:] - nodes[:-1], and the ghost edges at the contacts) is
+    positive, from the floats _kappa_rows forms (a - b > 0 exactly where
+    a > b): then no curvature is negative.  False on a NaN."""
+    ax, ay, bx, by = _ghost_edges(state, wall)
+    (e0x, e0y), (enx, eny) = e[0].tolist(), e[-1].tolist()
+    if not (ax * e0y > ay * e0x and enx * by > eny * bx):
+        return False
+    return np.count_nonzero(e[:-1, 0] * e[1:, 1] > e[:-1, 1] * e[1:, 0]) \
+        == len(e) - 1
 
 
 def enclosed_area(state, wall):
@@ -587,15 +645,18 @@ def _edge_lengths(nodes):
     return np.hypot(e[:, 0], e[:, 1])
 
 
-def _resample(curves, n_out):
+def _resample(curves, n_out, *segs):
     """The curves of one resample event, each at n_out points at equal
     steps of its chord length on the not-a-knot spline through its nodes,
     ends kept: CubicSpline's points, bit for bit, from one packed spline
     solve.  FlowError where fewer than 4 distinct nodes remain.  The curves
-    are only read; a node that ends a zero-length edge is dropped."""
+    are only read; a node that ends a zero-length edge is dropped.  segs
+    holds the edge lengths of the first curves where the caller has them
+    (None where not), which are then not formed again."""
     knots, pts = [], []
-    for nodes in curves:
-        seg = _edge_lengths(nodes)
+    for nodes, seg in zip_longest(curves, segs):
+        if seg is None:
+            seg = _edge_lengths(nodes)
         s = np.zeros(len(nodes))
         np.cumsum(seg, out=s[1:])
         if not (seg > 1e-15).all():
@@ -706,8 +767,9 @@ def _convexity_defect(state, wall):
 
 
 def step(state, cfg, wall, h0):
-    """One accepted step; halves dt on a FlowError or a convexity failure,
-    up to 20 times, then raises StepRejected.
+    """One accepted step; halves dt on a FlowError, which _attempt_step
+    raises on a stepped curve that is not convex too, up to 20 times, then
+    raises StepRejected.
 
     h0 sets the phase (see run_to_extinction) and with it the BDF order
     that _attempt_step takes: 2 in the uniform phase, where h0 is the
@@ -771,13 +833,9 @@ def step(state, cfg, wall, h0):
         dt = min(dt, _MAX_STEP_RATIO * dt_prev)
     for _ in range(21):
         try:
-            new = _attempt_step(state, wall, dt, order)
+            return _attempt_step(state, wall, dt, order)
         except FlowError:
             dt *= 0.5
-            continue
-        if _convexity_defect(new, wall) >= -1e-8:
-            return new
-        dt *= 0.5
     raise StepRejected(
         f"step kept failing after 20 halvings at t = {state.time:.6g}")
 
@@ -852,10 +910,13 @@ def _attempt_step(state, wall, dt, order):
     (so a level keeps no other state alive) and the stepped state's two
     newest levels.  Only a drifted spacing (longest edge over 1.25 times
     the shortest) resamples: the new curve and every level, at the same
-    count, in one packed spline solve; a count change would perturb the
-    levels, and Milne's estimate would read that as error.  The new
-    state's edge lengths (_seg) and curvature (_kap) come from the edge
-    vectors that the error estimate reads.
+    count, in one packed spline solve, which takes the edge lengths the
+    step holds; a count change would perturb the levels, and Milne's
+    estimate would read that as error.  The new state's edge lengths
+    (_seg) and turns come from the edge vectors that the error estimate
+    reads: a curve whose every turn is positive is accepted without its
+    curvature, another only where _convexity_defect is at least -1e-8
+    (FlowError where it is not).
     """
     nodes = state.nodes
     levels, err_prev, _ = state._prev or ((), None, None)
@@ -914,15 +975,19 @@ def _attempt_step(state, wall, dt, order):
     # resample only once the mesh has actually drifted; spacing decays
     # by O(dt) per step so most steps skip the spline rebuild
     if float(seg.max()) > 1.25 * float(seg.min()):
-        new, *lv = _resample([new] + [p.nodes for p in levels], len(new))
+        new, *lv = _resample([new] + [p.nodes for p in levels], len(new),
+                             seg, *[p._seg for p in levels])
         e = new[1:] - new[:-1]
         seg = np.hypot(e[:, 0], e[:, 1])
         levels = tuple(replace(p, nodes=q, _seg=None)
                        for p, q in zip(levels, lv))
     out = CurveState(nodes=new, time=state.time + dt, om_minus=om_minus,
                      om_plus=om_plus, _seg=seg, _prev=(levels, err, err_prev))
-    out._kap = out._kappa_from(wall, e)
     out._length = float(seg.sum())
+    if (not _turns_positive(out, e, wall)
+            and _convexity_defect(out, wall) < -1e-8):
+        raise FlowError(f"the stepped curve is not convex at "
+                        f"t = {out.time:.6g}")
     return out
 
 
@@ -1083,15 +1148,23 @@ def _block_monitors(states, wall):
     for i in range(0, size, _BLOCK_STATES):
         block = states[i:i + _BLOCK_STATES]
         rows = slice(i, i + len(block))
-        kap = np.array([s.kappa_cached(wall) for s in block])
-        kmin[rows] = kap[:, 1:-1].min(axis=1)
-        kmax[rows] = kap.max(axis=1)
-        count[rows] = _local_min_counts(kap[:, 1:-1])
-        # dropped before the nodes are stacked, to keep the peak low
-        kap = None
         # one row of x and one of y per state: each row's sum is bit for
         # bit the sum of that state's terms alone
         x, y = np.array([s.nodes.T for s in block]).transpose(1, 0, 2)
+        # the curvature a step did not cache, each state's row of one block
+        missing = [r for r, s in enumerate(block) if s._kap is None]
+        if missing:
+            sub = missing if len(missing) < len(block) else slice(None)
+            kap = _kappa_rows([block[r] for r in missing], wall, x[sub],
+                              y[sub])
+            for r, row in zip(missing, kap):
+                block[r]._kap = row.copy()
+        if len(missing) < len(block):
+            kap = np.array([s._kap for s in block])
+        kmin[rows] = kap[:, 1:-1].min(axis=1)
+        kmax[rows] = kap.max(axis=1)
+        count[rows] = _local_min_counts(kap[:, 1:-1])
+        kap = None
         terms = x[:, :-1] * y[:, 1:]
         terms -= y[:, :-1] * x[:, 1:]
         area[rows] += 0.5 * terms.sum(axis=1)
@@ -1108,23 +1181,27 @@ def run_to_extinction(initial, cfg, ndom):
     uniform phase (h0 the initial spacing, read by the first steps' mesh
     rule) until the run is past every analysis window, and in the collapse
     phase (h0 None) from the first step from a state with an error
-    estimate (the fourth) at which L^2, extrapolated linearly through the
-    two newest states, puts extinction less than _ANALYSIS_END ahead.  The
-    switch latches, and it comes at offset times -0.221 to -0.163 on the
-    benchmark diameters, so every state before -_ANALYSIS_END is that of a
-    run in the uniform phase, bit for bit.
+    estimate (the fourth) at which the area clock, the initial state's
+    enclosed area less the trapezoid integral of theta+ + theta- over the
+    stored states, is below _ANALYSIS_END (theta+ + theta-).  By the law
+    dA/dt = -(theta+ + theta-) (Gage and Hamilton, J. Differential Geom.
+    23, 1986; Stahl, Calc. Var. PDE 4, 1996) the clock over theta+ +
+    theta- bounds the time left from above while theta+ + theta- does not
+    fall.  The switch latches, and it comes at offset times -0.232 to
+    -0.187 on the benchmark diameters, so every state before
+    -_ANALYSIS_END is that of a run in the uniform phase, bit for bit.
 
     Every state a step returns is stored, so the stored states are exactly
-    the states stepped through: 741 states of 740 steps on the disk at
-    rho = 0.1, n_nodes = 200, dt_safety 0.8, and 722 of 721 steps on the
-    egg at n_nodes = 100, of which 102 and 102 come after the switch.  The
+    the states stepped through: 704 states of 703 steps on the disk at
+    rho = 0.1, n_nodes = 200, dt_safety 0.8, and 686 of 685 steps on the
+    egg at n_nodes = 100, of which 104 and 110 come after the switch.  The
     monitors are derived from them afterwards (_finalize).  An exhausted
-    step budget (_MAX_STEPS) raises NonExtinction, whose partial trajectory
-    ends at the current state, its times offset in the same way.  An
-    initial state already shorter than _EXTINCTION_LENGTH leaves nothing
-    to step, and raises ConfigError.
+    step budget (_MAX_STEPS) raises NonExtinction, whose partial
+    trajectory ends at the current state, its times offset in the same
+    way.  An initial state already shorter than _EXTINCTION_LENGTH leaves
+    nothing to step, and raises ConfigError.
     """
-    wall = ConvexWall(ndom)
+    wall = wall_for(ndom)
     if initial.length < _EXTINCTION_LENGTH:
         raise ConfigError(
             f"the initial state already meets the stop rule (length "
@@ -1132,6 +1209,10 @@ def run_to_extinction(initial, cfg, ndom):
     state = initial
     h0 = initial.length / (len(initial.nodes) - 1)
     states = [state]
+    # the area clock: the initial area less the trapezoid integral of
+    # theta+ + theta- (turn) over the stored states
+    clock = enclosed_area(initial, wall)
+    turn = initial.theta_plus + initial.theta_minus
     while state.length >= _EXTINCTION_LENGTH:
         if len(states) > _MAX_STEPS:
             exc = NonExtinction(
@@ -1139,18 +1220,16 @@ def run_to_extinction(initial, cfg, ndom):
                 f"{state.length:.3g}")
             exc.partial = _finalize(states, cfg, ndom, wall)
             raise exc
-        # the fourth state is the first with an error estimate
-        if h0 is not None and len(states) > 3:
-            # time left, L^2 extrapolated linearly, below _ANALYSIS_END;
-            # the left side is positive, so L^2 fell where this holds
-            prev = states[-2]
-            sq = state.length ** 2
-            if sq * (state.time - prev.time) < _ANALYSIS_END * (
-                    prev.length ** 2 - sq):
-                h0 = None
+        # the fourth state is the first with an error estimate; the area
+        # law's time left, clock / turn, is below _ANALYSIS_END
+        if h0 is not None and len(states) > 3 and clock < (
+                _ANALYSIS_END * turn):
+            h0 = None
         new = step(state, cfg, wall, h0)
         # the history is read by that step alone; a stored state keeps none
         state._prev = None
+        last, turn = turn, new.theta_plus + new.theta_minus
+        clock -= 0.5 * (last + turn) * (new.time - state.time)
         state = new
         states.append(state)
     return _finalize(states, cfg, ndom, wall)
@@ -1281,7 +1360,7 @@ def stationary_diameter_drift(ndom):
     pts = np.column_stack([xs, np.zeros_like(xs)])
     state = CurveState(nodes=pts, time=0.0,
                        om_minus=3 * np.pi / 2, om_plus=np.pi / 2)
-    wall = ConvexWall(ndom)
+    wall = wall_for(ndom)
     cfg = SolverConfig(n_nodes=_DRIFT_NODES, dt_safety=0.4)
     h0 = state.length / (_DRIFT_NODES - 1)
     drift = 0.0

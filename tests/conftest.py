@@ -68,8 +68,9 @@ def nlobed(lobed):
 
 
 # ---------------------------------------------------------------------------
-# the step count and resample events of each shared flow run built in this
-# session, by name, printed in the terminal summary: both are deterministic,
+# the step count, resample events and switch offset (the offset time of the
+# first collapse-phase step's state) of each shared flow run built in this
+# session, by name, printed in the terminal summary: all are deterministic,
 # so a change that keeps the step sequence shows it
 _FIXTURE_STEPS = {}
 
@@ -77,9 +78,10 @@ _FIXTURE_STEPS = {}
 def pytest_terminal_summary(terminalreporter):
     if not _FIXTURE_STEPS:
         return
-    terminalreporter.section("shared flow runs: steps, resamples")
-    for name, (steps, resamples) in _FIXTURE_STEPS.items():
-        terminalreporter.write_line(f"{steps:6d} {resamples:4d}  {name}")
+    terminalreporter.section("shared flow runs: steps, resamples, switch")
+    for name, (steps, resamples, switch) in _FIXTURE_STEPS.items():
+        terminalreporter.write_line(
+            f"{steps:6d} {resamples:4d} {switch:9.5f}  {name}")
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +127,9 @@ def runs(ndisk, negg, nellipse_minor):
                 mp.setattr(flow_mod, "step", recording_step)
                 cache[name] = flow_mod.old_but_not_ancient(
                     doms[dom_key], rho, cfg)
-            _FIXTURE_STEPS[name] = (len(stepped[name]), sum(resampled[name]))
+            _FIXTURE_STEPS[name] = (
+                len(stepped[name]), sum(resampled[name]),
+                float(cache[name].monitors["t"][held[name].index(True)]))
         return cache[name]
 
     def get_stepped(name):

@@ -5,6 +5,7 @@ import collections.abc
 import dataclasses
 import tracemalloc
 import warnings
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -66,7 +67,8 @@ def test_estimates_same_with_curvature_recomputed(runs, ndisk):
 
 def test_estimates_build_no_wall_on_a_recorded_run(runs, ndisk, monkeypatch):
     # run_to_extinction caches every stored state's curvature, so the
-    # analysis needs no wall table; a state without it still gets one
+    # analysis needs no wall table; a state without it reads the domain's
+    # wall (flow.wall_for), built once for the domain, here emptied first
     traj = runs("disk_r03_n100")
     built = []
     init = flow.ConvexWall.__init__
@@ -79,11 +81,13 @@ def test_estimates_build_no_wall_on_a_recorded_run(runs, ndisk, monkeypatch):
     lam0 = oval.solve_lambda0(ndisk.kappa1, ndisk.kappa2)
     asymptotics.verify_estimates(traj, 0.25, lam0)
     assert built == []
-    bare = dataclasses.replace(traj, states=[
-        flow.CurveState(nodes=s.nodes, time=s.time, om_minus=s.om_minus,
-                        om_plus=s.om_plus) for s in traj.states])
-    asymptotics.verify_estimates(bare, 0.25, lam0)
-    assert built == [ndisk]
+    monkeypatch.setattr(flow, "_WALLS", weakref.WeakKeyDictionary())
+    for _ in range(2):
+        bare = dataclasses.replace(traj, states=[
+            flow.CurveState(nodes=s.nodes, time=s.time, om_minus=s.om_minus,
+                            om_plus=s.om_plus) for s in traj.states])
+        asymptotics.verify_estimates(bare, 0.25, lam0)
+        assert built == [ndisk]
 
 
 def test_turning_angle_rate_is_sharp(disk_sweep, ndisk):
@@ -308,8 +312,8 @@ def test_sweep_needs_three_rho_values(ndisk):
 
 
 def test_sweep_pair_distances_small_and_decreasing(disk_sweep):
-    # the best shift is tau = 0 on both disk pairs (measured 1.789e-6 and
-    # 1.155e-6, the distances there)
+    # the best shift is tau = 0 on both disk pairs (measured 1.795e-6 and
+    # 1.133e-6, the distances there)
     pairs = disk_sweep.pairs
     assert len(pairs) == 2
     assert all(p.tau_star == 0.0 and not p.tau_at_edge for p in pairs)
@@ -320,8 +324,8 @@ def test_sweep_pair_distances_small_and_decreasing(disk_sweep):
 
 # the egg pairs' distances at the best shift that a scan of 41 shifts on
 # +-0.5, refined by golden section, found: the search on the small bracket
-# must come within 2% of them (measured 1.883e-4 and 3.971e-5, within
-# 0.45% and 0.09%)
+# must come within 2% of them (measured 1.883e-4 and 3.979e-5, within
+# 0.43% and 0.30%)
 _EGG_SCANNED = (1.875e-4, 3.967e-5)
 
 
@@ -420,11 +424,11 @@ def test_robin_symmetric_chord_modes_are_finite_and_even_or_odd(kappa):
     assert all(p.coeffs[0] >= 0.0 for p in pairs)
     # at 5.76 the second negative eigenvalue lies 2.6e-3 above the
     # principal one (residual 7.1e-11 when it was a root of the whole
-    # secular equation); the smaller coefficient measured at most 3.1e-12
-    # of the larger
+    # secular equation); the other part's coefficient is exactly 0 (it
+    # measured up to 3.1e-12 of the larger before it was set to 0)
     for p in pairs:
         small, large = sorted(abs(c) for c in p.coeffs)
-        assert small <= 1e-10 * large
+        assert small == 0.0 < large
         scale = 1.0 + max(p.mu, 0.0)
         assert max(asymptotics.eigen_residuals(p, kappa, kappa)) <= \
             1e-14 * scale
@@ -435,7 +439,10 @@ def test_robin_second_mode_on_every_steep_ellipse_major_axis():
     # a^2): the second mode is odd, the root of s - kappa tanh s.  As a
     # root of the whole secular equation, flat beside the principal root,
     # 29 of them read residuals above 1e-14, up to 5.3e-8 (a = 3, mu =
-    # -80.9999946 against the principal -81.0000049)
+    # -80.9999946 against the principal -81.0000049).  The principal mode
+    # is exactly even and the second exactly odd: the other coefficient,
+    # once up to 3.4e-9 of the sup there, is 0; residuals measure at most
+    # 2.4e-15 (4.8e-15 before it was set to 0)
     x = np.linspace(-1.0, 1.0, 2001)
     for a in np.arange(1.05, 3.01, 0.05):
         dom = geometry.ConvexDomain.ellipse(float(a), 1.0)
@@ -447,6 +454,7 @@ def test_robin_second_mode_on_every_steep_ellipse_major_axis():
         assert s < k1 < np.sqrt(-first.mu)
         assert abs(s - k1 * np.tanh(s)) <= 4e-15 * k1
         assert _sign_changes(second.phi(x)) == 1
+        assert first.coeffs[1] == 0.0 and second.coeffs[0] == 0.0
         for p in (first, second):
             assert max(asymptotics.eigen_residuals(p, k1, k2)) <= 1e-14
 

@@ -684,9 +684,10 @@ def test_slave_contact_with_following_nodes_reaches_bracketed_root(
 # references, and no write into an input a kernel does not own
 
 
-def _kappa_from_reference(state, wall, e):
-    """CurveState._kappa_from as it was: the edges as the rows of an
-    (n + 1, 2) array, and each dot product by einsum."""
+def _kappa_reference(state, wall, e):
+    """The curvature of one state as it was computed from the edge vectors
+    e = nodes[1:] - nodes[:-1] that a step formed: the edges as the rows of
+    an (n + 1, 2) array, and each dot product by einsum."""
     n = len(state.nodes)
     edges = np.empty((n + 1, 2))
     edges[1:-1] = e
@@ -761,8 +762,8 @@ def _check_kernels(state, wall, pred, dt, rng):
     """Each slimmed kernel against its reference on one state."""
     nodes = state.nodes
     e = nodes[1:] - nodes[:-1]
-    kap = _kappa_from_reference(state, wall, e)
-    assert state._kappa_from(wall, e).tobytes() == kap.tobytes()
+    kap = _kappa_reference(state, wall, e)
+    assert state.kappa(wall).tobytes() == kap.tobytes()
     assert (f._normal_defect(nodes, pred.copy(), e)
             == _normal_defect_reference(nodes, pred, e))
     rhs, ends = _pinned_rhs(nodes, rng)
@@ -831,7 +832,81 @@ def test_slimmed_kernels_match_their_references_on_draws(egg_wall, drawn):
     _check_boundary_terms(egg_wall, om[0], om[1])
 
 
-def test_kappa_from_reads_a_repeated_node_as_einsum_did(egg_wall):
+def _drawn_curve(rng, n, wobble):
+    """A state on the egg's wall table: n nodes at sorted random angles on
+    the unit circle's upper arc, each moved by noise of size wobble (a
+    large one breaks convexity), the wall normals within 1e-3 of the
+    arc's end tangents, so that a ghost edge nearly continues the arc."""
+    th = np.sort(rng.uniform(0.2, np.pi - 0.2, n))
+    nodes = np.column_stack([np.cos(th), np.sin(th)])
+    nodes += rng.normal(0.0, wobble, nodes.shape)
+    tilt = rng.uniform(-1e-3, 1e-3, 2)
+    return f.CurveState(nodes=nodes, time=0.0,
+                        om_minus=float(th[0] + np.pi + tilt[0]),
+                        om_plus=float(th[-1] + tilt[1]))
+
+
+@given(st.integers(4, 120), st.integers(1, 6), st.floats(-12.0, -1.0),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_kappa_rows_are_each_states_own_curvature(egg_wall, n, count,
+                                                  wobble, seed):
+    # a row of a block is its state's curvature read alone, bit for bit,
+    # whatever the other states of the block
+    rng = np.random.default_rng(seed)
+    states = [_drawn_curve(rng, n, 10.0 ** wobble) for _ in range(count)]
+    x, y = np.array([s.nodes.T for s in states]).transpose(1, 0, 2)
+    rows = f._kappa_rows(states, egg_wall, x, y)
+    assert rows.shape == (count, n)
+    for s, row in zip(states, rows):
+        want = _kappa_reference(s, egg_wall, s.nodes[1:] - s.nodes[:-1])
+        assert row.tobytes() == want.tobytes()
+
+
+def test_sign_test_accepts_only_what_the_convexity_check_accepts(egg_wall):
+    # a curve whose every turn is positive has no negative curvature, so
+    # the convexity check (>= -1e-8) would accept it too; the draws give
+    # both outcomes, and a NaN node is never accepted
+    rng = np.random.default_rng(11)
+    outcomes = []
+    for k in range(400):
+        s = _drawn_curve(rng, int(rng.integers(4, 200)),
+                         10.0 ** rng.uniform(-12.0, -1.0))
+        if k % 50 == 0:
+            s.nodes[int(rng.integers(len(s.nodes))), 1] = np.nan
+        positive = f._turns_positive(s, s.nodes[1:] - s.nodes[:-1],
+                                     egg_wall)
+        if positive:
+            assert float(s.kappa(egg_wall).min()) >= 0.0
+            assert f._convexity_defect(s, egg_wall) >= 0.0
+        if k % 50 == 0:
+            assert not positive
+        outcomes.append(positive)
+    assert 100 <= sum(outcomes) <= 300
+
+
+def test_block_monitors_fill_only_the_missing_curvature(egg_wall):
+    # the step leaves a curve it accepted by the sign test without its
+    # curvature; the finalize pass computes each missing one, bit for bit
+    # the state's own, in blocks, and leaves a cached one as it is
+    rng = np.random.default_rng(5)
+    states = [_drawn_curve(rng, 40, 1e-9) for _ in range(70)]
+    cached = {i: np.full(40, float(i)) for i in range(0, 70, 3)}
+    for i, kap in cached.items():
+        states[i]._kap = kap
+    got = f._block_monitors(states, egg_wall)
+    for i, s in enumerate(states):
+        if i in cached:
+            assert s._kap is cached[i]
+        else:
+            fresh = f.CurveState(nodes=s.nodes, time=0.0,
+                                 om_minus=s.om_minus, om_plus=s.om_plus)
+            assert s._kap.tobytes() == fresh.kappa(egg_wall).tobytes()
+    assert got[1].tobytes() == np.array(
+        [float(s._kap.max()) for s in states]).tobytes()
+
+
+def test_kappa_reads_a_repeated_node_as_einsum_did(egg_wall):
     # after an edge towards -x and -y, a repeated node's zero edge makes
     # both products of a dot product -0.0.  einsum sums from +0.0, so its
     # dot product is +0.0, and arctan2 reads the sign of a zero: pi, not
@@ -841,8 +916,8 @@ def test_kappa_from_reads_a_repeated_node_as_einsum_did(egg_wall):
     e = nodes[1:] - nodes[:-1]
     assert np.all(e[29] < 0.0) and not e[30].any()
     state = f.CurveState(nodes=nodes, time=0.0, om_minus=4.0, om_plus=2.0)
-    want = _kappa_from_reference(state, egg_wall, e)
-    assert state._kappa_from(egg_wall, e).tobytes() == want.tobytes()
+    want = _kappa_reference(state, egg_wall, e)
+    assert state.kappa(egg_wall).tobytes() == want.tobytes()
 
 
 def _bytes(*arrays):
@@ -887,10 +962,9 @@ def test_resample_leaves_its_curves_alone(order):
     assert all(o.base is None for o in out)
 
 
-def test_kappa_from_leaves_the_edges_alone(egg_wall):
-    nodes = _arc_nodes(50, 7)
-    e = nodes[1:] - nodes[:-1]
-    before = _bytes(e)
-    f.CurveState(nodes=nodes, time=0.0, om_minus=4.0,
-                 om_plus=2.0)._kappa_from(egg_wall, e)
-    assert _bytes(e) == before
+def test_kappa_leaves_the_nodes_and_edge_lengths_alone(egg_wall):
+    state = f.CurveState(nodes=_arc_nodes(50, 7), time=0.0, om_minus=4.0,
+                         om_plus=2.0)
+    before = _bytes(state.nodes, state.seg_cached())
+    state.kappa(egg_wall)
+    assert _bytes(state.nodes, state.seg_cached()) == before
