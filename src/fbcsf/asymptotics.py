@@ -12,13 +12,13 @@ symmetric chord are as finite as the even ones.
 The routines are pure functions over recorded trajectories and keep
 nothing between calls; all but ancient_sweep read runs and step none.
 They read a run as arrays: the monitors, and the stored states of the
-fit window in blocks of _BLOCK_STATES, whose nodes and cached curvature
-are packed end to end so that each per-node quantity is one elementwise
-pass and each per-state extreme one reduceat.  The stored states are
-read in time only through Trajectory.height_reader (heights_at_time is
-one call of a new reader), many times in one call: a reader reads each
-stored state once at most however often it is called, so the shift
-search of uniqueness_evidence reads each state of the second run once.
+fit window as x, y and curvature rows, one per state, in the blocks of
+flow._state_rows, so that each per-node quantity is one elementwise pass
+and each per-state extreme one reduction along the rows.  The stored
+states are read in time only through Trajectory.height_reader
+(heights_at_time is one call of a new reader), many times in one call: a
+reader reads each stored state once at most however often it is called,
+so the shift search of uniqueness_evidence reads each state once.
 
 Every fit reads one window, and _window alone decides it: the offset
 times from max(t0, WINDOW_FLOOR) to WINDOW_CEIL, t0 the run's first
@@ -50,7 +50,7 @@ from itertools import islice
 
 from .errors import (AnalysisError, ConfigError, NonPositiveAmplitude,
                      UnknownRecord, WindowTooShort)
-from .flow import (_ANALYSIS_END, _BLOCK_STATES, CurveState,
+from .flow import (_ANALYSIS_END, _state_rows, CurveState,
                    old_but_not_ancient, wall_for)
 from .oval import _equal_curvatures, lambda0_residual, solve_lambda0
 from .solve import safe_brentq
@@ -154,69 +154,46 @@ def _fit_decay(t, q, required, win):
     return float(rate), passed, win.stop - win.start
 
 
-def _blocks(states, wall):
-    """The states in runs of _BLOCK_STATES: each run, its packed nodes and
-    curvature, and each state's first and last index in the packing."""
-    for i in range(0, len(states), _BLOCK_STATES):
-        block = states[i:i + _BLOCK_STATES]
-        lens = np.array([len(s.nodes) for s in block])
-        last = np.cumsum(lens) - 1
-        yield (block, np.concatenate([s.nodes for s in block]),
-               np.concatenate([s.kappa_cached(wall) for s in block]),
-               last - lens + 1, last)
-
-
-def _block_ratios(block, pts, kap, first, last):
+def _block_ratios(block, xy, kap):
     """Per-state support, curvature-gradient and max/min curvature ratios
-    of one block of packed states.
+    of one block of flow._state_rows.
 
     Every node value is the per-state arithmetic done elementwise over the
-    packing (chord tangents, support pairing <position, unit normal>, the
-    arc-length derivative of curvature at interior nodes), so each state's
-    reduction reads the same values bit for bit.  Edge lengths are the
-    ones each state cached, the same hypot of the same chords.
+    rows (chord tangents, support pairing <position, unit normal>, the
+    arc-length derivative of curvature at interior nodes), so each row's
+    extreme is the state's, bit for bit.  Edge lengths are the ones each
+    state cached, the same hypot of the same chords.
     """
-    e = pts[1:] - pts[:-1]
-    # an edge joining one state's last node to the next state's first
-    # feeds only end nodes, which are overwritten or masked below
-    own = np.ones(len(e), dtype=bool)
-    own[last[:-1]] = False
-    h = np.ones(len(e))
-    h[own] = np.concatenate([s.seg_cached() for s in block])
-    ux = e[:, 0] / h
-    uy = e[:, 1] / h
-    # vertex tangents from neighbouring chords, end nodes one-sided
-    tx = np.empty(len(pts))
-    ty = np.empty(len(pts))
-    tx[1:-1] = ux[:-1] + ux[1:]
-    ty[1:-1] = uy[:-1] + uy[1:]
-    tx[first], ty[first] = ux[first], uy[first]
-    tx[last], ty[last] = ux[last - 1], uy[last - 1]
-    norm = np.hypot(tx, ty)
-    tx /= norm
-    ty /= norm
+    x, y = xy
+    m, n = x.shape
+    h = np.concatenate([s.seg_cached() for s in block]).reshape(m, n - 1)
+    # unit chords, then vertex tangents from neighbouring chords, end nodes
+    # one-sided; x and y rows in one array
+    u = xy[:, :, 1:] - xy[:, :, :-1]
+    u /= h
+    t = np.empty_like(xy)
+    np.add(u[..., :-1], u[..., 1:], out=t[..., 1:-1])
+    t[..., 0], t[..., -1] = u[..., 0], u[..., -1]
+    tx, ty = t
+    t /= np.hypot(tx, ty)
     # support pairing <position, unit normal>
-    sup = np.abs(pts[:, 0] * ty - pts[:, 1] * tx)
+    sup = x * ty
+    sup -= y * tx
     pos = np.maximum(kap, 1e-300)
     # curvature derivative along arc length, read at interior nodes only
-    inner = np.ones(len(pts), dtype=bool)
-    inner[first] = False
-    inner[last] = False
-    kap_s = (kap[2:] - kap[:-2]) / (h[:-1] + h[1:])
-    grad = np.full(len(pts), -np.inf)
-    np.divide(np.abs(kap_s), pos[1:-1], out=grad[1:-1], where=inner[1:-1])
-    kmin = np.minimum.reduceat(kap, first)
-    return (np.maximum.reduceat(sup / pos, first),
-            np.maximum.reduceat(grad, first),
-            np.maximum.reduceat(kap, first) / np.maximum(kmin, 1e-300))
+    kap_s = (kap[:, 2:] - kap[:, :-2]) / (h[:, :-1] + h[:, 1:])
+    grad = np.abs(kap_s) / pos[:, 1:-1]
+    return ((np.abs(sup, out=sup) / pos).max(axis=1), grad.max(axis=1),
+            kap.max(axis=1) / np.maximum(kap.min(axis=1), 1e-300))
 
 
-def _block_pairs(block, pts, kap, first):
+def _block_pairs(block, xy, kap):
     """The height-ratio pinch's (kappa/y, y) at the nodes above y = 1e-12
-    of one block, packed, and each state's first index among them."""
-    y = pts[:, 1]
+    of one block of flow._state_rows, packed, and each state's first index
+    among them."""
+    y = xy[1]
     good = y > 1e-12
-    counts = np.add.reduceat(good, first, dtype=np.intp)
+    counts = np.count_nonzero(good, axis=1)
     empty = np.flatnonzero(counts == 0)
     if len(empty):
         raise AnalysisError(
@@ -240,14 +217,14 @@ def verify_estimates(traj, r, lambda0):
     it reports the required rate as its fitted rate and sets
     extras["vacuous"].
 
-    The window's stored states (_window) are read in blocks of
-    _BLOCK_STATES: one pass computes each state's support,
-    curvature-gradient and max/min curvature ratios, a second packs the
-    pinch's (kappa/y, y) at every node above y = 1e-12, and each pinch
-    weight then takes every state's extreme by reduceat.  The values are
-    those of a per-state loop, bit for bit.  A window state with no node
-    above y = 1e-12 raises AnalysisError; r or lambda0 not finite and
-    positive raises ConfigError.
+    The window's stored states (_window) are read in two passes of
+    flow._state_rows: one computes each state's support, curvature-gradient
+    and max/min curvature ratios, a second packs the pinch's (kappa/y, y)
+    at every node above y = 1e-12, and each pinch weight then takes every
+    state's extreme by reduceat.  The values are those of a per-state
+    loop, bit for bit.  A window state with no node above y = 1e-12 raises
+    AnalysisError; r or lambda0 not finite and positive, or states of two
+    node counts, raise ConfigError.
     """
     _check_positive(r=r, lambda0=lambda0)
     t = np.asarray(traj.monitors["t"])
@@ -263,12 +240,11 @@ def verify_estimates(traj, r, lambda0):
     states, st_t = traj.states[win], t[win]
     wall = (wall_for(traj.ndom) if any(s._kap is None for s in states)
             else None)
-    ratios = [_block_ratios(*block) for block in _blocks(states, wall)]
+    ratios = [_block_ratios(*rows) for rows in _state_rows(states, wall)]
     sup_ratio, grad_ratio, ratio_minmax = map(np.concatenate, zip(*ratios))
     # a second pass, so that the packed pairs never share the heap with the
     # first pass's temporaries
-    ratio_pairs = [_block_pairs(block, pts, kap, first)
-                   for block, pts, kap, first, _ in _blocks(states, wall)]
+    ratio_pairs = [_block_pairs(*rows) for rows in _state_rows(states, wall)]
 
     C2 = float(np.max(grad_ratio))
     # the max_curvature_decay record carries the curvature ratios

@@ -49,14 +49,17 @@ its times offset by the extinction time of the area law (_finalize).  The
 monitors (turning angles, curvature extremes, length, area, heights at
 fixed abscissas) are derived from them once the run is over, one row per
 state; the curvature extremes, the area and the minimum count in block
-passes over consecutive states (_block_monitors).  Stored states are read
-in time through Trajectory.height_reader, linear between the two
-bracketing states; a reader takes arrays of times of any shape and
-returns one row of heights per time, and it reads each stored state once
-at most in its life, however many of its calls' times that state
-brackets (heights_at_time is one call of a new reader).  The module runs
-and reads runs but compares none: asymptotics holds every comparison of
-two runs, the sweep over rho included.
+passes (_block_monitors).  _state_rows is the one block reader of stored
+states, for those passes and asymptotics' alike: x, y and curvature rows,
+one per state, as the stored states of a run share one node count (a
+state of another raises ConfigError).  Stored states are read in time
+through Trajectory.height_reader, linear between the two bracketing
+states; a reader takes arrays of times of any shape and returns one row
+of heights per time, and it reads each stored state once at most in its
+life, however many of its calls' times that state brackets
+(heights_at_time is one call of a new reader).  The module runs and reads
+runs but compares none: asymptotics holds every comparison of two runs,
+the sweep over rho included.
 
 Every curve advances only through step, the exact solutions too: a
 semicircle shrinking on a straight wall, and the grim reaper between the
@@ -324,11 +327,11 @@ _FLAT_REL_TOL = 1e-10
 # most _MAX_STEP_RATIO over the one before it, inside variable BDF2's
 # zero-stability limit 1 + sqrt(2); the collapse steps pass BDF3's
 # constant-ratio limit 1.618 (Calvo, Grande and Grigorieff, Numer. Math.
-# 57, 1990) one or two times per run, by up to 1.65, 1.68 and 1.83 on the
-# disk, the egg and the ellipse(2,1) minor axis at rho 0.1.  A step never
-# exceeds the length cap _LENGTH_STEP_CAP * L^2 for the curve length L,
-# whatever dt_safety, scaled in the collapse phase as the tolerance is
-# (see step)
+# 57, 1990) one or two times per run, by up to 1.654, 1.682 and 1.860 on
+# the disk (n_nodes 200), the egg and the ellipse(2,1) minor axis (100) at
+# rho 0.1.  A step never exceeds the length cap _LENGTH_STEP_CAP * L^2 for
+# the curve length L, whatever dt_safety, scaled in the collapse phase as
+# the tolerance is (see step)
 _STEP_SCALE = 0.024
 _MAX_STEP_RATIO = 2.0
 _LENGTH_STEP_CAP = 0.002
@@ -350,10 +353,10 @@ _PI_PREV_ERR = 0.4
 # fires at offset times -0.232 to -0.187
 _ANALYSIS_END = 0.3
 _COLLAPSE_TOL_FACTOR = 256.0
-# _finalize reads the stored states' curvature and nodes in blocks of at
-# most this many consecutive states, and asymptotics packs this many per
-# pass: a whole run, such as the disk's 704 states of 200 nodes, would
-# raise its peak memory
+# _state_rows reads the stored states' nodes and curvature in blocks of at
+# most this many consecutive states, for _finalize and asymptotics alike: a
+# whole run, such as the disk's 704 states of 200 nodes, would raise their
+# peak memory
 _BLOCK_STATES = 32
 
 
@@ -1035,18 +1038,22 @@ class Trajectory:
         linear in time between the two bracketing states.
 
         Offset times outside the stored range, -inf and inf too, clamp to
-        the first or last state; a NaN time raises ConfigError.  Of two
-        states stored at the same time, that time itself reads the first
-        and later times interpolate from the second.  Nearest-state lookup
-        would quantize time to the step sequence, and that noise floor
-        would drown small distances between runs.  Each call locates its
-        times in one search of the flattened times, reads the bracketing
-        states that no earlier call of this reader read, and gathers and
-        weights its rows from the reader's table in one pass, then shapes
-        them as the times: every stored state is read at most once in the
-        reader's life, so repeated calls at nearby times (a shift search)
-        read only the states that are new to it.
+        the first or last state; a NaN time raises ConfigError, and so
+        does an xs that is not a 1-D array of reals, when the reader is
+        made.  Of two states stored at the same time, that time itself
+        reads the first and later times interpolate from the second.
+        Nearest-state lookup would quantize time to the step sequence, and
+        that noise floor would drown small distances between runs.  Each
+        call locates its times in one search of the flattened times, reads
+        the bracketing states that no earlier call of this reader read,
+        and gathers and weights its rows from the reader's table in one
+        pass, then shapes them as the times: every stored state is read at
+        most once in the reader's life, so repeated calls at nearby times
+        (a shift search) read only the states that are new to it.
         """
+        xs = np.asarray(xs)
+        if xs.ndim != 1 or xs.dtype.kind not in "iuf":
+            raise ConfigError(f"xs is not a 1-D array of reals: {xs!r}")
         times = self.monitors["t"]
         states = self.states
         last = len(times) - 1
@@ -1131,44 +1138,58 @@ def _local_min_counts(values):
     return np.bincount(rows[:-1][turns], minlength=len(values))
 
 
-def _block_monitors(states, wall):
-    """kappa_min, kappa_max, area and min_count of the stored states of a
-    run, all of one node count: bit for bit the per-state reads (the
-    interior curvature's minimum, the curvature's maximum, enclosed_area
-    and _local_min_count of the interior curvature), from blocks of at
-    most _BLOCK_STATES consecutive states, one state per row, each entry
-    reducing one row in the per-state order.  The blocks' shoelace terms
-    add to one arc_area pass over all states.
+def _state_rows(states, wall):
+    """The stored states in blocks of at most _BLOCK_STATES consecutive
+    states: each block as a list, with its x and y rows (one array, x rows
+    first) and its curvature rows, one row per state, so that each row's
+    reduction is that state's alone, bit for bit.
+
+    The curvature that no step cached is one _kappa_rows call per block, a
+    copy kept on each state of the list (a view such as the mirror's
+    builds a new state on each read).  A state whose node count is not
+    the first state's raises ConfigError: the rows need one count.
     """
-    size = len(states)
-    kmin, kmax = np.empty(size), np.empty(size)
-    count = np.empty(size, dtype=int)
-    area = wall.arc_area(np.array([s.om_plus for s in states]),
-                         np.array([s.om_minus for s in states]))
-    for i in range(0, size, _BLOCK_STATES):
-        block = states[i:i + _BLOCK_STATES]
-        rows = slice(i, i + len(block))
-        # one row of x and one of y per state: each row's sum is bit for
-        # bit the sum of that state's terms alone
-        x, y = np.array([s.nodes.T for s in block]).transpose(1, 0, 2)
-        # the curvature a step did not cache, each state's row of one block
+    n = len(states[0].nodes) if len(states) else 0
+    for i in range(0, len(states), _BLOCK_STATES):
+        block = list(states[i:i + _BLOCK_STATES])
+        odd = next((s for s in block if len(s.nodes) != n), None)
+        if odd is not None:
+            raise ConfigError(f"the state at time {odd.time:.6g} has "
+                              f"{len(odd.nodes)} nodes, the first {n}")
+        m = len(block)
+        xy = np.concatenate([s.nodes.T for s in block],
+                            axis=1).reshape(2, m, n)
         missing = [r for r, s in enumerate(block) if s._kap is None]
         if missing:
-            sub = missing if len(missing) < len(block) else slice(None)
-            kap = _kappa_rows([block[r] for r in missing], wall, x[sub],
-                              y[sub])
+            sub = missing if len(missing) < m else slice(None)
+            kap = _kappa_rows([block[r] for r in missing], wall,
+                              *xy[:, sub])
             for r, row in zip(missing, kap):
                 block[r]._kap = row.copy()
-        if len(missing) < len(block):
-            kap = np.array([s._kap for s in block])
-        kmin[rows] = kap[:, 1:-1].min(axis=1)
-        kmax[rows] = kap.max(axis=1)
-        count[rows] = _local_min_counts(kap[:, 1:-1])
-        kap = None
+        if len(missing) < m:
+            kap = np.concatenate([s._kap for s in block]).reshape(m, n)
+        yield block, xy, kap
+
+
+def _block_monitors(states, wall):
+    """kappa_min, kappa_max, area and min_count of the stored states of a
+    run: bit for bit the per-state reads (the interior curvature's
+    minimum, the curvature's maximum, enclosed_area and _local_min_count
+    of the interior curvature), each entry reducing one row of
+    _state_rows.  The rows' shoelace terms add to one arc_area pass over
+    all states.  States of two node counts raise ConfigError.
+    """
+    area = wall.arc_area(np.array([s.om_plus for s in states]),
+                         np.array([s.om_minus for s in states]))
+    parts = []
+    for _, (x, y), kap in _state_rows(states, wall):
         terms = x[:, :-1] * y[:, 1:]
         terms -= y[:, :-1] * x[:, 1:]
-        area[rows] += 0.5 * terms.sum(axis=1)
-    return kmin, kmax, area, count
+        parts.append((kap[:, 1:-1].min(axis=1), kap.max(axis=1),
+                      0.5 * terms.sum(axis=1),
+                      _local_min_counts(kap[:, 1:-1])))
+    kmin, kmax, shoelace, count = map(np.concatenate, zip(*parts))
+    return kmin, kmax, area + shoelace, count
 
 
 def run_to_extinction(initial, cfg, ndom):

@@ -11,16 +11,17 @@ import numpy as np
 import pytest
 
 from fbcsf import asymptotics, flow, oval
-from fbcsf.errors import AnalysisError, NonPositiveAmplitude, WindowTooShort
+from fbcsf.errors import (AnalysisError, ConfigError, NonPositiveAmplitude,
+                          WindowTooShort)
 
 RATE = 0.25
-BLOCK = asymptotics._BLOCK_STATES
+BLOCK = flow._BLOCK_STATES
 
 # verify_estimates' tracemalloc peak may be at most this multiple of the
 # per-state reference loop's, each measured after one warm-up call on the
 # shared disk run (rho 0.3, n 100, about 105 window states): measured
-# 425,312 B against 214,884 to 216,260 B, 1.97 times, since a block stacks up
-# to _BLOCK_STATES states at once
+# 363,712 B against 214,484 to 214,852 B, 1.70 times, since a block stacks
+# up to _BLOCK_STATES states at once
 PEAK_OVER_LOOP = 2.5
 
 # the tracemalloc peak of one uniqueness_evidence of the shared disk run
@@ -232,18 +233,12 @@ def _bare(traj):
                         om_plus=s.om_plus) for s in traj.states])
 
 
-def _mixed_counts(traj):
-    """The run with every odd-indexed state of its fit window resampled to
-    one node fewer, without cached curvature or edge lengths: a window of
-    two node counts, which asymptotics packs block by block."""
-    _, win = asymptotics._window(traj, 8)
-    states = list(traj.states)
-    for i in range(win.start + 1, win.stop, 2):
-        s = states[i]
-        states[i] = flow.CurveState(
-            nodes=flow._resample([s.nodes], len(s.nodes) - 1)[0],
-            time=s.time, om_minus=s.om_minus, om_plus=s.om_plus)
-    return dataclasses.replace(traj, states=states)
+def _resampled(state, count):
+    """The stored state resampled to count nodes, without cached curvature
+    or edge lengths."""
+    return flow.CurveState(nodes=flow._resample([state.nodes], count)[0],
+                           time=state.time, om_minus=state.om_minus,
+                           om_plus=state.om_plus)
 
 
 def _lambda0(ndom):
@@ -257,13 +252,13 @@ def _window_count(traj):
 
 
 def _synthetic(scale, kappa, empty_at=None):
-    """120 stored states of y = scale e^{t/2} (1.5 - x^2) on 40 to 42
-    nodes, state j at time t caching the curvature kappa(j, t, y).  The
-    state at index empty_at lies flat on y = 0."""
+    """120 stored states of y = scale e^{t/2} (1.5 - x^2) on 40 nodes,
+    state j at time t caching the curvature kappa(j, t, y).  The state at
+    index empty_at lies flat on y = 0."""
     t = np.linspace(-7.0, -0.5, 120)
+    x = np.linspace(-1.0, 1.0, 40)
     states = []
     for j, tj in enumerate(t):
-        x = np.linspace(-1.0, 1.0, 40 + j % 3)
         y = scale * np.exp(0.5 * tj) * (1.5 - x * x)
         if j == empty_at:
             y = np.zeros_like(x)
@@ -302,16 +297,9 @@ def _holding(traj, count):
 @pytest.mark.parametrize("name, domain", [("disk_r03_n100", "ndisk"),
                                           ("egg_r01_n100", "negg")])
 def test_estimates_match_the_per_state_loop(name, domain, runs, request):
-    # every state of a run has its initial count, so the egg's window of
-    # two counts is made
     traj = runs(name)
     lam0 = _lambda0(request.getfixturevalue(domain))
     assert _window_count(traj) % BLOCK != 0
-    if name.startswith("egg"):
-        traj = _mixed_counts(traj)
-        (lo, hi), _ = asymptotics._window(traj, 8)
-        assert {len(s.nodes) for s in traj.states
-                if lo <= s.time <= hi} == {99, 100}
     assert (_record_bits(asymptotics.verify_estimates(traj, RATE, lam0))
             == _record_bits(_reference_verify_estimates(traj, RATE, lam0)))
 
@@ -383,6 +371,25 @@ def test_state_extremes_skip_the_joins_between_states():
         _synthetic(0.01, kappa), RATE, 1.2))
     assert report.record("max_curvature_decay").extras == {
         "grad_ratio_C2": 0.0, "ratio_max_over_min": 1.0}
+
+
+@pytest.mark.parametrize("counts", [{1: 99}, {0: 99, 1: 101}],
+                         ids=["one-99", "99-101"])
+def test_states_of_two_node_counts_raise(counts, runs, ndisk):
+    # one 99-node state among 100-node ones, and a 99- and a 101-node state
+    # whose 200 nodes would reshape to two rows of 100 without the check
+    traj = runs("disk_r03_n100")
+    _, win = asymptotics._window(traj, 8)
+    states = list(traj.states)
+    for k, count in counts.items():
+        states[win.start + k] = _resampled(states[win.start + k], count)
+    pair = states[win.start:win.start + 2]
+    with pytest.raises(ConfigError, match="nodes, the first"):
+        asymptotics.verify_estimates(
+            dataclasses.replace(traj, states=states), RATE, _lambda0(ndisk))
+    for part in (states, pair):
+        with pytest.raises(ConfigError, match="nodes, the first"):
+            flow._block_monitors(part, flow.wall_for(ndisk))
 
 
 def test_pinch_state_without_a_height_raises_analysis_error():
@@ -501,6 +508,16 @@ def test_heights_and_distances_match_the_per_time_loop(name, runs):
                 rows, other.heights_at_time(ts + tau, xs))
             want = _reference_matched_distance(traj, other, tau, ts, xs)
             assert float(got).hex() == float(want).hex()
+
+
+@pytest.mark.parametrize("xs", [0.5, np.zeros((2, 3)), "0.5"],
+                         ids=["float", "2-D", "string"])
+def test_abscissas_not_a_1d_array_of_reals_raise(xs, runs):
+    traj = runs("disk_r03_n100")
+    with pytest.raises(ConfigError, match="not a 1-D array of reals"):
+        traj.height_reader(xs)
+    with pytest.raises(ConfigError, match="not a 1-D array of reals"):
+        traj.heights_at_time(np.array([-1.0]), xs)
 
 
 def _time_grid(traj):
