@@ -1051,7 +1051,12 @@ class Trajectory:
         most once in the reader's life, so repeated calls at nearby times
         (a shift search) read only the states that are new to it.
         """
-        xs = np.asarray(xs)
+        try:
+            xs = np.asarray(xs)
+        except ValueError:
+            # a ragged sequence, of which numpy makes no array
+            raise ConfigError(
+                f"xs is not a 1-D array of reals: {xs!r}") from None
         if xs.ndim != 1 or xs.dtype.kind not in "iuf":
             raise ConfigError(f"xs is not a 1-D array of reals: {xs!r}")
         times = self.monitors["t"]

@@ -21,12 +21,13 @@ Evaluation takes three paths.  A scan that reads only signs or brackets
 from a full period of samples (the convexity check, the diameter search,
 the extremes of rho) synthesizes the samples by one inverse real FFT
 (``_sample_series``).  A single boundary point sums the direct series at
-one angle (``_point_at``).  Arrays of angles, and so every value that
-feeds an output (points, the upper arc, the wall tables), sum the direct
-series in blocks (``_synthesize``): at most _SERIES_BLOCK angle-harmonic
-products at a time, each block written into one preallocated output, so
-the working memory stays near 1 MB whatever the angle count (the angles
-x harmonics matrix of the upper arc of ellipse(3,1) alone is 7 MB).
+one angle as two Python floats (``ConvexDomain.point_xy``).  Arrays of
+angles, and so every value that feeds an output (points, the upper arc,
+the wall tables), sum the direct series in blocks (``_synthesize``): at
+most _SERIES_BLOCK angle-harmonic products at a time, each block written
+into one preallocated output, so the working memory stays near 1 MB
+whatever the angle count (the angles x harmonics matrix of the upper arc
+of ellipse(3,1) alone is 7 MB).
 """
 
 from dataclasses import dataclass
@@ -162,13 +163,15 @@ def _primitives(a, b):
 
 
 def _point_at(prims, m, om, center):
-    """Boundary point of one turning angle om, from the primitives, the
-    harmonic numbers m = arange(len(px_c)) and the center."""
+    """Boundary point of one turning angle om as two floats (x, y), from
+    the primitives, the float harmonic numbers m = arange(len(px_c)) and
+    the center.  ndarray.dot is @'s dot kernel on 1-D operands, with less
+    call overhead."""
     px_c, px_s, py_c, py_s = prims
     ang = om * m
     s, c = np.sin(ang), np.cos(ang)
-    return np.array((c @ px_c + s @ px_s + center[0],
-                     c @ py_c + s @ py_s + center[1]))
+    return (float(c.dot(px_c) + s.dot(px_s) + center[0]),
+            float(c.dot(py_c) + s.dot(py_s) + center[1]))
 
 
 @dataclass
@@ -247,7 +250,8 @@ class ConvexDomain:
         self.center = np.asarray(center, dtype=float)
         self._check_convex()
         self._prims = _primitives(a, b)
-        self._m = np.arange(len(self._prims[0]))
+        # float, so that om * m casts no integers (its products are exact)
+        self._m = np.arange(len(self._prims[0]), dtype=float)
 
     # -- construction helpers -------------------------------------------------
 
@@ -271,12 +275,15 @@ class ConvexDomain:
     def curvature(self, omega):
         return 1.0 / self.rho(omega)
 
+    def point_xy(self, omega):
+        """The boundary point of one turning angle as two floats (x, y):
+        the array path's bits, without its outer product and arrays."""
+        return _point_at(self._prims, self._m, omega, self.center)
+
     def point(self, omega):
         om = np.asarray(omega, dtype=float)
         if om.ndim == 0:
-            # one angle: the array path's products and dot products on a
-            # single angle, without its outer product and output array
-            return _point_at(self._prims, self._m, om, self.center)
+            return np.array(self.point_xy(float(om)))
         out = _synthesize(om, self._m, (self._prims[:2], self._prims[2:]))
         out += self.center
         return out
@@ -506,9 +513,9 @@ def normalize(domain, diameter):
     # the diameter's ends on the rotated, zero-mean boundary; rotation
     # keeps the domain convex, so no domain is built for them
     prims = _primitives(a2, b2)
-    m = np.arange(len(prims[0]))
-    p = _point_at(prims, m, np.pi / 2, (0.0, 0.0))
-    q = _point_at(prims, m, 3 * np.pi / 2, (0.0, 0.0))
+    m = np.arange(len(prims[0]), dtype=float)
+    p = np.array(_point_at(prims, m, np.pi / 2, (0.0, 0.0)))
+    q = np.array(_point_at(prims, m, 3 * np.pi / 2, (0.0, 0.0)))
     w = float(np.linalg.norm(p - q))
     s = 2.0 / w
     mid = 0.5 * (p + q)

@@ -254,7 +254,7 @@ def _alignment_residual(n_oval, tau_bd):
     n = np.asarray(n_oval, dtype=float)
     # np.linalg.norm of a float vector, without its argument checks
     n = n / np.sqrt(n.dot(n))
-    return float(1.0 - abs(float(n @ tau_bd)))
+    return float(1.0 - abs(float(n.dot(tau_bd))))
 
 
 def _gap_stop(xs_rev, xlim):
@@ -269,26 +269,28 @@ def _gap_stop(xs_rev, xlim):
 def _first_negative(gap, start, stop):
     """The first index of [start, stop) where the gap is negative, or None.
 
-    gap(idx) evaluates the gap at an index array.  Its signs along the
-    range must run non-negative, then negative (either run may be empty),
-    so the gap is read at every _COARSE_STRIDE-th index, then at the
-    indices after the last non-negative coarse read, up to the first
+    gap(sl) evaluates the gap on a basic slice of indices, so each read is
+    a view of the arc samples and builds no index array.  Its signs along
+    the range must run non-negative, then negative (either run may be
+    empty), so the gap is read at every _COARSE_STRIDE-th index, then at
+    the indices after the last non-negative coarse read, up to the first
     negative one or the end of the range.  A build carries the index
     between trial scales and runs this scan only where two scalar reads
     do not confirm it (_carried_negative).
     """
     if stop <= start:
         return None
-    coarse = np.arange(start, stop, _COARSE_STRIDE)
-    neg = np.flatnonzero(gap(coarse) < 0.0)
+    # the coarse indices, as a range: the slice reads the same ones
+    coarse = range(start, stop, _COARSE_STRIDE)
+    neg = np.flatnonzero(gap(slice(start, stop, _COARSE_STRIDE)) < 0.0)
     if len(neg) and neg[0] == 0:
         return start
-    k = neg[0] if len(neg) else len(coarse)
-    fine = np.arange(coarse[k - 1] + 1, coarse[k] if len(neg) else stop)
-    neg_fine = np.flatnonzero(gap(fine) < 0.0)
+    k = int(neg[0]) if len(neg) else len(coarse)
+    lo, hi = coarse[k - 1] + 1, coarse[k] if len(neg) else stop
+    neg_fine = np.flatnonzero(gap(slice(lo, hi)) < 0.0)
     if len(neg_fine):
-        return int(fine[neg_fine[0]])
-    return int(coarse[k]) if len(neg) else None
+        return lo + int(neg_fine[0])
+    return hi if len(neg) else None
 
 
 def _carried_negative(gap, j, start, stop):
@@ -337,10 +339,12 @@ def construct_orthogonal_oval(ndom, rho):
     run non-negative, then negative.  The bracket is carried from one trial
     scale to the next and kept when two scalar reads of d confirm it
     (_carried_negative); otherwise _first_negative finds that sample from
-    every _COARSE_STRIDE-th one and at most _COARSE_STRIDE - 1 more.  Each
-    turning angle's boundary point and each scale's residual are evaluated
-    once per call, and the domain's normalization and reversed upper-arc
-    abscissas are per-domain values, read once per domain.
+    every _COARSE_STRIDE-th one and at most _COARSE_STRIDE - 1 more, each
+    run read on a slice of the samples.  Each turning angle's boundary
+    point is read once per call, as a float pair (dom.point_xy; the build
+    makes no dom.point call), and each scale's residual is evaluated once
+    per call; the domain's normalization and reversed upper-arc abscissas
+    are per-domain values, read once per domain.
 
     Raises ConfigError when rho is a bool, not a real number or NaN,
     RhoTooLarge when the line y = rho fails to cross the upper boundary
@@ -363,17 +367,17 @@ def construct_orthogonal_oval(ndom, rho):
         raise RhoTooLarge(
             f"line y = {rho:.6g} misses the upper boundary (max height {ymax:.6g})")
 
-    # each boundary point once per angle in this build
-    point = functools.cache(dom.point)
+    # each boundary point once per angle in this build, as a float pair
+    point = functools.cache(dom.point_xy)
 
     lam_hat = np.pi / (2.0 * rho)
 
     # first contact pinned at half the cap height on the descending side;
     # the scale solves below then drive the second contact to orthogonality
-    om0 = safe_brentq(lambda w: float(point(w)[1]) - 0.5 * rho,
+    om0 = safe_brentq(lambda w: point(w)[1] - 0.5 * rho,
                       np.pi / 2, om_grid[itop])
-    p0 = point(om0)
-    x0, phi0, dphi0 = float(p0[0]), float(p0[1]), float(np.tan(om0))
+    x0, phi0 = point(om0)
+    dphi0 = float(np.tan(om0))
     lam_min, lam_max_adm = admissible_interval(phi0, dphi0)
     if not lam_min < lam_hat:
         raise RhoTooLarge(
@@ -417,13 +421,13 @@ def construct_orthogonal_oval(ndom, rho):
         carried = j
 
         def dres(om):
-            p = point(om)
-            return float(p[1] - par.lower_height(p[0]))
+            x, y = point(om)
+            return float(y - par.lower_height(x))
 
         try:
             om_hat = safe_brentq(dres, om_grid[j - 1], om_grid[j])
         except BracketFailure:
-            # the samples and dom.point's one-angle path differ in the last
+            # the samples and dom.point_xy differ in the last
             # bits, so a crossing within rounding of a sample can sit just
             # outside [om_a, om_b]: retry once, one sample wider each side
             om_hat = safe_brentq(dres, om_grid[j - 2],
@@ -436,11 +440,10 @@ def construct_orthogonal_oval(ndom, rho):
         if hit is None:
             return 1.0, None  # no crossing: treat as the acute side
         om_hat, par = hit
-        p = point(om_hat)
-        n_ov = par.normal_direction(p[0], p[1])
+        n_ov = par.normal_direction(*point(om_hat))
         n_ov = n_ov / np.sqrt(n_ov.dot(n_ov))
         n_bd = np.array([np.sin(om_hat), -np.cos(om_hat)])
-        return float(n_ov @ n_bd), hit
+        return float(n_ov.dot(n_bd)), hit
 
     f_lo, _ = angle_residual(lam_star)
     if not f_lo < 0.0:
@@ -460,21 +463,21 @@ def construct_orthogonal_oval(ndom, rho):
             f"no second crossing at the orthogonal scale {lam:.6g}")
 
     om_hat, par = hit
-    p_hat = point(om_hat)
+    xhat, yhat = point(om_hat)
     tau0 = np.array([np.cos(om0), np.sin(om0)])
     tau_hat = np.array([np.cos(om_hat), np.sin(om_hat)])
-    r1 = _alignment_residual(par.normal_direction(p0[0], p0[1]), tau0)
-    r2 = _alignment_residual(par.normal_direction(p_hat[0], p_hat[1]), tau_hat)
+    r1 = _alignment_residual(par.normal_direction(x0, phi0), tau0)
+    r2 = _alignment_residual(par.normal_direction(xhat, yhat), tau_hat)
 
     return OrthogonalOval(
         params=par,
         x0=x0,
-        xhat=float(p_hat[0]),
+        xhat=xhat,
         residuals=(r1, r2),
         omega0=float(om0),
         omega_hat=float(om_hat),
-        p_first=p0,
-        p_second=p_hat,
+        p_first=np.array((x0, phi0)),
+        p_second=np.array((xhat, yhat)),
     )
 
 

@@ -510,8 +510,9 @@ def test_heights_and_distances_match_the_per_time_loop(name, runs):
             assert float(got).hex() == float(want).hex()
 
 
-@pytest.mark.parametrize("xs", [0.5, np.zeros((2, 3)), "0.5"],
-                         ids=["float", "2-D", "string"])
+@pytest.mark.parametrize("xs", [0.5, np.zeros((2, 3)), "0.5",
+                                [[1.0], [2.0, 3.0]]],
+                         ids=["float", "2-D", "string", "ragged"])
 def test_abscissas_not_a_1d_array_of_reals_raise(xs, runs):
     traj = runs("disk_r03_n100")
     with pytest.raises(ConfigError, match="not a 1-D array of reals"):

@@ -157,13 +157,17 @@ def test_upper_arc_is_point_on_the_fixed_grid(name, request):
 def test_point_of_one_angle_matches_array_path(disk, flat_ellipse, egg,
                                                lobed, w):
     # a Python float, a numpy scalar and a 0-d array all take the one-angle
-    # path, which must reproduce the array path on one angle bit for bit
+    # path, which must reproduce the array path on one angle bit for bit;
+    # point_xy is that path as two Python floats
     for dom in (disk, flat_ellipse, egg, lobed):
         want = dom.point(np.array([w]))[0].tobytes()
+        xy = dom.point_xy(w)
+        assert len(xy) == 2 and all(type(v) is float for v in xy)
         for arg in (w, np.float64(w), np.array(w)):
             p = dom.point(arg)
             assert p.shape == (2,)
             assert p.tobytes() == want
+            assert [v.hex() for v in xy] == [float(v).hex() for v in p]
 
 
 # ------------------------------------------------ blocked array synthesis

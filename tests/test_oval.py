@@ -348,13 +348,18 @@ def test_oval_rebuild_reuses_the_upper_arc(lobed, monkeypatch):
     nd = g.normalize(lobed, g.find_diameters(lobed)[0])
     first = ov.construct_orthogonal_oval(nd, 0.1)
     sizes = []
-    point = g.ConvexDomain.point
+    point, point_xy = g.ConvexDomain.point, g.ConvexDomain.point_xy
 
     def counted(self, omega):
         sizes.append(np.size(omega))
         return point(self, omega)
 
+    def counted_xy(self, omega):
+        sizes.append(np.size(omega))
+        return point_xy(self, omega)
+
     monkeypatch.setattr(g.ConvexDomain, "point", counted)
+    monkeypatch.setattr(g.ConvexDomain, "point_xy", counted_xy)
     second = ov.construct_orthogonal_oval(nd, 0.1)
     assert sizes and max(sizes) <= 2
     assert _oval_bits(second) == _oval_bits(first)
@@ -422,7 +427,7 @@ def _full_scan(signs):
 
 def _counted_gap(row, reads):
     def gap(idx):
-        reads.append(len(idx))
+        reads.append(len(row[idx]))
         return row[idx]
     return gap
 
@@ -589,24 +594,23 @@ def test_disk_build_evaluates_each_boundary_point_once(disk, monkeypatch):
     nd = g.normalize(disk, g.find_diameters(disk)[0])
     first = ov.construct_orthogonal_oval(nd, 0.1)
     calls, scales = [], []
-    point, place = g.ConvexDomain.point, ov.single_point_orthogonal
+    point, place = g.ConvexDomain.point_xy, ov.single_point_orthogonal
 
     def counted_point(self, omega):
-        calls.append(np.ravel(omega).tolist())
+        calls.append(omega)
         return point(self, omega)
 
     def counted_place(phi0, dphi0, x0, lam):
         scales.append(lam)
         return place(phi0, dphi0, x0, lam)
 
-    monkeypatch.setattr(g.ConvexDomain, "point", counted_point)
+    monkeypatch.setattr(g.ConvexDomain, "point_xy", counted_point)
     monkeypatch.setattr(ov, "single_point_orthogonal", counted_place)
     second = ov.construct_orthogonal_oval(nd, 0.1)
     assert _oval_bits(second) == _oval_bits(first)
     # 71 calls when every Brent iterate, end and contact read its own point
-    assert len(calls) <= 50
-    angles = [c[0] for c in calls if len(c) == 1]
-    assert len(set(angles)) == len(angles)
+    assert 0 < len(calls) <= 50
+    assert len(set(calls)) == len(calls)
     # one placement, so one angle residual, per trial scale
     assert len(set(scales)) == len(scales)
 
@@ -614,22 +618,27 @@ def test_disk_build_evaluates_each_boundary_point_once(disk, monkeypatch):
 def test_egg_build_work_counts(egg, monkeypatch):
     # one build on a domain whose per-domain values (normalization, upper
     # arc, its reversed abscissas) are set: of its 9 trial scales, 4 keep
-    # the bracket carried from the scale before, so 5 scan; the 38 point
-    # calls are the build's own one-angle reads (the normalization read
-    # made 39 per build)
+    # the bracket carried from the scale before, so 5 scan; the 38
+    # point_xy calls are the build's own one-angle reads (the
+    # normalization read made 39 per build), and it makes no point call
     nd = g.normalize(egg, g.find_diameters(egg)[0])
     first = ov.construct_orthogonal_oval(nd, 0.1)
-    scans, points, scales = [], [], []
-    scan, point, place = (ov._first_negative, g.ConvexDomain.point,
-                          ov.single_point_orthogonal)
+    scans, points, arrays, scales = [], [], [], []
+    scan, point, point_xy, place = (ov._first_negative, g.ConvexDomain.point,
+                                    g.ConvexDomain.point_xy,
+                                    ov.single_point_orthogonal)
 
     def counted_scan(gap, start, stop):
         scans.append((start, stop))
         return scan(gap, start, stop)
 
     def counted_point(self, omega):
-        points.append(np.size(omega))
+        arrays.append(np.size(omega))
         return point(self, omega)
+
+    def counted_point_xy(self, omega):
+        points.append(np.size(omega))
+        return point_xy(self, omega)
 
     def counted_place(phi0, dphi0, x0, lam):
         scales.append(lam)
@@ -637,12 +646,14 @@ def test_egg_build_work_counts(egg, monkeypatch):
 
     monkeypatch.setattr(ov, "_first_negative", counted_scan)
     monkeypatch.setattr(g.ConvexDomain, "point", counted_point)
+    monkeypatch.setattr(g.ConvexDomain, "point_xy", counted_point_xy)
     monkeypatch.setattr(ov, "single_point_orthogonal", counted_place)
     second = ov.construct_orthogonal_oval(nd, 0.1)
     assert _oval_bits(second) == _oval_bits(first)
     assert len(scales) == 9
     assert len(scans) == 5
     assert len(points) == 38 and set(points) == {1}
+    assert arrays == []
 
 
 # ------------------------------------------------------ initial curve
