@@ -238,8 +238,7 @@ def verify_estimates(traj, r, lambda0):
     # state-based quantities; the wall is read only to compute a stored
     # state's curvature, which run_to_extinction has already cached
     states, st_t = traj.states[win], t[win]
-    wall = (wall_for(traj.ndom) if any(s._kap is None for s in states)
-            else None)
+    wall = wall_for(traj.ndom) if traj.ndom is not None else None
     ratios = [_block_ratios(*rows) for rows in _state_rows(states, wall)]
     sup_ratio, grad_ratio, ratio_minmax = map(np.concatenate, zip(*ratios))
     # a second pass, so that the packed pairs never share the heap with the
@@ -638,11 +637,11 @@ _FLIP.flags.writeable = False
 
 
 def _mirror(state):
-    """state mirrored across the diameter, a new CurveState sharing its
-    edge lengths, which the mirror leaves unchanged."""
-    return CurveState(nodes=state.nodes * _FLIP, time=state.time,
-                      om_minus=state.om_minus, om_plus=state.om_plus,
-                      _seg=state._seg)
+    """state mirrored across the diameter, a new CurveState with new nodes
+    and no caches: a mirror is read for heights alone, which need no edge
+    lengths."""
+    return CurveState(state.nodes * _FLIP, state.time, state.om_minus,
+                      state.om_plus)
 
 
 class _MirroredStates(Sequence):

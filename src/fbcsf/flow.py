@@ -31,6 +31,9 @@ stay in the uniform phase.  Every step is accepted; a step is retried, at
 half the length, only on a FlowError, which a contact Newton that does
 not converge raises, and so does a stepped curve that is not convex.
 
+A state's fields are its nodes, time and contacts; its caches are not,
+so no constructor or dataclasses.replace carries one: a state fills a
+cache on its first read, and only this module sets one otherwise.
 The step that makes a state forms its edge vectors once (again only
 after a resample) and derives from them what the state's geometry needs:
 the error estimate's tangents, the edge lengths, cached on the state,
@@ -85,7 +88,7 @@ import os
 import sys
 import weakref
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from itertools import accumulate, zip_longest
 from typing import ClassVar
 
@@ -407,18 +410,16 @@ class CurveState:
     time: float
     om_minus: float   # left contact parameter
     om_plus: float    # right contact parameter
-    # the cached curvature and edge lengths; _kap is None on a state that a
-    # step accepted by its turns' signs until _finalize computes it
-    _kap: np.ndarray = field(default=None, repr=False)
-    _seg: np.ndarray = field(default=None, repr=False)
-    # the history of a BDF step, on every state a step returns: (levels,
-    # err, err_prev).  levels holds the one to three earlier node levels,
-    # newest first, each a CurveState with no history of its own, its
-    # nodes at this state's count; err and err_prev are the error
-    # estimates of the step that made this state and of the step before
-    # it, each None where that step had no estimate (a run's first three
-    # steps).  None on an initial state
-    _prev: tuple = field(default=None, repr=False)
+
+    # the caches, not fields: curvature (None on a state that a step
+    # accepted by its turns' signs until _finalize computes it), edge
+    # lengths, summed length, ghost edges (_ghost_edges), and the history
+    # of a BDF step, on every state a step returns: (levels, err,
+    # err_prev), levels the one to three earlier node levels, newest first,
+    # each a history-free CurveState at this state's count, and err,
+    # err_prev the estimates of the step that made this state and of the
+    # one before, None where a step had none (a run's first three)
+    _kap = _seg = _length = _ghosts = _prev = None
 
     def kappa_cached(self, wall):
         if self._kap is None:
@@ -437,13 +438,6 @@ class CurveState:
     @property
     def theta_minus(self):
         return 3.0 * np.pi / 2.0 - self.om_minus
-
-    # the summed length, set on the first read; not a field, so not a
-    # settable value (functools.cached_property would give each state a
-    # __dict__ of its own: more memory and slower attribute reads)
-    _length = None
-    # the ghost edges (_ghost_edges), kept in the same way
-    _ghosts = None
 
     @property
     def length(self):
@@ -972,9 +966,9 @@ def _attempt_step(state, wall, dt, order):
     e = new[1:] - new[:-1]
     err = None if pred is None else _normal_defect(new, pred, e)
     seg = np.hypot(e[:, 0], e[:, 1])
-    levels = (CurveState(nodes=nodes, time=state.time, om_minus=state.om_minus,
-                         om_plus=state.om_plus, _seg=state.seg_cached()),
-              ) + levels[:2]
+    level = CurveState(nodes, state.time, state.om_minus, state.om_plus)
+    level._seg = state.seg_cached()
+    levels = (level,) + levels[:2]
     # resample only once the mesh has actually drifted; spacing decays
     # by O(dt) per step so most steps skip the spline rebuild
     if float(seg.max()) > 1.25 * float(seg.min()):
@@ -982,11 +976,11 @@ def _attempt_step(state, wall, dt, order):
                              seg, *[p._seg for p in levels])
         e = new[1:] - new[:-1]
         seg = np.hypot(e[:, 0], e[:, 1])
-        levels = tuple(replace(p, nodes=q, _seg=None)
+        levels = tuple(CurveState(q, p.time, p.om_minus, p.om_plus)
                        for p, q in zip(levels, lv))
-    out = CurveState(nodes=new, time=state.time + dt, om_minus=om_minus,
-                     om_plus=om_plus, _seg=seg, _prev=(levels, err, err_prev))
-    out._length = float(seg.sum())
+    out = CurveState(new, state.time + dt, om_minus, om_plus)
+    out._seg, out._length = seg, float(seg.sum())
+    out._prev = (levels, err, err_prev)
     if (not _turns_positive(out, e, wall)
             and _convexity_defect(out, wall) < -1e-8):
         raise FlowError(f"the stepped curve is not convex at "
@@ -1151,8 +1145,10 @@ def _state_rows(states, wall):
 
     The curvature that no step cached is one _kappa_rows call per block, a
     copy kept on each state of the list (a view such as the mirror's
-    builds a new state on each read).  A state whose node count is not
-    the first state's raises ConfigError: the rows need one count.
+    builds a new state with no caches on each read), for which wall is
+    read; wall may be None where every state has its curvature.  A state
+    whose node count is not the first state's raises ConfigError: the
+    rows need one count.
     """
     n = len(states[0].nodes) if len(states) else 0
     for i in range(0, len(states), _BLOCK_STATES):

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -76,6 +78,13 @@ _FIXTURE_STEPS = {}
 
 
 def pytest_terminal_summary(terminalreporter):
+    # the package's size: its source lines and settable values
+    from test_settable_values import package_settable_values
+    lines = sum(path.read_bytes().count(b"\n") for path in
+                Path(g.__file__).parent.glob("*.py"))
+    terminalreporter.section("src/fbcsf: lines, settable values")
+    terminalreporter.write_line(
+        f"{lines:6d} {len(package_settable_values()):4d}")
     if not _FIXTURE_STEPS:
         return
     terminalreporter.section("shared flow runs: steps, resamples, switch")

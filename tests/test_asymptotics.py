@@ -492,7 +492,8 @@ def test_reflect_trajectory_leaves_the_run_unchanged(runs):
     assert np.array_equal(traj.extinction_point, ext)
     for s, m in zip(traj.states, mirror.states):
         assert np.array_equal(m.nodes[:, 1], -s.nodes[:, 1])
-        assert m._kap is None
+        assert m._kap is None and m._seg is None
+        assert not np.shares_memory(m.nodes, s.nodes)
     assert np.array_equal(mirror.monitors["y_at_x2"],
                           -traj.monitors["y_at_x2"], equal_nan=True)
     assert np.array_equal(mirror.extinction_point, ext * [1.0, -1.0])

@@ -1,6 +1,7 @@
 """Flow solver tests: exact-solution validation, structural identities
 along production runs, reading runs in time, and failure modes."""
 
+import dataclasses
 import gc
 import weakref
 
@@ -758,6 +759,30 @@ def test_states_and_runs_compare_by_identity(runs):
     # state of the run
     mirror = reflect_trajectory(traj)
     assert s not in mirror.states and mirror.states.count(s) == 0
+
+
+def test_a_replaced_state_carries_no_cache():
+    # a state's fields are its nodes, time and contacts; its caches are
+    # not, so dataclasses.replace reads the new nodes (the edge lengths
+    # were a field, and the halved semicircle kept the length 3.1407)
+    th = np.linspace(np.pi, 0.0, 40)
+    pts = np.column_stack([np.cos(th), np.sin(th)])
+    pts[0, 1] = pts[-1, 1] = 0.0
+    s = f.CurveState(nodes=pts, time=0.0, om_minus=-1.0, om_plus=1.0)
+    wall = f.StraightWall()
+    s.length, s.seg_cached(), s.kappa_cached(wall)
+    assert [x.name for x in dataclasses.fields(f.CurveState)] == [
+        "nodes", "time", "om_minus", "om_plus"]
+    half = dataclasses.replace(s, nodes=0.5 * s.nodes)
+    fresh = f.CurveState(nodes=0.5 * pts, time=0.0, om_minus=-1.0,
+                         om_plus=1.0)
+    assert half.length == fresh.length == 0.5 * s.length
+    assert half.seg_cached().tobytes() == fresh.seg_cached().tobytes()
+    assert half.kappa_cached(wall).tobytes() == \
+        fresh.kappa(wall).tobytes()
+    with pytest.raises(TypeError):
+        f.CurveState(nodes=pts, time=0.0, om_minus=-1.0, om_plus=1.0,
+                     _seg=s.seg_cached())
 
 
 @pytest.mark.parametrize("name, fix", [("disk_r03_n100", "ndisk"),

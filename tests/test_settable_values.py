@@ -11,7 +11,7 @@ from pathlib import Path
 
 import fbcsf
 
-SETTABLE_VALUES_MAX = 7
+SETTABLE_VALUES_MAX = 4
 
 
 def _is_dataclass(node):
@@ -76,9 +76,14 @@ def test_counter_reads_parameters_and_fields():
         ("parameter", "c"), ("parameter", "e"), ("parameter", "y")]
 
 
-def test_settable_values_do_not_grow():
+def package_settable_values():
+    """The settable values of every fbcsf module, as (file, kind, name)."""
     package = Path(fbcsf.__file__).parent
-    found = [(path.name,) + value
-             for path in sorted(package.glob("*.py"))
-             for value in settable_values(path.read_text(encoding="utf-8"))]
+    return [(path.name,) + value
+            for path in sorted(package.glob("*.py"))
+            for value in settable_values(path.read_text(encoding="utf-8"))]
+
+
+def test_settable_values_do_not_grow():
+    found = package_settable_values()
     assert len(found) <= SETTABLE_VALUES_MAX, found

@@ -455,10 +455,12 @@ def _ragged_states(n, groups, seed):
                 kap = np.full(n, rng.uniform(-2.0, 2.0))
             else:
                 kap = rng.uniform(-5.0, 5.0, n)
-            states.append(f.CurveState(
+            state = f.CurveState(
                 nodes=rng.uniform(-1.0, 1.0, (n, 2)), time=0.0,
                 om_minus=float(rng.uniform(2.0, 4.0)),
-                om_plus=float(rng.uniform(1.0, 2.0)), _kap=kap))
+                om_plus=float(rng.uniform(1.0, 2.0)))
+            state._kap = kap
+            states.append(state)
     return states
 
 
