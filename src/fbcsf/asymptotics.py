@@ -480,9 +480,9 @@ def robin_eigen(kappa1, kappa2):
     trigonometric secular equation.  Each eigenfunction is a even + b odd
     in the basis of _basis, (a, b) a Robin row's null vector (_pair), so
     it is finite on symmetric chords too, where each mode is even or odd.
+    ConfigError unless both curvatures are finite and positive.
     """
-    if kappa1 <= 0 or kappa2 <= 0:
-        raise AnalysisError("endpoint curvatures must be positive")
+    _check_positive(kappa1=kappa1, kappa2=kappa2)
     grid = np.linspace(-1.0, 1.0, _EIGEN_NGRID)
     kmax = max(kappa1, kappa2)
 

@@ -73,11 +73,11 @@ Boor 1978), which reproduces scipy's CubicSpline bit for bit; importing
 scipy.interpolate costs about 0.3 s, about twice a short run.
 
 The one LAPACK routine the module calls, dgtsv, is taken from scipy's
-compiled extension scipy/linalg/_flapack, loaded by itself (see
-_load_dgtsv): importing the scipy.linalg package around it costs about
-0.3 s, more than a short run, and loading the extension alone about
-5 ms.  It is the same compiled function that scipy.linalg.lapack.dgtsv
-is, so every result is scipy's bit for bit.
+compiled extension scipy/linalg/_flapack, loaded by itself on the first
+_tridiag_solve (see _load_dgtsv): importing scipy.linalg around it costs
+about 0.3 s, the extension alone about 5 ms and 2.5 MB, which a process
+that only builds ovals never pays.  It is the same compiled function as
+scipy.linalg.lapack.dgtsv, so every result is scipy's bit for bit.
 """
 
 import importlib.machinery
@@ -133,7 +133,8 @@ def _load_dgtsv():
         sys.modules.pop(_FLAPACK, None)
 
 
-dgtsv = _load_dgtsv()
+# _load_dgtsv's function, set by the first _tridiag_solve
+dgtsv = None
 
 
 # ---------------------------------------------------------------------------
@@ -530,12 +531,15 @@ def _tridiag_solve(dl, d, du, b):
     columns of b with LAPACK gtsv, overwriting all four arrays.
 
     gtsv is what solve_banded((1, 1), ...) calls, so results are bitwise
-    the same: dgtsv is the very function object of
-    scipy.linalg.lapack.dgtsv, loaded from its extension alone by
-    _load_dgtsv so that the module does not import scipy.linalg (about
-    0.3 s).  FlowError on a singular matrix, which step answers by
-    halving the time step; the caller checks that its input is finite.
+    the same: dgtsv is scipy.linalg.lapack.dgtsv, loaded by the first call
+    from its extension alone (_load_dgtsv) and kept, so that importing the
+    module loads neither scipy.linalg (about 0.3 s) nor the extension.
+    FlowError on a singular matrix, which step answers by halving the time
+    step; the caller checks that its input is finite.
     """
+    global dgtsv
+    if dgtsv is None:
+        dgtsv = _load_dgtsv()
     _, _, _, x, info = dgtsv(dl, d, du, b, True, True, True, True)
     if info > 0:
         raise FlowError("singular tridiagonal matrix")

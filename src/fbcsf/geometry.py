@@ -46,6 +46,8 @@ _CONTAINS_DIRS = 720   # contains: support directions and slack
 _CONTAINS_TOL = 1e-9
 _NSCAN = 2048          # find_diameters: residual samples over [0, pi)
 _UPPER_ARC_SAMPLES = 8193  # upper_arc: turning angles on [pi/2, 3pi/2]
+_UPPER_ARC_OMEGA = np.linspace(np.pi / 2, 3 * np.pi / 2, _UPPER_ARC_SAMPLES)
+_UPPER_ARC_OMEGA.flags.writeable = False  # the one grid of every arc
 _SERIES_BLOCK = 2 ** 16    # _synthesize: angle-harmonic products per block,
 _SERIES_ROWS = 16          # in whole groups of this many angles
 
@@ -218,10 +220,11 @@ class ConvexDomain:
         First harmonics must vanish (closure); sin_coeffs[0] is unused.
     center : translation added to the zero-mean position series.
 
-    The extremes of rho, the upper boundary sampled at _UPPER_ARC_SAMPLES
-    turning angles (``upper_arc``), its abscissas in increasing order
-    (``upper_arc_x_increasing``) and ``is_normalized`` are per-domain
-    values: each is computed on first use and kept for the domain's life.
+    The extremes of rho, the upper boundary sampled on the turning angles
+    of _UPPER_ARC_OMEGA, one grid shared by every domain (``upper_arc``,
+    its abscissas stored once, increasing) and ``is_normalized`` are
+    per-domain values: each is computed on first use and kept for the
+    domain's life.
     """
 
     def __init__(self, cos_coeffs, sin_coeffs=None, center=(0.0, 0.0)):
@@ -290,26 +293,17 @@ class ConvexDomain:
 
     @cached_property
     def upper_arc(self):
-        """(omega, x, y) of the upper boundary at _UPPER_ARC_SAMPLES turning
-        angles evenly spaced on [pi/2, 3pi/2], computed once per domain.
+        """(omega, x, y) of the upper boundary on the turning angles
+        _UPPER_ARC_OMEGA, computed once per domain.
 
-        The three arrays are read-only: every caller shares them.
+        The three arrays are read-only and shared by every caller; omega is
+        the one module grid, and x, decreasing along the arc, is a reversed
+        view of the abscissas stored increasing, so x[::-1] is those.
         """
-        om = np.linspace(np.pi / 2, 3 * np.pi / 2, _UPPER_ARC_SAMPLES)
-        pts = self.point(om)
-        out = (om, pts[:, 0].copy(), pts[:, 1].copy())
-        for arr in out:
-            arr.flags.writeable = False
-        return out
-
-    @cached_property
-    def upper_arc_x_increasing(self):
-        """The abscissas of upper_arc reversed, so increasing (x decreases
-        along the arc), for binary searches; read-only and computed once
-        per domain."""
-        out = np.ascontiguousarray(self.upper_arc[1][::-1])
-        out.flags.writeable = False
-        return out
+        pts = self.point(_UPPER_ARC_OMEGA)
+        x_increasing, y = pts[::-1, 0].copy(), pts[:, 1].copy()
+        x_increasing.flags.writeable = y.flags.writeable = False
+        return _UPPER_ARC_OMEGA, x_increasing[::-1], y
 
     def tangent(self, omega):
         om = np.asarray(omega, dtype=float)

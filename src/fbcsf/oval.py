@@ -261,7 +261,7 @@ def _gap_stop(xs_rev, xlim):
     """One past the last upper-arc sample at or right of x = xlim.
 
     xs decreases along the arc, so those samples are an index prefix;
-    xs_rev is xs reversed, increasing, for the binary search.
+    xs_rev is xs[::-1], a view, increasing, for the binary search.
     """
     return len(xs_rev) - int(np.searchsorted(xs_rev, xlim))
 
@@ -343,8 +343,8 @@ def construct_orthogonal_oval(ndom, rho):
     run read on a slice of the samples.  Each turning angle's boundary
     point is read once per call, as a float pair (dom.point_xy; the build
     makes no dom.point call), and each scale's residual is evaluated once
-    per call; the domain's normalization and reversed upper-arc abscissas
-    are per-domain values, read once per domain.
+    per call; the domain's normalization is a per-domain value, read once
+    per domain.
 
     Raises ConfigError when rho is a bool, not a real number or NaN,
     RhoTooLarge when the line y = rho fails to cross the upper boundary
@@ -405,7 +405,7 @@ def construct_orthogonal_oval(ndom, rho):
 
     # the second contact is searched from _GUARD samples past the first
     start = int(np.searchsorted(om_grid, om0, "right")) + _GUARD
-    xs_rev = dom.upper_arc_x_increasing
+    xs_rev = xs[::-1]
     # the last trial scale's bracket, where the next one's is looked for
     carried = None
 

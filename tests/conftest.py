@@ -85,6 +85,13 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.section("src/fbcsf: lines, settable values")
     terminalreporter.write_line(
         f"{lines:6d} {len(package_settable_values()):4d}")
+    # the oval-only footprint: a fresh interpreter that imports every
+    # module and builds one oval (None: no /proc/self to read it from)
+    from test_import_footprint import oval_only_footprint
+    footprint = oval_only_footprint()
+    terminalreporter.section("oval-only process: peak RSS MB, LAPACK mapped")
+    terminalreporter.write_line(f"{footprint['peak_rss_mb']} "
+                                f"{footprint['flapack_mapped']}")
     if not _FIXTURE_STEPS:
         return
     terminalreporter.section("shared flow runs: steps, resamples, switch")

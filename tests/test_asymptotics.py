@@ -365,6 +365,15 @@ def test_robin_disk_single_negative_eigenvalue():
     assert eig.convexity_flags == [True]
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+def test_robin_eigen_rejects_a_bad_curvature(bad):
+    # each used to end otherwise: 0 and -1 in AnalysisError, NaN in
+    # ConfigError only after the root scans, inf in a RuntimeWarning
+    for k1, k2 in ((bad, 1.0), (1.0, bad)):
+        with pytest.raises(ConfigError):
+            asymptotics.robin_eigen(k1, k2)
+
+
 def test_robin_egg_second_negative_eigenvalue(negg):
     eig = asymptotics.robin_eigen(negg.kappa1, negg.kappa2)
     mus = [p.mu for p in eig.negative_eigenvalues]

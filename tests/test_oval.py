@@ -378,8 +378,6 @@ def test_second_contact_just_past_a_sample_still_builds(egg, monkeypatch):
     xs[j], ys[j] = nd.domain.point(om[j])
     ys[j] -= 1e-12
     monkeypatch.setitem(nd.domain.__dict__, "upper_arc", (om, xs, ys))
-    monkeypatch.setitem(nd.domain.__dict__, "upper_arc_x_increasing",
-                        np.ascontiguousarray(xs[::-1]))
     second = ov.construct_orthogonal_oval(nd, 0.1)
     assert abs(second.omega_hat - first.omega_hat) < 1e-12
     assert abs(second.params.lam - first.params.lam) < 1e-9
@@ -418,6 +416,22 @@ def test_bool_rho_is_a_config_error(nellipse_minor, rho):
 
 
 # ------------------------------------------- second-contact search
+
+def test_upper_arcs_share_one_grid_and_store_x_once(negg, nlobed):
+    # every domain's arc returns the one module grid of turning angles,
+    # and its abscissas, decreasing along the arc, are a read-only view of
+    # one increasing array, which the build's binary search reads as
+    # xs[::-1]: the same stops as on a contiguous increasing copy
+    arcs = [nd.domain.upper_arc for nd in (negg, nlobed)]
+    assert arcs[0][0] is arcs[1][0] is g._UPPER_ARC_OMEGA
+    for _, xs, _ in arcs:
+        assert xs.base is not None and np.all(np.diff(xs.base) > 0.0)
+        assert not (xs.flags.writeable or xs.base.flags.writeable)
+        xs_inc = np.ascontiguousarray(xs[::-1])
+        for xlim in (xs[0] + 1.0, xs[0], xs[100], 0.5 * (xs[4000] + xs[4001]),
+                     0.0, xs[-1], xs[-1] - 1.0, np.nan):
+            assert ov._gap_stop(xs[::-1], xlim) == ov._gap_stop(xs_inc, xlim)
+
 
 def _full_scan(signs):
     """The first negative index of a row, or None."""

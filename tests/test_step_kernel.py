@@ -6,6 +6,7 @@ root, the BDF weights against polynomial exactness and BDF2's closed
 form, and the slimmed flow kernels against the forms they replaced, with
 no write into an input a kernel does not own."""
 
+import copy
 import tracemalloc
 from itertools import accumulate
 
@@ -546,6 +547,23 @@ def test_convex_wall_table_ends_are_on_the_table(egg_wall):
         assert np.isfinite(egg_wall.arc_area(om, np.pi))
 
 
+def test_upper_table_end_is_clamped_to_the_last_segment(negg, egg_wall):
+    # with the table's own step the upper end's offset divides to just
+    # under _nseg segments; a step a few ulps shorter divides it to _nseg,
+    # past the last segment, and the clamp keeps it on that segment
+    wall = copy.copy(egg_wall)
+    while int((wall._hi - wall._lo) / wall._hg) < wall._nseg:
+        wall._hg = np.nextafter(wall._hg, 0.0)
+    for w in (egg_wall, wall):
+        i, u = w._segment(w._hi)
+        assert i == w._nseg - 1 and u == pytest.approx(w._hg, rel=1e-9)
+        point = w.point_xy(w._hi)
+        assert point == w.jet_xy(w._hi)[:2]
+        # the table's interpolation error there: measured 2.4e-13
+        assert np.allclose(point, negg.domain.point_xy(w._hi),
+                           rtol=0.0, atol=1e-12)
+
+
 @pytest.mark.parametrize("p", [-1.3, 0.0, 0.7])
 def test_straight_wall_jet_matches_central_difference(p):
     _check_jet(f.StraightWall(), p)
@@ -638,6 +656,23 @@ def test_slave_contact_on_grim_reaper_walls(monkeypatch):
     got = f._slave_contact(wall, root + 1e-3, inner1, inner2,
                            0.0, 0.0, (0.0, 0.0))
     assert abs(got - root) < 1e-12
+
+
+class _StillWall:
+    """A wall whose point and normal do not move with the parameter."""
+
+    def jet_xy(self, p):
+        return 0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0
+
+
+def test_slave_contact_zero_slope_raises_flow_error():
+    # the nodes leave (0, 0) along the wall, so the residual is not zero,
+    # and a wall that stands still gives it a zero slope: Newton stops
+    # with FlowError (its update would divide by zero)
+    inner1, inner2 = np.array([1.0, 0.0]), np.array([2.0, 0.0])
+    with pytest.raises(FlowError, match="did not converge"):
+        f._slave_contact(_StillWall(), 0.5, inner1, inner2,
+                         0.0, 0.0, (0.0, 0.0))
 
 
 def _following_residual(wall, inner1, inner2, g1, g2, end):
