@@ -7,7 +7,9 @@ problem on [-1, 1] whose negative spectrum carries the decay scale.
 Each Robin eigenfunction is a even + b odd in one basis, cosh/sinh or
 cos/sin by the sign of mu (_basis), with (a, b) the null vector of the
 larger Robin row, found without a division, so that the odd modes of a
-symmetric chord are as finite as the even ones.
+symmetric chord are as finite as the even ones.  The secular functions
+are read on arrays in the root scans and on floats in the Brent solves,
+with the same numpy ufuncs.
 
 The routines are pure functions over recorded trajectories and keep
 nothing between calls; all but ancient_sweep read runs and step none.
@@ -43,6 +45,8 @@ time the samples span (_time_weights): the fit then reads the solution
 over the window, not the step sequence.
 """
 
+import math
+
 import numpy as np
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
@@ -52,7 +56,7 @@ from .errors import (AnalysisError, ConfigError, NonPositiveAmplitude,
                      UnknownRecord, WindowTooShort)
 from .flow import (_ANALYSIS_END, _state_rows, CurveState,
                    old_but_not_ancient, wall_for)
-from .oval import _equal_curvatures, lambda0_residual, solve_lambda0
+from .oval import _chord_residual, _equal_curvatures, solve_lambda0
 from .solve import safe_brentq
 
 
@@ -63,7 +67,8 @@ WINDOW_FLOOR = -6.0   # never fit below this offset time
 WINDOW_CEIL = -1.0    # never fit above this offset time
 _MIN_SAMPLES = 8      # a fit needs this many samples in its window
 _LOG_MIN = 1e-300     # monitors are clipped to this before their logarithm
-_EIGEN_NGRID = 1001   # eigenfunction grid on [-1, 1]: sup norm and sign
+_EIGEN_GRID = np.linspace(-1.0, 1.0, 1001)  # eigenfunctions: sup norm, sign
+_EIGEN_GRID.flags.writeable = False
 _POSITIVE_EIGEN = 3   # positive Robin eigenvalues that robin_eigen reports
 _INCREMENT_TIMES = 10   # rescaled_increments: sample times in the window
 _UNIQUENESS_TIMES = 16  # uniqueness_evidence: sample times,
@@ -419,17 +424,20 @@ def _basis(mu, x):
 def _robin_rows(mu, kappa1, kappa2):
     """The Robin conditions phi'(1) = kappa1 phi(1) and phi'(-1) =
     -kappa2 phi(-1), each as the row (p, q) of p a + q b = 0 for
-    phi = a even + b odd.  The basis is read at x = 1 alone: at x = -1
-    the odd solution and the even one's slope change sign."""
-    s = np.sqrt(abs(mu))
-    even, odd = _basis(mu, 1.0)
-    d_even, d_odd = np.copysign(s, -mu) * odd, s * even
+    phi = a even + b odd, in floats.  The basis is read at x = 1 alone:
+    at x = -1 the odd solution and the even one's slope change sign."""
+    s = math.sqrt(abs(mu))
+    even, odd = map(float, _basis(mu, 1.0))
+    d_even, d_odd = math.copysign(s, -mu) * odd, s * even
     return [(d_even - kappa1 * even, d_odd - kappa1 * odd),
             (kappa2 * even - d_even, d_odd - kappa2 * odd)]
 
 
 def _pos_secular(s, k1, k2):
+    """The secular function of mu = s^2 > 0, at a float s or an array."""
     c, sn = np.cos(s), np.sin(s)
+    if isinstance(s, float):
+        c, sn = float(c), float(sn)
     return ((k1 * c + s * sn) * (s * c - k2 * sn)
             + (s * sn + k2 * c) * (s * c - k1 * sn))
 
@@ -453,7 +461,7 @@ def _pair(mu, k1, k2, grid):
             a = 0.0
     even, odd = _basis(mu, grid)
     phi = a * even + b * odd
-    scale = np.max(np.abs(phi))
+    scale = np.abs(phi).max()
     return EigenPair(mu, (float(a / scale), float(b / scale))), phi
 
 
@@ -483,7 +491,6 @@ def robin_eigen(kappa1, kappa2):
     ConfigError unless both curvatures are finite and positive.
     """
     _check_positive(kappa1=kappa1, kappa2=kappa2)
-    grid = np.linspace(-1.0, 1.0, _EIGEN_NGRID)
     kmax = max(kappa1, kappa2)
 
     if _equal_curvatures(kappa1, kappa2):
@@ -491,18 +498,18 @@ def robin_eigen(kappa1, kappa2):
         below = _roots(lambda s: s - k * np.tanh(s),
                        np.linspace(1e-6, kmax, 4001))
     else:
-        below = _roots(lambda s: lambda0_residual(s, kappa1, kappa2),
+        below = _roots(_chord_residual(kappa1, kappa2),
                        np.linspace(1e-6, kmax, 4001))
-    negatives = [_pair(-s * s, kappa1, kappa2, grid)
+    negatives = [_pair(-s * s, kappa1, kappa2, _EIGEN_GRID)
                  for s in (solve_lambda0(kappa1, kappa2), *below)]
     hi = (_POSITIVE_EIGEN + 2) * np.pi + kmax
     above = _roots(lambda s: _pos_secular(s, kappa1, kappa2),
                    np.linspace(1e-6, hi, 200 * (_POSITIVE_EIGEN + 4)))
     return EigenResult(
         negative_eigenvalues=[pair for pair, _ in negatives],
-        positive_eigenvalues=[_pair(s * s, kappa1, kappa2, grid)[0]
+        positive_eigenvalues=[_pair(s * s, kappa1, kappa2, _EIGEN_GRID)[0]
                               for s in islice(above, _POSITIVE_EIGEN)],
-        convexity_flags=[bool(np.all(phi > 0.0)) for _, phi in negatives],
+        convexity_flags=[bool((phi > 0.0).all()) for _, phi in negatives],
         kappa1=float(kappa1), kappa2=float(kappa2))
 
 
@@ -540,9 +547,12 @@ def matched_distance(ya, yb):
     if not shape or 0 in shape[:-1]:
         raise ConfigError(f"height rows of shape {shape} hold no sample time")
     m = np.isfinite(ya) & np.isfinite(yb)
-    if not np.all(np.any(m, axis=-1)):
+    if not m.any(axis=-1).all():
         return np.inf
-    return float(np.max(np.abs(ya[m] - yb[m])))
+    # |ya - yb| where both are finite, 0 elsewhere (no inf - inf)
+    d = np.zeros(shape)
+    np.subtract(ya, yb, out=d, where=m)
+    return float(np.abs(d, out=d).max())
 
 
 @dataclass

@@ -1087,12 +1087,12 @@ class Trajectory:
             # time is inside
             first = np.where(inside, i - 1, clamped)
             i1 = i[inside]
-            # the bracketing states that no earlier call read
-            wanted = np.zeros(len(times), dtype=bool)
-            wanted[first] = True
-            wanted[i1] = True
-            new = np.flatnonzero(wanted & (slot < 0))
-            if len(new):
+            # bracketing states no earlier call read: marked -2, listed once
+            both = np.concatenate((first, i1))
+            unread = both[slot[both] < 0]
+            if len(unread):
+                slot[unread] = -2
+                new = np.flatnonzero(slot == -2)
                 n = len(table)
                 grown = np.empty((n + len(new), len(xs)))
                 grown[:n] = table

@@ -34,10 +34,13 @@ point once per turning angle and each trial scale once.
 
 As rho -> 0 the scale tends to lambda0, the unique root above both
 endpoint curvatures of  lam^2 - lam (k1 + k2) coth(2 lam) + k1 k2 = 0,
-which also rules the exponential decay rate lambda0^2 of the flow.
+which also rules the exponential decay rate lambda0^2 of the flow.  Its
+solves read their objectives on floats (compute_limits solves sigma once),
+and a steep chord's in a form without cancellation (_chord_residual).
 """
 
 import functools
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -122,18 +125,18 @@ def solve_sigma(kappa):
         raise ConfigError(f"curvature must be finite and positive, got {kappa}")
 
     def f(s):
-        return s * np.tanh(s) - kappa
+        return s * float(np.tanh(s)) - kappa
 
     # f(hi) > 0, as hi >= kappa + 2 >= 2 gives f(hi) >= 2 - hi (1 - tanh hi)
     # = 2 - 2 hi / (e^(2 hi) + 1) >= 2 - 4 / (e^4 + 1)
-    hi = max(np.sqrt(kappa), kappa) + 2.0
+    hi = max(math.sqrt(kappa), kappa) + 2.0
     return float(safe_brentq(f, 1e-14, hi))
 
 
 def lambda0_residual(lam, kappa1, kappa2):
-    """N(lam) = lam^2 - lam (k1 + k2) coth(2 lam) + k1 k2."""
-    lam = np.asarray(lam, dtype=float)
-    return lam ** 2 - lam * (kappa1 + kappa2) / np.tanh(2.0 * lam) + kappa1 * kappa2
+    """N(lam) = lam^2 - lam (k1 + k2) coth(2 lam) + k1 k2, at a float lam or
+    an array: lam * lam is numpy's lam ** 2, bit for bit."""
+    return lam * lam - lam * (kappa1 + kappa2) / np.tanh(2.0 * lam) + kappa1 * kappa2
 
 
 def _equal_curvatures(kappa1, kappa2):
@@ -143,29 +146,49 @@ def _equal_curvatures(kappa1, kappa2):
     return abs(kappa1 - kappa2) <= 1e-12 * max(kappa1, kappa2)
 
 
+def _chord_residual(kappa1, kappa2):
+    """N of an unequal chord as a function of lam alone, in the form its
+    solves and scans read: lambda0_residual, unless that rounds
+    N(max(k1, k2)) < 0 to a value >= 0.  On such a steep chord (lambda0 -
+    max(k1, k2) below about 1e-14, max(k1, k2) above about 9.3) N is read
+    as (lam - k1)(lam - k2) - 2 lam (k1 + k2) / (e^(4 lam) - 1), which does
+    not cancel there."""
+    if lambda0_residual(max(kappa1, kappa2), kappa1, kappa2) < 0.0:
+        return lambda lam: lambda0_residual(lam, kappa1, kappa2)
+    return lambda lam: ((lam - kappa1) * (lam - kappa2)
+                        - 2.0 * lam * (kappa1 + kappa2) * np.exp(-4.0 * lam)
+                        / -np.expm1(-4.0 * lam))
+
+
+def _lambda0_sigma(kappa1, kappa2):
+    """solve_lambda0's root, and the sigma of max(kappa1, kappa2) that
+    brackets it on a chord of unequal curvatures (None on an equal one)."""
+    if not (0.0 < kappa1 < np.inf and 0.0 < kappa2 < np.inf):
+        raise ConfigError(
+            f"curvatures must be finite and positive, got {kappa1}, {kappa2}")
+    if _equal_curvatures(kappa1, kappa2):
+        return solve_sigma(0.5 * (kappa1 + kappa2)), None
+    kmax = max(kappa1, kappa2)
+    sigma = solve_sigma(kmax)
+    lo = kmax
+    hi = sigma + max(1e-10, 1e-10 * sigma)
+    n = _chord_residual(kappa1, kappa2)
+    flo, fhi = n(lo), n(hi)
+    if not flo <= 0.0 < fhi:
+        raise NoRoot(
+            f"no sign change on [{lo:.6g}, {hi:.6g}]: N={flo:.3e}, {fhi:.3e}"
+        )
+    return float(safe_brentq(n, lo, hi)), sigma
+
+
 def solve_lambda0(kappa1, kappa2):
     """The unique root of N above max(kappa1, kappa2).
 
     For equal curvatures (_equal_curvatures) the admissible factor of N is
-    lam tanh lam = k, handled directly for exactness.
+    lam tanh lam = k, handled directly for exactness.  On a steep chord
+    (_chord_residual) the root may round to max(kappa1, kappa2).
     """
-    if not (0.0 < kappa1 < np.inf and 0.0 < kappa2 < np.inf):
-        raise ConfigError(
-            f"curvatures must be finite and positive, got {kappa1}, {kappa2}")
-    kmax = max(kappa1, kappa2)
-    if _equal_curvatures(kappa1, kappa2):
-        return solve_sigma(0.5 * (kappa1 + kappa2))
-    sigma = solve_sigma(kmax)
-    lo = kmax
-    hi = sigma + max(1e-10, 1e-10 * sigma)
-    flo = lambda0_residual(lo, kappa1, kappa2)
-    fhi = lambda0_residual(hi, kappa1, kappa2)
-    if flo >= 0 or fhi <= 0:
-        raise NoRoot(
-            f"no sign change on [{lo:.6g}, {hi:.6g}]: N={flo:.3e}, {fhi:.3e}"
-        )
-    return float(safe_brentq(
-        lambda s: float(lambda0_residual(s, kappa1, kappa2)), lo, hi))
+    return _lambda0_sigma(kappa1, kappa2)[0]
 
 
 def xi0(lambda0, kappa1):
@@ -180,9 +203,13 @@ def xi0(lambda0, kappa1):
 
 
 def compute_limits(kappa1, kappa2):
-    lam0 = solve_lambda0(kappa1, kappa2)
-    return Limits(lambda0=lam0, xi0=xi0(lam0, kappa1),
-                  sigma=solve_sigma(max(kappa1, kappa2)))
+    """lambda0, xi0 and the sigma of max(kappa1, kappa2), sigma solved
+    once.  On a steep chord whose lambda0 rounds to kappa1 (solve_lambda0)
+    xi0 raises InvalidScale: it needs lambda0 - kappa1."""
+    lam0, sigma = _lambda0_sigma(kappa1, kappa2)
+    if sigma is None:
+        sigma = solve_sigma(max(kappa1, kappa2))
+    return Limits(lambda0=lam0, xi0=xi0(lam0, kappa1), sigma=sigma)
 
 
 # -- single-point orthogonality ---------------------------------------------

@@ -44,7 +44,10 @@ def safe_brentq(f, a, b):
     xpre, xcur, fpre, fcur = float(a), float(b), float(fa), float(fb)
     xblk = fblk = spre = scur = 0.0
     for _ in range(_MAXITER):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+        # brentq.c's zero tests in one: only a new iterate's value can be 0
+        if fcur == 0.0:
+            return xcur
+        if (fpre < 0.0) != (fcur < 0.0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
         if abs(fblk) < abs(fcur):
@@ -52,11 +55,11 @@ def safe_brentq(f, a, b):
             fpre, fcur, fblk = fcur, fblk, fcur
         delta = (_XTOL + _RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
+        if (abis := abs(sbis)) < delta:
             return xcur
         # an infinite trial step bisects, as C's step after a division by 0
         stry = math.inf
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
+        if (aspre := abs(spre)) > delta and abs(fcur) < abs(fpre):
             if xpre == xblk:
                 # interpolate
                 stry = -fcur * (xcur - xpre) / (fcur - fpre)
@@ -67,7 +70,7 @@ def safe_brentq(f, a, b):
                 den = dblk * dpre * (fblk - fpre)
                 if den != 0.0:
                     stry = -fcur * (fblk * dblk - fpre * dpre) / den
-        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+        if 2 * abs(stry) < min(aspre, 3 * abis - delta):
             spre, scur = scur, stry
         else:
             spre = scur = sbis
@@ -77,7 +80,7 @@ def safe_brentq(f, a, b):
         else:
             xcur += delta if sbis > 0 else -delta
         fcur = float(f(xcur))
-        if math.isnan(fcur):
+        if fcur != fcur:
             raise BracketFailure(
                 f"NaN at x = {xcur!r} inside [{a:.6g}, {b:.6g}]")
     raise BracketFailure(f"no convergence in {_MAXITER} iterations on "

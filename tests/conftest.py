@@ -92,6 +92,13 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.section("oval-only process: peak RSS MB, LAPACK mapped")
     terminalreporter.write_line(f"{footprint['peak_rss_mb']} "
                                 f"{footprint['flapack_mapped']}")
+    # the limit and Robin solves on the benchmark's nine diameters: a change
+    # that keeps their iterates keeps both counts
+    from test_limit_solves import benchmark_chords, spectral_solve_counts
+    solves, evaluations = spectral_solve_counts(benchmark_chords())
+    terminalreporter.section(
+        "compute_limits + robin_eigen: safe_brentq calls, evaluations")
+    terminalreporter.write_line(f"{solves:6d} {evaluations:6d}")
     if not _FIXTURE_STEPS:
         return
     terminalreporter.section("shared flow runs: steps, resamples, switch")

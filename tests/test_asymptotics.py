@@ -237,6 +237,10 @@ def test_matched_distance_reads_entries_finite_in_both_rows():
     # the NaN in each row masks its column in that row only
     assert asymptotics.matched_distance(ya, yb) == 0.5
     assert asymptotics.matched_distance(yb, ya) == 0.5
+    # an infinite entry masks its column as a NaN does: inf - inf is never
+    # formed, so no RuntimeWarning
+    ya[1, 2] = yb[1, 2] = np.inf
+    assert asymptotics.matched_distance(ya, yb) == 0.5
     # the first sample time keeps no abscissa finite in both rows
     yb[0, :2] = np.nan
     assert asymptotics.matched_distance(ya, yb) == np.inf

@@ -6,6 +6,7 @@ with builds on upper arcs synthesized in one call."""
 
 import sys
 import types
+from contextlib import contextmanager
 from functools import cached_property
 from pathlib import Path
 
@@ -18,8 +19,9 @@ from test_geometry import _one_call_point
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-@pytest.fixture(scope="module")
-def workloads():
+@contextmanager
+def bench_modules():
+    """bench/workloads.py as a module, for the duration of the block."""
     # executed from source so nothing is written next to the bench scripts;
     # workloads.py imports tracing.py by its plain module name
     with pytest.MonkeyPatch.context() as mp:
@@ -33,6 +35,12 @@ def workloads():
                  mod.__dict__)
             mods[name] = mod
         yield mods["workloads"]
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    with bench_modules() as mod:
+        yield mod
 
 
 def _failed(checks):
