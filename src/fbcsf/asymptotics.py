@@ -7,9 +7,12 @@ problem on [-1, 1] whose negative spectrum carries the decay scale.
 Each Robin eigenfunction is a even + b odd in one basis, cosh/sinh or
 cos/sin by the sign of mu (_basis), with (a, b) the null vector of the
 larger Robin row, found without a division, so that the odd modes of a
-symmetric chord are as finite as the even ones.  The secular functions
-are read on arrays in the root scans and on floats in the Brent solves,
-with the same numpy ufuncs.
+symmetric chord are as finite as the even ones, and a mode of a symmetric
+chord computes its one basis term.  The secular functions are read on
+arrays in the root scans and on floats in the Brent solves, with the same
+numpy ufuncs.  A scan reads its samples chunk by chunk (_roots), each
+chunk only once the roots before it are consumed, so the positive
+spectrum's scan stops at the chunk of its last reported root.
 
 The routines are pure functions over recorded trajectories and keep
 nothing between calls; all but ancient_sweep read runs and step none.
@@ -70,6 +73,7 @@ _LOG_MIN = 1e-300     # monitors are clipped to this before their logarithm
 _EIGEN_GRID = np.linspace(-1.0, 1.0, 1001)  # eigenfunctions: sup norm, sign
 _EIGEN_GRID.flags.writeable = False
 _POSITIVE_EIGEN = 3   # positive Robin eigenvalues that robin_eigen reports
+_SCAN_CHUNK = 200     # and the intervals its positive scan reads at once
 _INCREMENT_TIMES = 10   # rescaled_increments: sample times in the window
 _UNIQUENESS_TIMES = 16  # uniqueness_evidence: sample times,
 _TAU_SPAN = 1e-3        # the shift bracket [-_TAU_SPAN, _TAU_SPAN]
@@ -397,7 +401,7 @@ class EigenPair:
     coeffs: tuple       # (a, b): phi = a even + b odd, _basis's solutions
 
     def phi(self, x):
-        even, odd = _basis(self.mu, np.asarray(x, dtype=float))
+        even, odd = _basis(self.mu, np.asarray(x, dtype=float), None)
         a, b = self.coeffs
         return a * even + b * odd
 
@@ -411,14 +415,17 @@ class EigenResult:
     kappa2: float
 
 
-def _basis(mu, x):
+def _basis(mu, x, parity):
     """The even and odd solutions of -phi'' = mu phi at x: cosh(sx) and
     sinh(sx) for mu < 0, cos(sx) and sin(sx) for mu > 0, s = sqrt|mu|.
-    Their slopes are -sign(mu) s odd and s even."""
-    s = np.sqrt(abs(mu))
-    if mu < 0:
-        return np.cosh(s * x), np.sinh(s * x)
-    return np.cos(s * x), np.sin(s * x)
+    Their slopes are -sign(mu) s odd and s even.  parity 0 or 1 gives the
+    even or the odd one alone, None both."""
+    s = math.sqrt(abs(mu))
+    sx = s * x
+    funcs = (np.cosh, np.sinh) if mu < 0 else (np.cos, np.sin)
+    if parity is None:
+        return funcs[0](sx), funcs[1](sx)
+    return funcs[parity](sx)
 
 
 def _robin_rows(mu, kappa1, kappa2):
@@ -427,10 +434,15 @@ def _robin_rows(mu, kappa1, kappa2):
     phi = a even + b odd, in floats.  The basis is read at x = 1 alone:
     at x = -1 the odd solution and the even one's slope change sign."""
     s = math.sqrt(abs(mu))
-    even, odd = map(float, _basis(mu, 1.0))
-    d_even, d_odd = math.copysign(s, -mu) * odd, s * even
-    return [(d_even - kappa1 * even, d_odd - kappa1 * odd),
-            (kappa2 * even - d_even, d_odd - kappa2 * odd)]
+    if mu < 0:
+        even, odd = float(np.cosh(s)), float(np.sinh(s))
+        d_even = s * odd
+    else:
+        even, odd = float(np.cos(s)), float(np.sin(s))
+        d_even = -s * odd
+    d_odd = s * even
+    return ((d_even - kappa1 * even, d_odd - kappa1 * odd),
+            (kappa2 * even - d_even, d_odd - kappa2 * odd))
 
 
 def _pos_secular(s, k1, k2):
@@ -438,39 +450,59 @@ def _pos_secular(s, k1, k2):
     c, sn = np.cos(s), np.sin(s)
     if isinstance(s, float):
         c, sn = float(c), float(sn)
-    return ((k1 * c + s * sn) * (s * c - k2 * sn)
-            + (s * sn + k2 * c) * (s * c - k1 * sn))
+    sc, ssn = s * c, s * sn
+    return (k1 * c + ssn) * (sc - k2 * sn) + (ssn + k2 * c) * (sc - k1 * sn)
 
 
-def _pair(mu, k1, k2, grid):
+def _pair(mu, k1, k2, grid, parity):
     """The eigenpair at mu, sup-normalized on the grid, and its
     eigenfunction there before normalizing.  (a, b) is the null vector
     (q, -p) of the larger Robin row (p, q), signed so that a >= 0: with no
     division, an odd mode of a symmetric chord (a = 0, q = 0 in both rows)
     is found as well as an even one.  On a chord of equal end curvatures
     (oval._equal_curvatures) the rows are (p, q) and (-p, q), and every
-    mode is even (p = 0) or odd (q = 0), so the smaller coefficient, the
+    mode is even (p = 0) or odd (q = 0): parity, 0 or 1, where the caller
+    knows it from the factor of the secular function that mu's root
+    solves, else the larger coefficient's.  The other coefficient, the
     rounding of p or q (up to 3.4e-9 of the sup on a steep chord), is set
-    to 0."""
-    p, q = max(_robin_rows(mu, k1, k2), key=lambda r: abs(r[0]) + abs(r[1]))
+    to 0, and only the kept basis term is computed.  Where both rows round
+    to 0 (mu's root rounds to the curvature of a steep chord) the kept
+    coefficient is 1 before normalizing."""
+    r1, r2 = _robin_rows(mu, k1, k2)
+    p, q = r1 if abs(r1[0]) + abs(r1[1]) >= abs(r2[0]) + abs(r2[1]) else r2
     a, b = (q, -p) if q >= 0 else (-q, p)
-    if _equal_curvatures(k1, k2):
-        if abs(a) >= abs(b):
-            b = 0.0
-        else:
-            a = 0.0
-    even, odd = _basis(mu, grid)
-    phi = a * even + b * odd
+    if not _equal_curvatures(k1, k2):
+        even, odd = _basis(mu, grid, None)
+        phi = a * even + b * odd
+    elif (abs(a) < abs(b) if parity is None else parity):
+        a, b = 0.0, b or 1.0
+        phi = b * _basis(mu, grid, 1)
+    else:
+        a, b = a or 1.0, 0.0
+        phi = a * _basis(mu, grid, 0)
     scale = np.abs(phi).max()
     return EigenPair(mu, (float(a / scale), float(b / scale))), phi
 
 
-def _roots(f, samples):
-    """The roots of f, one per sign change over the sorted samples, in
-    order; each is found by Brent's method only when it is asked for."""
-    sign = np.sign(f(samples))
-    for i in np.flatnonzero(sign[:-1] * sign[1:] < 0):
-        yield safe_brentq(f, float(samples[i]), float(samples[i + 1]))
+def _roots(f, samples, chunk):
+    """The roots of f over the sorted samples, in order: each sample where
+    f is exactly 0, and one root in each interval between two samples
+    where f changes sign, found by Brent's method only when it is asked
+    for.  f is read on chunk intervals at a time, consecutive chunks
+    sharing their end sample, and a chunk only once every root before it
+    has been consumed, so a caller that stops early reads no further."""
+    for lo in range(0, len(samples) - 1, chunk):
+        part = samples[lo:lo + chunk + 1]
+        sign = np.sign(f(part))
+        at = sign == 0.0
+        at[:-1] |= sign[:-1] * sign[1:] < 0.0
+        for i in at.nonzero()[0]:
+            if sign[i] != 0.0:
+                yield safe_brentq(f, float(part[i]), float(part[i + 1]))
+            elif i or not lo:
+                # a later chunk's first sample ended the chunk before it,
+                # which yielded its zero
+                yield float(part[i])
 
 
 def robin_eigen(kappa1, kappa2):
@@ -484,31 +516,46 @@ def robin_eigen(kappa1, kappa2):
     is odd, at the simple root of s - k tanh s on (0, k]: the secular
     equation is that factor times the principal one's, and near a steep
     chord's principal root it is too flat to locate the second root.
+    Where k <= 1 that factor is positive for every s > 0 (in floats too:
+    tanh s falls short of s by far more than rounding from s = 1e-6 on),
+    so it is not scanned.  Each mode of an equal chord takes its parity
+    from its factor: the principal one even, the other odd.  The below
+    scan is read in full, as one array evaluation.
     Positive eigenvalues are s^2 at the first _POSITIVE_EIGEN roots of the
-    trigonometric secular equation.  Each eigenfunction is a even + b odd
-    in the basis of _basis, (a, b) a Robin row's null vector (_pair), so
-    it is finite on symmetric chords too, where each mode is even or odd.
-    ConfigError unless both curvatures are finite and positive.
+    trigonometric secular equation, whose scan is read _SCAN_CHUNK
+    samples at a time and stops at the chunk of the last root it reports.
+    Each eigenfunction is a even + b odd in the basis of _basis, (a, b) a
+    Robin row's null vector (_pair), so it is finite on symmetric chords
+    too, where each mode is even or odd.  ConfigError unless both
+    curvatures are finite and positive.
     """
     _check_positive(kappa1=kappa1, kappa2=kappa2)
     kmax = max(kappa1, kappa2)
-
-    if _equal_curvatures(kappa1, kappa2):
-        k = 0.5 * (kappa1 + kappa2)
-        below = _roots(lambda s: s - k * np.tanh(s),
-                       np.linspace(1e-6, kmax, 4001))
-    else:
-        below = _roots(_chord_residual(kappa1, kappa2),
-                       np.linspace(1e-6, kmax, 4001))
-    negatives = [_pair(-s * s, kappa1, kappa2, _EIGEN_GRID)
-                 for s in (solve_lambda0(kappa1, kappa2), *below)]
+    k = 0.5 * (kappa1 + kappa2)
+    equal = _equal_curvatures(kappa1, kappa2)
+    lam0 = solve_lambda0(kappa1, kappa2)
+    below = []
+    if not equal or k > 1.0:
+        f = ((lambda s: s - k * np.tanh(s)) if equal
+             else _chord_residual(kappa1, kappa2))
+        samples = np.linspace(1e-6, kmax, 4001)
+        # a zero at max(kappa1, kappa2) is an unequal chord's principal
+        # root, rounded (the steep form's last term underflows there from
+        # about 186 on), but may be an equal chord's odd one
+        below = [s for s in _roots(f, samples, len(samples))
+                 if equal or s < kmax]
+    even, odd = (0, 1) if equal else (None, None)
+    negatives = [_pair(-s * s, kappa1, kappa2, _EIGEN_GRID, parity)
+                 for s, parity in [(lam0, even), *((s, odd) for s in below)]]
     hi = (_POSITIVE_EIGEN + 2) * np.pi + kmax
     above = _roots(lambda s: _pos_secular(s, kappa1, kappa2),
-                   np.linspace(1e-6, hi, 200 * (_POSITIVE_EIGEN + 4)))
+                   np.linspace(1e-6, hi, 200 * (_POSITIVE_EIGEN + 4)),
+                   _SCAN_CHUNK)
+    positives = [_pair(s * s, kappa1, kappa2, _EIGEN_GRID, None)[0]
+                 for s in islice(above, _POSITIVE_EIGEN)]
     return EigenResult(
         negative_eigenvalues=[pair for pair, _ in negatives],
-        positive_eigenvalues=[_pair(s * s, kappa1, kappa2, _EIGEN_GRID)[0]
-                              for s in islice(above, _POSITIVE_EIGEN)],
+        positive_eigenvalues=positives,
         convexity_flags=[bool((phi > 0.0).all()) for _, phi in negatives],
         kappa1=float(kappa1), kappa2=float(kappa2))
 

@@ -93,12 +93,17 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.write_line(f"{footprint['peak_rss_mb']} "
                                 f"{footprint['flapack_mapped']}")
     # the limit and Robin solves on the benchmark's nine diameters: a change
-    # that keeps their iterates keeps both counts
-    from test_limit_solves import benchmark_chords, spectral_solve_counts
-    solves, evaluations = spectral_solve_counts(benchmark_chords())
+    # that keeps their iterates keeps both counts; and the samples that
+    # robin_eigen's root scans read there
+    from test_limit_solves import (benchmark_chords, scan_samples,
+                                   spectral_solve_counts)
+    chords = benchmark_chords()
+    solves, evaluations = spectral_solve_counts(chords)
     terminalreporter.section(
-        "compute_limits + robin_eigen: safe_brentq calls, evaluations")
-    terminalreporter.write_line(f"{solves:6d} {evaluations:6d}")
+        "compute_limits + robin_eigen: safe_brentq calls, evaluations; "
+        "robin_eigen scan samples")
+    terminalreporter.write_line(
+        f"{solves:6d} {evaluations:6d} {scan_samples(chords):6d}")
     if not _FIXTURE_STEPS:
         return
     terminalreporter.section("shared flow runs: steps, resamples, switch")

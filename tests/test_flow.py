@@ -16,6 +16,8 @@ from fbcsf.asymptotics import (MATCH_XS, WINDOW_CEIL, reflect_trajectory,
 import fbcsf.geometry as g
 import fbcsf.oval as ov
 from fbcsf.errors import ConfigError, NonExtinction, StepRejected
+from exact_solutions import (_DRIFT_NODES, StraightWall, grim_reaper_error,
+                             semicircle_wall_error, stationary_diameter_drift)
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +65,7 @@ def grim_runs():
     # that the time error cannot floor the slope (at dt_safety 0.4 for all
     # n it read 2.23, and 1.61 when the count tracked the length); measured
     # height errors 2.6e-5, 6.6e-6, 1.6e-6 (slope 2.01)
-    return [f.grim_reaper_error(n, 0.2, 0.4 * 100 / n)
+    return [grim_reaper_error(n, 0.2, 0.4 * 100 / n)
             for n in (100, 200, 400)]
 
 
@@ -91,7 +93,7 @@ def test_semicircle_on_wall_second_order():
     # 100 / n, or the time error would floor the finer runs (6.9e-7 and
     # 7.2e-7 at n = 200 and 400 with dt_safety 0.4); measured orders 3.22
     # and 3.65 (errors 4.43e-6, 4.75e-7, 3.79e-8)
-    errs = [f.semicircle_wall_error(n, 0.3, 0.4 * 100 / n)[0]
+    errs = [semicircle_wall_error(n, 0.3, 0.4 * 100 / n)[0]
             for n in (100, 200, 400)]
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert all(p >= 1.7 for p in orders), (errs, orders)
@@ -100,7 +102,7 @@ def test_semicircle_on_wall_second_order():
 
 def _semicircle_radius_defect(dt_safety):
     """Node radii less the exact radius, at the end of a n = 100 run."""
-    _, state = f.semicircle_wall_error(100, 0.3, dt_safety=dt_safety)
+    _, state = semicircle_wall_error(100, 0.3, dt_safety=dt_safety)
     center = 0.5 * (state.om_minus + state.om_plus)
     r = np.hypot(state.nodes[:, 0] - center, state.nodes[:, 1])
     return r - np.sqrt(1.0 - 2.0 * state.time)
@@ -118,7 +120,7 @@ def test_semicircle_on_wall_second_order_in_time():
 
 
 def test_stationary_diameter_does_not_drift(ndisk):
-    assert f.stationary_diameter_drift(ndisk) < 1e-10
+    assert stationary_diameter_drift(ndisk) < 1e-10
 
 
 def test_length_cap_holds_the_stationary_diameter(ndisk, monkeypatch):
@@ -135,7 +137,7 @@ def test_length_cap_holds_the_stationary_diameter(ndisk, monkeypatch):
         return new
 
     monkeypatch.setattr(f, "step", recording_step)
-    f.stationary_diameter_drift(ndisk)
+    stationary_diameter_drift(ndisk)
     assert len(taken) == 50
     # a step is read back as a difference of times, within a rounding
     assert all(dt <= cap * (1.0 + 1e-12) for dt, cap in taken), taken
@@ -330,7 +332,7 @@ def _semicircle_estimate(dt, n=100, t_end=0.02):
     pts[0, 1] = pts[-1, 1] = 0.0
     state = f.CurveState(nodes=pts, time=0.0, om_minus=-1.0, om_plus=1.0)
     while state.time < t_end - 0.5 * dt:
-        prev, state = state, f._attempt_step(state, f.StraightWall(), dt, 2)
+        prev, state = state, f._attempt_step(state, StraightWall(), dt, 2)
         assert state._prev[0][0].nodes is prev.nodes
     return state._prev[1]
 
@@ -359,7 +361,7 @@ def semicircle_collapse_steps():
     once the start step's and the first contact solve's effects have
     decayed; the regular polygon's spacing does not drift, so nothing is
     resampled."""
-    wall, dts, t0, t_end = f.StraightWall(), (4e-3, 2e-3, 1e-3), 0.024, 0.096
+    wall, dts, t0, t_end = StraightWall(), (4e-3, 2e-3, 1e-3), 0.024, 0.096
     ref_dt = dts[-1] / 8
     th = np.linspace(np.pi, 0.0, 100)
     pts = np.column_stack([np.cos(th), np.sin(th)])
@@ -769,7 +771,7 @@ def test_a_replaced_state_carries_no_cache():
     pts = np.column_stack([np.cos(th), np.sin(th)])
     pts[0, 1] = pts[-1, 1] = 0.0
     s = f.CurveState(nodes=pts, time=0.0, om_minus=-1.0, om_plus=1.0)
-    wall = f.StraightWall()
+    wall = StraightWall()
     s.length, s.seg_cached(), s.kappa_cached(wall)
     assert [x.name for x in dataclasses.fields(f.CurveState)] == [
         "nodes", "time", "om_minus", "om_plus"]
@@ -1056,12 +1058,12 @@ def test_stationary_diameter_takes_the_curvature_check(ndisk):
     # a flat curve has no positive turn, so every step reads its curvature,
     # and the convexity check accepts it: each curvature is 0 up to
     # rounding of either sign
-    xs = np.linspace(-1.0, 1.0, f._DRIFT_NODES)
+    xs = np.linspace(-1.0, 1.0, _DRIFT_NODES)
     state = f.CurveState(nodes=np.column_stack([xs, np.zeros_like(xs)]),
                          time=0.0, om_minus=3 * np.pi / 2, om_plus=np.pi / 2)
     wall = f.wall_for(ndisk)
-    cfg = f.SolverConfig(n_nodes=f._DRIFT_NODES, dt_safety=0.4)
-    h0 = state.length / (f._DRIFT_NODES - 1)
+    cfg = f.SolverConfig(n_nodes=_DRIFT_NODES, dt_safety=0.4)
+    h0 = state.length / (_DRIFT_NODES - 1)
     for _ in range(10):
         assert not f._turns_positive(state, state.nodes[1:] - state.nodes[:-1],
                                      wall)
@@ -1421,7 +1423,7 @@ def test_a_domain_builds_its_wall_once(monkeypatch):
     first = f.old_but_not_ancient(ndom, 0.3, cfg)
     again = f.old_but_not_ancient(ndom, 0.3, cfg)
     assert built == [ndom]
-    assert f.stationary_diameter_drift(ndom) < 1e-10
+    assert stationary_diameter_drift(ndom) < 1e-10
     assert built == [ndom]
     _, other = _disk_domain()
     assert f.wall_for(other) is not f.wall_for(ndom)

@@ -1,12 +1,15 @@
 """The limiting scales (oval.compute_limits) and the Robin spectrum
 (asymptotics.robin_eigen) against the versions they replaced, kept here as
 references: objectives on 0-d arrays and numpy scalars, sigma solved twice
-on a chord of unequal curvatures, and the Brent loop with brentq.c's every
-zero test.  Every limit, eigenpair and flag must match them bit for bit,
-every solve they keep must take the same iterates, and the steep chords on
-which the references raise NoRoot must solve."""
+on a chord of unequal curvatures, the Brent loop with brentq.c's every
+zero test, root scans read in full, and both basis terms of every mode.
+Every limit, eigenpair and flag must match them bit for bit, every solve
+they keep must take the same iterates, the scans must read only the
+samples the spectrum reports, and the steep chords on which the
+references raise NoRoot, miss a root or divide 0 by 0 must solve."""
 
 import math
+import warnings
 from collections import Counter
 from itertools import islice
 
@@ -112,9 +115,16 @@ def _reference_compute_limits(kappa1, kappa2):
                        sigma=_reference_solve_sigma(max(kappa1, kappa2)))
 
 
+def _reference_basis(mu, x):
+    s = np.sqrt(abs(mu))
+    if mu < 0:
+        return np.cosh(s * x), np.sinh(s * x)
+    return np.cos(s * x), np.sin(s * x)
+
+
 def _reference_robin_rows(mu, kappa1, kappa2):
     s = np.sqrt(abs(mu))
-    even, odd = asymptotics._basis(mu, 1.0)
+    even, odd = _reference_basis(mu, 1.0)
     d_even, d_odd = np.copysign(s, -mu) * odd, s * even
     return [(d_even - kappa1 * even, d_odd - kappa1 * odd),
             (kappa2 * even - d_even, d_odd - kappa2 * odd)]
@@ -135,7 +145,7 @@ def _reference_pair(mu, k1, k2, grid):
             b = 0.0
         else:
             a = 0.0
-    even, odd = asymptotics._basis(mu, grid)
+    even, odd = _reference_basis(mu, grid)
     phi = a * even + b * odd
     scale = np.max(np.abs(phi))
     return asymptotics.EigenPair(mu, (float(a / scale), float(b / scale))), phi
@@ -291,6 +301,26 @@ def test_eigen_grid_is_one_read_only_array():
     assert np.array_equal(grid, np.linspace(-1.0, 1.0, 1001))
 
 
+# equal chords on a grid of k in (0, 9]: robin_eigen skips the odd-factor
+# scan where k <= 1 and computes one basis term per mode
+EQUAL_KS = sorted({*np.linspace(0.05, 9.0, 180).tolist(), 1.0})
+
+
+def test_equal_chords_match_the_references():
+    for k in EQUAL_KS:
+        _assert_same_bits(k, k)
+
+
+def test_odd_factor_has_no_root_where_k_is_at_most_1():
+    # s - k tanh s > 0 on the whole scan that robin_eigen no longer reads
+    small = [k for k in EQUAL_KS if k <= 1.0]
+    assert len(small) == 20
+    for k in small:
+        s = np.linspace(1e-6, k, 4001)
+        assert (s - k * np.tanh(s) > 0.0).all()
+        assert len(asymptotics.robin_eigen(k, k).negative_eigenvalues) == 1
+
+
 # ---------------------------------------------------------------------------
 # solves and iterates
 
@@ -343,6 +373,33 @@ def spectral_solve_counts(chords):
     return len(log), sum(n for _, _, n in log)
 
 
+def _counting_scans(roots, read):
+    """roots, adding to read[0] the size of every array that its scanned
+    function is evaluated on; Brent's reads of a float are not counted
+    (they are the solves' evaluations)."""
+    def counted(f, samples, *chunk):
+        def g(s):
+            if isinstance(s, np.ndarray):
+                read[0] += s.size
+            return f(s)
+
+        return roots(g, samples, *chunk)
+
+    return counted
+
+
+def scan_samples(chords):
+    """Secular-function samples that robin_eigen's root scans read over
+    the chords."""
+    read = [0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(asymptotics, "_roots",
+                   _counting_scans(asymptotics._roots, read))
+        for k1, k2 in chords:
+            asymptotics.robin_eigen(k1, k2)
+    return read[0]
+
+
 def test_the_egg_limits_solve_sigma_once(negg):
     k1, k2 = negg.kappa1, negg.kappa2
     want = _reference_solves(_reference_compute_limits, k1, k2)
@@ -375,6 +432,43 @@ def test_benchmark_chords_keep_every_other_solve():
     assert total == {"solves": 61, "evaluations": 441}
 
 
+def test_benchmark_scans_read_only_what_the_spectrum_reports():
+    chords = benchmark_chords()
+    read = [0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(globals(), "_reference_roots",
+                   _counting_scans(_reference_roots, read))
+        for k1, k2 in chords:
+            _reference_robin_eigen(k1, k2)
+    # in full: 4,001 samples below max(k1, k2) and 1,400 above, per chord
+    assert read[0] == 9 * (4001 + 1400)
+    # the positive scan stops after two or three chunks of 201 samples,
+    # and the four equal chords with k <= 1 skip the scan below
+    assert scan_samples(chords) == 24829
+
+
+@pytest.mark.parametrize("chunk, first, total",
+                         [(2, 6, 15), (4, 5, 13), (10, 11, 11)])
+def test_roots_yield_exact_zeros_once_and_read_lazily(chunk, first, total):
+    # zeros at the samples 4 and 10, the last, and a sign change on (6, 7);
+    # with chunks of 4, the sample 4 ends one chunk and starts the next
+    samples = np.arange(11.0)
+
+    def f(s):
+        return (s - 4.0) * (s - 6.5) * (s - 10.0)
+
+    read = [0]
+    roots = _counting_scans(asymptotics._roots, read)(f, samples, chunk)
+    assert next(roots) == 4.0
+    assert read[0] == first
+    rest = list(roots)
+    assert read[0] == total
+    assert len(rest) == 2 and rest[1] == 10.0
+    assert rest[0] == pytest.approx(6.5, abs=1e-14)
+    # the reference saw a sign of 0 as no sign change
+    assert list(_reference_roots(f, samples)) == [rest[0]]
+
+
 # ---------------------------------------------------------------------------
 # steep chords
 
@@ -403,6 +497,55 @@ def test_steep_chords_solve_where_the_reference_raises(k1, k2):
             oval.compute_limits(k1, k2)
     else:
         assert oval.compute_limits(k1, k2).lambda0 == lam0
+
+
+@pytest.mark.parametrize("k", [19.0, 20.0, 30.0, 40.0])
+def test_steep_equal_chords_report_both_modes(k):
+    # lambda0 rounds to k, and so does the odd root of s - k tanh s, where
+    # that factor is exactly 0 at the scan's last sample; from k = 20 on
+    # both Robin rows round to (0, 0) at either root
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        eig = asymptotics.robin_eigen(k, k)
+    assert [p.mu for p in eig.negative_eigenvalues] == [-k * k, -k * k]
+    assert eig.convexity_flags == [True, False]
+    (a0, b0), (a1, b1) = (p.coeffs for p in eig.negative_eigenvalues)
+    assert a0 > 0.0 and b0 == 0.0 and a1 == 0.0 and b1 != 0.0
+    for p in eig.negative_eigenvalues + eig.positive_eigenvalues:
+        assert np.isfinite(p.coeffs).all()
+        sup = np.abs(p.phi(asymptotics._EIGEN_GRID)).max()
+        assert sup == pytest.approx(1.0, rel=1e-15)
+    # the reference misses the odd root, and from k = 20 on divides 0 by 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ref = _reference_robin_eigen(k, k)
+    assert len(ref.negative_eigenvalues) == 1
+    assert np.isfinite(ref.negative_eigenvalues[0].coeffs).all() == (k < 20)
+
+
+def test_steep_equal_chords_take_each_modes_parity_from_its_factor():
+    # from about k = 18.6 the Robin rows at either root are rounding alone,
+    # and the larger coefficient no longer tells an even mode from an odd
+    # one (the reference read both as even on some chords, and lost the
+    # odd root on others); the factor each root solves does
+    for k in np.linspace(9.0, 60.0, 103).tolist():
+        eig = asymptotics.robin_eigen(k, k)
+        (a0, b0), (a1, b1) = (p.coeffs for p in eig.negative_eigenvalues)
+        assert a0 > 0.0 and b0 == 0.0 and a1 == 0.0 and b1 != 0.0
+        assert eig.convexity_flags == [True, False]
+
+
+@pytest.mark.parametrize("k1, k2", [(200.0, 100.0), (300.0, 299.0),
+                                    (200.0, 1.0)])
+def test_a_rounded_principal_root_is_not_a_second_mode(k1, k2):
+    # above max(k1, k2) = 186 or so the steep form's last term underflows,
+    # so N(max(k1, k2)) is exactly 0 at the scan's last sample: that zero
+    # is lambda0, rounded, and the other mode lies below min(k1, k2), or
+    # rounds to it
+    eig = asymptotics.robin_eigen(k1, k2)
+    mus = [p.mu for p in eig.negative_eigenvalues]
+    assert len(mus) == 2 and mus[0] == -max(k1, k2) ** 2
+    assert -mus[1] <= min(k1, k2) ** 2
 
 
 def test_the_steep_form_is_the_direct_one_off_its_cancellation():

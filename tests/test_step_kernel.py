@@ -21,6 +21,7 @@ import fbcsf.geometry as g
 import fbcsf.oval as ov
 from fbcsf.errors import FlowError
 from fbcsf.solve import safe_brentq
+from exact_solutions import GrimReaperWalls, StraightWall
 
 
 # ---------------------------------------------------------------------------
@@ -566,25 +567,79 @@ def test_upper_table_end_is_clamped_to_the_last_segment(negg, egg_wall):
 
 @pytest.mark.parametrize("p", [-1.3, 0.0, 0.7])
 def test_straight_wall_jet_matches_central_difference(p):
-    _check_jet(f.StraightWall(), p)
+    _check_jet(StraightWall(), p)
 
 
 # both branches of y = -log|sin x|, away from the pole at x = 0
 @pytest.mark.parametrize("p", [-1.2, -0.7, 0.7, 1.2])
 def test_grim_reaper_walls_jet_matches_central_difference(p):
-    _check_jet(f.GrimReaperWalls(), p)
+    _check_jet(GrimReaperWalls(), p)
 
 
 # the pole, where sin p = 0, and abscissas that are not finite
 @pytest.mark.parametrize("p", [0.0, -0.0, np.inf, -np.inf, np.nan])
 def test_grim_reaper_walls_pole_raises_flow_error(p):
-    wall = f.GrimReaperWalls()
+    wall = GrimReaperWalls()
     with pytest.raises(FlowError):
         wall.jet_xy(p)
     with pytest.raises(FlowError):
         wall.point_xy(p)
     with pytest.raises(FlowError):
         wall.normal_xy(p)
+
+
+# the wall protocol: all that step reads of a wall
+WALL_PROTOCOL = {"point_xy", "jet_xy", "normal_xy"}
+
+
+class _ReadingWall:
+    """A wall that records the name of every attribute read from it."""
+
+    def __init__(self, wall):
+        self._wall, self.read = wall, set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self._wall, name)
+
+
+def test_step_reads_only_the_wall_protocol(negg, egg_wall):
+    th = np.linspace(np.pi, 0.0, 40)
+    semicircle = np.column_stack([np.cos(th), np.sin(th)])
+    semicircle[0, 1] = semicircle[-1, 1] = 0.0
+    xs = np.arctan(np.sinh(np.linspace(-np.arcsinh(1.0), np.arcsinh(1.0),
+                                       40)))
+    runs = [(f.CurveState(nodes=semicircle, time=0.0, om_minus=-1.0,
+                          om_plus=1.0), StraightWall()),
+            (f.CurveState(nodes=np.column_stack([xs, -np.log(np.cos(xs))]),
+                          time=0.0, om_minus=-np.pi / 4, om_plus=np.pi / 4),
+             GrimReaperWalls()),
+            (f.initial_state_from_oval(ov.construct_orthogonal_oval(negg, 0.2),
+                                       40), egg_wall)]
+    read = []
+    for state, wall in runs:
+        reading = _ReadingWall(wall)
+        cfg = f.SolverConfig(n_nodes=40, dt_safety=0.8)
+        h0 = state.length / 39
+        for _ in range(6):
+            state = f.step(state, cfg, reading, h0)
+        read.append(reading.read)
+    # every step solves its contacts (jet_xy) and places them (point_xy);
+    # the normal alone is read where a ghost edge is formed, as on the
+    # semicircle, whose curvature every step reads
+    assert all({"point_xy", "jet_xy"} <= names <= WALL_PROTOCOL
+               for names in read)
+    assert read[0] == WALL_PROTOCOL
+    # each method's floats: the point, the jet (point, its derivative, the
+    # normal, its derivative) and the normal, which the jet repeats
+    for wall, p in ((StraightWall(), 0.7), (GrimReaperWalls(), 0.7),
+                    (egg_wall, 2.2)):
+        point, jet, normal = wall.point_xy(p), wall.jet_xy(p), \
+            wall.normal_xy(p)
+        assert (len(point), len(jet), len(normal)) == (2, 8, 2)
+        assert all(type(v) is float for v in (*point, *jet, *normal))
+        assert tuple(jet[:2]) == tuple(point)
+        assert tuple(jet[4:6]) == tuple(normal)
 
 
 def _reference_residual(wall, inner1, inner2):
@@ -629,7 +684,7 @@ def test_slave_contact_on_straight_wall(monkeypatch):
     # a quarter circle leaving the x-axis at (1, 0) meets it orthogonally
     th = np.linspace(0.0, 0.2, 3)[1:]
     inner1, inner2 = np.column_stack([np.cos(th), np.sin(th)])
-    wall = f.StraightWall()
+    wall = StraightWall()
     root = safe_brentq(_reference_residual(wall, inner1, inner2), 0.8, 1.2)
     monkeypatch.setattr(f, "safe_brentq", _no_fallback)
     got = f._slave_contact(wall, root + 1e-3, inner1, inner2,
@@ -650,7 +705,7 @@ def test_slave_contact_on_grim_reaper_walls(monkeypatch):
     # orthogonally at x = pi/4
     x = np.pi / 4 - np.array([0.02, 0.04])
     inner1, inner2 = np.column_stack([x, -np.log(np.cos(x))])
-    wall = f.GrimReaperWalls()
+    wall = GrimReaperWalls()
     root = safe_brentq(_reference_residual(wall, inner1, inner2), 0.6, 1.0)
     monkeypatch.setattr(f, "safe_brentq", _no_fallback)
     got = f._slave_contact(wall, root + 1e-3, inner1, inner2,
