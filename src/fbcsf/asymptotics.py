@@ -455,19 +455,18 @@ def _pos_secular(s, k1, k2):
 
 
 def _pair(mu, k1, k2, grid, parity):
-    """The eigenpair at mu, sup-normalized on the grid, and its
-    eigenfunction there before normalizing.  (a, b) is the null vector
-    (q, -p) of the larger Robin row (p, q), signed so that a >= 0: with no
-    division, an odd mode of a symmetric chord (a = 0, q = 0 in both rows)
-    is found as well as an even one.  On a chord of equal end curvatures
-    (oval._equal_curvatures) the rows are (p, q) and (-p, q), and every
-    mode is even (p = 0) or odd (q = 0): parity, 0 or 1, where the caller
-    knows it from the factor of the secular function that mu's root
-    solves, else the larger coefficient's.  The other coefficient, the
-    rounding of p or q (up to 3.4e-9 of the sup on a steep chord), is set
-    to 0, and only the kept basis term is computed.  Where both rows round
-    to 0 (mu's root rounds to the curvature of a steep chord) the kept
-    coefficient is 1 before normalizing."""
+    """The eigenpair at mu, sup-normalized on the grid.  (a, b) is the null
+    vector (q, -p) of the larger Robin row (p, q), signed so that a >= 0:
+    with no division, an odd mode of a symmetric chord (a = 0, q = 0 in
+    both rows) is found as well as an even one.  On a chord of equal end
+    curvatures (oval._equal_curvatures) the rows are (p, q) and (-p, q),
+    and every mode is even (p = 0) or odd (q = 0): parity, 0 or 1, where
+    the caller knows it from the factor of the secular function that mu's
+    root solves, else the larger coefficient's.  The other coefficient,
+    the rounding of p or q (up to 3.4e-9 of the sup on a steep chord), is
+    set to 0, and only the kept basis term is computed.  Where both rows
+    round to 0 (mu's root rounds to the curvature of a steep chord) the
+    kept coefficient is 1 before normalizing."""
     r1, r2 = _robin_rows(mu, k1, k2)
     p, q = r1 if abs(r1[0]) + abs(r1[1]) >= abs(r2[0]) + abs(r2[1]) else r2
     a, b = (q, -p) if q >= 0 else (-q, p)
@@ -481,7 +480,23 @@ def _pair(mu, k1, k2, grid, parity):
         a, b = a or 1.0, 0.0
         phi = a * _basis(mu, grid, 0)
     scale = np.abs(phi).max()
-    return EigenPair(mu, (float(a / scale), float(b / scale))), phi
+    return EigenPair(mu, (float(a / scale), float(b / scale)))
+
+
+def _positive_mode(pair):
+    """Whether a negative mode's a cosh(sx) + b sinh(sx), mu = -s^2, is
+    positive on [-1, 1]: it is (P e^(sx) + Q e^(-sx)) / 2, P = a + b and
+    Q = a - b, which changes sign at most once, so where it is at x = 1
+    and x = -1.  The signs of the two terms there, and their logarithms
+    where the signs differ, decide without the cancellation (a ~ b on a
+    steep chord) or the overflow of the values themselves."""
+    s = math.sqrt(-pair.mu)
+    a, b = pair.coeffs
+    for p, q in ((a + b, a - b), (a - b, a + b)):
+        if max(p, q) <= 0.0 or min(p, q) < 0.0 and (
+                math.log(abs(p)) + 2.0 * s > math.log(abs(q))) != (p > 0.0):
+            return False
+    return True
 
 
 def _roots(f, samples, chunk):
@@ -526,7 +541,9 @@ def robin_eigen(kappa1, kappa2):
     samples at a time and stops at the chunk of the last root it reports.
     Each eigenfunction is a even + b odd in the basis of _basis, (a, b) a
     Robin row's null vector (_pair), so it is finite on symmetric chords
-    too, where each mode is even or odd.  ConfigError unless both
+    too, where each mode is even or odd.  Each negative mode's convexity
+    flag says whether its eigenfunction is positive on [-1, 1], read from
+    its mu and coefficients (_positive_mode).  ConfigError unless both
     curvatures are finite and positive.
     """
     _check_positive(kappa1=kappa1, kappa2=kappa2)
@@ -551,12 +568,12 @@ def robin_eigen(kappa1, kappa2):
     above = _roots(lambda s: _pos_secular(s, kappa1, kappa2),
                    np.linspace(1e-6, hi, 200 * (_POSITIVE_EIGEN + 4)),
                    _SCAN_CHUNK)
-    positives = [_pair(s * s, kappa1, kappa2, _EIGEN_GRID, None)[0]
+    positives = [_pair(s * s, kappa1, kappa2, _EIGEN_GRID, None)
                  for s in islice(above, _POSITIVE_EIGEN)]
     return EigenResult(
-        negative_eigenvalues=[pair for pair, _ in negatives],
+        negative_eigenvalues=negatives,
         positive_eigenvalues=positives,
-        convexity_flags=[bool((phi > 0.0).all()) for _, phi in negatives],
+        convexity_flags=[_positive_mode(pair) for pair in negatives],
         kappa1=float(kappa1), kappa2=float(kappa2))
 
 

@@ -77,18 +77,15 @@ scipy.interpolate costs about 0.3 s, about twice a short run.
 
 The one LAPACK routine the module calls, dgtsv, is taken from scipy's
 compiled extension scipy/linalg/_flapack, loaded by itself on the first
-_tridiag_solve (see _load_dgtsv): importing scipy.linalg around it costs
-about 0.3 s, the extension alone about 5 ms and 2.5 MB, which a process
-that only builds ovals never pays.  It is the same compiled function as
-scipy.linalg.lapack.dgtsv, so every result is scipy's bit for bit.
+_tridiag_solve (solve._load_extension): importing scipy.linalg around it
+costs about 0.3 s, the extension alone about 5 ms and 2.5 MB, which a
+process that only builds ovals never pays.  It is the same compiled
+function as scipy.linalg.lapack.dgtsv, so every result is scipy's bit for
+bit.
 """
 
-import importlib.machinery
-import importlib.util
 import math
 import numbers
-import os
-import sys
 import weakref
 from array import array
 from dataclasses import dataclass
@@ -99,44 +96,13 @@ import numpy as np
 
 from . import oval as oval_mod
 from .errors import ConfigError, FlowError, NonExtinction, StepRejected
+from .solve import _load_extension
 # uncalled: the binding that bench/tracing.py wraps as solve.safe_brentq.flow
 from .solve import safe_brentq  # noqa: F401
 
 
 _FLAPACK = "scipy.linalg._flapack"
-
-
-def _load_dgtsv():
-    """dgtsv from scipy/linalg/_flapack, found without importing scipy and
-    loaded by itself; ImportError, naming the file, if it is missing.
-
-    The load registers the extension in sys.modules, where it would stop a
-    later `import scipy.linalg` from setting the package's _flapack
-    attribute, so that entry is removed: CPython caches a single-phase
-    extension, and the import then gets the same dgtsv.  If scipy.linalg
-    loaded the extension first, dgtsv is taken from it.
-    """
-    if _FLAPACK in sys.modules:
-        return sys.modules[_FLAPACK].dgtsv
-    scipy = importlib.util.find_spec("scipy")
-    root = scipy.submodule_search_locations[0] if scipy else "scipy"
-    stem = os.path.join(root, "linalg", "_flapack")
-    suffixes = importlib.machinery.EXTENSION_SUFFIXES
-    path = next((stem + sfx for sfx in suffixes
-                 if os.path.isfile(stem + sfx)), None)
-    if path is None:
-        raise ImportError(f"LAPACK extension {stem}{suffixes[0]} not found",
-                          name=_FLAPACK)
-    loader = importlib.machinery.ExtensionFileLoader(_FLAPACK, path)
-    spec = importlib.util.spec_from_file_location(_FLAPACK, path,
-                                                  loader=loader)
-    try:
-        return importlib.util.module_from_spec(spec).dgtsv
-    finally:
-        sys.modules.pop(_FLAPACK, None)
-
-
-# _load_dgtsv's function, set by the first _tridiag_solve
+# its dgtsv, set by the first _tridiag_solve
 dgtsv = None
 
 
@@ -495,14 +461,14 @@ def _tridiag_solve(dl, d, du, b):
 
     gtsv is what solve_banded((1, 1), ...) calls, so results are bitwise
     the same: dgtsv is scipy.linalg.lapack.dgtsv, loaded by the first call
-    from its extension alone (_load_dgtsv) and kept, so that importing the
-    module loads neither scipy.linalg (about 0.3 s) nor the extension.
+    from its extension alone (solve._load_extension) and kept, so that
+    importing the module loads neither scipy.linalg nor the extension.
     FlowError on a singular matrix, which step answers by halving the time
     step; the caller checks that its input is finite.
     """
     global dgtsv
     if dgtsv is None:
-        dgtsv = _load_dgtsv()
+        dgtsv = _load_extension(_FLAPACK).dgtsv
     _, _, _, x, info = dgtsv(dl, d, du, b, True, True, True, True)
     if info > 0:
         raise FlowError("singular tridiagonal matrix")

@@ -68,10 +68,10 @@ class OvalParams:
     xi: float
     t: float
 
-    @functools.cached_property
-    def height_factor(self):
-        """e^{lam^2 t}, in (0,1) for t < 0; computed once per params."""
-        return float(np.exp(self.lam ** 2 * self.t))
+    def __post_init__(self):
+        # e^{lam^2 t}, in (0,1) for t < 0: a float set once (a
+        # cached_property takes a lock on each new params' first read)
+        self.height_factor = float(np.exp(self.lam ** 2 * self.t))
 
     @property
     def support_halfwidth(self):
@@ -80,13 +80,13 @@ class OvalParams:
 
     def lower_height(self, x):
         """Height of the lower branch at x, the tips' height pi/(2 lam)
-        beyond them."""
+        beyond them; a Python float at a float x."""
         E = self.height_factor
         if isinstance(x, float):
             # the contact solves' scalar reads: the same ufuncs on a float,
-            # without the 0-d array (min keeps a NaN u, as np.minimum does)
-            u = E * np.cosh(self.lam * (x - self.xi))
-            return np.arcsin(min(u, 1.0)) / self.lam
+            # each result a float (min keeps a NaN u, as np.minimum does)
+            u = E * float(np.cosh(self.lam * (x - self.xi)))
+            return float(np.arcsin(min(u, 1.0))) / self.lam
         u = E * np.cosh(self.lam * (np.asarray(x, dtype=float) - self.xi))
         return np.arcsin(np.minimum(u, 1.0)) / self.lam
 
@@ -237,13 +237,14 @@ def single_point_orthogonal(phi0, dphi0, x0, lam):
     ang = lam * phi0
     if not (0.0 < ang < np.pi / 2):
         raise LambdaOutOfRange("scale at or above pi/(2 phi(x0))")
-    S, C = np.sin(ang), np.cos(ang)
+    # numpy's ufuncs, each result a float (math.sqrt is exact, as np.sqrt)
+    S, C = float(np.sin(ang)), float(np.cos(ang))
     E2 = S * S - (C / dphi0) ** 2
     if E2 <= 0.0:
         raise LambdaOutOfRange("scale at or below the arctan endpoint")
-    t = float(np.log(E2) / (2.0 * lam ** 2))
-    xi = float(x0 - np.arccosh(max(S / np.sqrt(E2), 1.0)) / lam)
-    return OvalParams(lam=float(lam), xi=xi, t=t)
+    t = float(np.log(E2)) / (2.0 * lam ** 2)
+    xi = x0 - float(np.arccosh(max(S / math.sqrt(E2), 1.0))) / lam
+    return OvalParams(lam=float(lam), xi=float(xi), t=float(t))
 
 
 # -- the nested two-contact construction --------------------------------------
@@ -421,12 +422,12 @@ def construct_orthogonal_oval(ndom, rho):
         """Finite form of xi(lam) = -1, with the sign of xi + 1.  Where
         cosh^2 would overflow it is divided out: cosh(a) = e^a / 2 to
         rounding there."""
-        S, C = np.sin(lam * phi0), np.cos(lam * phi0)
+        S, C = float(np.sin(lam * phi0)), float(np.cos(lam * phi0))
         E2 = S * S - (C / dphi0) ** 2
         a = lam * (x0 + 1.0)
         if a < _COSH_SQUARED_MAX_ARG:
-            return E2 * np.cosh(a) ** 2 - S * S
-        return E2 - (2.0 * S * np.exp(-a)) ** 2
+            return E2 * float(np.cosh(a)) ** 2 - S * S
+        return E2 - (2.0 * S * float(np.exp(-a))) ** 2
 
     lam_star = safe_brentq(shift_residual, lam_min, lam_hat)
 

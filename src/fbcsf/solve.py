@@ -1,31 +1,70 @@
-"""The bracketed root finder shared across the package.
+"""The bracketed root finder shared across the package, and the loader of
+the compiled scipy extensions that the package calls.
 
 safe_brentq is Brent's method (Brent, Algorithms for Minimization without
 Derivatives, 1973) with the bracketing discipline the rest of the code
 relies on: callers always get either a root with a sign change
-certificate or a typed exception.
+certificate or a typed exception.  Its iteration is scipy's compiled
+brentq.c loop, _brentq of scipy/optimize/_zeros, loaded by itself on the
+first solve, so every root is scipy's bit for bit and importing the
+package loads no scipy module (importing scipy.optimize costs about 0.3 s).
 """
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 
 import numpy as np
 
 from .errors import BracketFailure
 
-# Brent's stopping tolerances and iteration cap.  The tolerances are Python
-# floats, so a tolerance step keeps the iterate one: in numpy scalar
-# arithmetic an extrapolation step that overflows warns, where a Python
-# float is inf or NaN and the step bisects
+# Brent's stopping tolerances and iteration cap
 _RTOL, _XTOL, _MAXITER = 4 * float(np.finfo(float).eps), 1e-15, 200
+
+_ZEROS = "scipy.optimize._zeros"
+# _ZEROS's _brentq, set by the first safe_brentq
+_brentq = None
+
+
+def _load_extension(name):
+    """The compiled scipy module `name`, found without importing scipy and
+    loaded by itself; ImportError, naming the file, if it is missing.
+
+    The load registers the extension in sys.modules, where it would stop a
+    later import of its package from setting the package's attribute, so
+    that entry is removed: CPython caches a single-phase extension, and the
+    import then gets the same functions.  If scipy loaded the extension
+    first, it is taken from sys.modules.
+    """
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")
+    root = scipy.submodule_search_locations[0] if scipy else "scipy"
+    stem = os.path.join(root, *name.split(".")[1:])
+    suffixes = importlib.machinery.EXTENSION_SUFFIXES
+    path = next((stem + sfx for sfx in suffixes
+                 if os.path.isfile(stem + sfx)), None)
+    if path is None:
+        raise ImportError(f"extension {stem}{suffixes[0]} not found",
+                          name=name)
+    loader = importlib.machinery.ExtensionFileLoader(name, path)
+    spec = importlib.util.spec_from_file_location(name, path, loader=loader)
+    try:
+        return importlib.util.module_from_spec(spec)
+    finally:
+        sys.modules.pop(name, None)
 
 
 def safe_brentq(f, a, b):
     """Brent's method with an explicit sign-change check.
 
     A NaN at an end or an iterate, no sign change and an exhausted
-    iteration cap raise BracketFailure, for callers' own error taxonomy.
-    The iteration is scipy's brentq.c step for step, so the root is
-    scipy's bit for bit, but it starts from the end values above.
+    iteration cap raise BracketFailure, for callers' own error taxonomy;
+    any other exception of f comes out unchanged.  Each end is evaluated
+    once, here, and handed to the compiled loop (_brentq) for its first
+    two reads.
     """
     fa, fb = f(a), f(b)
     if math.isnan(fa) or math.isnan(fb):
@@ -41,47 +80,22 @@ def safe_brentq(f, a, b):
         raise BracketFailure(
             f"no sign change on [{a:.6g}, {b:.6g}]: f(a)={fa:.3e}, f(b)={fb:.3e}"
         )
-    xpre, xcur, fpre, fcur = float(a), float(b), float(fa), float(fb)
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_MAXITER):
-        # brentq.c's zero tests in one: only a new iterate's value can be 0
-        if fcur == 0.0:
-            return xcur
-        if (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (_XTOL + _RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if (abis := abs(sbis)) < delta:
-            return xcur
-        # an infinite trial step bisects, as C's step after a division by 0
-        stry = math.inf
-        if (aspre := abs(spre)) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                den = dblk * dpre * (fblk - fpre)
-                if den != 0.0:
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / den
-        if 2 * abs(stry) < min(aspre, 3 * abis - delta):
-            spre, scur = scur, stry
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = float(f(xcur))
-        if fcur != fcur:
-            raise BracketFailure(
-                f"NaN at x = {xcur!r} inside [{a:.6g}, {b:.6g}]")
-    raise BracketFailure(f"no convergence in {_MAXITER} iterations on "
-                         f"[{a:.6g}, {b:.6g}]")
+    global _brentq
+    if _brentq is None:
+        _brentq = _load_extension(_ZEROS)._brentq
+    ends = [float(fb), float(fa)]  # brentq.c reads a, then b
+
+    def g(x):
+        if ends:
+            return ends.pop()
+        fx = float(f(x))
+        if fx != fx:
+            raise BracketFailure(f"NaN at x = {x!r} inside [{a:.6g}, {b:.6g}]")
+        return fx
+
+    x, _, _, flag = _brentq(g, float(a), float(b), _XTOL, _RTOL, _MAXITER,
+                            (), True, False)
+    if flag:
+        raise BracketFailure(f"no convergence in {_MAXITER} iterations on "
+                             f"[{a:.6g}, {b:.6g}]")
+    return x

@@ -89,14 +89,17 @@ def pytest_terminal_summary(terminalreporter):
     # module and builds one oval (None: no /proc/self to read it from)
     from test_import_footprint import oval_only_footprint
     footprint = oval_only_footprint()
-    terminalreporter.section("oval-only process: peak RSS MB, LAPACK mapped")
+    terminalreporter.section(
+        "oval-only process: peak RSS MB, LAPACK mapped, Brent mapped")
     terminalreporter.write_line(f"{footprint['peak_rss_mb']} "
-                                f"{footprint['flapack_mapped']}")
-    # the limit and Robin solves on the benchmark's nine diameters: a change
-    # that keeps their iterates keeps both counts; and the samples that
-    # robin_eigen's root scans read there
+                                f"{footprint['flapack_mapped']} "
+                                f"{footprint['zeros_mapped']}")
+    # the limit and Robin solves on the benchmark's nine diameters, and the
+    # oval builds' solves of the default oval_family sweep: a change that
+    # keeps their iterates keeps the counts; and the samples that
+    # robin_eigen's root scans read on the diameters
     from test_limit_solves import (benchmark_chords, scan_samples,
-                                   spectral_solve_counts)
+                                   spectral_solve_counts, sweep_solve_counts)
     chords = benchmark_chords()
     solves, evaluations = spectral_solve_counts(chords)
     terminalreporter.section(
@@ -104,6 +107,10 @@ def pytest_terminal_summary(terminalreporter):
         "robin_eigen scan samples")
     terminalreporter.write_line(
         f"{solves:6d} {evaluations:6d} {scan_samples(chords):6d}")
+    solves, evaluations, _ = sweep_solve_counts()
+    terminalreporter.section(
+        "oval_family default sweep: safe_brentq calls, evaluations")
+    terminalreporter.write_line(f"{solves:6d} {evaluations:6d}")
     if not _FIXTURE_STEPS:
         return
     terminalreporter.section("shared flow runs: steps, resamples, switch")

@@ -295,6 +295,14 @@ def test_oval_family_builds_match_the_reference_solver():
     assert got == want
 
 
+def test_oval_family_sweep_keeps_every_solve():
+    # each solve of the default sweep's builds has the reference solver's
+    # bracket and as many objective evaluations
+    solves, evaluations, log = sweep_solve_counts()
+    assert log == sweep_solve_counts(_reference_safe_brentq)[2]
+    assert (solves, evaluations) == (552, 3516)
+
+
 def test_eigen_grid_is_one_read_only_array():
     grid = asymptotics._EIGEN_GRID
     assert not grid.flags.writeable
@@ -371,6 +379,21 @@ def spectral_solve_counts(chords):
         log += _solves(oval.compute_limits, k1, k2)
         log += _solves(asymptotics.robin_eigen, k1, k2)
     return len(log), sum(n for _, _, n in log)
+
+
+def sweep_solve_counts(solver=None):
+    """safe_brentq calls and objective evaluations of the oval builds of
+    the default oval_family sweep, and the log of (a, b, evaluations) of
+    each; with solver, that solver in place of oval's safe_brentq."""
+    log = []
+    with bench_modules() as workloads:
+        fam = workloads.OvalFamily()
+        attempts = fam.attempts(fam.setup(), workloads.DEFAULT_SEED)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oval, "safe_brentq",
+                       _counting(solver or oval.safe_brentq, log))
+            fam.sweep(attempts)
+    return len(log), sum(n for _, _, n in log), log
 
 
 def _counting_scans(roots, read):
@@ -533,6 +556,30 @@ def test_steep_equal_chords_take_each_modes_parity_from_its_factor():
         (a0, b0), (a1, b1) = (p.coeffs for p in eig.negative_eigenvalues)
         assert a0 > 0.0 and b0 == 0.0 and a1 == 0.0 and b1 != 0.0
         assert eig.convexity_flags == [True, False]
+
+
+@pytest.mark.parametrize("k1, k2", [(20.0, 1.0), (40.0, 1.0), (100.0, 1.0),
+                                    (200.0, 1.0), (1.0, 20.0)])
+def test_steep_chords_principal_mode_is_positive(k1, k2):
+    # a = b to the last bit, so a cosh(sx) + b sinh(sx) rounds to 0 on
+    # some grid points near x = -1 (x = 1 for (1, 20)), where the principal
+    # mode is a e^(-s|x|), positive; the grid read it as not positive
+    eig = asymptotics.robin_eigen(k1, k2)
+    assert eig.convexity_flags == [True, False]
+    principal = eig.negative_eigenvalues[0]
+    assert abs(principal.coeffs[0]) == abs(principal.coeffs[1])
+    assert (principal.phi(asymptotics._EIGEN_GRID) == 0.0).any()
+
+
+@pytest.mark.parametrize("coeffs, positive", [
+    ((1.0, 0.0), True), ((0.0, 1.0), False), ((1.0, 1.0), True),
+    ((1.0, -1.0), True), ((1.0, 1.0 + 1e-7), False),
+    ((1.0 + 1e-7, 1.0), True), ((-1.0, 0.0), False)])
+def test_positive_mode_reads_steep_modes_without_overflow(coeffs, positive):
+    # s = 1000: e^s overflows, e^-s underflows, and the grid values of the
+    # near-equal coefficients cancel
+    pair = asymptotics.EigenPair(-1e6, coeffs)
+    assert asymptotics._positive_mode(pair) is positive
 
 
 @pytest.mark.parametrize("k1, k2", [(200.0, 100.0), (300.0, 299.0),

@@ -118,14 +118,16 @@ def test_lower_height_beyond_the_tips_is_the_tip_height():
 
 @pytest.mark.parametrize("lam, xi, t", [(2.0, 0.3, -1.0), (1.3, -0.2, -0.8)])
 def test_lower_height_of_a_float_is_the_array_read(lam, xi, t):
-    # a float x skips the 0-d array: the same bits, inside the tips and
-    # beyond them, and a NaN stays NaN as through np.minimum
+    # a float x skips the 0-d array and returns a Python float: the same
+    # bits, inside the tips and beyond them, and a NaN stays NaN as through
+    # np.minimum
     par = ov.OvalParams(lam=lam, xi=xi, t=t)
     w = par.support_halfwidth
     for x in np.linspace(xi - 1.5 * w, xi + 1.5 * w, 301):
         want = par.lower_height(np.array(x))
         for got in (par.lower_height(float(x)), par.lower_height(x)):
-            assert float(got).hex() == float(want).hex()
+            assert type(got) is float
+            assert got.hex() == float(want).hex()
     assert np.isnan(par.lower_height(float("nan")))
 
 

@@ -96,6 +96,21 @@ def test_brentq_nan_inside_is_bracket_failure():
         safe_brentq(f, 0.0, 1.0)
 
 
+def test_brentq_passes_an_objectives_other_exception_through():
+    # raised at an iterate, inside the compiled loop: the same object
+    # comes out, not a BracketFailure or a SystemError
+    err = ZeroDivisionError("at an iterate")
+
+    def f(x):
+        if 1.0 < x < 2.0:
+            raise err
+        return math.cos(x)
+
+    with pytest.raises(ZeroDivisionError) as info:
+        safe_brentq(f, 1.0, 2.0)
+    assert info.value is err
+
+
 def test_brentq_iteration_cap_is_bracket_failure(monkeypatch):
     monkeypatch.setattr(solve, "_MAXITER", 2)
     with pytest.raises(BracketFailure):
