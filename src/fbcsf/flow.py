@@ -40,12 +40,12 @@ after a resample) and derives from them what the state's geometry needs:
 the error estimate's tangents, the edge lengths, cached on the state,
 and the sign of each node's turn; its length is summed once.  A curve
 whose every turn is positive is convex, as nearly every stepped curve is,
-and the step leaves its curvature to _finalize, which computes it in the
-monitors' block pass; only another curve has its curvature read in the
-step, by the convexity check.  The next step's time step and Laplacian
-and a resample reuse the edge lengths; the monitors and the late-time
-analysis read the cached curvature.  A normalized domain's wall is built
-once and kept with its domain (wall_for).
+and the step leaves it to _finalize's block pass, whose state keeps a
+view of its row; only another curve has its curvature read in the step,
+by the convexity check.  The next step's time step and Laplacian and a
+resample reuse the edge lengths; the monitors and the late-time analysis
+read the cached curvature.  A normalized domain's wall is built once and
+kept with its domain (wall_for).
 
 A run's only record is its stored states: every state a step returns,
 up to the first shorter than _EXTINCTION_LENGTH (see run_to_extinction),
@@ -104,6 +104,9 @@ from .solve import safe_brentq  # noqa: F401
 _FLAPACK = "scipy.linalg._flapack"
 # its dgtsv, set by the first _tridiag_solve
 dgtsv = None
+
+# ndarray.sum, max and min's ufunc reductions, without numpy's Python wrappers
+_sum, _max, _min = np.add.reduce, np.maximum.reduce, np.minimum.reduce
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +385,8 @@ class CurveState:
         return _kappa_rows([self], wall, *self.nodes.T[:, None])[0]
 
     def heights_at(self, xs):
+        """Heights at xs, NaN off the curve, by np.interp: x must increase
+        along the nodes, as up to offset time -_ANALYSIS_END it does."""
         return np.interp(xs, self.nodes[:, 0], self.nodes[:, 1],
                          left=np.nan, right=np.nan)
 
@@ -390,18 +395,18 @@ def _ghost_edges(state, wall):
     """The edges that close a curve at its contacts, four floats kept on
     the state: from the ghost node before the first node and to the one
     after the last, each the node next to its contact mirrored across the
-    wall tangent (-ny, nx) there."""
+    wall tangent (-ny, nx) there, written out for each contact."""
     if state._ghosts is None:
         (x0, y0), (x1, y1) = state.nodes[:2].tolist()
         (xm, ym), (xn, yn) = state.nodes[-2:].tolist()
-        ghosts = []
-        for om, px, py, ix, iy in ((state.om_minus, x0, y0, x1, y1),
-                                   (state.om_plus, xn, yn, xm, ym)):
-            nx, ny = wall.normal_xy(om)
-            vx, vy = ix - px, iy - py
-            d = 2.0 * (vy * nx - vx * ny)
-            ghosts += (px - d * ny - vx, py + d * nx - vy)
-        g0x, g0y, gnx, gny = ghosts
+        nx, ny = wall.normal_xy(state.om_minus)
+        vx, vy = x1 - x0, y1 - y0
+        d = 2.0 * (vy * nx - vx * ny)
+        g0x, g0y = x0 - d * ny - vx, y0 + d * nx - vy
+        nx, ny = wall.normal_xy(state.om_plus)
+        vx, vy = xm - xn, ym - yn
+        d = 2.0 * (vy * nx - vx * ny)
+        gnx, gny = xn - d * ny - vx, yn + d * nx - vy
         state._ghosts = x0 - g0x, y0 - g0y, gnx - xn, gny - yn
     return state._ghosts
 
@@ -437,7 +442,7 @@ def _turns_positive(state, e, wall):
     positive, from the floats _kappa_rows forms (a - b > 0 exactly where
     a > b): then no curvature is negative.  False on a NaN."""
     ax, ay, bx, by = _ghost_edges(state, wall)
-    (e0x, e0y), (enx, eny) = e[0].tolist(), e[-1].tolist()
+    (e0x, e0y), (enx, eny) = e[::len(e) - 1].tolist()
     if not (ax * e0y > ay * e0x and enx * by > eny * bx):
         return False
     return np.count_nonzero(e[:-1, 0] * e[1:, 1] > e[:-1, 1] * e[1:, 0]) \
@@ -502,7 +507,7 @@ def _implicit_interior(rhs, h, dt, ends):
     dl[-1] = du[0] = 0.0
     rhs = np.array(rhs, order="F")
     rhs[0], rhs[-1] = ends
-    if not math.isfinite(d.sum() + rhs.sum()):
+    if not math.isfinite(_sum(d, None) + _sum(rhs, None)):
         raise FlowError("non-finite implicit system")
     return _tridiag_solve(dl, d, du, rhs)
 
@@ -705,12 +710,12 @@ def step(state, cfg, wall, h0):
     that _attempt_step takes: 2 in the uniform phase, where h0 is the
     spacing that the mesh step reads, and 3 in the collapse phase, h0
     None, which also has a looser tolerance, the controller exponents of
-    its order and a longer length cap.  A step without an error estimate, one of a
-    run's first three, takes the mesh step dt_safety * _STEP_SCALE *
-    h_bar^2 / h0, h_bar the mean edge; h0 None on such a state raises
-    ConfigError, as does an h0 that is not None and not a finite positive
-    real (a bool included).  A state with levels steps at most
-    _MAX_STEP_RATIO times the step from its newest level to the state.
+    its order and a longer length cap.  A step without an error estimate,
+    one of a run's first three, takes the mesh step dt_safety *
+    _STEP_SCALE * h_bar^2 / h0, h_bar the mean edge; h0 None on such a
+    state raises ConfigError, as does an h0 that is not None and not a
+    finite positive real (a bool included; a float skips the ABC check).
+    A state with levels steps at most _MAX_STEP_RATIO times its last step.
 
     Where the step that made the state carries an error estimate err, the
     new step is chosen against the tolerance tol by the PI controller
@@ -730,9 +735,9 @@ def step(state, cfg, wall, h0):
     on.  The first collapse step reads the estimates of two BDF2 steps
     with BDF3's exponents.
     """
-    if h0 is not None and (isinstance(h0, bool)
-                           or not (isinstance(h0, numbers.Real)
-                                   and 0.0 < h0 < math.inf)):
+    if (h0 is not None and not (type(h0) is float and 0.0 < h0 < math.inf)
+            and (isinstance(h0, bool) or not (isinstance(h0, numbers.Real)
+                                              and 0.0 < h0 < math.inf))):
         raise ConfigError(
             f"the target spacing h0 must be None or a finite positive real "
             f"(not a bool), got {h0!r}")
@@ -812,7 +817,7 @@ def _normal_defect(nodes, pred, e):
     cross -= d[:, 1] * tx
     np.abs(cross, out=cross)
     cross /= np.hypot(tx, ty, out=tx)
-    return float(cross.max())
+    return float(_max(cross, None))
 
 
 def _attempt_step(state, wall, dt, order):
@@ -904,7 +909,7 @@ def _attempt_step(state, wall, dt, order):
     levels = (level,) + levels[:2]
     # resample only once the mesh has actually drifted; spacing decays
     # by O(dt) per step so most steps skip the spline rebuild
-    if float(seg.max()) > 1.25 * float(seg.min()):
+    if float(_max(seg, None)) > 1.25 * float(_min(seg, None)):
         new, *lv = _resample([new] + [p.nodes for p in levels], len(new),
                              seg, *[p._seg for p in levels])
         e = new[1:] - new[:-1]
@@ -912,7 +917,7 @@ def _attempt_step(state, wall, dt, order):
         levels = tuple(CurveState(q, p.time, p.om_minus, p.om_plus)
                        for p, q in zip(levels, lv))
     out = CurveState(new, state.time + dt, om_minus, om_plus)
-    out._seg, out._length = seg, float(seg.sum())
+    out._seg, out._length = seg, float(_sum(seg, None))
     out._prev = (levels, err, err_prev)
     if (not _turns_positive(out, e, wall)
             and _convexity_defect(out, wall) < -1e-8):
@@ -962,7 +967,8 @@ class Trajectory:
     def height_reader(self, xs):
         """A function from offset times of any shape to heights at xs: an
         array of shape t_offsets.shape + (len(xs),), one row per time,
-        linear in time between the two bracketing states.
+        linear in time between the two bracketing states' heights_at, so
+        their x must increase (up to offset -_ANALYSIS_END it does).
 
         Offset times outside the stored range, -inf and inf too, clamp to
         the first or last state; a NaN time raises ConfigError, and so
@@ -1076,12 +1082,12 @@ def _state_rows(states, wall):
     first) and its curvature rows, one row per state, so that each row's
     reduction is that state's alone, bit for bit.
 
-    The curvature that no step cached is one _kappa_rows call per block, a
-    copy kept on each state of the list (a view such as the mirror's
-    builds a new state with no caches on each read), for which wall is
-    read; wall may be None where every state has its curvature.  A state
-    whose node count is not the first state's raises ConfigError: the
-    rows need one count.
+    The curvature that no step cached is one _kappa_rows call per block,
+    each state of the list keeping its row as a view, not a copy, of that
+    call's array (a view such as the mirror's builds a new state with no
+    caches on each read), for which wall is read; wall may be None where
+    every state has its curvature.  A state whose node count is not the
+    first state's raises ConfigError: the rows need one count.
     """
     n = len(states[0].nodes) if len(states) else 0
     for i in range(0, len(states), _BLOCK_STATES):
@@ -1099,7 +1105,7 @@ def _state_rows(states, wall):
             kap = _kappa_rows([block[r] for r in missing], wall,
                               *xy[:, sub])
             for r, row in zip(missing, kap):
-                block[r]._kap = row.copy()
+                block[r]._kap = row
         if len(missing) < m:
             kap = np.concatenate([s._kap for s in block]).reshape(m, n)
         yield block, xy, kap

@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -70,11 +71,24 @@ def nlobed(lobed):
 
 
 # ---------------------------------------------------------------------------
-# the step count, resample events and switch offset (the offset time of the
-# first collapse-phase step's state) of each shared flow run built in this
-# session, by name, printed in the terminal summary: all are deterministic,
-# so a change that keeps the step sequence shows it
+# the step count, resample events, switch offset (the offset time of the
+# first collapse-phase step's state) and bit digest of each shared flow run
+# built in this session, by name, printed in the terminal summary: all are
+# deterministic, so a change that keeps the step sequence shows it, and one
+# that keeps every stored bit keeps the digest
 _FIXTURE_STEPS = {}
+
+
+def run_digest(traj):
+    """The first 12 hex digits of the sha256 of a run's stored states: each
+    state's nodes, time and curvature, in order, as C-order float64 bytes.
+    They depend on numpy's SIMD dispatch target, as the run's bits do."""
+    h = hashlib.sha256()
+    for s in traj.states:
+        h.update(s.nodes.tobytes())
+        h.update(np.float64(s.time).tobytes())
+        h.update(s._kap.tobytes())
+    return h.hexdigest()[:12]
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -113,10 +127,11 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.write_line(f"{solves:6d} {evaluations:6d}")
     if not _FIXTURE_STEPS:
         return
-    terminalreporter.section("shared flow runs: steps, resamples, switch")
-    for name, (steps, resamples, switch) in _FIXTURE_STEPS.items():
+    terminalreporter.section(
+        "shared flow runs: steps, resamples, switch, digest")
+    for name, (steps, resamples, switch, digest) in _FIXTURE_STEPS.items():
         terminalreporter.write_line(
-            f"{steps:6d} {resamples:4d} {switch:9.5f}  {name}")
+            f"{steps:6d} {resamples:4d} {switch:9.5f} {digest}  {name}")
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +179,8 @@ def runs(ndisk, negg, nellipse_minor):
                     doms[dom_key], rho, cfg)
             _FIXTURE_STEPS[name] = (
                 len(stepped[name]), sum(resampled[name]),
-                float(cache[name].monitors["t"][held[name].index(True)]))
+                float(cache[name].monitors["t"][held[name].index(True)]),
+                run_digest(cache[name]))
         return cache[name]
 
     def get_stepped(name):

@@ -3,7 +3,9 @@ along production runs, reading runs in time, and failure modes."""
 
 import dataclasses
 import gc
+import re
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -558,16 +560,41 @@ def test_step_with_a_nan_node_is_rejected(ndisk, disk_wall):
         f.step(bad, cfg, disk_wall, state.length / 99)
 
 
-@pytest.mark.parametrize("h0", [0.0, np.nan, -0.03, np.inf, True],
-                         ids=["zero", "nan", "negative", "inf", "bool"])
+@pytest.mark.parametrize("h0", [
+    0.0, np.nan, -0.03, np.inf, True, False, -0.01, np.float64("nan"),
+    -np.inf, "0.01", 1j], ids=[
+    "zero", "nan", "negative", "inf", "bool", "false", "negative_0.01",
+    "float64_nan", "minus_inf", "str", "complex"])
 def test_step_rejects_a_bad_target_spacing(ndisk, disk_wall, h0):
     # 0 used to end in a ZeroDivisionError, NaN in StepRejected after 21
     # attempts; -0.03 stepped back in time, inf took a step of dt = 0 and
-    # True, a numbers.Real, stepped with spacing 1.0
+    # True, a numbers.Real, stepped with spacing 1.0.  A Python float is
+    # checked by its type and range alone, any other value by the bool and
+    # numbers.Real checks too, with the same message
     state = _oval_state(ndisk, 0.3, 100)
     cfg = f.SolverConfig(n_nodes=100, dt_safety=0.8)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=re.escape(
+            f"the target spacing h0 must be None or a finite positive real "
+            f"(not a bool), got {h0!r}")):
         f.step(state, cfg, disk_wall, h0)
+
+
+@pytest.mark.parametrize("h0", [0.01, 1, np.float64(0.01), np.float32(0.01),
+                                Fraction(1, 100)],
+                         ids=["float", "int", "float64", "float32",
+                              "fraction"])
+def test_step_takes_a_target_spacing_of_any_real_type(ndisk, disk_wall, h0):
+    # only a Python float skips the numbers.Real check; a real of another
+    # type whose value is the float 0.01 steps to the Python float's bits
+    # (np.float32(0.01) is another value)
+    state = _oval_state(ndisk, 0.3, 100)
+    cfg = f.SolverConfig(n_nodes=100, dt_safety=0.8)
+    new = f.step(state, cfg, disk_wall, h0)
+    assert new.time > state.time and np.isfinite(new.nodes).all()
+    if float(h0) == 0.01:
+        want = f.step(state, cfg, disk_wall, 0.01)
+        assert new.time == want.time
+        assert new.nodes.tobytes() == want.nodes.tobytes()
 
 
 def test_run_with_nothing_to_step_is_rejected(ndisk, disk_wall):
@@ -1330,6 +1357,24 @@ def test_a_reader_reads_each_state_once(monkeypatch):
     # a call whose times bracket one new state reads that state alone
     assert np.array_equal(reader([[-1.75], [-0.25]]).reshape(2, -1), want)
     assert reads == [3]
+
+
+@pytest.mark.parametrize("name", [
+    "disk_r03_n100", "disk_r03_n200", "disk_r015_n100", "disk_r01_n200",
+    "egg_r01_n100", "minor_r01_n100"])
+def test_states_the_analyses_read_have_increasing_x(runs, name):
+    # heights_at's np.interp needs x to increase along the nodes.  Late
+    # states can break that at a contact, where the last edge turns back in
+    # x: 53 of the egg run's 686 stored states (all at offset t >= -0.0129;
+    # in state 633, x[98] = -0.070594 > x[99] = -0.070617).  Every window
+    # of the analyses ends at or before -_ANALYSIS_END, and every state up
+    # to there has strictly increasing x
+    traj = runs(name)
+    read = [s for s in traj.states if s.time <= -f._ANALYSIS_END]
+    assert len(read) > 100
+    for s in read:
+        x = s.nodes[:, 0]
+        assert (x[1:] > x[:-1]).all(), s.time
 
 
 def test_reflected_domain_gives_the_mirror_solution(ellipse):

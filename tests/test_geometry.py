@@ -545,6 +545,37 @@ def test_diameter_at_a_grid_point_is_found():
         assert abs(dom.double_normal_residual(d.omega_plus)) < 1e-12
 
 
+def test_roots_closer_than_the_merge_gap_are_one_saddle(monkeypatch):
+    # rho = 1 + b2 sin 2w + b6 sin 6w: the residual's cos kw coefficient is
+    # 2k b_k / (1 - k^2), so with b6 = -(35/9) b2 it is zero at w = 0,
+    # pi/4, pi/2 and 3 pi/4; a further -(35/12) eta in b6 lifts it by eta
+    # at 0 and lowers it by eta at pi/2, splitting each of those two roots
+    # into a pair 6e-7 apart.  find_diameters merges roots closer than
+    # 1e-6 (mod pi): the pair at pi/2 among the sorted roots, the pair at
+    # 0, found as 3e-7 and pi - 3e-7, across the wrap-around.  The width
+    # is monotone through each merged root, a saddle
+    b2, eta = 0.15, 2.9e-13
+    dom = g.ConvexDomain([1.0], [0.0, 0.0, b2, 0.0, 0.0, 0.0,
+                                 -(35 / 9) * b2 - (35 / 12) * eta])
+    grid_roots, found = g._grid_roots, []
+
+    def recording(*args):
+        roots = grid_roots(*args)
+        found.extend(r % np.pi for r in roots)
+        return roots
+
+    monkeypatch.setattr(g, "_grid_roots", recording)
+    ds = sorted(g.find_diameters(dom), key=lambda d: d.omega_plus)
+    assert sorted(found) == pytest.approx(
+        [0.0, np.pi / 4, np.pi / 2, np.pi / 2, 3 * np.pi / 4, np.pi],
+        abs=1e-6)
+    assert [d.omega_plus for d in ds] == pytest.approx(
+        [0.0, np.pi / 4, np.pi / 2, 3 * np.pi / 4], abs=1e-6)
+    assert [d.kind for d in ds] == ["saddle", "min", "saddle", "max"]
+    for d in ds:
+        assert abs(dom.double_normal_residual(d.omega_plus)) < 1e-12
+
+
 @settings(max_examples=15, deadline=None)
 @given(small_domains(), st.floats(0.1, 6.0))
 def test_diameter_lengths_scale_invariant(dom, s):

@@ -395,6 +395,22 @@ def test_rho_too_large(ndisk):
         ov.construct_orthogonal_oval(ndisk, np.inf)
 
 
+def test_steep_chord_fails_the_sign_check_of_the_xi_equation():
+    # the ellipse(3.5, 1) major axis (kappa 12.25) at rho = 0.1, a steep
+    # chord: tanh^2(lam_min (x0 + 1)) - 1 rounds to 0, so the claimed
+    # negative sign at the lower end of the scale bracket fails.  Every
+    # ellipse(a, 1) major axis with a >= 3.2 fails so at rho <= 0.1;
+    # ROADMAP direction 7(b), the oval's closed forms in log-cosh form,
+    # will change this outcome
+    dom = g.ConvexDomain.ellipse(3.5, 1.0)
+    ndom = g.normalize(dom, g.find_diameters(dom)[0])
+    assert ndom.kappa1 == pytest.approx(12.25)
+    with pytest.raises(BracketFailure) as info:
+        ov.construct_orthogonal_oval(ndom, 0.1)
+    assert type(info.value) is BracketFailure
+    assert str(info.value) == "endpoint signs of the xi = -1 equation failed"
+
+
 def test_nan_rho_is_a_config_error(ndisk):
     with pytest.raises(ConfigError):
         ov.construct_orthogonal_oval(ndisk, np.nan)

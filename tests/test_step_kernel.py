@@ -4,9 +4,12 @@ local-minimum counter against its original implementation, the
 analytic-slope contact Newton against finite differences and a bracketed
 root, the BDF weights against polynomial exactness and BDF2's closed
 form, and the slimmed flow kernels against the forms they replaced, with
-no write into an input a kernel does not own."""
+no write into an input a kernel does not own and no call of numpy's
+reduction wrappers or of an ABC instance check in a step."""
 
 import copy
+import os
+import sys
 import tracemalloc
 from itertools import accumulate
 
@@ -1060,3 +1063,150 @@ def test_kappa_leaves_the_nodes_and_edge_lengths_alone(egg_wall):
     before = _bytes(state.nodes, state.seg_cached())
     state.kappa(egg_wall)
     assert _bytes(state.nodes, state.seg_cached()) == before
+
+
+# ---------------------------------------------------------------------------
+# the step off numpy's Python wrappers, the ghost edges written out, and the
+# block reader's curvature rows kept as views
+
+_SHARED_RUNS = ["disk_r03_n100", "disk_r03_n200", "disk_r015_n100",
+                "disk_r01_n200", "egg_r01_n100", "minor_r01_n100"]
+
+# _block_monitors' tracemalloc peak over the stored states of the shared
+# disk run (rho 0.1, n 200; 704 states), each with its edge lengths and
+# ghost edges but no curvature, as _finalize meets them: measured
+# 1,910,072 B when each state kept a copy of its block's row (the bound)
+# and 1,861,320 B with views of the block's array
+BLOCK_MONITORS_PEAK = 1_910_072
+
+
+def _ghost_edges_reference(state, wall):
+    """_ghost_edges as it was: one loop over the two contacts, the ghost
+    nodes gathered in a list."""
+    (x0, y0), (x1, y1) = state.nodes[:2].tolist()
+    (xm, ym), (xn, yn) = state.nodes[-2:].tolist()
+    ghosts = []
+    for om, px, py, ix, iy in ((state.om_minus, x0, y0, x1, y1),
+                               (state.om_plus, xn, yn, xm, ym)):
+        nx, ny = wall.normal_xy(om)
+        vx, vy = ix - px, iy - py
+        d = 2.0 * (vy * nx - vx * ny)
+        ghosts += (px - d * ny - vx, py + d * nx - vy)
+    g0x, g0y, gnx, gny = ghosts
+    return x0 - g0x, y0 - g0y, gnx - xn, gny - yn
+
+
+def _uncached(state):
+    return f.CurveState(state.nodes, state.time, state.om_minus,
+                        state.om_plus)
+
+
+@pytest.mark.parametrize("name", _SHARED_RUNS)
+def test_ghost_edges_are_the_loop_form_on_stored_states(runs, name):
+    # the cached ghost edges of every stored state, and those of a state
+    # with no caches, are the loop's floats
+    traj = runs(name)
+    wall = f.wall_for(runs.spec(name)[0])
+    for s in traj.states:
+        want = _ghost_edges_reference(s, wall)
+        assert f._ghost_edges(s, wall) == want
+        assert f._ghost_edges(_uncached(s), wall) == want
+
+
+@pytest.mark.parametrize("name", ["disk_r03_n100", "egg_r01_n100"])
+def test_state_rows_keep_views_of_their_blocks_curvature(runs, name):
+    # each state of a block keeps its row of the block's one curvature
+    # array, which no other block's rows share, with the reference's bytes
+    traj = runs(name)
+    wall = f.wall_for(runs.spec(name)[0])
+    arrays = []
+    for block, _, kap in f._state_rows([_uncached(s) for s in traj.states],
+                                       wall):
+        for s in block:
+            assert s._kap.base is kap and np.shares_memory(s._kap, kap)
+            want = _kappa_reference(s, wall, s.nodes[1:] - s.nodes[:-1])
+            assert s._kap.tobytes() == want.tobytes()
+        arrays.append(kap)
+    assert len(arrays) == -(-len(traj.states) // f._BLOCK_STATES)
+    for i, a in enumerate(arrays):
+        assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+
+
+def test_block_monitors_peak_memory(runs):
+    traj = runs("disk_r01_n200")
+    wall = f.wall_for(runs.spec("disk_r01_n200")[0])
+
+    def finalize_states():
+        out = []
+        for s in traj.states:
+            fresh = _uncached(s)
+            fresh._seg, fresh._ghosts = s._seg, s._ghosts
+            out.append(fresh)
+        return out
+
+    f._block_monitors(finalize_states(), wall)
+    states = finalize_states()
+    tracemalloc.start()
+    try:
+        f._block_monitors(states, wall)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= BLOCK_MONITORS_PEAK, peak
+
+
+_METHODS = os.path.join("numpy", "_core", "_methods.py")
+
+
+def _profiled_step(state, cfg, wall, h0):
+    """step's new state, and the names of the Python frames of numpy's
+    reduction wrappers and of the C calls _abc_instancecheck that ran in
+    it."""
+    seen = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.endswith(_METHODS):
+            seen.add(frame.f_code.co_name)
+        elif (event == "c_call"
+              and getattr(arg, "__name__", None) == "_abc_instancecheck"):
+            seen.add(arg.__name__)
+
+    sys.setprofile(profile)
+    try:
+        new = f.step(state, cfg, wall, h0)
+    finally:
+        sys.setprofile(None)
+    return new, seen
+
+
+def test_steps_call_no_reduction_wrapper_and_no_abc_check(runs):
+    # a uniform-phase and a collapse-phase step of the shared disk run, each
+    # without a resample and with every turn positive (so no curvature is
+    # read), replayed from its initial state: the reductions are numpy's
+    # ufunc reductions and a float h0 takes no ABC instance check
+    # (ndarray.sum, max and min ran numpy/_core/_methods.py's _sum, _amax
+    # and _amin, and numbers.Real ran _abc_instancecheck)
+    name = "disk_r03_n100"
+    traj = runs(name)
+    ndom, rho, n = runs.spec(name)
+    wall = f.wall_for(ndom)
+    switch = runs.held(name).index(True)
+    state = f.initial_state_from_oval(
+        ov.construct_orthogonal_oval(ndom, rho), n)
+    h0 = state.length / (n - 1)
+    checked = {}
+    for k in range(len(traj.states) - 1):
+        phase = "uniform" if k < switch else "collapse"
+        if k >= 4 and phase not in checked:
+            new, seen = _profiled_step(state, traj.config, wall,
+                                       h0 if phase == "uniform" else None)
+            if new._kap is None and new._prev[0][0].nodes is state.nodes:
+                checked[phase] = seen
+        else:
+            new = f.step(state, traj.config, wall,
+                         h0 if phase == "uniform" else None)
+        assert new.nodes.tobytes() == traj.states[k + 1].nodes.tobytes()
+        state = new
+        if len(checked) == 2:
+            break
+    assert checked == {"uniform": set(), "collapse": set()}
