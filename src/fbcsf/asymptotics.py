@@ -20,10 +20,10 @@ They read a run as arrays: the monitors, and the stored states of the
 fit window as x, y and curvature rows, one per state, in the blocks of
 flow._state_rows, so that each per-node quantity is one elementwise pass
 and each per-state extreme one reduction along the rows.  The stored
-states are read in time only through Trajectory.height_reader
-(heights_at_time is one call of a new reader), many times in one call: a
-reader reads each stored state once at most however often it is called,
-so the shift search of uniqueness_evidence reads each state once.
+states are read in time only through Trajectory.height_reader, many times
+in one call: a reader reads each stored state once at most however often
+it is called, so the shift search of uniqueness_evidence reads each state
+once.
 
 Every fit reads one window, and _window alone decides it: the offset
 times from max(t0, WINDOW_FLOOR) to WINDOW_CEIL, t0 the run's first
@@ -52,14 +52,15 @@ import math
 
 import numpy as np
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import islice
 
 from .errors import (AnalysisError, ConfigError, NonPositiveAmplitude,
                      UnknownRecord, WindowTooShort)
 from .flow import (_ANALYSIS_END, _state_rows, CurveState,
                    old_but_not_ancient, wall_for)
-from .oval import _chord_residual, _equal_curvatures, solve_lambda0
+from .oval import (_check_positive, _chord_residual, _equal_curvatures,
+                   solve_lambda0)
 from .solve import safe_brentq
 
 
@@ -108,13 +109,6 @@ def _time_weights(t):
     return np.sqrt(share / (2.0 * (t[-1] - t[0])))
 
 
-def _check_positive(**values):
-    """ConfigError unless every value is finite and positive."""
-    for name, value in values.items():
-        if not 0.0 < value < np.inf:
-            raise ConfigError(f"{name} must be finite and positive: {value}")
-
-
 # ---------------------------------------------------------------------------
 # exponential estimates
 
@@ -127,7 +121,7 @@ class EstimateRecord:
     passed: bool
     window: tuple
     n_samples: int
-    extras: dict = field(default_factory=dict)
+    extras: dict
 
 
 @dataclass
@@ -232,8 +226,8 @@ def verify_estimates(traj, r, lambda0):
     at every node above y = 1e-12, and each pinch weight then takes every
     state's extreme by reduceat.  The values are those of a per-state
     loop, bit for bit.  A window state with no node above y = 1e-12 raises
-    AnalysisError; r or lambda0 not finite and positive, or states of two
-    node counts, raise ConfigError.
+    AnalysisError; r or lambda0 not a finite positive real (_check_positive),
+    or states of two node counts, raise ConfigError.
     """
     _check_positive(r=r, lambda0=lambda0)
     t = np.asarray(traj.monitors["t"])
@@ -242,7 +236,7 @@ def verify_estimates(traj, r, lambda0):
 
     def decay(name, q):
         rate, ok, n = _fit_decay(t, np.asarray(q), r, win)
-        return EstimateRecord(name, rate, r, ok, window, n)
+        return EstimateRecord(name, rate, r, ok, window, n, {})
 
     # state-based quantities; the wall is read only to compute a stored
     # state's curvature, which run_to_extinction has already cached
@@ -264,7 +258,7 @@ def verify_estimates(traj, r, lambda0):
     slope = np.polyfit(st_t, sup_ratio, 1, w=_time_weights(st_t))[0]
     sup_ok = bool(np.all(np.isfinite(sup_ratio)) and slope <= 0.05)
     support = EstimateRecord("support_ratio", float(slope), 0.0, sup_ok,
-                             window, len(states))
+                             window, len(states), {})
 
     # height-ratio pinch.  kappa/y exp(+-n y) brackets lambda0^2 up to a
     # decaying defect; the weight n is a nuisance constant chosen from a
@@ -338,7 +332,7 @@ def fit_profile(traj, lambda0, kappa1, kappa2):
     correction of order e^{lambda0^2 t}, so the per-time amplitudes are
     extrapolated linearly in that variable, each time weighted by its
     trapezoid share of the window (_time_weights).  ConfigError unless
-    lambda0 is finite and positive.
+    lambda0 is a finite positive real (_check_positive).
     """
     _check_positive(lambda0=lambda0)
     window, win = _window(traj, _MIN_SAMPLES)
@@ -372,20 +366,20 @@ def rescaled_increments(traj, lambda0):
     """Successive sup-differences of the rescaled height profile.
 
     The profile e^{-lambda0^2 t} y(x_k, t) is read at _INCREMENT_TIMES
-    times spread evenly over the fit window, through
-    Trajectory.heights_at_time, so the samples do not follow the step
+    times spread evenly over the fit window, through one
+    Trajectory.height_reader, so the samples do not follow the step
     sequence.  Returns (mid_times, diffs) with diffs[i] the sup over
     abscissas of the change between consecutive sample times; a
     trajectory settling into the limit shows diffs shrinking toward the
     past.  WindowTooShort when the window holds fewer than
-    _INCREMENT_TIMES stored states; ConfigError unless lambda0 is finite
-    and positive.
+    _INCREMENT_TIMES stored states; ConfigError unless lambda0 is a finite
+    positive real (_check_positive).
     """
     _check_positive(lambda0=lambda0)
     (lo, hi), _ = _window(traj, _INCREMENT_TIMES)
     ts = np.linspace(lo, hi, _INCREMENT_TIMES)
     xs = np.asarray(traj.config.abscissas, dtype=float)
-    Z = traj.heights_at_time(ts, xs)
+    Z = traj.height_reader(xs)(ts)
     Z *= np.exp(-lambda0 * lambda0 * ts)[:, None]
     diffs = np.max(np.abs(Z[1:] - Z[:-1]), axis=1)
     return 0.5 * (ts[1:] + ts[:-1]), diffs
@@ -544,7 +538,7 @@ def robin_eigen(kappa1, kappa2):
     too, where each mode is even or odd.  Each negative mode's convexity
     flag says whether its eigenfunction is positive on [-1, 1], read from
     its mu and coefficients (_positive_mode).  ConfigError unless both
-    curvatures are finite and positive.
+    curvatures are finite positive reals (_check_positive).
     """
     _check_positive(kappa1=kappa1, kappa2=kappa2)
     kmax = max(kappa1, kappa2)
@@ -600,7 +594,7 @@ MATCH_XS.flags.writeable = False
 def matched_distance(ya, yb):
     """Sup of |ya - yb| over the entries finite in both, for two arrays of
     height rows of one shape, one row per sample time along the last axis,
-    as Trajectory.heights_at_time returns them.  A sample time whose rows
+    as a Trajectory.height_reader returns them.  A sample time whose rows
     share no finite abscissa makes the distance inf.  ConfigError when the
     shapes differ or the arrays hold no sample time.
     """
@@ -654,7 +648,7 @@ def uniqueness_evidence(trajA, trajB, lambda0):
     if lo >= hi:
         raise WindowTooShort(f"no shared late window: [{lo:.3g}, {hi:.3g}]")
     sample_times = np.linspace(lo, hi, _UNIQUENESS_TIMES)
-    ya = trajA.heights_at_time(sample_times, MATCH_XS)
+    ya = trajA.height_reader(MATCH_XS)(sample_times)
     read_b = trajB.height_reader(MATCH_XS)
 
     def dist(tau):
@@ -720,9 +714,9 @@ def _mirror(state):
 
 class _MirroredStates(Sequence):
     """A read-only sequence over a run's stored states, each mirrored
-    across the diameter only when it is read: every index, slice element
-    or iteration step builds a new CurveState (_mirror), so that making
-    the view copies no node array."""
+    across the diameter only when it is read: every index or slice element
+    (Sequence iterates by index) builds a new CurveState (_mirror), so
+    that making the view copies no node array."""
 
     def __init__(self, states):
         self._states = states
@@ -735,9 +729,6 @@ class _MirroredStates(Sequence):
             return _MirroredStates(self._states[k])
         return _mirror(self._states[k])
 
-    def __iter__(self):
-        return map(_mirror, self._states)
-
 
 def reflect_trajectory(traj):
     """The same run mapped to the other side of the diameter.
@@ -749,7 +740,7 @@ def reflect_trajectory(traj):
     monitors and shares everything else with traj, which it leaves
     unchanged.
 
-    A mirror supports height reads only: heights_at_time and the height
+    A mirror supports height reads only: height_reader and the height
     monitors.  A mirrored state keeps the run's contact parameters, which
     name points of the upper boundary arc, so its curvature against the
     wall is wrong; verify_estimates on a mirror raises AnalysisError, as

@@ -87,19 +87,6 @@ def omega_of_time(t):
 # placement inside a normalized domain
 
 
-@dataclass(frozen=True)
-class BarrierConfig:
-    """Radius and centers of the two tangent circles holding the barrier."""
-
-    r: float
-    centers: tuple  # ((-(1-r), 0), (+(1-r), 0))
-
-    @classmethod
-    def from_domain(cls, ndom):
-        r = admissible_radius(ndom)
-        return cls(r=r, centers=((-(1.0 - r), 0.0), (1.0 - r, 0.0)))
-
-
 def _fit_violation(dom, r):
     """Worst support-function violation of the two tangent circles."""
     phi = np.linspace(0.0, 2.0 * np.pi, _RING_SAMPLES, endpoint=False)
@@ -192,11 +179,10 @@ class BarrierCurve:
         return out if out.ndim else float(out)
 
 
-def barrier_at(t, cfg):
-    """Composite barrier at time t < 0 inside the configured circles."""
+def barrier_at(t, r):
+    """Composite barrier at time t < 0 in the tangent circles of radius r."""
     if not t < 0.0:
         raise ConfigError(f"barrier time must be negative, got {t}")
-    r = cfg.r
     omega = omega_of_time(t / (r * r))
     if omega == 0.0:
         return BarrierCurve(t=float(t), r=r, omega=0.0, degenerate=True)
@@ -216,16 +202,15 @@ def tangency_time(rho, r):
 # supersolution check
 
 
-def supersolution_residual(r, t_samples, x_fracs=None):
+def supersolution_residual(r, t_samples, x_fracs):
     """Minimum of (normal speed - curvature) over the sampled barrier arcs.
 
     Nonnegative up to finite-difference error: the arcs move toward their
     centers of curvature at least as fast as the flow would.  Speeds are
     measured by vertical displacement of the graph over _SPEED_DT,
-    projected on the normal.
+    projected on the normal.  x_fracs places the samples on each arc's
+    span, as fractions of its half-width.
     """
-    if x_fracs is None:
-        x_fracs = np.linspace(-1.0, 1.0, 33)
     x_fracs = np.asarray(x_fracs, dtype=float)
     worst = np.inf
     for t in np.atleast_1d(np.asarray(t_samples, dtype=float)):

@@ -57,13 +57,12 @@ passes (_block_monitors).  _state_rows is the one block reader of stored
 states, for those passes and asymptotics' alike: x, y and curvature rows,
 one per state, as the stored states of a run share one node count (a
 state of another raises ConfigError).  Stored states are read in time
-through Trajectory.height_reader, linear between the two bracketing
+only through Trajectory.height_reader, linear between the two bracketing
 states; a reader takes arrays of times of any shape and returns one row
 of heights per time, and it reads each stored state once at most in its
-life, however many of its calls' times that state brackets
-(heights_at_time is one call of a new reader).  The module runs and reads
-runs but compares none: asymptotics holds every comparison of two runs,
-the sweep over rho included.
+life, however many of its calls' times that state brackets.  The module
+runs and reads runs but compares none: asymptotics holds every
+comparison of two runs, the sweep over rho included.
 
 Every curve advances only through step.  A wall is anything with
 point_xy, jet_xy and normal_xy, the three methods step reads: ConvexWall
@@ -89,7 +88,7 @@ import numbers
 import weakref
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate, zip_longest
+from itertools import accumulate
 from typing import ClassVar
 
 import numpy as np
@@ -249,7 +248,7 @@ _MAX_STEPS = 2_000_000
 # the contact Newton stops below this residual, or after an update below
 # _CONTACT_STEP: it converges quadratically, with |error| about 0.7 times
 # the squared update on the disk, so what an update that small leaves is
-# under rounding.  _local_min_count treats increments below
+# under rounding.  _local_min_counts treats increments below
 # _FLAT_REL_TOL * max|values| as flat
 _CONTACT_TOL = 1e-13
 _CONTACT_STEP = 1e-8
@@ -580,18 +579,15 @@ def _edge_lengths(nodes):
     return np.hypot(e[:, 0], e[:, 1])
 
 
-def _resample(curves, n_out, *segs):
+def _resample(curves, n_out, segs):
     """The curves of one resample event, each at n_out points at equal
     steps of its chord length on the not-a-knot spline through its nodes,
     ends kept: CubicSpline's points, bit for bit, from one packed spline
     solve.  FlowError where fewer than 4 distinct nodes remain.  The curves
     are only read; a node that ends a zero-length edge is dropped.  segs
-    holds the edge lengths of the first curves where the caller has them
-    (None where not), which are then not formed again."""
+    holds each curve's edge lengths, which are not formed again."""
     knots, pts = [], []
-    for nodes, seg in zip_longest(curves, segs):
-        if seg is None:
-            seg = _edge_lengths(nodes)
+    for nodes, seg in zip(curves, segs):
         s = np.zeros(len(nodes))
         np.cumsum(seg, out=s[1:])
         if not (seg > 1e-15).all():
@@ -714,7 +710,8 @@ def step(state, cfg, wall, h0):
     one of a run's first three, takes the mesh step dt_safety *
     _STEP_SCALE * h_bar^2 / h0, h_bar the mean edge; h0 None on such a
     state raises ConfigError, as does an h0 that is not None and not a
-    finite positive real (a bool included; a float skips the ABC check).
+    finite positive real (a bool included; a float skips the ABC check,
+    and another real is read as its float).
     A state with levels steps at most _MAX_STEP_RATIO times its last step.
 
     Where the step that made the state carries an error estimate err, the
@@ -735,12 +732,13 @@ def step(state, cfg, wall, h0):
     on.  The first collapse step reads the estimates of two BDF2 steps
     with BDF3's exponents.
     """
-    if (h0 is not None and not (type(h0) is float and 0.0 < h0 < math.inf)
-            and (isinstance(h0, bool) or not (isinstance(h0, numbers.Real)
-                                              and 0.0 < h0 < math.inf))):
-        raise ConfigError(
-            f"the target spacing h0 must be None or a finite positive real "
-            f"(not a bool), got {h0!r}")
+    if h0 is not None and not (type(h0) is float and 0.0 < h0 < math.inf):
+        if (isinstance(h0, bool) or not (isinstance(h0, numbers.Real)
+                                         and 0.0 < h0 < math.inf)):
+            raise ConfigError(
+                f"the target spacing h0 must be None or a finite positive "
+                f"real (not a bool), got {h0!r}")
+        h0 = float(h0)
     order = 2 if h0 is not None else 3
     length = state.length
     levels, err, err_prev = state._prev or ((), None, None)
@@ -911,7 +909,7 @@ def _attempt_step(state, wall, dt, order):
     # by O(dt) per step so most steps skip the spline rebuild
     if float(_max(seg, None)) > 1.25 * float(_min(seg, None)):
         new, *lv = _resample([new] + [p.nodes for p in levels], len(new),
-                             seg, *[p._seg for p in levels])
+                             [seg] + [p.seg_cached() for p in levels])
         e = new[1:] - new[:-1]
         seg = np.hypot(e[:, 0], e[:, 1])
         levels = tuple(CurveState(q, p.time, p.om_minus, p.om_plus)
@@ -955,14 +953,6 @@ class Trajectory:
     def extinction_point(self):
         """The mean node of the last stored state."""
         return self.states[-1].nodes.mean(axis=0)
-
-    def heights_at_time(self, t_offsets, xs):
-        """Heights at xs for an array of offset times of any shape: an
-        array of shape t_offsets.shape + (len(xs),), one row per time,
-        linear in time between the two bracketing states.  One call of a
-        new height_reader(xs), so each bracketing state is read once per
-        call."""
-        return self.height_reader(xs)(t_offsets)
 
     def height_reader(self, xs):
         """A function from offset times of any shape to heights at xs: an
@@ -1050,22 +1040,16 @@ class Trajectory:
         return read
 
 
-def _local_min_count(values):
-    """Interior local minima of a sampled function, merging flat plateaus.
+def _local_min_counts(values):
+    """The interior local minima of each row of a 2-D array of sampled
+    functions, flat plateaus merged, in one pass.
 
     Exact ties between neighbouring samples would make a strict
     descent/ascent test miss the minimum, so increments smaller than
-    _FLAT_REL_TOL * max|values| are treated as flat and dropped.
-    """
-    return int(_local_min_counts(values[None])[0])
-
-
-def _local_min_counts(values):
-    """_local_min_count of each row of a 2-D array, in one pass.
-
-    The significant increments of all rows, taken in row order, form one
-    sequence; a minimum is a descent followed by an ascent inside one
-    row, counted per row by bincount.
+    _FLAT_REL_TOL * max|values| of their row are treated as flat and
+    dropped.  The significant increments of all rows, taken in row order,
+    form one sequence; a minimum is a descent followed by an ascent inside
+    one row, counted per row by bincount.
     """
     d = values[:, 1:] - values[:, :-1]
     tol = _FLAT_REL_TOL * np.abs(values).max(axis=1) + 1e-300
@@ -1114,8 +1098,8 @@ def _state_rows(states, wall):
 def _block_monitors(states, wall):
     """kappa_min, kappa_max, area and min_count of the stored states of a
     run: bit for bit the per-state reads (the interior curvature's
-    minimum, the curvature's maximum, enclosed_area and _local_min_count
-    of the interior curvature), each entry reducing one row of
+    minimum, the curvature's maximum, enclosed_area and the count of the
+    interior curvature's local minima), each entry reducing one row of
     _state_rows.  The rows' shoelace terms add to one arc_area pass over
     all states.  States of two node counts raise ConfigError.
     """

@@ -187,27 +187,12 @@ class Diameter:
 
 
 @dataclass
-class SimilarityTransform:
-    """new_point = scale * R(rotation) @ old_point + translation"""
-
-    rotation: float
-    scale: float
-    translation: np.ndarray
-
-    def apply(self, pts):
-        c, s = np.cos(self.rotation), np.sin(self.rotation)
-        R = np.array([[c, -s], [s, c]])
-        return self.scale * (np.asarray(pts) @ R.T) + self.translation
-
-
-@dataclass
 class NormalizedDomain:
     """Domain after the similarity that puts a chosen diameter on [-1,1]x{0}."""
 
     domain: "ConvexDomain"
     kappa1: float  # curvature at +e1 (turning angle pi/2)
     kappa2: float  # curvature at -e1 (turning angle 3pi/2)
-    transform: SimilarityTransform
 
 
 class ConvexDomain:
@@ -227,12 +212,9 @@ class ConvexDomain:
     domain's life.
     """
 
-    def __init__(self, cos_coeffs, sin_coeffs=None, center=(0.0, 0.0)):
+    def __init__(self, cos_coeffs, sin_coeffs, center=(0.0, 0.0)):
         a = np.atleast_1d(np.asarray(cos_coeffs, dtype=float)).copy()
-        if sin_coeffs is None:
-            b = np.zeros_like(a)
-        else:
-            b = np.atleast_1d(np.asarray(sin_coeffs, dtype=float)).copy()
+        b = np.atleast_1d(np.asarray(sin_coeffs, dtype=float)).copy()
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
             raise ConfigError("non-finite Fourier coefficient")
         n = max(len(a), len(b), 2)
@@ -392,7 +374,7 @@ class ConvexDomain:
     def disk(cls, radius):
         if radius <= 0:
             raise ConfigError("disk radius must be positive")
-        return cls([radius])
+        return cls([radius], [0.0])
 
     @classmethod
     def from_radius_function(cls, fn):
@@ -520,8 +502,6 @@ def normalize(domain, diameter):
     rot_center = R @ domain.center
     out = ConvexDomain(a2 * s, b2 * s, center=s * (rot_center - mid))
     # out.point(w) = s * R(beta) @ domain.point(w - beta) - s * mid
-    tr = SimilarityTransform(rotation=beta, scale=s, translation=-s * mid)
     return NormalizedDomain(domain=out,
                             kappa1=float(out.curvature(np.pi / 2)),
-                            kappa2=float(out.curvature(3 * np.pi / 2)),
-                            transform=tr)
+                            kappa2=float(out.curvature(3 * np.pi / 2)))

@@ -97,16 +97,10 @@ class OvalParams:
         return E * np.sinh(v) / np.sqrt(np.maximum(1.0 - u * u, 1e-300))
 
     def normal_direction(self, x, y):
-        """Unnormalized outward normal (tanh(lam(x-xi)), -cot(lam y))."""
-        if isinstance(x, float) and isinstance(y, float):
-            # one point: the same ufuncs on floats, without 0-d arrays
-            return np.array((np.tanh(self.lam * (x - self.xi)),
-                             -1.0 / np.tan(self.lam * y)))
-        v = self.lam * (np.asarray(x, dtype=float) - self.xi)
-        return np.stack(
-            [np.tanh(v), -1.0 / np.tan(self.lam * np.asarray(y, dtype=float))],
-            axis=-1,
-        )
+        """Unnormalized outward normal (tanh(lam(x-xi)), -cot(lam y)) at
+        the point of two floats x, y."""
+        return np.array((np.tanh(self.lam * (x - self.xi)),
+                         -1.0 / np.tan(self.lam * y)))
 
 
 # -- limiting scales --------------------------------------------------------
@@ -119,10 +113,21 @@ class Limits:
     sigma: float
 
 
+def _check_positive(**values):
+    """ConfigError unless every value is a finite, positive real number,
+    not a bool: a Python float by one chained comparison (NaN fails it),
+    another type after the numbers.Real check."""
+    for name, value in values.items():
+        real = type(value) is float or (not isinstance(value, bool)
+                                        and isinstance(value, numbers.Real))
+        if not (real and 0.0 < value < math.inf):
+            raise ConfigError(f"{name} must be a finite positive real "
+                              f"(not a bool), got {value!r}")
+
+
 def solve_sigma(kappa):
     """Unique positive root of s tanh s = kappa."""
-    if not 0.0 < kappa < np.inf:  # NaN fails every comparison
-        raise ConfigError(f"curvature must be finite and positive, got {kappa}")
+    _check_positive(kappa=kappa)
 
     def f(s):
         return s * float(np.tanh(s)) - kappa
@@ -163,9 +168,7 @@ def _chord_residual(kappa1, kappa2):
 def _lambda0_sigma(kappa1, kappa2):
     """solve_lambda0's root, and the sigma of max(kappa1, kappa2) that
     brackets it on a chord of unequal curvatures (None on an equal one)."""
-    if not (0.0 < kappa1 < np.inf and 0.0 < kappa2 < np.inf):
-        raise ConfigError(
-            f"curvatures must be finite and positive, got {kappa1}, {kappa2}")
+    _check_positive(kappa1=kappa1, kappa2=kappa2)
     if _equal_curvatures(kappa1, kappa2):
         return solve_sigma(0.5 * (kappa1 + kappa2)), None
     kmax = max(kappa1, kappa2)
@@ -264,17 +267,11 @@ class OrthogonalOval:
     """An oval crossing the boundary orthogonally at two points below y = rho."""
 
     params: OvalParams
-    x0: float
-    xhat: float
     residuals: tuple
     omega0: float                 # boundary turning angle at the right contact
     omega_hat: float              # boundary turning angle at the left contact
     p_first: np.ndarray
     p_second: np.ndarray
-
-    @property
-    def lam(self):
-        return self.params.lam
 
 
 def _alignment_residual(n_oval, tau_bd):
@@ -499,8 +496,6 @@ def construct_orthogonal_oval(ndom, rho):
 
     return OrthogonalOval(
         params=par,
-        x0=x0,
-        xhat=xhat,
         residuals=(r1, r2),
         omega0=float(om0),
         omega_hat=float(om_hat),
@@ -520,7 +515,7 @@ def sample_initial_curve(oval, n):
         raise ConfigError(f"need an integer of at least 16 nodes, got {n!r}")
     par = oval.params
     m = max(4001, 16 * n + 1)
-    xs = np.linspace(oval.xhat, oval.x0, m)
+    xs = np.linspace(oval.p_second[0], oval.p_first[0], m)
     sp = par.lower_slope(xs)
     dx = np.diff(xs)
     seg = np.hypot(dx, dx * 0.5 * (sp[1:] + sp[:-1]))

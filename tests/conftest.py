@@ -1,5 +1,4 @@
 import hashlib
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,12 +92,11 @@ def run_digest(traj):
 
 def pytest_terminal_summary(terminalreporter):
     # the package's size: its source lines and settable values
-    from test_settable_values import package_settable_values
-    lines = sum(path.read_bytes().count(b"\n") for path in
-                Path(g.__file__).parent.glob("*.py"))
+    from test_settable_values import (package_settable_values,
+                                      package_source_lines)
     terminalreporter.section("src/fbcsf: lines, settable values")
     terminalreporter.write_line(
-        f"{lines:6d} {len(package_settable_values()):4d}")
+        f"{package_source_lines():6d} {len(package_settable_values()):4d}")
     # the oval-only footprint: a fresh interpreter that imports every
     # module and builds one oval (None: no /proc/self to read it from)
     from test_import_footprint import oval_only_footprint

@@ -1,7 +1,7 @@
 """The block passes of verify_estimates and the many-time reads of
-heights_at_time against the per-state and per-time loops they replaced,
-kept here as references: every record and every distance must match them
-bit for bit."""
+Trajectory.height_reader against the per-state and per-time loops they
+replaced, kept here as references: every record and every distance must
+match them bit for bit."""
 
 import dataclasses
 import tracemalloc
@@ -64,13 +64,13 @@ def _reference_verify_estimates(traj, r, lambda0):
     th = np.asarray(traj.monitors["theta_plus"]) + \
         np.asarray(traj.monitors["theta_minus"])
     rate, ok, n = asymptotics._fit_decay(t, np.sin(0.5 * th), r, win)
-    records.append(Rec("turning_angle_decay", rate, r, ok, window, n))
+    records.append(Rec("turning_angle_decay", rate, r, ok, window, n, {}))
     kmin = np.asarray(traj.monitors["kappa_min"])
     rate, ok, n = asymptotics._fit_decay(t, kmin, r, win)
-    records.append(Rec("min_curvature_decay", rate, r, ok, window, n))
+    records.append(Rec("min_curvature_decay", rate, r, ok, window, n, {}))
     kmax = np.asarray(traj.monitors["kappa_max"])
     rate, ok, n = asymptotics._fit_decay(t, kmax, r, win)
-    rec_kmax = Rec("max_curvature_decay", rate, r, ok, window, n)
+    rec_kmax = Rec("max_curvature_decay", rate, r, ok, window, n, {})
 
     states = [s for s in traj.states if window[0] <= s.time <= window[1]]
     assert len(states) == win.stop - win.start >= 8
@@ -98,7 +98,7 @@ def _reference_verify_estimates(traj, r, lambda0):
                        w=asymptotics._time_weights(st_t))[0]
     sup_ok = bool(np.all(np.isfinite(sup_ratio)) and slope <= 0.05)
     records.append(Rec("support_ratio", float(slope), 0.0, sup_ok, window,
-                       len(states)))
+                       len(states), {}))
     grid = np.array([1.0, 2.0, 5.0, 10.0, 20.0]) * max(C2, 1e-3) / r
 
     def pinch(signed, required):
@@ -139,7 +139,7 @@ def _reference_verify_estimates(traj, r, lambda0):
     return asymptotics.EstimateReport(records=records, r=r, lambda0=lambda0)
 
 
-def _reference_heights_at_time(traj, t_offset, xs):
+def _reference_heights_at(traj, t_offset, xs):
     times = traj.monitors["t"]
     i = int(np.searchsorted(times, t_offset))
     if i <= 0:
@@ -156,8 +156,8 @@ def _reference_heights_at_time(traj, t_offset, xs):
 def _reference_matched_distance(trajA, trajB, tau, sample_times, xs):
     worst = 0.0
     for t in sample_times:
-        ya = _reference_heights_at_time(trajA, t, xs)
-        yb = _reference_heights_at_time(trajB, t + tau, xs)
+        ya = _reference_heights_at(trajA, t, xs)
+        yb = _reference_heights_at(trajB, t + tau, xs)
         m = np.isfinite(ya) & np.isfinite(yb)
         if not np.any(m):
             return np.inf
@@ -236,9 +236,10 @@ def _bare(traj):
 def _resampled(state, count):
     """The stored state resampled to count nodes, without cached curvature
     or edge lengths."""
-    return flow.CurveState(nodes=flow._resample([state.nodes], count)[0],
-                           time=state.time, om_minus=state.om_minus,
-                           om_plus=state.om_plus)
+    nodes = flow._resample([state.nodes], count,
+                           [flow._edge_lengths(state.nodes)])[0]
+    return flow.CurveState(nodes=nodes, time=state.time,
+                           om_minus=state.om_minus, om_plus=state.om_plus)
 
 
 def _lambda0(ndom):
@@ -487,7 +488,7 @@ def test_runs_without_a_shared_late_window_raise():
 
 
 # ---------------------------------------------------------------------------
-# heights_at_time and matched_distance
+# height_reader and matched_distance
 
 
 @pytest.mark.parametrize("name", ["disk_r03_n100", "egg_r01_n100"])
@@ -498,14 +499,14 @@ def test_heights_and_distances_match_the_per_time_loop(name, runs):
     # before the first state, inside, on a stored time, and after the last
     ts = np.concatenate([[traj.alpha - 1.0, traj.monitors["t"][5]],
                          np.linspace(traj.alpha * 0.85, -0.3, 16), [0.7]])
-    rows = traj.heights_at_time(ts, xs)
+    rows = traj.height_reader(xs)(ts)
     assert rows.shape == (len(ts), len(xs))
     for t, row in zip(ts, rows):
-        assert _same_bits(row, _reference_heights_at_time(traj, t, xs))
+        assert _same_bits(row, _reference_heights_at(traj, t, xs))
     for other in (traj, mirror):
         for tau in (-0.5, -0.013, 0.0, 0.2, 0.5):
             got = asymptotics.matched_distance(
-                rows, other.heights_at_time(ts + tau, xs))
+                rows, other.height_reader(xs)(ts + tau))
             want = _reference_matched_distance(traj, other, tau, ts, xs)
             assert float(got).hex() == float(want).hex()
 
@@ -518,7 +519,7 @@ def test_abscissas_not_a_1d_array_of_reals_raise(xs, runs):
     with pytest.raises(ConfigError, match="not a 1-D array of reals"):
         traj.height_reader(xs)
     with pytest.raises(ConfigError, match="not a 1-D array of reals"):
-        traj.heights_at_time(np.array([-1.0]), xs)
+        traj.height_reader(xs)(np.array([-1.0]))
 
 
 def _time_grid(traj):
@@ -547,14 +548,14 @@ def test_a_time_grid_matches_the_per_time_loop(name, runs):
     traj = runs(name)
     xs = asymptotics.MATCH_XS
     grid = _time_grid(traj)
-    rows = traj.heights_at_time(grid, xs)
+    rows = traj.height_reader(xs)(grid)
     assert rows.shape == grid.shape + (len(xs),)
     for ts, block in zip(grid, rows):
-        assert _same_bits(block, traj.heights_at_time(ts, xs))
+        assert _same_bits(block, traj.height_reader(xs)(ts))
         for t, row in zip(ts, block):
-            assert _same_bits(row, _reference_heights_at_time(traj, t, xs))
+            assert _same_bits(row, _reference_heights_at(traj, t, xs))
     # a third axis reads the same rows
-    deep = traj.heights_at_time(grid.reshape(len(grid), 1, -1), xs)
+    deep = traj.height_reader(xs)(grid.reshape(len(grid), 1, -1))
     assert _same_bits(deep.reshape(rows.shape), rows)
 
 
@@ -575,7 +576,7 @@ def test_a_call_reads_each_bracketing_state_once(name, shape, runs,
         return read(self, xs)
 
     monkeypatch.setattr(flow.CurveState, "heights_at", counting_read)
-    traj.heights_at_time(grid, asymptotics.MATCH_XS)
+    traj.height_reader(asymptotics.MATCH_XS)(grid)
     per_time = [_bracketing_states(traj, t) for t in grid.ravel()]
     # the shifted rows share states, which a per-time read repeats
     assert sum(map(len, per_time)) > len(set().union(*per_time))

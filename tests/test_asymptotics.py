@@ -223,11 +223,11 @@ def test_matched_distance_rejects_unmatched_or_empty_rows():
 def test_matched_distance_of_a_run_with_itself_is_zero():
     traj = _linear_trajectory([-2.0, -1.0, -0.5, 0.0])
     ts = np.linspace(-1.9, -0.1, 7)
-    rows = traj.heights_at_time(ts, _READ_X)
+    rows = traj.height_reader(_READ_X)(ts)
     assert asymptotics.matched_distance(
-        rows, traj.heights_at_time(ts, _READ_X)) == 0.0
+        rows, traj.height_reader(_READ_X)(ts)) == 0.0
     # a sample time at which the curves share no abscissa
-    off = traj.heights_at_time(ts, np.array([2.0]))
+    off = traj.height_reader(np.array([2.0]))(ts)
     assert asymptotics.matched_distance(off, off) == np.inf
 
 
@@ -348,8 +348,8 @@ def test_egg_sweep_shift_lowers_the_distance(egg_sweep, k):
     p = egg_sweep.pairs[k]
     ts = np.linspace(*p.window, asymptotics._UNIQUENESS_TIMES)
     xs = asymptotics.MATCH_XS
-    unshifted = asymptotics.matched_distance(a.heights_at_time(ts, xs),
-                                             b.heights_at_time(ts, xs))
+    unshifted = asymptotics.matched_distance(a.height_reader(xs)(ts),
+                                             b.height_reader(xs)(ts))
     assert p.distance < unshifted
     assert p.distance <= 1.02 * _EGG_SCANNED[k]
 
@@ -374,6 +374,16 @@ def test_robin_eigen_rejects_a_bad_curvature(bad):
     # each used to end otherwise: 0 and -1 in AnalysisError, NaN in
     # ConfigError only after the root scans, inf in a RuntimeWarning
     for k1, k2 in ((bad, 1.0), (1.0, bad)):
+        with pytest.raises(ConfigError):
+            asymptotics.robin_eigen(k1, k2)
+
+
+@pytest.mark.parametrize("bad", ["1", None, True],
+                         ids=["str", "None", "bool"])
+def test_robin_eigen_rejects_a_curvature_that_is_not_a_real(bad):
+    # a string or None ended in a bare TypeError, and True ran as the
+    # curvature 1
+    for k1, k2 in ((bad, 1.0), (1.0, bad), (bad, bad)):
         with pytest.raises(ConfigError):
             asymptotics.robin_eigen(k1, k2)
 
@@ -574,8 +584,8 @@ def test_reflect_twice_gives_back_the_heights(runs):
     back = asymptotics.reflect_trajectory(asymptotics.reflect_trajectory(traj))
     xs = np.linspace(-0.85, 0.85, 41)
     ts = np.linspace(traj.alpha, -0.3, 9)
-    assert np.array_equal(back.heights_at_time(ts, xs),
-                          traj.heights_at_time(ts, xs), equal_nan=True)
+    assert np.array_equal(back.height_reader(xs)(ts),
+                          traj.height_reader(xs)(ts), equal_nan=True)
     for key in traj.monitors:
         assert np.array_equal(back.monitors[key], traj.monitors[key],
                               equal_nan=True)

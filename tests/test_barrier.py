@@ -7,7 +7,7 @@ from fbcsf.errors import ConfigError, RhoTooLarge
 
 
 # ---------------------------------------------------------------------------
-# admissible radius and config
+# admissible radius
 
 
 def test_admissible_radius_disk(ndisk):
@@ -44,13 +44,11 @@ def test_admissible_radius_raises_when_the_circles_leave(ndisk,
 @pytest.mark.parametrize("fix", ["ndisk", "negg", "nellipse_minor"])
 def test_config_curvature_pinch_and_fit(fix, request):
     ndom = request.getfixturevalue(fix)
-    cfg = bar.BarrierConfig.from_domain(ndom)
-    r = cfg.r
+    r = bar.admissible_radius(ndom)
     om = np.linspace(0.0, 2 * np.pi, 512, endpoint=False)
     kap = ndom.domain.curvature(om)
     assert np.all(4.0 * r <= kap + 1e-12)
     assert np.all(kap <= 1.0 / (4.0 * r) + 1e-12)
-    assert cfg.centers == ((-(1.0 - r), 0.0), (1.0 - r, 0.0))
     # both tangent circles sit inside the domain
     assert bar._fit_violation(ndom.domain, r) <= 1e-10
 
@@ -110,19 +108,19 @@ def test_arc_height_matches_circle_equation():
 
 
 def test_barrier_omega_schedule(ndisk):
-    cfg = bar.BarrierConfig.from_domain(ndisk)
-    assert cfg.r == pytest.approx(0.25)
-    B = bar.barrier_at(-cfg.r ** 2 * 0.1, cfg)
+    r = bar.admissible_radius(ndisk)
+    assert r == pytest.approx(0.25)
+    B = bar.barrier_at(-r ** 2 * 0.1, r)
     assert B.omega == pytest.approx(np.arcsin(np.exp(-0.2)), rel=1e-13)
     assert B.omega == pytest.approx(0.9591969745502804, abs=1e-12)
-    B1 = bar.barrier_at(-1.0, cfg)
+    B1 = bar.barrier_at(-1.0, r)
     assert B1.omega == pytest.approx(np.exp(-32.0), rel=1e-10)
     assert not B1.degenerate
 
 
 def test_barrier_underflow_returns_diameter(ndisk):
-    cfg = bar.BarrierConfig.from_domain(ndisk)
-    B = bar.barrier_at(-30.0, cfg)
+    r = bar.admissible_radius(ndisk)
+    B = bar.barrier_at(-30.0, r)
     assert B.degenerate
     assert B.omega == 0.0
     assert B.x_span == (-1.0, 1.0)
@@ -131,44 +129,43 @@ def test_barrier_underflow_returns_diameter(ndisk):
 
 
 def test_barrier_near_zero_time(ndisk):
-    cfg = bar.BarrierConfig.from_domain(ndisk)
-    B = bar.barrier_at(-cfg.r ** 2 * 1e-9, cfg)
+    r = bar.admissible_radius(ndisk)
+    B = bar.barrier_at(-r ** 2 * 1e-9, r)
     # arcs shrink toward points at height r above the circle centers
     assert B.arc_half_width < 1e-4
-    assert B.max_height == pytest.approx(cfg.r, rel=1e-8)
-    assert B.apex_height == pytest.approx(cfg.r, rel=1e-4)
+    assert B.max_height == pytest.approx(r, rel=1e-8)
+    assert B.apex_height == pytest.approx(r, rel=1e-4)
 
 
 def test_barrier_rejects_nonnegative_time(ndisk):
-    cfg = bar.BarrierConfig.from_domain(ndisk)
+    r = bar.admissible_radius(ndisk)
     for t in (0.0, 0.5):
         with pytest.raises(ConfigError):
-            bar.barrier_at(t, cfg)
+            bar.barrier_at(t, r)
 
 
 def test_scaled_arcs_meet_tangent_circles_orthogonally(ndisk):
-    cfg = bar.BarrierConfig.from_domain(ndisk)
-    for t in (-cfg.r ** 2 * 1.5, -cfg.r ** 2 * 0.2):
-        B = bar.barrier_at(t, cfg)
+    r = bar.admissible_radius(ndisk)
+    for t in (-r ** 2 * 1.5, -r ** 2 * 0.2):
+        B = bar.barrier_at(t, r)
         arc = bar.unit_disk_arc(B.omega)
-        for side, center in zip((-1.0, 1.0), cfg.centers):
-            c = np.asarray(center)
+        for side in (-1.0, 1.0):
+            c = np.array([side * (1 - r), 0.0])
             for ep_unit in arc.endpoints:
-                ep = cfg.r * ep_unit + np.array([side * (1 - cfg.r), 0.0])
-                assert abs(np.hypot(*(ep - c)) - cfg.r) < 1e-12
-                n_arc = (np.array([side * (1 - cfg.r), 0.0])
-                         + cfg.r * arc.center) - ep
+                ep = r * ep_unit + c
+                assert abs(np.hypot(*(ep - c)) - r) < 1e-12
+                n_arc = (c + r * arc.center) - ep
                 n_arc = n_arc / np.linalg.norm(n_arc)
-                radial = (ep - c) / cfg.r
+                radial = (ep - c) / r
                 assert abs(n_arc @ radial) < 1e-10
 
 
 def test_segment_joins_inner_arc_endpoints(ndisk):
-    cfg = bar.BarrierConfig.from_domain(ndisk)
-    B = bar.barrier_at(-cfg.r ** 2 * 0.4, cfg)
+    r = bar.admissible_radius(ndisk)
+    B = bar.barrier_at(-r ** 2 * 0.4, r)
     seg = B.segment
-    h = cfg.r * np.sin(B.omega)
-    xi = (1.0 - cfg.r) - cfg.r * np.cos(B.omega)
+    h = r * np.sin(B.omega)
+    xi = (1.0 - r) - r * np.cos(B.omega)
     assert np.allclose(seg, [[-xi, h], [xi, h]], atol=1e-14)
     # graph is continuous across the joints
     eps = 1e-9
@@ -177,10 +174,10 @@ def test_segment_joins_inner_arc_endpoints(ndisk):
 
 
 def test_barrier_height_piecewise(ndisk):
-    cfg = bar.BarrierConfig.from_domain(ndisk)
-    B = bar.barrier_at(-cfg.r ** 2 * 0.3, cfg)
+    r = bar.admissible_radius(ndisk)
+    B = bar.barrier_at(-r ** 2 * 0.3, r)
     assert B.height(0.0) == pytest.approx(B.max_height, abs=1e-14)
-    assert B.height(1.0 - cfg.r) == pytest.approx(B.apex_height, abs=1e-14)
+    assert B.height(1.0 - r) == pytest.approx(B.apex_height, abs=1e-14)
     assert np.isnan(B.height(B.x_span[1] + 1e-6))
     xs = np.linspace(*B.x_span, 401)
     hs = B.height(xs)
@@ -190,9 +187,9 @@ def test_barrier_height_piecewise(ndisk):
 
 
 def test_barrier_max_height_monotone(ndisk):
-    cfg = bar.BarrierConfig.from_domain(ndisk)
-    ts = -cfg.r ** 2 * np.linspace(4.0, 0.05, 40)
-    hs = [bar.barrier_at(t, cfg).max_height for t in ts]
+    r = bar.admissible_radius(ndisk)
+    ts = -r ** 2 * np.linspace(4.0, 0.05, 40)
+    hs = [bar.barrier_at(t, r).max_height for t in ts]
     assert np.all(np.diff(hs) > 0.0)
 
 
@@ -201,11 +198,11 @@ def test_barrier_max_height_monotone(ndisk):
 
 
 def test_tangency_time_touches_apex(ndisk):
-    cfg = bar.BarrierConfig.from_domain(ndisk)
+    r = bar.admissible_radius(ndisk)
     for rho in (0.05, 0.1, 0.2):
-        t = bar.tangency_time(rho, cfg.r)
+        t = bar.tangency_time(rho, r)
         assert t < 0.0
-        B = bar.barrier_at(t, cfg)
+        B = bar.barrier_at(t, r)
         assert B.apex_height == pytest.approx(rho, rel=1e-12)
 
 
@@ -230,7 +227,7 @@ def test_supersolution_apex_closed_form():
     t = -0.3
     w = bar.omega_of_time(t)
     closed = np.tan(w) * np.tan(w / 2.0) ** 2
-    fd = bar.supersolution_residual(1.0, [t], x_fracs=np.array([0.0]))
+    fd = bar.supersolution_residual(1.0, [t], np.array([0.0]))
     assert fd == pytest.approx(closed, abs=5e-6)
     assert closed > 0.0
 
@@ -238,29 +235,31 @@ def test_supersolution_apex_closed_form():
 def test_supersolution_endpoints_at_omega_half():
     t = 0.5 * np.log(np.sin(0.5))
     assert bar.omega_of_time(t) == pytest.approx(0.5, rel=1e-14)
-    res = bar.supersolution_residual(1.0, [t], x_fracs=np.array([-1.0, 1.0]))
+    res = bar.supersolution_residual(1.0, [t], np.array([-1.0, 1.0]))
     assert res >= 0.0
 
 
 def test_supersolution_scaled_family_grid(ndisk):
-    cfg = bar.BarrierConfig.from_domain(ndisk)
-    ts = -cfg.r ** 2 * np.linspace(2.0, 0.1, 9)
-    assert bar.supersolution_residual(cfg.r, ts) >= -1e-6
+    r = bar.admissible_radius(ndisk)
+    ts = -r ** 2 * np.linspace(2.0, 0.1, 9)
+    assert bar.supersolution_residual(
+        r, ts, np.linspace(-1, 1, 33)) >= -1e-6
 
 
 def test_supersolution_scale_relation():
     # residuals of the scaled family are 1/r times the unit-family ones
     tau = -0.3
     r = 0.25
-    res_unit = bar.supersolution_residual(1.0, [tau])
-    res_r = bar.supersolution_residual(r, [r * r * tau])
+    xf = np.linspace(-1, 1, 33)
+    res_unit = bar.supersolution_residual(1.0, [tau], xf)
+    res_r = bar.supersolution_residual(r, [r * r * tau], xf)
     assert r * res_r == pytest.approx(res_unit, abs=1e-4)
     assert res_unit >= -1e-6 and res_r >= -1e-6
 
 
 def test_supersolution_rejects_underflowed_time():
     with pytest.raises(ConfigError):
-        bar.supersolution_residual(0.25, [-30.0])
+        bar.supersolution_residual(0.25, [-30.0], np.linspace(-1, 1, 33))
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +267,8 @@ def test_supersolution_rejects_underflowed_time():
 
 
 def test_below_barrier_self_margin_zero(ndisk):
-    cfg = bar.BarrierConfig.from_domain(ndisk)
-    B = bar.barrier_at(-cfg.r ** 2 * 0.1, cfg)
+    r = bar.admissible_radius(ndisk)
+    B = bar.barrier_at(-r ** 2 * 0.1, r)
     xs = np.linspace(*B.x_span, 201)
     ok, margin = bar.below_barrier(np.column_stack([xs, B.height(xs)]), B)
     assert ok
@@ -277,10 +276,10 @@ def test_below_barrier_self_margin_zero(ndisk):
 
 
 def test_below_barrier_diameter_margin_is_min_height(ndisk):
-    cfg = bar.BarrierConfig.from_domain(ndisk)
-    B = bar.barrier_at(-cfg.r ** 2 * 0.1, cfg)
+    r = bar.admissible_radius(ndisk)
+    B = bar.barrier_at(-r ** 2 * 0.1, r)
     xs = np.unique(np.concatenate([
-        np.linspace(*B.x_span, 101), [-(1 - cfg.r), 1 - cfg.r]]))
+        np.linspace(*B.x_span, 101), [-(1 - r), 1 - r]]))
     diam = np.column_stack([xs, np.zeros_like(xs)])
     ok, margin = bar.below_barrier(diam, B)
     assert ok
@@ -288,8 +287,8 @@ def test_below_barrier_diameter_margin_is_min_height(ndisk):
 
 
 def test_below_barrier_detects_violation(ndisk):
-    cfg = bar.BarrierConfig.from_domain(ndisk)
-    B = bar.barrier_at(-cfg.r ** 2 * 0.1, cfg)
+    r = bar.admissible_radius(ndisk)
+    B = bar.barrier_at(-r ** 2 * 0.1, r)
     above = np.array([[0.0, B.max_height + 0.01]])
     ok, margin = bar.below_barrier(above, B)
     assert not ok
@@ -297,8 +296,8 @@ def test_below_barrier_detects_violation(ndisk):
 
 
 def test_below_barrier_disjoint_ranges(ndisk):
-    cfg = bar.BarrierConfig.from_domain(ndisk)
-    B = bar.barrier_at(-cfg.r ** 2 * 0.1, cfg)
+    r = bar.admissible_radius(ndisk)
+    B = bar.barrier_at(-r ** 2 * 0.1, r)
     off = np.array([[B.x_span[1] + 0.05, 0.0], [B.x_span[1] + 0.1, 0.0]])
     ok, margin = bar.below_barrier(off, B)
     assert ok
@@ -306,11 +305,11 @@ def test_below_barrier_disjoint_ranges(ndisk):
 
 
 def test_initial_oval_sits_below_tangency_barrier(ndisk):
-    cfg = bar.BarrierConfig.from_domain(ndisk)
+    r = bar.admissible_radius(ndisk)
     ov = oval.construct_orthogonal_oval(ndisk, 0.15)
     crv = oval.sample_initial_curve(ov, 600)
     h_max = float(crv[:, 1].max())
-    t_hat = bar.tangency_time(h_max, cfg.r)
-    ok, margin = bar.below_barrier(crv, bar.barrier_at(t_hat, cfg))
+    t_hat = bar.tangency_time(h_max, r)
+    ok, margin = bar.below_barrier(crv, bar.barrier_at(t_hat, r))
     assert ok
     assert margin >= 0.0

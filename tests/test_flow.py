@@ -20,6 +20,7 @@ import fbcsf.oval as ov
 from fbcsf.errors import ConfigError, NonExtinction, StepRejected
 from exact_solutions import (_DRIFT_NODES, StraightWall, grim_reaper_error,
                              semicircle_wall_error, stationary_diameter_drift)
+from test_step_kernel import _local_min_count_reference
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +265,8 @@ def test_resampled_step_keeps_the_history(drift_resample, disk_wall):
     for p, q in zip(levels, (prev,) + prev._prev[0][:2]):
         assert (p.time, p.om_minus, p.om_plus) == (q.time, q.om_minus,
                                                    q.om_plus)
-        assert np.array_equal(p.nodes, f._resample([q.nodes], n_out)[0])
+        want = f._resample([q.nodes], n_out, [f._edge_lengths(q.nodes)])
+        assert np.array_equal(p.nodes, want[0])
     assert tuple(p1.nodes[0]) == disk_wall.point_xy(prev.om_minus)
     assert tuple(p1.nodes[-1]) == disk_wall.point_xy(prev.om_plus)
     seg1 = p1.seg_cached()
@@ -585,12 +587,17 @@ def test_step_rejects_a_bad_target_spacing(ndisk, disk_wall, h0):
                               "fraction"])
 def test_step_takes_a_target_spacing_of_any_real_type(ndisk, disk_wall, h0):
     # only a Python float skips the numbers.Real check; a real of another
-    # type whose value is the float 0.01 steps to the Python float's bits
+    # type is read as its float, so every new time is a Python float (an
+    # np.float32 time once rejected the next step after 20 halvings), and
+    # one whose value is the float 0.01 steps to the Python float's bits
     # (np.float32(0.01) is another value)
     state = _oval_state(ndisk, 0.3, 100)
     cfg = f.SolverConfig(n_nodes=100, dt_safety=0.8)
     new = f.step(state, cfg, disk_wall, h0)
     assert new.time > state.time and np.isfinite(new.nodes).all()
+    assert type(new.time) is float
+    again = f.step(new, cfg, disk_wall, h0)
+    assert type(again.time) is float and again.time > new.time
     if float(h0) == 0.01:
         want = f.step(state, cfg, disk_wall, 0.01)
         assert new.time == want.time
@@ -735,17 +742,17 @@ class TestDiskRun:
         # curve's highest point, read on a fixed grid of raw run times over
         # its lifetime [0, -t_hat); the curve at each time is its finite
         # heights on MATCH_XS (measured margins 0.030 to 0.100)
-        bcfg = b.BarrierConfig.from_domain(self.ndom)
+        r = b.admissible_radius(self.ndom)
         h_max = float(np.max(self.traj.states[0].nodes[:, 1]))
-        t_hat = b.tangency_time(h_max * (1.0 + 1e-9), bcfg.r)
+        t_hat = b.tangency_time(h_max * (1.0 + 1e-9), r)
         raw = np.linspace(0.0, -t_hat, 16, endpoint=False)
-        rows = self.traj.heights_at_time(raw - self.traj.time_offset,
-                                         MATCH_XS)
+        rows = self.traj.height_reader(MATCH_XS)(
+            raw - self.traj.time_offset)
         margin = []
         for t, y in zip(t_hat + raw, rows):
             m = np.isfinite(y)
             curve = np.column_stack([MATCH_XS[m], y[m]])
-            margin.append(b.below_barrier(curve, b.barrier_at(t, bcfg))[1])
+            margin.append(b.below_barrier(curve, b.barrier_at(t, r))[1])
         assert len(margin) > 10
         assert min(margin) >= -1e-9
 
@@ -828,7 +835,7 @@ def test_monitors_are_read_from_the_stored_states(runs, name, fix, request):
         kap = s.kappa_cached(wall)
         row = [s.time, s.theta_plus, s.theta_minus, kap[1:-1].min(),
                kap.max(), f.enclosed_area(s, wall), s.length,
-               f._local_min_count(kap[1:-1])]
+               _local_min_count_reference(kap[1:-1])]
         want = dict(zip(keys, row))
         want.update((f"y_at_x{j}", y) for j, y in enumerate(s.heights_at(xs)))
         for key, value in want.items():
@@ -1229,7 +1236,7 @@ def _linear_trajectory(times, offsets=None):
 
 def _reads():
     """The two ways to read a run in time, through which every case below
-    must hold bit for bit: one heights_at_time call per read, and calls of
+    must hold bit for bit: a new height_reader per read, and calls of
     one height_reader kept per run and abscissas, so that later calls
     gather rows of states that an earlier call read."""
     readers = {}
@@ -1240,7 +1247,7 @@ def _reads():
             readers[key] = traj, traj.height_reader(xs)
         return readers[key][1](ts)
 
-    return (lambda traj, ts, xs: traj.heights_at_time(ts, xs),
+    return (lambda traj, ts, xs: traj.height_reader(xs)(ts),
             through_one_reader)
 
 
@@ -1348,7 +1355,7 @@ def test_a_reader_reads_each_state_once(monkeypatch):
     reader = traj.height_reader(_READ_X)
     first = reader([-1.5, -0.75])
     assert reads == [0, 1, 2]       # state 1 brackets both times
-    want = traj.heights_at_time([-1.75, -0.25], _READ_X)
+    want = traj.height_reader(_READ_X)([-1.75, -0.25])
     # a second call at the same times reads no state again, and gives the
     # same rows
     reads.clear()
@@ -1410,7 +1417,7 @@ def test_reflected_domain_gives_the_mirror_solution(ellipse):
 def test_min_count_single_vee(n_down, n_up):
     vals = np.concatenate([np.linspace(1.0, 0.0, n_down),
                            np.linspace(0.0, 1.0, n_up)[1:]])
-    assert f._local_min_count(vals) == 1
+    assert f._local_min_counts(vals[None]).tolist() == [1]
 
 
 @given(st.integers(2, 30), st.integers(1, 10), st.integers(2, 30))
@@ -1419,17 +1426,17 @@ def test_min_count_ignores_flat_bottom(n_down, n_flat, n_up):
     vals = np.concatenate([np.linspace(1.0, 0.3, n_down),
                            np.full(n_flat, 0.3),
                            np.linspace(0.3, 1.0, n_up)[1:]])
-    assert f._local_min_count(vals) == 1
+    assert f._local_min_counts(vals[None]).tolist() == [1]
 
 
 def test_min_count_two_wells():
     vals = np.array([3.0, 1.0, 2.0, 2.5, 0.5, 2.0])
-    assert f._local_min_count(vals) == 2
+    assert f._local_min_counts(vals[None]).tolist() == [2]
 
 
 def test_min_count_monotone_is_zero():
-    assert f._local_min_count(np.linspace(0.0, 1.0, 9)) == 0
-    assert f._local_min_count(np.linspace(1.0, 0.0, 9)) == 0
+    ramps = np.array([np.linspace(0.0, 1.0, 9), np.linspace(1.0, 0.0, 9)])
+    assert f._local_min_counts(ramps).tolist() == [0, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -107,14 +107,19 @@ def test_normalized_domain_shape(ndisk):
 
 @pytest.mark.parametrize("name", ["egg", "ellipse"])
 def test_normalize_is_the_recorded_similarity(name, request):
-    # the normalized boundary is the similarity image of the original one,
-    # with turning angles shifted by the rotation (measured <= 6.7e-16)
+    # the normalized boundary is the image of the original one under the
+    # similarity that the diameter fixes: rotation beta = pi/2 - omega+,
+    # scale 2/length about the chord's midpoint, turning angles shifted by
+    # beta
     dom = request.getfixturevalue(name)
     w = np.linspace(0.0, 2 * np.pi, 97)
     for d in g.find_diameters(dom):
         nd = g.normalize(dom, d)
-        tr = nd.transform
-        want = tr.apply(dom.point(w - tr.rotation))
+        beta = np.pi / 2 - d.omega_plus
+        mid = 0.5 * (dom.point(d.omega_plus) + dom.point(d.omega_plus + np.pi))
+        c, s = np.cos(beta), np.sin(beta)
+        R = np.array([[c, -s], [s, c]])
+        want = (2.0 / d.length) * ((dom.point(w - beta) - mid) @ R.T)
         assert np.max(np.abs(nd.domain.point(w) - want)) < 1e-12
 
 
@@ -537,7 +542,7 @@ def test_diameter_at_a_grid_point_is_found():
     # mirror symmetric: a double normal sits at pi/4, a scan grid point,
     # where the grid residual is +tiny and the one-angle residual -2.2e-16
     dom = g.ConvexDomain([1.5, 0.0, 0.0, 0.05665172106668734,
-                          0.05614290591082362])
+                          0.05614290591082362], [0.0])
     ds = g.find_diameters(dom)
     assert sorted(d.omega_plus for d in ds) == pytest.approx(
         [0.0, np.pi / 4, np.pi / 2, 3 * np.pi / 4], abs=1e-12)

@@ -73,6 +73,30 @@ def test_lambda0_rejects_bad_curvature(k1, k2):
         ov.solve_lambda0(k1, k2)
 
 
+@pytest.mark.parametrize("bad", ["1", None, 1j, True, np.True_],
+                         ids=["str", "None", "complex", "bool", "np_bool"])
+@pytest.mark.parametrize("solve", [
+    ov.solve_sigma,
+    lambda k: ov.solve_lambda0(k, 1.0),
+    lambda k: ov.solve_lambda0(1.0, k),
+    lambda k: ov.compute_limits(k, 1.0),
+    lambda k: ov.compute_limits(1.0, k)],
+    ids=["sigma", "lambda0_k1", "lambda0_k2", "limits_k1", "limits_k2"])
+def test_limits_reject_a_curvature_that_is_not_a_real(solve, bad):
+    # a string, None or a complex ended in a bare TypeError; a bool is a
+    # numbers.Real, and True ran as the curvature 1
+    with pytest.raises(ConfigError):
+        solve(bad)
+
+
+@pytest.mark.parametrize("kappa", [np.float64(0.75), 2])
+def test_limits_take_a_curvature_of_another_real_type(kappa):
+    # a real number that is not a float or a bool passes the check and is
+    # read by its value
+    assert ov.compute_limits(kappa, 1.0).lambda0 == \
+        ov.compute_limits(float(kappa), 1.0).lambda0
+
+
 kappas = st.floats(0.3, 3.0)
 
 
@@ -132,22 +156,20 @@ def test_lower_height_of_a_float_is_the_array_read(lam, xi, t):
 
 
 @pytest.mark.parametrize("lam, xi, t", [(2.0, 0.3, -1.0), (1.3, -0.2, -0.8)])
-def test_normal_direction_of_two_floats_is_the_array_row(lam, xi, t):
-    # two floats skip the 0-d arrays and the stack: each point's normal is
-    # the row of the array read at all 301 points, inside the tips and
-    # beyond them, where the lower branch reads the tips' height
+def test_normal_direction_is_normal_to_the_lower_branch(lam, xi, t):
+    # at 301 points of the lower branch inside the tips, read as two floats,
+    # the normal is orthogonal to the branch's tangent (1, h'(x)) and points
+    # down, out of the region above the branch
     par = ov.OvalParams(lam=lam, xi=xi, t=t)
     w = par.support_halfwidth
-    xs = np.linspace(xi - 1.5 * w, xi + 1.5 * w, 301)
-    ys = par.lower_height(xs)
-    rows = par.normal_direction(xs, ys)
-    assert rows.shape == (301, 2)
-    for x, y, row in zip(xs, ys, rows):
-        for got in (par.normal_direction(float(x), float(y)),
-                    par.normal_direction(x, y)):
-            assert got.shape == (2,)
-            assert [float(v).hex() for v in got] == \
-                [float(v).hex() for v in row]
+    for x in np.linspace(xi - 0.99 * w, xi + 0.99 * w, 301):
+        x = float(x)
+        n = par.normal_direction(x, par.lower_height(x))
+        assert n.shape == (2,)
+        tangent = np.array([1.0, float(par.lower_slope(x))])
+        cos = n @ tangent / (np.linalg.norm(n) * np.linalg.norm(tangent))
+        assert abs(cos) < 1e-12
+        assert n[1] < 0.0
 
 
 # squares of these sum without overflow
@@ -210,8 +232,8 @@ def test_single_point_lower_endpoint_rejected():
 def test_disk_oval_symmetric(ndisk):
     o = ov.construct_orthogonal_oval(ndisk, 0.3)
     assert abs(o.params.xi) < 1e-12
-    assert abs(o.x0 + o.xhat) < 1e-10
-    assert abs(o.lam - 1.204217501199189) < 1e-9
+    assert abs(o.p_first[0] + o.p_second[0]) < 1e-10
+    assert abs(o.params.lam - 1.204217501199189) < 1e-9
     assert max(o.residuals) < 1e-10
     assert o.p_first[1] < 0.3 and o.p_second[1] < 0.3
     assert abs(o.p_first[1] - 0.15) < 1e-10  # contact pinned at rho/2
@@ -221,7 +243,7 @@ def test_ellipse_minor_oval_symmetric(nellipse_minor):
     o = ov.construct_orthogonal_oval(nellipse_minor, 0.2)
     assert abs(o.params.xi) < 1e-12
     assert max(o.residuals) < 1e-8
-    assert abs(o.lam - 0.522208619421) < 1e-9
+    assert abs(o.params.lam - 0.522208619421) < 1e-9
 
 
 def test_egg_oval_asymmetric(negg):
@@ -229,7 +251,7 @@ def test_egg_oval_asymmetric(negg):
     assert abs(o.params.xi) > 0.01
     assert max(o.residuals) < 1e-8
     assert o.p_first[1] < 0.15 and o.p_second[1] < 0.15
-    assert abs(o.lam - 1.562692939008649) < 1e-9
+    assert abs(o.params.lam - 1.562692939008649) < 1e-9
     # independent verification: the second contact solves the level-set
     # equation and the normals align on a fine boundary grid re-check
     par = o.params
@@ -243,18 +265,17 @@ def test_oval_scale_bounds(ndisk, negg, nellipse_minor):
     for nd, rho in ((ndisk, 0.2), (negg, 0.2), (nellipse_minor, 0.2)):
         o = ov.construct_orthogonal_oval(nd, rho)
         kmax = max(nd.kappa1, nd.kappa2)
-        assert o.lam > kmax
+        assert o.params.lam > kmax
         assert o.params.xi <= 1e-9
 
 
 def test_oval_convergence_to_limit(ndisk):
     lim = ov.compute_limits(ndisk.kappa1, ndisk.kappa2)
     rhos = (0.2, 0.1, 0.05, 0.025)
-    errs = [abs(ov.construct_orthogonal_oval(ndisk, r).lam - lim.lambda0)
-            for r in rhos]
+    lams = [ov.construct_orthogonal_oval(ndisk, r).params.lam for r in rhos]
+    errs = [abs(lam - lim.lambda0) for lam in lams]
     assert all(a > b for a, b in zip(errs, errs[1:]))
     # clean second order in rho: Richardson removes the leading term
-    lams = [ov.construct_orthogonal_oval(ndisk, r).lam for r in rhos]
     rich = (4 * lams[-1] - lams[-2]) / 3
     assert abs(rich - lim.lambda0) < 1e-3
     assert abs(rich - lim.lambda0) < 1e-6
@@ -703,7 +724,7 @@ def test_sample_initial_curve_uniform(ndisk):
 def test_sample_initial_curve_endpoint_tangents(ndisk):
     o = ov.construct_orthogonal_oval(ndisk, 0.3)
     par = o.params
-    for om, xe in ((o.omega_hat, o.xhat), (o.omega0, o.x0)):
+    for om, xe in ((o.omega_hat, o.p_second[0]), (o.omega0, o.p_first[0])):
         s = par.lower_slope(np.array([xe]))[0]
         t = np.array([1.0, s]) / np.hypot(1.0, s)
         n_in = np.array([-np.sin(om), np.cos(om)])   # inward normal

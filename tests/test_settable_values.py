@@ -1,8 +1,10 @@
-"""The package's settable values, counted from its source with ast.
+"""The package's size: its settable values, counted from its source with
+ast, and its source lines.
 
 A settable value is a defaulted positional or keyword-only parameter of a
-function, or a defaulted field of a dataclass that is not a ClassVar.  The
-count may fall, but a new knob fails this test until the bound is raised
+function, or a defaulted field of a dataclass that is not a ClassVar.  A
+source line is a newline of a module's file.  Either count may fall, but
+a new knob or a longer source fails this test until its bound is raised
 on purpose.
 """
 
@@ -11,7 +13,8 @@ from pathlib import Path
 
 import fbcsf
 
-SETTABLE_VALUES_MAX = 4
+SETTABLE_VALUES_MAX = 1
+SOURCE_LINES_MAX = 3493
 
 
 def _is_dataclass(node):
@@ -84,6 +87,16 @@ def package_settable_values():
             for value in settable_values(path.read_text(encoding="utf-8"))]
 
 
+def package_source_lines():
+    """The source lines of every fbcsf module, summed."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in Path(fbcsf.__file__).parent.glob("*.py"))
+
+
 def test_settable_values_do_not_grow():
     found = package_settable_values()
     assert len(found) <= SETTABLE_VALUES_MAX, found
+
+
+def test_source_lines_do_not_grow():
+    assert package_source_lines() <= SOURCE_LINES_MAX

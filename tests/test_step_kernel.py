@@ -344,7 +344,7 @@ def test_resample_drops_a_zero_length_edge_as_cubic_spline(ndisk):
                                     40)
     nodes = np.insert(nodes, 11, nodes[10], axis=0)
     assert _edges(nodes)[10] == 0.0
-    assert np.array_equal(f._resample([nodes], 57)[0],
+    assert np.array_equal(f._resample([nodes], 57, [_edges(nodes)])[0],
                           _cubic_spline_resample(nodes, 57))
 
 
@@ -368,7 +368,7 @@ def _resample_events(draw):
 def test_packed_resample_is_cubic_spline_of_each_curve(event):
     # one packed solve gives every curve the bits of its own spline
     curves, n_out = event
-    out = f._resample(curves, n_out)
+    out = f._resample(curves, n_out, [_edges(c) for c in curves])
     assert len(out) == len(curves)
     for nodes, got in zip(curves, out):
         assert np.array_equal(got, _cubic_spline_resample(nodes, n_out))
@@ -376,9 +376,9 @@ def test_packed_resample_is_cubic_spline_of_each_curve(event):
 
 def test_resample_rejects_fewer_than_four_distinct_nodes():
     # 41 nodes on 3 points used to come back unchanged, not at 33 nodes
-    nodes = np.repeat(_arc_nodes(3), [14, 14, 13], axis=0)
+    curves = [_arc_nodes(40), np.repeat(_arc_nodes(3), [14, 14, 13], axis=0)]
     with pytest.raises(FlowError):
-        f._resample([_arc_nodes(40), nodes], 33)
+        f._resample(curves, 33, [_edges(c) for c in curves])
 
 
 # ---------------------------------------------------------------------------
@@ -399,27 +399,40 @@ def _local_min_count_reference(values, rel_tol=1e-10):
 # few distinct levels make plateaus and exact ties common; the tiny
 # offsets sit below the flatness tolerance
 _levels = st.sampled_from([0.0, 1.0, 2.0, 2.0 + 1e-12, 3.0, -1.0, 0.5])
-_samples = st.one_of(
-    st.lists(_levels, min_size=0, max_size=30),
-    st.lists(st.floats(-5.0, 5.0), min_size=0, max_size=30),
-    st.builds(lambda v, n: [v] * n, st.floats(-5.0, 5.0),
-              st.integers(0, 12)),
-)
 
 
-@given(_samples)
+@st.composite
+def _min_count_blocks(draw):
+    """1 to 6 rows of one length, 0 to 30: rows of few levels, of any
+    floats, or constant, mixed in one block."""
+    n = draw(st.integers(0, 30))
+    row = st.one_of(
+        st.lists(_levels, min_size=n, max_size=n),
+        st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n),
+        st.floats(-5.0, 5.0).map(lambda v: [v] * n),
+    )
+    return np.array(draw(st.lists(row, min_size=1, max_size=6)),
+                    dtype=float)
+
+
+@given(_min_count_blocks())
+@example(np.array([[1.0, 0.0], [0.0, 1.0]]))  # a turn across two rows
+@example(np.array([[2.0, 1.0, 1.0, 2.0], [1.0, 1.0, 1.0, 1.0]]))
 @settings(max_examples=400, deadline=None)
-def test_min_count_matches_reference(vals):
-    vals = np.asarray(vals, dtype=float)
-    if len(vals) == 0:
+def test_min_counts_are_the_reference_row_by_row(block):
+    # one pass over the whole block counts each row's minima alone: a
+    # descent at the end of one row and an ascent at the start of the next
+    # make no minimum; a zero-length row has no maximum to scale the
+    # tolerance by
+    if block.shape[1] == 0:
         with pytest.raises(ValueError):
-            _local_min_count_reference(vals)
+            _local_min_count_reference(block[0])
         with pytest.raises(ValueError):
-            f._local_min_count(vals)
+            f._local_min_counts(block)
         return
-    got = f._local_min_count(vals)
-    assert type(got) is int
-    assert got == _local_min_count_reference(vals)
+    got = f._local_min_counts(block)
+    assert got.tolist() == [_local_min_count_reference(row)
+                            for row in block]
 
 
 @pytest.mark.parametrize("vals", [
@@ -429,7 +442,8 @@ def test_min_count_matches_reference(vals):
 ])
 def test_min_count_short_plateau_and_tie_cases(vals):
     vals = np.asarray(vals)
-    assert f._local_min_count(vals) == _local_min_count_reference(vals)
+    assert f._local_min_counts(vals[None]).tolist() == \
+        [_local_min_count_reference(vals)]
 
 
 class _ArcAreaWall:
@@ -490,12 +504,10 @@ def test_block_monitors_are_the_per_state_reads(n, groups, seed):
     want = (np.array([float(k[1:-1].min()) for k in kaps]),
             np.array([float(k.max()) for k in kaps]),
             np.array([f.enclosed_area(s, wall) for s in states]),
-            np.array([f._local_min_count(k[1:-1]) for k in kaps]))
+            np.array([_local_min_count_reference(k[1:-1]) for k in kaps]))
     for g_arr, w_arr in zip(got, want):
         assert g_arr.dtype == w_arr.dtype
         assert g_arr.tobytes() == w_arr.tobytes()
-    assert got[3].tolist() == [_local_min_count_reference(k[1:-1])
-                               for k in kaps]
 
 
 # ---------------------------------------------------------------------------
@@ -1051,7 +1063,7 @@ def test_resample_leaves_its_curves_alone(order):
               for n in (80, 81, 79)]
     curves[1] = np.insert(curves[1], 20, curves[1][20], axis=0)
     before = _bytes(*curves)
-    out = f._resample(curves, 70)
+    out = f._resample(curves, 70, [_edges(c) for c in curves])
     assert _bytes(*curves) == before
     # each output owns its nodes
     assert all(o.base is None for o in out)
